@@ -158,7 +158,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         cnf_path=args.input,
         out_dir=args.out_dir,
         eps_star=Fraction(args.eps_star),
-        seed=args.seed,
     )
     report = run_pipeline(cfg)
     if args.format == "json":
@@ -229,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("-o", "--out-dir", required=True)
     p.add_argument("--eps-star", default="31/250")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_pipeline)
     return parser

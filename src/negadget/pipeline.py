@@ -62,7 +62,6 @@ class PipelineConfig:
     # Deliberately small: pipeline games are large, and a truncated scan
     # reports "unknown" anyway, so a big budget only burns time.
     search_budget: int = 2000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps_star", Fraction(self.eps_star))
@@ -141,7 +140,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "max_sat_fraction": str(sat_fraction),
         "satisfiable": satisfiable,
         "omega": str(omega) if omega is not None else None,
-        "seed": cfg.seed,
     }
 
     cert = None

@@ -123,22 +123,17 @@ def max_sat_fraction(
     """Exact maximum fraction of simultaneously satisfiable clauses."""
     if not f.clauses:
         return Fraction(1)
-    if 2**f.num_vars > budget:
-        raise ResourceError(
-            f"2^{f.num_vars} assignments exceed budget {budget}"
-        )
-    best = 0
-    for mask in range(2**f.num_vars):
-        hit = sum(1 for c in f.clauses if _clause_satisfied(c, mask))
-        if hit > best:
-            best = hit
-            if best == f.num_clauses:
-                break
-    return Fraction(best, f.num_clauses)
+    return Fraction(_best_mask(f, budget)[1], f.num_clauses)
 
 
 def best_assignment(f: Cnf3Formula, budget: int = SAT_BUDGET_DEFAULT) -> int:
     """Lowest bitmask maximizing the number of satisfied clauses."""
+    return _best_mask(f, budget)[0]
+
+
+def _best_mask(f: Cnf3Formula, budget: int) -> tuple[int, int]:
+    """(lowest bitmask satisfying the most clauses, clauses it satisfies),
+    stopping at the first mask that satisfies every clause."""
     if 2**f.num_vars > budget:
         raise ResourceError(
             f"2^{f.num_vars} assignments exceed budget {budget}"
@@ -150,7 +145,7 @@ def best_assignment(f: Cnf3Formula, budget: int = SAT_BUDGET_DEFAULT) -> int:
             best_mask, best_hit = mask, hit
             if hit == f.num_clauses:
                 break
-    return best_mask
+    return best_mask, best_hit
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParameterError, ResourceError, ShapeError, ValidationError
+from .errors import (
+    InvariantError, ParameterError, ResourceError, ShapeError, ValidationError
+)
 from .games import (
     BimatrixGame,
     MixedProfile,
@@ -25,6 +27,7 @@ from .games import (
     mat_vec,
     regret_report,
     social_welfare,
+    tv_distance,
     vec_mat,
 )
 from .linsolve import simplex_maximize, solve_linear
@@ -161,39 +164,66 @@ def lmm_best_welfare(
     the budget.
     """
     e = frac(eps)
+    checked, truncated = _scan_size(game, k, budget)
+    # max() keeps the first of equal maxima: the lowest-index best welfare.
+    best = max(
+        _eps_ne_scan(game, e, k, budget), key=lambda c: c[3] + c[4], default=None
+    )
+    if best is None:
+        return SearchOutcome(
+            answer="unknown" if truncated else "no", checked_count=checked
+        )
+    witness = _reverified(game, MixedProfile(x=best[1], y=best[2]), e)
+    return SearchOutcome(
+        answer="unknown" if truncated else "yes", witness=witness, checked_count=checked
+    )
+
+
+def _scan_size(game: BimatrixGame, k: int, budget: int) -> tuple[int, bool]:
+    """(candidates a k-uniform scan checks, whether the budget cuts it)."""
     total = k_uniform_count(game.rows, k) * k_uniform_count(game.cols, k)
-    best: MixedProfile | None = None
-    best_w = None
-    checked = 0
-    # Precompute per-candidate payoff vectors once per side.
-    xs = list(k_uniform_strategies(game.rows, k))
-    ys = list(k_uniform_strategies(game.cols, k))
-    x_rows = [vec_mat(x, game.C) for x in xs]  # column payoffs per x
-    y_cols = [mat_vec(game.R, y) for y in ys]  # row payoffs per y
-    truncated = total > budget
-    for xi, x in enumerate(xs):
-        if checked >= budget:
-            break
-        for yi, y in enumerate(ys):
-            if checked >= budget:
-                break
-            checked += 1
-            row_vals = y_cols[yi]
-            col_vals = x_rows[xi]
+    return min(total, max(budget, 0)), total > budget
+
+
+def _eps_ne_scan(
+    game: BimatrixGame, eps: Fraction, k: int, budget: float
+) -> Iterator[tuple[int, Vector, Vector, Fraction, Fraction]]:
+    """Stream the k-uniform eps-NE among the first ``budget`` candidates.
+
+    Candidates (x, y) run in lexicographic order, x outermost.  Each
+    passing candidate is yielded as (index, x, y, row payoff, col payoff).
+    x @ C is computed once per x and R @ y once per y; a y is kept only
+    once the scan reaches it, so nothing outside the budget is built.
+    """
+    fresh_ys = k_uniform_strategies(game.cols, k)
+    seen_ys: list[tuple[Vector, Vector, Fraction]] = []  # (y, R @ y, max)
+
+    def each_y() -> Iterator[tuple[Vector, Vector, Fraction]]:
+        yield from seen_ys
+        for y in fresh_ys:
+            row_vals = mat_vec(game.R, y)
+            seen_ys.append((y, row_vals, max(row_vals)))
+            yield seen_ys[-1]
+
+    index = 0
+    for x in k_uniform_strategies(game.rows, k):
+        col_vals = vec_mat(x, game.C)
+        col_best = max(col_vals)
+        for y, row_vals, row_best in each_y():
+            if index >= budget:
+                return
             row_pay = dot(x, row_vals)
             col_pay = dot(y, col_vals)
-            if max(row_vals) - row_pay > e or max(col_vals) - col_pay > e:
-                continue
-            welfare = row_pay + col_pay
-            if best_w is None or welfare > best_w:
-                best_w = welfare
-                best = MixedProfile(x=x, y=y)
-    if best is not None:
-        answer = "unknown" if truncated else "yes"
-        return SearchOutcome(answer=answer, witness=best, checked_count=checked)
-    return SearchOutcome(
-        answer="unknown" if truncated else "no", checked_count=checked
-    )
+            if row_best - row_pay <= eps and col_best - col_pay <= eps:
+                yield index, x, y, row_pay, col_pay
+            index += 1
+
+
+def _reverified(game: BimatrixGame, p: MixedProfile, eps: Fraction) -> MixedProfile:
+    """Return a scan witness after the exact oracle has confirmed it."""
+    if not is_eps_ne(game, p, eps):
+        raise InvariantError("k-uniform scan and is_eps_ne disagree on a witness")
+    return p
 
 
 def wsne_support_feasible(
@@ -388,8 +418,6 @@ def _check_hint(
         if not isinstance(hint, tuple):
             return None
         p1, p2 = hint
-        from .games import tv_distance
-
         if (
             is_eps_ne(inst.game, p1, inst.eps)
             and is_eps_ne(inst.game, p2, inst.eps)
@@ -413,49 +441,33 @@ def _check_hint(
 
 
 def _decide_ne_scan(inst: DecisionInstance, k: int, budget: int) -> SearchOutcome:
-    total = k_uniform_count(inst.game.rows, k) * k_uniform_count(inst.game.cols, k)
-    truncated = total > budget
-    checked = 0
-    for p in _bounded_pairs(inst.game, k, budget):
-        checked += 1
-        if is_eps_ne(inst.game, p, inst.eps) and _predicate_ne(inst, p):
-            return SearchOutcome(answer="yes", witness=p, checked_count=checked)
+    checked, truncated = _scan_size(inst.game, k, budget)
+    for index, x, y, _, _ in _eps_ne_scan(inst.game, inst.eps, k, budget):
+        p = MixedProfile(x=x, y=y)
+        if _predicate_ne(inst, p):
+            witness = _reverified(inst.game, p, inst.eps)
+            return SearchOutcome(
+                answer="yes", witness=witness, checked_count=index + 1
+            )
     return SearchOutcome(
         answer="unknown" if truncated else "no", checked_count=checked
     )
 
 
-def _bounded_pairs(
-    game: BimatrixGame, k: int, budget: int
-) -> Iterator[MixedProfile]:
-    checked = 0
-    ys = list(k_uniform_strategies(game.cols, k))
-    for x in k_uniform_strategies(game.rows, k):
-        for y in ys:
-            if checked >= budget:
-                return
-            checked += 1
-            yield MixedProfile(x=x, y=y)
-
-
 def _decide_p3(inst: DecisionInstance, k: int, budget: int) -> SearchOutcome:
-    from .games import tv_distance
-
-    total = k_uniform_count(inst.game.rows, k) * k_uniform_count(inst.game.cols, k)
-    truncated = total > budget
+    checked, truncated = _scan_size(inst.game, k, budget)
     found: list[MixedProfile] = []
-    checked = 0
-    for p in _bounded_pairs(inst.game, k, budget):
-        checked += 1
-        if not is_eps_ne(inst.game, p, inst.eps):
-            continue
+    for index, x, y, _, _ in _eps_ne_scan(inst.game, inst.eps, k, budget):
+        p = MixedProfile(x=x, y=y)
         for q in found:
             if tv_distance(p, q) >= inst.d:
+                pair = (_reverified(inst.game, q, inst.eps),
+                        _reverified(inst.game, p, inst.eps))
                 return SearchOutcome(
                     answer="yes",
                     witness=q,
-                    witness_pair=(q, p),
-                    checked_count=checked,
+                    witness_pair=pair,
+                    checked_count=index + 1,
                 )
         found.append(p)
     return SearchOutcome(
@@ -501,7 +513,10 @@ def exhaustive_ne_oracle(
                 p = _support_ne(game, rows, cols)
                 if p is not None:
                     record(p)
-    for p in _grid_profiles(game, grid):
+    for x, y in itertools.product(
+        k_uniform_strategies(game.rows, grid), k_uniform_strategies(game.cols, grid)
+    ):
+        p = MixedProfile(x=x, y=y)
         rep = regret_report(game, p)
         if rep.row_regret == 0 and rep.col_regret == 0:
             record(p)
@@ -547,27 +562,12 @@ def _support_ne(
     return None
 
 
-def _grid_profiles(game: BimatrixGame, grid: int) -> Iterator[MixedProfile]:
-    for x in _grid_simplex(game.rows, grid):
-        for y in _grid_simplex(game.cols, grid):
-            yield MixedProfile(x=x, y=y)
-
-
-def _grid_simplex(n: int, grid: int) -> Iterator[Vector]:
-    for combo in itertools.combinations_with_replacement(range(n), grid):
-        v = [Fraction(0)] * n
-        for i in combo:
-            v[i] += Fraction(1, grid)
-        yield tuple(v)
-
-
 def grid_eps_ne(
     game: BimatrixGame, grid: int, eps: Rational
 ) -> list[MixedProfile]:
     """All grid profiles (denominator ``grid``) with regret at most eps."""
     e = frac(eps)
-    out = []
-    for p in _grid_profiles(game, grid):
-        if is_eps_ne(game, p, e):
-            out.append(p)
-    return out
+    return [
+        _reverified(game, MixedProfile(x=x, y=y), e)
+        for _, x, y, _, _ in _eps_ne_scan(game, e, grid, math.inf)
+    ]

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negadget.corpus import random_game, random_planted_game
 from negadget.errors import ResourceError, ValidationError
@@ -352,3 +355,99 @@ class TestGridSearch:
     def test_grid_eps_ne_uniform_found(self):
         found = grid_eps_ne(MATCHING_PENNIES, 2, 0)
         assert any(p.x == (F(1, 2), F(1, 2)) for p in found)
+
+
+def _reference_hits(game, eps, k, budget):
+    """Brute force: every eps-NE among the first ``budget`` k-uniform
+    candidates as (index, profile, report), the candidates checked, and
+    whether the budget cut the family short."""
+    pairs = [
+        (x, y)
+        for x in k_uniform_strategies(game.rows, k)
+        for y in k_uniform_strategies(game.cols, k)
+    ]
+    hits = []
+    for index, (x, y) in enumerate(pairs[:budget]):
+        p = MixedProfile(x=x, y=y)
+        rep = regret_report(game, p)
+        if rep.row_regret <= eps and rep.col_regret <= eps:
+            hits.append((index, p, rep))
+    return hits, min(len(pairs), budget), len(pairs) > budget
+
+
+_QUARTERS = st.sampled_from([F(i, 4) for i in range(5)])
+
+
+@st.composite
+def _small_games(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = st.lists(
+        st.lists(_QUARTERS, min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    )
+    return BimatrixGame(R=draw(cells), C=draw(cells))
+
+
+class TestScanMatchesBruteForce:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        game=_small_games(),
+        k=st.integers(1, 3),
+        eps=st.sampled_from([F(0), F(1, 4), F(1, 2)]),
+        budget=st.integers(1, 120),
+        threshold=st.sampled_from([F(1, 4), F(1, 2), F(2, 3), F(1)]),
+    )
+    def test_lmm_and_decide_agree_with_regret_report(
+        self, game, k, eps, budget, threshold
+    ):
+        hits, checked, truncated = _reference_hits(game, eps, k, budget)
+        miss = "unknown" if truncated else "no"
+
+        out = lmm_best_welfare(game, eps, k, budget=budget)
+        assert out.checked_count == checked
+        if hits:
+            best = max(rep.welfare for _, _, rep in hits)
+            first_best = next(p for _, p, rep in hits if rep.welfare == best)
+            assert out.answer == ("unknown" if truncated else "yes")
+            assert out.witness == first_best
+        else:
+            assert (out.answer, out.witness) == (miss, None)
+
+        cap = min(threshold, F(2, 3))  # problem 4 needs p < 1
+        predicates = {
+            1: ({"u": threshold},
+                lambda p, rep: min(rep.row_payoff, rep.col_payoff) >= threshold),
+            4: ({"p": cap}, lambda p, rep: max(p.x) <= cap),
+            5: ({"v": threshold}, lambda p, rep: rep.welfare <= threshold),
+        }
+        for pid, (param, holds) in predicates.items():
+            inst = DecisionInstance(problem_id=pid, game=game, eps=eps, **param)
+            out = decide(inst, k=k, budget=budget)
+            first = next(((i, p) for i, p, rep in hits if holds(p, rep)), None)
+            if first is None:
+                assert (out.answer, out.witness, out.checked_count) == (
+                    miss, None, checked
+                )
+            else:
+                index, p = first
+                assert (out.answer, out.witness, out.checked_count) == (
+                    "yes", p, index + 1
+                )
+
+
+class TestScanBudget:
+    def test_thin_game_scan_stops_at_budget_without_building_the_family(self):
+        # 2x40 at k = 8: C(47, 8) ~ 3e8 column strategies.  Row 1 dominates,
+        # so the first 1000 candidates (all on row 0) fail the regret test.
+        game = BimatrixGame(R=((0,) * 40, (1,) * 40), C=((0,) * 40, (0,) * 40))
+        inst = DecisionInstance(problem_id=1, game=game, eps=0, u=1)
+        tracemalloc.start()
+        try:
+            out = decide(inst, k=8, budget=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.answer == "unknown"
+        assert out.checked_count == 1000
+        assert peak < 4 * 2**20, peak
