@@ -2,7 +2,8 @@
 
 Subcommands: verify, value, reduce, forge, decide, pipeline.
 Exit codes for `verify`: 0 = passes, 1 = fails.  For `decide`:
-0 = yes, 1 = no, 2 = unknown.
+0 = yes, 1 = no, 2 = unknown.  Every input or resource error, such as a
+missing file or a malformed rational, exits 3 with a one-line message.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import formats
@@ -61,7 +61,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     profile = formats.parse_prof(
         Path(args.profile).read_text(), normalize=args.normalize
     )
-    eps = Fraction(args.eps)
+    eps = formats._parse_rational(args.eps)
     rep = regret_report(game, profile)
     if args.mode == "wsne":
         ok = rep.row_pure_regret <= eps and rep.col_pure_regret <= eps
@@ -95,7 +95,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_forge(args: argparse.Namespace) -> int:
-    params = derive_params(Fraction(args.eps_star))
+    params = derive_params(formats._parse_rational(args.eps_star))
     if args.what == "build":
         free = formats.parse_fgm(Path(args.input).read_text())
         gg = build_hardness_game(free, params, half_cap=args.cap)
@@ -126,23 +126,18 @@ def cmd_decide(args: argparse.Namespace) -> int:
     pid = int(args.problem.lstrip("p"))
     game = formats.parse_bgm(Path(args.game).read_text())
     kwargs: dict = {}
-    if args.u is not None:
-        kwargs["u"] = Fraction(args.u)
-    if args.d is not None:
-        kwargs["d"] = Fraction(args.d)
-    if args.p is not None:
-        kwargs["p"] = Fraction(args.p)
-    if args.v is not None:
-        kwargs["v"] = Fraction(args.v)
+    for name in ("u", "d", "p", "v"):
+        value = getattr(args, name)
+        if value is not None:
+            kwargs[name] = formats._parse_rational(value)
     if args.k_param is not None:
         kwargs["k"] = args.k_param
     if args.index_set is not None:
         kwargs["index_set"] = tuple(
             int(t) for t in args.index_set.split(",") if t
         )
-    inst = DecisionInstance(
-        problem_id=pid, game=game, eps=Fraction(args.eps), **kwargs
-    )
+    eps = formats._parse_rational(args.eps)
+    inst = DecisionInstance(problem_id=pid, game=game, eps=eps, **kwargs)
     hints = []
     for path in args.hint or ():
         hints.append(formats.parse_prof(Path(path).read_text()))
@@ -157,7 +152,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = PipelineConfig(
         cnf_path=args.input,
         out_dir=args.out_dir,
-        eps_star=Fraction(args.eps_star),
+        eps_star=formats._parse_rational(args.eps_star),
     )
     report = run_pipeline(cfg)
     if args.format == "json":
@@ -237,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GadgetError as exc:
+    except (GadgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

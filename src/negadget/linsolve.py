@@ -1,9 +1,9 @@
 """Exact linear algebra helpers: Gaussian elimination and a small simplex.
 
 Everything operates on `fractions.Fraction` so feasibility and optimality
-answers are exact.  The simplex is a textbook two-phase tableau method with
-Bland's rule, which suffices for the tiny programs produced by support
-enumeration.
+answers are exact.  The simplex is a Bland's-rule tableau method that
+starts at the slack basis and needs one artificial variable (Chvatal's
+auxiliary problem max -x0) only when a right-hand side is negative.
 """
 
 from __future__ import annotations
@@ -109,49 +109,41 @@ def simplex_maximize(
     n = len(c)
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    slack_count = len(a_ub)
     for i, row in enumerate(a_ub):
         if len(row) != n:
             raise ShapeError("a_ub row length mismatch")
-        slack = [Fraction(int(k == i)) for k in range(slack_count)]
-        rows.append(list(row) + slack)
+        rows.append(list(row))
         rhs.append(Fraction(b_ub[i]))
+    # Each equality becomes two opposite <= rows, so every row has a slack.
     for i, row in enumerate(a_eq):
         if len(row) != n:
             raise ShapeError("a_eq row length mismatch")
-        rows.append(list(row) + [Fraction(0)] * slack_count)
-        rhs.append(Fraction(b_eq[i]))
+        rows += [list(row), [-e for e in row]]
+        rhs += [Fraction(b_eq[i]), -Fraction(b_eq[i])]
     m = len(rows)
-    width = n + slack_count
-    # Make all right-hand sides nonnegative, then add one artificial per row.
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-e for e in rows[i]]
-            rhs[i] = -rhs[i]
-    ncols = width + m
+    width = n + m
+    # Columns: x, one slack per row, then x0 with -1 in every row.
     tab = [
-        rows[i] + [Fraction(int(k == i)) for k in range(m)] + [rhs[i]]
+        rows[i] + [Fraction(int(k == i)) for k in range(m)] + [Fraction(-1), rhs[i]]
         for i in range(m)
     ]
-    basis = [width + i for i in range(m)]
+    basis = list(range(n, width))
 
-    phase1_cost = [Fraction(0)] * width + [Fraction(-1)] * m
-    status = _optimize(tab, basis, phase1_cost, ncols)
-    assert status == "optimal"  # phase 1 is bounded by construction
-    if sum(tab[r][-1] for r in range(m) if basis[r] >= width) > 0:
-        return "infeasible", None, None
-    # Drive any zero-valued artificials out of the basis (or drop their rows).
-    for r in range(m - 1, -1, -1):
-        if basis[r] >= width:
-            col = next((j for j in range(width) if tab[r][j] != 0), None)
-            if col is None:
-                del tab[r]
-                del basis[r]
-            else:
-                _pivot(tab, basis, r, col)
+    if any(b < 0 for b in rhs):
+        # Entering x0 on the most negative row makes every rhs nonnegative.
+        _pivot(tab, basis, rhs.index(min(rhs)), width)
+        phase1_cost = [Fraction(0)] * width + [Fraction(-1)]
+        status = _optimize(tab, basis, phase1_cost, width + 1)
+        assert status == "optimal"  # phase 1 is bounded by construction
+        if width in basis:
+            r = basis.index(width)
+            if tab[r][-1] > 0:
+                return "infeasible", None, None
+            # [A | I] has full row rank, so the row has a nonzero entry.
+            _pivot(tab, basis, r, next(j for j in range(width) if tab[r][j] != 0))
 
-    # Artificial columns stay in the tableau but may not re-enter the basis.
-    phase2_cost = list(c) + [Fraction(0)] * (slack_count + m)
+    # x0 stays in the tableau but may not re-enter the basis.
+    phase2_cost = list(c) + [Fraction(0)] * (m + 1)
     status = _optimize(tab, basis, phase2_cost, width)
     if status != "optimal":
         return status, None, None

@@ -18,6 +18,7 @@ from .gadget import (
     HALF_CAP_DEFAULT,
     ReductionParams,
     build_hardness_game,
+    check_certificate,
     completeness_certificate,
     derive_params,
     extend_gdoubleprime,
@@ -29,10 +30,8 @@ from .gadget import (
 from .games import (
     BimatrixGame,
     MixedProfile,
-    is_eps_ne,
     is_eps_wsne,
     pure_profile,
-    social_welfare,
 )
 from .provers import game_value, VALUE_BUDGET_DEFAULT
 from .sat import (
@@ -47,7 +46,7 @@ from .sat import (
     parse_dimacs,
     partition_bipartite,
 )
-from .search import DecisionInstance, SearchOutcome, decide
+from .search import DecisionInstance, decide
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     cert = None
     if satisfiable:
-        cert = _certificate(cfg, formula, build, gg, report, out)
+        cert = _certificate(cfg, formula, build, gg, gs, report, out)
     report["deciders"] = _run_deciders(cfg, params, build, gs, gp, gdp, cert)
 
     (out / "report.json").write_text(
@@ -158,6 +157,7 @@ def _certificate(
     formula,
     build: FreeGameBuild,
     gg: GadgetGame,
+    gs: BimatrixGame,
     report: dict,
     out: Path,
 ) -> MixedProfile:
@@ -169,13 +169,12 @@ def _certificate(
         completeness_certificate, build.game, s1, s2, gg
     )
     (out / "cert.prof").write_text(formats.write_prof(cert))
-    eps_unscaled = 1 - 4 * gg.params.g * gg.params.delta
-    gs = rescale_game(gg)
+    ok_unscaled, w_unscaled, ok_scaled, w_scaled = check_certificate(gg, cert)
     report["certificate"] = {
-        "unscaled_ne": is_eps_ne(gg.game, cert, eps_unscaled),
-        "unscaled_welfare": str(social_welfare(gg.game, cert)),
-        "scaled_ne": is_eps_ne(gs, cert, eps_unscaled / 8),
-        "scaled_welfare": str(social_welfare(gs, cert)),
+        "unscaled_ne": ok_unscaled,
+        "unscaled_welfare": str(w_unscaled),
+        "scaled_ne": ok_scaled,
+        "scaled_welfare": str(w_scaled),
         "scaled_wsne": is_eps_wsne(gs, cert, gg.params.eps_star),
     }
     return cert
@@ -225,12 +224,7 @@ def _run_deciders(
     for pid, game, kwargs, hints in specs:
         hints = [h for h in hints if h is not None]
         inst = DecisionInstance(problem_id=pid, game=game, eps=e, **kwargs)
-        try:
-            outcome = decide(
-                inst, k=nx, budget=cfg.search_budget, hints=hints
-            )
-        except ResourceError:
-            outcome = SearchOutcome(answer="unknown")
+        outcome = decide(inst, k=nx, budget=cfg.search_budget, hints=hints)
         results[f"p{pid}"] = {
             "answer": outcome.answer,
             "checked": outcome.checked_count,

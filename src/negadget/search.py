@@ -144,8 +144,11 @@ def k_uniform_count(n: int, k: int) -> int:
 def default_k(n: int, eps: Rational, cap: int = 8) -> int:
     """ceil(log2(n)/eps^2), clamped to [1, cap]."""
     e = frac(eps)
-    if e <= 0:
+    # Exact where float(e * e) fails: 1 <= log2(max(n, 2)) < bit_length.
+    if e <= 0 or e * e * cap < 1:
         return cap
+    if e * e >= max(n, 2).bit_length():
+        return 1
     raw = math.ceil(math.log2(max(n, 2)) / float(e * e))
     return max(1, min(cap, raw))
 
@@ -282,22 +285,26 @@ def _one_side_feasible(
     strict mode the slack t is also charged against every regret
     constraint, so a positive optimum certifies regret strictly below
     eps.
+
+    The rows are homogeneous with sum(q) <= 1, so every right-hand side is
+    0 or 1 and the simplex needs no phase 1; a feasible (q, t) with t > 0
+    scales by 1/sum(q) to a larger t, so a positive optimum has sum(q) = 1.
     """
     n_rows = len(payoff)
     m = len(opp_supp)
     nvars = m + 1
     a_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
-    # For each support row i and each row r: (P_r - P_i) . q <= eps
-    # (strict mode: (P_r - P_i) . q + t <= eps).
+    # For each support row i and each row r: (P_r - P_i - eps) . q <= 0
+    # (strict mode: (P_r - P_i - eps) . q + t <= 0).
     slack = Fraction(1 if strict else 0)
     for i in supp:
         for r in range(n_rows):
             if r == i:
                 continue
-            row = [payoff[r][j] - payoff[i][j] for j in opp_supp] + [slack]
+            row = [payoff[r][j] - payoff[i][j] - eps for j in opp_supp] + [slack]
             a_ub.append(row)
-            b_ub.append(eps)
+            b_ub.append(Fraction(0))
     # t <= q_j for each j.
     for j in range(m):
         row = [Fraction(0)] * nvars
@@ -305,10 +312,10 @@ def _one_side_feasible(
         row[m] = Fraction(1)
         a_ub.append(row)
         b_ub.append(Fraction(0))
-    a_eq = [[Fraction(1)] * m + [Fraction(0)]]
-    b_eq = [Fraction(1)]
+    a_ub.append([Fraction(1)] * m + [Fraction(0)])
+    b_ub.append(Fraction(1))
     c = [Fraction(0)] * m + [Fraction(1)]
-    status, value, solution = simplex_maximize(c, a_ub, b_ub, a_eq, b_eq)
+    status, value, solution = simplex_maximize(c, a_ub, b_ub)
     if status != "optimal" or value is None or value <= 0:
         return None
     return solution[:m]
@@ -477,12 +484,16 @@ def _decide_p3(inst: DecisionInstance, k: int, budget: int) -> SearchOutcome:
 
 def _decide_wsne(inst: DecisionInstance, budget: int) -> SearchOutcome:
     checked = 0
-    for witness in enumerate_wsne_supports(inst.game, inst.eps, budget):
-        checked += 1
-        if _predicate_wsne(inst, witness):
-            return SearchOutcome(
-                answer="yes", witness=witness, checked_count=checked
-            )
+    try:
+        for witness in enumerate_wsne_supports(inst.game, inst.eps, budget):
+            checked += 1
+            if _predicate_wsne(inst, witness):
+                return SearchOutcome(
+                    answer="yes", witness=witness, checked_count=checked
+                )
+    except ResourceError:
+        # Raised before the first support pair: the pairs exceed the budget.
+        return SearchOutcome(answer="unknown", checked_count=0)
     return SearchOutcome(answer="no", checked_count=checked)
 
 

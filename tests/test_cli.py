@@ -124,6 +124,47 @@ class TestDecide:
         )
         assert code == 1
 
+    def test_support_problem_over_budget_is_unknown(self, tmp_path, capsys):
+        # Matching pennies has 9 support pairs, over a budget of 2.
+        pennies = tmp_path / "mp.bgm"
+        pennies.write_text(
+            formats.write_bgm(
+                BimatrixGame(R=((1, 0), (0, 1)), C=((0, 1), (1, 0)))
+            )
+        )
+        code = main(
+            ["decide", "p7", str(pennies), "--eps", "0", "--k-param", "1",
+             "--budget", "2"]
+        )
+        assert code == 2
+        assert capsys.readouterr().out.strip() == "unknown"
+
+
+class TestInputErrors:
+    """Input errors exit 3 with a one-line message and no traceback."""
+
+    def _assert_one_line_error(self, capsys):
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_missing_input_file(self, tmp_path, coordination_paths, capsys):
+        _, prof = coordination_paths
+        missing = tmp_path / "missing.bgm"
+        assert main(["verify", str(missing), str(prof), "--eps", "0"]) == 3
+        self._assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "{game}", "{prof}", "--eps", "abc"],
+        ["decide", "p1", "{game}", "--eps", "0", "--u", "1/0"],
+    ])
+    def test_malformed_rational(self, command, coordination_paths, capsys):
+        game, prof = coordination_paths
+        argv = [a.format(game=game, prof=prof) for a in command]
+        assert main(argv) == 3
+        self._assert_one_line_error(capsys)
+
 
 class TestPipeline:
     def test_satisfiable_run(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,7 @@ from negadget.errors import ResourceError, ValidationError
 from negadget.games import (
     BimatrixGame,
     MixedProfile,
+    dot,
     is_eps_ne,
     is_eps_wsne,
     regret_report,
@@ -77,6 +79,63 @@ class TestLinsolve:
         assert status == "optimal"
         assert value == F(1, 2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_simplex_matches_vertex_enumeration(self, data):
+        n = data.draw(st.integers(1, 3))
+        small = st.integers(-3, 3)
+        row = st.lists(small, min_size=n, max_size=n)
+        c = data.draw(row)
+        a_ub, b_ub = [], []
+        for _ in range(data.draw(st.integers(0, 3))):
+            a_ub.append(data.draw(row))
+            b_ub.append(data.draw(st.integers(-4, 4)))
+        a_eq, b_eq = [], []
+        if data.draw(st.booleans()):
+            a_eq.append(data.draw(row))
+            b_eq.append(data.draw(st.integers(-4, 4)))
+            kind = data.draw(st.sampled_from(["none", "free", "redundant", "clash"]))
+            if kind == "free":
+                a_eq.append(data.draw(row))
+                b_eq.append(data.draw(st.integers(-4, 4)))
+            elif kind != "none":
+                # A multiple of the first row: a duplicate when lam = 1.
+                lam = data.draw(st.sampled_from([1, 2, -1, F(1, 2)]))
+                a_eq.append([lam * e for e in a_eq[0]])
+                b_eq.append(lam * b_eq[0] + (1 if kind == "clash" else 0))
+        bound = data.draw(st.integers(1, 3))
+        for i in range(n):
+            a_ub.append([int(k == i) for k in range(n)])
+            b_ub.append(bound)
+
+        status, value, x = simplex_maximize(c, a_ub, b_ub, a_eq, b_eq)
+
+        # Reference: the box makes the region a polytope, so it is empty or
+        # its optimum sits at a vertex, where n of the constraints are tight.
+        def feasible(p):
+            return (
+                all(v >= 0 for v in p)
+                and all(dot(r, p) <= b for r, b in zip(a_ub, b_ub))
+                and all(dot(r, p) == b for r, b in zip(a_eq, b_eq))
+            )
+
+        tight = list(zip(a_ub + a_eq, b_ub + b_eq)) + [
+            ([int(k == i) for k in range(n)], 0) for i in range(n)
+        ]
+        vertices = []
+        for chosen in itertools.combinations(tight, n):
+            p = solve_linear([[F(a) for a in r] for r, _ in chosen],
+                             [F(b) for _, b in chosen])
+            if p is not None and feasible(p):
+                vertices.append(p)
+        if not vertices:
+            assert status == "infeasible"
+            return
+        assert status == "optimal"
+        assert value == max(dot(c, p) for p in vertices)
+        assert feasible(x)
+        assert value == dot(c, x)
+
 
 class TestKUniform:
     def test_pure(self):
@@ -97,6 +156,11 @@ class TestKUniform:
         assert default_k(4, F(1, 2)) == 8
         assert default_k(4, 0) == 8
         assert default_k(2, 1) == 1
+
+    def test_default_k_extreme_eps(self):
+        # float(eps * eps) would underflow to 0 and overflow respectively.
+        assert default_k(4, F(1, 10**200)) == 8
+        assert default_k(4, F(10**200)) == 1
 
 
 class TestLmm:
