@@ -2,8 +2,8 @@
 
 Subcommands: verify, value, reduce, forge, decide, pipeline.
 Exit codes for `verify`: 0 = passes, 1 = fails.  For `decide`:
-0 = yes, 1 = no, 2 = unknown.  Every input or resource error, such as a
-missing file or a malformed rational, exits 3 with a one-line message.
+0 = yes, 1 = no, 2 = unknown.  Every input, usage or resource error, such as
+a missing file or a malformed rational, exits 3 with a one-line message.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .errors import GadgetError
+from .errors import FormatError, GadgetError
 from .gadget import (
     build_hardness_game,
     completeness_certificate,
@@ -63,10 +63,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     eps = formats._parse_rational(args.eps)
     rep = regret_report(game, profile)
-    if args.mode == "wsne":
-        ok = rep.row_pure_regret <= eps and rep.col_pure_regret <= eps
-    else:
-        ok = rep.row_regret <= eps and rep.col_regret <= eps
+    ok = rep.within(eps, pure=args.mode == "wsne")
     data = _report_dict(rep)
     data["mode"] = args.mode
     data["eps"] = str(eps)
@@ -133,9 +130,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     if args.k_param is not None:
         kwargs["k"] = args.k_param
     if args.index_set is not None:
-        kwargs["index_set"] = tuple(
-            int(t) for t in args.index_set.split(",") if t
-        )
+        kwargs["index_set"] = formats._parse_index_set(args.index_set)
     eps = formats._parse_rational(args.eps)
     inst = DecisionInstance(problem_id=pid, game=game, eps=eps, **kwargs)
     hints = []
@@ -165,8 +160,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 like other input errors; 2 means "unknown"."""
+
+    def error(self, message: str):
+        raise FormatError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="negadget",
         description="Bimatrix-game hardness gadgets and equilibrium search.",
     )
@@ -229,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (GadgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,14 @@ def _parse_rational(tok: str) -> Fraction:
         raise FormatError(f"bad rational {tok!r}") from exc
 
 
+def _parse_index_set(text: str) -> tuple[int, ...]:
+    """Comma-separated integer indices, such as `decide --set 0,2`."""
+    try:
+        return tuple(int(t) for t in text.split(",") if t)
+    except ValueError as exc:
+        raise FormatError(f"bad index set {text!r}") from exc
+
+
 def _fmt(q: Fraction) -> str:
     return str(q)
 

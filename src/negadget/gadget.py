@@ -36,8 +36,7 @@ from .games import (
     Rational,
     affine_rescale,
     frac,
-    is_eps_ne,
-    social_welfare,
+    regret_report,
 )
 from .provers import (
     ProverStrategy,
@@ -202,7 +201,7 @@ def build_hardness_game(
         ("D1", rc_rows, rows, 0, rc_cols),
         ("ZERO", rc_rows, rows, rc_cols, cols),
     )
-    game = BimatrixGame(R=tuple(map(tuple, r)), C=tuple(map(tuple, c)), blocks=blocks)
+    game = BimatrixGame(R=r, C=c, blocks=blocks)
     return GadgetGame(
         game=game,
         row_index=tuple(row_index),
@@ -276,7 +275,7 @@ def extend_gprime(gs: BimatrixGame, eps_star: Rational) -> BimatrixGame:
         ("COL_J", 0, gs.rows, gs.cols, gs.cols + 1),
         ("ROW_I", gs.rows, gs.rows + 1, 0, gs.cols + 1),
     )
-    return BimatrixGame(R=tuple(map(tuple, r)), C=tuple(map(tuple, c)), blocks=blocks)
+    return BimatrixGame(R=r, C=c, blocks=blocks)
 
 
 def extend_gdoubleprime(gp: BimatrixGame) -> BimatrixGame:
@@ -293,7 +292,7 @@ def extend_gdoubleprime(gp: BimatrixGame) -> BimatrixGame:
         ("COL_JP", 0, gp.rows, gp.cols, gp.cols + 1),
         ("ROW_IP", gp.rows, gp.rows + 1, 0, gp.cols + 1),
     )
-    return BimatrixGame(R=tuple(map(tuple, r)), C=tuple(map(tuple, c)), blocks=blocks)
+    return BimatrixGame(R=r, C=c, blocks=blocks)
 
 
 def extend_profile(p: MixedProfile, extra_rows: int, extra_cols: int) -> MixedProfile:
@@ -332,9 +331,7 @@ def check_certificate(
 ) -> tuple[bool, Fraction, bool, Fraction]:
     """(unscaled ok, unscaled welfare, rescaled ok, rescaled welfare)."""
     eps_unscaled = 1 - 4 * gg.params.g * gg.params.delta
-    ok_unscaled = is_eps_ne(gg.game, cert, eps_unscaled)
-    w_unscaled = social_welfare(gg.game, cert)
-    gs = rescale_game(gg)
-    ok_scaled = is_eps_ne(gs, cert, eps_unscaled / 8)
-    w_scaled = social_welfare(gs, cert)
-    return ok_unscaled, w_unscaled, ok_scaled, w_scaled
+    unscaled = regret_report(gg.game, cert)
+    scaled = regret_report(rescale_game(gg), cert)
+    return (unscaled.within(eps_unscaled), unscaled.welfare,
+            scaled.within(eps_unscaled / 8), scaled.welfare)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import ParameterError, ShapeError, ValidationError
+from .errors import InvariantError, ParameterError, ShapeError, ValidationError
 
 Rational = Union[Fraction, int, str]
 
@@ -30,11 +30,13 @@ def frac(value: Rational) -> Fraction:
 
 
 def vector(entries: Iterable[Rational]) -> Vector:
-    return tuple(frac(e) for e in entries)
+    # tuple() of lists here and below: a tuple grown from a generator by
+    # resizing is kept in CPython's free lists, which then fill up the heap.
+    return tuple([frac(e) for e in entries])
 
 
 def matrix(rows: Iterable[Iterable[Rational]]) -> Matrix:
-    out = tuple(vector(r) for r in rows)
+    out = tuple([vector(r) for r in rows])
     if out and any(len(r) != len(out[0]) for r in out):
         raise ShapeError("ragged matrix")
     return out
@@ -48,7 +50,7 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
     """m @ v (one entry per row)."""
-    return tuple(dot(row, v) for row in m)
+    return tuple([dot(row, v) for row in m])
 
 
 def vec_mat(v: Sequence[Fraction], m: Matrix) -> Vector:
@@ -56,10 +58,10 @@ def vec_mat(v: Sequence[Fraction], m: Matrix) -> Vector:
     if len(v) != len(m):
         raise ShapeError(f"vec_mat: vector length {len(v)} vs {len(m)} rows")
     cols = len(m[0]) if m else 0
-    return tuple(
+    return tuple([
         sum((v[i] * m[i][j] for i in range(len(m))), Fraction(0))
         for j in range(cols)
-    )
+    ])
 
 
 @dataclass(frozen=True)
@@ -163,11 +165,17 @@ class RegretReport:
 
     def __post_init__(self) -> None:
         if not (0 <= self.row_regret <= self.row_pure_regret):
-            raise ValidationError("row regret exceeds pure row regret")
+            raise InvariantError("row regret exceeds pure row regret")
         if not (0 <= self.col_regret <= self.col_pure_regret):
-            raise ValidationError("col regret exceeds pure col regret")
+            raise InvariantError("col regret exceeds pure col regret")
         if self.welfare != self.row_payoff + self.col_payoff:
-            raise ValidationError("welfare != sum of payoffs")
+            raise InvariantError("welfare != sum of payoffs")
+
+    def within(self, eps: Fraction, pure: bool = False) -> bool:
+        """Both regrets (pure-strategy regrets if ``pure``) are at most eps."""
+        if pure:
+            return self.row_pure_regret <= eps and self.col_pure_regret <= eps
+        return self.row_regret <= eps and self.col_regret <= eps
 
 
 def _check_shapes(game: BimatrixGame, p: MixedProfile) -> None:
@@ -218,16 +226,12 @@ def regret_report(game: BimatrixGame, p: MixedProfile) -> RegretReport:
 
 def is_eps_ne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
     """True iff both players' regrets are at most eps (exact comparison)."""
-    e = frac(eps)
-    rep = regret_report(game, p)
-    return rep.row_regret <= e and rep.col_regret <= e
+    return regret_report(game, p).within(frac(eps))
 
 
 def is_eps_wsne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
     """True iff both players' pure-strategy regrets are at most eps."""
-    e = frac(eps)
-    rep = regret_report(game, p)
-    return rep.row_pure_regret <= e and rep.col_pure_regret <= e
+    return regret_report(game, p).within(frac(eps), pure=True)
 
 
 def social_welfare(game: BimatrixGame, p: MixedProfile) -> Fraction:
@@ -254,8 +258,8 @@ def affine_rescale(
     if d <= 0:
         raise ParameterError(f"divisor must be positive, got {d}")
     return BimatrixGame(
-        R=tuple(tuple((e + s) / d for e in row) for row in game.R),
-        C=tuple(tuple((e + s) / d for e in row) for row in game.C),
+        R=[[(e + s) / d for e in row] for row in game.R],
+        C=[[(e + s) / d for e in row] for row in game.C],
         blocks=game.blocks,
     )
 
@@ -263,13 +267,6 @@ def affine_rescale(
 def best_response_row(game: BimatrixGame, p: MixedProfile) -> int:
     """Lowest-index pure row maximizing payoff against y."""
     vals = row_payoff_vector(game, p)
-    best = max(vals)
-    return vals.index(best)
-
-
-def best_response_col(game: BimatrixGame, p: MixedProfile) -> int:
-    """Lowest-index pure column maximizing payoff against x."""
-    vals = col_payoff_vector(game, p)
     best = max(vals)
     return vals.index(best)
 

@@ -46,7 +46,7 @@ from .sat import (
     parse_dimacs,
     partition_bipartite,
 )
-from .search import DecisionInstance, decide
+from .search import DecisionInstance, decide_many
 
 
 @dataclass(frozen=True)
@@ -201,32 +201,33 @@ def _run_deciders(
     half = Fraction(5, 8)
     d_gap = 1 - e / (1 - e)
 
-    cert_gp = None
-    cert_gdp_witness = None
+    # Each game's hints go to all of its problems (see decide_many).
+    gp_hints = gdp_hints = ()
     if cert is not None:
         cert_gp = extend_profile(cert, 1, 1)
-        cert_gdp_witness = gdoubleprime_wsne_witness(extend_profile(cert, 0, 0), gdp)
-    pure_corner = pure_profile(gp, gp.rows - 1, gp.cols - 1)
+        gp_hints = (cert_gp, (cert_gp, pure_profile(gp, gp.rows - 1, gp.cols - 1)))
+        gdp_hints = (gdoubleprime_wsne_witness(extend_profile(cert, 0, 0), gdp),)
 
-    specs: list[tuple[int, BimatrixGame, dict, list]] = [
-        (1, gp, {"u": half}, [cert_gp]),
-        (2, gp, {"index_set": tuple(range(rc_rows))}, [cert_gp]),
-        (3, gp, {"d": d_gap}, [(cert_gp, pure_corner)] if cert_gp else []),
-        (4, gp, {"p": Fraction(1, nx)}, [cert_gp]),
-        (5, gp, {"v": Fraction(10, 8)}, [cert_gp]),
-        (6, gp, {"u": half}, [cert_gp]),
-        (7, gp, {"k": nx}, [cert_gp]),
-        (8, gp, {"k": nx}, [cert_gp]),
-        (9, gp, {"k": nx}, [cert_gp]),
-        (10, gdp, {"index_set": (gdp.rows - 1,)}, [cert_gdp_witness]),
+    specs: list[tuple[int, BimatrixGame, dict]] = [
+        (1, gp, {"u": half}),
+        (2, gp, {"index_set": tuple(range(rc_rows))}),
+        (3, gp, {"d": d_gap}),
+        (4, gp, {"p": Fraction(1, nx)}),
+        (5, gp, {"v": Fraction(10, 8)}),
+        (6, gp, {"u": half}),
+        (7, gp, {"k": nx}),
+        (8, gp, {"k": nx}),
+        (9, gp, {"k": nx}),
+        (10, gdp, {"index_set": (gdp.rows - 1,)}),
     ]
     results = {}
-    for pid, game, kwargs, hints in specs:
-        hints = [h for h in hints if h is not None]
-        inst = DecisionInstance(problem_id=pid, game=game, eps=e, **kwargs)
-        outcome = decide(inst, k=nx, budget=cfg.search_budget, hints=hints)
-        results[f"p{pid}"] = {
-            "answer": outcome.answer,
-            "checked": outcome.checked_count,
-        }
+    for game, hints in ((gp, gp_hints), (gdp, gdp_hints)):
+        insts = [DecisionInstance(problem_id=pid, game=g, eps=e, **kwargs)
+                 for pid, g, kwargs in specs if g is game]
+        outcomes = decide_many(insts, k=nx, budget=cfg.search_budget, hints=hints)
+        for inst, outcome in zip(insts, outcomes):
+            results[f"p{inst.problem_id}"] = {
+                "answer": outcome.answer,
+                "checked": outcome.checked_count,
+            }
     return results

@@ -5,6 +5,7 @@ and exhaustive small-game oracles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    InvariantError, ParameterError, ResourceError, ShapeError, ValidationError
+    InvariantError, ParameterError, ResourceError, ValidationError
 )
 from .games import (
     BimatrixGame,
@@ -23,10 +24,8 @@ from .games import (
     dot,
     frac,
     is_eps_ne,
-    is_eps_wsne,
     mat_vec,
     regret_report,
-    social_welfare,
     tv_distance,
     vec_mat,
 )
@@ -363,49 +362,127 @@ def decide(
     budget: int = SEARCH_BUDGET_DEFAULT,
     hints: Iterable[MixedProfile | tuple[MixedProfile, MixedProfile]] = (),
 ) -> SearchOutcome:
-    """Decide one of the ten problems by candidate enumeration.
+    """Decide one of the ten problems: the one-instance ``decide_many``."""
+    return decide_many([inst], k, budget, hints)[0]
+
+
+def decide_many(
+    insts: Sequence[DecisionInstance],
+    k: int | None = None,
+    budget: int = SEARCH_BUDGET_DEFAULT,
+    hints: Iterable[MixedProfile | tuple[MixedProfile, MixedProfile]] = (),
+) -> list[SearchOutcome]:
+    """Decide problems on one game at one eps by candidate enumeration,
+    each exactly as it would be decided alone.
 
     ``hints`` are candidate profiles (or pairs, for problem 3) checked
     before any enumeration; a hint that satisfies the predicate certifies
     a yes immediately.  Problems 1-6 scan k-uniform profiles, so their
     "no" means "no k-uniform witness"; problems 7-10 enumerate support
     patterns exactly, so their "no" is unconditional (within budget).
+    The problems share one regret report per distinct hint profile, one
+    k-uniform scan and one support enumeration.
     """
+    if not insts:
+        return []
+    game, eps = insts[0].game, insts[0].eps
+    if any(inst.game != game or inst.eps != eps for inst in insts):
+        raise ValidationError("decide_many needs one game and one eps")
     if k is None:
-        k = default_k(max(inst.game.rows, inst.game.cols), inst.eps)
-    for hint in hints:
-        outcome = _check_hint(inst, hint)
-        if outcome is not None:
-            return outcome
-    if inst.witness_kind == WITNESS_NE:
-        if inst.problem_id == 3:
-            return _decide_p3(inst, k, budget)
-        return _decide_ne_scan(inst, k, budget)
-    return _decide_wsne(inst, budget)
+        k = default_k(max(game.rows, game.cols), eps)
+    # Problem 3 takes only pair hints, the others only profile hints.
+    report = functools.cache(functools.partial(regret_report, game))
+    hints = list(hints)
+    outcomes: list[SearchOutcome | None] = [None] * len(insts)
+    for i, inst in enumerate(insts):
+        for hint in hints:
+            if (inst.problem_id == 3) != isinstance(hint, tuple):
+                continue
+            if inst.problem_id == 3:
+                p1, p2 = hint
+                both = report(p1).within(eps) and report(p2).within(eps)
+                if both and tv_distance(p1, p2) >= inst.d:
+                    outcomes[i] = SearchOutcome(answer="yes", witness=p1,
+                                                witness_pair=(p1, p2))
+                    break
+            else:
+                rep = report(hint)
+                if rep.within(eps, inst.witness_kind == WITNESS_WSNE) and _predicate(
+                    inst, hint, rep.row_payoff, rep.col_payoff
+                ):
+                    outcomes[i] = SearchOutcome(answer="yes", witness=hint)
+                    break
+    scan = {i: inst for i, inst in enumerate(insts)
+            if outcomes[i] is None and inst.witness_kind == WITNESS_NE}
+    supports = {i: inst for i, inst in enumerate(insts)
+                if outcomes[i] is None and inst.witness_kind == WITNESS_WSNE}
+
+    if scan:
+        checked, truncated = _scan_size(game, k, budget)
+        found: list[MixedProfile] = []  # earlier hits, kept while p3 is pending
+        for index, x, y, row_pay, col_pay in _eps_ne_scan(game, eps, k, budget):
+            p = MixedProfile(x=x, y=y)
+            for i, inst in list(scan.items()):
+                if inst.problem_id == 3:  # witnessed by a far-apart pair (q, p)
+                    q = next((q for q in found if tv_distance(p, q) >= inst.d), None)
+                    hit = None if q is None else (q, p)
+                else:
+                    hit = (p,) if _predicate(inst, p, row_pay, col_pay) else None
+                if hit is not None:
+                    hit = tuple(_reverified(game, w, eps) for w in hit)
+                    outcomes[i] = SearchOutcome(
+                        answer="yes", witness=hit[0], checked_count=index + 1,
+                        witness_pair=hit if inst.problem_id == 3 else None,
+                    )
+                    del scan[i]
+            if not scan:
+                break
+            if any(inst.problem_id == 3 for inst in scan.values()):
+                found.append(p)
+        for i in scan:
+            outcomes[i] = SearchOutcome(answer="unknown" if truncated else "no",
+                                        checked_count=checked)
+
+    if supports:
+        checked, miss = 0, "no"
+        try:
+            for witness in enumerate_wsne_supports(game, eps, budget):
+                checked += 1
+                for i, inst in list(supports.items()):
+                    if _predicate(inst, witness):
+                        outcomes[i] = SearchOutcome(answer="yes", witness=witness,
+                                                    checked_count=checked)
+                        del supports[i]
+                if not supports:
+                    break
+        except ResourceError:
+            # Raised before the first support pair: the pairs exceed the budget.
+            miss = "unknown"
+        for i in supports:
+            outcomes[i] = SearchOutcome(answer=miss, checked_count=checked)
+    return outcomes
 
 
-def _predicate_ne(inst: DecisionInstance, p: MixedProfile) -> bool:
-    """The Table predicate for problems 1, 2, 4, 5, 6 (profile must also
-    already be an eps-NE)."""
+def _predicate(
+    inst: DecisionInstance,
+    p: MixedProfile,
+    row_pay: Fraction | None = None,
+    col_pay: Fraction | None = None,
+) -> bool:
+    """The Table predicate of every problem but 3, on a profile known to be
+    an eps-NE (problems 1-6) or eps-WSNE (7-10) of the game.  Problems 1,
+    5 and 6 read the profile's payoffs ``row_pay`` and ``col_pay``."""
     pid = inst.problem_id
     if pid == 1:
-        rep = regret_report(inst.game, p)
-        return min(rep.row_payoff, rep.col_payoff) >= inst.u
+        return min(row_pay, col_pay) >= inst.u
     if pid == 2:
-        allowed = set(inst.index_set)
-        return all(i in allowed for i in p.support_x)
+        return set(p.support_x) <= set(inst.index_set)
     if pid == 4:
         return max(p.x) <= inst.p
     if pid == 5:
-        return social_welfare(inst.game, p) <= inst.v
+        return row_pay + col_pay <= inst.v
     if pid == 6:
-        rep = regret_report(inst.game, p)
-        return rep.row_payoff <= inst.u
-    raise ValidationError(f"not a scan problem: {pid}")
-
-
-def _predicate_wsne(inst: DecisionInstance, p: MixedProfile) -> bool:
-    pid = inst.problem_id
+        return row_pay <= inst.u
     sx, sy = len(p.support_x), len(p.support_y)
     if pid == 7:
         return sx + sy >= 2 * inst.k
@@ -415,86 +492,7 @@ def _predicate_wsne(inst: DecisionInstance, p: MixedProfile) -> bool:
         return sx >= inst.k
     if pid == 10:
         return set(inst.index_set) <= set(p.support_x)
-    raise ValidationError(f"not a support problem: {pid}")
-
-
-def _check_hint(
-    inst: DecisionInstance, hint: MixedProfile | tuple[MixedProfile, MixedProfile]
-) -> SearchOutcome | None:
-    if inst.problem_id == 3:
-        if not isinstance(hint, tuple):
-            return None
-        p1, p2 = hint
-        if (
-            is_eps_ne(inst.game, p1, inst.eps)
-            and is_eps_ne(inst.game, p2, inst.eps)
-            and tv_distance(p1, p2) >= inst.d
-        ):
-            return SearchOutcome(
-                answer="yes", witness=p1, witness_pair=(p1, p2), checked_count=0
-            )
-        return None
-    if isinstance(hint, tuple):
-        return None
-    if len(hint.x) != inst.game.rows or len(hint.y) != inst.game.cols:
-        raise ShapeError("hint profile does not match the game")
-    if inst.witness_kind == WITNESS_NE:
-        if is_eps_ne(inst.game, hint, inst.eps) and _predicate_ne(inst, hint):
-            return SearchOutcome(answer="yes", witness=hint, checked_count=0)
-    else:
-        if is_eps_wsne(inst.game, hint, inst.eps) and _predicate_wsne(inst, hint):
-            return SearchOutcome(answer="yes", witness=hint, checked_count=0)
-    return None
-
-
-def _decide_ne_scan(inst: DecisionInstance, k: int, budget: int) -> SearchOutcome:
-    checked, truncated = _scan_size(inst.game, k, budget)
-    for index, x, y, _, _ in _eps_ne_scan(inst.game, inst.eps, k, budget):
-        p = MixedProfile(x=x, y=y)
-        if _predicate_ne(inst, p):
-            witness = _reverified(inst.game, p, inst.eps)
-            return SearchOutcome(
-                answer="yes", witness=witness, checked_count=index + 1
-            )
-    return SearchOutcome(
-        answer="unknown" if truncated else "no", checked_count=checked
-    )
-
-
-def _decide_p3(inst: DecisionInstance, k: int, budget: int) -> SearchOutcome:
-    checked, truncated = _scan_size(inst.game, k, budget)
-    found: list[MixedProfile] = []
-    for index, x, y, _, _ in _eps_ne_scan(inst.game, inst.eps, k, budget):
-        p = MixedProfile(x=x, y=y)
-        for q in found:
-            if tv_distance(p, q) >= inst.d:
-                pair = (_reverified(inst.game, q, inst.eps),
-                        _reverified(inst.game, p, inst.eps))
-                return SearchOutcome(
-                    answer="yes",
-                    witness=q,
-                    witness_pair=pair,
-                    checked_count=index + 1,
-                )
-        found.append(p)
-    return SearchOutcome(
-        answer="unknown" if truncated else "no", checked_count=checked
-    )
-
-
-def _decide_wsne(inst: DecisionInstance, budget: int) -> SearchOutcome:
-    checked = 0
-    try:
-        for witness in enumerate_wsne_supports(inst.game, inst.eps, budget):
-            checked += 1
-            if _predicate_wsne(inst, witness):
-                return SearchOutcome(
-                    answer="yes", witness=witness, checked_count=checked
-                )
-    except ResourceError:
-        # Raised before the first support pair: the pairs exceed the budget.
-        return SearchOutcome(answer="unknown", checked_count=0)
-    return SearchOutcome(answer="no", checked_count=checked)
+    raise ValidationError(f"problem {pid} has no single-profile predicate")
 
 
 def exhaustive_ne_oracle(
@@ -528,8 +526,7 @@ def exhaustive_ne_oracle(
         k_uniform_strategies(game.rows, grid), k_uniform_strategies(game.cols, grid)
     ):
         p = MixedProfile(x=x, y=y)
-        rep = regret_report(game, p)
-        if rep.row_regret == 0 and rep.col_regret == 0:
+        if regret_report(game, p).within(0):
             record(p)
     return out
 
@@ -567,10 +564,7 @@ def _support_ne(
     for j, value in zip(cols, sol_y[:size]):
         y[j] = value
     p = MixedProfile(x=tuple(x), y=tuple(y))
-    rep = regret_report(game, p)
-    if rep.row_regret == 0 and rep.col_regret == 0:
-        return p
-    return None
+    return p if regret_report(game, p).within(0) else None
 
 
 def grid_eps_ne(

@@ -165,6 +165,22 @@ class TestInputErrors:
         assert main(argv) == 3
         self._assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", [
+        ["decide", "p1", "{game}", "--eps", "0", "--u", "1", "--budget", "abc"],
+        ["decide", "p1", "{game}", "--u", "1"],
+    ])
+    def test_usage_error_is_not_unknown(self, command, coordination_paths, capsys):
+        # argparse alone would exit 2, the code of the "unknown" verdict.
+        game, _ = coordination_paths
+        argv = [a.format(game=game) for a in command]
+        assert main(argv) == 3
+        self._assert_one_line_error(capsys)
+
+    def test_malformed_index_set(self, coordination_paths, capsys):
+        game, _ = coordination_paths
+        assert main(["decide", "p10", str(game), "--eps", "0", "--set", "a"]) == 3
+        self._assert_one_line_error(capsys)
+
 
 class TestPipeline:
     def test_satisfiable_run(self, tmp_path, capsys):

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negadget.corpus import random_game, random_profile
-from negadget.errors import ParameterError, ShapeError, ValidationError
+from negadget.errors import InvariantError, ParameterError, ShapeError, ValidationError
 from negadget.games import (
     BimatrixGame,
     MixedProfile,
+    RegretReport,
     affine_rescale,
     best_response_row,
     is_eps_ne,
@@ -73,6 +74,19 @@ class TestRegretReport:
         assert rep_t.col_regret == rep.row_regret
         assert rep_t.row_pure_regret == rep.col_pure_regret
         assert rep_t.welfare == rep.welfare
+
+    @pytest.mark.parametrize("broken", [
+        {"row_regret": F(1)},  # above the pure row regret
+        {"col_regret": F(-1)},
+        {"welfare": F(3)},  # not the sum of the payoffs
+    ])
+    def test_inconsistent_report_is_an_invariant_error(self, broken):
+        fields = dict(row_regret=F(0), col_regret=F(0), row_pure_regret=F(0),
+                      col_pure_regret=F(0), row_payoff=F(1), col_payoff=F(1),
+                      welfare=F(2))
+        RegretReport(**fields)
+        with pytest.raises(InvariantError):
+            RegretReport(**{**fields, **broken})
 
 
 class TestProfiles:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negadget import games, search
 from negadget.corpus import random_game, random_planted_game
 from negadget.errors import ResourceError, ValidationError
 from negadget.games import (
@@ -24,6 +25,7 @@ from negadget.linsolve import simplex_maximize, solve_linear
 from negadget.search import (
     DecisionInstance,
     decide,
+    decide_many,
     default_k,
     enumerate_wsne_supports,
     exhaustive_ne_oracle,
@@ -515,3 +517,100 @@ class TestScanBudget:
         assert out.answer == "unknown"
         assert out.checked_count == 1000
         assert peak < 4 * 2**20, peak
+
+
+@st.composite
+def _shared_decisions(draw):
+    """Problems 1-10 on one small game at one eps, with candidate hints."""
+    game = draw(_small_games())
+    eps = draw(st.sampled_from([F(0), F(1, 4), F(1, 2)]))
+    rows = st.lists(st.integers(0, game.rows - 1), min_size=1, max_size=3)
+    thresholds = st.sampled_from([F(1, 4), F(1, 2), F(1)])
+    params = {
+        1: st.fixed_dictionaries({"u": thresholds}),
+        2: st.fixed_dictionaries({"index_set": rows}),
+        3: st.fixed_dictionaries({"d": thresholds}),
+        4: st.fixed_dictionaries({"p": st.sampled_from([F(1, 3), F(1, 2), F(2, 3)])}),
+        5: st.fixed_dictionaries({"v": st.sampled_from([F(0), F(1), F(3, 2)])}),
+        6: st.fixed_dictionaries({"u": st.sampled_from([F(0), F(1, 4), F(1, 2)])}),
+        7: st.fixed_dictionaries({"k": st.integers(1, 3)}),
+        8: st.fixed_dictionaries({"k": st.integers(1, 3)}),
+        9: st.fixed_dictionaries({"k": st.integers(1, 3)}),
+        10: st.fixed_dictionaries({"index_set": rows}),
+    }
+    pids = draw(st.lists(st.integers(1, 10), min_size=1, max_size=6))
+    insts = [
+        DecisionInstance(problem_id=pid, game=game, eps=eps, **draw(params[pid]))
+        for pid in pids
+    ]
+    # 2-uniform profiles: some are eps-NE or eps-WSNE witnesses, some not.
+    profiles = st.builds(
+        MixedProfile,
+        x=st.sampled_from(list(k_uniform_strategies(game.rows, 2))),
+        y=st.sampled_from(list(k_uniform_strategies(game.cols, 2))),
+    )
+    hints = draw(st.lists(profiles | st.tuples(profiles, profiles), max_size=3))
+    return insts, hints
+
+
+class TestDecideMany:
+    # Every profile of a constant game is an exact NE and WSNE.
+    CONSTANT = BimatrixGame(R=((F(1, 2),) * 2,) * 2, C=((F(1, 2),) * 2,) * 2)
+    UNIFORM = MixedProfile(x=(F(1, 2), F(1, 2)), y=(F(1, 2), F(1, 2)))
+    CORNER = MixedProfile(x=(0, 1), y=(0, 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        decisions=_shared_decisions(),
+        k=st.integers(1, 3),
+        budget=st.integers(0, 120),
+    )
+    def test_each_problem_decided_as_if_alone(self, decisions, k, budget):
+        insts, hints = decisions
+        assert decide_many(insts, k, budget, hints) == [
+            decide_many([inst], k, budget, hints)[0] for inst in insts
+        ]
+
+    def test_one_regret_report_per_distinct_hint(self, monkeypatch):
+        # The certificate decides problems 1-9 from the hints alone.
+        game, cert, corner = self.CONSTANT, self.UNIFORM, self.CORNER
+        params = {
+            1: {"u": F(1, 2)}, 2: {"index_set": (0, 1)}, 3: {"d": F(1, 2)},
+            4: {"p": F(1, 2)}, 5: {"v": F(1)}, 6: {"u": F(1, 2)},
+            7: {"k": 2}, 8: {"k": 2}, 9: {"k": 2},
+        }
+        insts = [
+            DecisionInstance(problem_id=pid, game=game, eps=0, **kw)
+            for pid, kw in params.items()
+        ]
+        reported = []
+        real = games.regret_report
+
+        def counted(g, p):
+            reported.append(p)
+            return real(g, p)
+
+        monkeypatch.setattr(games, "regret_report", counted)
+        monkeypatch.setattr(search, "regret_report", counted)
+        outcomes = decide_many(insts, hints=[cert, (cert, corner)])
+        assert [(o.answer, o.checked_count) for o in outcomes] == [("yes", 0)] * 9
+        assert outcomes[2].witness_pair == (cert, corner)
+        assert reported == [cert, corner]
+
+    def test_first_certifying_hint_wins(self):
+        insts = [
+            DecisionInstance(problem_id=1, game=self.CONSTANT, eps=0, u=F(1, 2)),
+            DecisionInstance(problem_id=6, game=self.CONSTANT, eps=0, u=F(1, 2)),
+        ]
+        for hints in ([self.UNIFORM, self.CORNER], [self.CORNER, self.UNIFORM]):
+            outcomes = decide_many(insts, hints=hints)
+            assert [o.witness for o in outcomes] == [hints[0]] * 2
+
+    def test_instances_must_share_game_and_eps(self):
+        p1 = DecisionInstance(problem_id=1, game=COORDINATION, eps=0, u=1)
+        with pytest.raises(ValidationError):
+            decide_many([p1, DecisionInstance(
+                problem_id=1, game=MATCHING_PENNIES, eps=0, u=1)])
+        with pytest.raises(ValidationError):
+            decide_many([p1, DecisionInstance(
+                problem_id=1, game=COORDINATION, eps=F(1, 4), u=1)])
