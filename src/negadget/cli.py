@@ -9,6 +9,7 @@ a missing file or a malformed rational, exits 3 with a one-line message.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -37,15 +38,7 @@ from .search import DecisionInstance, decide
 
 
 def _report_dict(rep) -> dict:
-    return {
-        "row_regret": str(rep.row_regret),
-        "col_regret": str(rep.col_regret),
-        "row_pure_regret": str(rep.row_pure_regret),
-        "col_pure_regret": str(rep.col_pure_regret),
-        "row_payoff": str(rep.row_payoff),
-        "col_payoff": str(rep.col_payoff),
-        "welfare": str(rep.welfare),
-    }
+    return {f.name: str(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
 
 
 def _emit(data: dict, fmt: str) -> None:

@@ -30,10 +30,6 @@ def _parse_index_set(text: str) -> tuple[int, ...]:
         raise FormatError(f"bad index set {text!r}") from exc
 
 
-def _fmt(q: Fraction) -> str:
-    return str(q)
-
-
 def _data_lines(text: str) -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
 
@@ -68,9 +64,10 @@ def parse_bgm(text: str) -> BimatrixGame:
             toks = line.split()
             if len(toks) != 6:
                 raise FormatError(f"bad block line {line!r}")
-            parsed.append(
-                (toks[1], int(toks[2]), int(toks[3]), int(toks[4]), int(toks[5]))
-            )
+            try:
+                parsed.append((toks[1], *(int(t) for t in toks[2:])))
+            except ValueError as exc:
+                raise FormatError(f"bad block bounds in {line!r}") from exc
         blocks = tuple(parsed)
     try:
         return BimatrixGame(
@@ -84,7 +81,7 @@ def write_bgm(game: BimatrixGame) -> str:
     out = ["bgm 1", f"{game.rows} {game.cols}"]
     for i in range(game.rows):
         for j in range(game.cols):
-            out.append(f"{_fmt(game.R[i][j])} {_fmt(game.C[i][j])}")
+            out.append(f"{game.R[i][j]} {game.C[i][j]}")
     for name, r0, r1, c0, c1 in game.blocks or ():
         out.append(f"#block {name} {r0} {r1} {c0} {c1}")
     return "\n".join(out) + "\n"
@@ -119,8 +116,7 @@ def parse_prof(text: str, normalize: bool = False) -> MixedProfile:
 
 def write_prof(p: MixedProfile) -> str:
     out = ["prof 1", f"{len(p.x)} {len(p.y)}"]
-    out.extend(_fmt(e) for e in p.x)
-    out.extend(_fmt(e) for e in p.y)
+    out.extend(map(str, p.x + p.y))
     return "\n".join(out) + "\n"
 
 
@@ -197,7 +193,7 @@ def write_fgm(t: TwoProverGame) -> str:
         out.append("D")
         for x in range(t.nx):
             for y in range(t.ny):
-                out.append(_fmt(t.dist[x][y]))
+                out.append(str(t.dist[x][y]))
     return "\n".join(out) + "\n"
 
 

@@ -327,11 +327,14 @@ def gdoubleprime_wsne_witness(
 
 
 def check_certificate(
-    gg: GadgetGame, cert: MixedProfile
-) -> tuple[bool, Fraction, bool, Fraction]:
-    """(unscaled ok, unscaled welfare, rescaled ok, rescaled welfare)."""
+    gg: GadgetGame, gs: BimatrixGame, cert: MixedProfile
+) -> tuple[bool, Fraction, bool, Fraction, bool]:
+    """(unscaled ok, unscaled welfare, rescaled ok, rescaled welfare,
+    rescaled eps*-WSNE) of the certificate on ``gg`` and on its rescaled
+    game ``gs = rescale_game(gg)``, from one regret report per game."""
     eps_unscaled = 1 - 4 * gg.params.g * gg.params.delta
     unscaled = regret_report(gg.game, cert)
-    scaled = regret_report(rescale_game(gg), cert)
+    scaled = regret_report(gs, cert)
     return (unscaled.within(eps_unscaled), unscaled.welfare,
-            scaled.within(eps_unscaled / 8), scaled.welfare)
+            scaled.within(eps_unscaled / 8), scaled.welfare,
+            scaled.within(gg.params.eps_star, pure=True))

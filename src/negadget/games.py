@@ -2,11 +2,17 @@
 
 All arithmetic is over `fractions.Fraction`; verification never touches
 floating point.  Games are immutable; every operation returns new values.
+
+Each game holds the column player's payoffs transposed (``Ct``), so both
+players' sides are the same computation: R against y for the row player
+and Ct against x for the column player, through the one kernel
+``mat_vec``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -49,19 +55,8 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 
 def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
-    """m @ v (one entry per row)."""
+    """m @ v (one entry per row): the one matrix-vector kernel."""
     return tuple([dot(row, v) for row in m])
-
-
-def vec_mat(v: Sequence[Fraction], m: Matrix) -> Vector:
-    """v @ m (one entry per column)."""
-    if len(v) != len(m):
-        raise ShapeError(f"vec_mat: vector length {len(v)} vs {len(m)} rows")
-    cols = len(m[0]) if m else 0
-    return tuple([
-        sum((v[i] * m[i][j] for i in range(len(m))), Fraction(0))
-        for j in range(cols)
-    ])
 
 
 @dataclass(frozen=True)
@@ -105,6 +100,11 @@ class BimatrixGame:
             area += (r1 - r0) * (c1 - c0)
         if area != rows * cols:
             raise ValidationError("blocks do not partition the payoff matrix")
+
+    @cached_property
+    def Ct(self) -> Matrix:
+        """C transposed, built once: Ct @ x is each column's payoff."""
+        return tuple(list(zip(*self.C)))
 
     @property
     def rows(self) -> int:
@@ -186,16 +186,14 @@ def _check_shapes(game: BimatrixGame, p: MixedProfile) -> None:
         )
 
 
-def row_payoff_vector(game: BimatrixGame, p: MixedProfile) -> Vector:
-    """Expected payoff of each pure row against y: R @ y."""
-    _check_shapes(game, p)
-    return mat_vec(game.R, p.y)
-
-
-def col_payoff_vector(game: BimatrixGame, p: MixedProfile) -> Vector:
-    """Expected payoff of each pure column against x: x @ C."""
-    _check_shapes(game, p)
-    return vec_mat(p.x, game.C)
+def _side(
+    payoff: Matrix, own: Vector, opp: Vector
+) -> tuple[Fraction, Fraction, Fraction]:
+    """(payoff, best pure payoff, worst payoff on the support) of the
+    player with payoff matrix ``payoff`` and strategy ``own`` against
+    ``opp``: (R, x, y) for the row player, (Ct, y, x) for the column."""
+    vals = mat_vec(payoff, opp)
+    return dot(own, vals), max(vals), min(v for v, e in zip(vals, own) if e > 0)
 
 
 def regret_report(game: BimatrixGame, p: MixedProfile) -> RegretReport:
@@ -205,14 +203,9 @@ def regret_report(game: BimatrixGame, p: MixedProfile) -> RegretReport:
     pure-strategy regret replaces the realized payoff by the worst payoff
     among pure strategies actually in the support.
     """
-    row_vals = row_payoff_vector(game, p)
-    col_vals = col_payoff_vector(game, p)
-    row_payoff = dot(p.x, row_vals)
-    col_payoff = dot(p.y, col_vals)
-    row_best = max(row_vals)
-    col_best = max(col_vals)
-    row_supp_min = min(row_vals[i] for i in p.support_x)
-    col_supp_min = min(col_vals[j] for j in p.support_y)
+    _check_shapes(game, p)
+    row_payoff, row_best, row_supp_min = _side(game.R, p.x, p.y)
+    col_payoff, col_best, col_supp_min = _side(game.Ct, p.y, p.x)
     return RegretReport(
         row_regret=row_best - row_payoff,
         col_regret=col_best - col_payoff,
@@ -266,7 +259,8 @@ def affine_rescale(
 
 def best_response_row(game: BimatrixGame, p: MixedProfile) -> int:
     """Lowest-index pure row maximizing payoff against y."""
-    vals = row_payoff_vector(game, p)
+    _check_shapes(game, p)
+    vals = mat_vec(game.R, p.y)
     best = max(vals)
     return vals.index(best)
 

@@ -30,7 +30,6 @@ from .gadget import (
 from .games import (
     BimatrixGame,
     MixedProfile,
-    is_eps_wsne,
     pure_profile,
 )
 from .provers import game_value, VALUE_BUDGET_DEFAULT
@@ -169,13 +168,15 @@ def _certificate(
         completeness_certificate, build.game, s1, s2, gg
     )
     (out / "cert.prof").write_text(formats.write_prof(cert))
-    ok_unscaled, w_unscaled, ok_scaled, w_scaled = check_certificate(gg, cert)
+    ok_unscaled, w_unscaled, ok_scaled, w_scaled, wsne_scaled = (
+        check_certificate(gg, gs, cert)
+    )
     report["certificate"] = {
         "unscaled_ne": ok_unscaled,
         "unscaled_welfare": str(w_unscaled),
         "scaled_ne": ok_scaled,
         "scaled_welfare": str(w_scaled),
-        "scaled_wsne": is_eps_wsne(gs, cert, gg.params.eps_star),
+        "scaled_wsne": wsne_scaled,
     }
     return cert
 

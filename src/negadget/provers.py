@@ -19,7 +19,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .games import BimatrixGame, Matrix, MixedProfile, Vector, frac
+from .games import BimatrixGame, Matrix, MixedProfile, Vector, frac, mat_vec
 
 # V is stored as a nested tuple: V[x][y][a][b] in {0, 1}.
 VTable = tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
@@ -248,6 +248,15 @@ def _canonical_side(
     return out, chosen
 
 
+def _by_question(flat: Vector, counts: tuple[int, ...]) -> list[list[Fraction]]:
+    """Split a question-major flat vector into one list per question."""
+    out, start = [], 0
+    for count in counts:
+        out.append(list(flat[start:start + count]))
+        start += count
+    return out
+
+
 def induced_two_prover(
     f: TwoProverGame, game: BimatrixGame, p: MixedProfile
 ) -> InducedGameResult:
@@ -269,43 +278,17 @@ def induced_two_prover(
     if len(p.x) != game.rows or len(p.y) != game.cols:
         raise ShapeError("profile does not match the gadget game")
 
-    x_rows: list[tuple[int, int]] = []  # row offset -> (question, answer)
-    for q, count in enumerate(f.x_answers):
-        x_rows.extend((q, a) for a in range(count))
-    y_cols: list[tuple[int, int]] = []
-    for q, count in enumerate(f.y_answers):
-        y_cols.extend((q, b) for b in range(count))
-
-    x_mass = [[Fraction(0)] * count for count in f.x_answers]
-    for off, (q, a) in enumerate(x_rows):
-        x_mass[q][a] = p.x[r0 + off]
-    y_mass = [[Fraction(0)] * count for count in f.y_answers]
-    for off, (q, b) in enumerate(y_cols):
-        y_mass[q][b] = p.y[c0 + off]
-
     # Canonicalize rows against the original column profile, then columns
     # against the updated row profile.
-    row_payoffs = [[Fraction(0)] * count for count in f.x_answers]
-    for off, (q, a) in enumerate(x_rows):
-        row_payoffs[q][a] = sum(
-            (game.R[r0 + off][j] * p.y[j] for j in range(game.cols)),
-            Fraction(0),
-        )
-    x_mass, sx = _canonical_side(x_mass, row_payoffs)
-
-    x_vec = [Fraction(0)] * game.rows
-    for off, (q, a) in enumerate(x_rows):
-        x_vec[r0 + off] = x_mass[q][a]
-    for i in range(game.rows):
-        if not (r0 <= i < r1):
-            x_vec[i] = p.x[i]
-    col_payoffs = [[Fraction(0)] * count for count in f.y_answers]
-    for off, (q, b) in enumerate(y_cols):
-        col_payoffs[q][b] = sum(
-            (x_vec[i] * game.C[i][c0 + off] for i in range(game.rows)),
-            Fraction(0),
-        )
-    y_mass, sy = _canonical_side(y_mass, col_payoffs)
+    x_mass, sx = _canonical_side(
+        _by_question(p.x[r0:r1], f.x_answers),
+        _by_question(mat_vec(game.R[r0:r1], p.y), f.x_answers),
+    )
+    x_vec = p.x[:r0] + tuple(m for row in x_mass for m in row) + p.x[r1:]
+    y_mass, sy = _canonical_side(
+        _by_question(p.y[c0:c1], f.y_answers),
+        _by_question(mat_vec(game.Ct[c0:c1], x_vec), f.y_answers),
+    )
 
     x_marginal = tuple(sum(row, Fraction(0)) for row in x_mass)
     y_marginal = tuple(sum(row, Fraction(0)) for row in y_mass)

@@ -61,6 +61,13 @@ class Cnf3Formula:
         return len(self.clauses)
 
 
+def _parse_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:
+        raise FormatError(f"bad integer {tok!r}") from exc
+
+
 def parse_dimacs(text: str) -> Cnf3Formula:
     """Parse a DIMACS CNF file with exactly-3-literal clauses."""
     num_vars = None
@@ -75,12 +82,12 @@ def parse_dimacs(text: str) -> Cnf3Formula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormatError(f"bad problem line: {line!r}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            num_vars, num_clauses = _parse_int(parts[2]), _parse_int(parts[3])
             continue
         if num_vars is None:
             raise FormatError("clause before problem line")
         for tok in line.split():
-            lit = int(tok)
+            lit = _parse_int(tok)
             if lit == 0:
                 if len(literals) != 3:
                     raise FormatError(
@@ -288,15 +295,14 @@ class FreeGameBuild:
     ``x_vars[i]`` lists the variables (0-based) of X question i;
     ``y_vars[j]`` lists the distinct variables of Y question j's clauses,
     in sorted order, and ``y_clauses[j]`` the clause indices.  When the
-    partition produced an odd number of questions per side, every question
-    was duplicated (interleaved) and ``duplicated`` is True.
+    partition produced an odd number of questions on a side, every question
+    of that side was duplicated (interleaved).
     """
 
     game: TwoProverGame
     x_vars: tuple[tuple[int, ...], ...]
     y_vars: tuple[tuple[int, ...], ...]
     y_clauses: tuple[tuple[int, ...], ...]
-    duplicated: bool
 
 
 def build_clause_variable_free_game(
@@ -358,7 +364,6 @@ def build_clause_variable_free_game(
         for i in range(nx)
     )
     game = TwoProverGame(x_answers=x_answers, y_answers=y_answers, table=table)
-    duplicated = False
     if nx % 2 == 1 or ny % 2 == 1:
         # Keep both sides even for the half-subset gadget downstream.
         game = duplicate_questions(game, dup_x=nx % 2 == 1, dup_y=ny % 2 == 1)
@@ -367,13 +372,11 @@ def build_clause_variable_free_game(
         if ny % 2 == 1:
             y_vars = tuple(vs for vs in y_vars for _ in range(2))
             y_clauses = tuple(cs for cs in y_clauses for _ in range(2))
-        duplicated = True
     return FreeGameBuild(
         game=game,
         x_vars=x_vars,
         y_vars=y_vars,
         y_clauses=y_clauses,
-        duplicated=duplicated,
     )
 
 

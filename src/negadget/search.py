@@ -18,6 +18,7 @@ from .errors import (
 )
 from .games import (
     BimatrixGame,
+    Matrix,
     MixedProfile,
     Rational,
     Vector,
@@ -27,7 +28,6 @@ from .games import (
     mat_vec,
     regret_report,
     tv_distance,
-    vec_mat,
 )
 from .linsolve import simplex_maximize, solve_linear
 
@@ -194,7 +194,7 @@ def _eps_ne_scan(
 
     Candidates (x, y) run in lexicographic order, x outermost.  Each
     passing candidate is yielded as (index, x, y, row payoff, col payoff).
-    x @ C is computed once per x and R @ y once per y; a y is kept only
+    Ct @ x is computed once per x and R @ y once per y; a y is kept only
     once the scan reaches it, so nothing outside the budget is built.
     """
     fresh_ys = k_uniform_strategies(game.cols, k)
@@ -209,7 +209,7 @@ def _eps_ne_scan(
 
     index = 0
     for x in k_uniform_strategies(game.rows, k):
-        col_vals = vec_mat(x, game.C)
+        col_vals = mat_vec(game.Ct, x)
         col_best = max(col_vals)
         for y, row_vals, row_best in each_y():
             if index >= budget:
@@ -252,21 +252,24 @@ def wsne_support_feasible(
     cols = tuple(sorted(set(cols)))
     if not rows or not cols:
         raise ValidationError("supports must be nonempty")
+    if min(rows + cols) < 0 or rows[-1] >= game.rows or cols[-1] >= game.cols:
+        raise ValidationError(f"supports {rows}/{cols} out of the game's range")
 
     y = _one_side_feasible(game.R, rows, cols, e, strict)
     if y is None:
         return None
-    ct = tuple(tuple(game.C[i][j] for i in range(game.rows)) for j in range(game.cols))
-    x = _one_side_feasible(ct, cols, rows, e, strict)
+    x = _one_side_feasible(game.Ct, cols, rows, e, strict)
     if x is None:
         return None
-    x_full = [Fraction(0)] * game.rows
-    for i, value in zip(rows, x):
-        x_full[i] = value
-    y_full = [Fraction(0)] * game.cols
-    for j, value in zip(cols, y):
-        y_full[j] = value
-    return MixedProfile(x=tuple(x_full), y=tuple(y_full))
+    return MixedProfile(x=_spread(game.rows, rows, x), y=_spread(game.cols, cols, y))
+
+
+def _spread(n: int, supp: Sequence[int], values: Sequence[Fraction]) -> Vector:
+    """The length-n vector with ``values`` on ``supp`` and 0 elsewhere."""
+    full = [Fraction(0)] * n
+    for i, value in zip(supp, values):
+        full[i] = value
+    return tuple(full)
 
 
 def _one_side_feasible(
@@ -338,22 +341,20 @@ def enumerate_wsne_supports(
         raise ResourceError(
             f"{total} support pairs exceed budget {budget}"
         )
-    pairs = []
-    for rs in range(1, game.rows + 1):
-        for rows in itertools.combinations(range(game.rows), rs):
-            pairs.append(rows)
-    col_sets = []
-    for cs in range(1, game.cols + 1):
-        for cols in itertools.combinations(range(game.cols), cs):
-            col_sets.append(cols)
     combos = sorted(
-        ((r, c) for r in pairs for c in col_sets),
+        itertools.product(_subsets(game.rows), _subsets(game.cols)),
         key=lambda rc: (len(rc[0]) + len(rc[1]), rc[0], rc[1]),
     )
     for rows, cols in combos:
         witness = wsne_support_feasible(game, rows, cols, e, strict=strict)
         if witness is not None:
             yield witness
+
+
+def _subsets(n: int) -> list[tuple[int, ...]]:
+    """The nonempty subsets of range(n), by size, then lexicographic."""
+    return [s for size in range(1, n + 1)
+            for s in itertools.combinations(range(n), size)]
 
 
 def decide(
@@ -535,36 +536,29 @@ def _support_ne(
     game: BimatrixGame, rows: Sequence[int], cols: Sequence[int]
 ) -> MixedProfile | None:
     """Solve the indifference system for equal-size supports; validate."""
-    size = len(rows)
-    # y makes all support rows indifferent at common value v.
-    a = []
-    b = []
-    for i in rows:
-        a.append([game.R[i][j] for j in cols] + [Fraction(-1)])
-        b.append(Fraction(0))
-    a.append([Fraction(1)] * size + [Fraction(0)])
-    b.append(Fraction(1))
-    sol_y = solve_linear(a, b)
-    if sol_y is None or any(e <= 0 for e in sol_y[:size]):
+    y = _indifferent(game.R, rows, cols)
+    if y is None:
         return None
-    a = []
-    b = []
-    for j in cols:
-        a.append([game.C[i][j] for i in rows] + [Fraction(-1)])
-        b.append(Fraction(0))
-    a.append([Fraction(1)] * size + [Fraction(0)])
-    b.append(Fraction(1))
-    sol_x = solve_linear(a, b)
-    if sol_x is None or any(e <= 0 for e in sol_x[:size]):
+    x = _indifferent(game.Ct, cols, rows)
+    if x is None:
         return None
-    x = [Fraction(0)] * game.rows
-    for i, value in zip(rows, sol_x[:size]):
-        x[i] = value
-    y = [Fraction(0)] * game.cols
-    for j, value in zip(cols, sol_y[:size]):
-        y[j] = value
-    p = MixedProfile(x=tuple(x), y=tuple(y))
+    p = MixedProfile(x=_spread(game.rows, rows, x), y=_spread(game.cols, cols, y))
     return p if regret_report(game, p).within(0) else None
+
+
+def _indifferent(
+    payoff: Matrix, supp: Sequence[int], opp_supp: Sequence[int]
+) -> list[Fraction] | None:
+    """The positive q over opp_supp (then the value v) making every row of
+    ``payoff`` in ``supp`` earn v against q, or None."""
+    size = len(opp_supp)
+    a = [[payoff[i][j] for j in opp_supp] + [Fraction(-1)] for i in supp]
+    a.append([Fraction(1)] * size + [Fraction(0)])
+    b = [Fraction(0)] * len(supp) + [Fraction(1)]
+    sol = solve_linear(a, b)
+    if sol is None or any(e <= 0 for e in sol[:size]):
+        return None
+    return sol[:size]
 
 
 def grid_eps_ne(

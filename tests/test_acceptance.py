@@ -80,7 +80,7 @@ def test_criterion_1_completeness_certificate():
         gg = build_hardness_game(build.game, params)
         s1, s2 = winning_strategies(build, best_assignment(formula))
         cert = completeness_certificate(build.game, s1, s2, gg)
-        ok_u, w_u, ok_s, w_s = check_certificate(gg, cert)
+        ok_u, w_u, ok_s, w_s, _ = check_certificate(gg, rescale_game(gg), cert)
         elapsed = time.monotonic() - start
         if not (ok_u and w_u == 2 and ok_s and w_s == F(10, 8)):
             failures.append(name)

@@ -181,6 +181,24 @@ class TestInputErrors:
         assert main(["decide", "p10", str(game), "--eps", "0", "--set", "a"]) == 3
         self._assert_one_line_error(capsys)
 
+    def test_non_integer_block_bound(self, tmp_path, coordination_paths, capsys):
+        _, prof = coordination_paths
+        game = tmp_path / "block.bgm"
+        game.write_text(formats.write_bgm(COORDINATION) + "#block A x 1 0 1\n")
+        assert main(["verify", str(game), str(prof), "--eps", "0"]) == 3
+        self._assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", [
+        ["reduce", "sat2free", "{cnf}", "-o", "{out}"],
+        ["pipeline", "{cnf}", "-o", "{out}"],
+    ])
+    def test_non_integer_problem_line(self, command, tmp_path, capsys):
+        cnf = tmp_path / "bad.cnf"
+        cnf.write_text("p cnf x 1\n1 2 3 0\n")
+        out = tmp_path / "out"
+        assert main([a.format(cnf=cnf, out=out) for a in command]) == 3
+        self._assert_one_line_error(capsys)
+
 
 class TestPipeline:
     def test_satisfiable_run(self, tmp_path, capsys):
@@ -218,6 +236,31 @@ class TestPipeline:
                 }
             )
         assert outputs[0] == outputs[1]
+
+    def test_one_report_and_one_rescale_per_game(self, tmp_path, monkeypatch):
+        # The certificate is reported once on G and once on Gs; the
+        # deciders report the two G' hints and the one G'' hint.
+        from negadget import gadget, games, pipeline, search
+
+        calls = {"report": 0, "rescale": 0}
+        real_report, real_rescale = games.regret_report, gadget.rescale_game
+
+        def report(g, p):
+            calls["report"] += 1
+            return real_report(g, p)
+
+        def rescale(gg):
+            calls["rescale"] += 1
+            return real_rescale(gg)
+
+        for module in (games, gadget, search):
+            monkeypatch.setattr(module, "regret_report", report)
+        for module in (gadget, pipeline):
+            monkeypatch.setattr(module, "rescale_game", rescale)
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(SINGLE_CNF)
+        run_pipeline(PipelineConfig(cnf_path=str(cnf), out_dir=str(tmp_path / "o")))
+        assert calls == {"report": 5, "rescale": 1}
 
     def test_bad_eps_star_stage_error(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"

@@ -149,7 +149,9 @@ class TestBuild:
 class TestCertificate:
     def test_all_satisfiable_fixtures(self, sat_builds, params):
         for b in sat_builds.values():
-            ok_u, w_u, ok_s, w_s = check_certificate(b.gadget, b.cert)
+            ok_u, w_u, ok_s, w_s, _ = check_certificate(
+                b.gadget, rescale_game(b.gadget), b.cert
+            )
             assert ok_u and w_u == 2
             assert ok_s and w_s == F(10, 8)
 

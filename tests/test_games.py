@@ -218,3 +218,41 @@ def test_wsne_implies_ne_property(seed):
     rep = regret_report(game, p)
     assert rep.row_regret <= rep.row_pure_regret
     assert rep.col_regret <= rep.col_pure_regret
+
+
+def _profile_side(n: int):
+    """Integer weights 0-3 (at least one positive), normalized to sum 1."""
+    weights = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    return weights.map(lambda w: tuple(Fraction(e, sum(w)) for e in w))
+
+
+@st.composite
+def _game_and_profile(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows)
+    game = BimatrixGame(R=draw(matrix), C=draw(matrix))
+    return game, MixedProfile(x=draw(_profile_side(rows)), y=draw(_profile_side(cols)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_game_and_profile())
+def test_regret_report_matches_double_sums(game_and_profile):
+    game, p = game_and_profile
+    rows, cols = range(game.rows), range(game.cols)
+    # Payoff of each pure row against y and of each pure column against x.
+    row_vals = [sum(game.R[i][j] * p.y[j] for j in cols) for i in rows]
+    col_vals = [sum(p.x[i] * game.C[i][j] for i in rows) for j in cols]
+    row_payoff = sum(p.x[i] * game.R[i][j] * p.y[j] for i in rows for j in cols)
+    col_payoff = sum(p.x[i] * game.C[i][j] * p.y[j] for i in rows for j in cols)
+    rep = regret_report(game, p)
+    assert rep.row_payoff == row_payoff
+    assert rep.col_payoff == col_payoff
+    assert rep.welfare == row_payoff + col_payoff
+    assert rep.row_regret == max(row_vals) - row_payoff
+    assert rep.col_regret == max(col_vals) - col_payoff
+    assert rep.row_pure_regret == max(row_vals) - min(
+        row_vals[i] for i in rows if p.x[i] > 0)
+    assert rep.col_pure_regret == max(col_vals) - min(
+        col_vals[j] for j in cols if p.y[j] > 0)

@@ -57,6 +57,13 @@ class TestParseDimacs:
         assert f.max_var_degree == 8
         assert f.clauses == full_sign_pattern().clauses
 
+    @pytest.mark.parametrize("text", [
+        "p cnf x 1\n1 2 3 0\n", "p cnf 3 1.0\n1 2 3 0\n", "p cnf 3 1\n1 2 x 0\n",
+    ])
+    def test_non_integer_token_rejected(self, text):
+        with pytest.raises(FormatError):
+            parse_dimacs(text)
+
     def test_comments_and_blank_lines(self):
         f = parse_dimacs("c hi\n\np cnf 3 1\nc mid\n1 2 3 0\n")
         assert f.num_clauses == 1

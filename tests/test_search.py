@@ -220,6 +220,13 @@ class TestWsneSupports:
     def test_pennies_pure_support_infeasible(self):
         assert wsne_support_feasible(MATCHING_PENNIES, (0,), (0,), 0) is None
 
+    @pytest.mark.parametrize("rows, cols", [
+        ((5,), (0,)), ((-1,), (0,)), ((0,), (2,)), ((0,), (-1, 0)),
+    ])
+    def test_support_out_of_range_rejected(self, rows, cols):
+        with pytest.raises(ValidationError):
+            wsne_support_feasible(MATCHING_PENNIES, rows, cols, 0)
+
     def test_enumeration_finds_all_coordination(self):
         found = list(enumerate_wsne_supports(COORDINATION, 0))
         supports = {(p.support_x, p.support_y) for p in found}
