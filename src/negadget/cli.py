@@ -17,6 +17,7 @@ from pathlib import Path
 from . import formats
 from .errors import FormatError, GadgetError
 from .gadget import (
+    HALF_CAP_DEFAULT,
     build_hardness_game,
     completeness_certificate,
     derive_params,
@@ -26,15 +27,16 @@ from .gadget import (
 )
 from .games import regret_report
 from .pipeline import PipelineConfig, run_pipeline
-from .provers import game_value
+from .provers import VALUE_BUDGET_DEFAULT, game_value
 from .sat import (
+    ANSWER_CAP_DEFAULT,
     build_clause_variable_free_game,
     formula_degree,
     incidence_graph,
     parse_dimacs,
     partition_bipartite,
 )
-from .search import DecisionInstance, decide
+from .search import SEARCH_BUDGET_DEFAULT, DecisionInstance, decide
 
 
 def _report_dict(rep) -> dict:
@@ -103,6 +105,8 @@ def cmd_forge(args: argparse.Namespace) -> int:
         Path(args.output).write_text(formats.write_bgm(extend_gdoubleprime(base)))
         return 0
     if args.what == "cert":
+        if args.strategies is None:
+            raise FormatError("forge cert needs a strategies file")
         free = formats.parse_fgm(Path(args.input).read_text())
         s1, s2 = formats.parse_strat(Path(args.strategies).read_text())
         gg = build_hardness_game(free, params, half_cap=args.cap)
@@ -178,14 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("value", help="brute-force two-prover game value")
     p.add_argument("game")
-    p.add_argument("--budget", type=int, default=2**24)
+    p.add_argument("--budget", type=int, default=VALUE_BUDGET_DEFAULT)
     p.set_defaults(func=cmd_value)
 
     p = sub.add_parser("reduce", help="3SAT to free game")
     p.add_argument("kind", choices=["sat2free"])
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--cap", type=int, default=2**16)
+    p.add_argument("--cap", type=int, default=ANSWER_CAP_DEFAULT)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("forge", help="build and extend gadget games")
@@ -193,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("strategies", nargs="?")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--eps-star", default="31/250")
-    p.add_argument("--cap", type=int, default=2**16)
+    p.add_argument("--eps-star", default=str(PipelineConfig.eps_star))
+    p.add_argument("--cap", type=int, default=HALF_CAP_DEFAULT)
     p.add_argument("--scaled", action="store_true")
     p.set_defaults(func=cmd_forge)
 
@@ -209,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-param", type=int, help="the problem's k parameter")
     p.add_argument("--set", dest="index_set", help="comma-separated row indices")
     p.add_argument("--k", type=int, help="k-uniform enumeration granularity")
-    p.add_argument("--budget", type=int, default=2**22)
+    p.add_argument("--budget", type=int, default=SEARCH_BUDGET_DEFAULT)
     p.add_argument("--hint", action="append", help="candidate .prof file")
     p.add_argument("--witness-out")
     p.set_defaults(func=cmd_decide)
@@ -217,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run the full reduction on a CNF")
     p.add_argument("input")
     p.add_argument("-o", "--out-dir", required=True)
-    p.add_argument("--eps-star", default="31/250")
+    p.add_argument("--eps-star", default=str(PipelineConfig.eps_star))
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_pipeline)
     return parser

@@ -44,6 +44,8 @@ def parse_bgm(text: str) -> BimatrixGame:
         rows, cols = (int(t) for t in body[0].split())
     except (IndexError, ValueError) as exc:
         raise FormatError("bad dimension line") from exc
+    if rows < 1 or cols < 1:
+        raise FormatError(f"dimensions must be positive, got {rows} {cols}")
     if len(body) != 1 + rows * cols:
         raise FormatError(
             f"expected {rows * cols} entry lines, found {len(body) - 1}"
@@ -95,6 +97,8 @@ def parse_prof(text: str, normalize: bool = False) -> MixedProfile:
         rows, cols = (int(t) for t in lines[1].split())
     except (IndexError, ValueError) as exc:
         raise FormatError("bad dimension line") from exc
+    if rows < 1 or cols < 1:
+        raise FormatError(f"dimensions must be positive, got {rows} {cols}")
     entries = [_parse_rational(l) for l in lines[2:]]
     if len(entries) != rows + cols:
         raise FormatError(

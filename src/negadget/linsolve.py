@@ -1,9 +1,10 @@
 """Exact linear algebra helpers: Gaussian elimination and a small simplex.
 
 Everything operates on `fractions.Fraction` so feasibility and optimality
-answers are exact.  The simplex is a Bland's-rule tableau method that
-starts at the slack basis and needs one artificial variable (Chvatal's
-auxiliary problem max -x0) only when a right-hand side is negative.
+answers are exact.  The simplex takes only `<=` rows with nonnegative
+right-hand sides, so it starts at the slack basis, which is feasible, and
+needs no phase 1.  Its tableau keeps the objective as a last row that every
+pivot updates, and Bland's rule picks each pivot.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ShapeError
+from .errors import ParameterError, ShapeError
 
 
 def solve_linear(
@@ -50,36 +51,39 @@ def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> N
     basis[row] = col
 
 
-def _optimize(
-    tab: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-    ncols: int,
-) -> str:
-    """Maximize `cost . x` on the tableau in place; 'optimal' or 'unbounded'.
+def simplex_maximize(
+    c: Sequence[Fraction],
+    a_ub: Sequence[Sequence[Fraction]],
+    b_ub: Sequence[Fraction],
+) -> tuple[str, Fraction | None, list[Fraction] | None]:
+    """Maximize c.x subject to a_ub x <= b_ub, x >= 0, where b_ub >= 0.
 
-    Bland's rule throughout: lowest-index entering column with positive
-    reduced cost, lowest basis index breaking leaving-row ties.
+    Returns (status, value, x) with status 'optimal' or 'unbounded'; value
+    and x are None unless optimal.
     """
+    n, m = len(c), len(a_ub)
+    if len(b_ub) != m or any(len(row) != n for row in a_ub):
+        raise ShapeError("simplex_maximize expects one b_ub entry per a_ub row "
+                         "and len(c) entries per row")
+    if any(b < 0 for b in b_ub):
+        raise ParameterError("simplex_maximize expects b_ub >= 0")
+    # Columns: x, one slack per row, then the right-hand side.  The last row
+    # is the objective: minus each column's reduced cost, then the value.
+    tab = [
+        list(row) + [Fraction(int(k == i)) for k in range(m)] + [Fraction(b_ub[i])]
+        for i, row in enumerate(a_ub)
+    ]
+    tab.append([-e for e in c] + [Fraction(0)] * (m + 1))
+    basis = list(range(n, n + m))
+    # Bland's rule: lowest-index entering column with a negative objective
+    # entry, lowest basis index breaking leaving-row ties.
     while True:
-        # Reduced costs recomputed from scratch each round: the tableaus here
-        # are tiny and this keeps the code obviously correct.
-        basis_cost = [cost[b] for b in basis]
-        entering = -1
-        for j in range(ncols):
-            if j in basis:
-                continue
-            rc = cost[j] - sum(
-                basis_cost[r] * tab[r][j] for r in range(len(tab))
-            )
-            if rc > 0:
-                entering = j
-                break
+        entering = next((j for j in range(n + m) if tab[m][j] < 0), -1)
         if entering < 0:
-            return "optimal"
+            break
         leave = -1
         best_ratio: Fraction | None = None
-        for r in range(len(tab)):
+        for r in range(m):
             if tab[r][entering] > 0:
                 ratio = tab[r][-1] / tab[r][entering]
                 if (
@@ -90,66 +94,10 @@ def _optimize(
                     best_ratio = ratio
                     leave = r
         if leave < 0:
-            return "unbounded"
+            return "unbounded", None, None
         _pivot(tab, basis, leave, entering)
-
-
-def simplex_maximize(
-    c: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]] = (),
-    b_ub: Sequence[Fraction] = (),
-    a_eq: Sequence[Sequence[Fraction]] = (),
-    b_eq: Sequence[Fraction] = (),
-) -> tuple[str, Fraction | None, list[Fraction] | None]:
-    """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
-
-    Returns (status, value, x) with status one of 'optimal', 'infeasible',
-    'unbounded'; value and x are None unless optimal.
-    """
-    n = len(c)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i, row in enumerate(a_ub):
-        if len(row) != n:
-            raise ShapeError("a_ub row length mismatch")
-        rows.append(list(row))
-        rhs.append(Fraction(b_ub[i]))
-    # Each equality becomes two opposite <= rows, so every row has a slack.
-    for i, row in enumerate(a_eq):
-        if len(row) != n:
-            raise ShapeError("a_eq row length mismatch")
-        rows += [list(row), [-e for e in row]]
-        rhs += [Fraction(b_eq[i]), -Fraction(b_eq[i])]
-    m = len(rows)
-    width = n + m
-    # Columns: x, one slack per row, then x0 with -1 in every row.
-    tab = [
-        rows[i] + [Fraction(int(k == i)) for k in range(m)] + [Fraction(-1), rhs[i]]
-        for i in range(m)
-    ]
-    basis = list(range(n, width))
-
-    if any(b < 0 for b in rhs):
-        # Entering x0 on the most negative row makes every rhs nonnegative.
-        _pivot(tab, basis, rhs.index(min(rhs)), width)
-        phase1_cost = [Fraction(0)] * width + [Fraction(-1)]
-        status = _optimize(tab, basis, phase1_cost, width + 1)
-        assert status == "optimal"  # phase 1 is bounded by construction
-        if width in basis:
-            r = basis.index(width)
-            if tab[r][-1] > 0:
-                return "infeasible", None, None
-            # [A | I] has full row rank, so the row has a nonzero entry.
-            _pivot(tab, basis, r, next(j for j in range(width) if tab[r][j] != 0))
-
-    # x0 stays in the tableau but may not re-enter the basis.
-    phase2_cost = list(c) + [Fraction(0)] * (m + 1)
-    status = _optimize(tab, basis, phase2_cost, width)
-    if status != "optimal":
-        return status, None, None
     x = [Fraction(0)] * n
     for r, b in enumerate(basis):
         if b < n:
             x[b] = tab[r][-1]
-    value = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
-    return "optimal", value, x
+    return "optimal", tab[m][-1], x

@@ -141,15 +141,41 @@ def k_uniform_count(n: int, k: int) -> int:
 
 
 def default_k(n: int, eps: Rational, cap: int = 8) -> int:
-    """ceil(log2(n)/eps^2), clamped to [1, cap]."""
+    """ceil(log2(n)/eps^2), clamped to [1, cap], decided without a float.
+
+    This is the least k in [1, cap) with k*eps^2 >= log2(max(n, 2)), or cap
+    when there is none.
+    """
     e = frac(eps)
-    # Exact where float(e * e) fails: 1 <= log2(max(n, 2)) < bit_length.
-    if e <= 0 or e * e * cap < 1:
+    if e <= 0:
         return cap
-    if e * e >= max(n, 2).bit_length():
-        return 1
-    raw = math.ceil(math.log2(max(n, 2)) / float(e * e))
-    return max(1, min(cap, raw))
+    n = max(n, 2)
+    return next((k for k in range(1, cap) if _at_least_log2(k * e * e, n)), cap)
+
+
+def _at_least_log2(t: Fraction, n: int) -> bool:
+    """Whether t >= log2(n), exactly, for n >= 2."""
+    if n & (n - 1) == 0:
+        return t >= n.bit_length() - 1
+    # log2(n) is irrational, so lo * 2**e <= n**b <= hi * 2**e puts b*log2(n)
+    # strictly between f_lo and f_hi + 1, the floors of the bounds' logs.
+    # Square (b doubles) until t*b falls outside; when truncating to `bits`
+    # loosens the bounds past one unit, start again with twice the bits.
+    bits = 64
+    while True:
+        b, e, lo, hi = 1, 0, n, n
+        while True:
+            f_lo = e + lo.bit_length() - 1
+            f_hi = e + hi.bit_length() - 1
+            if t * b >= f_hi + 1:
+                return True
+            if t * b <= f_lo:
+                return False
+            if f_hi - f_lo > 1:
+                break
+            s = max(0, 2 * hi.bit_length() - bits)
+            b, e, lo, hi = 2 * b, 2 * e + s, lo * lo >> s, -(-hi * hi >> s)
+        bits *= 2
 
 
 def lmm_best_welfare(
@@ -289,8 +315,9 @@ def _one_side_feasible(
     eps.
 
     The rows are homogeneous with sum(q) <= 1, so every right-hand side is
-    0 or 1 and the simplex needs no phase 1; a feasible (q, t) with t > 0
-    scales by 1/sum(q) to a larger t, so a positive optimum has sum(q) = 1.
+    0 or 1, as `simplex_maximize` requires, and the origin is a feasible
+    start; a feasible (q, t) with t > 0 scales by 1/sum(q) to a larger t,
+    so a positive optimum has sum(q) = 1.
     """
     n_rows = len(payoff)
     m = len(opp_supp)

@@ -199,6 +199,33 @@ class TestInputErrors:
         assert main([a.format(cnf=cnf, out=out) for a in command]) == 3
         self._assert_one_line_error(capsys)
 
+    def test_bgm_dimension_below_one(self, tmp_path, coordination_paths, capsys):
+        _, prof = coordination_paths
+        game = tmp_path / "neg.bgm"
+        # (-1) * (-1) = 1 entry line, so the count check alone passes it.
+        game.write_text("bgm 1\n-1 -1\n1 1\n")
+        assert main(["verify", str(game), str(prof), "--eps", "0"]) == 3
+        self._assert_one_line_error(capsys)
+
+    def test_prof_dimension_below_one(self, tmp_path, capsys):
+        # Two entries would otherwise read as a 1x1 profile.
+        game = tmp_path / "one.bgm"
+        game.write_text(formats.write_bgm(BimatrixGame(R=((1,),), C=((1,),))))
+        prof = tmp_path / "neg.prof"
+        prof.write_text("prof 1\n-1 3\n1\n1\n")
+        assert main(["verify", str(game), str(prof), "--eps", "0"]) == 3
+        self._assert_one_line_error(capsys)
+
+    def test_forge_cert_without_strategies(self, tmp_path, capsys):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(SINGLE_CNF)
+        fgm = tmp_path / "f.fgm"
+        assert main(["reduce", "sat2free", str(cnf), "-o", str(fgm)]) == 0
+        out = tmp_path / "c.prof"
+        assert main(["forge", "cert", str(fgm), "-o", str(out)]) == 3
+        self._assert_one_line_error(capsys)
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_satisfiable_run(self, tmp_path, capsys):
