@@ -28,7 +28,6 @@ from .sat import (
     max_sat_fraction,
     parse_dimacs,
     partition_bipartite,
-    pcp_amplify,
 )
 from .gadget import (
     GadgetGame,
@@ -74,7 +73,6 @@ __all__ = [
     "max_sat_fraction",
     "parse_dimacs",
     "partition_bipartite",
-    "pcp_amplify",
     "GadgetGame",
     "ReductionParams",
     "build_hardness_game",

@@ -15,11 +15,21 @@ from .games import BimatrixGame, MixedProfile
 from .provers import ProverStrategy, TwoProverGame
 
 
+# Largest decimal exponent accepted, as in `1e4300`.  Fraction builds
+# 10**exponent exactly, and that takes seconds once the exponent nears
+# 10**7.  4300 is CPython's default limit on the digits of an integer
+# string, which already bounds the mantissa.
+EXPONENT_LIMIT = 4300
+
+
 def _parse_rational(tok: str) -> Fraction:
+    _, has_exponent, exponent = tok.lower().partition("e")
     try:
-        return Fraction(tok)
+        if not (has_exponent and abs(int(exponent)) > EXPONENT_LIMIT):
+            return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {tok!r}") from exc
+    raise FormatError(f"exponent of {tok!r} exceeds {EXPONENT_LIMIT}")
 
 
 def _parse_index_set(text: str) -> tuple[int, ...]:

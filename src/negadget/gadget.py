@@ -38,80 +38,63 @@ from .games import (
     frac,
     regret_report,
 )
-from .provers import (
-    ProverStrategy,
-    TwoProverGame,
-    duplicate_questions,
-    prover_payoff,
-)
+from .provers import ProverStrategy, TwoProverGame, prover_payoff
 
 G_CONSTANT = Fraction(1, 138)
 RESCALE_SHIFT = Fraction(4)
 RESCALE_DIVISOR = Fraction(8)
-# Payoff of a winning RC cell after rescaling: (1 + 4)/8.
-SCALED_WIN = (Fraction(1) + RESCALE_SHIFT) / RESCALE_DIVISOR
 
 HALF_CAP_DEFAULT = 2**16
 
 
 @dataclass(frozen=True)
 class ReductionParams:
-    """The constants threading through the reduction.
+    """The constants of the reduction, all derived from eps*.
 
-    ``delta`` is the soundness gap actually used when building a gadget
-    game; ``delta_star``/``eps_star``/``n_star``/``u_frak`` are the
-    decision-problem constants derived from the target approximation
-    quality eps_star.
+    eps* = (1 - 4*g*delta*)/8 with g = 1/138 fixes delta*, and from it
+    n* = 1/delta* and u = 10/8 - delta*/522.  ``delta``, the soundness gap
+    a gadget game is built with, is delta*.  eps* must lie in
+    [(1-4g)/8, 1/8), so that delta* lands in (0, 1].
     """
 
-    g: Fraction
-    delta: Fraction
     eps_star: Fraction
-    delta_star: Fraction
-    n_star: Fraction
-    u_frak: Fraction
 
     def __post_init__(self) -> None:
-        if self.g != G_CONSTANT:
-            raise ParameterError(f"g must be {G_CONSTANT}, got {self.g}")
-        if not (0 < self.delta <= 1):
-            raise ParameterError(f"delta must be in (0, 1], got {self.delta}")
-        if not (0 < self.eps_star < Fraction(1, 8)):
+        object.__setattr__(self, "eps_star", frac(self.eps_star))
+        if not (0 < self.delta_star <= 1):
             raise ParameterError(
-                f"eps_star must be in (0, 1/8), got {self.eps_star}"
+                f"eps_star={self.eps_star} gives delta*={self.delta_star}, "
+                "outside (0, 1]"
             )
-        if self.eps_star != (1 - 4 * self.g * self.delta_star) / 8:
-            raise ParameterError("eps_star and delta_star are inconsistent")
-        if self.u_frak != Fraction(10, 8) - self.delta_star / 522:
-            raise ParameterError("u_frak inconsistent with delta_star")
-        if not (0 < self.d1_payoff < 4):
-            raise ParameterError("d1_payoff out of (0, 4)")
+
+    @property
+    def g(self) -> Fraction:
+        return G_CONSTANT
+
+    @property
+    def delta_star(self) -> Fraction:
+        return (1 - 8 * self.eps_star) / (4 * G_CONSTANT)
+
+    @property
+    def delta(self) -> Fraction:
+        return self.delta_star
+
+    @property
+    def n_star(self) -> Fraction:
+        return 1 / self.delta_star
+
+    @property
+    def u_frak(self) -> Fraction:
+        return Fraction(10, 8) - self.delta_star / 522
 
     @property
     def d1_payoff(self) -> Fraction:
-        return Fraction(4) / (1 + 4 * self.g * self.delta)
+        return Fraction(4) / (1 + 4 * G_CONSTANT * self.delta)
 
 
 def derive_params(eps_star: Rational) -> ReductionParams:
-    """Derive (delta*, n*, u) from eps* = (1 - 4*g*delta*)/8.
-
-    Requires (1-4g)/8 < eps* < 1/8 so that delta* lands in (0, 1].
-    """
-    e = frac(eps_star)
-    g = G_CONSTANT
-    delta_star = (1 - 8 * e) / (4 * g)
-    if not (0 < delta_star <= 1):
-        raise ParameterError(
-            f"eps_star={e} gives delta*={delta_star}, outside (0, 1]"
-        )
-    return ReductionParams(
-        g=g,
-        delta=delta_star,
-        eps_star=e,
-        delta_star=delta_star,
-        n_star=Fraction(1) / delta_star,
-        u_frak=Fraction(10, 8) - delta_star / 522,
-    )
+    """The reduction's constants for eps* in [(1-4g)/8, 1/8)."""
+    return ReductionParams(eps_star=eps_star)
 
 
 def half_subsets(q: int, cap: int = HALF_CAP_DEFAULT) -> list[tuple[int, ...]]:
@@ -150,11 +133,14 @@ def build_hardness_game(
     params: ReductionParams,
     half_cap: int = HALF_CAP_DEFAULT,
 ) -> GadgetGame:
-    """Assemble the unscaled four-block gadget game from a free game."""
+    """Assemble the unscaled four-block gadget game from a free game.
+
+    The half-subset blocks need an even number (at least 2) of questions
+    on each side; `half_subsets` raises ``ParameterError`` otherwise.
+    `build_clause_variable_free_game` always emits even sides.
+    """
     if not f.is_free:
         raise PreconditionError("the base game must be free (uniform product)")
-    if f.nx % 2 == 1 or f.ny % 2 == 1:
-        f = duplicate_questions(f, dup_x=f.nx % 2 == 1, dup_y=f.ny % 2 == 1)
 
     row_index: list[RowLabel] = [
         ("qa", x, a) for x in range(f.nx) for a in range(f.x_answers[x])
@@ -336,5 +322,5 @@ def check_certificate(
     unscaled = regret_report(gg.game, cert)
     scaled = regret_report(gs, cert)
     return (unscaled.within(eps_unscaled), unscaled.welfare,
-            scaled.within(eps_unscaled / 8), scaled.welfare,
+            scaled.within(eps_unscaled / RESCALE_DIVISOR), scaled.welfare,
             scaled.within(gg.params.eps_star, pure=True))

@@ -9,6 +9,7 @@ variables of a clause block.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,7 +42,7 @@ class Cnf3Formula:
         object.__setattr__(
             self, "clauses", tuple(tuple(c) for c in self.clauses)
         )
-        degree = [0] * (self.num_vars + 1)
+        degree: Counter[int] = Counter()
         for c in self.clauses:
             if len(c) != 3:
                 raise ValidationError(f"clause {c} does not have 3 literals")
@@ -52,9 +53,10 @@ class Cnf3Formula:
                 raise ValidationError(f"clause {c} repeats a variable")
             if any(v > self.num_vars for v in vs):
                 raise ValidationError(f"clause {c} uses an undeclared variable")
-            for v in vs:
-                degree[v] += 1
-        object.__setattr__(self, "max_var_degree", max(degree))
+            degree.update(vs)
+        object.__setattr__(
+            self, "max_var_degree", max(degree.values(), default=0)
+        )
 
     @property
     def num_clauses(self) -> int:
@@ -89,14 +91,6 @@ def parse_dimacs(text: str) -> Cnf3Formula:
         for tok in line.split():
             lit = _parse_int(tok)
             if lit == 0:
-                if len(literals) != 3:
-                    raise FormatError(
-                        f"clause {tuple(literals)} has {len(literals)} literals"
-                    )
-                if any(abs(l) > num_vars for l in literals):
-                    raise FormatError(
-                        f"clause {tuple(literals)} uses an undeclared variable"
-                    )
                 clauses.append(tuple(literals))
                 literals = []
             else:
@@ -259,33 +253,6 @@ def partition_bipartite(graph: BipartiteGraph, d: int) -> BipartitePartition:
     return BipartitePartition(
         S=s_blocks, T=tuple(tuple(b) for b in t_blocks), K=k
     )
-
-
-@dataclass(frozen=True)
-class PcpResult:
-    """Output of the gap-amplification extension point (identity by default)."""
-
-    formula: Cnf3Formula
-    requested_gap: Fraction
-    achieved_gap: Fraction | None
-
-
-def pcp_amplify(
-    f: Cnf3Formula,
-    eps: Fraction,
-    sat_budget: int = SAT_BUDGET_DEFAULT,
-) -> PcpResult:
-    """Extension point for gap amplification; the default is the identity.
-
-    The returned metadata records the requested gap and, when the
-    brute-force oracle fits in budget, the achieved gap
-    1 - max_sat_fraction(f).
-    """
-    try:
-        achieved = Fraction(1) - max_sat_fraction(f, budget=sat_budget)
-    except ResourceError:
-        achieved = None
-    return PcpResult(formula=f, requested_gap=Fraction(eps), achieved_gap=achieved)
 
 
 @dataclass(frozen=True)

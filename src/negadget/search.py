@@ -137,6 +137,9 @@ def k_uniform_strategies(n: int, k: int) -> Iterator[Vector]:
 
 
 def k_uniform_count(n: int, k: int) -> int:
+    """C(n+k-1, k): how many vectors ``k_uniform_strategies(n, k)`` yields."""
+    if n < 1 or k < 1:
+        raise ParameterError("n and k must be at least 1")
     return comb(n + k - 1, k)
 
 

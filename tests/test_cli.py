@@ -10,6 +10,7 @@ from negadget import formats
 from negadget.cli import main
 from negadget.games import BimatrixGame, MixedProfile
 from negadget.pipeline import PipelineConfig, run_pipeline
+from negadget.provers import TwoProverGame
 
 F = Fraction
 
@@ -19,6 +20,10 @@ PATTERN_CNF = "p cnf 3 8\n" + "\n".join(
 ) + "\n"
 
 COORDINATION = BimatrixGame(R=((1, 0), (0, 1)), C=((1, 0), (0, 1)))
+ODD_X_GAME = TwoProverGame(
+    x_answers=(2,), y_answers=(1, 1),
+    table=((((1,), (0,)), ((1,), (0,))),),
+)
 
 
 @pytest.fixture()
@@ -175,6 +180,26 @@ class TestInputErrors:
         argv = [a.format(game=game) for a in command]
         assert main(argv) == 3
         self._assert_one_line_error(capsys)
+
+    def test_negative_k(self, coordination_paths, capsys):
+        game, _ = coordination_paths
+        argv = ["decide", "p1", str(game), "--eps", "0", "--u", "1", "--k", "-1"]
+        assert main(argv) == 3
+        self._assert_one_line_error(capsys)
+
+    def test_huge_exponent(self, coordination_paths, capsys):
+        game, prof = coordination_paths
+        assert main(["verify", str(game), str(prof), "--eps", "1e5000"]) == 3
+        self._assert_one_line_error(capsys)
+
+    def test_forge_build_odd_side(self, tmp_path, capsys):
+        # One X question: the gadget's half-subset blocks need even sides.
+        free = tmp_path / "odd.fgm"
+        free.write_text(formats.write_fgm(ODD_X_GAME))
+        out = tmp_path / "G.bgm"
+        assert main(["forge", "build", str(free), "-o", str(out)]) == 3
+        self._assert_one_line_error(capsys)
+        assert not out.exists()
 
     def test_malformed_index_set(self, coordination_paths, capsys):
         game, _ = coordination_paths

@@ -35,6 +35,17 @@ class TestBgm:
         with pytest.raises(FormatError):
             formats.parse_bgm("1 1\n0 0\n")
 
+    @pytest.mark.parametrize("tok", ["1e5000", "1e-5000", "2.5E+4301"])
+    def test_huge_exponent_rejected(self, tok):
+        # Fraction would build 10**exponent; at 1e10000000 that takes seconds.
+        with pytest.raises(FormatError):
+            formats._parse_rational(tok)
+        with pytest.raises(FormatError):
+            formats.parse_bgm(f"bgm 1\n1 1\n{tok} 0\n")
+
+    def test_exponent_at_limit_accepted(self):
+        assert formats._parse_rational("1e-4300") == F(1, 10**4300)
+
     def test_wrong_entry_count(self):
         with pytest.raises(FormatError):
             formats.parse_bgm("bgm 1\n2 2\n0 0\n")

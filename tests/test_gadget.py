@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from negadget.errors import (
 from negadget.gadget import (
     G_CONSTANT,
     GadgetGame,
+    ReductionParams,
     build_hardness_game,
     check_certificate,
     completeness_certificate,
@@ -36,6 +38,7 @@ from negadget.games import (
 )
 from negadget.provers import (
     ProverStrategy,
+    TwoProverGame,
     induced_two_prover,
     prover_payoff,
     uniformity_gap,
@@ -66,10 +69,26 @@ class TestDeriveParams:
         lo = (1 - 4 * G_CONSTANT) / 8
         p = derive_params(lo + F(1, 10**6))
         assert 0 < p.delta_star < 1
+        assert derive_params(lo).delta_star == 1
 
     def test_eps_consistency(self):
-        p = derive_params(F(31, 250))
-        assert p.eps_star == (1 - 4 * p.g * p.delta_star) / 8
+        # Every derived constant, on a grid over [(1-4g)/8, 1/8).
+        lo, hi = (1 - 4 * G_CONSTANT) / 8, F(1, 8)
+        for e in [F(31, 250)] + [lo + (hi - lo) * i / 40 for i in range(40)]:
+            p = derive_params(e)
+            assert p.g == G_CONSTANT
+            assert p.eps_star == (1 - 4 * p.g * p.delta_star) / 8
+            assert p.u_frak == F(10, 8) - p.delta_star / 522
+            assert p.n_star * p.delta_star == 1
+            assert p.delta == p.delta_star
+            assert 0 < p.d1_payoff < 4
+
+    def test_eps_star_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(ReductionParams)] == ["eps_star"]
+        p = ReductionParams(eps_star="31/250")
+        assert p == derive_params(F(31, 250))
+        with pytest.raises(ParameterError):
+            ReductionParams(eps_star=F(1, 8))
 
 
 class TestHalfSubsets:
@@ -90,7 +109,20 @@ class TestHalfSubsets:
             half_subsets(10, cap=5)
 
 
+# One X question with answers 0 and 1, two Y questions with one answer
+# each; V = 1 iff the X answer is 0.
+ODD_X_GAME = TwoProverGame(
+    x_answers=(2,), y_answers=(1, 1),
+    table=((((1,), (0,)), ((1,), (0,))),),
+)
+
+
 class TestBuild:
+    def test_odd_side_rejected(self, params):
+        # Only the SAT build makes sides even; a hand-made odd game is an error.
+        with pytest.raises(ParameterError):
+            build_hardness_game(ODD_X_GAME, params)
+
     def test_block_shapes(self, single_build):
         game = single_build.gadget.game
         free = single_build.build.game

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,6 @@ from negadget.sat import (
     max_sat_fraction,
     parse_dimacs,
     partition_bipartite,
-    pcp_amplify,
     winning_strategies,
 )
 
@@ -67,6 +67,17 @@ class TestParseDimacs:
     def test_comments_and_blank_lines(self):
         f = parse_dimacs("c hi\n\np cnf 3 1\nc mid\n1 2 3 0\n")
         assert f.num_clauses == 1
+
+    def test_memory_independent_of_declared_vars(self):
+        # A table of 10**7 + 1 degrees would take about 80 MB.
+        tracemalloc.start()
+        try:
+            f = parse_dimacs("p cnf 10000000 1\n1 2 3 0\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.max_var_degree == 1
+        assert peak < 2**20, peak
 
 
 class TestMaxSat:
@@ -156,25 +167,6 @@ class TestPartition:
 
         with pytest.raises(ParameterError):
             partition_bipartite(graph, 3)
-
-
-class TestPcpStub:
-    def test_identity(self):
-        f = full_sign_pattern()
-        result = pcp_amplify(f, F(1, 10))
-        assert result.formula is f
-        assert result.requested_gap == F(1, 10)
-        assert result.achieved_gap == F(1, 8)
-
-    def test_satisfiable_stays_satisfiable(self):
-        f = satisfiable_fixtures()["single"]
-        result = pcp_amplify(f, F(1, 4))
-        assert max_sat_fraction(result.formula) == 1
-        assert result.achieved_gap == 0
-
-    def test_budget_gap_unknown(self):
-        f = full_sign_pattern()
-        assert pcp_amplify(f, F(1, 4), sat_budget=2).achieved_gap is None
 
 
 class TestFreeGame:

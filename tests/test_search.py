@@ -147,6 +147,12 @@ class TestKUniform:
         assert len(list(k_uniform_strategies(3, 2))) == 6
         assert k_uniform_count(3, 2) == 6
 
+    @pytest.mark.parametrize("n, k", [(0, 1), (2, 0), (2, -1)])
+    def test_count_rejects_below_one(self, n, k):
+        # comb(n + k - 1, k) alone raises ValueError for k < 0.
+        with pytest.raises(ParameterError):
+            k_uniform_count(n, k)
+
     def test_default_k(self):
         assert default_k(4, F(1, 2)) == 8
         assert default_k(4, 0) == 8
@@ -197,6 +203,10 @@ class TestLmm:
     def test_no_pure_zero_ne(self):
         out = lmm_best_welfare(MATCHING_PENNIES, 0, 1)
         assert out.answer == "no"
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ParameterError):
+            lmm_best_welfare(MATCHING_PENNIES, 0, -1)
 
     def test_budget_unknown(self):
         out = lmm_best_welfare(MATCHING_PENNIES, 1, 2, budget=3)
