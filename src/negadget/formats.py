@@ -21,15 +21,24 @@ from .provers import ProverStrategy, TwoProverGame
 # string, which already bounds the mantissa.
 EXPONENT_LIMIT = 4300
 
+# A numerator must stay below this bound, so that it prints within
+# CPython's limit of EXPONENT_LIMIT digits; a denominator may equal it, the
+# denominator of `1e-4300`.  A comparison of integers this long costs what
+# a comparison of their bit lengths costs.
+_DIGIT_BOUND = 10**EXPONENT_LIMIT
+
 
 def _parse_rational(tok: str) -> Fraction:
     _, has_exponent, exponent = tok.lower().partition("e")
     try:
-        if not (has_exponent and abs(int(exponent)) > EXPONENT_LIMIT):
-            return Fraction(tok)
+        if has_exponent and abs(int(exponent)) > EXPONENT_LIMIT:
+            raise FormatError(f"exponent of {tok!r} exceeds {EXPONENT_LIMIT}")
+        value = Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {tok!r}") from exc
-    raise FormatError(f"exponent of {tok!r} exceeds {EXPONENT_LIMIT}")
+    if abs(value.numerator) >= _DIGIT_BOUND or value.denominator > _DIGIT_BOUND:
+        raise FormatError(f"{tok!r} has more than {EXPONENT_LIMIT} digits")
+    return value
 
 
 def _parse_index_set(text: str) -> tuple[int, ...]:

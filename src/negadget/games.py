@@ -6,7 +6,10 @@ floating point.  Games are immutable; every operation returns new values.
 Each game holds the column player's payoffs transposed (``Ct``), so both
 players' sides are the same computation: R against y for the row player
 and Ct against x for the column player, through the one kernel
-``mat_vec``.
+``mat_vec``.  The kernel and ``dot`` read only the nonzero entries of a
+mixed strategy, so a report costs in proportion to the supports.
+``regret_report`` stays in `Fraction` arithmetic: it is the exact oracle
+that the integer k-uniform scan of `negadget.search` is checked against.
 """
 
 from __future__ import annotations
@@ -49,14 +52,19 @@ def matrix(rows: Iterable[Iterable[Rational]]) -> Matrix:
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    """u . v, reading v only where u is nonzero."""
     if len(u) != len(v):
         raise ShapeError(f"dot: lengths {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum((a * b for a, b in zip(u, v) if a), Fraction(0))
 
 
 def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
-    """m @ v (one entry per row): the one matrix-vector kernel."""
-    return tuple([dot(row, v) for row in m])
+    """m @ v (one entry per row): the one matrix-vector kernel.  It reads
+    only the nonzero entries of v, the support of a mixed strategy."""
+    if m and len(m[0]) != len(v):
+        raise ShapeError(f"mat_vec: {len(m[0])} columns vs length {len(v)}")
+    support = [(j, e) for j, e in enumerate(v) if e]
+    return tuple([sum((row[j] * e for j, e in support), Fraction(0)) for row in m])
 
 
 @dataclass(frozen=True)

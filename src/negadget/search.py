@@ -22,10 +22,8 @@ from .games import (
     MixedProfile,
     Rational,
     Vector,
-    dot,
     frac,
     is_eps_ne,
-    mat_vec,
     regret_report,
     tv_distance,
 )
@@ -127,13 +125,24 @@ def k_uniform_strategies(n: int, k: int) -> Iterator[Vector]:
 
     Yields C(n+k-1, k) vectors; each entry is multiplicity/k.
     """
+    for combo in _multisets(n, k):
+        yield _multiset_vector(n, combo)
+
+
+def _multisets(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The size-k multisets over [n] as sorted index tuples, lexicographic."""
     if n < 1 or k < 1:
         raise ParameterError("n and k must be at least 1")
-    for combo in itertools.combinations_with_replacement(range(n), k):
-        v = [Fraction(0)] * n
-        for i in combo:
-            v[i] += Fraction(1, k)
-        yield tuple(v)
+    return itertools.combinations_with_replacement(range(n), k)
+
+
+def _multiset_vector(n: int, combo: Sequence[int]) -> Vector:
+    """The probability vector over [n] of the multiset ``combo``: each
+    entry is its multiplicity over len(combo)."""
+    counts = [0] * n
+    for i in combo:
+        counts[i] += 1
+    return tuple([Fraction(c, len(combo)) for c in counts])
 
 
 def k_uniform_count(n: int, k: int) -> int:
@@ -221,33 +230,55 @@ def _eps_ne_scan(
 ) -> Iterator[tuple[int, Vector, Vector, Fraction, Fraction]]:
     """Stream the k-uniform eps-NE among the first ``budget`` candidates.
 
-    Candidates (x, y) run in lexicographic order, x outermost.  Each
-    passing candidate is yielded as (index, x, y, row payoff, col payoff).
-    Ct @ x is computed once per x and R @ y once per y; a y is kept only
-    once the scan reaches it, so nothing outside the budget is built.
-    """
-    fresh_ys = k_uniform_strategies(game.cols, k)
-    seen_ys: list[tuple[Vector, Vector, Fraction]] = []  # (y, R @ y, max)
+    Candidates (x, y) run in lexicographic order of their size-k
+    multisets, x outermost.  Each passing candidate is yielded as (index,
+    x, y, row payoff, col payoff).
 
-    def each_y() -> Iterator[tuple[Vector, Vector, Fraction]]:
+    The test uses integers only.  R and Ct are scaled once by L, the least
+    common multiple of their denominators, so a multiset y gives the
+    integer vector vals = k*L*(R @ y) and a multiset x the payoff
+    pay = k*k*L*(x @ R @ y), and the same for the column side.  With
+    eps = a/b a side passes iff b*(k*max(vals) - pay) <= a*L*k*k, that is
+    iff pay >= k*max(vals) - floor(a*L*k*k / b).  The Fraction vectors and
+    payoffs are built only for a passing candidate.  Ct @ x is computed
+    once per x and R @ y once per y; a y is kept only once the scan
+    reaches it, so nothing outside the budget is built.
+    """
+    scale = math.lcm(*[e.denominator for m in (game.R, game.C) for row in m
+                       for e in row])
+    r_int = _scaled(game.R, scale)
+    ct_int = _scaled(game.Ct, scale)
+    unit = k * k * scale
+    slack = eps.numerator * unit // eps.denominator
+    fresh_ys = _multisets(game.cols, k)
+    # (y's multiset, k*L*(R @ y), the least row payoff that passes)
+    seen_ys: list[tuple[tuple[int, ...], list[int], int]] = []
+
+    def each_y() -> Iterator[tuple[tuple[int, ...], list[int], int]]:
         yield from seen_ys
-        for y in fresh_ys:
-            row_vals = mat_vec(game.R, y)
-            seen_ys.append((y, row_vals, max(row_vals)))
+        for yc in fresh_ys:
+            row_vals = [sum(row[j] for j in yc) for row in r_int]
+            seen_ys.append((yc, row_vals, k * max(row_vals) - slack))
             yield seen_ys[-1]
 
     index = 0
-    for x in k_uniform_strategies(game.rows, k):
-        col_vals = mat_vec(game.Ct, x)
-        col_best = max(col_vals)
-        for y, row_vals, row_best in each_y():
+    for xc in _multisets(game.rows, k):
+        col_vals = [sum(col[i] for i in xc) for col in ct_int]
+        col_least = k * max(col_vals) - slack
+        for yc, row_vals, row_least in each_y():
             if index >= budget:
                 return
-            row_pay = dot(x, row_vals)
-            col_pay = dot(y, col_vals)
-            if row_best - row_pay <= eps and col_best - col_pay <= eps:
-                yield index, x, y, row_pay, col_pay
+            if ((row_pay := sum(row_vals[i] for i in xc)) >= row_least
+                    and (col_pay := sum(col_vals[j] for j in yc)) >= col_least):
+                yield (index, _multiset_vector(game.rows, xc),
+                       _multiset_vector(game.cols, yc),
+                       Fraction(row_pay, unit), Fraction(col_pay, unit))
             index += 1
+
+
+def _scaled(m: Matrix, scale: int) -> list[list[int]]:
+    """The integer matrix scale * m, for a scale every denominator divides."""
+    return [[e.numerator * (scale // e.denominator) for e in row] for row in m]
 
 
 def _reverified(game: BimatrixGame, p: MixedProfile, eps: Fraction) -> MixedProfile:

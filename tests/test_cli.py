@@ -192,6 +192,14 @@ class TestInputErrors:
         assert main(["verify", str(game), str(prof), "--eps", "1e5000"]) == 3
         self._assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("eps", ["1e4300", "123e4299"])
+    def test_value_too_long_to_print(self, eps, coordination_paths, capsys):
+        # The exponent is within the limit, but str() of a 4301-digit
+        # numerator raises ValueError.
+        game, prof = coordination_paths
+        assert main(["verify", str(game), str(prof), "--eps", eps]) == 3
+        self._assert_one_line_error(capsys)
+
     def test_forge_build_odd_side(self, tmp_path, capsys):
         # One X question: the gadget's half-subset blocks need even sides.
         free = tmp_path / "odd.fgm"

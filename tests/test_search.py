@@ -470,7 +470,7 @@ def _reference_hits(game, eps, k, budget):
     for index, (x, y) in enumerate(pairs[:budget]):
         p = MixedProfile(x=x, y=y)
         rep = regret_report(game, p)
-        if rep.row_regret <= eps and rep.col_regret <= eps:
+        if rep.within(eps):
             hits.append((index, p, rep))
     return hits, min(len(pairs), budget), len(pairs) > budget
 
@@ -534,6 +534,41 @@ class TestScanMatchesBruteForce:
                 assert (out.answer, out.witness, out.checked_count) == (
                     "yes", p, index + 1
                 )
+
+
+@st.composite
+def _integer_scan_cases(draw):
+    """A game up to 3x4 with negative entries and mixed denominators, k, a
+    budget, and an eps that is either some candidate's regret exactly or
+    has a denominator prime to every payoff denominator."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    entry = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+    cells = st.lists(
+        st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+    game = BimatrixGame(R=draw(cells), C=draw(cells))
+    k = draw(st.integers(1, 3))
+    pairs = list(itertools.product(
+        k_uniform_strategies(rows, k), k_uniform_strategies(cols, k)
+    ))
+    budget = draw(st.integers(1, len(pairs)))
+    x, y = draw(st.sampled_from(pairs[:budget]))
+    rep = regret_report(game, MixedProfile(x=x, y=y))
+    on_regret = st.just(max(rep.row_regret, rep.col_regret))
+    coprime = st.builds(F, st.integers(0, 40), st.sampled_from([5, 7, 11, 25]))
+    return game, draw(on_regret | coprime), k, budget
+
+
+class TestIntegerScanMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_integer_scan_cases())
+    def test_scan_equals_regret_report_filter(self, case):
+        game, eps, k, budget = case
+        hits, _, _ = _reference_hits(game, eps, k, budget)
+        assert list(search._eps_ne_scan(game, eps, k, budget)) == [
+            (index, p.x, p.y, rep.row_payoff, rep.col_payoff)
+            for index, p, rep in hits
+        ]
 
 
 class TestScanBudget:
