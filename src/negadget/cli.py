@@ -31,6 +31,7 @@ from .provers import VALUE_BUDGET_DEFAULT, game_value
 from .sat import (
     ANSWER_CAP_DEFAULT,
     build_clause_variable_free_game,
+    check_answer_cap,
     formula_degree,
     incidence_graph,
     parse_dimacs,
@@ -40,7 +41,8 @@ from .search import SEARCH_BUDGET_DEFAULT, DecisionInstance, decide
 
 
 def _report_dict(rep) -> dict:
-    return {f.name: str(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
+    return {f.name: formats.format_rational(getattr(rep, f.name))
+            for f in dataclasses.fields(rep)}
 
 
 def _emit(data: dict, fmt: str) -> None:
@@ -61,7 +63,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok = rep.within(eps, pure=args.mode == "wsne")
     data = _report_dict(rep)
     data["mode"] = args.mode
-    data["eps"] = str(eps)
+    data["eps"] = formats.format_rational(eps)
     data["ok"] = ok
     _emit(data, args.format)
     return 0 if ok else 1
@@ -76,6 +78,7 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     formula = parse_dimacs(Path(args.input).read_text())
+    check_answer_cap(formula, args.cap)
     partition = partition_bipartite(
         incidence_graph(formula), formula_degree(formula)
     )

@@ -41,6 +41,25 @@ def _parse_rational(tok: str) -> Fraction:
     return value
 
 
+def format_rational(value: Fraction) -> str:
+    """``str(value)``, also when the numerator or denominator has more
+    digits than CPython prints (`1e-4300` has a 4301-digit denominator)."""
+    num = _decimal(value.numerator)
+    return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n, split in halves until each prints."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n < _DIGIT_BOUND:
+        return str(n)
+    # 3/20 < log10(2)/2, so 10**half is below sqrt(n) and both parts shrink.
+    half = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def _parse_index_set(text: str) -> tuple[int, ...]:
     """Comma-separated integer indices, such as `decide --set 0,2`."""
     try:

@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .errors import (
     FormatError,
@@ -208,17 +209,12 @@ def partition_bipartite(graph: BipartiteGraph, d: int) -> BipartitePartition:
         raise ValidationError("both sides must be nonempty")
     if d < 1 or graph.degree_bound() > d:
         raise ParameterError(f"graph degree exceeds d={d}")
-    n = graph.left_count + graph.right_count
-    k = math.isqrt(n)
-    if k * k < n:
-        k += 1
+    k = _block_count(graph.left_count + graph.right_count)
     size_cap = 2 * k
     edge_cap = 2 * d * d
 
     left = graph.left_count
-    s_blocks = tuple(
-        tuple(range(i * left // k, (i + 1) * left // k)) for i in range(k)
-    )
+    s_blocks = tuple(tuple(b) for b in _variable_blocks(left, k))
     block_of_var = [0] * left
     for i, block in enumerate(s_blocks):
         for v in block:
@@ -253,6 +249,35 @@ def partition_bipartite(graph: BipartiteGraph, d: int) -> BipartitePartition:
     return BipartitePartition(
         S=s_blocks, T=tuple(tuple(b) for b in t_blocks), K=k
     )
+
+
+def _block_count(n: int) -> int:
+    """K = ceil(sqrt(n)), the number of blocks per side for n vertices."""
+    k = math.isqrt(n)
+    return k + (k * k < n)
+
+
+def _variable_blocks(left: int, k: int) -> Iterator[range]:
+    """The k contiguous variable blocks of a partition, as lazy ranges."""
+    return (range(i * left // k, (i + 1) * left // k) for i in range(k))
+
+
+def check_answer_cap(f: Cnf3Formula, answer_cap: int = ANSWER_CAP_DEFAULT) -> None:
+    """Raise the X-side answer-cap error of `build_clause_variable_free_game`
+    from the formula's sizes alone, before `partition_bipartite` builds any
+    block: X question i assigns the i-th contiguous variable block."""
+    k = _block_count(f.num_vars + f.num_clauses)
+    _check_answers("X", map(len, _variable_blocks(f.num_vars, k)), answer_cap)
+
+
+def _check_answers(side: str, sizes: Iterable[int], answer_cap: int) -> None:
+    """ResourceError for the first question with more than answer_cap
+    answers, a question of size s having 2^s."""
+    for i, size in enumerate(sizes):
+        if 2 ** size > answer_cap:
+            raise ResourceError(
+                f"{side} question {i} has 2^{size} answers, cap {answer_cap}"
+            )
 
 
 @dataclass(frozen=True)
@@ -293,16 +318,8 @@ def build_clause_variable_free_game(
         )
         for block in y_clauses
     )
-    for i, vs in enumerate(x_vars):
-        if 2 ** len(vs) > answer_cap:
-            raise ResourceError(
-                f"X question {i} has 2^{len(vs)} answers, cap {answer_cap}"
-            )
-    for j, vs in enumerate(y_vars):
-        if 2 ** len(vs) > answer_cap:
-            raise ResourceError(
-                f"Y question {j} has 2^{len(vs)} answers, cap {answer_cap}"
-            )
+    _check_answers("X", map(len, x_vars), answer_cap)
+    _check_answers("Y", map(len, y_vars), answer_cap)
 
     def accepts(i: int, j: int, a: int, b: int) -> int:
         assign_b = {v: (b >> t) & 1 for t, v in enumerate(y_vars[j])}

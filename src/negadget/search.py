@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     InvariantError, ParameterError, ResourceError, ValidationError
@@ -30,6 +30,8 @@ from .games import (
 from .linsolve import simplex_maximize, solve_linear
 
 SEARCH_BUDGET_DEFAULT = 2**22
+
+Support = tuple[int, ...]  # sorted strategy indices
 
 WITNESS_NE = "NE"
 WITNESS_WSNE = "WSNE"
@@ -56,6 +58,10 @@ class SearchOutcome:
     ``answer`` is "yes", "no", or "unknown"; a yes always carries a
     witness that re-verifies exactly.  For problem 3 the witness is the
     first profile of the far-apart pair and ``witness_pair`` holds both.
+
+    ``checked_count`` counts the candidates checked up to the answer:
+    k-uniform profiles for problems 1-6, and for problems 7-10 the support
+    pairs that pass the problem's predicate.  A hint that answers counts 0.
     """
 
     answer: str
@@ -244,8 +250,7 @@ def _eps_ne_scan(
     once per x and R @ y once per y; a y is kept only once the scan
     reaches it, so nothing outside the budget is built.
     """
-    scale = math.lcm(*[e.denominator for m in (game.R, game.C) for row in m
-                       for e in row])
+    scale = _denominator_lcm(game)
     r_int = _scaled(game.R, scale)
     ct_int = _scaled(game.Ct, scale)
     unit = k * k * scale
@@ -274,6 +279,12 @@ def _eps_ne_scan(
                        _multiset_vector(game.cols, yc),
                        Fraction(row_pay, unit), Fraction(col_pay, unit))
             index += 1
+
+
+def _denominator_lcm(game: BimatrixGame) -> int:
+    """The least common multiple of the denominators of R and C."""
+    return math.lcm(*[e.denominator for m in (game.R, game.C) for row in m
+                      for e in row])
 
 
 def _scaled(m: Matrix, scale: int) -> list[list[int]]:
@@ -307,18 +318,15 @@ def wsne_support_feasible(
     below eps, which excludes profiles sitting exactly on the regret
     boundary.
     """
-    e = frac(eps)
     rows = tuple(sorted(set(rows)))
     cols = tuple(sorted(set(cols)))
     if not rows or not cols:
         raise ValidationError("supports must be nonempty")
     if min(rows + cols) < 0 or rows[-1] >= game.rows or cols[-1] >= game.cols:
         raise ValidationError(f"supports {rows}/{cols} out of the game's range")
-
-    y = _one_side_feasible(game.R, rows, cols, e, strict)
-    if y is None:
-        return None
-    x = _one_side_feasible(game.Ct, cols, rows, e, strict)
+    row_side, col_side = _side_lps(game, frac(eps), strict)
+    y = row_side(rows, cols)
+    x = None if y is None else col_side(rows, cols)
     if x is None:
         return None
     return MixedProfile(x=_spread(game.rows, rows, x), y=_spread(game.cols, cols, y))
@@ -332,15 +340,29 @@ def _spread(n: int, supp: Sequence[int], values: Sequence[Fraction]) -> Vector:
     return tuple(full)
 
 
+def _side_lps(game: BimatrixGame, eps: Fraction, strict: bool):
+    """The row-side and column-side LPs of a support pair (rows, cols), as
+    two functions returning y over cols or x over rows, or None.  R and Ct
+    are scaled once to integers by the LCM of their denominators."""
+    scale = _denominator_lcm(game)
+    r_int, ct_int = _scaled(game.R, scale), _scaled(game.Ct, scale)
+    return (
+        lambda rows, cols: _one_side_feasible(r_int, rows, cols, eps, scale, strict),
+        lambda rows, cols: _one_side_feasible(ct_int, cols, rows, eps, scale, strict),
+    )
+
+
 def _one_side_feasible(
-    payoff: Sequence[Sequence[Fraction]],
+    payoff: Sequence[Sequence[int]],
     supp: Sequence[int],
     opp_supp: Sequence[int],
     eps: Fraction,
+    scale: int,
     strict: bool = False,
 ) -> list[Fraction] | None:
     """Find q in the simplex over opp_supp with min coordinate maximized,
     subject to: every row in supp is eps-best among all rows against q.
+    ``payoff`` is the payoff matrix P times the integer ``scale``.
 
     Variables: q_j for j in opp_supp, then t (the min-coordinate slack).
     Maximize t; feasible with t > 0 means the exact support works.  In
@@ -352,33 +374,39 @@ def _one_side_feasible(
     0 or 1, as `simplex_maximize` requires, and the origin is a feasible
     start; a feasible (q, t) with t > 0 scales by 1/sum(q) to a larger t,
     so a positive optimum has sum(q) = 1.
+
+    The rows compare each support row only with the other rows; its regret
+    against itself is 0, which is at most eps only when eps >= 0, and
+    strictly below eps only when eps > 0.
     """
+    if eps < 0 or (strict and eps == 0):
+        return None
     n_rows = len(payoff)
     m = len(opp_supp)
-    nvars = m + 1
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
+    a_ub: list[list[int]] = []
     # For each support row i and each row r: (P_r - P_i - eps) . q <= 0
-    # (strict mode: (P_r - P_i - eps) . q + t <= 0).
-    slack = Fraction(1 if strict else 0)
+    # (strict mode: (P_r - P_i - eps) . q + t <= 0), times b*scale for
+    # eps = a/b, so that every coefficient is an integer.
+    b = eps.denominator
+    shift = eps.numerator * scale
+    slack = b * scale if strict else 0
     for i in supp:
+        own = [payoff[i][j] for j in opp_supp]
         for r in range(n_rows):
             if r == i:
                 continue
-            row = [payoff[r][j] - payoff[i][j] - eps for j in opp_supp] + [slack]
-            a_ub.append(row)
-            b_ub.append(Fraction(0))
+            other = payoff[r]
+            a_ub.append([b * (other[j] - p) - shift for j, p in zip(opp_supp, own)]
+                        + [slack])
     # t <= q_j for each j.
     for j in range(m):
-        row = [Fraction(0)] * nvars
-        row[j] = Fraction(-1)
-        row[m] = Fraction(1)
+        row = [0] * (m + 1)
+        row[j] = -1
+        row[m] = 1
         a_ub.append(row)
-        b_ub.append(Fraction(0))
-    a_ub.append([Fraction(1)] * m + [Fraction(0)])
-    b_ub.append(Fraction(1))
-    c = [Fraction(0)] * m + [Fraction(1)]
-    status, value, solution = simplex_maximize(c, a_ub, b_ub)
+    a_ub.append([1] * m + [0])
+    b_ub = [0] * (len(a_ub) - 1) + [1]
+    status, value, solution = simplex_maximize([0] * m + [1], a_ub, b_ub)
     if status != "optimal" or value is None or value <= 0:
         return None
     return solution[:m]
@@ -395,21 +423,70 @@ def enumerate_wsne_supports(
 
     ``strict`` restricts the enumeration to profiles whose pure-strategy
     regrets are strictly below eps.
+
+    Pairs are pruned without an LP.  With the columns fixed, the row side's
+    LP only gains constraints as the row support grows, so a pair whose row
+    side is infeasible rules out the row side of every pair with more rows
+    and the same columns; the column side is the mirror case.  Every
+    immediate subset of a pair comes earlier in the order, so a pair is
+    known infeasible when one of them is.
     """
     e = frac(eps)
+    every_pair = _support_pairs(game, e, budget, strict, lambda rows, cols: True)
+    for _, _, witness in every_pair:
+        if witness is not None:
+            yield witness
+
+
+def _support_pairs(
+    game: BimatrixGame,
+    eps: Fraction,
+    budget: int,
+    strict: bool,
+    wanted: Callable[[Support, Support], bool],
+) -> Iterator[tuple[Support, Support, MixedProfile | None]]:
+    """Decide, in ``enumerate_wsne_supports``' order, the support pairs
+    that ``wanted(rows, cols)`` accepts when the pair comes up, and yield
+    each as (rows, cols, its witness or None).
+
+    Only sides known to be infeasible are recorded: found so by an LP, or
+    by an immediate subset, on every pair, wanted or not.  When the row
+    side fails, the column side stays unknown.
+    """
     total = (2 ** game.rows - 1) * (2 ** game.cols - 1)
     if total > budget:
         raise ResourceError(
             f"{total} support pairs exceed budget {budget}"
         )
-    combos = sorted(
+    pairs = sorted(
         itertools.product(_subsets(game.rows), _subsets(game.cols)),
         key=lambda rc: (len(rc[0]) + len(rc[1]), rc[0], rc[1]),
     )
-    for rows, cols in combos:
-        witness = wsne_support_feasible(game, rows, cols, e, strict=strict)
-        if witness is not None:
-            yield witness
+    row_side, col_side = _side_lps(game, eps, strict)
+    row_dead: set[tuple[Support, Support]] = set()
+    col_dead: set[tuple[Support, Support]] = set()
+    for rows, cols in pairs:
+        pair = (rows, cols)
+        if any((rows[:k] + rows[k + 1:], cols) in row_dead
+               for k in range(len(rows))):
+            row_dead.add(pair)
+        if any((rows, cols[:k] + cols[k + 1:]) in col_dead
+               for k in range(len(cols))):
+            col_dead.add(pair)
+        if not wanted(rows, cols):
+            continue
+        witness = None
+        if pair not in row_dead and pair not in col_dead:
+            y = row_side(rows, cols)
+            x = None if y is None else col_side(rows, cols)
+            if y is None:
+                row_dead.add(pair)
+            elif x is None:
+                col_dead.add(pair)
+            else:
+                witness = MixedProfile(x=_spread(game.rows, rows, x),
+                                       y=_spread(game.cols, cols, y))
+        yield rows, cols, witness
 
 
 def _subsets(n: int) -> list[tuple[int, ...]]:
@@ -443,7 +520,9 @@ def decide_many(
     "no" means "no k-uniform witness"; problems 7-10 enumerate support
     patterns exactly, so their "no" is unconditional (within budget).
     The problems share one regret report per distinct hint profile, one
-    k-uniform scan and one support enumeration.
+    k-uniform scan and one support enumeration.  The enumeration decides
+    only the support pairs that some pending problem's predicate accepts,
+    since a pair's witness has exactly that pair as its supports.
     """
     if not insts:
         return []
@@ -506,14 +585,26 @@ def decide_many(
                                         checked_count=checked)
 
     if supports:
-        checked, miss = 0, "no"
+        # Each problem counts the pairs its own predicate accepts, so its
+        # count is the one it gets alone; a pair no pending problem can
+        # use is never decided.
+        pairs_seen = dict.fromkeys(supports, 0)
+        miss = "no"
+
+        def wanted(rows: Support, cols: Support) -> bool:
+            return any(_support_predicate(inst, rows, cols)
+                       for inst in supports.values())
+
         try:
-            for witness in enumerate_wsne_supports(game, eps, budget):
-                checked += 1
+            for rows, cols, witness in _support_pairs(game, eps, budget, False,
+                                                      wanted):
                 for i, inst in list(supports.items()):
-                    if _predicate(inst, witness):
+                    if not _support_predicate(inst, rows, cols):
+                        continue
+                    pairs_seen[i] += 1
+                    if witness is not None:
                         outcomes[i] = SearchOutcome(answer="yes", witness=witness,
-                                                    checked_count=checked)
+                                                    checked_count=pairs_seen[i])
                         del supports[i]
                 if not supports:
                     break
@@ -521,7 +612,7 @@ def decide_many(
             # Raised before the first support pair: the pairs exceed the budget.
             miss = "unknown"
         for i in supports:
-            outcomes[i] = SearchOutcome(answer=miss, checked_count=checked)
+            outcomes[i] = SearchOutcome(answer=miss, checked_count=pairs_seen[i])
     return outcomes
 
 
@@ -545,15 +636,23 @@ def _predicate(
         return row_pay + col_pay <= inst.v
     if pid == 6:
         return row_pay <= inst.u
-    sx, sy = len(p.support_x), len(p.support_y)
+    return _support_predicate(inst, p.support_x, p.support_y)
+
+
+def _support_predicate(
+    inst: DecisionInstance, rows: Sequence[int], cols: Sequence[int]
+) -> bool:
+    """The predicate of problems 7-10, which reads only the supports: a
+    support-pair witness has supports exactly (rows, cols)."""
+    pid = inst.problem_id
     if pid == 7:
-        return sx + sy >= 2 * inst.k
+        return len(rows) + len(cols) >= 2 * inst.k
     if pid == 8:
-        return min(sx, sy) >= inst.k
+        return min(len(rows), len(cols)) >= inst.k
     if pid == 9:
-        return sx >= inst.k
+        return len(rows) >= inst.k
     if pid == 10:
-        return set(inst.index_set) <= set(p.support_x)
+        return set(inst.index_set) <= set(rows)
     raise ValidationError(f"problem {pid} has no single-profile predicate")
 
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from negadget import formats
+from negadget import cli, formats
 from negadget.cli import main
 from negadget.games import BimatrixGame, MixedProfile
 from negadget.pipeline import PipelineConfig, run_pipeline
@@ -24,6 +26,16 @@ ODD_X_GAME = TwoProverGame(
     x_answers=(2,), y_answers=(1, 1),
     table=((((1,), (0,)), ((1,), (0,))),),
 )
+
+
+def _unlimited_str(value: Fraction) -> str:
+    """str(value) with CPython's limit on printed digits lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture()
@@ -59,6 +71,33 @@ class TestVerify:
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True
         assert data["row_pure_regret"] == "0"
+
+    def test_eps_longer_than_str_prints(self, tmp_path, capsys):
+        # 1e-4300 parses, but its 4301-digit denominator is past the
+        # length str() prints.
+        game = tmp_path / "one.bgm"
+        game.write_text(formats.write_bgm(BimatrixGame(R=((1,),), C=((1,),))))
+        prof = tmp_path / "one.prof"
+        prof.write_text(formats.write_prof(MixedProfile(x=(1,), y=(1,))))
+        assert main(["verify", str(game), str(prof), "--eps", "1e-4300"]) == 0
+        out = capsys.readouterr().out
+        assert f"eps: 1/1{'0' * 4300}\n" in out
+        assert "ok: True" in out
+
+    def test_regret_longer_than_str_prints(self, tmp_path, capsys):
+        # The row regret 10**-2200 - 10**-4400 has a 4401-digit denominator.
+        tiny = F(1, 10**2200)
+        game = BimatrixGame(R=((tiny,), (0,)), C=((0,), (0,)))
+        profile = MixedProfile(x=(tiny, 1 - tiny), y=(1,))
+        game_path, prof_path = tmp_path / "g.bgm", tmp_path / "p.prof"
+        game_path.write_text(formats.write_bgm(game))
+        prof_path.write_text(formats.write_prof(profile))
+        argv = ["verify", str(game_path), str(prof_path), "--eps", "1",
+                "--format", "json"]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["row_regret"] == _unlimited_str(tiny - tiny * tiny)
+        assert data["welfare"] == _unlimited_str(tiny * tiny)
 
     def test_malformed_profile_errors(self, tmp_path, coordination_paths, capsys):
         game, _ = coordination_paths
@@ -231,6 +270,30 @@ class TestInputErrors:
         out = tmp_path / "out"
         assert main([a.format(cnf=cnf, out=out) for a in command]) == 3
         self._assert_one_line_error(capsys)
+
+    def test_answer_cap_fails_before_blocks_are_built(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # K = 1001 blocks of about 999 variables each: X question 0 alone
+        # has 2^999 answers, which the formula's sizes already show.
+        cnf = tmp_path / "wide.cnf"
+        cnf.write_text("p cnf 1000000 1\n1 2 3 0\n")
+
+        def no_partition(*args, **kwargs):
+            raise AssertionError("partition_bipartite called")
+
+        monkeypatch.setattr(cli, "partition_bipartite", no_partition)
+        tracemalloc.start()
+        try:
+            code = main(["reduce", "sat2free", str(cnf), "-o", str(tmp_path / "F")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: X question 0 has 2^999 answers, cap 65536\n"
+        )
+        assert peak < 2**20, peak
 
     def test_bgm_dimension_below_one(self, tmp_path, coordination_paths, capsys):
         _, prof = coordination_paths

@@ -683,3 +683,132 @@ class TestDecideMany:
         with pytest.raises(ValidationError):
             decide_many([p1, DecisionInstance(
                 problem_id=1, game=COORDINATION, eps=F(1, 4), u=1)])
+
+
+def _pairs_in_order(game):
+    """Every support pair, by total size, then lexicographic supports."""
+    def subsets(n):
+        return [s for size in range(1, n + 1)
+                for s in itertools.combinations(range(n), size)]
+    return sorted(itertools.product(subsets(game.rows), subsets(game.cols)),
+                  key=lambda rc: (len(rc[0]) + len(rc[1]), rc[0], rc[1]))
+
+
+@st.composite
+def _support_search_games(draw):
+    """Games up to 3x3 with quarter entries (many ties) or signed entries
+    with mixed denominators."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = draw(st.sampled_from([
+        _QUARTERS, st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4])),
+    ]))
+    cells = st.lists(
+        st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+    return BimatrixGame(R=draw(cells), C=draw(cells))
+
+
+class TestSupportSearchMatchesEveryPair:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        game=_support_search_games(),
+        eps=st.sampled_from([F(0), F(1, 4), F(1, 2)]),
+        k=st.integers(1, 3),
+        index_set=st.lists(st.integers(0, 2), min_size=1, max_size=2),
+    )
+    def test_pruned_and_filtered_search_equals_one_lp_per_pair(
+        self, game, eps, k, index_set
+    ):
+        order = _pairs_in_order(game)
+        decided = {}
+        for strict in (False, True):
+            decided[strict] = [
+                (rows, cols, wsne_support_feasible(game, rows, cols, eps, strict))
+                for rows, cols in order
+            ]
+            every = [w for _, _, w in decided[strict] if w is not None]
+            assert list(enumerate_wsne_supports(game, eps, strict=strict)) == every
+            for w in every:
+                assert is_eps_wsne(game, w, eps)
+                rep = regret_report(game, w)
+                if strict:
+                    assert max(rep.row_pure_regret, rep.col_pure_regret) < eps
+
+        index_set = [i for i in index_set if i < game.rows] or [0]
+        predicates = {
+            (7, "k"): lambda sx, sy: len(sx) + len(sy) >= 2 * k,
+            (8, "k"): lambda sx, sy: min(len(sx), len(sy)) >= k,
+            (9, "k"): lambda sx, sy: len(sx) >= k,
+            (10, "index_set"): lambda sx, sy: set(index_set) <= set(sx),
+        }
+        for (pid, name), holds in predicates.items():
+            param = k if name == "k" else index_set
+            inst = DecisionInstance(problem_id=pid, game=game, eps=eps,
+                                    **{name: param})
+            out = decide(inst)
+            # A pair counts once its predicate holds; the first such pair
+            # with a witness answers.
+            accepted = [(rows, cols, w) for rows, cols, w in decided[False]
+                        if holds(rows, cols)]
+            hit = next((n for n, (_, _, w) in enumerate(accepted, 1)
+                        if w is not None), None)
+            if hit is None:
+                assert (out.answer, out.witness, out.checked_count) == (
+                    "no", None, len(accepted))
+            else:
+                w = accepted[hit - 1][2]
+                assert (out.answer, out.witness, out.checked_count) == ("yes", w, hit)
+                assert is_eps_wsne(game, out.witness, eps)
+                assert holds(out.witness.support_x, out.witness.support_y)
+
+    def test_no_support_is_strictly_below_zero_eps(self):
+        # A lone row has no rival, but its regret against itself is 0.
+        game = BimatrixGame(R=((0,),), C=((0,),))
+        assert list(enumerate_wsne_supports(game, 0, strict=True)) == []
+        assert list(enumerate_wsne_supports(game, 0)) == [
+            MixedProfile(x=(1,), y=(1,))
+        ]
+        assert wsne_support_feasible(game, (0,), (0,), F(-1, 4)) is None
+
+
+class TestSimplexRational:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rational_coefficients_match_vertex_enumeration(self, data):
+        n = data.draw(st.integers(1, 3))
+        ratio = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+        rhs = st.builds(F, st.integers(0, 8), st.sampled_from([1, 2, 3, 5]))
+        row = st.lists(ratio, min_size=n, max_size=n)
+        c = data.draw(row)
+        a_ub, b_ub = [], []
+        for _ in range(data.draw(st.integers(0, 3))):
+            a_ub.append(data.draw(row))
+            b_ub.append(data.draw(rhs))
+        bound = data.draw(st.builds(F, st.integers(1, 6), st.sampled_from([1, 2, 3])))
+        for i in range(n):
+            a_ub.append([F(int(k == i)) for k in range(n)])
+            b_ub.append(bound)
+
+        status, value, x = simplex_maximize(c, a_ub, b_ub)
+
+        # The box bounds the region, which holds the origin, so the optimum
+        # sits at a vertex: n tight constraints among the rows and x >= 0.
+        def feasible(p):
+            return all(v >= 0 for v in p) and all(
+                dot(r, p) <= b for r, b in zip(a_ub, b_ub)
+            )
+
+        tight = list(zip(a_ub, b_ub)) + [
+            ([F(int(k == i)) for k in range(n)], F(0)) for i in range(n)
+        ]
+        vertices = [
+            p for chosen in itertools.combinations(tight, n)
+            if (p := solve_linear([r for r, _ in chosen], [b for _, b in chosen]))
+            is not None and feasible(p)
+        ]
+        assert status == "optimal"
+        assert value == max(dot(c, p) for p in vertices)
+        assert all(isinstance(v, F) for v in x)
+        assert feasible(x)
+        assert value == dot(c, x)
+
