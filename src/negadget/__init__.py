@@ -44,7 +44,6 @@ from .search import (
     DecisionInstance,
     SearchOutcome,
     decide,
-    exhaustive_ne_oracle,
     k_uniform_strategies,
     lmm_best_welfare,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "DecisionInstance",
     "SearchOutcome",
     "decide",
-    "exhaustive_ne_oracle",
     "k_uniform_strategies",
     "lmm_best_welfare",
 ]

@@ -72,7 +72,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_value(args: argparse.Namespace) -> int:
     game = formats.parse_fgm(Path(args.game).read_text())
     value = game_value(game, budget=args.budget)
-    print(str(value))
+    print(formats.format_rational(value))
     return 0
 
 

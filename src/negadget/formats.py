@@ -27,13 +27,21 @@ EXPONENT_LIMIT = 4300
 # a comparison of their bit lengths costs.
 _DIGIT_BOUND = 10**EXPONENT_LIMIT
 
+# The digits of _DIGIT_BOUND, one more than `int()` reads: the writers print
+# the denominator of `1e-4300` so, and the parser reads it back.
+_DIGIT_BOUND_TEXT = "1" + "0" * EXPONENT_LIMIT
+
 
 def _parse_rational(tok: str) -> Fraction:
+    num, _, den = tok.partition("/")
     _, has_exponent, exponent = tok.lower().partition("e")
     try:
         if has_exponent and abs(int(exponent)) > EXPONENT_LIMIT:
             raise FormatError(f"exponent of {tok!r} exceeds {EXPONENT_LIMIT}")
-        value = Fraction(tok)
+        if den == _DIGIT_BOUND_TEXT:
+            value = Fraction(int(num), _DIGIT_BOUND)
+        else:
+            value = Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {tok!r}") from exc
     if abs(value.numerator) >= _DIGIT_BOUND or value.denominator > _DIGIT_BOUND:
@@ -43,9 +51,13 @@ def _parse_rational(tok: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """``str(value)``, also when the numerator or denominator has more
-    digits than CPython prints (`1e-4300` has a 4301-digit denominator)."""
-    num = _decimal(value.numerator)
-    return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
+    digits than CPython prints (`1e-4300` has a 4301-digit denominator).
+    Every writer prints through it."""
+    try:
+        return str(value)
+    except ValueError:  # an integer past CPython's digit limit
+        num = _decimal(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{_decimal(value.denominator)}"
 
 
 def _decimal(n: int) -> str:
@@ -73,6 +85,9 @@ def _data_lines(text: str) -> list[str]:
 
 
 def parse_bgm(text: str) -> BimatrixGame:
+    """Parse a `.bgm` game.  Each distinct entry token is parsed, with every
+    check of `_parse_rational`, once per call; equal entries then share one
+    Fraction."""
     lines = _data_lines(text)
     if not lines or lines[0] != "bgm 1":
         raise FormatError("missing 'bgm 1' header")
@@ -90,13 +105,18 @@ def parse_bgm(text: str) -> BimatrixGame:
         )
     r = [[Fraction(0)] * cols for _ in range(rows)]
     c = [[Fraction(0)] * cols for _ in range(rows)]
+    # One Fraction per distinct token, shared by its equal entries.
+    values: dict[str, Fraction] = {}
     for idx, line in enumerate(body[1:]):
         toks = line.split()
         if len(toks) != 2:
             raise FormatError(f"entry line {line!r} needs two rationals")
+        for tok in toks:
+            if tok not in values:
+                values[tok] = _parse_rational(tok)
         i, j = divmod(idx, cols)
-        r[i][j] = _parse_rational(toks[0])
-        c[i][j] = _parse_rational(toks[1])
+        r[i][j] = values[toks[0]]
+        c[i][j] = values[toks[1]]
     blocks = None
     if block_lines:
         parsed = []
@@ -119,9 +139,9 @@ def parse_bgm(text: str) -> BimatrixGame:
 
 def write_bgm(game: BimatrixGame) -> str:
     out = ["bgm 1", f"{game.rows} {game.cols}"]
-    for i in range(game.rows):
-        for j in range(game.cols):
-            out.append(f"{game.R[i][j]} {game.C[i][j]}")
+    for r_row, c_row in zip(game.R, game.C):
+        out.extend(f"{format_rational(r)} {format_rational(c)}"
+                   for r, c in zip(r_row, c_row))
     for name, r0, r1, c0, c1 in game.blocks or ():
         out.append(f"#block {name} {r0} {r1} {c0} {c1}")
     return "\n".join(out) + "\n"
@@ -158,7 +178,7 @@ def parse_prof(text: str, normalize: bool = False) -> MixedProfile:
 
 def write_prof(p: MixedProfile) -> str:
     out = ["prof 1", f"{len(p.x)} {len(p.y)}"]
-    out.extend(map(str, p.x + p.y))
+    out.extend(map(format_rational, p.x + p.y))
     return "\n".join(out) + "\n"
 
 
@@ -235,7 +255,7 @@ def write_fgm(t: TwoProverGame) -> str:
         out.append("D")
         for x in range(t.nx):
             for y in range(t.ny):
-                out.append(str(t.dist[x][y]))
+                out.append(format_rational(t.dist[x][y]))
     return "\n".join(out) + "\n"
 
 

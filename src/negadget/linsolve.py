@@ -1,7 +1,6 @@
-"""Exact linear algebra helpers: Gaussian elimination and a small simplex.
+"""An exact simplex for the support LPs.
 
-Both are exact.  Gaussian elimination works on `fractions.Fraction`.  The
-simplex takes only `<=` rows with nonnegative right-hand sides, so it starts
+It takes only `<=` rows with nonnegative right-hand sides, so it starts
 at the slack basis, which is feasible, and needs no phase 1.  Its tableau
 keeps the objective as a last row that every pivot updates, and Bland's rule
 picks each pivot.
@@ -22,32 +21,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParameterError, ShapeError
-
-
-def solve_linear(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Solve the square system a x = b exactly.
-
-    Returns the unique solution, or None when the matrix is singular
-    (no solution or infinitely many).
-    """
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
-        raise ShapeError("solve_linear expects a square system")
-    m = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [e * inv for e in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [e - factor * p for e, p in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
 
 
 def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -9,6 +9,7 @@ has the uniform product distribution over X x Y.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +20,9 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .games import BimatrixGame, Matrix, MixedProfile, Vector, frac, mat_vec
+from .games import (
+    BimatrixGame, Matrix, MixedProfile, Vector, frac, mat_vec, vector
+)
 
 # V is stored as a nested tuple: V[x][y][a][b] in {0, 1}.
 VTable = tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
@@ -61,7 +64,9 @@ class TwoProverGame:
                     if any(v not in (0, 1) for v in per_b):
                         raise ValidationError("V entries must be 0 or 1")
         if self.dist is not None:
-            d = self.dist
+            # Exact Fractions, so game_value can read every denominator.
+            d = tuple([vector(row) for row in self.dist])
+            object.__setattr__(self, "dist", d)
             if len(d) != self.nx or any(len(row) != self.ny for row in d):
                 raise ShapeError("distribution has wrong shape")
             if any(e < 0 for row in d for e in row):
@@ -131,58 +136,50 @@ def prover_payoff(
 def game_value(t: TwoProverGame, budget: int = VALUE_BUDGET_DEFAULT) -> Fraction:
     """Exact maximum payoff over deterministic strategy pairs.
 
-    Given the first prover's strategy, the second prover's best reply
-    decomposes per question, so only the smaller side's strategy space is
-    enumerated.  The budget still contracts on the full pair count
-    |S1| x |S2|.
+    Given one prover's strategy, the other prover's best reply decomposes
+    per question, so only the side with fewer strategies is enumerated.
+    The budget contracts on the full pair count |S1| x |S2| and is checked
+    before anything is built.
+
+    The sums are integers: each question pair weighs its probability times
+    one common denominator, nx*ny for a free game (every weight is 1) and
+    otherwise the LCM of ``dist``'s denominators; one Fraction is built at
+    the end.  The scan stops once the value reaches the weight of the
+    question pairs that some answer pair wins, an exact upper bound.
     """
     s1_count, s2_count = t.strategy_counts()
     if s1_count * s2_count > budget:
         raise ResourceError(
             f"|S1|*|S2| = {s1_count * s2_count} exceeds budget {budget}"
         )
-    swap = s2_count < s1_count
-    if swap:
-        t = _transpose(t)
-    best = Fraction(0)
-    for answers in itertools.product(*(range(a) for a in t.x_answers)):
-        value = Fraction(0)
-        for y in range(t.ny):
-            value += max(
-                sum(
-                    (
-                        t.prob(x, y)
-                        for x in range(t.nx)
-                        if t.table[x][y][answers[x]][b]
-                    ),
-                    Fraction(0),
-                )
-                for b in range(t.y_answers[y])
-            )
-        if value > best:
-            best = value
-    return best
-
-
-def _transpose(t: TwoProverGame) -> TwoProverGame:
-    table = tuple(
-        tuple(
-            tuple(
-                tuple(t.table[x][y][a][b] for a in range(t.x_answers[x]))
-                for b in range(t.y_answers[y])
-            )
-            for x in range(t.nx)
-        )
-        for y in range(t.ny)
-    )
-    dist = None
-    if t.dist is not None:
-        dist = tuple(
-            tuple(t.dist[x][y] for x in range(t.nx)) for y in range(t.ny)
-        )
-    return TwoProverGame(
-        x_answers=t.y_answers, y_answers=t.x_answers, table=table, dist=dist
-    )
+    if t.dist is None:
+        denom = t.nx * t.ny
+        weight = [[1] * t.ny for _ in range(t.nx)]
+    else:
+        denom = math.lcm(*[e.denominator for row in t.dist for e in row])
+        weight = [[e.numerator * (denom // e.denominator) for e in row]
+                  for row in t.dist]
+    # wins[q][p][a][b]: the weight won when the enumerated prover answers a
+    # to its question p and the replying prover answers b to its question q.
+    table, x_range, y_range = t.table, range(t.nx), range(t.ny)
+    if s2_count < s1_count:
+        own = t.y_answers
+        wins = [[[[weight[x][y] * table[x][y][a][b] for a in range(t.x_answers[x])]
+                  for b in range(t.y_answers[y])] for y in y_range] for x in x_range]
+    else:
+        own = t.x_answers
+        wins = [[[[weight[x][y] * v for v in per_b] for per_b in table[x][y]]
+                 for x in x_range] for y in y_range]
+    bound = sum(weight[x][y] for x in x_range for y in y_range
+                if any(map(any, table[x][y])))
+    best = 0
+    for answers in itertools.product(*map(range, own)):
+        value = sum(max(map(sum, zip(*[w[a] for w, a in zip(per_q, answers)])))
+                    for per_q in wins)
+        best = max(best, value)
+        if best == bound:
+            break
+    return Fraction(best, denom)
 
 
 def duplicate_questions(

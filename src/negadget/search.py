@@ -1,6 +1,6 @@
 """Constrained equilibrium search: k-uniform enumeration, the ten
-decision problems, well-supported feasibility via exact linear programs,
-and exhaustive small-game oracles.
+decision problems, and well-supported feasibility via exact linear
+programs.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from .games import (
     regret_report,
     tv_distance,
 )
-from .linsolve import simplex_maximize, solve_linear
+from .linsolve import simplex_maximize
 
 SEARCH_BUDGET_DEFAULT = 2**22
 
 Support = tuple[int, ...]  # sorted strategy indices
+Multiset = tuple[int, ...]  # sorted strategy indices, repeats allowed
 
 WITNESS_NE = "NE"
 WITNESS_WSNE = "WSNE"
@@ -211,15 +212,17 @@ def lmm_best_welfare(
     """
     e = frac(eps)
     checked, truncated = _scan_size(game, k, budget)
-    # max() keeps the first of equal maxima: the lowest-index best welfare.
-    best = max(
-        _eps_ne_scan(game, e, k, budget), key=lambda c: c[3] + c[4], default=None
-    )
+    # Welfare compared as integers on the scan's scale; max() keeps the
+    # first of equal maxima, the lowest-index best welfare.
+    hits = _integer_scan(game, e, k, budget, _denominator_lcm(game))
+    best = max(hits, key=lambda c: c[3] + c[4], default=None)
     if best is None:
         return SearchOutcome(
             answer="unknown" if truncated else "no", checked_count=checked
         )
-    witness = _reverified(game, MixedProfile(x=best[1], y=best[2]), e)
+    witness = MixedProfile(x=_multiset_vector(game.rows, best[1]),
+                           y=_multiset_vector(game.cols, best[2]))
+    witness = _reverified(game, witness, e)
     return SearchOutcome(
         answer="unknown" if truncated else "yes", witness=witness, checked_count=checked
     )
@@ -234,32 +237,45 @@ def _scan_size(game: BimatrixGame, k: int, budget: int) -> tuple[int, bool]:
 def _eps_ne_scan(
     game: BimatrixGame, eps: Fraction, k: int, budget: float
 ) -> Iterator[tuple[int, Vector, Vector, Fraction, Fraction]]:
+    """Stream the k-uniform eps-NE among the first ``budget`` candidates,
+    each as (index, x, y, row payoff, col payoff): `_integer_scan`'s hits
+    with their Fraction vectors and payoffs."""
+    scale = _denominator_lcm(game)
+    unit = k * k * scale
+    for index, xc, yc, row_pay, col_pay in _integer_scan(game, eps, k, budget, scale):
+        yield (index, _multiset_vector(game.rows, xc),
+               _multiset_vector(game.cols, yc),
+               Fraction(row_pay, unit), Fraction(col_pay, unit))
+
+
+def _integer_scan(
+    game: BimatrixGame, eps: Fraction, k: int, budget: float, scale: int
+) -> Iterator[tuple[int, Multiset, Multiset, int, int]]:
     """Stream the k-uniform eps-NE among the first ``budget`` candidates.
 
     Candidates (x, y) run in lexicographic order of their size-k
     multisets, x outermost.  Each passing candidate is yielded as (index,
-    x, y, row payoff, col payoff).
+    x multiset, y multiset, row payoff, col payoff), the payoffs as
+    integers over k*k*scale.
 
     The test uses integers only.  R and Ct are scaled once by L, the least
-    common multiple of their denominators, so a multiset y gives the
-    integer vector vals = k*L*(R @ y) and a multiset x the payoff
+    common multiple of their denominators (``scale``), so a multiset y gives
+    the integer vector vals = k*L*(R @ y) and a multiset x the payoff
     pay = k*k*L*(x @ R @ y), and the same for the column side.  With
     eps = a/b a side passes iff b*(k*max(vals) - pay) <= a*L*k*k, that is
-    iff pay >= k*max(vals) - floor(a*L*k*k / b).  The Fraction vectors and
-    payoffs are built only for a passing candidate.  Ct @ x is computed
-    once per x and R @ y once per y; a y is kept only once the scan
-    reaches it, so nothing outside the budget is built.
+    iff pay >= k*max(vals) - floor(a*L*k*k / b).  No Fraction is built
+    here.  Ct @ x is computed once per x and R @ y once per y; a y is kept
+    only once the scan reaches it, so nothing outside the budget is built.
     """
-    scale = _denominator_lcm(game)
     r_int = _scaled(game.R, scale)
     ct_int = _scaled(game.Ct, scale)
     unit = k * k * scale
     slack = eps.numerator * unit // eps.denominator
     fresh_ys = _multisets(game.cols, k)
     # (y's multiset, k*L*(R @ y), the least row payoff that passes)
-    seen_ys: list[tuple[tuple[int, ...], list[int], int]] = []
+    seen_ys: list[tuple[Multiset, list[int], int]] = []
 
-    def each_y() -> Iterator[tuple[tuple[int, ...], list[int], int]]:
+    def each_y() -> Iterator[tuple[Multiset, list[int], int]]:
         yield from seen_ys
         for yc in fresh_ys:
             row_vals = [sum(row[j] for j in yc) for row in r_int]
@@ -275,9 +291,7 @@ def _eps_ne_scan(
                 return
             if ((row_pay := sum(row_vals[i] for i in xc)) >= row_least
                     and (col_pay := sum(col_vals[j] for j in yc)) >= col_least):
-                yield (index, _multiset_vector(game.rows, xc),
-                       _multiset_vector(game.cols, yc),
-                       Fraction(row_pay, unit), Fraction(col_pay, unit))
+                yield index, xc, yc, row_pay, col_pay
             index += 1
 
 
@@ -654,79 +668,3 @@ def _support_predicate(
     if pid == 10:
         return set(inst.index_set) <= set(rows)
     raise ValidationError(f"problem {pid} has no single-profile predicate")
-
-
-def exhaustive_ne_oracle(
-    game: BimatrixGame, grid: int = 8
-) -> list[MixedProfile]:
-    """Independent oracle: exact equilibria of a small game.
-
-    Combines support enumeration (solving the indifference systems
-    exactly and validating best-response maximality) with a grid sweep
-    that reports grid profiles of exactly zero regret.  Intended for
-    games up to 5x5 only.
-    """
-    if game.rows > 5 or game.cols > 5:
-        raise ResourceError("oracle supports games up to 5x5")
-    out: list[MixedProfile] = []
-    seen: set[tuple[Vector, Vector]] = set()
-
-    def record(p: MixedProfile) -> None:
-        key = (p.x, p.y)
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-
-    for size in range(1, min(game.rows, game.cols) + 1):
-        for rows in itertools.combinations(range(game.rows), size):
-            for cols in itertools.combinations(range(game.cols), size):
-                p = _support_ne(game, rows, cols)
-                if p is not None:
-                    record(p)
-    for x, y in itertools.product(
-        k_uniform_strategies(game.rows, grid), k_uniform_strategies(game.cols, grid)
-    ):
-        p = MixedProfile(x=x, y=y)
-        if regret_report(game, p).within(0):
-            record(p)
-    return out
-
-
-def _support_ne(
-    game: BimatrixGame, rows: Sequence[int], cols: Sequence[int]
-) -> MixedProfile | None:
-    """Solve the indifference system for equal-size supports; validate."""
-    y = _indifferent(game.R, rows, cols)
-    if y is None:
-        return None
-    x = _indifferent(game.Ct, cols, rows)
-    if x is None:
-        return None
-    p = MixedProfile(x=_spread(game.rows, rows, x), y=_spread(game.cols, cols, y))
-    return p if regret_report(game, p).within(0) else None
-
-
-def _indifferent(
-    payoff: Matrix, supp: Sequence[int], opp_supp: Sequence[int]
-) -> list[Fraction] | None:
-    """The positive q over opp_supp (then the value v) making every row of
-    ``payoff`` in ``supp`` earn v against q, or None."""
-    size = len(opp_supp)
-    a = [[payoff[i][j] for j in opp_supp] + [Fraction(-1)] for i in supp]
-    a.append([Fraction(1)] * size + [Fraction(0)])
-    b = [Fraction(0)] * len(supp) + [Fraction(1)]
-    sol = solve_linear(a, b)
-    if sol is None or any(e <= 0 for e in sol[:size]):
-        return None
-    return sol[:size]
-
-
-def grid_eps_ne(
-    game: BimatrixGame, grid: int, eps: Rational
-) -> list[MixedProfile]:
-    """All grid profiles (denominator ``grid``) with regret at most eps."""
-    e = frac(eps)
-    return [
-        _reverified(game, MixedProfile(x=x, y=y), e)
-        for _, x, y, _, _ in _eps_ne_scan(game, e, grid, math.inf)
-    ]

@@ -48,14 +48,10 @@ from negadget.sat import (
     partition_bipartite,
     winning_strategies,
 )
-from negadget.search import (
-    enumerate_wsne_supports,
-    exhaustive_ne_oracle,
-    grid_eps_ne,
-    lmm_best_welfare,
-)
+from negadget.search import enumerate_wsne_supports, lmm_best_welfare
 
 from conftest import EPS_STAR
+from oracles import exhaustive_ne_oracle, grid_eps_ne
 
 F = Fraction
 

@@ -10,6 +10,7 @@ import pytest
 
 from negadget import cli, formats
 from negadget.cli import main
+from negadget.gadget import extend_gprime
 from negadget.games import BimatrixGame, MixedProfile
 from negadget.pipeline import PipelineConfig, run_pipeline
 from negadget.provers import TwoProverGame
@@ -115,8 +116,24 @@ class TestValue:
         assert main(["value", str(out)]) == 0
         assert capsys.readouterr().out.strip() == "1"
 
+    def test_value_longer_than_str_prints(self, tmp_path, capsys):
+        fgm = tmp_path / "tiny.fgm"
+        fgm.write_text("fgm 1\n1 1\n1\n1\n1\nD\n1e-4300\n")
+        assert main(["value", str(fgm)]) == 0
+        assert capsys.readouterr().out == f"1/1{'0' * 4300}\n"
+
 
 class TestForge:
+    def test_gprime_of_an_entry_longer_than_str(self, tmp_path):
+        base = tmp_path / "tiny.bgm"
+        base.write_text("bgm 1\n1 1\n1e-4300 0\n")
+        out = tmp_path / "gp.bgm"
+        assert main(["forge", "gprime", str(base), "-o", str(out)]) == 0
+        expected = extend_gprime(formats.parse_bgm(base.read_text()),
+                                 PipelineConfig.eps_star)
+        assert formats.parse_bgm(out.read_text()) == expected
+        assert f"1/1{'0' * 4300} 0\n" in out.read_text()
+
     def test_build_and_extend(self, tmp_path):
         cnf = tmp_path / "f.cnf"
         cnf.write_text(SINGLE_CNF)

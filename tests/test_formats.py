@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negadget import formats
 from negadget.corpus import random_game, random_profile
@@ -12,6 +14,24 @@ from negadget.games import BimatrixGame, MixedProfile
 from negadget.provers import ProverStrategy, TwoProverGame
 
 F = Fraction
+
+TINY = F(1, 10**4300)  # `1e-4300`: a denominator past the digits str() prints
+
+
+@st.composite
+def _bgm_games(draw):
+    """Games up to 3x3 with signed, decimal and `1e-4300` entries, drawn
+    from few values so that equal entries recur."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.one_of(
+        st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7])),
+        st.sampled_from(["0.25", "-1.5", "2.5e-3", "-7e2"]).map(F),
+        st.sampled_from([TINY, -TINY, 1 - TINY]),
+    )
+    cells = st.lists(
+        st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+    return BimatrixGame(R=draw(cells), C=draw(cells))
 
 
 class TestBgm:
@@ -46,6 +66,14 @@ class TestBgm:
     def test_exponent_at_limit_accepted(self):
         assert formats._parse_rational("1e-4300") == F(1, 10**4300)
 
+    def test_long_denominator_read_back(self):
+        # 10**4300 has one digit more than int() reads from a string.
+        text = formats.format_rational(-3 * TINY)
+        assert text == f"-3/1{'0' * 4300}"
+        assert formats._parse_rational(text) == -3 * TINY
+        with pytest.raises(FormatError, match="bad rational"):
+            formats._parse_rational(f"1/2{'0' * 4300}")
+
     def test_wrong_entry_count(self):
         with pytest.raises(FormatError):
             formats.parse_bgm("bgm 1\n2 2\n0 0\n")
@@ -54,6 +82,30 @@ class TestBgm:
         rng = random.Random(2)
         game = random_game(rng, 2, 2)
         assert formats.write_bgm(game) == formats.write_bgm(game)
+
+    @settings(max_examples=100, deadline=None)
+    @given(game=_bgm_games())
+    def test_round_trip_signed_decimal_and_long(self, game):
+        assert formats.parse_bgm(formats.write_bgm(game)) == game
+
+    def test_equal_tokens_share_one_fraction(self):
+        game = formats.parse_bgm("bgm 1\n2 2\n1/2 0\n0 1/2\n1/2 1/2\n0 -3\n")
+        entries = [e for m in (game.R, game.C) for row in m for e in row]
+        halves = [e for e in entries if e == F(1, 2)]
+        zeros = [e for e in entries if e == 0]
+        assert len(halves) == 4 and len({id(e) for e in halves}) == 1
+        assert len(zeros) == 3 and len({id(e) for e in zeros}) == 1
+
+    @pytest.mark.parametrize("tok", ["abc", "1/0", "1e5000", "1" * 4301, "0.5.5"])
+    def test_bad_token_message_unchanged(self, tok):
+        # The token comes after valid entries and occurs twice; the error is
+        # the one parsing the token alone gives.
+        with pytest.raises(FormatError) as alone:
+            formats._parse_rational(tok)
+        text = f"bgm 1\n2 2\n1/2 0\n0 {tok}\n1/2 {tok}\n0 0\n"
+        with pytest.raises(FormatError) as parsed:
+            formats.parse_bgm(text)
+        assert str(parsed.value) == str(alone.value)
 
 
 class TestProf:
@@ -66,6 +118,10 @@ class TestProf:
         text = "prof 1\n2 1\n1/2\n1/3\n1\n"
         with pytest.raises(FormatError):
             formats.parse_prof(text)
+
+    def test_round_trip_long_entries(self):
+        p = MixedProfile(x=(1 - TINY, TINY), y=(F(1),))
+        assert formats.parse_prof(formats.write_prof(p)) == p
 
     def test_normalize_flag(self):
         text = "prof 1\n2 1\n1\n2\n5\n"
@@ -86,6 +142,12 @@ class TestFgm:
         )
         t = TwoProverGame(
             x_answers=(1, 1), y_answers=(1, 1), table=table, dist=dist
+        )
+        assert formats.parse_fgm(formats.write_fgm(t)) == t
+
+    def test_round_trip_long_distribution_entry(self):
+        t = TwoProverGame(
+            x_answers=(1,), y_answers=(1,), table=((((1,),),),), dist=((TINY,),)
         )
         assert formats.parse_fgm(formats.write_fgm(t)) == t
 

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negadget.errors import (
     ParameterError,
@@ -69,6 +71,53 @@ def random_two_prover(rng: random.Random) -> TwoProverGame:
     return TwoProverGame(x_answers=xa, y_answers=ya, table=table)
 
 
+@st.composite
+def _two_prover_games(draw):
+    """1-3 questions a side with 1-3 answers each: a free game, or a
+    distribution with mixed denominators whose mass is 1, 3/4 or below."""
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    xa = tuple(draw(st.lists(st.integers(1, 3), min_size=nx, max_size=nx)))
+    ya = tuple(draw(st.lists(st.integers(1, 3), min_size=ny, max_size=ny)))
+    bit = st.integers(0, 1)
+    table = tuple(
+        tuple(
+            tuple(tuple(draw(bit) for _ in range(ya[y])) for _ in range(xa[x]))
+            for y in range(ny)
+        )
+        for x in range(nx)
+    )
+    if draw(st.booleans()):
+        return TwoProverGame(x_answers=xa, y_answers=ya, table=table)
+    entry = st.builds(F, st.integers(0, 6), st.sampled_from([1, 2, 3, 5, 12]))
+    dist = [[draw(entry) for _ in range(ny)] for _ in range(nx)]
+    mass = sum(map(sum, dist))
+    if mass > 1:
+        shrink = mass * draw(st.sampled_from([F(1), F(4, 3)]))
+        dist = [[e / shrink for e in row] for row in dist]
+    return TwoProverGame(
+        x_answers=xa, y_answers=ya, table=table,
+        dist=tuple(map(tuple, dist)),
+    )
+
+
+def _mirror(t: TwoProverGame) -> TwoProverGame:
+    """The same game with the provers' roles swapped."""
+    table = tuple(
+        tuple(
+            tuple(
+                tuple(t.table[x][y][a][b] for a in range(t.x_answers[x]))
+                for b in range(t.y_answers[y])
+            )
+            for x in range(t.nx)
+        )
+        for y in range(t.ny)
+    )
+    dist = None if t.dist is None else tuple(zip(*t.dist))
+    return TwoProverGame(
+        x_answers=t.y_answers, y_answers=t.x_answers, table=table, dist=dist
+    )
+
+
 class TestPayoff:
     def test_always_accept(self):
         t = constant_game(2, 2, 2, 2, 1)
@@ -128,6 +177,63 @@ class TestGameValue:
         t = constant_game(2, 2, 8, 8, 1)
         with pytest.raises(ResourceError, match="4096"):
             game_value(t, budget=100)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=_two_prover_games())
+    def test_integer_value_matches_naive_oracle(self, t):
+        # The mirror enumerates the other side: one of the two runs with
+        # |S1| < |S2| and the other with |S1| > |S2| whenever they differ.
+        value = naive_game_value(t)
+        assert game_value(t) == value
+        assert game_value(_mirror(t)) == value
+
+    @pytest.mark.parametrize("dist", [None, ((F(1, 3), F(0)), (F(0), F(1, 6)))])
+    def test_budget_checked_before_the_mass_stop(self, dist):
+        # Every answer pair wins, so the first strategy already reaches the
+        # mass; the budget on |S1|*|S2| = 256 still decides.
+        t = constant_game(2, 2, 4, 4, 1, dist=dist)
+        assert game_value(t, budget=256) == (1 if dist is None else F(1, 2))
+        with pytest.raises(ResourceError, match="256 exceeds budget 255"):
+            game_value(t, budget=255)
+
+    def test_distribution_entries_become_fractions(self):
+        # A float entry is converted exactly when the game is built, so the
+        # value is an exact Fraction.
+        t = constant_game(2, 2, 1, 1, 1, dist=((0.5, 0), (F(1, 8), 0)))
+        assert all(type(e) is F for row in t.dist for e in row)
+        value = game_value(t)
+        assert type(value) is F and value == F(5, 8)
+
+    def test_scan_stops_at_the_mass(self, monkeypatch):
+        drawn = []
+        product = itertools.product
+
+        def counted(*ranges):
+            for answers in product(*ranges):
+                drawn.append(answers)
+                yield answers
+
+        monkeypatch.setattr(itertools, "product", counted)
+        assert game_value(constant_game(3, 3, 4, 4, 1)) == 1
+        assert len(drawn) == 1
+        drawn.clear()
+        assert game_value(constant_game(3, 3, 4, 4, 0)) == 0
+        assert len(drawn) == 1
+        # Question pair (0, 0) wins only on answers (3, 3), and no other
+        # pair ever wins: the scan reaches the bound 1/4 at X's 13th
+        # strategy (3, 0) and stops there.
+        table = tuple(
+            tuple(
+                tuple(tuple(int(x == y == 0 and a == b == 3) for b in range(4))
+                      for a in range(4))
+                for y in range(2)
+            )
+            for x in range(2)
+        )
+        drawn.clear()
+        t = TwoProverGame(x_answers=(4, 4), y_answers=(4, 4), table=table)
+        assert game_value(t) == F(1, 4)
+        assert drawn[-1] == (3, 0) and len(drawn) == 13
 
     def test_value_at_least_any_pair(self):
         rng = random.Random(11)

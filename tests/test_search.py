@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from negadget import games, linsolve, search
 from negadget.corpus import random_game, random_planted_game
 from negadget.errors import (
-    ParameterError, ResourceError, ShapeError, ValidationError
+    InvariantError, ParameterError, ResourceError, ShapeError, ValidationError
 )
 from negadget.games import (
     BimatrixGame,
@@ -25,20 +25,20 @@ from negadget.games import (
     regret_report,
     social_welfare,
 )
-from negadget.linsolve import simplex_maximize, solve_linear
+from negadget.linsolve import simplex_maximize
 from negadget.search import (
     DecisionInstance,
     decide,
     decide_many,
     default_k,
     enumerate_wsne_supports,
-    exhaustive_ne_oracle,
-    grid_eps_ne,
     k_uniform_count,
     k_uniform_strategies,
     lmm_best_welfare,
     wsne_support_feasible,
 )
+
+from oracles import exhaustive_ne_oracle, grid_eps_ne, solve_linear
 
 F = Fraction
 
@@ -569,6 +569,33 @@ class TestIntegerScanMatchesOracle:
             (index, p.x, p.y, rep.row_payoff, rep.col_payoff)
             for index, p, rep in hits
         ]
+
+
+class TestLmmIntegerWelfare:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_integer_scan_cases())
+    def test_first_maximum_welfare_equilibrium(self, case):
+        # Signed entries with mixed denominators, so equal and near-equal
+        # welfares come from payoffs with different denominators.
+        game, eps, k, budget = case
+        hits, checked, truncated = _reference_hits(game, eps, k, budget)
+        out = lmm_best_welfare(game, eps, k, budget=budget)
+        if not hits:
+            miss = "unknown" if truncated else "no"
+            assert (out.answer, out.witness, out.checked_count) == (
+                miss, None, checked
+            )
+            return
+        best = max(rep.welfare for _, _, rep in hits)
+        first = next(p for _, p, rep in hits if rep.welfare == best)
+        assert (out.answer, out.witness, out.checked_count) == (
+            "unknown" if truncated else "yes", first, checked
+        )
+
+    def test_witness_rechecked_by_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(search, "is_eps_ne", lambda game, p, eps: False)
+        with pytest.raises(InvariantError):
+            lmm_best_welfare(COORDINATION, 0, 1)
 
 
 class TestScanBudget:
