@@ -12,8 +12,10 @@ The unscaled gadget game G has blocks
 RC replays the free game's verification payoffs (identical for both
 players).  D1/D2 are zero-sum blocks indexed by functions selecting
 exactly half of the opposite side's questions; they punish non-uniform
-question marginals.  Payoffs stay strictly inside (-4, 4) and are mapped
-into (0, 1) by adding 4 and dividing by 8.
+question marginals.  Every payoff is 0, 1, +D1 or -D1, with D1 < 4.  G_s
+maps them into (0, 1), adding 4 and dividing by 8, and is laid out from
+the four rescaled constants; `games.affine_rescale` is the generic
+per-entry map that the tests compare G_s against.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Callable
 
 from .errors import (
     ParameterError,
@@ -34,7 +37,6 @@ from .games import (
     BimatrixGame,
     MixedProfile,
     Rational,
-    affine_rescale,
     frac,
     regret_report,
 )
@@ -45,6 +47,9 @@ RESCALE_SHIFT = Fraction(4)
 RESCALE_DIVISOR = Fraction(8)
 
 HALF_CAP_DEFAULT = 2**16
+
+Halves = list[tuple[int, ...]]  # 0/1 vectors, each selecting half the questions
+Pair = tuple[Fraction, Fraction]  # (row player, column player) payoffs
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,8 @@ def derive_params(eps_star: Rational) -> ReductionParams:
     return ReductionParams(eps_star=eps_star)
 
 
-def half_subsets(q: int, cap: int = HALF_CAP_DEFAULT) -> list[tuple[int, ...]]:
-    """All 0/1 vectors of length q with exactly q/2 ones, lexicographic."""
+def half_subsets(q: int, cap: int = HALF_CAP_DEFAULT) -> Halves:
+    """All 0/1 vectors of length q with q/2 ones, descending lexicographic."""
     if q < 2 or q % 2 != 0:
         raise ParameterError(f"question count must be even and >= 2, got {q}")
     count = comb(q, q // 2)
@@ -110,7 +115,6 @@ def half_subsets(q: int, cap: int = HALF_CAP_DEFAULT) -> list[tuple[int, ...]]:
         for i in ones:
             vec[i] = 1
         out.append(tuple(vec))
-    out.sort(reverse=True)  # lexicographic on the 0/1 strings, 1 before 0
     return out
 
 
@@ -142,69 +146,60 @@ def build_hardness_game(
     if not f.is_free:
         raise PreconditionError("the base game must be free (uniform product)")
 
-    row_index: list[RowLabel] = [
-        ("qa", x, a) for x in range(f.nx) for a in range(f.x_answers[x])
-    ]
-    col_index: list[RowLabel] = [
-        ("qa", y, b) for y in range(f.ny) for b in range(f.y_answers[y])
-    ]
     halves_y = half_subsets(f.ny, cap=half_cap)
     halves_x = half_subsets(f.nx, cap=half_cap)
-    rc_rows = len(row_index)
-    rc_cols = len(col_index)
-    row_index.extend(("half", i) for i in range(len(halves_y)))
-    col_index.extend(("half", i) for i in range(len(halves_x)))
-    rows = len(row_index)
-    cols = len(col_index)
-
-    pay = params.d1_payoff
-    zero = Fraction(0)
-    r = [[zero] * cols for _ in range(rows)]
-    c = [[zero] * cols for _ in range(rows)]
-    for i, (_, x, a) in enumerate(row_index[:rc_rows]):
-        for j, (_, y, b) in enumerate(col_index[:rc_cols]):
-            v = Fraction(f.table[x][y][a][b])
-            r[i][j] = v
-            c[i][j] = v
-    # D1: half-subset rows over Y against (y, b) columns; zero-sum.
-    for hi, half in enumerate(halves_y):
-        i = rc_rows + hi
-        for j, (_, y, b) in enumerate(col_index[:rc_cols]):
-            if half[y]:
-                r[i][j] = pay
-                c[i][j] = -pay
-    # D2: (x, a) rows against half-subset columns over X; zero-sum, mirrored.
-    for hj, half in enumerate(halves_x):
-        j = rc_cols + hj
-        for i, (_, x, a) in enumerate(row_index[:rc_rows]):
-            if half[x]:
-                r[i][j] = -pay
-                c[i][j] = pay
-
-    blocks = (
-        ("RC", 0, rc_rows, 0, rc_cols),
-        ("D2", 0, rc_rows, rc_cols, cols),
-        ("D1", rc_rows, rows, 0, rc_cols),
-        ("ZERO", rc_rows, rows, rc_cols, cols),
-    )
-    game = BimatrixGame(R=r, C=c, blocks=blocks)
+    row_index = [("qa", x, a) for x in range(f.nx) for a in range(f.x_answers[x])]
+    col_index = [("qa", y, b) for y in range(f.ny) for b in range(f.y_answers[y])]
     return GadgetGame(
-        game=game,
-        row_index=tuple(row_index),
-        col_index=tuple(col_index),
+        game=_lay_out(f, halves_x, halves_y, params.d1_payoff, lambda v: v),
+        row_index=tuple(row_index + [("half", i) for i in range(len(halves_y))]),
+        col_index=tuple(col_index + [("half", i) for i in range(len(halves_x))]),
         params=params,
         free_game=f,
     )
 
 
+def _lay_out(f: TwoProverGame, halves_x: Halves, halves_y: Halves,
+             pay: Fraction, scale: Callable[[Fraction], Fraction]) -> BimatrixGame:
+    """The blocks RC | D2 over D1 | ZERO, every entry one of the four shared
+    objects scale(0), scale(1), scale(pay) and scale(-pay)."""
+    zero, one, plus, minus = (scale(Fraction(v)) for v in (0, 1, pay, -pay))
+    qa_cols = [(y, b) for y in range(f.ny) for b in range(f.y_answers[y])]
+    r, c = [], []
+    for x, per_y in enumerate(f.table):
+        for a in range(f.x_answers[x]):
+            rc = [one if per_y[y][a][b] else zero for y, b in qa_cols]
+            # D2: half-subset columns over X; zero-sum, mirrored.
+            r.append(rc + [minus if half[x] else zero for half in halves_x])
+            c.append(rc + [plus if half[x] else zero for half in halves_x])
+    rc_rows, rc_cols, cols = len(r), len(qa_cols), len(r[0])
+    pad = [zero] * len(halves_x)
+    for half in halves_y:
+        # D1: half-subset rows over Y against (y, b) columns; zero-sum.
+        r.append([plus if half[y] else zero for y, _ in qa_cols] + pad)
+        c.append([minus if half[y] else zero for y, _ in qa_cols] + pad)
+    blocks = (
+        ("RC", 0, rc_rows, 0, rc_cols),
+        ("D2", 0, rc_rows, rc_cols, cols),
+        ("D1", rc_rows, len(r), 0, rc_cols),
+        ("ZERO", rc_rows, len(r), rc_cols, cols),
+    )
+    return BimatrixGame(R=r, C=c, blocks=blocks)
+
+
 def rescale_game(gg: GadgetGame) -> BimatrixGame:
-    """Map the unscaled gadget game into (0, 1): add 4, divide by 8."""
-    for m in (gg.game.R, gg.game.C):
-        for row in m:
-            for e in row:
-                if not (-4 < e < 4):
-                    raise ValidationError(f"payoff {e} outside (-4, 4)")
-    return affine_rescale(gg.game, RESCALE_SHIFT, RESCALE_DIVISOR)
+    """Map the unscaled gadget game into (0, 1): add 4, divide by 8.
+
+    Only `build_hardness_game` makes a `GadgetGame`, so every payoff is 0,
+    1 or +-D1 with D1 < 4 (`ReductionParams` keeps delta* in (0, 1]), and
+    the result equals ``affine_rescale(gg.game, 4, 8)``: it is laid out
+    from the four constants, each mapped once.  ``gg.game`` holds the
+    half subsets, so its sides bound their counts.
+    """
+    f, g = gg.free_game, gg.game
+    return _lay_out(f, half_subsets(f.nx, cap=g.cols),
+                    half_subsets(f.ny, cap=g.rows), gg.params.d1_payoff,
+                    lambda v: (v + RESCALE_SHIFT) / RESCALE_DIVISOR)
 
 
 def completeness_certificate(
@@ -235,6 +230,23 @@ def completeness_certificate(
     return MixedProfile(x=tuple(x), y=tuple(y))
 
 
+def _append(game: BimatrixGame, col: Pair, row: Pair, corner: Pair,
+            col_name: str, row_name: str) -> BimatrixGame:
+    """Append one column and one row to ``game``: ``col`` pays against every
+    old row, ``row`` against every old column.  A game without blocks gets
+    one BASE block over its old entries."""
+    rows, cols = game.rows, game.cols
+    r = [[*old, col[0]] for old in game.R]
+    c = [[*old, col[1]] for old in game.C]
+    r.append([row[0]] * cols + [corner[0]])
+    c.append([row[1]] * cols + [corner[1]])
+    blocks = (game.blocks or (("BASE", 0, rows, 0, cols),)) + (
+        (col_name, 0, rows, cols, cols + 1),
+        (row_name, rows, rows + 1, 0, cols + 1),
+    )
+    return BimatrixGame(R=r, C=c, blocks=blocks)
+
+
 def extend_gprime(gs: BimatrixGame, eps_star: Rational) -> BimatrixGame:
     """Append the threat row/column pair that caps welfare-poor equilibria.
 
@@ -250,35 +262,18 @@ def extend_gprime(gs: BimatrixGame, eps_star: Rational) -> BimatrixGame:
             for entry in row:
                 if not (0 <= entry <= 1):
                     raise ValidationError(f"payoff {entry} outside [0, 1]")
-    threat = Fraction(5, 8) + e
-    zero = Fraction(0)
-    r = [list(row) + [zero] for row in gs.R]
-    c = [list(row) + [threat] for row in gs.C]
-    r.append([threat] * gs.cols + [Fraction(1)])
-    c.append([zero] * gs.cols + [Fraction(1)])
-    base_blocks = gs.blocks or (("BASE", 0, gs.rows, 0, gs.cols),)
-    blocks = base_blocks + (
-        ("COL_J", 0, gs.rows, gs.cols, gs.cols + 1),
-        ("ROW_I", gs.rows, gs.rows + 1, 0, gs.cols + 1),
-    )
-    return BimatrixGame(R=r, C=c, blocks=blocks)
+    threat, zero, one = Fraction(5, 8) + e, Fraction(0), Fraction(1)
+    return _append(gs, (zero, threat), (threat, zero), (one, one),
+                   "COL_J", "ROW_I")
 
 
 def extend_gdoubleprime(gp: BimatrixGame) -> BimatrixGame:
     """Append the flat 5/8 row/column pair with a (0, 0) corner."""
     if not (gp.has_block("ROW_I") and gp.has_block("COL_J")):
         raise PreconditionError("input must come from extend_gprime")
-    flat = Fraction(5, 8)
-    zero = Fraction(0)
-    r = [list(row) + [flat] for row in gp.R]
-    c = [list(row) + [flat] for row in gp.C]
-    r.append([flat] * gp.cols + [zero])
-    c.append([flat] * gp.cols + [zero])
-    blocks = (gp.blocks or ()) + (
-        ("COL_JP", 0, gp.rows, gp.cols, gp.cols + 1),
-        ("ROW_IP", gp.rows, gp.rows + 1, 0, gp.cols + 1),
-    )
-    return BimatrixGame(R=r, C=c, blocks=blocks)
+    flat, zero = Fraction(5, 8), Fraction(0)
+    return _append(gp, (flat, flat), (flat, flat), (zero, zero),
+                   "COL_JP", "ROW_IP")
 
 
 def extend_profile(p: MixedProfile, extra_rows: int, extra_cols: int) -> MixedProfile:

@@ -63,7 +63,8 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps_star", Fraction(self.eps_star))
-        for name in ("answer_cap", "half_cap", "value_budget", "search_budget"):
+        for name in ("answer_cap", "half_cap", "value_budget", "sat_budget",
+                     "search_budget"):
             if getattr(self, name) < 1:
                 raise GadgetError(f"{name} must be positive")
 

@@ -10,6 +10,7 @@ import pytest
 
 from negadget import cli, formats
 from negadget.cli import main
+from negadget.errors import GadgetError
 from negadget.gadget import extend_gprime
 from negadget.games import BimatrixGame, MixedProfile
 from negadget.pipeline import PipelineConfig, run_pipeline
@@ -133,6 +134,33 @@ class TestForge:
                                  PipelineConfig.eps_star)
         assert formats.parse_bgm(out.read_text()) == expected
         assert f"1/1{'0' * 4300} 0\n" in out.read_text()
+
+    def test_extensions_of_a_blockless_game(self, tmp_path):
+        # A game without blocks gets one BASE block, which G'' keeps.
+        base = tmp_path / "base.bgm"
+        base.write_text("bgm 1\n1 1\n1/2 1/4\n")
+        gp, gdp = tmp_path / "gp.bgm", tmp_path / "gdp.bgm"
+        assert main(["forge", "gprime", str(base), "-o", str(gp)]) == 0
+        assert main(["forge", "gdoubleprime", str(gp), "-o", str(gdp)]) == 0
+        assert gp.read_bytes() == (
+            b"bgm 1\n2 2\n"
+            b"1/2 1/4\n0 749/1000\n"
+            b"749/1000 0\n1 1\n"
+            b"#block BASE 0 1 0 1\n"
+            b"#block COL_J 0 1 1 2\n"
+            b"#block ROW_I 1 2 0 2\n"
+        )
+        assert gdp.read_bytes() == (
+            b"bgm 1\n3 3\n"
+            b"1/2 1/4\n0 749/1000\n5/8 5/8\n"
+            b"749/1000 0\n1 1\n5/8 5/8\n"
+            b"5/8 5/8\n5/8 5/8\n0 0\n"
+            b"#block BASE 0 1 0 1\n"
+            b"#block COL_J 0 1 1 2\n"
+            b"#block ROW_I 1 2 0 2\n"
+            b"#block COL_JP 0 2 2 3\n"
+            b"#block ROW_IP 2 3 0 3\n"
+        )
 
     def test_build_and_extend(self, tmp_path):
         cnf = tmp_path / "f.cnf"
@@ -341,6 +369,14 @@ class TestInputErrors:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize(
+        "name",
+        ["answer_cap", "half_cap", "value_budget", "sat_budget", "search_budget"],
+    )
+    def test_limits_must_be_positive(self, name):
+        with pytest.raises(GadgetError, match=f"{name} must be positive"):
+            PipelineConfig(cnf_path="f.cnf", out_dir="out", **{name: 0})
+
     def test_satisfiable_run(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"
         cnf.write_text(SINGLE_CNF)

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negadget.errors import (
     ParameterError,
@@ -29,6 +32,7 @@ from negadget.gadget import (
 from negadget.games import (
     BimatrixGame,
     MixedProfile,
+    affine_rescale,
     is_eps_ne,
     is_eps_wsne,
     mat_vec,
@@ -108,6 +112,13 @@ class TestHalfSubsets:
         with pytest.raises(ResourceError):
             half_subsets(10, cap=5)
 
+    @pytest.mark.parametrize("q", range(2, 13, 2))
+    def test_all_halves_strictly_descending(self, q):
+        subs = half_subsets(q)
+        assert len(subs) == comb(q, q // 2)
+        assert all(sum(s) == q // 2 for s in subs)
+        assert all(a > b for a, b in zip(subs, subs[1:]))
+
 
 # One X question with answers 0 and 1, two Y questions with one answer
 # each; V = 1 iff the X answer is 0.
@@ -176,6 +187,54 @@ class TestBuild:
                 for e in row:
                     assert 0 < e < 1
         assert gs.blocks == single_build.gadget.game.blocks
+
+
+@st.composite
+def _even_free_games(draw):
+    """Free games with 2 or 4 questions a side and 1-3 answers each."""
+    nx, ny = draw(st.sampled_from([2, 4])), draw(st.sampled_from([2, 4]))
+    xa = tuple(draw(st.lists(st.integers(1, 3), min_size=nx, max_size=nx)))
+    ya = tuple(draw(st.lists(st.integers(1, 3), min_size=ny, max_size=ny)))
+    bit = st.integers(0, 1)
+    table = tuple(
+        tuple(
+            tuple(tuple(draw(bit) for _ in range(ya[y])) for _ in range(xa[x]))
+            for y in range(ny)
+        )
+        for x in range(nx)
+    )
+    return TwoProverGame(x_answers=xa, y_answers=ya, table=table)
+
+
+def _assert_matches_affine_rescale(gg: GadgetGame) -> None:
+    gs = rescale_game(gg)
+    ref = affine_rescale(gg.game, 4, 8)
+    assert gs.R == ref.R and gs.C == ref.C and gs.blocks == ref.blocks
+
+
+def _entry_objects(game: BimatrixGame) -> int:
+    return len({id(e) for m in (game.R, game.C) for row in m for e in row})
+
+
+class TestRescaleLayout:
+    """G and G_s are laid out from four constants; affine_rescale, the
+    generic per-entry map, is the reference for G_s."""
+
+    def test_matches_affine_rescale_on_corpus(self, sat_builds, unsat_builds):
+        for b in (*sat_builds.values(), *unsat_builds.values()):
+            _assert_matches_affine_rescale(b.gadget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=_even_free_games(), step=st.integers(0, 39))
+    def test_matches_affine_rescale_on_random_free_games(self, f, step):
+        lo, hi = (1 - 4 * G_CONSTANT) / 8, F(1, 8)
+        params = derive_params(lo + (hi - lo) * step / 40)
+        _assert_matches_affine_rescale(build_hardness_game(f, params))
+
+    def test_at_most_four_entry_objects(self, sat_builds, unsat_builds):
+        for b in (*sat_builds.values(), *unsat_builds.values()):
+            assert _entry_objects(b.gadget.game) <= 4, b.name
+            assert _entry_objects(rescale_game(b.gadget)) <= 4, b.name
 
 
 class TestCertificate:
