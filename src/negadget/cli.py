@@ -3,7 +3,8 @@
 Subcommands: verify, value, reduce, forge, decide, pipeline.
 Exit codes for `verify`: 0 = passes, 1 = fails.  For `decide`:
 0 = yes, 1 = no, 2 = unknown.  Every input, usage or resource error, such as
-a missing file or a malformed rational, exits 3 with a one-line message.
+a missing file, a file that is not UTF-8 or a malformed rational, exits 3
+with a one-line message.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (GadgetError, OSError) as exc:
+    except (GadgetError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

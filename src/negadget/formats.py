@@ -138,10 +138,19 @@ def parse_bgm(text: str) -> BimatrixGame:
 
 
 def write_bgm(game: BimatrixGame) -> str:
+    """Write a `.bgm` game.  Each distinct pair of entry objects is
+    formatted once per call, keyed by identity: the game keeps its entries
+    alive while the call runs, and hashing a Fraction costs more than
+    printing it."""
     out = ["bgm 1", f"{game.rows} {game.cols}"]
+    lines: dict[tuple[int, int], str] = {}
     for r_row, c_row in zip(game.R, game.C):
-        out.extend(f"{format_rational(r)} {format_rational(c)}"
-                   for r, c in zip(r_row, c_row))
+        for r, c in zip(r_row, c_row):
+            key = (id(r), id(c))
+            line = lines.get(key)
+            if line is None:
+                line = lines[key] = f"{format_rational(r)} {format_rational(c)}"
+            out.append(line)
     for name, r0, r1, c0, c1 in game.blocks or ():
         out.append(f"#block {name} {r0} {r1} {c0} {c1}")
     return "\n".join(out) + "\n"

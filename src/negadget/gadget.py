@@ -257,11 +257,13 @@ def extend_gprime(gs: BimatrixGame, eps_star: Rational) -> BimatrixGame:
     e = frac(eps_star)
     if not (0 < e < Fraction(1, 8)):
         raise ParameterError(f"eps_star must be in (0, 1/8), got {e}")
-    for m in (gs.R, gs.C):
-        for row in m:
-            for entry in row:
-                if not (0 <= entry <= 1):
-                    raise ValidationError(f"payoff {entry} outside [0, 1]")
+    # Each distinct entry object once, in the order of first appearance.
+    distinct: dict[int, Fraction] = {}
+    for row in (*gs.R, *gs.C):
+        distinct.update(zip(map(id, row), row))
+    for entry in distinct.values():
+        if not (0 <= entry <= 1):
+            raise ValidationError(f"payoff {entry} outside [0, 1]")
     threat, zero, one = Fraction(5, 8) + e, Fraction(0), Fraction(1)
     return _append(gs, (zero, threat), (threat, zero), (one, one),
                    "COL_J", "ROW_I")

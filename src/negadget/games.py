@@ -265,14 +265,6 @@ def affine_rescale(
     )
 
 
-def best_response_row(game: BimatrixGame, p: MixedProfile) -> int:
-    """Lowest-index pure row maximizing payoff against y."""
-    _check_shapes(game, p)
-    vals = mat_vec(game.R, p.y)
-    best = max(vals)
-    return vals.index(best)
-
-
 def pure_profile(game: BimatrixGame, i: int, j: int) -> MixedProfile:
     """The profile placing all mass on row i and column j."""
     if not (0 <= i < game.rows and 0 <= j < game.cols):

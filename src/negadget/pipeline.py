@@ -208,7 +208,7 @@ def _run_deciders(
     if cert is not None:
         cert_gp = extend_profile(cert, 1, 1)
         gp_hints = (cert_gp, (cert_gp, pure_profile(gp, gp.rows - 1, gp.cols - 1)))
-        gdp_hints = (gdoubleprime_wsne_witness(extend_profile(cert, 0, 0), gdp),)
+        gdp_hints = (gdoubleprime_wsne_witness(cert, gdp),)
 
     specs: list[tuple[int, BimatrixGame, dict]] = [
         (1, gp, {"u": half}),

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .errors import (
     ParameterError,
-    PreconditionError,
     ResourceError,
     ShapeError,
     ValidationError,
@@ -180,30 +179,6 @@ def game_value(t: TwoProverGame, budget: int = VALUE_BUDGET_DEFAULT) -> Fraction
         if best == bound:
             break
     return Fraction(best, denom)
-
-
-def duplicate_questions(
-    t: TwoProverGame, dup_x: bool = False, dup_y: bool = False
-) -> TwoProverGame:
-    """Duplicate every question on the requested sides of a free game.
-
-    Copies are interleaved (question i becomes 2i and 2i+1) and the
-    distribution stays uniform, so the game value is unchanged.
-    """
-    if not t.is_free:
-        raise PreconditionError("duplication is defined for free games only")
-    if not dup_x and not dup_y:
-        return t
-    xs = [x for x in range(t.nx) for _ in range(2 if dup_x else 1)]
-    ys = [y for y in range(t.ny) for _ in range(2 if dup_y else 1)]
-    table = tuple(
-        tuple(t.table[x][y] for y in ys) for x in xs
-    )
-    return TwoProverGame(
-        x_answers=tuple(t.x_answers[x] for x in xs),
-        y_answers=tuple(t.y_answers[y] for y in ys),
-        table=table,
-    )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .provers import ProverStrategy, TwoProverGame, duplicate_questions
+from .provers import ProverStrategy, TwoProverGame
 
 Clause = tuple[int, int, int]
 
@@ -337,30 +337,30 @@ def build_clause_variable_free_game(
     nx, ny = len(x_vars), len(y_clauses)
     x_answers = tuple(2 ** len(vs) for vs in x_vars)
     y_answers = tuple(max(1, 2 ** len(vs)) for vs in y_vars)
-    table = tuple(
-        tuple(
+    verdicts = [
+        [
             tuple(
                 tuple(accepts(i, j, a, b) for b in range(y_answers[j]))
                 for a in range(x_answers[i])
             )
             for j in range(ny)
-        )
+        ]
         for i in range(nx)
+    ]
+    # Keep both sides even for the half-subset gadget downstream: an odd
+    # side asks each question twice, interleaved.
+    xs = [i for i in range(nx) for _ in range(1 + nx % 2)]
+    ys = [j for j in range(ny) for _ in range(1 + ny % 2)]
+    game = TwoProverGame(
+        x_answers=tuple(x_answers[i] for i in xs),
+        y_answers=tuple(y_answers[j] for j in ys),
+        table=tuple(tuple(verdicts[i][j] for j in ys) for i in xs),
     )
-    game = TwoProverGame(x_answers=x_answers, y_answers=y_answers, table=table)
-    if nx % 2 == 1 or ny % 2 == 1:
-        # Keep both sides even for the half-subset gadget downstream.
-        game = duplicate_questions(game, dup_x=nx % 2 == 1, dup_y=ny % 2 == 1)
-        if nx % 2 == 1:
-            x_vars = tuple(vs for vs in x_vars for _ in range(2))
-        if ny % 2 == 1:
-            y_vars = tuple(vs for vs in y_vars for _ in range(2))
-            y_clauses = tuple(cs for cs in y_clauses for _ in range(2))
     return FreeGameBuild(
         game=game,
-        x_vars=x_vars,
-        y_vars=y_vars,
-        y_clauses=y_clauses,
+        x_vars=tuple(x_vars[i] for i in xs),
+        y_vars=tuple(y_vars[j] for j in ys),
+        y_clauses=tuple(y_clauses[j] for j in ys),
     )
 
 

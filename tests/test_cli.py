@@ -284,6 +284,24 @@ class TestInputErrors:
         assert main(["verify", str(game), str(prof), "--eps", eps]) == 3
         self._assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", [
+        ["verify", "{bin}", "{prof}", "--eps", "0"],
+        ["decide", "p1", "{bin}", "--eps", "0", "--u", "1"],
+        ["value", "{bin}"],
+        ["reduce", "sat2free", "{bin}", "-o", "{out}"],
+        ["forge", "build", "{bin}", "-o", "{out}"],
+        ["pipeline", "{bin}", "-o", "{out}"],
+    ])
+    def test_input_not_utf8(self, command, tmp_path, coordination_paths, capsys):
+        # verify and decide would otherwise exit 1, a verdict.
+        _, prof = coordination_paths
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff\xfe")
+        argv = [a.format(bin=binary, prof=prof, out=tmp_path / "out")
+                for a in command]
+        assert main(argv) == 3
+        self._assert_one_line_error(capsys)
+
     def test_forge_build_odd_side(self, tmp_path, capsys):
         # One X question: the gadget's half-subset blocks need even sides.
         free = tmp_path / "odd.fgm"

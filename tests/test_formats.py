@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from negadget import formats
 from negadget.corpus import random_game, random_profile
 from negadget.errors import FormatError
+from negadget.gadget import extend_gdoubleprime, extend_gprime, rescale_game
 from negadget.games import BimatrixGame, MixedProfile
 from negadget.provers import ProverStrategy, TwoProverGame
 
@@ -34,6 +35,16 @@ def _bgm_games(draw):
     return BimatrixGame(R=draw(cells), C=draw(cells))
 
 
+def _per_cell_bgm(game: BimatrixGame) -> str:
+    """`write_bgm` as a plain loop that formats every cell."""
+    out = ["bgm 1", f"{game.rows} {game.cols}"]
+    out += [f"{formats.format_rational(r)} {formats.format_rational(c)}"
+            for r_row, c_row in zip(game.R, game.C) for r, c in zip(r_row, c_row)]
+    out += [f"#block {name} {r0} {r1} {c0} {c1}"
+            for name, r0, r1, c0, c1 in game.blocks or ()]
+    return "\n".join(out) + "\n"
+
+
 class TestBgm:
     def test_round_trip(self):
         rng = random.Random(1)
@@ -45,6 +56,24 @@ class TestBgm:
         again = formats.parse_bgm(formats.write_bgm(game))
         assert again == game
         assert again.blocks == game.blocks
+
+    def test_each_entry_pair_formatted_once(self, sat_builds, params, monkeypatch):
+        real = formats.format_rational
+        gs = rescale_game(sat_builds["two-clause"].gadget)
+        gdp = extend_gdoubleprime(extend_gprime(gs, params.eps_star))
+        # Read back, G'' shares one 0 whose C partner is 0 or 5/8 + eps*,
+        # so the key needs both ids.
+        read_back = [formats.parse_bgm(formats.write_bgm(g)) for g in (gs, gdp)]
+        for game in (gs, *read_back):
+            pairs = {(id(r), id(c)) for r_row, c_row in zip(game.R, game.C)
+                     for r, c in zip(r_row, c_row)}
+            calls = []
+            monkeypatch.setattr(formats, "format_rational",
+                                lambda v: calls.append(v) or real(v))
+            text = formats.write_bgm(game)
+            monkeypatch.undo()
+            assert len(calls) <= 2 * len(pairs) < game.rows * game.cols
+            assert text == _per_cell_bgm(game)
 
     def test_decimals_exact(self):
         game = formats.parse_bgm("bgm 1\n1 1\n0.25 3/4\n")

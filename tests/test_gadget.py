@@ -387,6 +387,21 @@ class TestExtensions:
         with pytest.raises(ValidationError):
             extend_gprime(single_build.gadget.game, params.eps_star)
 
+    @pytest.mark.parametrize("bad", [F(9, 8), F(-1, 8)])
+    @pytest.mark.parametrize("side", ["R", "C"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_gprime_checks_every_cell(self, sat_builds, params, bad, side, where):
+        # G_s shares four entry objects; a fresh out-of-range object in any
+        # one cell must still be caught.
+        gs = rescale_game(sat_builds["two-clause"].gadget)
+        i, j = {"first": (0, 0), "middle": (gs.rows // 2, gs.cols // 2),
+                "last": (gs.rows - 1, gs.cols - 1)}[where]
+        m = [list(row) for row in getattr(gs, side)]
+        m[i][j] = F(bad.numerator, bad.denominator)
+        game = dataclasses.replace(gs, **{side: m})
+        with pytest.raises(ValidationError, match=f"payoff {bad} outside"):
+            extend_gprime(game, params.eps_star)
+
     def test_gdoubleprime_shape(self, single_build, params):
         gs = rescale_game(single_build.gadget)
         gp = extend_gprime(gs, params.eps_star)

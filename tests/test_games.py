@@ -14,7 +14,6 @@ from negadget.games import (
     MixedProfile,
     RegretReport,
     affine_rescale,
-    best_response_row,
     is_eps_ne,
     is_eps_wsne,
     pure_profile,
@@ -186,12 +185,6 @@ class TestBlocks:
                 C=((0, 1), (1, 0)),
                 blocks=(("A", 0, 2, 0, 2), ("B", 0, 1, 0, 1)),
             )
-
-
-class TestTieBreaks:
-    def test_lowest_index_best_response(self):
-        game = BimatrixGame(R=((1, 1), (1, 1)), C=((0, 0), (0, 0)))
-        assert best_response_row(game, UNIFORM) == 0
 
 
 @settings(max_examples=60, deadline=None)

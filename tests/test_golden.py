@@ -1,8 +1,8 @@
 """Golden SHA-256 hashes of the pipeline artifacts.
 
 `run_pipeline` runs at the default `PipelineConfig` on the five satisfiable
-corpus fixtures and on the unsatisfiable `pattern` fixture, and every
-artifact it writes must hash to the value recorded here.  The runs use
+corpus fixtures, on the unsatisfiable `pattern` fixture and on `probe`, and
+every artifact it writes must hash to the value recorded here.  The runs use
 relative paths from a temporary working directory, so the ``input`` key of
 `report.json` does not depend on where the tests run.  A change that alters
 an artifact on purpose updates these hashes and says why in CHANGES.md.
@@ -17,10 +17,21 @@ import pytest
 
 from negadget.corpus import satisfiable_fixtures, unsatisfiable_fixtures
 from negadget.pipeline import PipelineConfig, run_pipeline
+from negadget.sat import Cnf3Formula
+
+# A satisfiable formula whose G is 292x2370, large enough that a per-entry
+# cost in the gadget layer or the writers shows.  It stays out of the
+# corpus, whose satisfiable fixtures the benchmark runs.
+PROBE = Cnf3Formula(num_vars=10, clauses=(
+    (10, -9, -7), (5, 1, -4), (-4, -3, 1), (-3, 2, -6), (7, -8, -6),
+    (4, -6, -1), (-2, -9, 6), (-5, 9, 6), (-3, -7, 9), (-3, -10, -7),
+    (-10, -2, 6), (6, -9, -3),
+))
 
 FIXTURES = {
     **satisfiable_fixtures(),
     "pattern": unsatisfiable_fixtures()["pattern"],
+    "probe": PROBE,
 }
 
 GOLDEN = {
@@ -64,6 +75,20 @@ GOLDEN = {
         "4ec3dd1970cdd4c1452a08daf459ec7e58a33bcab26808cf6b194b798a783b88",
     "pattern/report.json":
         "c10c065a2b7bd1e292b0dc3ba1f7c393454fe6669868fb16ef30db3a37790fc7",
+    "probe/F.fgm":
+        "c922f1362fb964b54dec5f4e8de4cef12f0c4d941211926d3b4d3a922a1a8fb3",
+    "probe/G.bgm":
+        "0dd8aacb935302de3dee51c539b242a6e5e0a44193f824bb26f3195adae2b2fd",
+    "probe/Gdouble.bgm":
+        "796f4cf02f11eed1f3e07eef1758a916889415e05a2479322d9cc7f5b5575233",
+    "probe/Gprime.bgm":
+        "cd75d71a1cd2d6b7bcfe0dc84f5d48c10a883f4f0f2b8d30a5c6cee62f0195f3",
+    "probe/Gs.bgm":
+        "e89672c904f70515469cb830ed2f53eae31af21569558f99b723372a72482bf6",
+    "probe/cert.prof":
+        "ac980415098aa1de4bf2d0aaa2d04811b8597bba4a50837b673b2cdda0ee195e",
+    "probe/report.json":
+        "d11488eac3b0229d4c815dcaab9fdf3bdf8b0c0e4ef61f9c5de0b77532087184",
     "seven-of-eight/F.fgm":
         "e6eba24f4c25447a03aea7966c17c92cd11e895ef3b9dc71c39a27e8989ce17f",
     "seven-of-eight/G.bgm":

@@ -18,7 +18,6 @@ from negadget.games import MixedProfile
 from negadget.provers import (
     ProverStrategy,
     TwoProverGame,
-    duplicate_questions,
     game_value,
     induced_two_prover,
     prover_payoff,
@@ -260,16 +259,6 @@ class TestGameValue:
             ),
         )
         assert game_value(permuted) == game_value(t)
-
-
-class TestDuplication:
-    def test_value_preserved(self):
-        rng = random.Random(17)
-        for _ in range(10):
-            t = random_two_prover(rng)
-            doubled = duplicate_questions(t, dup_x=True, dup_y=True)
-            assert doubled.nx == 2 * t.nx and doubled.ny == 2 * t.ny
-            assert game_value(doubled) == game_value(t)
 
 
 class TestUniformityGap:
