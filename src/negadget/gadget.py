@@ -33,6 +33,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
+from .formats import format_rational
 from .games import (
     BimatrixGame,
     MixedProfile,
@@ -47,6 +48,7 @@ RESCALE_SHIFT = Fraction(4)
 RESCALE_DIVISOR = Fraction(8)
 
 HALF_CAP_DEFAULT = 2**16
+CELL_CAP = 2**22  # G's cells; a 10-variable, 12-clause formula's G has 692,040
 
 Halves = list[tuple[int, ...]]  # 0/1 vectors, each selecting half the questions
 Pair = tuple[Fraction, Fraction]  # (row player, column player) payoffs
@@ -68,8 +70,8 @@ class ReductionParams:
         object.__setattr__(self, "eps_star", frac(self.eps_star))
         if not (0 < self.delta_star <= 1):
             raise ParameterError(
-                f"eps_star={self.eps_star} gives delta*={self.delta_star}, "
-                "outside (0, 1]"
+                f"eps_star={format_rational(self.eps_star)} gives "
+                f"delta*={format_rational(self.delta_star)}, outside (0, 1]"
             )
 
     @property
@@ -141,10 +143,15 @@ def build_hardness_game(
 
     The half-subset blocks need an even number (at least 2) of questions
     on each side; `half_subsets` raises ``ParameterError`` otherwise.
-    `build_clause_variable_free_game` always emits even sides.
+    `build_clause_variable_free_game` always emits even sides.  A G of
+    more than ``CELL_CAP`` cells raises ``ResourceError`` before it is built.
     """
     if not f.is_free:
         raise PreconditionError("the base game must be free (uniform product)")
+    rows = sum(f.x_answers) + comb(f.ny, f.ny // 2)
+    cols = sum(f.y_answers) + comb(f.nx, f.nx // 2)
+    if rows * cols > CELL_CAP:
+        raise ResourceError(f"G would be {rows}x{cols}, over {CELL_CAP} cells")
 
     halves_y = half_subsets(f.ny, cap=half_cap)
     halves_x = half_subsets(f.nx, cap=half_cap)
@@ -256,14 +263,15 @@ def extend_gprime(gs: BimatrixGame, eps_star: Rational) -> BimatrixGame:
     """
     e = frac(eps_star)
     if not (0 < e < Fraction(1, 8)):
-        raise ParameterError(f"eps_star must be in (0, 1/8), got {e}")
+        raise ParameterError(
+            f"eps_star must be in (0, 1/8), got {format_rational(e)}")
     # Each distinct entry object once, in the order of first appearance.
     distinct: dict[int, Fraction] = {}
     for row in (*gs.R, *gs.C):
         distinct.update(zip(map(id, row), row))
     for entry in distinct.values():
         if not (0 <= entry <= 1):
-            raise ValidationError(f"payoff {entry} outside [0, 1]")
+            raise ValidationError(f"payoff {format_rational(entry)} outside [0, 1]")
     threat, zero, one = Fraction(5, 8) + e, Fraction(0), Fraction(1)
     return _append(gs, (zero, threat), (threat, zero), (one, one),
                    "COL_J", "ROW_I")

@@ -10,10 +10,13 @@ and Ct against x for the column player, through the one kernel
 mixed strategy, so a report costs in proportion to the supports.
 ``regret_report`` stays in `Fraction` arithmetic: it is the exact oracle
 that the integer k-uniform scan of `negadget.search` is checked against.
+Every integer kernel (that scan, the support LPs, the simplex and
+`game_value`) leaves `Fraction` through one helper, ``cleared``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -49,6 +52,15 @@ def matrix(rows: Iterable[Iterable[Rational]]) -> Matrix:
     if out and any(len(r) != len(out[0]) for r in out):
         raise ShapeError("ragged matrix")
     return out
+
+
+def cleared(*matrices: Sequence[Sequence[Fraction]]) -> tuple:
+    """(L*m1, L*m2, ..., L): each matrix as integer rows over one common
+    denominator L, the least common multiple of every denominator in them.
+    Entries are ints or Fractions."""
+    scale = math.lcm(*[e.denominator for m in matrices for row in m for e in row])
+    return (*[[[e.numerator * (scale // e.denominator) for e in row] for row in m]
+              for m in matrices], scale)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -148,7 +160,7 @@ class MixedProfile:
             if any(e < 0 for e in v):
                 raise ValidationError(f"{name} has a negative entry")
             if sum(v) != 1:
-                raise ValidationError(f"{name} sums to {sum(v)}, not 1")
+                raise ValidationError(f"{name} does not sum to 1")
 
     @property
     def support_x(self) -> tuple[int, ...]:
@@ -257,7 +269,7 @@ def affine_rescale(
     """Map every payoff e to (e + shift)/divisor, keeping block annotations."""
     s, d = frac(shift), frac(divisor)
     if d <= 0:
-        raise ParameterError(f"divisor must be positive, got {d}")
+        raise ParameterError("divisor must be positive")
     return BimatrixGame(
         R=[[(e + s) / d for e in row] for row in game.R],
         C=[[(e + s) / d for e in row] for row in game.C],

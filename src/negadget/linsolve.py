@@ -6,27 +6,22 @@ keeps the objective as a last row that every pivot updates, and Bland's rule
 picks each pivot.
 
 The simplex tableau holds integers only, pivoted fraction-free (Bareiss
-1968, as in lrsnash): each row's denominators are cleared once, slack
-coefficients stay 1, and each pivot multiplies every other row by the pivot
-and divides it, exactly, by the previous pivot.  The tableau is then the
-true tableau times the current pivot, a positive number, so every sign and
-ratio, and with them Bland's pivot sequence, is that of the rational
-tableau.  `Fraction` values are built only for the returned optimum.
+1968, as in lrsnash): `games.cleared` multiplies every row by one common
+denominator, slack coefficients stay 1, and each pivot multiplies every
+other row by the pivot and divides it, exactly, by the previous pivot.  The
+tableau is then the true tableau of that scaled LP times the current pivot,
+a positive number, so every sign and ratio, and with them Bland's pivot
+sequence, is that of the rational tableau.  `Fraction` values are built
+only for the returned optimum.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParameterError, ShapeError
-
-
-def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(L * values, L) for L the least common multiple of the denominators."""
-    scale = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+from .games import cleared
 
 
 def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int) -> None:
@@ -61,12 +56,10 @@ def simplex_maximize(
         raise ParameterError("simplex_maximize expects b_ub >= 0")
     # Columns: x, one slack per row, then the right-hand side.  The last row
     # is the objective: minus each column's reduced cost, then the value,
-    # all times `unit`.
-    tab = []
-    for i, row in enumerate(a_ub):
-        ints, _ = _cleared([*row, b_ub[i]])
-        tab.append(ints[:n] + [int(k == i) for k in range(m)] + ints[n:])
-    objective, unit = _cleared(c)
+    # all times `unit`, the one denominator every row is cleared over.
+    rows, [objective], unit = cleared([[*row, b] for row, b in zip(a_ub, b_ub)], [c])
+    tab = [ints[:n] + [int(k == i) for k in range(m)] + ints[n:]
+           for i, ints in enumerate(rows)]
     tab.append([-e for e in objective] + [0] * (m + 1))
     basis = list(range(n, n + m))
     # Bland's rule: lowest-index entering column with a negative objective

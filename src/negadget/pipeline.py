@@ -125,20 +125,20 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     report: dict = {
         "input": str(cfg.cnf_path),
-        "eps_star": str(params.eps_star),
+        "eps_star": formats.format_rational(params.eps_star),
         "params": {
-            "g": str(params.g),
-            "delta_star": str(params.delta_star),
-            "n_star": str(params.n_star),
-            "u_frak": str(params.u_frak),
-            "d1_payoff": str(params.d1_payoff),
+            "g": formats.format_rational(params.g),
+            "delta_star": formats.format_rational(params.delta_star),
+            "n_star": formats.format_rational(params.n_star),
+            "u_frak": formats.format_rational(params.u_frak),
+            "d1_payoff": formats.format_rational(params.d1_payoff),
         },
         "num_vars": formula.num_vars,
         "num_clauses": formula.num_clauses,
         "max_var_degree": formula.max_var_degree,
-        "max_sat_fraction": str(sat_fraction),
+        "max_sat_fraction": formats.format_rational(sat_fraction),
         "satisfiable": satisfiable,
-        "omega": str(omega) if omega is not None else None,
+        "omega": formats.format_rational(omega) if omega is not None else None,
     }
 
     cert = None
@@ -174,9 +174,9 @@ def _certificate(
     )
     report["certificate"] = {
         "unscaled_ne": ok_unscaled,
-        "unscaled_welfare": str(w_unscaled),
+        "unscaled_welfare": formats.format_rational(w_unscaled),
         "scaled_ne": ok_scaled,
-        "scaled_welfare": str(w_scaled),
+        "scaled_welfare": formats.format_rational(w_scaled),
         "scaled_wsne": wsne_scaled,
     }
     return cert

@@ -9,7 +9,6 @@ has the uniform product distribution over X x Y.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from .errors import (
     ValidationError,
 )
 from .games import (
-    BimatrixGame, Matrix, MixedProfile, Vector, frac, mat_vec, vector
+    BimatrixGame, Matrix, MixedProfile, Vector, cleared, frac, mat_vec, vector
 )
 
 # V is stored as a nested tuple: V[x][y][a][b] in {0, 1}.
@@ -140,27 +139,21 @@ def game_value(t: TwoProverGame, budget: int = VALUE_BUDGET_DEFAULT) -> Fraction
     The budget contracts on the full pair count |S1| x |S2| and is checked
     before anything is built.
 
-    The sums are integers: each question pair weighs its probability times
-    one common denominator, nx*ny for a free game (every weight is 1) and
-    otherwise the LCM of ``dist``'s denominators; one Fraction is built at
-    the end.  The scan stops once the value reaches the weight of the
-    question pairs that some answer pair wins, an exact upper bound.
+    The sums are integers: each question pair weighs its probability
+    cleared by `games.cleared` (over nx*ny for a free game, where every
+    weight is 1); one Fraction is built at the end.  The scan stops once
+    the value reaches the weight of the question pairs that some answer
+    pair wins, an exact upper bound.
     """
     s1_count, s2_count = t.strategy_counts()
     if s1_count * s2_count > budget:
         raise ResourceError(
             f"|S1|*|S2| = {s1_count * s2_count} exceeds budget {budget}"
         )
-    if t.dist is None:
-        denom = t.nx * t.ny
-        weight = [[1] * t.ny for _ in range(t.nx)]
-    else:
-        denom = math.lcm(*[e.denominator for row in t.dist for e in row])
-        weight = [[e.numerator * (denom // e.denominator) for e in row]
-                  for row in t.dist]
+    table, x_range, y_range = t.table, range(t.nx), range(t.ny)
+    weight, denom = cleared([[t.prob(x, y) for y in y_range] for x in x_range])
     # wins[q][p][a][b]: the weight won when the enumerated prover answers a
     # to its question p and the replying prover answers b to its question q.
-    table, x_range, y_range = t.table, range(t.nx), range(t.ny)
     if s2_count < s1_count:
         own = t.y_answers
         wins = [[[[weight[x][y] * table[x][y][a][b] for a in range(t.x_answers[x])]

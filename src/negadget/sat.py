@@ -135,10 +135,12 @@ def best_assignment(f: Cnf3Formula, budget: int = SAT_BUDGET_DEFAULT) -> int:
 
 def _best_mask(f: Cnf3Formula, budget: int) -> tuple[int, int]:
     """(lowest bitmask satisfying the most clauses, clauses it satisfies),
-    stopping at the first mask that satisfies every clause."""
-    if 2**f.num_vars > budget:
+    stopping at the first mask that satisfies every clause.  The budget is
+    charged 2^n * max(m, 1), the clause checks of every assignment."""
+    if 2**f.num_vars * max(f.num_clauses, 1) > budget:
         raise ResourceError(
-            f"2^{f.num_vars} assignments exceed budget {budget}"
+            f"2^{f.num_vars} assignments x {f.num_clauses} clauses "
+            f"exceed budget {budget}"
         )
     best_mask, best_hit = 0, -1
     for mask in range(2**f.num_vars):

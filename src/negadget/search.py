@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -18,10 +17,10 @@ from .errors import (
 )
 from .games import (
     BimatrixGame,
-    Matrix,
     MixedProfile,
     Rational,
     Vector,
+    cleared,
     frac,
     is_eps_ne,
     regret_report,
@@ -214,7 +213,7 @@ def lmm_best_welfare(
     checked, truncated = _scan_size(game, k, budget)
     # Welfare compared as integers on the scan's scale; max() keeps the
     # first of equal maxima, the lowest-index best welfare.
-    hits = _integer_scan(game, e, k, budget, _denominator_lcm(game))
+    hits = _integer_scan(e, k, budget, *cleared(game.R, game.Ct))
     best = max(hits, key=lambda c: c[3] + c[4], default=None)
     if best is None:
         return SearchOutcome(
@@ -240,16 +239,18 @@ def _eps_ne_scan(
     """Stream the k-uniform eps-NE among the first ``budget`` candidates,
     each as (index, x, y, row payoff, col payoff): `_integer_scan`'s hits
     with their Fraction vectors and payoffs."""
-    scale = _denominator_lcm(game)
+    r_int, ct_int, scale = cleared(game.R, game.Ct)
     unit = k * k * scale
-    for index, xc, yc, row_pay, col_pay in _integer_scan(game, eps, k, budget, scale):
+    for index, xc, yc, row_pay, col_pay in _integer_scan(eps, k, budget, r_int,
+                                                         ct_int, scale):
         yield (index, _multiset_vector(game.rows, xc),
                _multiset_vector(game.cols, yc),
                Fraction(row_pay, unit), Fraction(col_pay, unit))
 
 
 def _integer_scan(
-    game: BimatrixGame, eps: Fraction, k: int, budget: float, scale: int
+    eps: Fraction, k: int, budget: float,
+    r_int: list[list[int]], ct_int: list[list[int]], scale: int,
 ) -> Iterator[tuple[int, Multiset, Multiset, int, int]]:
     """Stream the k-uniform eps-NE among the first ``budget`` candidates.
 
@@ -258,8 +259,8 @@ def _integer_scan(
     x multiset, y multiset, row payoff, col payoff), the payoffs as
     integers over k*k*scale.
 
-    The test uses integers only.  R and Ct are scaled once by L, the least
-    common multiple of their denominators (``scale``), so a multiset y gives
+    The test uses integers only.  ``r_int`` and ``ct_int`` are L*R and L*Ct,
+    cleared by `games.cleared` over one L (``scale``), so a multiset y gives
     the integer vector vals = k*L*(R @ y) and a multiset x the payoff
     pay = k*k*L*(x @ R @ y), and the same for the column side.  With
     eps = a/b a side passes iff b*(k*max(vals) - pay) <= a*L*k*k, that is
@@ -267,11 +268,9 @@ def _integer_scan(
     here.  Ct @ x is computed once per x and R @ y once per y; a y is kept
     only once the scan reaches it, so nothing outside the budget is built.
     """
-    r_int = _scaled(game.R, scale)
-    ct_int = _scaled(game.Ct, scale)
     unit = k * k * scale
     slack = eps.numerator * unit // eps.denominator
-    fresh_ys = _multisets(game.cols, k)
+    fresh_ys = _multisets(len(ct_int), k)
     # (y's multiset, k*L*(R @ y), the least row payoff that passes)
     seen_ys: list[tuple[Multiset, list[int], int]] = []
 
@@ -283,7 +282,7 @@ def _integer_scan(
             yield seen_ys[-1]
 
     index = 0
-    for xc in _multisets(game.rows, k):
+    for xc in _multisets(len(r_int), k):
         col_vals = [sum(col[i] for i in xc) for col in ct_int]
         col_least = k * max(col_vals) - slack
         for yc, row_vals, row_least in each_y():
@@ -293,17 +292,6 @@ def _integer_scan(
                     and (col_pay := sum(col_vals[j] for j in yc)) >= col_least):
                 yield index, xc, yc, row_pay, col_pay
             index += 1
-
-
-def _denominator_lcm(game: BimatrixGame) -> int:
-    """The least common multiple of the denominators of R and C."""
-    return math.lcm(*[e.denominator for m in (game.R, game.C) for row in m
-                      for e in row])
-
-
-def _scaled(m: Matrix, scale: int) -> list[list[int]]:
-    """The integer matrix scale * m, for a scale every denominator divides."""
-    return [[e.numerator * (scale // e.denominator) for e in row] for row in m]
 
 
 def _reverified(game: BimatrixGame, p: MixedProfile, eps: Fraction) -> MixedProfile:
@@ -338,12 +326,28 @@ def wsne_support_feasible(
         raise ValidationError("supports must be nonempty")
     if min(rows + cols) < 0 or rows[-1] >= game.rows or cols[-1] >= game.cols:
         raise ValidationError(f"supports {rows}/{cols} out of the game's range")
-    row_side, col_side = _side_lps(game, frac(eps), strict)
-    y = row_side(rows, cols)
-    x = None if y is None else col_side(rows, cols)
+    return _pair_witness(cleared(game.R, game.Ct), rows, cols, frac(eps), strict)[0]
+
+
+def _pair_witness(
+    payoffs: tuple[list[list[int]], list[list[int]], int],
+    rows: Support,
+    cols: Support,
+    eps: Fraction,
+    strict: bool,
+) -> tuple[MixedProfile | None, bool]:
+    """(the support pair's witness or None, whether its row side is
+    feasible): the row-side LP for y, then, only if that side is feasible,
+    the column-side LP for x.  ``payoffs`` is ``cleared(game.R, game.Ct)``."""
+    r_int, ct_int, scale = payoffs
+    y = _one_side_feasible(r_int, rows, cols, eps, scale, strict)
+    if y is None:
+        return None, False
+    x = _one_side_feasible(ct_int, cols, rows, eps, scale, strict)
     if x is None:
-        return None
-    return MixedProfile(x=_spread(game.rows, rows, x), y=_spread(game.cols, cols, y))
+        return None, True
+    return MixedProfile(x=_spread(len(r_int), rows, x),
+                        y=_spread(len(ct_int), cols, y)), True
 
 
 def _spread(n: int, supp: Sequence[int], values: Sequence[Fraction]) -> Vector:
@@ -352,18 +356,6 @@ def _spread(n: int, supp: Sequence[int], values: Sequence[Fraction]) -> Vector:
     for i, value in zip(supp, values):
         full[i] = value
     return tuple(full)
-
-
-def _side_lps(game: BimatrixGame, eps: Fraction, strict: bool):
-    """The row-side and column-side LPs of a support pair (rows, cols), as
-    two functions returning y over cols or x over rows, or None.  R and Ct
-    are scaled once to integers by the LCM of their denominators."""
-    scale = _denominator_lcm(game)
-    r_int, ct_int = _scaled(game.R, scale), _scaled(game.Ct, scale)
-    return (
-        lambda rows, cols: _one_side_feasible(r_int, rows, cols, eps, scale, strict),
-        lambda rows, cols: _one_side_feasible(ct_int, cols, rows, eps, scale, strict),
-    )
 
 
 def _one_side_feasible(
@@ -376,7 +368,8 @@ def _one_side_feasible(
 ) -> list[Fraction] | None:
     """Find q in the simplex over opp_supp with min coordinate maximized,
     subject to: every row in supp is eps-best among all rows against q.
-    ``payoff`` is the payoff matrix P times the integer ``scale``.
+    ``payoff`` is the payoff matrix P times the integer ``scale``, one side
+    of `games.cleared`.
 
     Variables: q_j for j in opp_supp, then t (the min-coordinate slack).
     Maximize t; feasible with t > 0 means the exact support works.  In
@@ -476,7 +469,7 @@ def _support_pairs(
         itertools.product(_subsets(game.rows), _subsets(game.cols)),
         key=lambda rc: (len(rc[0]) + len(rc[1]), rc[0], rc[1]),
     )
-    row_side, col_side = _side_lps(game, eps, strict)
+    payoffs = cleared(game.R, game.Ct)
     row_dead: set[tuple[Support, Support]] = set()
     col_dead: set[tuple[Support, Support]] = set()
     for rows, cols in pairs:
@@ -491,15 +484,11 @@ def _support_pairs(
             continue
         witness = None
         if pair not in row_dead and pair not in col_dead:
-            y = row_side(rows, cols)
-            x = None if y is None else col_side(rows, cols)
-            if y is None:
+            witness, row_feasible = _pair_witness(payoffs, rows, cols, eps, strict)
+            if not row_feasible:
                 row_dead.add(pair)
-            elif x is None:
+            elif witness is None:
                 col_dead.add(pair)
-            else:
-                witness = MixedProfile(x=_spread(game.rows, rows, x),
-                                       y=_spread(game.cols, cols, y))
         yield rows, cols, witness
 
 

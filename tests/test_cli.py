@@ -11,7 +11,7 @@ import pytest
 from negadget import cli, formats
 from negadget.cli import main
 from negadget.errors import GadgetError
-from negadget.gadget import extend_gprime
+from negadget.gadget import derive_params, extend_gprime
 from negadget.games import BimatrixGame, MixedProfile
 from negadget.pipeline import PipelineConfig, run_pipeline
 from negadget.provers import TwoProverGame
@@ -284,6 +284,44 @@ class TestInputErrors:
         assert main(["verify", str(game), str(prof), "--eps", eps]) == 3
         self._assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("command, game, prof", [
+        (["pipeline", "{cnf}", "-o", "{out}", "--eps-star", "1e-4300"], "", ""),
+        (["forge", "gprime", "{game}", "-o", "{out}", "--eps-star", "1e-4300"],
+         "bgm 1\n1 1\n1 1\n", ""),
+        (["forge", "gprime", "{game}", "-o", "{out}"], "bgm 1\n1 1\n-1e-4300 0\n", ""),
+        (["verify", "{game}", "{prof}", "--eps", "0"], "bgm 1\n2 1\n1 1\n0 0\n",
+         "prof 1\n2 1\n1e-4300\n0\n1\n"),
+    ], ids=["pipeline", "gprime-eps-star", "gprime-payoff", "verify"])
+    def test_error_message_holds_a_long_rational(self, command, game, prof,
+                                                 tmp_path, capsys):
+        # Each message names a value with a 4301-digit denominator, which
+        # str() refuses to print; verify would otherwise exit 1, "fails".
+        paths = {"cnf": tmp_path / "single.cnf", "game": tmp_path / "g.bgm",
+                 "prof": tmp_path / "p.prof", "out": tmp_path / "out"}
+        paths["cnf"].write_text(SINGLE_CNF)
+        paths["game"].write_text(game)
+        paths["prof"].write_text(prof)
+        assert main([a.format(**paths) for a in command]) == 3
+        self._assert_one_line_error(capsys)
+
+    def test_gadget_over_cell_cap_fails_before_it_is_built(self, tmp_path, capsys):
+        # 16 one-answer questions a side: C(16, 8) = 12,870 half subsets pass
+        # the half cap, but G would be 12,886 x 12,886.
+        free = tmp_path / "wide.fgm"
+        free.write_text(formats.write_fgm(TwoProverGame(
+            x_answers=(1,) * 16, y_answers=(1,) * 16,
+            table=((((1,),),) * 16,) * 16,
+        )))
+        tracemalloc.start()
+        try:
+            code = main(["forge", "build", str(free), "-o", str(tmp_path / "G")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        self._assert_one_line_error(capsys)
+        assert peak < 2**20, peak
+
     @pytest.mark.parametrize("command", [
         ["verify", "{bin}", "{prof}", "--eps", "0"],
         ["decide", "p1", "{bin}", "--eps", "0", "--u", "1"],
@@ -465,6 +503,21 @@ class TestPipeline:
         )
         assert code == 3
         assert "derive_params" in capsys.readouterr().err
+
+    def test_report_of_an_eps_star_longer_than_str(self, tmp_path):
+        # eps* = 1/8 - 10**-4300, so eps*, delta* and D1 have 4301-digit
+        # denominators.
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(SINGLE_CNF)
+        eps_star = F(1, 8) - F(1, 10**4300)
+        text = formats.format_rational(eps_star)
+        code = main(["pipeline", str(cnf), "-o", str(tmp_path / "out"),
+                     "--eps-star", text])
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["eps_star"] == text
+        assert formats._parse_rational(report["params"]["d1_payoff"]) == (
+            derive_params(eps_star).d1_payoff)
 
     def test_certificate_reverifies_via_cli(self, tmp_path):
         cnf = tmp_path / "f.cnf"

@@ -14,6 +14,7 @@ from negadget.games import (
     MixedProfile,
     RegretReport,
     affine_rescale,
+    cleared,
     is_eps_ne,
     is_eps_wsne,
     pure_profile,
@@ -160,6 +161,11 @@ class TestRescale:
         with pytest.raises(ParameterError):
             affine_rescale(MATCHING_PENNIES, 0, 0)
 
+    def test_bad_divisor_too_long_to_print(self):
+        # The message must not print a value that str() refuses.
+        with pytest.raises(ParameterError, match="divisor"):
+            affine_rescale(MATCHING_PENNIES, 0, -F(1, 10**4300))
+
     def test_blocks_preserved(self):
         game = BimatrixGame(
             R=((1, 0), (0, 1)),
@@ -167,6 +173,11 @@ class TestRescale:
             blocks=(("A", 0, 2, 0, 1), ("B", 0, 2, 1, 2)),
         )
         assert affine_rescale(game, 1, 2).blocks == game.blocks
+
+
+def test_cleared_shares_one_denominator():
+    assert cleared([[F(1, 2), 1]], [[F(-1, 3)], [0]]) == ([[3, 6]], [[-2], [0]], 6)
+    assert cleared([[1, -2]]) == ([[1, -2]], 1)
 
 
 class TestBlocks:

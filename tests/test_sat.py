@@ -96,6 +96,12 @@ class TestMaxSat:
         with pytest.raises(ResourceError):
             max_sat_fraction(f, budget=4)
 
+    @pytest.mark.parametrize("search", [max_sat_fraction, best_assignment])
+    def test_budget_charges_every_clause(self, search):
+        # 2^3 assignments fit the budget, but 2^3 * 8 clause checks do not.
+        with pytest.raises(ResourceError, match="8 clauses"):
+            search(full_sign_pattern(), budget=8)
+
     def test_best_assignment_is_lowest_mask(self):
         f = Cnf3Formula(num_vars=3, clauses=((1, 2, 3),))
         # mask 1 (x1 true) already satisfies; mask 0 does not.
