@@ -91,6 +91,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_forge(args: argparse.Namespace) -> int:
+    if args.what == "gdoubleprime":  # G'' takes no eps*
+        base = formats.parse_bgm(Path(args.input).read_text())
+        Path(args.output).write_text(formats.write_bgm(extend_gdoubleprime(base)))
+        return 0
     params = derive_params(formats._parse_rational(args.eps_star))
     if args.what == "build":
         free = formats.parse_fgm(Path(args.input).read_text())
@@ -103,10 +107,6 @@ def cmd_forge(args: argparse.Namespace) -> int:
         Path(args.output).write_text(
             formats.write_bgm(extend_gprime(base, params.eps_star))
         )
-        return 0
-    if args.what == "gdoubleprime":
-        base = formats.parse_bgm(Path(args.input).read_text())
-        Path(args.output).write_text(formats.write_bgm(extend_gdoubleprime(base)))
         return 0
     if args.what == "cert":
         if args.strategies is None:

@@ -37,13 +37,13 @@ from .sat import (
     ANSWER_CAP_DEFAULT,
     FreeGameBuild,
     SAT_BUDGET_DEFAULT,
-    best_assignment,
     build_clause_variable_free_game,
     formula_degree,
     incidence_graph,
-    max_sat_fraction,
+    max_sat,
     parse_dimacs,
     partition_bipartite,
+    winning_strategies,
 )
 from .search import DecisionInstance, decide_many
 
@@ -89,8 +89,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     )
     params = _stage("derive_params")(derive_params, cfg.eps_star)
 
-    sat_fraction = _stage("max_sat")(
-        max_sat_fraction, formula, budget=cfg.sat_budget
+    best_mask, sat_fraction = _stage("max_sat")(
+        max_sat, formula, budget=cfg.sat_budget
     )
     satisfiable = sat_fraction == 1
 
@@ -143,7 +143,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     cert = None
     if satisfiable:
-        cert = _certificate(cfg, formula, build, gg, gs, report, out)
+        cert = _certificate(build, best_mask, gg, gs, report, out)
     report["deciders"] = _run_deciders(cfg, params, build, gs, gp, gdp, cert)
 
     (out / "report.json").write_text(
@@ -153,17 +153,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 
 def _certificate(
-    cfg: PipelineConfig,
-    formula,
     build: FreeGameBuild,
+    assignment: int,
     gg: GadgetGame,
     gs: BimatrixGame,
     report: dict,
     out: Path,
 ) -> MixedProfile:
-    from .sat import winning_strategies
-
-    assignment = best_assignment(formula, budget=cfg.sat_budget)
     s1, s2 = winning_strategies(build, assignment)
     cert = _stage("certificate")(
         completeness_certificate, build.game, s1, s2, gg

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     FormatError,
@@ -110,46 +110,58 @@ def parse_dimacs(text: str) -> Cnf3Formula:
         raise FormatError(str(exc)) from exc
 
 
-def _clause_satisfied(clause: Clause, assignment: int) -> bool:
-    """assignment is a bitmask: bit v-1 set means variable v is true."""
+def _clause_code(clause: Clause, variables: Sequence[int]) -> tuple[int, int]:
+    """(mask, falsifier) of a clause over values whose bit t assigns the
+    0-based variable ``variables[t]``: ``mask`` holds the clause's three
+    bits, ``falsifier`` those of its negative literals.  A value a satisfies
+    the clause iff a & mask != falsifier."""
+    mask = falsifier = 0
     for lit in clause:
-        value = (assignment >> (abs(lit) - 1)) & 1
-        if (lit > 0) == bool(value):
-            return True
-    return False
+        bit = 1 << variables.index(abs(lit) - 1)
+        mask |= bit
+        falsifier |= bit if lit < 0 else 0
+    return mask, falsifier
+
+
+def _project(value: int, positions: Sequence[int]) -> int:
+    """Pack the bits of ``value`` at ``positions``: bit t of the result is
+    bit positions[t] of value."""
+    return sum(((value >> p) & 1) << t for t, p in enumerate(positions))
 
 
 def max_sat_fraction(
     f: Cnf3Formula, budget: int = SAT_BUDGET_DEFAULT
 ) -> Fraction:
     """Exact maximum fraction of simultaneously satisfiable clauses."""
-    if not f.clauses:
-        return Fraction(1)
-    return Fraction(_best_mask(f, budget)[1], f.num_clauses)
+    return max_sat(f, budget)[1]
 
 
 def best_assignment(f: Cnf3Formula, budget: int = SAT_BUDGET_DEFAULT) -> int:
     """Lowest bitmask maximizing the number of satisfied clauses."""
-    return _best_mask(f, budget)[0]
+    return max_sat(f, budget)[0]
 
 
-def _best_mask(f: Cnf3Formula, budget: int) -> tuple[int, int]:
-    """(lowest bitmask satisfying the most clauses, clauses it satisfies),
-    stopping at the first mask that satisfies every clause.  The budget is
-    charged 2^n * max(m, 1), the clause checks of every assignment."""
-    if 2**f.num_vars * max(f.num_clauses, 1) > budget:
+def max_sat(f: Cnf3Formula, budget: int) -> tuple[int, Fraction]:
+    """(lowest bitmask satisfying the most clauses, the fraction it
+    satisfies), stopping at the first mask that satisfies every clause.
+    The budget is charged 2^n * m, the clause checks of every assignment;
+    a formula without clauses is satisfied by mask 0 at no charge."""
+    if not f.clauses:
+        return 0, Fraction(1)
+    if 2**f.num_vars * f.num_clauses > budget:
         raise ResourceError(
             f"2^{f.num_vars} assignments x {f.num_clauses} clauses "
             f"exceed budget {budget}"
         )
+    codes = [_clause_code(c, range(f.num_vars)) for c in f.clauses]
     best_mask, best_hit = 0, -1
     for mask in range(2**f.num_vars):
-        hit = sum(1 for c in f.clauses if _clause_satisfied(c, mask))
+        hit = sum(mask & m != falsifier for m, falsifier in codes)
         if hit > best_hit:
             best_mask, best_hit = mask, hit
             if hit == f.num_clauses:
                 break
-    return best_mask, best_hit
+    return best_mask, Fraction(best_hit, f.num_clauses)
 
 
 @dataclass(frozen=True)
@@ -323,32 +335,23 @@ def build_clause_variable_free_game(
     _check_answers("X", map(len, x_vars), answer_cap)
     _check_answers("Y", map(len, y_vars), answer_cap)
 
-    def accepts(i: int, j: int, a: int, b: int) -> int:
-        assign_b = {v: (b >> t) & 1 for t, v in enumerate(y_vars[j])}
-        for ci in y_clauses[j]:
-            if not any(
-                (lit > 0) == bool(assign_b[abs(lit) - 1])
-                for lit in f.clauses[ci]
-            ):
-                return 0
-        for t, v in enumerate(x_vars[i]):
-            if v in assign_b and ((a >> t) & 1) != assign_b[v]:
-                return 0
-        return 1
-
     nx, ny = len(x_vars), len(y_clauses)
     x_answers = tuple(2 ** len(vs) for vs in x_vars)
     y_answers = tuple(max(1, 2 ** len(vs)) for vs in y_vars)
-    verdicts = [
-        [
-            tuple(
-                tuple(accepts(i, j, a, b) for b in range(y_answers[j]))
-                for a in range(x_answers[i])
-            )
-            for j in range(ny)
-        ]
-        for i in range(nx)
-    ]
+    verdicts = [[()] * ny for _ in range(nx)]
+    for j, vs in enumerate(y_vars):
+        codes = [_clause_code(f.clauses[ci], vs) for ci in y_clauses[j]]
+        sat = [int(all(b & m != z for m, z in codes)) for b in range(y_answers[j])]
+        for i, us in enumerate(x_vars):
+            # V[a][b] = sat[b] when a and b agree on the shared variables;
+            # X answers that agree there share one row.
+            x_bits = [t for t, v in enumerate(us) if v in vs]
+            y_bits = [t for t, v in enumerate(vs) if v in us]
+            proj_x = [_project(a, x_bits) for a in range(x_answers[i])]
+            proj_y = [_project(b, y_bits) for b in range(y_answers[j])]
+            rows = {p: tuple(s & (q == p) for s, q in zip(sat, proj_y))
+                    for p in set(proj_x)}
+            verdicts[i][j] = tuple(rows[p] for p in proj_x)
     # Keep both sides even for the half-subset gadget downstream: an odd
     # side asks each question twice, interleaved.
     xs = [i for i in range(nx) for _ in range(1 + nx % 2)]
@@ -370,12 +373,6 @@ def winning_strategies(
     build: FreeGameBuild, assignment: int
 ) -> tuple[ProverStrategy, ProverStrategy]:
     """Encode a (satisfying) global assignment as a strategy per prover."""
-    s1 = tuple(
-        sum(((assignment >> v) & 1) << t for t, v in enumerate(vs))
-        for vs in build.x_vars
-    )
-    s2 = tuple(
-        sum(((assignment >> v) & 1) << t for t, v in enumerate(vs))
-        for vs in build.y_vars
-    )
+    s1 = tuple(_project(assignment, vs) for vs in build.x_vars)
+    s2 = tuple(_project(assignment, vs) for vs in build.y_vars)
     return ProverStrategy(answers=s1), ProverStrategy(answers=s2)

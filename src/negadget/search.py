@@ -213,7 +213,7 @@ def lmm_best_welfare(
     checked, truncated = _scan_size(game, k, budget)
     # Welfare compared as integers on the scan's scale; max() keeps the
     # first of equal maxima, the lowest-index best welfare.
-    hits = _integer_scan(e, k, budget, *cleared(game.R, game.Ct))
+    hits = _integer_scan(e, k, checked, *cleared(game.R, game.Ct))
     best = max(hits, key=lambda c: c[3] + c[4], default=None)
     if best is None:
         return SearchOutcome(
@@ -228,9 +228,14 @@ def lmm_best_welfare(
 
 
 def _scan_size(game: BimatrixGame, k: int, budget: int) -> tuple[int, bool]:
-    """(candidates a k-uniform scan checks, whether the budget cuts it)."""
+    """(candidates a k-uniform scan checks, whether the budget cuts it).
+
+    The budget counts candidates, but one candidate holds k indices a side,
+    so a k above the budget checks none and the scan builds nothing.
+    """
     total = k_uniform_count(game.rows, k) * k_uniform_count(game.cols, k)
-    return min(total, max(budget, 0)), total > budget
+    checked = 0 if k > budget else min(total, budget)
+    return checked, total > checked
 
 
 def _eps_ne_scan(
@@ -268,6 +273,8 @@ def _integer_scan(
     here.  Ct @ x is computed once per x and R @ y once per y; a y is kept
     only once the scan reaches it, so nothing outside the budget is built.
     """
+    if budget < 1:
+        return
     unit = k * k * scale
     slack = eps.numerator * unit // eps.denominator
     fresh_ys = _multisets(len(ct_int), k)
@@ -286,12 +293,12 @@ def _integer_scan(
         col_vals = [sum(col[i] for i in xc) for col in ct_int]
         col_least = k * max(col_vals) - slack
         for yc, row_vals, row_least in each_y():
-            if index >= budget:
-                return
             if ((row_pay := sum(row_vals[i] for i in xc)) >= row_least
                     and (col_pay := sum(col_vals[j] for j in yc)) >= col_least):
                 yield index, xc, yc, row_pay, col_pay
             index += 1
+            if index >= budget:
+                return
 
 
 def _reverified(game: BimatrixGame, p: MixedProfile, eps: Fraction) -> MixedProfile:
@@ -564,7 +571,7 @@ def decide_many(
     if scan:
         checked, truncated = _scan_size(game, k, budget)
         found: list[MixedProfile] = []  # earlier hits, kept while p3 is pending
-        for index, x, y, row_pay, col_pay in _eps_ne_scan(game, eps, k, budget):
+        for index, x, y, row_pay, col_pay in _eps_ne_scan(game, eps, k, checked):
             p = MixedProfile(x=x, y=y)
             for i, inst in list(scan.items()):
                 if inst.problem_id == 3:  # witnessed by a far-apart pair (q, p)

@@ -1,6 +1,7 @@
 """Independent oracles that only the tests use: exact Gaussian
-elimination, the exact equilibria of games up to 5x5, and the grid eps-NE
-sweep.
+elimination, the exact equilibria of games up to 5x5, the grid eps-NE
+sweep, and the clause/variable free game and MAX-3SAT checked literal by
+literal.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from negadget.games import (
     frac,
     regret_report,
 )
+from negadget.sat import Cnf3Formula, FreeGameBuild
 from negadget.search import (
     _eps_ne_scan,
     _reverified,
@@ -128,3 +130,50 @@ def grid_eps_ne(
         _reverified(game, MixedProfile(x=x, y=y), e)
         for _, x, y, _, _ in _eps_ne_scan(game, e, grid, math.inf)
     ]
+
+
+def _literal_true(lit: int, value: int) -> bool:
+    """Whether the signed 1-based literal holds when its variable is
+    ``value`` (0 or 1)."""
+    return (lit > 0) == bool(value)
+
+
+def free_game_verdict(
+    f: Cnf3Formula, build: FreeGameBuild, i: int, j: int, a: int, b: int
+) -> int:
+    """V(i, j, a, b) of the clause/variable free game, entry by entry: Y
+    answer b satisfies every clause of question j and agrees with X answer
+    a on every variable both questions assign."""
+    assign_b = {v: (b >> t) & 1 for t, v in enumerate(build.y_vars[j])}
+    for ci in build.y_clauses[j]:
+        if not any(_literal_true(lit, assign_b[abs(lit) - 1])
+                   for lit in f.clauses[ci]):
+            return 0
+    for t, v in enumerate(build.x_vars[i]):
+        if v in assign_b and ((a >> t) & 1) != assign_b[v]:
+            return 0
+    return 1
+
+
+def max_sat_reference(f: Cnf3Formula) -> tuple[int, Fraction]:
+    """(lowest bitmask satisfying the most clauses, the fraction it
+    satisfies), every clause of every mask checked literal by literal."""
+    if not f.clauses:
+        return 0, Fraction(1)
+
+    def hits(mask: int) -> int:
+        return sum(
+            any(_literal_true(lit, (mask >> (abs(lit) - 1)) & 1) for lit in c)
+            for c in f.clauses
+        )
+
+    best = max(range(2**f.num_vars), key=hits)  # the first of equal maxima
+    return best, Fraction(hits(best), f.num_clauses)
+
+
+def strategy_answer(variables: Sequence[int], assignment: int) -> int:
+    """The answer index that gives each of ``variables`` (0-based) its value
+    in the bitmask ``assignment``, read as the binary numeral whose t-th
+    lowest digit is variables[t]'s value."""
+    digits = "".join(str((assignment >> v) & 1) for v in reversed(variables))
+    return int(digits or "0", 2)

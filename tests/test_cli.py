@@ -162,6 +162,18 @@ class TestForge:
             b"#block ROW_IP 2 3 0 3\n"
         )
 
+    def test_eps_star_checked_only_where_used(self, tmp_path, capsys):
+        # eps* = 1/8 gives delta* = 0: G' rejects it, G'' takes no eps*.
+        base = tmp_path / "base.bgm"
+        base.write_text("bgm 1\n1 1\n1/2 1/4\n")
+        gp, gdp = tmp_path / "gp.bgm", tmp_path / "gdp.bgm"
+        eps_star = ["--eps-star", "1/8"]
+        assert main(["forge", "gprime", str(base), "-o", str(gp)] + eps_star) == 3
+        assert "delta*=0" in capsys.readouterr().err
+        assert main(["forge", "gprime", str(base), "-o", str(gp)]) == 0
+        assert main(["forge", "gdoubleprime", str(gp), "-o", str(gdp)] + eps_star) == 0
+        assert formats.parse_bgm(gdp.read_text()).rows == 3
+
     def test_build_and_extend(self, tmp_path):
         cnf = tmp_path / "f.cnf"
         cnf.write_text(SINGLE_CNF)

@@ -16,8 +16,15 @@ from pathlib import Path
 import pytest
 
 from negadget.corpus import satisfiable_fixtures, unsatisfiable_fixtures
+from negadget.formats import write_fgm
 from negadget.pipeline import PipelineConfig, run_pipeline
-from negadget.sat import Cnf3Formula
+from negadget.sat import (
+    Cnf3Formula,
+    build_clause_variable_free_game,
+    formula_degree,
+    incidence_graph,
+    partition_bipartite,
+)
 
 # A satisfiable formula whose G is 292x2370, large enough that a per-entry
 # cost in the gadget layer or the writers shows.  It stays out of the
@@ -27,6 +34,17 @@ PROBE = Cnf3Formula(num_vars=10, clauses=(
     (4, -6, -1), (-2, -9, 6), (-5, 9, 6), (-3, -7, 9), (-3, -10, -7),
     (-10, -2, 6), (6, -9, -3),
 ))
+
+# A satisfiable formula whose free game has 33,284 Y answers, large enough
+# that a per-entry cost in the verdict table shows.  Only its F.fgm is
+# pinned: the whole pipeline on it takes tens of seconds.
+WIDE_PROBE = Cnf3Formula(num_vars=15, clauses=(
+    (-3, 10, 13), (8, 15, 11), (15, -14, 7), (-8, -5, 12), (6, -1, -14),
+    (-7, -11, -4), (-13, 8, -14), (-13, 8, -5), (15, -11, -2), (-2, -12, -6),
+    (7, 9, -11), (8, -14, 9), (12, 13, -7), (-12, 13, -11), (-2, 13, 3),
+    (1, -8, -15),
+))
+WIDE_PROBE_FGM = "4fa4ff3bb647a4fd906ff209fa48fe66d1790c1e5cc868ef4980a80d81408b21"
 
 FIXTURES = {
     **satisfiable_fixtures(),
@@ -154,3 +172,11 @@ def test_artifacts_match_golden_hashes(name, tmp_path, monkeypatch):
         key: value for key, value in GOLDEN.items()
         if key.startswith(f"{name}/")
     }
+
+
+def test_wide_probe_free_game_matches_golden_hash():
+    partition = partition_bipartite(
+        incidence_graph(WIDE_PROBE), formula_degree(WIDE_PROBE)
+    )
+    text = write_fgm(build_clause_variable_free_game(WIDE_PROBE, partition).game)
+    assert hashlib.sha256(text.encode()).hexdigest() == WIDE_PROBE_FGM

@@ -6,7 +6,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from negadget import pipeline, sat
 from negadget.corpus import (
     full_sign_pattern,
     random_bipartite_graph,
@@ -21,11 +24,13 @@ from negadget.sat import (
     build_clause_variable_free_game,
     formula_degree,
     incidence_graph,
+    max_sat,
     max_sat_fraction,
     parse_dimacs,
     partition_bipartite,
     winning_strategies,
 )
+from oracles import free_game_verdict, max_sat_reference, strategy_answer
 
 F = Fraction
 
@@ -106,6 +111,26 @@ class TestMaxSat:
         f = Cnf3Formula(num_vars=3, clauses=((1, 2, 3),))
         # mask 1 (x1 true) already satisfies; mask 0 does not.
         assert best_assignment(f) == 1
+
+    def test_pipeline_runs_one_max_sat_pass(self, tmp_path, monkeypatch):
+        # The certificate takes the pass's mask instead of a second search.
+        passes = []
+        real = sat.max_sat
+
+        def spy(f, budget):
+            passes.append(f)
+            return real(f, budget)
+
+        monkeypatch.setattr(sat, "max_sat", spy)
+        monkeypatch.setattr(pipeline, "max_sat", spy)
+        cnf = tmp_path / "single.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+        report = pipeline.run_pipeline(
+            pipeline.PipelineConfig(cnf_path=str(cnf), out_dir=str(tmp_path / "out"))
+        )
+        assert report["satisfiable"]
+        assert "certificate" in report
+        assert len(passes) == 1
 
 
 class TestIncidenceGraph:
@@ -227,6 +252,49 @@ class TestFreeGame:
         partition = partition_bipartite(graph, formula_degree(f))
         with pytest.raises(ResourceError):
             build_clause_variable_free_game(f, partition, answer_cap=2)
+
+
+@st.composite
+def _formulas(draw):
+    """3-8 variables and 1-10 clauses over distinct variables."""
+    n = draw(st.integers(3, 8))
+    clause = st.tuples(
+        st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True),
+        st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    ).map(lambda c: tuple(v if pos else -v for v, pos in zip(*c)))
+    return Cnf3Formula(num_vars=n,
+                       clauses=tuple(draw(st.lists(clause, min_size=1, max_size=10))))
+
+
+class TestClauseEncodingMatchesLiterals:
+    @settings(max_examples=60, deadline=None)
+    @given(f=_formulas())
+    def test_table_max_sat_and_strategies(self, f):
+        build = build_clause_variable_free_game(
+            f, partition_bipartite(incidence_graph(f), formula_degree(f))
+        )
+        game = build.game
+        assert game.table == tuple(
+            tuple(
+                tuple(
+                    tuple(free_game_verdict(f, build, i, j, a, b)
+                          for b in range(game.y_answers[j]))
+                    for a in range(game.x_answers[i])
+                )
+                for j in range(game.ny)
+            )
+            for i in range(game.nx)
+        )
+        mask, fraction = max_sat(f, 2**20)
+        assert (mask, fraction) == max_sat_reference(f)
+        s1, s2 = winning_strategies(build, mask)
+        assert s1.answers == tuple(strategy_answer(vs, mask) for vs in build.x_vars)
+        assert s2.answers == tuple(strategy_answer(vs, mask) for vs in build.y_vars)
+        if fraction == 1:
+            assert all(
+                free_game_verdict(f, build, i, j, s1.answers[i], s2.answers[j])
+                for i in range(game.nx) for j in range(game.ny)
+            )
 
 
 class TestGapLemma:

@@ -475,6 +475,12 @@ def _reference_hits(game, eps, k, budget):
     return hits, min(len(pairs), budget), len(pairs) > budget
 
 
+def _scan_budget(k, budget):
+    """The candidates `decide` and `lmm_best_welfare` may check: none when
+    k, the indices one size-k candidate holds a side, exceeds the budget."""
+    return 0 if k > budget else budget
+
+
 _QUARTERS = st.sampled_from([F(i, 4) for i in range(5)])
 
 
@@ -501,7 +507,9 @@ class TestScanMatchesBruteForce:
     def test_lmm_and_decide_agree_with_regret_report(
         self, game, k, eps, budget, threshold
     ):
-        hits, checked, truncated = _reference_hits(game, eps, k, budget)
+        hits, checked, truncated = _reference_hits(
+            game, eps, k, _scan_budget(k, budget)
+        )
         miss = "unknown" if truncated else "no"
 
         out = lmm_best_welfare(game, eps, k, budget=budget)
@@ -578,7 +586,9 @@ class TestLmmIntegerWelfare:
         # Signed entries with mixed denominators, so equal and near-equal
         # welfares come from payoffs with different denominators.
         game, eps, k, budget = case
-        hits, checked, truncated = _reference_hits(game, eps, k, budget)
+        hits, checked, truncated = _reference_hits(
+            game, eps, k, _scan_budget(k, budget)
+        )
         out = lmm_best_welfare(game, eps, k, budget=budget)
         if not hits:
             miss = "unknown" if truncated else "no"
@@ -613,6 +623,23 @@ class TestScanBudget:
         assert out.answer == "unknown"
         assert out.checked_count == 1000
         assert peak < 4 * 2**20, peak
+
+    def test_k_above_budget_builds_no_candidate(self):
+        # One candidate at k = 10**6 holds a million indices a side; at
+        # budget 3 the scan answers unknown before it builds any.
+        game = BimatrixGame(R=[[(i * j) % 5 for j in range(13)] for i in range(10)],
+                            C=[[(i + j) % 3 for j in range(13)] for i in range(10)])
+        inst = DecisionInstance(problem_id=1, game=game, eps=F(1, 8), u=F(1, 2))
+        tracemalloc.start()
+        try:
+            out = decide(inst, k=10**6, budget=3)
+            welfare = lmm_best_welfare(game, F(1, 8), 10**6, budget=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (out.answer, out.checked_count) == ("unknown", 0)
+        assert (welfare.answer, welfare.checked_count) == ("unknown", 0)
+        assert peak < 2**20, peak
 
 
 @st.composite
