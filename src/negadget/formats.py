@@ -157,6 +157,9 @@ def write_bgm(game: BimatrixGame) -> str:
 
 
 def parse_prof(text: str, normalize: bool = False) -> MixedProfile:
+    """Parse a `.prof` profile.  Each distinct entry token is parsed once per
+    call, so equal entries share one Fraction and a regret report groups
+    them (`games.mat_vec`)."""
     lines = _data_lines(text)
     if not lines or lines[0] != "prof 1":
         raise FormatError("missing 'prof 1' header")
@@ -166,7 +169,8 @@ def parse_prof(text: str, normalize: bool = False) -> MixedProfile:
         raise FormatError("bad dimension line") from exc
     if rows < 1 or cols < 1:
         raise FormatError(f"dimensions must be positive, got {rows} {cols}")
-    entries = [_parse_rational(l) for l in lines[2:]]
+    values = {tok: _parse_rational(tok) for tok in dict.fromkeys(lines[2:])}
+    entries = [values[tok] for tok in lines[2:]]
     if len(entries) != rows + cols:
         raise FormatError(
             f"expected {rows + cols} entries, found {len(entries)}"

@@ -226,14 +226,16 @@ def completeness_certificate(
         raise ShapeError("free game does not match the gadget game")
     if prover_payoff(f, s1, s2) != 1:
         raise PreconditionError("strategies must win with probability 1")
+    # One object per side's weight, so a regret report groups its support.
+    x_mass, y_mass = Fraction(1, f.nx), Fraction(1, f.ny)
     x = [Fraction(0)] * gg.game.rows
     y = [Fraction(0)] * gg.game.cols
     for i, label in enumerate(gg.row_index):
         if label[0] == "qa" and s1.answers[label[1]] == label[2]:
-            x[i] = Fraction(1, f.nx)
+            x[i] = x_mass
     for j, label in enumerate(gg.col_index):
         if label[0] == "qa" and s2.answers[label[1]] == label[2]:
-            y[j] = Fraction(1, f.ny)
+            y[j] = y_mass
     return MixedProfile(x=tuple(x), y=tuple(y))
 
 

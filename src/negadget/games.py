@@ -7,7 +7,12 @@ Each game holds the column player's payoffs transposed (``Ct``), so both
 players' sides are the same computation: R against y for the row player
 and Ct against x for the column player, through the one kernel
 ``mat_vec``.  The kernel and ``dot`` read only the nonzero entries of a
-mixed strategy, so a report costs in proportion to the supports.
+mixed strategy, and the kernel computes each distinct row pattern on the
+support once: rows that hold the same entry objects under the same weight
+objects share one value.  So a report costs per distinct row pattern on
+the support, not per cell, when a game is laid out from a few shared
+entries (as the gadget games are) and a profile shares its weights.
+Games and profiles keep the `Fraction` objects they are given.
 ``regret_report`` stays in `Fraction` arithmetic: it is the exact oracle
 that the integer k-uniform scan of `negadget.search` is checked against.
 Every integer kernel (that scan, the support LPs, the simplex and
@@ -18,8 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
+from operator import add, itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import InvariantError, ParameterError, ShapeError, ValidationError
@@ -44,7 +50,8 @@ def frac(value: Rational) -> Fraction:
 def vector(entries: Iterable[Rational]) -> Vector:
     # tuple() of lists here and below: a tuple grown from a generator by
     # resizing is kept in CPython's free lists, which then fill up the heap.
-    return tuple([frac(e) for e in entries])
+    # Fractions are kept as given (not copied), so shared objects stay shared.
+    return tuple([e if isinstance(e, Fraction) else Fraction(e) for e in entries])
 
 
 def matrix(rows: Iterable[Iterable[Rational]]) -> Matrix:
@@ -72,11 +79,40 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
     """m @ v (one entry per row): the one matrix-vector kernel.  It reads
-    only the nonzero entries of v, the support of a mixed strategy."""
+    only the nonzero entries of v, the support of a mixed strategy, and
+    computes each distinct row pattern on the support once.
+
+    The support's columns are grouped by weight object; a row's pattern is,
+    for each group, the sorted ids of its entries in that group's columns.
+    Rows of one pattern hold the same objects under the same weights, so
+    they share one value: the sum over the groups of w times the sum of the
+    group's entries.  Objects are compared, not values: one object has one
+    value, and hashing a Fraction costs more than the products it saves.
+    So the result is exact for any input; sharing decides only how often a
+    value is computed.
+    """
     if m and len(m[0]) != len(v):
         raise ShapeError(f"mat_vec: {len(m[0])} columns vs length {len(v)}")
-    support = [(j, e) for j, e in enumerate(v) if e]
-    return tuple([sum((row[j] * e for j, e in support), Fraction(0)) for row in m])
+    by_weight: dict[int, tuple[Fraction, list[int]]] = {}
+    for j, e in enumerate(v):
+        if e:
+            by_weight.setdefault(id(e), (e, []))[1].append(j)
+    # Each getter returns a tuple of a row's entries in one group's columns
+    # (a one-column group takes a slice: itemgetter(j) returns the entry).
+    groups = [(w, itemgetter(*cols) if len(cols) > 1
+               else itemgetter(slice(cols[0], cols[0] + 1)))
+              for w, cols in by_weight.values()]
+    # An empty support has one pattern, (), whose value is 0.
+    values: dict[tuple, Fraction] = {(): Fraction(0)}
+    out = []
+    for row in m:
+        key = tuple([tuple(sorted(map(id, get(row)))) for _, get in groups])
+        value = values.get(key)
+        if value is None:
+            value = values[key] = reduce(
+                add, [w * reduce(add, get(row)) for w, get in groups])
+        out.append(value)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -213,7 +249,10 @@ def _side(
     player with payoff matrix ``payoff`` and strategy ``own`` against
     ``opp``: (R, x, y) for the row player, (Ct, y, x) for the column."""
     vals = mat_vec(payoff, opp)
-    return dot(own, vals), max(vals), min(v for v, e in zip(vals, own) if e > 0)
+    # Rows of one pattern share one object (see mat_vec): compare it once.
+    best = max({id(v): v for v in vals}.values())
+    worst = min({id(v): v for v, e in zip(vals, own) if e}.values())
+    return dot(own, vals), best, worst
 
 
 def regret_report(game: BimatrixGame, p: MixedProfile) -> RegretReport:

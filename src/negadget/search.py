@@ -210,6 +210,7 @@ def lmm_best_welfare(
     the budget.
     """
     e = frac(eps)
+    _check_budget(budget)
     checked, truncated = _scan_size(game, k, budget)
     # Welfare compared as integers on the scan's scale; max() keeps the
     # first of equal maxima, the lowest-index best welfare.
@@ -225,6 +226,12 @@ def lmm_best_welfare(
     return SearchOutcome(
         answer="unknown" if truncated else "yes", witness=witness, checked_count=checked
     )
+
+
+def _check_budget(budget: int) -> None:
+    """A negative budget is invalid input, not a reason to answer unknown."""
+    if budget < 0:
+        raise ParameterError(f"budget must be nonnegative, got {budget}")
 
 
 def _scan_size(game: BimatrixGame, k: int, budget: int) -> tuple[int, bool]:
@@ -534,6 +541,7 @@ def decide_many(
     only the support pairs that some pending problem's predicate accepts,
     since a pair's witness has exactly that pair as its supports.
     """
+    _check_budget(budget)
     if not insts:
         return []
     game, eps = insts[0].game, insts[0].eps

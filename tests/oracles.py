@@ -1,7 +1,7 @@
-"""Independent oracles that only the tests use: exact Gaussian
-elimination, the exact equilibria of games up to 5x5, the grid eps-NE
-sweep, and the clause/variable free game and MAX-3SAT checked literal by
-literal.
+"""Independent oracles that only the tests use: the matrix-vector product
+and regret report computed cell by cell, exact Gaussian elimination, the
+exact equilibria of games up to 5x5, the grid eps-NE sweep, and the
+clause/variable free game and MAX-3SAT checked literal by literal.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from negadget.games import (
     Matrix,
     MixedProfile,
     Rational,
+    RegretReport,
     Vector,
     frac,
     regret_report,
@@ -28,6 +29,30 @@ from negadget.search import (
     _spread,
     k_uniform_strategies,
 )
+
+
+def mat_vec_per_cell(m: Matrix, v: Sequence[Fraction]) -> Vector:
+    """m @ v with one product and one sum per row and support cell, the
+    reference for `games.mat_vec`."""
+    support = [(j, e) for j, e in enumerate(v) if e]
+    return tuple([sum((row[j] * e for j, e in support), Fraction(0)) for row in m])
+
+
+def regret_report_per_cell(game: BimatrixGame, p: MixedProfile) -> RegretReport:
+    """`games.regret_report` recomputed from `mat_vec_per_cell`, taking the
+    best and the worst-on-support payoff over every entry."""
+    fields = {}
+    for side, payoff, own, opp in (("row", game.R, p.x, p.y),
+                                   ("col", game.Ct, p.y, p.x)):
+        vals = mat_vec_per_cell(payoff, opp)
+        pay = sum((a * b for a, b in zip(own, vals)), Fraction(0))
+        best = max(vals)
+        fields[f"{side}_payoff"] = pay
+        fields[f"{side}_regret"] = best - pay
+        fields[f"{side}_pure_regret"] = best - min(
+            v for v, e in zip(vals, own) if e > 0)
+    return RegretReport(welfare=fields["row_payoff"] + fields["col_payoff"],
+                        **fields)
 
 
 def solve_linear(

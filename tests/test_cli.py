@@ -277,6 +277,12 @@ class TestInputErrors:
         assert main(argv) == 3
         self._assert_one_line_error(capsys)
 
+    def test_negative_budget_is_not_unknown(self, coordination_paths, capsys):
+        game, _ = coordination_paths
+        argv = ["decide", "p1", str(game), "--eps", "0", "--u", "1", "--budget", "-1"]
+        assert main(argv) == 3
+        self._assert_one_line_error(capsys)
+
     def test_negative_k(self, coordination_paths, capsys):
         game, _ = coordination_paths
         argv = ["decide", "p1", str(game), "--eps", "0", "--u", "1", "--k", "-1"]

@@ -152,6 +152,13 @@ class TestProf:
         p = MixedProfile(x=(1 - TINY, TINY), y=(F(1),))
         assert formats.parse_prof(formats.write_prof(p)) == p
 
+    def test_equal_tokens_share_one_fraction(self):
+        text = "prof 1\n3 2\n1/4\n1/2\n1/4\n1/2\n1/2\n"
+        p = formats.parse_prof(text)
+        assert p.x[0] is p.x[2]
+        assert p.x[1] is p.y[0] is p.y[1]
+        assert formats.write_prof(p) == text
+
     def test_normalize_flag(self):
         text = "prof 1\n2 1\n1\n2\n5\n"
         p = formats.parse_prof(text, normalize=True)

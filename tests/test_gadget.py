@@ -246,6 +246,12 @@ class TestCertificate:
             assert ok_u and w_u == 2
             assert ok_s and w_s == F(10, 8)
 
+    def test_one_weight_object_per_side(self, sat_builds):
+        # Shared weights let a regret report group the support (mat_vec).
+        cert = sat_builds["two-clause"].cert
+        for side in (cert.x, cert.y):
+            assert len({id(e) for e in side if e}) == 1
+
     def test_wsne_on_rescaled(self, sat_builds, params):
         for b in sat_builds.values():
             gs = rescale_game(b.gadget)

@@ -17,11 +17,13 @@ from negadget.games import (
     cleared,
     is_eps_ne,
     is_eps_wsne,
+    mat_vec,
     pure_profile,
     regret_report,
     social_welfare,
     tv_distance,
 )
+from oracles import mat_vec_per_cell, regret_report_per_cell
 
 F = Fraction
 
@@ -180,6 +182,16 @@ def test_cleared_shares_one_denominator():
     assert cleared([[1, -2]]) == ([[1, -2]], 1)
 
 
+def test_game_keeps_fraction_objects_and_coerces_the_rest():
+    half, third = F(1, 2), F(1, 3)
+    game = BimatrixGame(R=((half, third), (half, 1)), C=(("1/4", half), (0, third)))
+    assert game.R[0][0] is half and game.R[1][0] is half and game.C[0][1] is half
+    assert game.R[0][1] is third and game.C[1][1] is third
+    assert game.R[1][1] == 1 and type(game.R[1][1]) is Fraction
+    assert game.C[0][0] == F(1, 4) and type(game.C[0][0]) is Fraction
+    assert game.C[1][0] == 0 and type(game.C[1][0]) is Fraction
+
+
 class TestBlocks:
     def test_partition_required(self):
         with pytest.raises(ValidationError):
@@ -260,3 +272,58 @@ def test_regret_report_matches_double_sums(game_and_profile):
         row_vals[i] for i in rows if p.x[i] > 0)
     assert rep.col_pure_regret == max(col_vals) - min(
         col_vals[j] for j in cols if p.y[j] > 0)
+
+
+# A few shared entry objects; a drawn entry is one of them or a fresh copy
+# of one, equal in value but a different object.
+POOL = (F(0), F(1), F(-1, 2), F(3, 4))
+_pool_entry = st.one_of(
+    st.sampled_from(POOL),
+    st.sampled_from(POOL).map(lambda e: F(e.numerator, e.denominator)),
+)
+
+
+@st.composite
+def _shared_weights(draw, n):
+    """Weights 0-3 normalized to sum 1; each entry is the first object of
+    its value or a fresh one, so equal weights are sometimes one object and
+    sometimes not, and different values occur."""
+    w = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    first: dict[Fraction, Fraction] = {}
+    out = []
+    for e in w:
+        value = F(e, sum(w))
+        out.append(first.setdefault(value, value) if draw(st.booleans()) else value)
+    return tuple(out)
+
+
+@st.composite
+def _pool_rows(draw, rows, cols):
+    """Rows of pool entries; a row is often a permutation of an earlier one,
+    so equal entries meet under different weights."""
+    out: list[list[Fraction]] = []
+    for _ in range(rows):
+        if out and draw(st.booleans()):
+            out.append(draw(st.permutations(draw(st.sampled_from(out)))))
+        else:
+            out.append(draw(st.lists(_pool_entry, min_size=cols, max_size=cols)))
+    return out
+
+
+@st.composite
+def _shared_game_and_profile(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    # R's rows and C's columns meet the weights of y and x.
+    game = BimatrixGame(R=draw(_pool_rows(rows, cols)),
+                        C=list(zip(*draw(_pool_rows(cols, rows)))))
+    return game, MixedProfile(x=draw(_shared_weights(rows)),
+                              y=draw(_shared_weights(cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_game_and_profile())
+def test_shared_objects_match_the_per_cell_reference(game_and_profile):
+    game, p = game_and_profile
+    assert mat_vec(game.R, p.y) == mat_vec_per_cell(game.R, p.y)
+    assert mat_vec(game.Ct, p.x) == mat_vec_per_cell(game.Ct, p.x)
+    assert regret_report(game, p) == regret_report_per_cell(game, p)

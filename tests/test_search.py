@@ -641,6 +641,21 @@ class TestScanBudget:
         assert (welfare.answer, welfare.checked_count) == ("unknown", 0)
         assert peak < 2**20, peak
 
+    def test_negative_budget_is_a_parameter_error(self):
+        inst = DecisionInstance(problem_id=1, game=MATCHING_PENNIES, eps=0, u=1)
+        with pytest.raises(ParameterError, match="budget"):
+            decide_many([inst], k=1, budget=-1)
+        with pytest.raises(ParameterError, match="budget"):
+            lmm_best_welfare(MATCHING_PENNIES, 0, 1, budget=-1)
+
+    def test_budget_zero_checks_nothing(self):
+        insts = [DecisionInstance(problem_id=1, game=MATCHING_PENNIES, eps=0, u=1),
+                 DecisionInstance(problem_id=7, game=MATCHING_PENNIES, eps=0, k=1)]
+        outs = decide_many(insts, k=1, budget=0)
+        assert [(o.answer, o.checked_count) for o in outs] == [("unknown", 0)] * 2
+        out = lmm_best_welfare(MATCHING_PENNIES, 0, 1, budget=0)
+        assert (out.answer, out.checked_count) == ("unknown", 0)
+
 
 @st.composite
 def _shared_decisions(draw):
