@@ -22,10 +22,11 @@ Every integer kernel (that scan, the support LPs, the simplex and
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import InvariantError, ParameterError, ShapeError, ValidationError
@@ -193,9 +194,15 @@ class MixedProfile:
         for name, v in (("x", self.x), ("y", self.y)):
             if not v:
                 raise ShapeError(f"{name} is empty")
-            if any(e < 0 for e in v):
+            # Each distinct object is checked once, since a profile of a wide
+            # game holds a few shared weights: the sum is count * w over the
+            # distinct objects (in first-seen order, as the counts are),
+            # cleared to integers.
+            objects = dict(zip(map(id, v), v))
+            if any(e.numerator < 0 for e in objects.values()):
                 raise ValidationError(f"{name} has a negative entry")
-            if sum(v) != 1:
+            (weights,), scale = cleared([objects.values()])
+            if sum(map(mul, Counter(map(id, v)).values(), weights)) != scale:
                 raise ValidationError(f"{name} does not sum to 1")
 
     @property

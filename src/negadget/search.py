@@ -59,8 +59,10 @@ class SearchOutcome:
     witness that re-verifies exactly.  For problem 3 the witness is the
     first profile of the far-apart pair and ``witness_pair`` holds both.
 
-    ``checked_count`` counts the candidates checked up to the answer:
-    k-uniform profiles for problems 1-6, and for problems 7-10 the support
+    ``checked_count`` counts the candidates decided up to the answer:
+    k-uniform profiles for problems 1-6, whether tested or ruled out
+    untested because a column of y lies outside the slack of x's best
+    response (see `_integer_scan`), and for problems 7-10 the support
     pairs that pass the problem's predicate.  A hint that answers counts 0.
     """
 
@@ -148,7 +150,9 @@ def _multiset_vector(n: int, combo: Sequence[int]) -> Vector:
     counts = [0] * n
     for i in combo:
         counts[i] += 1
-    return tuple([Fraction(c, len(combo)) for c in counts])
+    # One Fraction per multiplicity, so the vector holds at most k+1 objects.
+    weights = {c: Fraction(c, len(combo)) for c in set(counts)}
+    return tuple([weights[c] for c in counts])
 
 
 def k_uniform_count(n: int, k: int) -> int:
@@ -210,6 +214,8 @@ def lmm_best_welfare(
     the budget.
     """
     e = frac(eps)
+    if e < 0:
+        raise ValidationError("eps must be nonnegative")
     _check_budget(budget)
     checked, truncated = _scan_size(game, k, budget)
     # Welfare compared as integers on the scan's scale; max() keeps the
@@ -267,45 +273,69 @@ def _integer_scan(
     """Stream the k-uniform eps-NE among the first ``budget`` candidates.
 
     Candidates (x, y) run in lexicographic order of their size-k
-    multisets, x outermost.  Each passing candidate is yielded as (index,
-    x multiset, y multiset, row payoff, col payoff), the payoffs as
-    integers over k*k*scale.
+    multisets, x outermost, and candidate (x, y) has index
+    rank(x)*C(m+k-1, k) + rank(y) for m columns.  Each passing candidate is
+    yielded as (index, x multiset, y multiset, row payoff, col payoff), the
+    payoffs as integers over k*k*scale.
 
     The test uses integers only.  ``r_int`` and ``ct_int`` are L*R and L*Ct,
     cleared by `games.cleared` over one L (``scale``), so a multiset y gives
     the integer vector vals = k*L*(R @ y) and a multiset x the payoff
     pay = k*k*L*(x @ R @ y), and the same for the column side.  With
     eps = a/b a side passes iff b*(k*max(vals) - pay) <= a*L*k*k, that is
-    iff pay >= k*max(vals) - floor(a*L*k*k / b).  No Fraction is built
-    here.  Ct @ x is computed once per x and R @ y once per y; a y is kept
-    only once the scan reaches it, so nothing outside the budget is built.
+    iff k*max(vals) - pay <= slack = floor(a*L*k*k / b).  No Fraction is
+    built here.
+
+    For the column side, k*max(vals) - pay is the sum over y's columns j of
+    max(vals) - vals[j], and every term is at least 0.  So a y is visited
+    only when every one of its columns is within the slack of x's best
+    response; any other y fails, and is decided without being visited.
+    Ct @ x is computed once per x, and R @ y once per y that passes a
+    column test inside the budget.  The scan stops at the first x past the
+    budget, and inside the x where the budget ends it ranks each y before
+    building anything for it, so nothing outside the budget is built.
     """
     if budget < 1:
         return
     unit = k * k * scale
     slack = eps.numerator * unit // eps.denominator
-    fresh_ys = _multisets(len(ct_int), k)
-    # (y's multiset, k*L*(R @ y), the least row payoff that passes)
-    seen_ys: list[tuple[Multiset, list[int], int]] = []
-
-    def each_y() -> Iterator[tuple[Multiset, list[int], int]]:
-        yield from seen_ys
-        for yc in fresh_ys:
-            row_vals = [sum(row[j] for j in yc) for row in r_int]
-            seen_ys.append((yc, row_vals, k * max(row_vals) - slack))
-            yield seen_ys[-1]
-
-    index = 0
-    for xc in _multisets(len(r_int), k):
+    m = len(ct_int)
+    per_x = comb(m + k - 1, k)
+    # y's multiset -> (k*L*(R @ y), the least row payoff that passes)
+    rows_of: dict[Multiset, tuple[list[int], int]] = {}
+    for x_rank, xc in enumerate(_multisets(len(r_int), k)):
+        base = x_rank * per_x
+        if base >= budget:
+            return
+        cut = base + per_x > budget
         col_vals = [sum(col[i] for i in xc) for col in ct_int]
-        col_least = k * max(col_vals) - slack
-        for yc, row_vals, row_least in each_y():
-            if ((row_pay := sum(row_vals[i] for i in xc)) >= row_least
-                    and (col_pay := sum(col_vals[j] for j in yc)) >= col_least):
-                yield index, xc, yc, row_pay, col_pay
-            index += 1
-            if index >= budget:
+        top = max(col_vals)
+        allowed = [j for j, v in enumerate(col_vals) if top - v <= slack]
+        col_least = k * top - slack
+        for yc in itertools.combinations_with_replacement(allowed, k):
+            if cut and base + _multiset_rank(yc, m) >= budget:
                 return
+            if (col_pay := sum(col_vals[j] for j in yc)) < col_least:
+                continue
+            entry = rows_of.get(yc)
+            if entry is None:
+                row_vals = [sum(row[j] for j in yc) for row in r_int]
+                entry = rows_of[yc] = (row_vals, k * max(row_vals) - slack)
+            row_vals, row_least = entry
+            if (row_pay := sum(row_vals[i] for i in xc)) >= row_least:
+                yield base + _multiset_rank(yc, m), xc, yc, row_pay, col_pay
+
+
+def _multiset_rank(c: Multiset, m: int) -> int:
+    """The position of the sorted multiset ``c`` in ``_multisets(m, len(c))``.
+
+    c_t + t is a strictly increasing size-k subset of [n], n = m+k-1, in the
+    same lexicographic order, so its rank is the combinadic one:
+    C(n, k) - 1 - sum over t of C(n-1-c_t-t, k-t).
+    """
+    k = len(c)
+    n = m + k - 1
+    return comb(n, k) - 1 - sum(comb(n - 1 - j - t, k - t) for t, j in enumerate(c))
 
 
 def _reverified(game: BimatrixGame, p: MixedProfile, eps: Fraction) -> MixedProfile:

@@ -1,5 +1,6 @@
 """Independent oracles that only the tests use: the matrix-vector product
-and regret report computed cell by cell, exact Gaussian elimination, the
+and regret report computed cell by cell, the integer k-uniform scan
+candidate by candidate, exact Gaussian elimination, the
 exact equilibria of games up to 5x5, the grid eps-NE sweep, and the
 clause/variable free game and MAX-3SAT checked literal by literal.
 """
@@ -9,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from negadget.errors import ResourceError, ShapeError
 from negadget.games import (
@@ -24,7 +25,9 @@ from negadget.games import (
 )
 from negadget.sat import Cnf3Formula, FreeGameBuild
 from negadget.search import (
+    Multiset,
     _eps_ne_scan,
+    _multisets,
     _reverified,
     _spread,
     k_uniform_strategies,
@@ -53,6 +56,40 @@ def regret_report_per_cell(game: BimatrixGame, p: MixedProfile) -> RegretReport:
             v for v, e in zip(vals, own) if e > 0)
     return RegretReport(welfare=fields["row_payoff"] + fields["col_payoff"],
                         **fields)
+
+
+def integer_scan_per_candidate(
+    eps: Fraction, k: int, budget: float,
+    r_int: list[list[int]], ct_int: list[list[int]], scale: int,
+) -> Iterator[tuple[int, Multiset, Multiset, int, int]]:
+    """`search._integer_scan`'s hits, found by testing every candidate (x, y)
+    in index order, both sides in full: the reference for its pruned y loop.
+    """
+    if budget < 1:
+        return
+    slack = eps.numerator * k * k * scale // eps.denominator
+    fresh_ys = _multisets(len(ct_int), k)
+    # (y's multiset, k*L*(R @ y), the least row payoff that passes)
+    seen_ys: list[tuple[Multiset, list[int], int]] = []
+
+    def each_y() -> Iterator[tuple[Multiset, list[int], int]]:
+        yield from seen_ys
+        for yc in fresh_ys:
+            row_vals = [sum(row[j] for j in yc) for row in r_int]
+            seen_ys.append((yc, row_vals, k * max(row_vals) - slack))
+            yield seen_ys[-1]
+
+    index = 0
+    for xc in _multisets(len(r_int), k):
+        col_vals = [sum(col[i] for i in xc) for col in ct_int]
+        col_least = k * max(col_vals) - slack
+        for yc, row_vals, row_least in each_y():
+            if ((row_pay := sum(row_vals[i] for i in xc)) >= row_least
+                    and (col_pay := sum(col_vals[j] for j in yc)) >= col_least):
+                yield index, xc, yc, row_pay, col_pay
+            index += 1
+            if index >= budget:
+                return
 
 
 def solve_linear(

@@ -100,6 +100,40 @@ class TestProfiles:
         with pytest.raises(ValidationError):
             MixedProfile(x=(F(3, 2), F(-1, 2)), y=(1, 0))
 
+    def test_errors_come_in_order(self):
+        with pytest.raises(ShapeError, match="x is empty"):
+            MixedProfile(x=(), y=(F(-1),))
+        with pytest.raises(ValidationError, match="x has a negative entry"):
+            MixedProfile(x=(F(3, 2), F(-1, 2)), y=(F(1, 2),))
+        with pytest.raises(ValidationError, match="y does not sum to 1"):
+            MixedProfile(x=(1, 0), y=(F(1, 2),))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_shared_weights_count_once_per_entry(self, data):
+        # Entries drawn from a few shared objects and fresh equal copies, so
+        # one object stands for many entries and equal values for distinct
+        # objects; the verdict is that of the entry-by-entry checks.
+        shared = [F(0), F(1, 4), F(1, 2), F(1), F(-1, 4)]
+        pick = st.sampled_from(range(len(shared)))
+        entry = st.builds(lambda i, copy: F(shared[i]) if copy else shared[i],
+                          pick, st.booleans())
+        x, y = (data.draw(st.lists(entry, max_size=8)) for _ in range(2))
+        want = None
+        for name, v in (("x", x), ("y", y)):
+            if not v:
+                want = want or (ShapeError, f"{name} is empty")
+            elif any(e < 0 for e in v):
+                want = want or (ValidationError, f"{name} has a negative entry")
+            elif sum(v) != 1:
+                want = want or (ValidationError, f"{name} does not sum to 1")
+        if want is None:
+            p = MixedProfile(x=x, y=y)
+            assert (p.x, p.y) == (tuple(x), tuple(y))
+        else:
+            with pytest.raises(want[0], match=want[1]):
+                MixedProfile(x=x, y=y)
+
     def test_support(self):
         p = MixedProfile(x=(0, 1), y=(F(1, 2), F(1, 2)))
         assert p.support_x == (1,)

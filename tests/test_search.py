@@ -38,7 +38,9 @@ from negadget.search import (
     wsne_support_feasible,
 )
 
-from oracles import exhaustive_ne_oracle, grid_eps_ne, solve_linear
+from oracles import (
+    exhaustive_ne_oracle, grid_eps_ne, integer_scan_per_candidate, solve_linear
+)
 
 F = Fraction
 
@@ -207,6 +209,12 @@ class TestLmm:
     def test_negative_k_rejected(self):
         with pytest.raises(ParameterError):
             lmm_best_welfare(MATCHING_PENNIES, 0, -1)
+
+    def test_negative_eps_rejected(self):
+        # As DecisionInstance rejects it: no eps-NE exists below 0, so a
+        # scan would answer a silent "no".
+        with pytest.raises(ValidationError, match="eps must be nonnegative"):
+            lmm_best_welfare(MATCHING_PENNIES, F(-1, 4), 2)
 
     def test_budget_unknown(self):
         out = lmm_best_welfare(MATCHING_PENNIES, 1, 2, budget=3)
@@ -577,6 +585,43 @@ class TestIntegerScanMatchesOracle:
             (index, p.x, p.y, rep.row_payoff, rep.col_payoff)
             for index, p, rep in hits
         ]
+
+
+@st.composite
+def _pruned_scan_cases(draw):
+    """A game up to 4x5 on a grid of nine payoffs, so best responses tie,
+    with eps, k, and a budget of 0, 1, one that ends inside an x (when an x
+    has more than one y), the family's size, or past it."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.sampled_from([F(i, 4) for i in range(-2, 7)])
+    cells = st.lists(
+        st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+    game = BimatrixGame(R=draw(cells), C=draw(cells))
+    eps = draw(st.sampled_from([F(0), F(1, 8), F(31, 250), F(1, 2), F(1), F(3)]))
+    k = draw(st.integers(1, 4))
+    per_x = k_uniform_count(cols, k)
+    total = k_uniform_count(rows, k) * per_x
+    inside = draw(st.integers(0, total // per_x - 1)) * per_x + draw(
+        st.integers(min(1, per_x - 1), per_x - 1))
+    budget = draw(st.sampled_from([0, 1, inside, total, total + 3]))
+    return game, eps, k, budget
+
+
+class TestPrunedScanMatchesPerCandidate:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_pruned_scan_cases())
+    def test_same_hits_in_the_same_order(self, case):
+        game, eps, k, budget = case
+        args = (eps, k, budget, *games.cleared(game.R, game.Ct))
+        assert list(search._integer_scan(*args)) == list(
+            integer_scan_per_candidate(*args))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_multiset_rank_is_the_position(self, m, k):
+        ranks = [search._multiset_rank(c, m) for c in search._multisets(m, k)]
+        assert ranks == list(range(k_uniform_count(m, k)))
 
 
 class TestLmmIntegerWelfare:
