@@ -6,6 +6,7 @@ programs.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .games import (
 from .linsolve import simplex_maximize
 
 SEARCH_BUDGET_DEFAULT = 2**22
+K_CAP = 8  # the largest k that `default_k` picks
 
 Support = tuple[int, ...]  # sorted strategy indices
 Multiset = tuple[int, ...]  # sorted strategy indices, repeats allowed
@@ -162,17 +164,17 @@ def k_uniform_count(n: int, k: int) -> int:
     return comb(n + k - 1, k)
 
 
-def default_k(n: int, eps: Rational, cap: int = 8) -> int:
-    """ceil(log2(n)/eps^2), clamped to [1, cap], decided without a float.
+def default_k(n: int, eps: Rational) -> int:
+    """ceil(log2(n)/eps^2), clamped to [1, K_CAP], decided without a float.
 
-    This is the least k in [1, cap) with k*eps^2 >= log2(max(n, 2)), or cap
-    when there is none.
+    This is the least k in [1, K_CAP) with k*eps^2 >= log2(max(n, 2)), or
+    K_CAP when there is none.
     """
     e = frac(eps)
     if e <= 0:
-        return cap
+        return K_CAP
     n = max(n, 2)
-    return next((k for k in range(1, cap) if _at_least_log2(k * e * e, n)), cap)
+    return next((k for k in range(1, K_CAP) if _at_least_log2(k * e * e, n)), K_CAP)
 
 
 def _at_least_log2(t: Fraction, n: int) -> bool:
@@ -478,15 +480,14 @@ def enumerate_wsne_supports(
     Pairs are pruned without an LP.  With the columns fixed, the row side's
     LP only gains constraints as the row support grows, so a pair whose row
     side is infeasible rules out the row side of every pair with more rows
-    and the same columns; the column side is the mirror case.  Every
-    immediate subset of a pair comes earlier in the order, so a pair is
-    known infeasible when one of them is.
+    and the same columns; the column side is the mirror case.  So a pair is
+    infeasible when an immediate subset, one total size down, is.  Raises
+    ``ParameterError`` for a negative budget, and ``ResourceError`` before
+    the first pair when the pairs exceed the budget.
     """
-    e = frac(eps)
-    every_pair = _support_pairs(game, e, budget, strict, lambda rows, cols: True)
-    for _, _, witness in every_pair:
-        if witness is not None:
-            yield witness
+    _check_budget(budget)
+    every_pair = _support_pairs(game, frac(eps), budget, strict, lambda r, c: True)
+    yield from (witness for _, _, witness in every_pair if witness is not None)
 
 
 def _support_pairs(
@@ -500,46 +501,45 @@ def _support_pairs(
     that ``wanted(rows, cols)`` accepts when the pair comes up, and yield
     each as (rows, cols, its witness or None).
 
-    Only sides known to be infeasible are recorded: found so by an LP, or
-    by an immediate subset, on every pair, wanted or not.  When the row
-    side fails, the column side stays unknown.
+    Each total size is walked as a merge of one lexicographic stream per
+    row count.  Only sides known to be infeasible are recorded (by an LP or
+    by an immediate subset, on every pair, wanted or not), and only for one
+    total size, the one a pair's immediate subsets have; when the row side
+    fails, the column side stays unknown.  A budget below the pair count, a
+    negative one too, raises ``ResourceError`` before the first pair.
     """
-    total = (2 ** game.rows - 1) * (2 ** game.cols - 1)
+    n, m = game.rows, game.cols
+    total = (2 ** n - 1) * (2 ** m - 1)
     if total > budget:
-        raise ResourceError(
-            f"{total} support pairs exceed budget {budget}"
-        )
-    pairs = sorted(
-        itertools.product(_subsets(game.rows), _subsets(game.cols)),
-        key=lambda rc: (len(rc[0]) + len(rc[1]), rc[0], rc[1]),
-    )
+        raise ResourceError(f"{total} support pairs exceed budget {budget}")
     payoffs = cleared(game.R, game.Ct)
-    row_dead: set[tuple[Support, Support]] = set()
-    col_dead: set[tuple[Support, Support]] = set()
-    for rows, cols in pairs:
-        pair = (rows, cols)
-        if any((rows[:k] + rows[k + 1:], cols) in row_dead
-               for k in range(len(rows))):
-            row_dead.add(pair)
-        if any((rows, cols[:k] + cols[k + 1:]) in col_dead
-               for k in range(len(cols))):
-            col_dead.add(pair)
-        if not wanted(rows, cols):
-            continue
-        witness = None
-        if pair not in row_dead and pair not in col_dead:
-            witness, row_feasible = _pair_witness(payoffs, rows, cols, eps, strict)
-            if not row_feasible:
+    row_dead, col_dead = set(), set()  # one total size's infeasible sides
+    for size in range(2, n + m + 1):
+        # `product` takes its combinations now: each stream keeps its own r.
+        level = heapq.merge(*(
+            itertools.product(itertools.combinations(range(n), r),
+                              itertools.combinations(range(m), size - r))
+            for r in range(max(1, size - m), min(n, size - 1) + 1)
+        ))
+        below_row, below_col, row_dead, col_dead = row_dead, col_dead, set(), set()
+        for pair in level:
+            rows, cols = pair
+            if any((rows[:k] + rows[k + 1:], cols) in below_row
+                   for k in range(len(rows))):
                 row_dead.add(pair)
-            elif witness is None:
+            if any((rows, cols[:k] + cols[k + 1:]) in below_col
+                   for k in range(len(cols))):
                 col_dead.add(pair)
-        yield rows, cols, witness
-
-
-def _subsets(n: int) -> list[tuple[int, ...]]:
-    """The nonempty subsets of range(n), by size, then lexicographic."""
-    return [s for size in range(1, n + 1)
-            for s in itertools.combinations(range(n), size)]
+            if not wanted(rows, cols):
+                continue
+            witness = None
+            if pair not in row_dead and pair not in col_dead:
+                witness, row_feasible = _pair_witness(payoffs, rows, cols, eps, strict)
+                if not row_feasible:
+                    row_dead.add(pair)
+                elif witness is None:
+                    col_dead.add(pair)
+            yield rows, cols, witness
 
 
 def decide(

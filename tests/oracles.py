@@ -1,8 +1,9 @@
 """Independent oracles that only the tests use: the matrix-vector product
 and regret report computed cell by cell, the integer k-uniform scan
-candidate by candidate, exact Gaussian elimination, the
-exact equilibria of games up to 5x5, the grid eps-NE sweep, and the
-clause/variable free game and MAX-3SAT checked literal by literal.
+candidate by candidate, every support pair sorted into the support
+walk's order, exact Gaussian elimination, the exact equilibria of games
+up to 5x5, the grid eps-NE sweep, and the clause/variable free game and
+MAX-3SAT checked literal by literal.
 """
 
 from __future__ import annotations
@@ -90,6 +91,16 @@ def integer_scan_per_candidate(
             index += 1
             if index >= budget:
                 return
+
+
+def pairs_in_order(game: BimatrixGame) -> list[tuple[tuple[int, ...], ...]]:
+    """Every support pair, by total size, then lexicographic supports: the
+    sorted reference for the order `search._support_pairs` walks."""
+    def subsets(n):
+        return [s for size in range(1, n + 1)
+                for s in itertools.combinations(range(n), size)]
+    return sorted(itertools.product(subsets(game.rows), subsets(game.cols)),
+                  key=lambda rc: (len(rc[0]) + len(rc[1]), rc[0], rc[1]))
 
 
 def solve_linear(

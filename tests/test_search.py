@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negadget import games, linsolve, search
-from negadget.corpus import random_game, random_planted_game
+from negadget.corpus import capped_base_games, random_game, random_planted_game
 from negadget.errors import (
     InvariantError, ParameterError, ResourceError, ShapeError, ValidationError
 )
@@ -25,6 +25,7 @@ from negadget.games import (
     regret_report,
     social_welfare,
 )
+from negadget.gadget import extend_gdoubleprime, extend_gprime
 from negadget.linsolve import simplex_maximize
 from negadget.search import (
     DecisionInstance,
@@ -39,7 +40,11 @@ from negadget.search import (
 )
 
 from oracles import (
-    exhaustive_ne_oracle, grid_eps_ne, integer_scan_per_candidate, solve_linear
+    exhaustive_ne_oracle,
+    grid_eps_ne,
+    integer_scan_per_candidate,
+    pairs_in_order,
+    solve_linear,
 )
 
 F = Fraction
@@ -692,6 +697,8 @@ class TestScanBudget:
             decide_many([inst], k=1, budget=-1)
         with pytest.raises(ParameterError, match="budget"):
             lmm_best_welfare(MATCHING_PENNIES, 0, 1, budget=-1)
+        with pytest.raises(ParameterError, match="budget"):
+            list(enumerate_wsne_supports(MATCHING_PENNIES, 0, budget=-1))
 
     def test_budget_zero_checks_nothing(self):
         insts = [DecisionInstance(problem_id=1, game=MATCHING_PENNIES, eps=0, u=1),
@@ -799,15 +806,6 @@ class TestDecideMany:
                 problem_id=1, game=COORDINATION, eps=F(1, 4), u=1)])
 
 
-def _pairs_in_order(game):
-    """Every support pair, by total size, then lexicographic supports."""
-    def subsets(n):
-        return [s for size in range(1, n + 1)
-                for s in itertools.combinations(range(n), size)]
-    return sorted(itertools.product(subsets(game.rows), subsets(game.cols)),
-                  key=lambda rc: (len(rc[0]) + len(rc[1]), rc[0], rc[1]))
-
-
 @st.composite
 def _support_search_games(draw):
     """Games up to 3x3 with quarter entries (many ties) or signed entries
@@ -833,7 +831,7 @@ class TestSupportSearchMatchesEveryPair:
     def test_pruned_and_filtered_search_equals_one_lp_per_pair(
         self, game, eps, k, index_set
     ):
-        order = _pairs_in_order(game)
+        order = pairs_in_order(game)
         decided = {}
         for strict in (False, True):
             decided[strict] = [
@@ -883,6 +881,62 @@ class TestSupportSearchMatchesEveryPair:
             MixedProfile(x=(1,), y=(1,))
         ]
         assert wsne_support_feasible(game, (0,), (0,), F(-1, 4)) is None
+
+
+class TestSupportWalk:
+    @pytest.mark.parametrize("rows, cols",
+                             itertools.product(range(1, 7), range(1, 7)))
+    def test_walk_asks_about_every_pair_in_order(self, rows, cols):
+        game = random_game(random.Random(rows * 7 + cols), rows, cols)
+        asked = []
+
+        def wanted(sx, sy):
+            asked.append((sx, sy))
+            return False  # so no pair is decided and no LP runs
+
+        assert list(search._support_pairs(game, F(0), 2**12, False, wanted)) == []
+        assert asked == pairs_in_order(game)
+
+    def test_dead_sides_carry_from_one_size_to_the_next(self, monkeypatch):
+        # The six capped G'/G'' games at eps* = 31/250; a walk that lost a
+        # dead side between two total sizes would solve more LPs.
+        eps = F(31, 250)
+        real = search._pair_witness
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(search, "_pair_witness", counted)
+        for base in capped_base_games().values():
+            gp = extend_gprime(base, eps)
+            for game in (gp, extend_gdoubleprime(gp)):
+                for strict in (False, True):
+                    list(enumerate_wsne_supports(game, eps, strict=strict))
+                for pid, kw in ((7, {"k": 2}), (8, {"k": 2}), (9, {"k": 2}),
+                                (10, {"index_set": (0,)})):
+                    decide(DecisionInstance(problem_id=pid, game=game, eps=eps,
+                                            **kw))
+        assert len(calls) == 493
+
+    @pytest.mark.parametrize("shape, pid, k, limit", [
+        ((8, 8), 7, 8, 2**20),
+        ((16, 1), 9, 16, 4 * 2**20),
+    ])
+    def test_walk_holds_one_size_at_a_time(self, shape, pid, k, limit):
+        # Each answers from one pair, the last of the walk; a walk that
+        # listed every pair first peaked near 9 and 16 MB.
+        game = random_game(random.Random(1), *shape)
+        inst = DecisionInstance(problem_id=pid, game=game, eps=F(1, 8), k=k)
+        tracemalloc.start()
+        try:
+            out = decide(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (out.answer, out.checked_count) == ("no", 1)
+        assert peak < limit, peak
 
 
 class TestSimplexRational:
