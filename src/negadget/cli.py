@@ -4,13 +4,15 @@ Subcommands: verify, value, reduce, forge, decide, pipeline.
 Exit codes for `verify`: 0 = passes, 1 = fails.  For `decide`:
 0 = yes, 1 = no, 2 = unknown.  Every input, usage or resource error, such as
 a missing file, a file that is not UTF-8 or a malformed rational, exits 3
-with a one-line message.
+with a one-line message.  The argument parser is built on the first `main`
+call and reused by every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -231,9 +233,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing reads it and changes nothing."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (GadgetError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ identical values produce identical bytes.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import FormatError, ValidationError
 from .games import BimatrixGame, MixedProfile
@@ -81,18 +82,20 @@ def _parse_index_set(text: str) -> tuple[int, ...]:
 
 
 def _data_lines(text: str) -> list[str]:
-    return [line.strip() for line in text.splitlines() if line.strip()]
+    return [line for line in map(str.strip, text.splitlines()) if line]
 
 
 def parse_bgm(text: str) -> BimatrixGame:
-    """Parse a `.bgm` game.  Each distinct entry token is parsed, with every
-    check of `_parse_rational`, once per call; equal entries then share one
-    Fraction."""
+    """Parse a `.bgm` game.  Each distinct entry line is parsed once per
+    call into one shared (R, C) pair, and each distinct token in it, with
+    every check of `_parse_rational`, into one Fraction: equal entries share
+    one object.  The first bad line in file order raises."""
     lines = _data_lines(text)
     if not lines or lines[0] != "bgm 1":
         raise FormatError("missing 'bgm 1' header")
-    body = [l for l in lines[1:] if not l.startswith("#")]
-    block_lines = [l for l in lines[1:] if l.startswith("#block")]
+    body = [l for l in lines[1:] if l[0] != "#"]
+    block_lines = [l for l in lines[1:] if l[0] == "#" and l.startswith("#block")]
+    del lines  # body and block_lines hold every line still needed
     try:
         rows, cols = (int(t) for t in body[0].split())
     except (IndexError, ValueError) as exc:
@@ -103,20 +106,25 @@ def parse_bgm(text: str) -> BimatrixGame:
         raise FormatError(
             f"expected {rows * cols} entry lines, found {len(body) - 1}"
         )
-    r = [[Fraction(0)] * cols for _ in range(rows)]
-    c = [[Fraction(0)] * cols for _ in range(rows)]
-    # One Fraction per distinct token, shared by its equal entries.
     values: dict[str, Fraction] = {}
-    for idx, line in enumerate(body[1:]):
+    pairs: dict[str, tuple[Fraction, Fraction]] = {}
+
+    def first_seen(line: str) -> tuple[Fraction, Fraction]:
         toks = line.split()
         if len(toks) != 2:
             raise FormatError(f"entry line {line!r} needs two rationals")
         for tok in toks:
             if tok not in values:
                 values[tok] = _parse_rational(tok)
-        i, j = divmod(idx, cols)
-        r[i][j] = values[toks[0]]
-        c[i][j] = values[toks[1]]
+        pair = pairs[line] = (values[toks[0]], values[toks[1]])
+        return pair
+
+    seen = pairs.get
+    r, c = [], []
+    for start in range(1, len(body), cols):
+        row = [seen(line) or first_seen(line) for line in body[start:start + cols]]
+        r.append(tuple(map(itemgetter(0), row)))
+        c.append(tuple(map(itemgetter(1), row)))
     blocks = None
     if block_lines:
         parsed = []
@@ -131,7 +139,7 @@ def parse_bgm(text: str) -> BimatrixGame:
         blocks = tuple(parsed)
     try:
         return BimatrixGame(
-            R=tuple(map(tuple, r)), C=tuple(map(tuple, c)), blocks=blocks
+            R=tuple(r), C=tuple(c), blocks=blocks
         )
     except ValidationError as exc:
         raise FormatError(str(exc)) from exc
@@ -158,8 +166,9 @@ def write_bgm(game: BimatrixGame) -> str:
 
 def parse_prof(text: str, normalize: bool = False) -> MixedProfile:
     """Parse a `.prof` profile.  Each distinct entry token is parsed once per
-    call, so equal entries share one Fraction and a regret report groups
-    them (`games.mat_vec`)."""
+    call, and under ``normalize`` each distinct entry is divided once, so
+    equal entries share one Fraction and a regret report groups them
+    (`games.mat_vec`)."""
     lines = _data_lines(text)
     if not lines or lines[0] != "prof 1":
         raise FormatError("missing 'prof 1' header")
@@ -181,12 +190,18 @@ def parse_prof(text: str, normalize: bool = False) -> MixedProfile:
         sx, sy = sum(x), sum(y)
         if sx <= 0 or sy <= 0:
             raise FormatError("cannot normalize a zero vector")
-        x = [e / sx for e in x]
-        y = [e / sy for e in y]
+        x, y = _divided(x, sx), _divided(y, sy)
     try:
         return MixedProfile(x=tuple(x), y=tuple(y))
     except ValidationError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _divided(v: list[Fraction], total: Fraction) -> list[Fraction]:
+    """v / total, dividing each distinct object once, so equal parsed
+    entries still share one weight object."""
+    quotients = {i: e / total for i, e in dict(zip(map(id, v), v)).items()}
+    return [quotients[id(e)] for e in v]
 
 
 def write_prof(p: MixedProfile) -> str:

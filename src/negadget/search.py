@@ -5,7 +5,6 @@ programs.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from .games import (
     BimatrixGame,
     MixedProfile,
     Rational,
+    RegretReport,
     Vector,
     cleared,
     frac,
@@ -486,7 +486,8 @@ def enumerate_wsne_supports(
     the first pair when the pairs exceed the budget.
     """
     _check_budget(budget)
-    every_pair = _support_pairs(game, frac(eps), budget, strict, lambda r, c: True)
+    every_pair = _support_pairs(game, frac(eps), budget, strict,
+                                lambda r, c: True, 2)
     yield from (witness for _, _, witness in every_pair if witness is not None)
 
 
@@ -496,10 +497,13 @@ def _support_pairs(
     budget: int,
     strict: bool,
     wanted: Callable[[Support, Support], bool],
+    least_size: int,
 ) -> Iterator[tuple[Support, Support, MixedProfile | None]]:
     """Decide, in ``enumerate_wsne_supports``' order, the support pairs
     that ``wanted(rows, cols)`` accepts when the pair comes up, and yield
-    each as (rows, cols, its witness or None).
+    each as (rows, cols, its witness or None).  ``wanted`` accepts no pair
+    of total size below ``least_size``, so those sizes are not walked: no
+    LP runs there, so no side is known dead there either.
 
     Each total size is walked as a merge of one lexicographic stream per
     row count.  Only sides known to be infeasible are recorded (by an LP or
@@ -514,7 +518,7 @@ def _support_pairs(
         raise ResourceError(f"{total} support pairs exceed budget {budget}")
     payoffs = cleared(game.R, game.Ct)
     row_dead, col_dead = set(), set()  # one total size's infeasible sides
-    for size in range(2, n + m + 1):
+    for size in range(least_size, n + m + 1):
         # `product` takes its combinations now: each stream keeps its own r.
         level = heapq.merge(*(
             itertools.product(itertools.combinations(range(n), r),
@@ -566,8 +570,8 @@ def decide_many(
     a yes immediately.  Problems 1-6 scan k-uniform profiles, so their
     "no" means "no k-uniform witness"; problems 7-10 enumerate support
     patterns exactly, so their "no" is unconditional (within budget).
-    The problems share one regret report per distinct hint profile, one
-    k-uniform scan and one support enumeration.  The enumeration decides
+    The problems share one regret report per hint object, one k-uniform
+    scan and one support enumeration.  The enumeration decides
     only the support pairs that some pending problem's predicate accepts,
     since a pair's witness has exactly that pair as its supports.
     """
@@ -579,9 +583,18 @@ def decide_many(
         raise ValidationError("decide_many needs one game and one eps")
     if k is None:
         k = default_k(max(game.rows, game.cols), eps)
-    # Problem 3 takes only pair hints, the others only profile hints.
-    report = functools.cache(functools.partial(regret_report, game))
+    # One report per hint object, keyed by identity: the list keeps every
+    # hint alive for the call, and hashing a profile hashes every entry.
     hints = list(hints)
+    reports: dict[int, RegretReport] = {}
+
+    def report(p: MixedProfile) -> RegretReport:
+        rep = reports.get(id(p))
+        if rep is None:
+            rep = reports[id(p)] = regret_report(game, p)
+        return rep
+
+    # Problem 3 takes only pair hints, the others only profile hints.
     outcomes: list[SearchOutcome | None] = [None] * len(insts)
     for i, inst in enumerate(insts):
         for hint in hints:
@@ -635,8 +648,10 @@ def decide_many(
     if supports:
         # Each problem counts the pairs its own predicate accepts, so its
         # count is the one it gets alone; a pair no pending problem can
-        # use is never decided.
+        # use is never decided, and sizes below the least any problem
+        # accepts are not walked.
         pairs_seen = dict.fromkeys(supports, 0)
+        least = min(map(_least_pair_size, supports.values()))
         miss = "no"
 
         def wanted(rows: Support, cols: Support) -> bool:
@@ -645,7 +660,7 @@ def decide_many(
 
         try:
             for rows, cols, witness in _support_pairs(game, eps, budget, False,
-                                                      wanted):
+                                                      wanted, least):
                 for i, inst in list(supports.items()):
                     if not _support_predicate(inst, rows, cols):
                         continue
@@ -702,3 +717,14 @@ def _support_predicate(
     if pid == 10:
         return set(inst.index_set) <= set(rows)
     raise ValidationError(f"problem {pid} has no single-profile predicate")
+
+
+def _least_pair_size(inst: DecisionInstance) -> int:
+    """The least total support size that problem 7-10's predicate accepts
+    (``DecisionInstance`` keeps k >= 1 and a nonempty, duplicate-free set)."""
+    pid = inst.problem_id
+    if pid in (7, 8):
+        return 2 * inst.k
+    if pid == 9:
+        return inst.k + 1
+    return len(inst.index_set) + 1

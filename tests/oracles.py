@@ -1,5 +1,6 @@
-"""Independent oracles that only the tests use: the matrix-vector product
-and regret report computed cell by cell, the integer k-uniform scan
+"""Independent oracles that only the tests use: the `.bgm` reader that
+parses line by line, the matrix-vector product and regret report computed
+cell by cell, the integer k-uniform scan
 candidate by candidate, every support pair sorted into the support
 walk's order, exact Gaussian elimination, the exact equilibria of games
 up to 5x5, the grid eps-NE sweep, and the clause/variable free game and
@@ -13,7 +14,8 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from negadget.errors import ResourceError, ShapeError
+from negadget.errors import FormatError, ResourceError, ShapeError, ValidationError
+from negadget.formats import _parse_rational
 from negadget.games import (
     BimatrixGame,
     Matrix,
@@ -33,6 +35,58 @@ from negadget.search import (
     _spread,
     k_uniform_strategies,
 )
+
+
+def parse_bgm_per_line(text: str) -> BimatrixGame:
+    """`formats.parse_bgm` with one pass per entry line, each line split and
+    placed cell by cell: the reference for its line-memoised reader.  Each
+    distinct token is parsed once, so equal entries share one Fraction."""
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines or lines[0] != "bgm 1":
+        raise FormatError("missing 'bgm 1' header")
+    body = [l for l in lines[1:] if not l.startswith("#")]
+    block_lines = [l for l in lines[1:] if l.startswith("#block")]
+    try:
+        rows, cols = (int(t) for t in body[0].split())
+    except (IndexError, ValueError) as exc:
+        raise FormatError("bad dimension line") from exc
+    if rows < 1 or cols < 1:
+        raise FormatError(f"dimensions must be positive, got {rows} {cols}")
+    if len(body) != 1 + rows * cols:
+        raise FormatError(
+            f"expected {rows * cols} entry lines, found {len(body) - 1}"
+        )
+    r = [[Fraction(0)] * cols for _ in range(rows)]
+    c = [[Fraction(0)] * cols for _ in range(rows)]
+    values: dict[str, Fraction] = {}
+    for idx, line in enumerate(body[1:]):
+        toks = line.split()
+        if len(toks) != 2:
+            raise FormatError(f"entry line {line!r} needs two rationals")
+        for tok in toks:
+            if tok not in values:
+                values[tok] = _parse_rational(tok)
+        i, j = divmod(idx, cols)
+        r[i][j] = values[toks[0]]
+        c[i][j] = values[toks[1]]
+    blocks = None
+    if block_lines:
+        parsed = []
+        for line in block_lines:
+            toks = line.split()
+            if len(toks) != 6:
+                raise FormatError(f"bad block line {line!r}")
+            try:
+                parsed.append((toks[1], *(int(t) for t in toks[2:])))
+            except ValueError as exc:
+                raise FormatError(f"bad block bounds in {line!r}") from exc
+        blocks = tuple(parsed)
+    try:
+        return BimatrixGame(
+            R=tuple(map(tuple, r)), C=tuple(map(tuple, c)), blocks=blocks
+        )
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def mat_vec_per_cell(m: Matrix, v: Sequence[Fraction]) -> Vector:

@@ -11,7 +11,7 @@ import pytest
 from negadget import cli, formats
 from negadget.cli import main
 from negadget.errors import GadgetError
-from negadget.gadget import derive_params, extend_gprime
+from negadget.gadget import derive_params, extend_gprime, rescale_game
 from negadget.games import BimatrixGame, MixedProfile
 from negadget.pipeline import PipelineConfig, run_pipeline
 from negadget.provers import TwoProverGame
@@ -106,6 +106,67 @@ class TestVerify:
         bad = tmp_path / "bad.prof"
         bad.write_text("prof 1\n2 2\n1/2\n1/3\n1\n0\n")
         assert main(["verify", str(game), str(bad), "--eps", "0"]) == 3
+
+    def test_normalize_keeps_one_weight_object_per_side(
+        self, sat_builds, tmp_path, capsys
+    ):
+        two = sat_builds["two-clause"]
+        game, prof = tmp_path / "Gs.bgm", tmp_path / "cert.prof"
+        game.write_text(formats.write_bgm(rescale_game(two.gadget)))
+        prof.write_text(formats.write_prof(two.cert))
+        p = formats.parse_prof(prof.read_text(), normalize=True)
+        assert p == two.cert
+        assert [len({id(e) for e in v if e}) for v in (p.x, p.y)] == [1, 1]
+        runs = []
+        for extra in ([], ["--normalize"]):
+            code = main(["verify", str(game), str(prof), "--eps", "31/250", *extra])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+
+
+class TestOneParser:
+    """`main` builds its parser once per process; no call sees the options
+    of an earlier one."""
+
+    def _verify(self, paths, capsys, *options):
+        game, prof = paths
+        code = main(["verify", str(game), str(prof), "--eps", "0", *options])
+        return code, capsys.readouterr().out
+
+    def test_built_on_the_first_call_only(self, coordination_paths, monkeypatch,
+                                          capsys):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            runs = [self._verify(coordination_paths, capsys) for _ in range(3)]
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        assert runs == [runs[0]] * 3 and runs[0][0] == 0
+
+    def test_usage_error_after_a_successful_call(self, coordination_paths, capsys):
+        assert self._verify(coordination_paths, capsys)[0] == 0
+        game, _ = coordination_paths
+        assert main(["decide", "p1", str(game), "--u", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert self._verify(coordination_paths, capsys)[0] == 0
+
+    def test_mode_does_not_carry_over(self, coordination_paths, capsys):
+        first = self._verify(coordination_paths, capsys)
+        wsne = self._verify(coordination_paths, capsys, "--mode", "wsne")
+        again = self._verify(coordination_paths, capsys)
+        assert "mode: wsne" in wsne[1].splitlines()
+        assert "mode: ne" in first[1].splitlines() and again == first
+
+    def test_format_does_not_carry_over(self, coordination_paths, capsys):
+        first = self._verify(coordination_paths, capsys)
+        as_json = self._verify(coordination_paths, capsys, "--format", "json")
+        again = self._verify(coordination_paths, capsys)
+        assert json.loads(as_json[1])["mode"] == "ne"
+        assert "ok: True" in first[1].splitlines() and again == first
 
 
 class TestValue:

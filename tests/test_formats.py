@@ -13,6 +13,7 @@ from negadget.errors import FormatError
 from negadget.gadget import extend_gdoubleprime, extend_gprime, rescale_game
 from negadget.games import BimatrixGame, MixedProfile
 from negadget.provers import ProverStrategy, TwoProverGame
+from oracles import parse_bgm_per_line
 
 F = Fraction
 
@@ -33,6 +34,44 @@ def _bgm_games(draw):
         st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
     )
     return BimatrixGame(R=draw(cells), C=draw(cells))
+
+
+_GOOD_TOKENS = ["0", "1/2", "-3", "0.25", "2.5e-3", "1e-4300"]
+_BAD_TOKENS = ["abc", "1/0", "1e5000", "0.5.5"]
+
+
+@st.composite
+def _bgm_texts(draw):
+    """`.bgm` texts up to 3x3 whose entry lines recur, some with spacing
+    that differs around equal tokens; some have a wrong line count, a bad
+    token count, a bad rational (often repeated), comments or block lines."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    token = st.sampled_from(_GOOD_TOKENS * 6 + _BAD_TOKENS)
+    two = st.builds("{}{}{}".format, token, st.sampled_from([" ", "  ", "\t"]), token)
+    line = st.one_of(*[two] * 9, st.sampled_from(["1/2", "1/2 0 0", " 0  1/2 "]))
+    pool = draw(st.lists(line, min_size=1, max_size=3))
+    count = rows * cols + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    lines = draw(st.lists(st.sampled_from(pool) | line,
+                          min_size=max(count, 0), max_size=max(count, 0)))
+    extras = st.sampled_from([
+        "# a comment", f"#block all 0 {rows} 0 {cols}", "#block one 0 1 0 1",
+        "#block bad 0 x 0 1", "#block short 0 1",
+    ])
+    for extra in draw(st.lists(extras, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return "\n".join(["bgm 1", f"{rows} {cols}", *lines]) + "\n"
+
+
+def _token_objects(text: str, game: BimatrixGame) -> dict[str, set[int]]:
+    """Each token of the entry lines -> the ids of the entries read from it."""
+    body = [l.split() for l in text.splitlines()[2:] if l.strip()
+            and not l.strip().startswith("#")]
+    out: dict[str, set[int]] = {}
+    for idx, (r_tok, c_tok) in enumerate(body):
+        i, j = divmod(idx, game.cols)
+        out.setdefault(r_tok, set()).add(id(game.R[i][j]))
+        out.setdefault(c_tok, set()).add(id(game.C[i][j]))
+    return out
 
 
 def _per_cell_bgm(game: BimatrixGame) -> str:
@@ -124,6 +163,21 @@ class TestBgm:
         zeros = [e for e in entries if e == 0]
         assert len(halves) == 4 and len({id(e) for e in halves}) == 1
         assert len(zeros) == 3 and len({id(e) for e in zeros}) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_bgm_texts())
+    def test_same_game_or_error_as_the_per_line_reader(self, text):
+        try:
+            expected = parse_bgm_per_line(text)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as raised:
+                formats.parse_bgm(text)
+            assert str(raised.value) == str(exc)
+            return
+        game = formats.parse_bgm(text)
+        assert game == expected and game.blocks == expected.blocks
+        for read in (game, expected):
+            assert all(len(ids) == 1 for ids in _token_objects(text, read).values())
 
     @pytest.mark.parametrize("tok", ["abc", "1/0", "1e5000", "1" * 4301, "0.5.5"])
     def test_bad_token_message_unchanged(self, tok):

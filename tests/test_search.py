@@ -22,10 +22,13 @@ from negadget.games import (
     dot,
     is_eps_ne,
     is_eps_wsne,
+    pure_profile,
     regret_report,
     social_welfare,
 )
-from negadget.gadget import extend_gdoubleprime, extend_gprime
+from negadget.gadget import (
+    extend_gdoubleprime, extend_gprime, extend_profile, rescale_game
+)
 from negadget.linsolve import simplex_maximize
 from negadget.search import (
     DecisionInstance,
@@ -796,6 +799,53 @@ class TestDecideMany:
             outcomes = decide_many(insts, hints=hints)
             assert [o.witness for o in outcomes] == [hints[0]] * 2
 
+    @pytest.fixture()
+    def gprime_decisions(self, sat_builds, params):
+        """Problems 1-9 on the two-clause G' with the pipeline's hints: the
+        certificate extended to G', and with the corner for problem 3."""
+        b = sat_builds["two-clause"]
+        gp = extend_gprime(rescale_game(b.gadget), params.eps_star)
+        nx, e = b.build.game.nx, params.eps_star
+        kwargs = {1: {"u": F(5, 8)},
+                  2: {"index_set": range(sum(b.build.game.x_answers))},
+                  3: {"d": 1 - e / (1 - e)}, 4: {"p": F(1, nx)},
+                  5: {"v": F(10, 8)}, 6: {"u": F(5, 8)},
+                  7: {"k": nx}, 8: {"k": nx}, 9: {"k": nx}}
+        insts = [DecisionInstance(problem_id=pid, game=gp, eps=e, **kw)
+                 for pid, kw in kwargs.items()]
+        cert = extend_profile(b.cert, 1, 1)
+        return insts, nx, cert, pure_profile(gp, gp.rows - 1, gp.cols - 1)
+
+    def test_one_report_per_hint_object_and_no_profile_hash(
+        self, gprime_decisions, monkeypatch
+    ):
+        insts, nx, cert, corner = gprime_decisions
+        reported = []
+        real = games.regret_report
+
+        def counted(g, p):
+            reported.append(p)
+            return real(g, p)
+
+        def unhashable(p):
+            raise AssertionError("a hint report hashed a profile")
+
+        monkeypatch.setattr(search, "regret_report", counted)
+        monkeypatch.setattr(MixedProfile, "__hash__", unhashable)
+        outcomes = decide_many(insts, k=nx, budget=50,
+                               hints=[cert, (cert, corner)])
+        assert [o.answer for o in outcomes] == ["yes"] * 9
+        assert [id(p) for p in reported] == [id(cert), id(corner)]
+
+    def test_equal_distinct_hints_give_the_same_outcomes(self, gprime_decisions):
+        insts, nx, cert, corner = gprime_decisions
+        twin_cert, twin_corner = (MixedProfile(x=p.x, y=p.y) for p in (cert, corner))
+        assert twin_cert == cert and twin_cert is not cert
+        alone = decide_many(insts, k=nx, budget=50, hints=[cert, (cert, corner)])
+        for hints in ([twin_cert, (twin_cert, twin_corner)],
+                      [twin_cert, cert, (cert, twin_corner), (twin_cert, corner)]):
+            assert decide_many(insts, k=nx, budget=50, hints=hints) == alone
+
     def test_instances_must_share_game_and_eps(self):
         p1 = DecisionInstance(problem_id=1, game=COORDINATION, eps=0, u=1)
         with pytest.raises(ValidationError):
@@ -894,7 +944,7 @@ class TestSupportWalk:
             asked.append((sx, sy))
             return False  # so no pair is decided and no LP runs
 
-        assert list(search._support_pairs(game, F(0), 2**12, False, wanted)) == []
+        assert list(search._support_pairs(game, F(0), 2**12, False, wanted, 2)) == []
         assert asked == pairs_in_order(game)
 
     def test_dead_sides_carry_from_one_size_to_the_next(self, monkeypatch):
@@ -937,6 +987,29 @@ class TestSupportWalk:
             tracemalloc.stop()
         assert (out.answer, out.checked_count) == ("no", 1)
         assert peak < limit, peak
+
+
+    def test_sizes_below_the_least_wanted_are_not_walked(self, monkeypatch):
+        # p7 with k = 10 accepts only the one pair of total size 20; the
+        # walk used to visit all 1,046,529 pairs of the 10x10 game first.
+        game = random_game(random.Random(1), 10, 10)
+        eps = F(1, 8)
+        sizes = []
+        real = search._support_pairs
+
+        def spied(game, eps, budget, strict, wanted, least_size):
+            def asked(rows, cols):
+                sizes.append(len(rows) + len(cols))
+                return wanted(rows, cols)
+            return real(game, eps, budget, strict, asked, least_size)
+
+        monkeypatch.setattr(search, "_support_pairs", spied)
+        out = decide(DecisionInstance(problem_id=7, game=game, eps=eps, k=10))
+        assert sizes == [20]
+        everything = tuple(range(10))
+        witness = wsne_support_feasible(game, everything, everything, eps)
+        assert (out.answer, out.witness, out.checked_count) == (
+            "no" if witness is None else "yes", witness, 1)
 
 
 class TestSimplexRational:
