@@ -87,15 +87,19 @@ def random_game(
     rng: random.Random, rows: int, cols: int, denom: int = 8
 ) -> BimatrixGame:
     """Uniform random payoffs from {0, 1/denom, ..., (denom-1)/denom}."""
-    r = tuple(
-        tuple(Fraction(rng.randrange(denom), denom) for _ in range(cols))
-        for _ in range(rows)
-    )
-    c = tuple(
-        tuple(Fraction(rng.randrange(denom), denom) for _ in range(cols))
-        for _ in range(rows)
-    )
+    r, c = _random_payoffs(rng, rows, cols, denom)
     return BimatrixGame(R=r, C=c)
+
+
+def _random_payoffs(
+    rng: random.Random, rows: int, cols: int, denom: int
+) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """`random_game`'s R and C, drawn in its order, as lists of rows."""
+    r = [[Fraction(rng.randrange(denom), denom) for _ in range(cols)]
+         for _ in range(rows)]
+    c = [[Fraction(rng.randrange(denom), denom) for _ in range(cols)]
+         for _ in range(rows)]
+    return r, c
 
 
 def random_planted_game(
@@ -106,18 +110,12 @@ def random_planted_game(
     That cell is a pure equilibrium of maximum possible welfare, so the
     best equilibrium welfare is known to be exactly 2 by construction.
     """
-    game = random_game(rng, rows, cols, denom)
+    # The cell is planted in the drawn payoffs: a game's R and C are views,
+    # and reading them would build both only to copy them.
+    r, c = _random_payoffs(rng, rows, cols, denom)
     i = rng.randrange(rows)
     j = rng.randrange(cols)
-    one = Fraction(1)
-    r = tuple(
-        tuple(one if (a, b) == (i, j) else game.R[a][b] for b in range(cols))
-        for a in range(rows)
-    )
-    c = tuple(
-        tuple(one if (a, b) == (i, j) else game.C[a][b] for b in range(cols))
-        for a in range(rows)
-    )
+    r[i][j] = c[i][j] = Fraction(1)
     return BimatrixGame(R=r, C=c)
 
 

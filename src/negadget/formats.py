@@ -8,11 +8,12 @@ identical values produce identical bytes.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from operator import itemgetter
+from typing import Iterator
 
-from .errors import FormatError, ValidationError
-from .games import BimatrixGame, MixedProfile
+from .errors import FormatError, ResourceError, ValidationError
+from .games import BimatrixGame, MixedProfile, add_pair
 from .provers import ProverStrategy, TwoProverGame
 
 
@@ -81,50 +82,70 @@ def _parse_index_set(text: str) -> tuple[int, ...]:
         raise FormatError(f"bad index set {text!r}") from exc
 
 
-def _data_lines(text: str) -> list[str]:
-    return [line for line in map(str.strip, text.splitlines()) if line]
+_CHUNK = 1 << 16  # characters of text split into lines at once
+
+
+def _data_lines(text: str) -> Iterator[str]:
+    """The stripped, nonempty lines of ``text``, read one chunk at a time.
+    Each chunk ends just after a newline, so splitting the chunks splits the
+    text where `str.splitlines` does."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield from filter(None, map(str.strip, text[start:end].splitlines()))
+        start = end
 
 
 def parse_bgm(text: str) -> BimatrixGame:
-    """Parse a `.bgm` game.  Each distinct entry line is parsed once per
-    call into one shared (R, C) pair, and each distinct token in it, with
-    every check of `_parse_rational`, into one Fraction: equal entries share
-    one object.  The first bad line in file order raises."""
+    """Parse a `.bgm` game, reading the entry lines as a stream, row by
+    row.  Each distinct entry line takes one palette code, and each distinct
+    token in it, with every check of `_parse_rational`, one Fraction: equal
+    entries share one object.  An entry-line count that differs from the
+    dimensions raises before any bad entry line; otherwise the first bad
+    entry line in file order raises."""
     lines = _data_lines(text)
-    if not lines or lines[0] != "bgm 1":
+    if next(lines, None) != "bgm 1":
         raise FormatError("missing 'bgm 1' header")
-    body = [l for l in lines[1:] if l[0] != "#"]
-    block_lines = [l for l in lines[1:] if l[0] == "#" and l.startswith("#block")]
-    del lines  # body and block_lines hold every line still needed
+    block_lines: list[str] = []
+    # The entry lines; each "#block" line is set aside as it passes.
+    entries = (line for line in lines if line[0] != "#"
+               or line.startswith("#block") and block_lines.append(line))
     try:
-        rows, cols = (int(t) for t in body[0].split())
-    except (IndexError, ValueError) as exc:
+        rows, cols = (int(t) for t in next(entries).split())
+    except (StopIteration, ValueError) as exc:
         raise FormatError("bad dimension line") from exc
     if rows < 1 or cols < 1:
         raise FormatError(f"dimensions must be positive, got {rows} {cols}")
-    if len(body) != 1 + rows * cols:
-        raise FormatError(
-            f"expected {rows * cols} entry lines, found {len(body) - 1}"
-        )
     values: dict[str, Fraction] = {}
-    pairs: dict[str, tuple[Fraction, Fraction]] = {}
+    codes: dict[str, str] = {}
+    palette: list[tuple[Fraction, Fraction]] = []
 
-    def first_seen(line: str) -> tuple[Fraction, Fraction]:
+    def first_seen(line: str) -> str:
         toks = line.split()
         if len(toks) != 2:
             raise FormatError(f"entry line {line!r} needs two rationals")
         for tok in toks:
             if tok not in values:
                 values[tok] = _parse_rational(tok)
-        pair = pairs[line] = (values[toks[0]], values[toks[1]])
-        return pair
+        codes[line] = add_pair(palette, (values[toks[0]], values[toks[1]]))
+        return codes[line]
 
-    seen = pairs.get
-    r, c = [], []
-    for start in range(1, len(body), cols):
-        row = [seen(line) or first_seen(line) for line in body[start:start + cols]]
-        r.append(tuple(map(itemgetter(0), row)))
-        c.append(tuple(map(itemgetter(1), row)))
+    seen, coded, error = codes.get, [], None
+    try:
+        for _ in range(rows):
+            coded.append("".join([seen(line) or first_seen(line)
+                                  for line in itertools.islice(entries, cols)]))
+            if len(coded[-1]) < cols:
+                break  # the entry lines ran out, so the count is wrong
+    except (FormatError, ResourceError) as exc:
+        coded, error = [], exc
+    if not coded or len(coded[-1]) < cols or next(entries, None) is not None:
+        # Count the entry lines again, to name a wrong count or to raise the
+        # error after the count is known to be right.
+        found = sum(line[0] != "#" for line in _data_lines(text)) - 2
+        if found != rows * cols:
+            raise FormatError(f"expected {rows * cols} entry lines, found {found}")
+        raise error
     blocks = None
     if block_lines:
         parsed = []
@@ -138,30 +159,20 @@ def parse_bgm(text: str) -> BimatrixGame:
                 raise FormatError(f"bad block bounds in {line!r}") from exc
         blocks = tuple(parsed)
     try:
-        return BimatrixGame(
-            R=tuple(r), C=tuple(c), blocks=blocks
-        )
+        return BimatrixGame.coded(tuple(palette), tuple(coded), blocks)
     except ValidationError as exc:
         raise FormatError(str(exc)) from exc
 
 
 def write_bgm(game: BimatrixGame) -> str:
-    """Write a `.bgm` game.  Each distinct pair of entry objects is
-    formatted once per call, keyed by identity: the game keeps its entries
-    alive while the call runs, and hashing a Fraction costs more than
-    printing it."""
-    out = ["bgm 1", f"{game.rows} {game.cols}"]
-    lines: dict[tuple[int, int], str] = {}
-    for r_row, c_row in zip(game.R, game.C):
-        for r, c in zip(r_row, c_row):
-            key = (id(r), id(c))
-            line = lines.get(key)
-            if line is None:
-                line = lines[key] = f"{format_rational(r)} {format_rational(c)}"
-            out.append(line)
-    for name, r0, r1, c0, c1 in game.blocks or ():
-        out.append(f"#block {name} {r0} {r1} {c0} {c1}")
-    return "\n".join(out) + "\n"
+    """Write a `.bgm` game.  Each palette pair is formatted once into its
+    entry line, and `str.translate` turns each code row into its lines."""
+    table = [f"{format_rational(r)} {format_rational(c)}\n" for r, c in game.palette]
+    out = [f"bgm 1\n{game.rows} {game.cols}\n"]
+    out += [row.translate(table) for row in game.codes]
+    out += [f"#block {name} {r0} {r1} {c0} {c1}\n"
+            for name, r0, r1, c0, c1 in game.blocks or ()]
+    return "".join(out)
 
 
 def parse_prof(text: str, normalize: bool = False) -> MixedProfile:
@@ -169,7 +180,7 @@ def parse_prof(text: str, normalize: bool = False) -> MixedProfile:
     call, and under ``normalize`` each distinct entry is divided once, so
     equal entries share one Fraction and a regret report groups them
     (`games.mat_vec`)."""
-    lines = _data_lines(text)
+    lines = list(_data_lines(text))
     if not lines or lines[0] != "prof 1":
         raise FormatError("missing 'prof 1' header")
     try:
@@ -211,7 +222,7 @@ def write_prof(p: MixedProfile) -> str:
 
 
 def parse_fgm(text: str) -> TwoProverGame:
-    lines = _data_lines(text)
+    lines = list(_data_lines(text))
     if not lines or lines[0] != "fgm 1":
         raise FormatError("missing 'fgm 1' header")
     try:
@@ -277,8 +288,8 @@ def write_fgm(t: TwoProverGame) -> str:
     for x in range(t.nx):
         for y in range(t.ny):
             for a in range(t.x_answers[x]):
-                for b in range(t.y_answers[y]):
-                    out.append(str(t.table[x][y][a][b]))
+                # One shared "0" and "1", not a new str per entry.
+                out.extend(map(("0", "1").__getitem__, t.table[x][y][a]))
     if t.dist is not None:
         out.append("D")
         for x in range(t.nx):
@@ -288,7 +299,7 @@ def write_fgm(t: TwoProverGame) -> str:
 
 
 def parse_strat(text: str) -> tuple[ProverStrategy, ProverStrategy]:
-    lines = _data_lines(text)
+    lines = list(_data_lines(text))
     if not lines or lines[0] != "strat 1":
         raise FormatError("missing 'strat 1' header")
     if len(lines) != 3:

@@ -12,10 +12,13 @@ The unscaled gadget game G has blocks
 RC replays the free game's verification payoffs (identical for both
 players).  D1/D2 are zero-sum blocks indexed by functions selecting
 exactly half of the opposite side's questions; they punish non-uniform
-question marginals.  Every payoff is 0, 1, +D1 or -D1, with D1 < 4.  G_s
-maps them into (0, 1), adding 4 and dividing by 8, and is laid out from
-the four rescaled constants; `games.affine_rescale` is the generic
-per-entry map that the tests compare G_s against.
+question marginals.  Every payoff is 0, 1, +D1 or -D1, with D1 < 4, so G
+is laid out as code rows over a palette of four (R, C) pairs (see
+`negadget.games`): RC's verdict bits are its codes.  G_s maps the payoffs
+into (0, 1), adding 4 and dividing by 8: it is G's code rows with the
+palette mapped, and `games.affine_rescale` is the generic per-entry map
+that the tests compare G_s against.  G' and G'' each append one code to
+every row, one row and three palette pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable
 
 from .errors import (
     ParameterError,
@@ -37,7 +39,9 @@ from .formats import format_rational
 from .games import (
     BimatrixGame,
     MixedProfile,
+    Pair,
     Rational,
+    add_pair,
     frac,
     regret_report,
 )
@@ -51,7 +55,6 @@ HALF_CAP_DEFAULT = 2**16
 CELL_CAP = 2**22  # G's cells; a 10-variable, 12-clause formula's G has 692,040
 
 Halves = list[tuple[int, ...]]  # 0/1 vectors, each selecting half the questions
-Pair = tuple[Fraction, Fraction]  # (row player, column player) payoffs
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ def build_hardness_game(
     row_index = [("qa", x, a) for x in range(f.nx) for a in range(f.x_answers[x])]
     col_index = [("qa", y, b) for y in range(f.ny) for b in range(f.y_answers[y])]
     return GadgetGame(
-        game=_lay_out(f, halves_x, halves_y, params.d1_payoff, lambda v: v),
+        game=_lay_out(f, halves_x, halves_y, params.d1_payoff),
         row_index=tuple(row_index + [("half", i) for i in range(len(halves_y))]),
         col_index=tuple(col_index + [("half", i) for i in range(len(halves_x))]),
         params=params,
@@ -167,46 +170,52 @@ def build_hardness_game(
 
 
 def _lay_out(f: TwoProverGame, halves_x: Halves, halves_y: Halves,
-             pay: Fraction, scale: Callable[[Fraction], Fraction]) -> BimatrixGame:
-    """The blocks RC | D2 over D1 | ZERO, every entry one of the four shared
-    objects scale(0), scale(1), scale(pay) and scale(-pay)."""
-    zero, one, plus, minus = (scale(Fraction(v)) for v in (0, 1, pay, -pay))
-    qa_cols = [(y, b) for y in range(f.ny) for b in range(f.y_answers[y])]
-    r, c = [], []
+             pay: Fraction) -> BimatrixGame:
+    """The blocks RC | D2 over D1 | ZERO as code rows over the palette
+    (0, 0), (1, 1), (-pay, pay) and (pay, -pay), each entry one of four
+    shared objects.  RC's rows are its verdict bits, read as codes 0 and 1;
+    (1, 1) leaves the palette when no verdict is 1, so that every pair of
+    the palette occurs in some cell."""
+    zero, one, plus, minus = (Fraction(v) for v in (0, 1, pay, -pay))
+    palette = [(zero, zero), (one, one), (minus, plus), (plus, minus)]
+    if not any(1 in bits for per_y in f.table for per_a in per_y for bits in per_a):
+        del palette[1]
+    d2, d1 = chr(len(palette) - 2), chr(len(palette) - 1)
+    r = []
     for x, per_y in enumerate(f.table):
-        for a in range(f.x_answers[x]):
-            rc = [one if per_y[y][a][b] else zero for y, b in qa_cols]
-            # D2: half-subset columns over X; zero-sum, mirrored.
-            r.append(rc + [minus if half[x] else zero for half in halves_x])
-            c.append(rc + [plus if half[x] else zero for half in halves_x])
-    rc_rows, rc_cols, cols = len(r), len(qa_cols), len(r[0])
-    pad = [zero] * len(halves_x)
+        # D2: half-subset columns over X; zero-sum, mirrored.
+        d2_x = "".join([d2 if half[x] else "\0" for half in halves_x])
+        r += [b"".join(map(bytes, bits_by_y)).decode("latin-1") + d2_x
+              for bits_by_y in zip(*per_y)]
+    rc_rows, rc_cols = len(r), sum(f.y_answers)
+    pad = "\0" * len(halves_x)
     for half in halves_y:
         # D1: half-subset rows over Y against (y, b) columns; zero-sum.
-        r.append([plus if half[y] else zero for y, _ in qa_cols] + pad)
-        c.append([minus if half[y] else zero for y, _ in qa_cols] + pad)
+        r.append("".join([(d1 if half[y] else "\0") * n
+                          for y, n in enumerate(f.y_answers)]) + pad)
+    cols = len(r[0])
     blocks = (
         ("RC", 0, rc_rows, 0, rc_cols),
         ("D2", 0, rc_rows, rc_cols, cols),
         ("D1", rc_rows, len(r), 0, rc_cols),
         ("ZERO", rc_rows, len(r), rc_cols, cols),
     )
-    return BimatrixGame(R=r, C=c, blocks=blocks)
+    return BimatrixGame.coded(tuple(palette), tuple(r), blocks)
 
 
 def rescale_game(gg: GadgetGame) -> BimatrixGame:
     """Map the unscaled gadget game into (0, 1): add 4, divide by 8.
 
     Only `build_hardness_game` makes a `GadgetGame`, so every payoff is 0,
-    1 or +-D1 with D1 < 4 (`ReductionParams` keeps delta* in (0, 1]), and
-    the result equals ``affine_rescale(gg.game, 4, 8)``: it is laid out
-    from the four constants, each mapped once.  ``gg.game`` holds the
-    half subsets, so its sides bound their counts.
+    1 or +-D1 with D1 < 4 (`ReductionParams` keeps delta* in (0, 1]).  The
+    result keeps G's code rows and maps each distinct entry object of its
+    palette once, so it equals ``affine_rescale(gg.game, 4, 8)``.
     """
-    f, g = gg.free_game, gg.game
-    return _lay_out(f, half_subsets(f.nx, cap=g.cols),
-                    half_subsets(f.ny, cap=g.rows), gg.params.d1_payoff,
-                    lambda v: (v + RESCALE_SHIFT) / RESCALE_DIVISOR)
+    g = gg.game
+    scaled = {id(e): (e + RESCALE_SHIFT) / RESCALE_DIVISOR
+              for pair in g.palette for e in pair}
+    palette = tuple([(scaled[id(r)], scaled[id(c)]) for r, c in g.palette])
+    return BimatrixGame.coded(palette, g.codes, g.blocks)
 
 
 def completeness_certificate(
@@ -242,18 +251,18 @@ def completeness_certificate(
 def _append(game: BimatrixGame, col: Pair, row: Pair, corner: Pair,
             col_name: str, row_name: str) -> BimatrixGame:
     """Append one column and one row to ``game``: ``col`` pays against every
-    old row, ``row`` against every old column.  A game without blocks gets
-    one BASE block over its old entries."""
+    old row, ``row`` against every old column.  Each pair takes one new
+    code.  A game without blocks gets one BASE block over its old entries."""
     rows, cols = game.rows, game.cols
-    r = [[*old, col[0]] for old in game.R]
-    c = [[*old, col[1]] for old in game.C]
-    r.append([row[0]] * cols + [corner[0]])
-    c.append([row[1]] * cols + [corner[1]])
+    palette = list(game.palette)
+    col_code, row_code, corner_code = (add_pair(palette, p) for p in (col, row, corner))
+    codes = [old + col_code for old in game.codes]
+    codes.append(row_code * cols + corner_code)
     blocks = (game.blocks or (("BASE", 0, rows, 0, cols),)) + (
         (col_name, 0, rows, cols, cols + 1),
         (row_name, rows, rows + 1, 0, cols + 1),
     )
-    return BimatrixGame(R=r, C=c, blocks=blocks)
+    return BimatrixGame.coded(tuple(palette), tuple(codes), blocks)
 
 
 def extend_gprime(gs: BimatrixGame, eps_star: Rational) -> BimatrixGame:
@@ -261,19 +270,19 @@ def extend_gprime(gs: BimatrixGame, eps_star: Rational) -> BimatrixGame:
 
     The new row pays its owner 5/8 + eps* against every old column (and
     the column player 0); symmetrically for the new column; the new corner
-    is (1, 1) and is an exact pure equilibrium.
+    is (1, 1) and is an exact pure equilibrium.  The [0, 1] check of ``gs``
+    reads its palette and names the first bad cell of R, else of C.
     """
     e = frac(eps_star)
     if not (0 < e < Fraction(1, 8)):
         raise ParameterError(
             f"eps_star must be in (0, 1/8), got {format_rational(e)}")
-    # Each distinct entry object once, in the order of first appearance.
-    distinct: dict[int, Fraction] = {}
-    for row in (*gs.R, *gs.C):
-        distinct.update(zip(map(id, row), row))
-    for entry in distinct.values():
-        if not (0 <= entry <= 1):
-            raise ValidationError(f"payoff {format_rational(entry)} outside [0, 1]")
+    for entries in (gs.r_entries, gs.c_entries):
+        bad = {chr(i) for i, entry in enumerate(entries) if not 0 <= entry <= 1}
+        if bad:
+            code = next(code for row in gs.codes for code in row if code in bad)
+            raise ValidationError(
+                f"payoff {format_rational(entries[ord(code)])} outside [0, 1]")
     threat, zero, one = Fraction(5, 8) + e, Fraction(0), Fraction(1)
     return _append(gs, (zero, threat), (threat, zero), (one, one),
                    "COL_J", "ROW_I")

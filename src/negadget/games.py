@@ -3,16 +3,14 @@
 All arithmetic is over `fractions.Fraction`; verification never touches
 floating point.  Games are immutable; every operation returns new values.
 
-Each game holds the column player's payoffs transposed (``Ct``), so both
-players' sides are the same computation: R against y for the row player
-and Ct against x for the column player, through the one kernel
-``mat_vec``.  The kernel and ``dot`` read only the nonzero entries of a
-mixed strategy, and the kernel computes each distinct row pattern on the
-support once: rows that hold the same entry objects under the same weight
-objects share one value.  So a report costs per distinct row pattern on
-the support, not per cell, when a game is laid out from a few shared
-entries (as the gadget games are) and a profile shares its weights.
-Games and profiles keep the `Fraction` objects they are given.
+A game is a palette of (R entry, C entry) `Fraction` pairs plus one `str`
+code row per game row: cell (i, j) is ``palette[ord(codes[i][j])]``, and R,
+C and Ct are read-only views built on first use.  A str holds at most
+PALETTE_LIMIT codes; coding one pair more raises `ResourceError`.  The one
+kernel, ``mat_vec``, reads code rows (``codes_t`` for the column player)
+and computes each distinct row pattern on a strategy's support once, so a
+report costs per pattern, not per cell, when a game has few pairs (as the
+gadget games do) and a profile shares its weights.
 ``regret_report`` stays in `Fraction` arithmetic: it is the exact oracle
 that the integer k-uniform scan of `negadget.search` is checked against.
 Every integer kernel (that scan, the support LPs, the simplex and
@@ -29,12 +27,21 @@ from fractions import Fraction
 from operator import add, itemgetter, mul
 from typing import Iterable, Sequence, Union
 
-from .errors import InvariantError, ParameterError, ShapeError, ValidationError
+from .errors import (
+    InvariantError,
+    ParameterError,
+    ResourceError,
+    ShapeError,
+    ValidationError,
+)
 
 Rational = Union[Fraction, int, str]
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+
+Pair = tuple[Fraction, Fraction]  # (row player, column player) entries
+PALETTE_LIMIT = 0x110000  # the code points, so the codes, a str can hold
 
 # A block annotation: (name, row_start, row_end, col_start, col_end),
 # half-open row/column ranges.
@@ -55,13 +62,6 @@ def vector(entries: Iterable[Rational]) -> Vector:
     return tuple([e if isinstance(e, Fraction) else Fraction(e) for e in entries])
 
 
-def matrix(rows: Iterable[Iterable[Rational]]) -> Matrix:
-    out = tuple([vector(r) for r in rows])
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ShapeError("ragged matrix")
-    return out
-
-
 def cleared(*matrices: Sequence[Sequence[Fraction]]) -> tuple:
     """(L*m1, L*m2, ..., L): each matrix as integer rows over one common
     denominator L, the least common multiple of every denominator in them.
@@ -78,70 +78,95 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v) if a), Fraction(0))
 
 
-def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
-    """m @ v (one entry per row): the one matrix-vector kernel.  It reads
-    only the nonzero entries of v, the support of a mixed strategy, and
-    computes each distinct row pattern on the support once.
-
-    The support's columns are grouped by weight object; a row's pattern is,
-    for each group, the sorted ids of its entries in that group's columns.
-    Rows of one pattern hold the same objects under the same weights, so
-    they share one value: the sum over the groups of w times the sum of the
-    group's entries.  Objects are compared, not values: one object has one
-    value, and hashing a Fraction costs more than the products it saves.
-    So the result is exact for any input; sharing decides only how often a
-    value is computed.
+def mat_vec(codes: Sequence[str], entries: Sequence[Fraction],
+            v: Sequence[Fraction]) -> Vector:
+    """m @ v for the matrix m with cells ``entries[ord(codes[i][j])]``: the
+    one matrix-vector kernel.  It reads only the nonzero entries of v, the
+    support of a mixed strategy, grouped by weight object (one object has
+    one value, and hashing a Fraction costs more than the products it
+    saves).  A row's pattern is its sorted codes in each group's columns;
+    each distinct pattern's value, the sum over the groups of w times the
+    sum of its entries, is computed once.  So the result is exact for any
+    input; sharing decides only how often a value is computed.
     """
-    if m and len(m[0]) != len(v):
-        raise ShapeError(f"mat_vec: {len(m[0])} columns vs length {len(v)}")
+    if codes and len(codes[0]) != len(v):
+        raise ShapeError(f"mat_vec: {len(codes[0])} columns vs length {len(v)}")
     by_weight: dict[int, tuple[Fraction, list[int]]] = {}
     for j, e in enumerate(v):
         if e:
             by_weight.setdefault(id(e), (e, []))[1].append(j)
-    # Each getter returns a tuple of a row's entries in one group's columns
-    # (a one-column group takes a slice: itemgetter(j) returns the entry).
-    groups = [(w, itemgetter(*cols) if len(cols) > 1
-               else itemgetter(slice(cols[0], cols[0] + 1)))
-              for w, cols in by_weight.values()]
-    # An empty support has one pattern, (), whose value is 0.
-    values: dict[tuple, Fraction] = {(): Fraction(0)}
-    out = []
-    for row in m:
-        key = tuple([tuple(sorted(map(id, get(row)))) for _, get in groups])
-        value = values.get(key)
-        if value is None:
-            value = values[key] = reduce(
-                add, [w * reduce(add, get(row)) for w, get in groups])
-        out.append(value)
-    return tuple(out)
+    if not by_weight:
+        return (Fraction(0),) * len(codes)
+    weights = [w for w, _ in by_weight.values()]
+    # A row's key holds one str per group: itemgetter gives the row's codes
+    # in the group's columns (a tuple, or a str of one code), sorted.
+    keys = list(zip(*[map("".join, map(sorted, map(itemgetter(*cols), codes)))
+                      for _, cols in by_weight.values()]))
+    values = {key: reduce(add, [
+        w * reduce(add, map(entries.__getitem__, map(ord, group)))
+        for w, group in zip(weights, key)]) for key in set(keys)}
+    return tuple(map(values.__getitem__, keys))
 
 
-@dataclass(frozen=True)
+def add_pair(palette: list[Pair], pair: Pair) -> str:
+    """Append ``pair`` to ``palette`` and return its code, ``chr`` of its
+    index; ``ResourceError`` if the palette holds PALETTE_LIMIT pairs."""
+    if len(palette) >= PALETTE_LIMIT:
+        raise ResourceError(
+            f"game has more than {PALETTE_LIMIT} distinct (R, C) entry pairs")
+    palette.append(pair)
+    return chr(len(palette) - 1)
+
+
 class BimatrixGame:
-    """A bimatrix game (R, C) with optional named block structure.
+    """A bimatrix game (R, C) with optional named block structure, stored as
+    a palette of (R entry, C entry) pairs and one code row per game row.
 
     ``blocks`` is a tuple of (name, r0, r1, c0, c1) annotations with
     half-open ranges; when present they must partition the full index
-    rectangle exactly.
+    rectangle exactly.  ``==`` and ``hash`` compare R, C and ``blocks``.
     """
 
-    R: Matrix
-    C: Matrix
-    blocks: tuple[Block, ...] | None = None
+    def __init__(self, R: Iterable[Sequence[Rational]],
+                 C: Iterable[Sequence[Rational]],
+                 blocks: Iterable[Block] | None = None) -> None:
+        """Code each distinct (id(r), id(c)) once; keep Fractions, coerce the rest."""
+        R, C = list(R), list(C)
+        if not R or not R[0] or len(C) != len(R) or any(
+                len(row) != len(R[0]) for row in R + C):
+            raise ShapeError("R and C must be nonempty matrices of one shape")
+        seen: dict[tuple[int, int], str] = {}
+        palette: list[Pair] = []
+        given = []  # the coded objects, kept alive while their ids are keys
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "R", matrix(self.R))
-        object.__setattr__(self, "C", matrix(self.C))
-        if not self.R or not self.R[0]:
-            raise ShapeError("game must be at least 1x1")
-        if len(self.R) != len(self.C) or len(self.R[0]) != len(self.C[0]):
-            raise ShapeError(
-                f"R is {len(self.R)}x{len(self.R[0])} but "
-                f"C is {len(self.C)}x{len(self.C[0])}"
-            )
+        def code(r: Rational, c: Rational) -> str:
+            key = (id(r), id(c))
+            if key not in seen:
+                seen[key] = add_pair(palette, (frac(r), frac(c)))
+                given.append((r, c))
+            return seen[key]
+
+        codes = tuple(["".join(map(code, r_row, c_row)) for r_row, c_row in zip(R, C)])
+        self._set(tuple(palette), codes, blocks)
+
+    @classmethod
+    def coded(cls, palette: tuple[Pair, ...], codes: tuple[str, ...],
+              blocks: Iterable[Block] | None = None) -> BimatrixGame:
+        """The game with cells ``palette[ord(codes[i][j])]``, kept as given: a
+        nonempty rectangle of codes in which every palette pair occurs (as in
+        the constructor's games), since `cleared` reads the palette for them."""
+        game = cls.__new__(cls)
+        game._set(palette, codes, blocks)
+        return game
+
+    def _set(self, palette: tuple[Pair, ...], codes: tuple[str, ...], blocks) -> None:
+        vars(self).update(palette=palette, codes=codes, blocks=None if blocks is None
+                          else tuple(tuple(b) for b in blocks))
         if self.blocks is not None:
-            object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
             self._check_blocks()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"BimatrixGame is immutable: cannot set {name!r}")
 
     def _check_blocks(self) -> None:
         rows, cols = self.rows, self.cols
@@ -158,18 +183,46 @@ class BimatrixGame:
         if area != rows * cols:
             raise ValidationError("blocks do not partition the payoff matrix")
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BimatrixGame):
+            return NotImplemented
+        return self.blocks == other.blocks and (
+            (self.palette, self.codes) == (other.palette, other.codes)
+            or (self.R, self.C) == (other.R, other.C))
+
+    def __hash__(self) -> int:
+        return hash((self.R, self.C, self.blocks))
+
+    # Each palette pair's entry for one player, by code, and the read-only
+    # views R, C and C transposed, built on first use.
+    r_entries = cached_property(lambda self: tuple([r for r, _ in self.palette]))
+    c_entries = cached_property(lambda self: tuple([c for _, c in self.palette]))
+    R = cached_property(lambda self: _view(self.codes, self.r_entries))
+    C = cached_property(lambda self: _view(self.codes, self.c_entries))
+    Ct = cached_property(lambda self: _view(self.codes_t, self.c_entries))
+
     @cached_property
-    def Ct(self) -> Matrix:
-        """C transposed, built once: Ct @ x is each column's payoff."""
-        return tuple(list(zip(*self.C)))
+    def codes_t(self) -> tuple[str, ...]:
+        """The code rows transposed, one str per column, built once."""
+        joined, cols = "".join(self.codes), self.cols
+        return tuple([joined[j::cols] for j in range(cols)])
+
+    @cached_property
+    def cleared(self) -> tuple[list[list[int]], list[list[int]], int]:
+        """``cleared(self.R, self.Ct)`` from the palette, built on first use:
+        each pair is cleared once and the code rows map to its integers."""
+        (r_ints,), (c_ints,), scale = cleared([self.r_entries], [self.c_entries])
+        return ([list(map(r_ints.__getitem__, map(ord, row))) for row in self.codes],
+                [list(map(c_ints.__getitem__, map(ord, col)))
+                 for col in self.codes_t], scale)
 
     @property
     def rows(self) -> int:
-        return len(self.R)
+        return len(self.codes)
 
     @property
     def cols(self) -> int:
-        return len(self.R[0])
+        return len(self.codes[0])
 
     def block(self, name: str) -> Block:
         for b in self.blocks or ():
@@ -179,6 +232,12 @@ class BimatrixGame:
 
     def has_block(self, name: str) -> bool:
         return any(b[0] == name for b in self.blocks or ())
+
+
+def _view(codes: Sequence[str], entries: Vector) -> Matrix:
+    """The matrix of ``entries[ord(code)]`` over code rows."""
+    by_code = dict(zip(map(chr, range(len(entries))), entries))
+    return tuple([tuple(map(by_code.__getitem__, row)) for row in codes])
 
 
 @dataclass(frozen=True)
@@ -250,12 +309,12 @@ def _check_shapes(game: BimatrixGame, p: MixedProfile) -> None:
 
 
 def _side(
-    payoff: Matrix, own: Vector, opp: Vector
+    codes: Sequence[str], entries: Vector, own: Vector, opp: Vector
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(payoff, best pure payoff, worst payoff on the support) of the
-    player with payoff matrix ``payoff`` and strategy ``own`` against
-    ``opp``: (R, x, y) for the row player, (Ct, y, x) for the column."""
-    vals = mat_vec(payoff, opp)
+    """(payoff, best pure payoff, worst payoff on the support) of the player
+    with payoffs ``codes`` over ``entries`` and strategy ``own`` against
+    ``opp``: (codes, R, x, y) for the rows, (codes_t, C, y, x) for the columns."""
+    vals = mat_vec(codes, entries, opp)
     # Rows of one pattern share one object (see mat_vec): compare it once.
     best = max({id(v): v for v in vals}.values())
     worst = min({id(v): v for v, e in zip(vals, own) if e}.values())
@@ -270,8 +329,8 @@ def regret_report(game: BimatrixGame, p: MixedProfile) -> RegretReport:
     among pure strategies actually in the support.
     """
     _check_shapes(game, p)
-    row_payoff, row_best, row_supp_min = _side(game.R, p.x, p.y)
-    col_payoff, col_best, col_supp_min = _side(game.Ct, p.y, p.x)
+    row_payoff, row_best, row_supp_min = _side(game.codes, game.r_entries, p.x, p.y)
+    col_payoff, col_best, col_supp_min = _side(game.codes_t, game.c_entries, p.y, p.x)
     return RegretReport(
         row_regret=row_best - row_payoff,
         col_regret=col_best - col_payoff,
@@ -296,7 +355,8 @@ def is_eps_wsne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
 def social_welfare(game: BimatrixGame, p: MixedProfile) -> Fraction:
     """x'Ry + x'Cy, exactly."""
     _check_shapes(game, p)
-    return dot(p.x, mat_vec(game.R, p.y)) + dot(p.x, mat_vec(game.C, p.y))
+    return (dot(p.x, mat_vec(game.codes, game.r_entries, p.y))
+            + dot(p.x, mat_vec(game.codes, game.c_entries, p.y)))
 
 
 def tv_distance(p1: MixedProfile, p2: MixedProfile) -> Fraction:
@@ -312,15 +372,13 @@ def tv_distance(p1: MixedProfile, p2: MixedProfile) -> Fraction:
 def affine_rescale(
     game: BimatrixGame, shift: Rational, divisor: Rational
 ) -> BimatrixGame:
-    """Map every payoff e to (e + shift)/divisor, keeping block annotations."""
+    """Map every payoff e to (e + shift)/divisor, keeping block annotations:
+    each palette pair is mapped, and the code rows are kept."""
     s, d = frac(shift), frac(divisor)
     if d <= 0:
         raise ParameterError("divisor must be positive")
-    return BimatrixGame(
-        R=[[(e + s) / d for e in row] for row in game.R],
-        C=[[(e + s) / d for e in row] for row in game.C],
-        blocks=game.blocks,
-    )
+    palette = tuple([((r + s) / d, (c + s) / d) for r, c in game.palette])
+    return BimatrixGame.coded(palette, game.codes, game.blocks)
 
 
 def pure_profile(game: BimatrixGame, i: int, j: int) -> MixedProfile:

@@ -247,12 +247,13 @@ def induced_two_prover(
     # against the updated row profile.
     x_mass, sx = _canonical_side(
         _by_question(p.x[r0:r1], f.x_answers),
-        _by_question(mat_vec(game.R[r0:r1], p.y), f.x_answers),
+        _by_question(mat_vec(game.codes[r0:r1], game.r_entries, p.y), f.x_answers),
     )
     x_vec = p.x[:r0] + tuple(m for row in x_mass for m in row) + p.x[r1:]
     y_mass, sy = _canonical_side(
         _by_question(p.y[c0:c1], f.y_answers),
-        _by_question(mat_vec(game.Ct[c0:c1], x_vec), f.y_answers),
+        _by_question(mat_vec(game.codes_t[c0:c1], game.c_entries, x_vec),
+                     f.y_answers),
     )
 
     x_marginal = tuple(sum(row, Fraction(0)) for row in x_mass)

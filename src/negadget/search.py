@@ -21,7 +21,6 @@ from .games import (
     Rational,
     RegretReport,
     Vector,
-    cleared,
     frac,
     is_eps_ne,
     regret_report,
@@ -222,7 +221,7 @@ def lmm_best_welfare(
     checked, truncated = _scan_size(game, k, budget)
     # Welfare compared as integers on the scan's scale; max() keeps the
     # first of equal maxima, the lowest-index best welfare.
-    hits = _integer_scan(e, k, checked, *cleared(game.R, game.Ct))
+    hits = _integer_scan(e, k, checked, *game.cleared)
     best = max(hits, key=lambda c: c[3] + c[4], default=None)
     if best is None:
         return SearchOutcome(
@@ -259,7 +258,7 @@ def _eps_ne_scan(
     """Stream the k-uniform eps-NE among the first ``budget`` candidates,
     each as (index, x, y, row payoff, col payoff): `_integer_scan`'s hits
     with their Fraction vectors and payoffs."""
-    r_int, ct_int, scale = cleared(game.R, game.Ct)
+    r_int, ct_int, scale = game.cleared
     unit = k * k * scale
     for index, xc, yc, row_pay, col_pay in _integer_scan(eps, k, budget, r_int,
                                                          ct_int, scale):
@@ -281,7 +280,7 @@ def _integer_scan(
     payoffs as integers over k*k*scale.
 
     The test uses integers only.  ``r_int`` and ``ct_int`` are L*R and L*Ct,
-    cleared by `games.cleared` over one L (``scale``), so a multiset y gives
+    cleared by `BimatrixGame.cleared` over one L (``scale``), so a multiset y gives
     the integer vector vals = k*L*(R @ y) and a multiset x the payoff
     pay = k*k*L*(x @ R @ y), and the same for the column side.  With
     eps = a/b a side passes iff b*(k*max(vals) - pay) <= a*L*k*k, that is
@@ -372,7 +371,7 @@ def wsne_support_feasible(
         raise ValidationError("supports must be nonempty")
     if min(rows + cols) < 0 or rows[-1] >= game.rows or cols[-1] >= game.cols:
         raise ValidationError(f"supports {rows}/{cols} out of the game's range")
-    return _pair_witness(cleared(game.R, game.Ct), rows, cols, frac(eps), strict)[0]
+    return _pair_witness(game.cleared, rows, cols, frac(eps), strict)[0]
 
 
 def _pair_witness(
@@ -384,7 +383,7 @@ def _pair_witness(
 ) -> tuple[MixedProfile | None, bool]:
     """(the support pair's witness or None, whether its row side is
     feasible): the row-side LP for y, then, only if that side is feasible,
-    the column-side LP for x.  ``payoffs`` is ``cleared(game.R, game.Ct)``."""
+    the column-side LP for x.  ``payoffs`` is ``game.cleared``."""
     r_int, ct_int, scale = payoffs
     y = _one_side_feasible(r_int, rows, cols, eps, scale, strict)
     if y is None:
@@ -415,7 +414,7 @@ def _one_side_feasible(
     """Find q in the simplex over opp_supp with min coordinate maximized,
     subject to: every row in supp is eps-best among all rows against q.
     ``payoff`` is the payoff matrix P times the integer ``scale``, one side
-    of `games.cleared`.
+    of `BimatrixGame.cleared`.
 
     Variables: q_j for j in opp_supp, then t (the min-coordinate slack).
     Maximize t; feasible with t > 0 means the exact support works.  In
@@ -516,7 +515,7 @@ def _support_pairs(
     total = (2 ** n - 1) * (2 ** m - 1)
     if total > budget:
         raise ResourceError(f"{total} support pairs exceed budget {budget}")
-    payoffs = cleared(game.R, game.Ct)
+    payoffs = game.cleared
     row_dead, col_dead = set(), set()  # one total size's infeasible sides
     for size in range(least_size, n + m + 1):
         # `product` takes its combinations now: each stream keeps its own r.

@@ -1,5 +1,6 @@
 """Independent oracles that only the tests use: the `.bgm` reader that
-parses line by line, the matrix-vector product and regret report computed
+parses line by line and the writer that formats cell by cell, the
+matrix-vector product and regret report computed
 cell by cell, the integer k-uniform scan
 candidate by candidate, every support pair sorted into the support
 walk's order, exact Gaussian elimination, the exact equilibria of games
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from negadget.errors import FormatError, ResourceError, ShapeError, ValidationError
-from negadget.formats import _parse_rational
+from negadget.formats import _parse_rational, format_rational
 from negadget.games import (
     BimatrixGame,
     Matrix,
@@ -87,6 +88,17 @@ def parse_bgm_per_line(text: str) -> BimatrixGame:
         )
     except ValidationError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def write_bgm_per_cell(game: BimatrixGame) -> str:
+    """`formats.write_bgm` as a plain loop over the R and C views that
+    formats every cell: the reference for its palette writer."""
+    out = ["bgm 1", f"{game.rows} {game.cols}"]
+    out += [f"{format_rational(r)} {format_rational(c)}"
+            for r_row, c_row in zip(game.R, game.C) for r, c in zip(r_row, c_row)]
+    out += [f"#block {name} {r0} {r1} {c0} {c1}"
+            for name, r0, r1, c0, c1 in game.blocks or ()]
+    return "\n".join(out) + "\n"
 
 
 def mat_vec_per_cell(m: Matrix, v: Sequence[Fraction]) -> Vector:

@@ -176,7 +176,7 @@ def test_criterion_4_d1_row_flatness():
         gg = build_hardness_game(build.game, params)
         s1, s2 = winning_strategies(build, best_assignment(formula))
         cert = completeness_certificate(build.game, s1, s2, gg)
-        row_vals = mat_vec(gg.game.R, cert.y)
+        row_vals = mat_vec(gg.game.codes, gg.game.r_entries, cert.y)
         _, d0, d1_, _, _ = gg.game.block("D1")
         if any(row_vals[i] != expected for i in range(d0, d1_)):
             failures.append(name)

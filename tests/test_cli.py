@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from negadget import cli, formats
+from negadget import cli, formats, games
 from negadget.cli import main
 from negadget.errors import GadgetError
 from negadget.gadget import derive_params, extend_gprime, rescale_game
@@ -431,6 +431,13 @@ class TestInputErrors:
     def test_malformed_index_set(self, coordination_paths, capsys):
         game, _ = coordination_paths
         assert main(["decide", "p10", str(game), "--eps", "0", "--set", "a"]) == 3
+        self._assert_one_line_error(capsys)
+
+    def test_too_many_entry_pairs(self, coordination_paths, capsys, monkeypatch):
+        # COORDINATION has two distinct (R, C) pairs, one past this limit.
+        monkeypatch.setattr(games, "PALETTE_LIMIT", 1)
+        game, prof = coordination_paths
+        assert main(["verify", str(game), str(prof), "--eps", "0"]) == 3
         self._assert_one_line_error(capsys)
 
     def test_non_integer_block_bound(self, tmp_path, coordination_paths, capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+import unittest.mock
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from negadget.errors import FormatError
 from negadget.gadget import extend_gdoubleprime, extend_gprime, rescale_game
 from negadget.games import BimatrixGame, MixedProfile
 from negadget.provers import ProverStrategy, TwoProverGame
-from oracles import parse_bgm_per_line
+from oracles import parse_bgm_per_line, write_bgm_per_cell
 
 F = Fraction
 
@@ -74,16 +76,6 @@ def _token_objects(text: str, game: BimatrixGame) -> dict[str, set[int]]:
     return out
 
 
-def _per_cell_bgm(game: BimatrixGame) -> str:
-    """`write_bgm` as a plain loop that formats every cell."""
-    out = ["bgm 1", f"{game.rows} {game.cols}"]
-    out += [f"{formats.format_rational(r)} {formats.format_rational(c)}"
-            for r_row, c_row in zip(game.R, game.C) for r, c in zip(r_row, c_row)]
-    out += [f"#block {name} {r0} {r1} {c0} {c1}"
-            for name, r0, r1, c0, c1 in game.blocks or ()]
-    return "\n".join(out) + "\n"
-
-
 class TestBgm:
     def test_round_trip(self):
         rng = random.Random(1)
@@ -112,7 +104,7 @@ class TestBgm:
             text = formats.write_bgm(game)
             monkeypatch.undo()
             assert len(calls) <= 2 * len(pairs) < game.rows * game.cols
-            assert text == _per_cell_bgm(game)
+            assert text == write_bgm_per_cell(game)
 
     def test_decimals_exact(self):
         game = formats.parse_bgm("bgm 1\n1 1\n0.25 3/4\n")
@@ -146,6 +138,22 @@ class TestBgm:
         with pytest.raises(FormatError):
             formats.parse_bgm("bgm 1\n2 2\n0 0\n")
 
+    @pytest.mark.parametrize("dims", ["1000000000 1", "1000000000 2", "1 1000000000",
+                                      "1000000000 1000000000"])
+    def test_huge_declared_dimensions_fail_fast(self, dims):
+        # Coding stops at the first short row, so the declared size costs
+        # neither a row per declared row nor a cell per declared cell.
+        rows, cols = map(int, dims.split())
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as raised:
+                formats.parse_bgm(f"bgm 1\n{dims}\n0 0\n1 1\n1/2 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == f"expected {rows * cols} entry lines, found 3"
+        assert peak < 100_000
+
     def test_deterministic(self):
         rng = random.Random(2)
         game = random_game(rng, 2, 2)
@@ -178,6 +186,44 @@ class TestBgm:
         assert game == expected and game.blocks == expected.blocks
         for read in (game, expected):
             assert all(len(ids) == 1 for ids in _token_objects(text, read).values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(game=_bgm_games())
+    def test_writes_what_the_per_cell_writer_writes(self, game):
+        assert formats.write_bgm(game) == write_bgm_per_cell(game)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_bgm_texts(), chunk=st.integers(1, 16),
+           newline=st.sampled_from(["\n", "\r\n", "\r", "\x0c"]))
+    def test_chunks_split_where_splitlines_does(self, text, chunk, newline):
+        # Lines read chunk by chunk are the lines of the whole text, for
+        # any chunk size and any line boundary.
+        text = text.replace("\n", newline)
+        with unittest.mock.patch.object(formats, "_CHUNK", chunk):
+            lines = list(formats._data_lines(text))
+            assert lines == [l for l in map(str.strip, text.splitlines()) if l]
+            try:
+                expected = parse_bgm_per_line(text)
+            except FormatError as exc:
+                with pytest.raises(FormatError) as raised:
+                    formats.parse_bgm(text)
+                assert str(raised.value) == str(exc)
+                return
+            assert formats.parse_bgm(text) == expected
+
+    def test_entry_lines_are_not_all_held(self):
+        # 100,000 entry lines hold about 6 MB as a list of lines; the
+        # streamed reader holds one chunk's lines and the code rows.
+        rows, cols = 200, 500
+        text = "bgm 1\n{} {}\n{}".format(rows, cols, "1/2 1/3\n0 0\n" * (rows * cols // 2))
+        tracemalloc.start()
+        try:
+            game = formats.parse_bgm(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert game.rows == rows and len(game.palette) == 2
+        assert peak < 1_500_000
 
     @pytest.mark.parametrize("tok", ["abc", "1/0", "1e5000", "1" * 4301, "0.5.5"])
     def test_bad_token_message_unchanged(self, tok):

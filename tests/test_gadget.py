@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negadget import games
 from negadget.errors import (
     ParameterError,
     PreconditionError,
@@ -29,10 +30,12 @@ from negadget.gadget import (
     half_subsets,
     rescale_game,
 )
+from negadget.formats import parse_bgm, write_bgm
 from negadget.games import (
     BimatrixGame,
     MixedProfile,
     affine_rescale,
+    cleared,
     is_eps_ne,
     is_eps_wsne,
     mat_vec,
@@ -47,6 +50,8 @@ from negadget.provers import (
     prover_payoff,
     uniformity_gap,
 )
+
+from oracles import mat_vec_per_cell, regret_report_per_cell, write_bgm_per_cell
 
 F = Fraction
 
@@ -237,6 +242,87 @@ class TestRescaleLayout:
             assert _entry_objects(rescale_game(b.gadget)) <= 4, b.name
 
 
+@pytest.fixture(scope="module")
+def fixture_games(sat_builds, unsat_builds, params) -> list[tuple[str, BimatrixGame]]:
+    """G, G_s, G' and G'' of every corpus fixture, labelled."""
+    out = []
+    for b in (*sat_builds.values(), *unsat_builds.values()):
+        gs = rescale_game(b.gadget)
+        gp = extend_gprime(gs, params.eps_star)
+        out += [(f"{b.name}/{label}", game) for label, game in (
+            ("G", b.gadget.game), ("Gs", gs), ("Gprime", gp),
+            ("Gdouble", extend_gdoubleprime(gp)))]
+    return out
+
+
+def _assert_coded(game: BimatrixGame) -> None:
+    """Every palette pair occurs in a cell, and the palette readers agree
+    with the same reads of the views."""
+    assert set("".join(game.codes)) == set(map(chr, range(len(game.palette))))
+    assert game.cleared == cleared(game.R, game.Ct)
+    assert game.Ct == tuple(zip(*game.C))
+    assert game == BimatrixGame(R=game.R, C=game.C, blocks=game.blocks)
+
+
+@st.composite
+def _sparse_shared_weights(draw, n):
+    """A distribution on n entries with a small support, one object per
+    distinct value (zero included), as the gadget's profiles share them."""
+    w = draw(st.lists(st.sampled_from([0] * 8 + [1, 2, 3]), min_size=n,
+                      max_size=n).filter(any))
+    objects: dict[Fraction, Fraction] = {}
+    return tuple(objects.setdefault(F(e, sum(w)), F(e, sum(w))) for e in w)
+
+
+class TestCodedGames:
+    """The gadget games are code rows over a palette; the views, the text
+    formats and the kernel agree with their per-cell references."""
+
+    def test_views_palette_and_round_trip(self, fixture_games):
+        for label, game in fixture_games:
+            _assert_coded(game)
+            text = write_bgm(game)
+            assert text == write_bgm_per_cell(game), label
+            again = parse_bgm(text)
+            assert again == game and hash(again) == hash(game), label
+
+    def test_rescale_keeps_the_code_rows(self, sat_builds):
+        gg = sat_builds["two-clause"].gadget
+        assert rescale_game(gg).codes is gg.game.codes
+        assert len(gg.game.palette) == 4
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_kernel_matches_the_per_cell_reference(self, fixture_games, data):
+        label, game = data.draw(st.sampled_from(fixture_games))
+        p = MixedProfile(x=data.draw(_sparse_shared_weights(game.rows)),
+                         y=data.draw(_sparse_shared_weights(game.cols)))
+        assert mat_vec(game.codes, game.r_entries, p.y) == mat_vec_per_cell(game.R, p.y)
+        assert mat_vec(game.codes_t, game.c_entries, p.x) == mat_vec_per_cell(game.Ct, p.x)
+        assert regret_report(game, p) == regret_report_per_cell(game, p), label
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=_even_free_games())
+    def test_every_palette_pair_occurs_on_random_free_games(self, f):
+        # A table without a 1 leaves (1, 1) out of G's palette.
+        gg = build_hardness_game(f, derive_params(F(31, 250)))
+        for game in (gg.game, rescale_game(gg)):
+            _assert_coded(game)
+
+    def test_no_verdict_of_one_leaves_one_out(self):
+        zero = TwoProverGame(x_answers=(1, 1), y_answers=(1, 1),
+                             table=((((0,),),) * 2,) * 2)
+        gg = build_hardness_game(zero, derive_params(F(31, 250)))
+        assert len(gg.game.palette) == 3
+        _assert_coded(gg.game)
+
+    def test_append_past_the_palette_limit(self, single_build, params, monkeypatch):
+        gs = rescale_game(single_build.gadget)
+        monkeypatch.setattr(games, "PALETTE_LIMIT", len(gs.palette) + 2)
+        with pytest.raises(ResourceError, match="distinct"):
+            extend_gprime(gs, params.eps_star)
+
+
 class TestCertificate:
     def test_all_satisfiable_fixtures(self, sat_builds, params):
         for b in sat_builds.values():
@@ -261,7 +347,7 @@ class TestCertificate:
         expected = F(2) / (1 + 4 * params.g * params.delta_star)
         for b in sat_builds.values():
             game = b.gadget.game
-            row_vals = mat_vec(game.R, b.cert.y)
+            row_vals = mat_vec(game.codes, game.r_entries, b.cert.y)
             _, d0, d1_, _, _ = game.block("D1")
             for i in range(d0, d1_):
                 assert row_vals[i] == expected
@@ -361,7 +447,7 @@ class TestSoundnessChainProperties:
             for i in range(d0, d1_)
             if game.R[i][0] != 0
         ]
-        row_vals = mat_vec(game.R, p.y)
+        row_vals = mat_vec(game.codes, game.r_entries, p.y)
         assert max(row_vals[i] for i in covering) >= 2
         assert not is_eps_ne(game, p, eps)
 
@@ -404,7 +490,7 @@ class TestExtensions:
                 "last": (gs.rows - 1, gs.cols - 1)}[where]
         m = [list(row) for row in getattr(gs, side)]
         m[i][j] = F(bad.numerator, bad.denominator)
-        game = dataclasses.replace(gs, **{side: m})
+        game = BimatrixGame(**{"R": gs.R, "C": gs.C, side: m}, blocks=gs.blocks)
         with pytest.raises(ValidationError, match=f"payoff {bad} outside"):
             extend_gprime(game, params.eps_star)
 

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negadget import games
 from negadget.corpus import random_game, random_profile
-from negadget.errors import InvariantError, ParameterError, ShapeError, ValidationError
+from negadget.errors import (
+    InvariantError,
+    ParameterError,
+    ResourceError,
+    ShapeError,
+    ValidationError,
+)
+from negadget.formats import parse_bgm, write_bgm
 from negadget.games import (
     BimatrixGame,
     MixedProfile,
@@ -358,6 +366,71 @@ def _shared_game_and_profile(draw):
 @given(_shared_game_and_profile())
 def test_shared_objects_match_the_per_cell_reference(game_and_profile):
     game, p = game_and_profile
-    assert mat_vec(game.R, p.y) == mat_vec_per_cell(game.R, p.y)
-    assert mat_vec(game.Ct, p.x) == mat_vec_per_cell(game.Ct, p.x)
+    assert mat_vec(game.codes, game.r_entries, p.y) == mat_vec_per_cell(game.R, p.y)
+    assert mat_vec(game.codes_t, game.c_entries, p.x) == mat_vec_per_cell(game.Ct, p.x)
     assert regret_report(game, p) == regret_report_per_cell(game, p)
+
+
+@st.composite
+def _fresh_game_and_profile(draw):
+    """Games up to 5x5 and profiles in which every entry is a new Fraction,
+    so no two cells or weights share an object, drawn from few values so
+    that equal values recur."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                     min_size=rows, max_size=rows)
+    r, c = ([[F(n, 2) for n in row] for row in draw(cells)] for _ in range(2))
+
+    def side(n):
+        w = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+        return tuple(F(e, sum(w)) for e in w)
+
+    return r, c, MixedProfile(x=side(rows), y=side(cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fresh_game_and_profile())
+def test_fresh_objects_match_the_per_cell_reference(drawn):
+    r, c, p = drawn
+    game = BimatrixGame(R=r, C=c)
+    # One palette pair per cell: no two cells share an entry object.
+    assert len(game.palette) == game.rows * game.cols
+    assert all(a is b for given, view in ((r, game.R), (c, game.C))
+               for g_row, v_row in zip(given, view) for a, b in zip(g_row, v_row))
+    assert game.Ct == tuple(zip(*game.C))
+    assert mat_vec(game.codes, game.r_entries, p.y) == mat_vec_per_cell(game.R, p.y)
+    assert mat_vec(game.codes_t, game.c_entries, p.x) == mat_vec_per_cell(game.Ct, p.x)
+    assert regret_report(game, p) == regret_report_per_cell(game, p)
+    again = parse_bgm(write_bgm(game))
+    assert again == game and hash(again) == hash(game)
+
+
+class TestCoding:
+    def test_one_code_per_pair_of_objects(self):
+        half, zero = F(1, 2), F(0)
+        game = BimatrixGame(R=((half, zero, half), (zero, half, half)),
+                            C=((zero, half, zero), (half, zero, zero)))
+        assert game.palette == ((half, zero), (zero, half))
+        assert game.codes == ("\0\1\0", "\1\0\0")
+
+    def test_equality_is_by_value_not_by_coding(self):
+        half, zero = F(1, 2), F(0)
+        game = BimatrixGame(R=((half, zero),), C=((zero, half),))
+        recoded = BimatrixGame.coded(((F(0), F(2, 4)), (F(1, 2), F(0))), ("\1\0",))
+        assert game == recoded and hash(game) == hash(recoded)
+        assert game != BimatrixGame(R=((half, half),), C=((zero, half),))
+        assert game != BimatrixGame(R=((half, zero),), C=((zero, half),),
+                                    blocks=(("A", 0, 1, 0, 2),))
+        assert game != game.R
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            MATCHING_PENNIES.codes = ("\0",)
+
+    def test_palette_limit(self, monkeypatch):
+        monkeypatch.setattr(games, "PALETTE_LIMIT", 3)
+        assert len(BimatrixGame(R=((0, 1, 2),), C=((0, 0, 0),)).palette) == 3
+        with pytest.raises(ResourceError, match="more than 3 distinct"):
+            BimatrixGame(R=((0, 1, 2, 3),), C=((0, 0, 0, 0),))
+        with pytest.raises(ResourceError, match="more than 3 distinct"):
+            parse_bgm("bgm 1\n2 2\n0 0\n1 0\n2 0\n3 0\n")

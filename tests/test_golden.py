@@ -1,11 +1,12 @@
 """Golden SHA-256 hashes of the pipeline artifacts.
 
 `run_pipeline` runs at the default `PipelineConfig` on the five satisfiable
-corpus fixtures, on the unsatisfiable `pattern` fixture and on `probe`, and
-every artifact it writes must hash to the value recorded here.  The runs use
-relative paths from a temporary working directory, so the ``input`` key of
-`report.json` does not depend on where the tests run.  A change that alters
-an artifact on purpose updates these hashes and says why in CHANGES.md.
+corpus fixtures, on the unsatisfiable `pattern` fixture, on `probe` and on
+`wide-probe`, and every artifact it writes must hash to the value recorded
+here.  The runs use relative paths from a temporary working directory, so
+the ``input`` key of `report.json` does not depend on where the tests run.
+A change that alters an artifact on purpose updates these hashes and says
+why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ PROBE = Cnf3Formula(num_vars=10, clauses=(
 ))
 
 # A satisfiable formula whose free game has 33,284 Y answers, large enough
-# that a per-entry cost in the verdict table shows.  Only its F.fgm is
-# pinned: the whole pipeline on it takes tens of seconds.
+# that a per-entry cost in the verdict table shows.  Its G is 56x33,304,
+# 1.87 M cells: its artifacts pin the gadget layer and the writers at
+# gadget scale, and the whole pipeline on it takes about 2 s.
 WIDE_PROBE = Cnf3Formula(num_vars=15, clauses=(
     (-3, 10, 13), (8, 15, 11), (15, -14, 7), (-8, -5, 12), (6, -1, -14),
     (-7, -11, -4), (-13, 8, -14), (-13, 8, -5), (15, -11, -2), (-2, -12, -6),
@@ -50,6 +52,7 @@ FIXTURES = {
     **satisfiable_fixtures(),
     "pattern": unsatisfiable_fixtures()["pattern"],
     "probe": PROBE,
+    "wide-probe": WIDE_PROBE,
 }
 
 GOLDEN = {
@@ -135,6 +138,20 @@ GOLDEN = {
         "7d8ef5ab4a5428753698e54bd536727f7e910b8902340962e61f41888ef8b27c",
     "single/report.json":
         "29c5052e5aa9289397e6eba85002bf165f8960d8db290388c91a70a816cbb4b8",
+    "wide-probe/F.fgm":
+        "4fa4ff3bb647a4fd906ff209fa48fe66d1790c1e5cc868ef4980a80d81408b21",
+    "wide-probe/G.bgm":
+        "0aeaf7814e016fa9cff45835a81488c7a3d3cdce6892c9cdd8e933e87498f052",
+    "wide-probe/Gdouble.bgm":
+        "a79d427d7dce2e2f4fe33651a12b24e6f129a549e084e5ce9320178775f68f7e",
+    "wide-probe/Gprime.bgm":
+        "e7f643bd54c118005f9b8ef378446c7b217fb5ad818bbc578111cb4d482dd184",
+    "wide-probe/Gs.bgm":
+        "231b1353cac6247935ef601ae9fd51d961dde7c25b88849863c8e9053007aa1f",
+    "wide-probe/cert.prof":
+        "c048a3078b84fe69a38b8c1ed6a5e287ffc615b169c78f89bfed430ae2d13ec0",
+    "wide-probe/report.json":
+        "6bd011028a6698f13ca6c057c514d93c390afdf6a02e165fef140faf316d7207",
     "two-clause/F.fgm":
         "e043eb7b04fc45b4c1fd5871820ae2cbd5882f08d71881768b0879a93611bbd8",
     "two-clause/G.bgm":
