@@ -166,10 +166,11 @@ def parse_bgm(text: str) -> BimatrixGame:
 
 def write_bgm(game: BimatrixGame) -> str:
     """Write a `.bgm` game.  Each palette pair is formatted once into its
-    entry line, and `str.translate` turns each code row into its lines."""
-    table = [f"{format_rational(r)} {format_rational(c)}\n" for r, c in game.palette]
+    entry line, keyed by its code, and each code row joins its lines."""
+    lines = {chr(i): f"{format_rational(r)} {format_rational(c)}\n"
+             for i, (r, c) in enumerate(game.palette)}
     out = [f"bgm 1\n{game.rows} {game.cols}\n"]
-    out += [row.translate(table) for row in game.codes]
+    out += ["".join(map(lines.__getitem__, row)) for row in game.codes]
     out += [f"#block {name} {r0} {r1} {c0} {c1}\n"
             for name, r0, r1, c0, c1 in game.blocks or ()]
     return "".join(out)

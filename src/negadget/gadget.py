@@ -14,11 +14,13 @@ players).  D1/D2 are zero-sum blocks indexed by functions selecting
 exactly half of the opposite side's questions; they punish non-uniform
 question marginals.  Every payoff is 0, 1, +D1 or -D1, with D1 < 4, so G
 is laid out as code rows over a palette of four (R, C) pairs (see
-`negadget.games`): RC's verdict bits are its codes.  G_s maps the payoffs
-into (0, 1), adding 4 and dividing by 8: it is G's code rows with the
-palette mapped, and `games.affine_rescale` is the generic per-entry map
-that the tests compare G_s against.  G' and G'' each append one code to
-every row, one row and three palette pairs.
+`negadget.games`): RC's verdict bits are its codes.  No row or column
+carries a label: RC's rows are the (x, a) pairs question-major, so row
+(x, a) is offset[x] + a with offset the running sums of the X answer
+counts, and likewise for its columns.  G_s maps the payoffs into (0, 1),
+adding 4 and dividing by 8: it is `games.affine_rescale` of G, which
+keeps G's code rows.  G' and G'' each append one code to every row, one
+row and three palette pairs.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .games import (
     Pair,
     Rational,
     add_pair,
+    affine_rescale,
     frac,
     regret_report,
 )
@@ -123,16 +126,12 @@ def half_subsets(q: int, cap: int = HALF_CAP_DEFAULT) -> Halves:
     return out
 
 
-RowLabel = tuple  # ("qa", question, answer) or ("half", index)
-
-
 @dataclass(frozen=True)
 class GadgetGame:
-    """The unscaled gadget game plus its index bookkeeping."""
+    """The unscaled gadget game, the parameters and the free game it was
+    built from; the free game's answer counts give each row its meaning."""
 
     game: BimatrixGame
-    row_index: tuple[RowLabel, ...]
-    col_index: tuple[RowLabel, ...]
     params: ReductionParams
     free_game: TwoProverGame
 
@@ -157,16 +156,8 @@ def build_hardness_game(
         raise ResourceError(f"G would be {rows}x{cols}, over {CELL_CAP} cells")
 
     halves_y = half_subsets(f.ny, cap=half_cap)
-    halves_x = half_subsets(f.nx, cap=half_cap)
-    row_index = [("qa", x, a) for x in range(f.nx) for a in range(f.x_answers[x])]
-    col_index = [("qa", y, b) for y in range(f.ny) for b in range(f.y_answers[y])]
-    return GadgetGame(
-        game=_lay_out(f, halves_x, halves_y, params.d1_payoff),
-        row_index=tuple(row_index + [("half", i) for i in range(len(halves_y))]),
-        col_index=tuple(col_index + [("half", i) for i in range(len(halves_x))]),
-        params=params,
-        free_game=f,
-    )
+    game = _lay_out(f, half_subsets(f.nx, cap=half_cap), halves_y, params.d1_payoff)
+    return GadgetGame(game=game, params=params, free_game=f)
 
 
 def _lay_out(f: TwoProverGame, halves_x: Halves, halves_y: Halves,
@@ -207,15 +198,9 @@ def rescale_game(gg: GadgetGame) -> BimatrixGame:
     """Map the unscaled gadget game into (0, 1): add 4, divide by 8.
 
     Only `build_hardness_game` makes a `GadgetGame`, so every payoff is 0,
-    1 or +-D1 with D1 < 4 (`ReductionParams` keeps delta* in (0, 1]).  The
-    result keeps G's code rows and maps each distinct entry object of its
-    palette once, so it equals ``affine_rescale(gg.game, 4, 8)``.
+    1 or +-D1 with D1 < 4 (`ReductionParams` keeps delta* in (0, 1]).
     """
-    g = gg.game
-    scaled = {id(e): (e + RESCALE_SHIFT) / RESCALE_DIVISOR
-              for pair in g.palette for e in pair}
-    palette = tuple([(scaled[id(r)], scaled[id(c)]) for r, c in g.palette])
-    return BimatrixGame.coded(palette, g.codes, g.blocks)
+    return affine_rescale(gg.game, RESCALE_SHIFT, RESCALE_DIVISOR)
 
 
 def completeness_certificate(
@@ -236,15 +221,12 @@ def completeness_certificate(
     if prover_payoff(f, s1, s2) != 1:
         raise PreconditionError("strategies must win with probability 1")
     # One object per side's weight, so a regret report groups its support.
-    x_mass, y_mass = Fraction(1, f.nx), Fraction(1, f.ny)
-    x = [Fraction(0)] * gg.game.rows
-    y = [Fraction(0)] * gg.game.cols
-    for i, label in enumerate(gg.row_index):
-        if label[0] == "qa" and s1.answers[label[1]] == label[2]:
-            x[i] = x_mass
-    for j, label in enumerate(gg.col_index):
-        if label[0] == "qa" and s2.answers[label[1]] == label[2]:
-            y[j] = y_mass
+    # Question q's answers start at the running sum of the counts before q.
+    x, y = [Fraction(0)] * gg.game.rows, [Fraction(0)] * gg.game.cols
+    for v, counts, s, n in ((x, f.x_answers, s1, f.nx), (y, f.y_answers, s2, f.ny)):
+        mass = Fraction(1, n)
+        for offset, answer in zip(itertools.accumulate(counts, initial=0), s.answers):
+            v[offset + answer] = mass
     return MixedProfile(x=tuple(x), y=tuple(y))
 
 

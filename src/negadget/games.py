@@ -4,13 +4,15 @@ All arithmetic is over `fractions.Fraction`; verification never touches
 floating point.  Games are immutable; every operation returns new values.
 
 A game is a palette of (R entry, C entry) `Fraction` pairs plus one `str`
-code row per game row: cell (i, j) is ``palette[ord(codes[i][j])]``, and R,
-C and Ct are read-only views built on first use.  A str holds at most
-PALETTE_LIMIT codes; coding one pair more raises `ResourceError`.  The one
-kernel, ``mat_vec``, reads code rows (``codes_t`` for the column player)
-and computes each distinct row pattern on a strategy's support once, so a
-report costs per pattern, not per cell, when a game has few pairs (as the
-gadget games do) and a profile shares its weights.
+code row per game row: cell (i, j) is ``palette[ord(codes[i][j])]``.  A str
+holds at most PALETTE_LIMIT codes; coding one pair more raises
+`ResourceError`.  R, C and Ct are read-only views for the tests and callers,
+built on first use; no library path builds one.  ``==`` and ``hash`` read one
+canonical form, and the one kernel, ``mat_vec``, reads code rows
+(``codes_t`` for the column player) and computes each distinct row pattern
+on a strategy's support once, so a report costs per pattern, not per cell,
+when a game has few pairs (as the gadget games do) and a profile shares its
+weights.
 ``regret_report`` stays in `Fraction` arithmetic: it is the exact oracle
 that the integer k-uniform scan of `negadget.search` is checked against.
 Every integer kernel (that scan, the support LPs, the simplex and
@@ -124,7 +126,8 @@ class BimatrixGame:
 
     ``blocks`` is a tuple of (name, r0, r1, c0, c1) annotations with
     half-open ranges; when present they must partition the full index
-    rectangle exactly.  ``==`` and ``hash`` compare R, C and ``blocks``.
+    rectangle exactly.  ``==`` and ``hash`` compare the cells by value and
+    ``blocks``, however the palettes are coded (see ``canonical``).
     """
 
     def __init__(self, R: Iterable[Sequence[Rational]],
@@ -186,12 +189,20 @@ class BimatrixGame:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BimatrixGame):
             return NotImplemented
-        return self.blocks == other.blocks and (
-            (self.palette, self.codes) == (other.palette, other.codes)
-            or (self.R, self.C) == (other.R, other.C))
+        return self is other or self.canonical == other.canonical
 
     def __hash__(self) -> int:
-        return hash((self.R, self.C, self.blocks))
+        return hash(self.canonical)
+
+    @cached_property
+    def canonical(self) -> tuple[tuple[Pair, ...], tuple[str, ...], tuple | None]:
+        """(the distinct palette pairs in value order, the code rows coded
+        onto them, the blocks): equal for two games iff they are equal."""
+        pairs = sorted(set(self.palette))
+        code = dict(zip(pairs, map(chr, range(len(pairs)))))
+        table = dict(enumerate(map(code.__getitem__, self.palette)))
+        return (tuple(pairs), tuple([row.translate(table) for row in self.codes]),
+                self.blocks)
 
     # Each palette pair's entry for one player, by code, and the read-only
     # views R, C and C transposed, built on first use.
@@ -264,13 +275,14 @@ class MixedProfile:
             if sum(map(mul, Counter(map(id, v)).values(), weights)) != scale:
                 raise ValidationError(f"{name} does not sum to 1")
 
+    # No entry is negative (checked above), so nonzero means positive.
     @property
     def support_x(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.x) if e > 0)
+        return tuple(i for i, e in enumerate(self.x) if e)
 
     @property
     def support_y(self) -> tuple[int, ...]:
-        return tuple(j for j, e in enumerate(self.y) if e > 0)
+        return tuple(j for j, e in enumerate(self.y) if e)
 
 
 @dataclass(frozen=True)
@@ -353,38 +365,40 @@ def is_eps_wsne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
 
 
 def social_welfare(game: BimatrixGame, p: MixedProfile) -> Fraction:
-    """x'Ry + x'Cy, exactly."""
+    """x'(R + C)y, exactly: one kernel pass over each pair's welfare."""
     _check_shapes(game, p)
-    return (dot(p.x, mat_vec(game.codes, game.r_entries, p.y))
-            + dot(p.x, mat_vec(game.codes, game.c_entries, p.y)))
+    welfare = tuple([r + c for r, c in game.palette])
+    return dot(p.x, mat_vec(game.codes, welfare, p.y))
 
 
 def tv_distance(p1: MixedProfile, p2: MixedProfile) -> Fraction:
-    """Maximum coordinatewise probability difference over both vectors."""
+    """Maximum coordinatewise probability difference over both vectors,
+    each distinct pair of entry objects compared once (as in mat_vec)."""
     if len(p1.x) != len(p2.x) or len(p1.y) != len(p2.y):
         raise ShapeError("profiles have different shapes")
-    return max(
-        max(abs(a - b) for a, b in zip(p1.x, p2.x)),
-        max(abs(a - b) for a, b in zip(p1.y, p2.y)),
-    )
+    v1, v2 = p1.x + p1.y, p2.x + p2.y
+    pairs = dict(zip(zip(map(id, v1), map(id, v2)), zip(v1, v2)))
+    return max([abs(a - b) for a, b in pairs.values()])
 
 
 def affine_rescale(
     game: BimatrixGame, shift: Rational, divisor: Rational
 ) -> BimatrixGame:
-    """Map every payoff e to (e + shift)/divisor, keeping block annotations:
-    each palette pair is mapped, and the code rows are kept."""
+    """Map every payoff e to (e + shift)/divisor, keeping the code rows and
+    the block annotations: each distinct entry object maps to one new one."""
     s, d = frac(shift), frac(divisor)
     if d <= 0:
         raise ParameterError("divisor must be positive")
-    palette = tuple([((r + s) / d, (c + s) / d) for r, c in game.palette])
+    scaled = {id(e): (e + s) / d for pair in game.palette for e in pair}
+    palette = tuple([(scaled[id(r)], scaled[id(c)]) for r, c in game.palette])
     return BimatrixGame.coded(palette, game.codes, game.blocks)
 
 
 def pure_profile(game: BimatrixGame, i: int, j: int) -> MixedProfile:
-    """The profile placing all mass on row i and column j."""
+    """The profile placing all mass on row i and column j (two entry objects)."""
     if not (0 <= i < game.rows and 0 <= j < game.cols):
         raise ShapeError(f"pure profile ({i},{j}) out of range")
-    x = tuple(Fraction(int(t == i)) for t in range(game.rows))
-    y = tuple(Fraction(int(t == j)) for t in range(game.cols))
+    zero, one = Fraction(0), Fraction(1)
+    x = tuple([one if t == i else zero for t in range(game.rows)])
+    y = tuple([one if t == j else zero for t in range(game.cols)])
     return MixedProfile(x=x, y=y)

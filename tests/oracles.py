@@ -1,7 +1,8 @@
 """Independent oracles that only the tests use: the `.bgm` reader that
 parses line by line and the writer that formats cell by cell, the
-matrix-vector product and regret report computed
-cell by cell, the integer k-uniform scan
+matrix-vector product, regret report and rescaling computed
+cell by cell, profile distance and supports entry by entry, the gadget's
+certificate placed by row and column labels, the integer k-uniform scan
 candidate by candidate, every support pair sorted into the support
 walk's order, exact Gaussian elimination, the exact equilibria of games
 up to 5x5, the grid eps-NE sweep, and the clause/variable free game and
@@ -27,6 +28,8 @@ from negadget.games import (
     frac,
     regret_report,
 )
+from negadget.gadget import GadgetGame
+from negadget.provers import ProverStrategy, TwoProverGame
 from negadget.sat import Cnf3Formula, FreeGameBuild
 from negadget.search import (
     Multiset,
@@ -123,6 +126,57 @@ def regret_report_per_cell(game: BimatrixGame, p: MixedProfile) -> RegretReport:
             v for v, e in zip(vals, own) if e > 0)
     return RegretReport(welfare=fields["row_payoff"] + fields["col_payoff"],
                         **fields)
+
+
+def affine_rescale_per_cell(game: BimatrixGame, shift: Rational,
+                            divisor: Rational) -> BimatrixGame:
+    """`games.affine_rescale` as (e + shift)/divisor of every cell of the R
+    and C views, one new Fraction per cell."""
+    s, d = frac(shift), frac(divisor)
+    return BimatrixGame(R=[[(e + s) / d for e in row] for row in game.R],
+                        C=[[(e + s) / d for e in row] for row in game.C],
+                        blocks=game.blocks)
+
+
+def tv_distance_per_entry(p1: MixedProfile, p2: MixedProfile) -> Fraction:
+    """The largest |a - b| over every coordinate of both vectors: the
+    reference for `games.tv_distance`."""
+    return max(abs(a - b) for a, b in zip(p1.x + p1.y, p2.x + p2.y))
+
+
+def support_per_entry(v: Vector) -> tuple[int, ...]:
+    """The indices of v's entries greater than 0: the reference for
+    `MixedProfile.support_x` and ``support_y``."""
+    return tuple(i for i, e in enumerate(v) if e > 0)
+
+
+def question_of(counts: Sequence[int], index: int) -> int:
+    """The question of position ``index`` in a question-major list of
+    (question, answer) pairs with ``counts[q]`` answers for question q, as
+    the gadget's RC rows (X answer counts) and columns (Y answer counts)."""
+    offset = 0
+    for q, count in enumerate(counts):
+        offset += count
+        if index < offset:
+            return q
+    raise IndexError(f"position {index} is past the {offset} answers")
+
+
+def completeness_certificate_per_label(
+    f: TwoProverGame, s1: ProverStrategy, s2: ProverStrategy, gg: GadgetGame
+) -> MixedProfile:
+    """`gadget.completeness_certificate` by labels: each row and column of G
+    is labelled ("qa", question, answer) in question-major order, then
+    ("half", i), and the labels of the winning answers get 1/|X| or 1/|Y|."""
+    def labels(counts: Sequence[int], size: int) -> list[tuple]:
+        qa = [("qa", q, a) for q, count in enumerate(counts) for a in range(count)]
+        return qa + [("half", i) for i in range(size - len(qa))]
+
+    x = [Fraction(int(label[0] == "qa" and s1.answers[label[1]] == label[2]), f.nx)
+         for label in labels(f.x_answers, gg.game.rows)]
+    y = [Fraction(int(label[0] == "qa" and s2.answers[label[1]] == label[2]), f.ny)
+         for label in labels(f.y_answers, gg.game.cols)]
+    return MixedProfile(x=tuple(x), y=tuple(y))
 
 
 def integer_scan_per_candidate(

@@ -51,7 +51,14 @@ from negadget.provers import (
     uniformity_gap,
 )
 
-from oracles import mat_vec_per_cell, regret_report_per_cell, write_bgm_per_cell
+from oracles import (
+    affine_rescale_per_cell,
+    completeness_certificate_per_label,
+    mat_vec_per_cell,
+    question_of,
+    regret_report_per_cell,
+    write_bgm_per_cell,
+)
 
 F = Fraction
 
@@ -179,7 +186,7 @@ class TestBuild:
         _, d0, d1_, c0, c1 = game.block("D1")
         for i in range(d0, d1_):
             covered = {
-                gg.col_index[j][1]
+                question_of(free.y_answers, j)
                 for j in range(c0, c1)
                 if game.R[i][j] != 0
             }
@@ -211,10 +218,28 @@ def _even_free_games(draw):
     return TwoProverGame(x_answers=xa, y_answers=ya, table=table)
 
 
+@st.composite
+def _won_free_games(draw):
+    """An `_even_free_games` game in which one drawn answer per question
+    wins every question pair, with that strategy pair."""
+    f = draw(_even_free_games())
+    s1, s2 = (ProverStrategy(answers=tuple([draw(st.integers(0, n - 1)) for n in counts]))
+              for counts in (f.x_answers, f.y_answers))
+
+    def won(x, y, a, b):
+        return int(f.table[x][y][a][b] or (a, b) == (s1.answers[x], s2.answers[y]))
+
+    table = tuple(tuple(tuple(tuple(won(x, y, a, b) for b in range(f.y_answers[y]))
+                              for a in range(f.x_answers[x]))
+                        for y in range(f.ny)) for x in range(f.nx))
+    return TwoProverGame(x_answers=f.x_answers, y_answers=f.y_answers, table=table), s1, s2
+
+
 def _assert_matches_affine_rescale(gg: GadgetGame) -> None:
     gs = rescale_game(gg)
-    ref = affine_rescale(gg.game, 4, 8)
+    ref = affine_rescale_per_cell(gg.game, 4, 8)
     assert gs.R == ref.R and gs.C == ref.C and gs.blocks == ref.blocks
+    assert gs == ref == affine_rescale(gg.game, 4, 8)
 
 
 def _entry_objects(game: BimatrixGame) -> int:
@@ -222,8 +247,8 @@ def _entry_objects(game: BimatrixGame) -> int:
 
 
 class TestRescaleLayout:
-    """G and G_s are laid out from four constants; affine_rescale, the
-    generic per-entry map, is the reference for G_s."""
+    """G and G_s are laid out from four constants, and G_s is
+    affine_rescale of G; (e + 4)/8 of every cell is the reference."""
 
     def test_matches_affine_rescale_on_corpus(self, sat_builds, unsat_builds):
         for b in (*sat_builds.values(), *unsat_builds.values()):
@@ -286,6 +311,13 @@ class TestCodedGames:
             again = parse_bgm(text)
             assert again == game and hash(again) == hash(game), label
 
+    def test_hash_and_equality_build_no_view(self, single_build, params):
+        g = build_hardness_game(single_build.build.game, params).game
+        hash(g)
+        again = parse_bgm(write_bgm(g))
+        assert g == again and hash(g) == hash(again)
+        assert not {"R", "C", "Ct"} & (vars(g).keys() | vars(again).keys())
+
     def test_rescale_keeps_the_code_rows(self, sat_builds):
         gg = sat_builds["two-clause"].gadget
         assert rescale_game(gg).codes is gg.game.codes
@@ -331,6 +363,20 @@ class TestCertificate:
             )
             assert ok_u and w_u == 2
             assert ok_s and w_s == F(10, 8)
+
+    def test_matches_the_label_walk_on_the_corpus(self, sat_builds):
+        # The unsatisfiable fixtures have no winning strategy pair.
+        for b in sat_builds.values():
+            walked = completeness_certificate_per_label(b.build.game, b.s1, b.s2, b.gadget)
+            assert b.cert == walked, b.name
+
+    @settings(max_examples=60, deadline=None)
+    @given(won=_won_free_games())
+    def test_matches_the_label_walk_on_random_free_games(self, won):
+        f, s1, s2 = won
+        gg = build_hardness_game(f, derive_params(F(31, 250)))
+        cert = completeness_certificate(f, s1, s2, gg)
+        assert cert == completeness_certificate_per_label(f, s1, s2, gg)
 
     def test_one_weight_object_per_side(self, sat_builds):
         # Shared weights let a regret report group the support (mat_vec).
@@ -440,13 +486,12 @@ class TestSoundnessChainProperties:
         y[0] = F(1)
         p = MixedProfile(x=b.cert.x, y=tuple(y))
         eps = 1 - 4 * params.g * params.delta_star
-        question = b.gadget.col_index[0][1]
+        free = b.build.game
+        question = question_of(free.y_answers, 0)
         _, d0, d1_, _, _ = game.block("D1")
-        covering = [
-            i
-            for i in range(d0, d1_)
-            if game.R[i][0] != 0
-        ]
+        covering = [d0 + t for t, half in enumerate(half_subsets(free.ny))
+                    if half[question]]
+        assert covering == [i for i in range(d0, d1_) if game.R[i][0] != 0]
         row_vals = mat_vec(game.codes, game.r_entries, p.y)
         assert max(row_vals[i] for i in covering) >= 2
         assert not is_eps_ne(game, p, eps)

@@ -31,7 +31,12 @@ from negadget.games import (
     social_welfare,
     tv_distance,
 )
-from oracles import mat_vec_per_cell, regret_report_per_cell
+from oracles import (
+    mat_vec_per_cell,
+    regret_report_per_cell,
+    support_per_entry,
+    tv_distance_per_entry,
+)
 
 F = Fraction
 
@@ -405,6 +410,30 @@ def test_fresh_objects_match_the_per_cell_reference(drawn):
     assert again == game and hash(again) == hash(game)
 
 
+@st.composite
+def _profile_pair(draw):
+    """Two profiles of one shape: fresh objects per entry, or weights that
+    share objects, where the second is often the first's objects permuted
+    so that pairs of objects recur."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    side = draw(st.sampled_from([_profile_side, _shared_weights]))
+    p1 = MixedProfile(x=draw(side(rows)), y=draw(side(cols)))
+    if side is _shared_weights and draw(st.booleans()):
+        return p1, MixedProfile(x=draw(st.permutations(p1.x)),
+                                y=draw(st.permutations(p1.y)))
+    return p1, MixedProfile(x=draw(side(rows)), y=draw(side(cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_profile_pair())
+def test_distance_and_supports_match_the_per_entry_reference(pair):
+    p1, p2 = pair
+    assert tv_distance(p1, p2) == tv_distance_per_entry(p1, p2)
+    for p in pair:
+        assert p.support_x == support_per_entry(p.x)
+        assert p.support_y == support_per_entry(p.y)
+
+
 class TestCoding:
     def test_one_code_per_pair_of_objects(self):
         half, zero = F(1, 2), F(0)
@@ -422,6 +451,16 @@ class TestCoding:
         assert game != BimatrixGame(R=((half, zero),), C=((zero, half),),
                                     blocks=(("A", 0, 1, 0, 2),))
         assert game != game.R
+
+    def test_equality_across_palette_orders_and_duplicate_lines(self):
+        base = parse_bgm("bgm 1\n2 2\n1/2 0\n0 1\n1/2 0\n0 1\n")
+        dup = parse_bgm("bgm 1\n2 2\n1/2 0\n0 1\n0.5 0\n0 1\n")
+        flipped = BimatrixGame.coded(((F(0), F(1)), (F(1, 2), F(0))), ("\1\0", "\1\0"))
+        assert len(dup.palette) == 3 and flipped.palette != base.palette
+        for other in (dup, flipped):
+            assert base == other and hash(base) == hash(other)
+        assert base != parse_bgm("bgm 1\n2 2\n1/2 0\n0 1\n0.5 0\n0 1/2\n")
+        assert dup != parse_bgm("bgm 1\n2 2\n1/2 0\n0 1\n0.5 0\n1 1\n")
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
