@@ -88,26 +88,26 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     build = build_clause_variable_free_game(
         formula, partition, answer_cap=args.cap
     )
-    Path(args.output).write_text(formats.write_fgm(build.game))
+    formats.write_file(args.output, formats.write_fgm(build.game))
     return 0
 
 
 def cmd_forge(args: argparse.Namespace) -> int:
     if args.what == "gdoubleprime":  # G'' takes no eps*
         base = formats.parse_bgm(Path(args.input).read_text())
-        Path(args.output).write_text(formats.write_bgm(extend_gdoubleprime(base)))
+        formats.write_file(args.output, formats.write_bgm(extend_gdoubleprime(base)))
         return 0
     params = derive_params(formats._parse_rational(args.eps_star))
     if args.what == "build":
         free = formats.parse_fgm(Path(args.input).read_text())
         gg = build_hardness_game(free, params, half_cap=args.cap)
         game = rescale_game(gg) if args.scaled else gg.game
-        Path(args.output).write_text(formats.write_bgm(game))
+        formats.write_file(args.output, formats.write_bgm(game))
         return 0
     if args.what == "gprime":
         base = formats.parse_bgm(Path(args.input).read_text())
-        Path(args.output).write_text(
-            formats.write_bgm(extend_gprime(base, params.eps_star))
+        formats.write_file(
+            args.output, formats.write_bgm(extend_gprime(base, params.eps_star))
         )
         return 0
     if args.what == "cert":
@@ -117,7 +117,7 @@ def cmd_forge(args: argparse.Namespace) -> int:
         s1, s2 = formats.parse_strat(Path(args.strategies).read_text())
         gg = build_hardness_game(free, params, half_cap=args.cap)
         cert = completeness_certificate(gg.free_game, s1, s2, gg)
-        Path(args.output).write_text(formats.write_prof(cert))
+        formats.write_file(args.output, formats.write_prof(cert))
         return 0
     raise GadgetError(f"unknown forge action {args.what!r}")
 
@@ -142,7 +142,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     outcome = decide(inst, k=args.k, budget=args.budget, hints=hints)
     print(outcome.answer)
     if outcome.witness is not None and args.witness_out:
-        Path(args.witness_out).write_text(formats.write_prof(outcome.witness))
+        formats.write_file(args.witness_out, formats.write_prof(outcome.witness))
     return {"yes": 0, "no": 1, "unknown": 2}[outcome.answer]
 
 

@@ -9,6 +9,7 @@ identical values produce identical bytes.
 from __future__ import annotations
 
 import itertools
+import os
 from fractions import Fraction
 from typing import Iterator
 
@@ -32,6 +33,17 @@ _DIGIT_BOUND = 10**EXPONENT_LIMIT
 # The digits of _DIGIT_BOUND, one more than `int()` reads: the writers print
 # the denominator of `1e-4300` so, and the parser reads it back.
 _DIGIT_BOUND_TEXT = "1" + "0" * EXPONENT_LIMIT
+
+
+def write_file(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` as ``Path.write_text`` does (same bytes,
+    symlinks followed, links and mode kept, new files ``0o666 & ~umask``),
+    but cut the file after the text instead of truncating it to zero first:
+    ext4 flushes a file truncated to zero to disk when it is closed.  Every
+    artifact the pipeline and the CLI save goes through here."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+        f.write(text)
+        f.truncate()
 
 
 def _parse_rational(tok: str) -> Fraction:

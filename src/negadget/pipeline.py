@@ -1,7 +1,9 @@
 """End-to-end construction: CNF -> free game -> gadget -> decision games.
 
 ``run_pipeline`` emits every intermediate artifact plus a JSON report and
-is byte-deterministic for a fixed configuration.
+is byte-deterministic for a fixed configuration.  A rerun into an existing
+directory rewrites each artifact in place (``formats.write_file``) and
+removes a ``cert.prof`` left by an earlier run when it writes none.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         partition,
         answer_cap=cfg.answer_cap,
     )
-    (out / "F.fgm").write_text(formats.write_fgm(build.game))
+    formats.write_file(out / "F.fgm", formats.write_fgm(build.game))
 
     omega = None
     try:
@@ -115,13 +117,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     gg = _stage("gadget")(
         build_hardness_game, build.game, params, half_cap=cfg.half_cap
     )
-    (out / "G.bgm").write_text(formats.write_bgm(gg.game))
+    formats.write_file(out / "G.bgm", formats.write_bgm(gg.game))
     gs = _stage("rescale")(rescale_game, gg)
-    (out / "Gs.bgm").write_text(formats.write_bgm(gs))
+    formats.write_file(out / "Gs.bgm", formats.write_bgm(gs))
     gp = _stage("extend")(extend_gprime, gs, params.eps_star)
-    (out / "Gprime.bgm").write_text(formats.write_bgm(gp))
+    formats.write_file(out / "Gprime.bgm", formats.write_bgm(gp))
     gdp = _stage("extend")(extend_gdoubleprime, gp)
-    (out / "Gdouble.bgm").write_text(formats.write_bgm(gdp))
+    formats.write_file(out / "Gdouble.bgm", formats.write_bgm(gdp))
 
     report: dict = {
         "input": str(cfg.cnf_path),
@@ -144,10 +146,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     cert = None
     if satisfiable:
         cert = _certificate(build, best_mask, gg, gs, report, out)
+    else:  # no certificate: drop one an earlier run left in this directory
+        (out / "cert.prof").unlink(missing_ok=True)
     report["deciders"] = _run_deciders(cfg, params, build, gs, gp, gdp, cert)
 
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
+    formats.write_file(
+        out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
     return report
 
@@ -164,7 +168,7 @@ def _certificate(
     cert = _stage("certificate")(
         completeness_certificate, build.game, s1, s2, gg
     )
-    (out / "cert.prof").write_text(formats.write_prof(cert))
+    formats.write_file(out / "cert.prof", formats.write_prof(cert))
     ok_unscaled, w_unscaled, ok_scaled, w_scaled, wsne_scaled = (
         check_certificate(gg, gs, cert)
     )

@@ -59,7 +59,8 @@ class TwoProverGame:
                 for per_b in per_a:
                     if len(per_b) != self.y_answers[y]:
                         raise ShapeError(f"V table answer dimension at y={y}")
-                    if any(v not in (0, 1) for v in per_b):
+                    # Counted in C; an entry passes when it == 0 or == 1.
+                    if per_b.count(0) + per_b.count(1) != len(per_b):
                         raise ValidationError("V entries must be 0 or 1")
         if self.dist is not None:
             # Exact Fractions, so game_value can read every denominator.

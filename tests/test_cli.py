@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -616,3 +618,111 @@ class TestPipeline:
             ["verify", str(out_dir / "G.bgm"), str(out_dir / "cert.prof"),
              "--eps", str(eps)]
         ) == 0
+
+
+class TestArtifactWrites:
+    """Every artifact is saved by formats.write_file, which rewrites an
+    existing file in place instead of truncating it to zero first."""
+
+    ARTIFACTS = ("F.fgm", "G.bgm", "Gs.bgm", "Gprime.bgm", "Gdouble.bgm",
+                 "cert.prof", "report.json")
+
+    def _run(self, tmp_path, cnf_text, out_dir):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(cnf_text)
+        return run_pipeline(PipelineConfig(cnf_path=str(cnf), out_dir=str(out_dir)))
+
+    def test_rerun_rewrites_each_artifact_in_place(self, tmp_path):
+        out_dir = tmp_path / "out"
+        self._run(tmp_path, SINGLE_CNF, out_dir)
+        first = {n: ((out_dir / n).read_bytes(), (out_dir / n).stat().st_ino)
+                 for n in self.ARTIFACTS}
+        self._run(tmp_path, SINGLE_CNF, out_dir)
+        second = {n: ((out_dir / n).read_bytes(), (out_dir / n).stat().st_ino)
+                  for n in self.ARTIFACTS}
+        assert second == first
+
+    def test_rerun_never_truncates_to_zero(self, tmp_path, monkeypatch):
+        # ext4 flushes a file truncated to zero when it is closed.
+        out_dir = tmp_path / "out"
+        self._run(tmp_path, SINGLE_CNF, out_dir)
+        flags, real_open = [], os.open
+
+        def spy(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        self._run(tmp_path, SINGLE_CNF, out_dir)
+        writes = [f for f in flags if f & os.O_WRONLY]
+        assert len(writes) == len(self.ARTIFACTS)
+        assert not any(f & os.O_TRUNC for f in writes)
+
+    def test_unsatisfiable_rerun_removes_a_stale_certificate(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        self._run(tmp_path, SINGLE_CNF, out_dir)
+        assert (out_dir / "cert.prof").exists()
+        report = self._run(tmp_path, PATTERN_CNF, out_dir)
+        assert report["satisfiable"] is False
+        assert not (out_dir / "cert.prof").exists()
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            n for n in self.ARTIFACTS if n != "cert.prof")
+        # With no certificate there is nothing to verify G_s against.
+        assert main(["verify", str(out_dir / "Gs.bgm"),
+                     str(out_dir / "cert.prof"), "--eps", "0"]) == 3
+        assert "No such file" in capsys.readouterr().err
+
+    def test_shorter_rewrite_leaves_no_trailing_bytes(self, tmp_path):
+        path = tmp_path / "a.txt"
+        formats.write_file(path, "0123456789\n" * 10)
+        formats.write_file(path, "short\n")
+        assert path.read_bytes() == b"short\n"
+        formats.write_file(path, "")
+        assert path.read_bytes() == b""
+
+    def test_same_bytes_as_write_text(self, tmp_path):
+        text = "bgm 1\n2 2\n1/2 -3\r\n\n0 0\n"
+        (tmp_path / "a").write_text(text)
+        formats.write_file(tmp_path / "b", text)
+        assert (tmp_path / "b").read_bytes() == (tmp_path / "a").read_bytes()
+
+    def test_write_follows_a_symlink_and_keeps_hard_links(self, tmp_path):
+        target = tmp_path / "target.bgm"
+        target.write_text("old text that is longer\n")
+        link = tmp_path / "link.bgm"
+        link.symlink_to(target)
+        hard = tmp_path / "hard.bgm"
+        hard.hardlink_to(target)
+        formats.write_file(link, "new\n")
+        assert link.is_symlink()
+        assert target.read_text() == hard.read_text() == "new\n"
+
+    def test_modes_match_write_text(self, tmp_path):
+        old_umask = os.umask(0o027)
+        try:
+            (tmp_path / "a").write_text("x")
+            formats.write_file(tmp_path / "b", "x")
+        finally:
+            os.umask(old_umask)
+        assert (tmp_path / "b").stat().st_mode == (tmp_path / "a").stat().st_mode
+        (tmp_path / "b").chmod(0o600)
+        formats.write_file(tmp_path / "b", "yy")
+        assert stat.S_IMODE((tmp_path / "b").stat().st_mode) == 0o600
+
+    @pytest.mark.parametrize("action", ["build", "gprime", "gdoubleprime"])
+    def test_forge_to_a_directory_exits_3(self, action, tmp_path, capsys):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(SINGLE_CNF)
+        fgm, gs = tmp_path / "f.fgm", tmp_path / "gs.bgm"
+        assert main(["reduce", "sat2free", str(cnf), "-o", str(fgm)]) == 0
+        assert main(["forge", "build", str(fgm), "-o", str(gs), "--scaled"]) == 0
+        source = fgm if action == "build" else gs
+        assert main(["forge", action, str(source), "-o", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_no_other_file_writer_in_the_library(self):
+        src = Path(formats.__file__).parent
+        offenders = [p.name for p in sorted(src.glob("*.py"))
+                     if "write_text(" in p.read_text()]
+        assert offenders == []

@@ -117,6 +117,20 @@ def _mirror(t: TwoProverGame) -> TwoProverGame:
     )
 
 
+class TestVerdictTable:
+    @pytest.mark.parametrize("bad", [2, -1, F(1, 2)])
+    def test_entry_other_than_0_or_1_rejected(self, bad):
+        table = ((((1, 0), (0, bad)),),)
+        with pytest.raises(ValidationError, match="V entries must be 0 or 1"):
+            TwoProverGame(x_answers=(2,), y_answers=(2,), table=table)
+
+    @pytest.mark.parametrize("good", [True, F(1), 0.0])
+    def test_entry_equal_to_0_or_1_accepted(self, good):
+        table = ((((1, 0), (0, good)),),)
+        t = TwoProverGame(x_answers=(2,), y_answers=(2,), table=table)
+        assert t.table[0][0][1][1] == good
+
+
 class TestPayoff:
     def test_always_accept(self):
         t = constant_game(2, 2, 2, 2, 1)
