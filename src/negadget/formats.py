@@ -40,10 +40,23 @@ def write_file(path: str | os.PathLike, text: str) -> None:
     symlinks followed, links and mode kept, new files ``0o666 & ~umask``),
     but cut the file after the text instead of truncating it to zero first:
     ext4 flushes a file truncated to zero to disk when it is closed.  Every
-    artifact the pipeline and the CLI save goes through here."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
-        f.write(text)
-        f.truncate()
+    artifact the pipeline and the CLI save goes through here.
+
+    A write that raises (a full disk, say) leaves an empty file, never the
+    new text's start over the old file's tail.  A process killed mid-write,
+    or a power loss before the kernel writes the file back, can still leave
+    such a splice; nothing here syncs."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        # closefd=False: the wrapper flushes what it holds before the cut.
+        with open(fd, "w", closefd=False) as f:
+            f.write(text)
+            f.truncate()
+    except BaseException:
+        os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
 
 
 def _parse_rational(tok: str) -> Fraction:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import stat
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -678,6 +680,54 @@ class TestArtifactWrites:
         formats.write_file(path, "short\n")
         assert path.read_bytes() == b"short\n"
         formats.write_file(path, "")
+        assert path.read_bytes() == b""
+
+    def test_failed_write_leaves_an_empty_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "G.bgm"
+        path.write_text("old " * 1000)
+        real_open = open
+
+        class HalfThenFull:
+            """Writes the first half of the text, then the disk is full."""
+
+            def __init__(self, *args, **kwargs):
+                self.f = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.f.write(text[: len(text) // 2])
+                self.f.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(formats, "open", HalfThenFull, raising=False)
+        with pytest.raises(OSError) as info:
+            formats.write_file(path, "new " * 100)
+        assert info.value.errno == errno.ENOSPC
+        assert path.read_bytes() == b""
+
+    def test_write_cut_short_by_the_kernel_leaves_an_empty_file(self, tmp_path):
+        # RLIMIT_FSIZE makes the kernel fail the write past 4096 bytes with
+        # EFBIG after the first 4096 reached the file (Python ignores SIGXFSZ).
+        path = tmp_path / "G.bgm"
+        path.write_text("o" * 10_000)
+        code = (
+            "import resource, sys\n"
+            "from negadget import formats\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))\n"
+            "try:\n"
+            "    formats.write_file(sys.argv[1], 'n' * 100_000)\n"
+            "except OSError as e:\n"
+            "    sys.exit(e.errno)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(formats.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code, str(path)], env=env)
+        assert done.returncode == errno.EFBIG
         assert path.read_bytes() == b""
 
     def test_same_bytes_as_write_text(self, tmp_path):
