@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .errors import FormatError, GadgetError
+from .errors import FormatError, GadgetError, ValidationError
 from .gadget import (
     HALF_CAP_DEFAULT,
     build_hardness_game,
@@ -40,7 +40,7 @@ from .sat import (
     parse_dimacs,
     partition_bipartite,
 )
-from .search import SEARCH_BUDGET_DEFAULT, DecisionInstance, decide
+from .search import PROBLEMS, SEARCH_BUDGET_DEFAULT, DecisionInstance, decide
 
 
 def _report_dict(rep) -> dict:
@@ -62,6 +62,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         Path(args.profile).read_text(), normalize=args.normalize
     )
     eps = formats._parse_rational(args.eps)
+    if eps < 0:
+        raise ValidationError("eps must be nonnegative")
     rep = regret_report(game, profile)
     ok = rep.within(eps, pure=args.mode == "wsne")
     data = _report_dict(rep)
@@ -209,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forge)
 
     p = sub.add_parser("decide", help="one of the ten decision problems")
-    p.add_argument("problem", choices=[f"p{i}" for i in range(1, 11)])
+    p.add_argument("problem", choices=[f"p{i}" for i in PROBLEMS])
     p.add_argument("game")
     p.add_argument("--eps", required=True)
     p.add_argument("--u")

@@ -132,9 +132,10 @@ def parse_bgm(text: str) -> BimatrixGame:
     if next(lines, None) != "bgm 1":
         raise FormatError("missing 'bgm 1' header")
     block_lines: list[str] = []
-    # The entry lines; each "#block" line is set aside as it passes.
+    # The entry lines; each line whose first token is "#block" is set aside
+    # as it passes, and every other "#" line is a comment.
     entries = (line for line in lines if line[0] != "#"
-               or line.startswith("#block") and block_lines.append(line))
+               or line.split()[0] == "#block" and block_lines.append(line))
     try:
         rows, cols = (int(t) for t in next(entries).split())
     except (StopIteration, ValueError) as exc:

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import ClassVar
 
 from . import formats
 from .errors import GadgetError, ResourceError, StageError
@@ -55,20 +56,19 @@ class PipelineConfig:
     cnf_path: str
     out_dir: str
     eps_star: Fraction = Fraction(31, 250)
-    answer_cap: int = ANSWER_CAP_DEFAULT
-    half_cap: int = HALF_CAP_DEFAULT
-    value_budget: int = VALUE_BUDGET_DEFAULT
-    sat_budget: int = SAT_BUDGET_DEFAULT
+    # The stage limits are constants, read as cfg.<name> like the fields.
+    answer_cap: ClassVar[int] = ANSWER_CAP_DEFAULT
+    half_cap: ClassVar[int] = HALF_CAP_DEFAULT
+    value_budget: ClassVar[int] = VALUE_BUDGET_DEFAULT
+    sat_budget: ClassVar[int] = SAT_BUDGET_DEFAULT
     # Deliberately small: pipeline games are large, and a truncated scan
     # reports "unknown" anyway, so a big budget only burns time.
     search_budget: int = 2000
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps_star", Fraction(self.eps_star))
-        for name in ("answer_cap", "half_cap", "value_budget", "sat_budget",
-                     "search_budget"):
-            if getattr(self, name) < 1:
-                raise GadgetError(f"{name} must be positive")
+        if self.search_budget < 1:
+            raise GadgetError("search_budget must be positive")
 
 
 def _stage(name: str):

@@ -37,20 +37,6 @@ Multiset = tuple[int, ...]  # sorted strategy indices, repeats allowed
 WITNESS_NE = "NE"
 WITNESS_WSNE = "WSNE"
 
-# problem id -> (parameter name, witness kind)
-_PROBLEMS: dict[int, tuple[str | None, str]] = {
-    1: ("u", WITNESS_NE),
-    2: ("index_set", WITNESS_NE),
-    3: ("d", WITNESS_NE),
-    4: ("p", WITNESS_NE),
-    5: ("v", WITNESS_NE),
-    6: ("u", WITNESS_NE),
-    7: ("k", WITNESS_WSNE),
-    8: ("k", WITNESS_WSNE),
-    9: ("k", WITNESS_WSNE),
-    10: ("index_set", WITNESS_WSNE),
-}
-
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -77,7 +63,8 @@ class SearchOutcome:
 class DecisionInstance:
     """One of the ten decision problems, with its parameter.
 
-    Problems 1-6 quantify over eps-NE; 7-10 over eps-WSNE.
+    Problems 1-6 quantify over eps-NE; 7-10 over eps-WSNE.  ``PROBLEMS``
+    holds what each problem reads and accepts.
     """
 
     problem_id: int
@@ -91,7 +78,8 @@ class DecisionInstance:
     index_set: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.problem_id not in _PROBLEMS:
+        problem = PROBLEMS.get(self.problem_id)
+        if problem is None:
             raise ValidationError(f"unknown problem id {self.problem_id}")
         object.__setattr__(self, "eps", frac(self.eps))
         for name in ("u", "d", "p", "v"):
@@ -100,33 +88,80 @@ class DecisionInstance:
                 object.__setattr__(self, name, frac(value))
         if self.eps < 0:
             raise ValidationError("eps must be nonnegative")
-        pid = self.problem_id
-        param, _ = _PROBLEMS[pid]
-        if param is not None and getattr(self, param) is None:
-            raise ValidationError(f"problem {pid} requires parameter {param!r}")
-        if pid == 1 and not (0 < self.u <= 1):
-            raise ValidationError("problem 1 requires u in (0, 1]")
-        if pid == 3 and not (0 < self.d <= 1):
-            raise ValidationError("problem 3 requires d in (0, 1]")
-        if pid == 4 and not (0 < self.p < 1):
-            raise ValidationError("problem 4 requires p in (0, 1)")
-        if pid == 5 and not (0 <= self.v < 2):
-            raise ValidationError("problem 5 requires v in [0, 2)")
-        if pid == 6 and not (0 <= self.u < 1):
-            raise ValidationError("problem 6 requires u in [0, 1)")
-        if pid in (7, 8, 9) and self.k < 1:
-            raise ValidationError(f"problem {pid} requires k >= 1")
-        if pid in (2, 10):
-            idx = tuple(sorted(set(self.index_set)))
-            object.__setattr__(self, "index_set", idx)
-            if not idx:
-                raise ValidationError("index set must be nonempty")
-            if any(not (0 <= i < self.game.rows) for i in idx):
-                raise ValidationError("index set out of row range")
+        value = getattr(self, problem.param)
+        if value is None:
+            raise ValidationError(
+                f"problem {self.problem_id} requires parameter {problem.param!r}"
+            )
+        if problem.param == "index_set":
+            object.__setattr__(self, "index_set", tuple(sorted(set(value))))
+        for test, message in problem.checks:
+            if not test(self):
+                raise ValidationError(message.format(pid=self.problem_id))
 
     @property
     def witness_kind(self) -> str:
-        return _PROBLEMS[self.problem_id][1]
+        return PROBLEMS[self.problem_id].witness
+
+    def holds(self, *args) -> bool:
+        """The problem's predicate on this instance (see `Problem`)."""
+        return PROBLEMS[self.problem_id].holds(self, *args)
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One row of the problem table.
+
+    ``checks`` are the tests its parameter ``param`` must pass, in order,
+    each with the message of its failure (``{pid}`` is the problem id).
+    ``holds`` is its Table predicate, on a profile known to be an eps-NE
+    (problems 1-6) or eps-WSNE (7-10): problems 1-6 read (inst, profile,
+    row payoff, col payoff), and 7-10 only the supports, (inst, rows, cols),
+    since a support-pair witness has exactly those supports.  Problem 3,
+    whose witness is a far-apart pair, has none.  ``least_size`` is the
+    least total support size that a 7-10 predicate accepts.
+    """
+
+    param: str
+    checks: tuple[tuple[Callable[[DecisionInstance], bool], str], ...]
+    witness: str
+    holds: Callable[..., bool] | None = None
+    least_size: Callable[[DecisionInstance], int] | None = None
+
+
+# `DecisionInstance` sorts and dedups an index set before these checks.
+_INDEX_SET = (
+    (lambda i: bool(i.index_set), "index set must be nonempty"),
+    (lambda i: all(0 <= r < i.game.rows for r in i.index_set),
+     "index set out of row range"),
+)
+_K = ((lambda i: i.k >= 1, "problem {pid} requires k >= 1"),)
+
+PROBLEMS: dict[int, Problem] = {
+    1: Problem("u", ((lambda i: 0 < i.u <= 1, "problem 1 requires u in (0, 1]"),),
+               WITNESS_NE, lambda i, p, row, col: min(row, col) >= i.u),
+    2: Problem("index_set", _INDEX_SET, WITNESS_NE,
+               lambda i, p, row, col: set(p.support_x) <= set(i.index_set)),
+    3: Problem("d", ((lambda i: 0 < i.d <= 1, "problem 3 requires d in (0, 1]"),),
+               WITNESS_NE),
+    4: Problem("p", ((lambda i: 0 < i.p < 1, "problem 4 requires p in (0, 1)"),),
+               WITNESS_NE, lambda i, p, row, col: max(p.x) <= i.p),
+    5: Problem("v", ((lambda i: 0 <= i.v < 2, "problem 5 requires v in [0, 2)"),),
+               WITNESS_NE, lambda i, p, row, col: row + col <= i.v),
+    6: Problem("u", ((lambda i: 0 <= i.u < 1, "problem 6 requires u in [0, 1)"),),
+               WITNESS_NE, lambda i, p, row, col: row <= i.u),
+    7: Problem("k", _K, WITNESS_WSNE,
+               lambda i, rows, cols: len(rows) + len(cols) >= 2 * i.k,
+               lambda i: 2 * i.k),
+    8: Problem("k", _K, WITNESS_WSNE,
+               lambda i, rows, cols: min(len(rows), len(cols)) >= i.k,
+               lambda i: 2 * i.k),
+    9: Problem("k", _K, WITNESS_WSNE,
+               lambda i, rows, cols: len(rows) >= i.k, lambda i: i.k + 1),
+    10: Problem("index_set", _INDEX_SET, WITNESS_WSNE,
+                lambda i, rows, cols: set(i.index_set) <= set(rows),
+                lambda i: len(i.index_set) + 1),
+}
 
 
 def k_uniform_strategies(n: int, k: int) -> Iterator[Vector]:
@@ -608,8 +643,10 @@ def decide_many(
                     break
             else:
                 rep = report(hint)
-                if rep.within(eps, inst.witness_kind == WITNESS_WSNE) and _predicate(
-                    inst, hint, rep.row_payoff, rep.col_payoff
+                wsne = inst.witness_kind == WITNESS_WSNE
+                if rep.within(eps, wsne) and (
+                    inst.holds(hint.support_x, hint.support_y) if wsne
+                    else inst.holds(hint, rep.row_payoff, rep.col_payoff)
                 ):
                     outcomes[i] = SearchOutcome(answer="yes", witness=hint)
                     break
@@ -628,7 +665,7 @@ def decide_many(
                     q = next((q for q in found if tv_distance(p, q) >= inst.d), None)
                     hit = None if q is None else (q, p)
                 else:
-                    hit = (p,) if _predicate(inst, p, row_pay, col_pay) else None
+                    hit = (p,) if inst.holds(p, row_pay, col_pay) else None
                 if hit is not None:
                     hit = tuple(_reverified(game, w, eps) for w in hit)
                     outcomes[i] = SearchOutcome(
@@ -650,18 +687,18 @@ def decide_many(
         # use is never decided, and sizes below the least any problem
         # accepts are not walked.
         pairs_seen = dict.fromkeys(supports, 0)
-        least = min(map(_least_pair_size, supports.values()))
+        least = min(PROBLEMS[inst.problem_id].least_size(inst)
+                    for inst in supports.values())
         miss = "no"
 
         def wanted(rows: Support, cols: Support) -> bool:
-            return any(_support_predicate(inst, rows, cols)
-                       for inst in supports.values())
+            return any(inst.holds(rows, cols) for inst in supports.values())
 
         try:
             for rows, cols, witness in _support_pairs(game, eps, budget, False,
                                                       wanted, least):
                 for i, inst in list(supports.items()):
-                    if not _support_predicate(inst, rows, cols):
+                    if not inst.holds(rows, cols):
                         continue
                     pairs_seen[i] += 1
                     if witness is not None:
@@ -677,53 +714,3 @@ def decide_many(
             outcomes[i] = SearchOutcome(answer=miss, checked_count=pairs_seen[i])
     return outcomes
 
-
-def _predicate(
-    inst: DecisionInstance,
-    p: MixedProfile,
-    row_pay: Fraction | None = None,
-    col_pay: Fraction | None = None,
-) -> bool:
-    """The Table predicate of every problem but 3, on a profile known to be
-    an eps-NE (problems 1-6) or eps-WSNE (7-10) of the game.  Problems 1,
-    5 and 6 read the profile's payoffs ``row_pay`` and ``col_pay``."""
-    pid = inst.problem_id
-    if pid == 1:
-        return min(row_pay, col_pay) >= inst.u
-    if pid == 2:
-        return set(p.support_x) <= set(inst.index_set)
-    if pid == 4:
-        return max(p.x) <= inst.p
-    if pid == 5:
-        return row_pay + col_pay <= inst.v
-    if pid == 6:
-        return row_pay <= inst.u
-    return _support_predicate(inst, p.support_x, p.support_y)
-
-
-def _support_predicate(
-    inst: DecisionInstance, rows: Sequence[int], cols: Sequence[int]
-) -> bool:
-    """The predicate of problems 7-10, which reads only the supports: a
-    support-pair witness has supports exactly (rows, cols)."""
-    pid = inst.problem_id
-    if pid == 7:
-        return len(rows) + len(cols) >= 2 * inst.k
-    if pid == 8:
-        return min(len(rows), len(cols)) >= inst.k
-    if pid == 9:
-        return len(rows) >= inst.k
-    if pid == 10:
-        return set(inst.index_set) <= set(rows)
-    raise ValidationError(f"problem {pid} has no single-profile predicate")
-
-
-def _least_pair_size(inst: DecisionInstance) -> int:
-    """The least total support size that problem 7-10's predicate accepts
-    (``DecisionInstance`` keeps k >= 1 and a nonempty, duplicate-free set)."""
-    pid = inst.problem_id
-    if pid in (7, 8):
-        return 2 * inst.k
-    if pid == 9:
-        return inst.k + 1
-    return len(inst.index_set) + 1

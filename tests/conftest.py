@@ -22,6 +22,7 @@ from negadget.sat import (
     build_clause_variable_free_game,
     formula_degree,
     incidence_graph,
+    max_sat_fraction,
     partition_bipartite,
     winning_strategies,
 )
@@ -52,8 +53,6 @@ def _build(name: str, formula: Cnf3Formula, params: ReductionParams) -> BuiltFix
     build = build_clause_variable_free_game(formula, partition)
     gadget = build_hardness_game(build.game, params)
     cert = s1 = s2 = None
-    from negadget.sat import max_sat_fraction
-
     if max_sat_fraction(formula) == 1:
         s1, s2 = winning_strategies(build, best_assignment(formula))
         cert = completeness_certificate(build.game, s1, s2, gadget)

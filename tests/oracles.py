@@ -49,7 +49,7 @@ def parse_bgm_per_line(text: str) -> BimatrixGame:
     if not lines or lines[0] != "bgm 1":
         raise FormatError("missing 'bgm 1' header")
     body = [l for l in lines[1:] if not l.startswith("#")]
-    block_lines = [l for l in lines[1:] if l.startswith("#block")]
+    block_lines = [l for l in lines[1:] if l.split()[0] == "#block"]
     try:
         rows, cols = (int(t) for t in body[0].split())
     except (IndexError, ValueError) as exc:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import errno
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from negadget import cli, formats, games
+from negadget import cli, formats, gadget, games, pipeline, search
 from negadget.cli import main
 from negadget.errors import GadgetError
 from negadget.gadget import derive_params, extend_gprime, rescale_game
@@ -359,6 +360,14 @@ class TestInputErrors:
         assert main(["verify", str(game), str(prof), "--eps", "1e5000"]) == 3
         self._assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("mode", ["ne", "wsne"])
+    def test_negative_eps_is_an_input_error(self, mode, coordination_paths, capsys):
+        # Not a verdict: no profile has a negative regret to fail on.
+        game, prof = coordination_paths
+        argv = ["verify", str(game), str(prof), "--eps=-1/2", "--mode", mode]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: eps must be nonnegative\n"
+
     @pytest.mark.parametrize("eps", ["1e4300", "123e4299"])
     def test_value_too_long_to_print(self, eps, coordination_paths, capsys):
         # The exponent is within the limit, but str() of a 4301-digit
@@ -515,13 +524,19 @@ class TestInputErrors:
 
 
 class TestPipeline:
-    @pytest.mark.parametrize(
-        "name",
-        ["answer_cap", "half_cap", "value_budget", "sat_budget", "search_budget"],
-    )
+    @pytest.mark.parametrize("name", ["search_budget"])
     def test_limits_must_be_positive(self, name):
         with pytest.raises(GadgetError, match=f"{name} must be positive"):
             PipelineConfig(cnf_path="f.cnf", out_dir="out", **{name: 0})
+
+    @pytest.mark.parametrize(
+        "name", ["answer_cap", "half_cap", "value_budget", "sat_budget"]
+    )
+    def test_stage_limits_are_constants(self, name):
+        assert name not in {f.name for f in dataclasses.fields(PipelineConfig)}
+        with pytest.raises(TypeError):
+            PipelineConfig(cnf_path="f.cnf", out_dir="out", **{name: 1})
+        assert getattr(PipelineConfig("f.cnf", "out"), name) >= 1
 
     def test_satisfiable_run(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"
@@ -562,8 +577,6 @@ class TestPipeline:
     def test_one_report_and_one_rescale_per_game(self, tmp_path, monkeypatch):
         # The certificate is reported once on G and once on Gs; the
         # deciders report the two G' hints and the one G'' hint.
-        from negadget import gadget, games, pipeline, search
-
         calls = {"report": 0, "rescale": 0}
         real_report, real_rescale = games.regret_report, gadget.rescale_game
 

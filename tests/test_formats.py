@@ -56,8 +56,8 @@ def _bgm_texts(draw):
     lines = draw(st.lists(st.sampled_from(pool) | line,
                           min_size=max(count, 0), max_size=max(count, 0)))
     extras = st.sampled_from([
-        "# a comment", f"#block all 0 {rows} 0 {cols}", "#block one 0 1 0 1",
-        "#block bad 0 x 0 1", "#block short 0 1",
+        "# a comment", "#blocks below", f"#block all 0 {rows} 0 {cols}",
+        "#block one 0 1 0 1", "#block bad 0 x 0 1", "#block short 0 1",
     ])
     for extra in draw(st.lists(extras, max_size=2)):
         lines.insert(draw(st.integers(0, len(lines))), extra)
@@ -105,6 +105,15 @@ class TestBgm:
             monkeypatch.undo()
             assert len(calls) <= 2 * len(pairs) < game.rows * game.cols
             assert text == write_bgm_per_cell(game)
+
+    def test_block_line_needs_the_block_token(self):
+        # "#blocks" is a comment; "#block" with any spacing is a block line.
+        text = "bgm 1\n1 2\n0 1\n1 0\n#blocks below\n#block\tall 0 1 0 2\n"
+        for read in (formats.parse_bgm, parse_bgm_per_line):
+            game = read(text)
+            assert game.blocks == (("all", 0, 1, 0, 2),)
+            assert game == BimatrixGame(R=((0, 1),), C=((1, 0),),
+                                        blocks=game.blocks)
 
     def test_decimals_exact(self):
         game = formats.parse_bgm("bgm 1\n1 1\n0.25 3/4\n")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negadget import games
+from negadget.corpus import capped_base_games
 from negadget.errors import (
     ParameterError,
     PreconditionError,
@@ -50,6 +51,7 @@ from negadget.provers import (
     prover_payoff,
     uniformity_gap,
 )
+from negadget.search import enumerate_wsne_supports
 
 from oracles import (
     affine_rescale_per_cell,
@@ -603,8 +605,6 @@ class TestExtensionUniqueness:
     """
 
     def _instances(self, params):
-        from negadget.corpus import capped_base_games
-
         out = []
         for name, base in capped_base_games().items():
             gp = extend_gprime(base, params.eps_star)
@@ -614,8 +614,6 @@ class TestExtensionUniqueness:
         return out
 
     def test_strict_enumeration_only_corner(self, params):
-        from negadget.search import enumerate_wsne_supports
-
         for name, game, corner in self._instances(params):
             found = [
                 (p.support_x, p.support_y)
@@ -626,8 +624,6 @@ class TestExtensionUniqueness:
             assert found == [((corner[0],), (corner[1],))], (name, found)
 
     def test_weak_extras_sit_on_regret_boundary(self, params):
-        from negadget.search import enumerate_wsne_supports
-
         for name, game, corner in self._instances(params):
             for p in enumerate_wsne_supports(
                 game, params.eps_star, budget=2**20

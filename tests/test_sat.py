@@ -16,7 +16,9 @@ from negadget.corpus import (
     satisfiable_fixtures,
     unsatisfiable_fixtures,
 )
-from negadget.errors import FormatError, InvariantError, ResourceError, ValidationError
+from negadget.errors import (
+    FormatError, InvariantError, ParameterError, ResourceError, ValidationError
+)
 from negadget.provers import game_value, prover_payoff
 from negadget.sat import (
     Cnf3Formula,
@@ -194,8 +196,6 @@ class TestPartition:
 
     def test_degree_violation_rejected(self):
         graph = incidence_graph(full_sign_pattern())
-        from negadget.errors import ParameterError
-
         with pytest.raises(ParameterError):
             partition_bipartite(graph, 3)
 

@@ -25,6 +25,7 @@ from negadget.games import (
     pure_profile,
     regret_report,
     social_welfare,
+    tv_distance,
 )
 from negadget.gadget import (
     extend_gdoubleprime, extend_gprime, extend_profile, rescale_game
@@ -230,8 +231,6 @@ class TestLmm:
         assert out.witness is not None  # partial best attached
 
     def test_certificate_is_k_uniform(self, single_build, params):
-        from negadget.gadget import rescale_game
-
         gs = rescale_game(single_build.gadget)
         k = single_build.build.game.nx
         out = lmm_best_welfare(gs, params.eps_star, k, budget=10**5)
@@ -369,8 +368,6 @@ class TestDecide:
         out = decide(inst, k=1)
         assert out.answer == "yes"
         p1, p2 = out.witness_pair
-        from negadget.games import tv_distance
-
         assert tv_distance(p1, p2) >= 1
 
     def test_p3_no_far_pair_in_pennies(self):
@@ -436,6 +433,58 @@ class TestDecide:
             DecisionInstance(problem_id=6, game=COORDINATION, eps=0, u=1)
         with pytest.raises(ValidationError):
             DecisionInstance(problem_id=4, game=COORDINATION, eps=0, p=1)
+
+    # problem id -> (parameter, an out-of-range value and its message,
+    # an accepted boundary value)
+    PARAMETERS = {
+        1: ("u", F(0), "problem 1 requires u in (0, 1]", F(1)),
+        2: ("index_set", (2,), "index set out of row range", (1,)),
+        3: ("d", F(0), "problem 3 requires d in (0, 1]", F(1)),
+        4: ("p", F(1), "problem 4 requires p in (0, 1)", F(999, 1000)),
+        5: ("v", F(2), "problem 5 requires v in [0, 2)", F(0)),
+        6: ("u", F(1), "problem 6 requires u in [0, 1)", F(0)),
+        7: ("k", 0, "problem 7 requires k >= 1", 1),
+        8: ("k", 0, "problem 8 requires k >= 1", 1),
+        9: ("k", 0, "problem 9 requires k >= 1", 1),
+        10: ("index_set", (-1,), "index set out of row range", (0,)),
+    }
+
+    @pytest.mark.parametrize("pid", range(1, 11))
+    def test_parameter_table(self, pid):
+        name, bad, message, edge = self.PARAMETERS[pid]
+        with pytest.raises(ValidationError) as missing:
+            DecisionInstance(problem_id=pid, game=COORDINATION, eps=0)
+        assert str(missing.value) == f"problem {pid} requires parameter {name!r}"
+        with pytest.raises(ValidationError) as out_of_range:
+            DecisionInstance(problem_id=pid, game=COORDINATION, eps=0, **{name: bad})
+        assert str(out_of_range.value) == message
+        inst = DecisionInstance(problem_id=pid, game=COORDINATION, eps=0,
+                                **{name: edge})
+        assert getattr(inst, name) == edge
+        assert inst.witness_kind == ("NE" if pid <= 6 else "WSNE")
+        # eps is checked before the parameter.
+        with pytest.raises(ValidationError, match="^eps must be nonnegative$"):
+            DecisionInstance(problem_id=pid, game=COORDINATION, eps=-1)
+
+    @pytest.mark.parametrize("pid", [2, 10])
+    def test_index_set_errors_and_normal_form(self, pid):
+        def make(index_set):
+            return DecisionInstance(problem_id=pid, game=COORDINATION, eps=0,
+                                    index_set=index_set)
+
+        with pytest.raises(ValidationError, match="^index set must be nonempty$"):
+            make(())
+        for bad in ((0, 2), (-1, 0)):
+            with pytest.raises(ValidationError,
+                               match="^index set out of row range$"):
+                make(bad)
+        assert make((1, 0, 1)).index_set == (0, 1)
+
+    def test_unknown_problem_rejected(self):
+        for pid in (0, 11):
+            with pytest.raises(ValidationError,
+                               match=f"^unknown problem id {pid}$"):
+                DecisionInstance(problem_id=pid, game=COORDINATION, eps=0, u=1)
 
     def test_p3_permutation_symmetry(self):
         rng = random.Random(31)
