@@ -1,18 +1,17 @@
 """An exact simplex for the support LPs.
 
-It takes only `<=` rows with nonnegative right-hand sides, so it starts
-at the slack basis, which is feasible, and needs no phase 1.  Its tableau
-keeps the objective as a last row that every pivot updates, and Bland's rule
-picks each pivot.
-
-The simplex tableau holds integers only, pivoted fraction-free (Bareiss
-1968, as in lrsnash): `games.cleared` multiplies every row by one common
-denominator, slack coefficients stay 1, and each pivot multiplies every
-other row by the pivot and divides it, exactly, by the previous pivot.  The
-tableau is then the true tableau of that scaled LP times the current pivot,
-a positive number, so every sign and ratio, and with them Bland's pivot
-sequence, is that of the rational tableau.  `Fraction` values are built
-only for the returned optimum.
+It takes only `<=` rows with nonnegative right-hand sides, so it starts at
+the slack basis, which is feasible, and needs no phase 1.  It pivots a
+compact integer dictionary, as lrs does (Avis 2000): one column per nonbasic
+variable and the right-hand side, one row per basic variable and the
+objective.  ``basis`` names each row's variable and ``cobasis`` each
+column's (x is 0..n-1, the slacks n..n+m-1).  `games.cleared` puts the rows
+over one denominator, and each pivot is fraction-free (Bareiss 1968): an
+entry off the pivot row becomes (e*p - f*q) // d, d the previous pivot, and
+the entering column passes to the leaving variable, d on the pivot row and
+-f on every other.  Each entry is that of the full tableau, which is d > 0
+times the true tableau; so every sign and ratio, and with them Bland's
+pivot sequence, is that of the rational tableau.
 """
 
 from __future__ import annotations
@@ -24,18 +23,22 @@ from .errors import ParameterError, ShapeError
 from .games import cleared
 
 
-def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int) -> None:
-    """Bareiss pivot on tab[row][col]: the pivot row stays, and every other
-    row becomes (e*p - f*q) // d, where p is the pivot, f the row's entry in
-    column col, q the pivot row's entry, and d the previous pivot, which
-    every basic row holds in its basic column and which divides exactly."""
-    pivot_row = tab[row]
-    p, d = pivot_row[col], pivot_row[basis[row]]
-    for r, line in enumerate(tab):
+def _pivot(dic: list[list[int]], basis: list[int], cobasis: list[int],
+           d: int, row: int, col: int) -> int:
+    """Bareiss pivot on dic[row][col] after pivot d; returns the pivot p, the
+    next d.  Other rows become (e*p - f*q) // d, f being their entry in column
+    col and q the pivot row's, and column col passes to the leaving variable."""
+    pivot_row = dic[row]
+    p = pivot_row[col]
+    for r, line in enumerate(dic):
         if r != row:
             f = line[col]
-            tab[r] = [(e * p - f * q) // d for e, q in zip(line, pivot_row)]
-    basis[row] = col
+            line = [(e * p - f * q) // d for e, q in zip(line, pivot_row)]
+            line[col] = -f
+            dic[r] = line
+    pivot_row[col] = d
+    basis[row], cobasis[col] = cobasis[col], basis[row]
+    return p
 
 
 def simplex_maximize(
@@ -52,39 +55,32 @@ def simplex_maximize(
     if len(b_ub) != m or any(len(row) != n for row in a_ub):
         raise ShapeError("simplex_maximize expects one b_ub entry per a_ub row "
                          "and len(c) entries per row")
-    if any(b < 0 for b in b_ub):
+    try:
+        dic, [objective], unit = cleared([[*row, b] for row, b in zip(a_ub, b_ub)], [c])
+    except AttributeError as exc:  # no denominator: a float is not exact
+        raise ParameterError("simplex_maximize expects ints or Fractions, got "
+                             f"{type(exc.obj).__name__} {exc.obj!r}") from None
+    if any(row[n] < 0 for row in dic):
         raise ParameterError("simplex_maximize expects b_ub >= 0")
-    # Columns: x, one slack per row, then the right-hand side.  The last row
-    # is the objective: minus each column's reduced cost, then the value,
-    # all times `unit`, the one denominator every row is cleared over.
-    rows, [objective], unit = cleared([[*row, b] for row, b in zip(a_ub, b_ub)], [c])
-    tab = [ints[:n] + [int(k == i) for k in range(m)] + ints[n:]
-           for i, ints in enumerate(rows)]
-    tab.append([-e for e in objective] + [0] * (m + 1))
-    basis = list(range(n, n + m))
-    # Bland's rule: lowest-index entering column with a negative objective
-    # entry, lowest basis index breaking leaving-row ties.  Ratios
-    # rhs/entry are compared by cross-multiplying positive entries.
-    while True:
-        entering = next((j for j in range(n + m) if tab[m][j] < 0), -1)
-        if entering < 0:
-            break
+    # The objective row: minus each reduced cost, then the value, times unit.
+    dic.append([-e for e in objective] + [0])
+    basis, cobasis, d = list(range(n, n + m)), list(range(n)), 1
+    # Bland's rule: the lowest-index entering variable with a negative
+    # objective entry, the lowest basis index breaking leaving-row ties.
+    # Ratios rhs/entry are compared by cross-multiplying positive entries.
+    while (entering := min((j for j in range(n) if dic[m][j] < 0),
+                           key=cobasis.__getitem__, default=-1)) >= 0:
         leave = -1
         for r in range(m):
-            if tab[r][entering] > 0:
-                if leave < 0:
-                    leave = r
-                    continue
-                here = tab[r][-1] * tab[leave][entering]
-                best = tab[leave][-1] * tab[r][entering]
-                if here < best or (here == best and basis[r] < basis[leave]):
-                    leave = r
+            f = dic[r][entering]
+            if f > 0 and (leave < 0 or (dic[r][n] * dic[leave][entering], basis[r])
+                          < (dic[leave][n] * f, basis[leave])):
+                leave = r
         if leave < 0:
             return "unbounded", None, None
-        _pivot(tab, basis, leave, entering)
-    d = tab[0][basis[0]] if m else 1
+        d = _pivot(dic, basis, cobasis, d, leave, entering)
     x = [Fraction(0)] * n
     for r, b in enumerate(basis):
         if b < n:
-            x[b] = Fraction(tab[r][-1], d)
-    return "optimal", Fraction(tab[m][-1], d * unit), x
+            x[b] = Fraction(dic[r][n], d)
+    return "optimal", Fraction(dic[m][n], d * unit), x

@@ -400,6 +400,9 @@ def wsne_support_feasible(
     below eps, which excludes profiles sitting exactly on the regret
     boundary.
     """
+    for i in (*rows, *cols):
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise ValidationError(f"support indices must be ints, got {i!r}")
     rows = tuple(sorted(set(rows)))
     cols = tuple(sorted(set(cols)))
     if not rows or not cols:

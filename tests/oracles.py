@@ -4,9 +4,10 @@ matrix-vector product, regret report and rescaling computed
 cell by cell, profile distance and supports entry by entry, the gadget's
 certificate placed by row and column labels, the integer k-uniform scan
 candidate by candidate, every support pair sorted into the support
-walk's order, exact Gaussian elimination, the exact equilibria of games
-up to 5x5, the grid eps-NE sweep, and the clause/variable free game and
-MAX-3SAT checked literal by literal.
+walk's order, exact Gaussian elimination, the simplex on the full
+tableau, the exact equilibria of games up to 5x5, the grid eps-NE sweep,
+and the clause/variable free game and MAX-3SAT checked literal by
+literal.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from negadget.games import (
     Rational,
     RegretReport,
     Vector,
+    cleared,
     frac,
     regret_report,
 )
@@ -247,6 +249,57 @@ def solve_linear(
                 factor = m[r][col]
                 m[r] = [e - factor * p for e, p in zip(m[r], m[col])]
     return [m[i][n] for i in range(n)]
+
+
+def simplex_full_tableau(
+    c: Sequence[Fraction],
+    a_ub: Sequence[Sequence[Fraction]],
+    b_ub: Sequence[Fraction],
+) -> tuple[str, Fraction | None, list[Fraction] | None, list[tuple[int, int]]]:
+    """`linsolve.simplex_maximize` on the full integer tableau: every slack
+    column kept, an m x m identity built, every pivot rewriting every
+    column.  Returns its (status, value, x) and the (entering, leaving)
+    variables of each pivot, Bland's rule picking each.  Variables 0..n-1
+    are x and n..n+m-1 the slacks, which are also the tableau's columns."""
+    n, m = len(c), len(a_ub)
+    rows, [objective], unit = cleared([[*row, b] for row, b in zip(a_ub, b_ub)], [c])
+    tab = [ints[:n] + [int(k == i) for k in range(m)] + ints[n:]
+           for i, ints in enumerate(rows)]
+    tab.append([-e for e in objective] + [0] * (m + 1))
+    basis = list(range(n, n + m))
+    pivots = []
+    while True:
+        entering = next((j for j in range(n + m) if tab[m][j] < 0), -1)
+        if entering < 0:
+            break
+        leave = -1
+        for r in range(m):
+            if tab[r][entering] > 0:
+                if leave < 0:
+                    leave = r
+                    continue
+                here = tab[r][-1] * tab[leave][entering]
+                best = tab[leave][-1] * tab[r][entering]
+                if here < best or (here == best and basis[r] < basis[leave]):
+                    leave = r
+        if leave < 0:
+            return "unbounded", None, None, pivots
+        pivots.append((entering, basis[leave]))
+        # Bareiss: every other row becomes (e*p - f*q) // d, d the previous
+        # pivot, which every basic row holds in its basic column.
+        pivot_row = tab[leave]
+        p, d = pivot_row[entering], pivot_row[basis[leave]]
+        for r, line in enumerate(tab):
+            if r != leave:
+                f = line[entering]
+                tab[r] = [(e * p - f * q) // d for e, q in zip(line, pivot_row)]
+        basis[leave] = entering
+    d = tab[0][basis[0]] if m else 1
+    x = [Fraction(0)] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            x[b] = Fraction(tab[r][-1], d)
+    return "optimal", Fraction(tab[m][-1], d * unit), x, pivots
 
 
 def exhaustive_ne_oracle(

@@ -48,6 +48,7 @@ from oracles import (
     grid_eps_ne,
     integer_scan_per_candidate,
     pairs_in_order,
+    simplex_full_tableau,
     solve_linear,
 )
 
@@ -55,6 +56,20 @@ F = Fraction
 
 MATCHING_PENNIES = BimatrixGame(R=((1, 0), (0, 1)), C=((0, 1), (1, 0)))
 COORDINATION = BimatrixGame(R=((1, 0), (0, 1)), C=((1, 0), (0, 1)))
+
+
+def solve_with_pivots(c, a_ub, b_ub):
+    """simplex_maximize's (status, value, x), then its pivots as
+    (entering, leaving) variables, as `simplex_full_tableau` returns them."""
+    pivots = []
+    real_pivot = linsolve._pivot
+
+    def recorded(dic, basis, cobasis, d, row, col):
+        pivots.append((cobasis[col], basis[row]))
+        return real_pivot(dic, basis, cobasis, d, row, col)
+
+    with mock.patch.object(linsolve, "_pivot", recorded):
+        return (*simplex_maximize(c, a_ub, b_ub), pivots)
 
 
 class TestLinsolve:
@@ -92,6 +107,44 @@ class TestLinsolve:
         with pytest.raises(ShapeError):
             simplex_maximize([F(1)], a_ub=a_ub, b_ub=b_ub)
 
+    @pytest.mark.parametrize("c, a_ub, b_ub", [
+        ([1.5], [[1]], [1]),
+        ([1, 1], [[F(1), 0.5]], [1]),
+        ([1], [[1]], [2.0]),
+        ([1], [[1]], [float("nan")]),
+    ], ids=["c", "a_ub", "b_ub", "nan"])
+    def test_float_entry_rejected(self, c, a_ub, b_ub):
+        with pytest.raises(ParameterError, match="ints or Fractions, got float"):
+            simplex_maximize(c, a_ub, b_ub)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_compact_dictionary_matches_full_tableau(self, data):
+        # Degenerate LPs on purpose: zero right-hand sides and repeated
+        # rows give ratio ties, which Bland's lowest-basis-index rule breaks.
+        n = data.draw(st.integers(1, 5))
+        entry = st.one_of(st.integers(-3, 3),
+                          st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
+        row = st.lists(entry, min_size=n, max_size=n)
+        c = data.draw(row)
+        a_ub, b_ub = [], []
+        for _ in range(data.draw(st.integers(0, 8))):
+            if a_ub and data.draw(st.booleans()):
+                i = data.draw(st.integers(0, len(a_ub) - 1))
+                a_ub.append(a_ub[i])
+                b_ub.append(b_ub[i])
+            else:
+                a_ub.append(data.draw(row))
+                b_ub.append(data.draw(st.sampled_from([0, 0, 1, 2, F(1, 2)])))
+        assert solve_with_pivots(c, a_ub, b_ub) == simplex_full_tableau(c, a_ub, b_ub)
+
+    def test_entering_is_lowest_variable_not_lowest_column(self):
+        # After x0 and x1 enter, slack 4 holds column 0 and x2 column 2, both
+        # with a negative objective entry; Bland's rule takes x2, unbounded.
+        lp = ([1, 3, 3], [[3, 3, -1], [3, -1, 0]], [3, 2])
+        assert solve_with_pivots(*lp) == simplex_full_tableau(*lp) == (
+            "unbounded", None, None, [(0, 4), (1, 3)])
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_simplex_matches_vertex_enumeration(self, data):
@@ -111,10 +164,11 @@ class TestLinsolve:
         # Bland's rule never cycles: no basis is visited twice.
         seen = set()
 
-        def pivot_once_per_basis(tab, basis, row, col):
-            real_pivot(tab, basis, row, col)
+        def pivot_once_per_basis(dic, basis, cobasis, d, row, col):
+            pivot = real_pivot(dic, basis, cobasis, d, row, col)
             assert frozenset(basis) not in seen
             seen.add(frozenset(basis))
+            return pivot
 
         real_pivot = linsolve._pivot
         with mock.patch.object(linsolve, "_pivot", pivot_once_per_basis):
@@ -268,6 +322,15 @@ class TestWsneSupports:
     def test_support_out_of_range_rejected(self, rows, cols):
         with pytest.raises(ValidationError):
             wsne_support_feasible(MATCHING_PENNIES, rows, cols, 0)
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([0.0], [0]), ([True], [0]), ([0], [False, 1]), ([0], [F(1)]), ([0], ["1"]),
+    ])
+    def test_non_int_support_index_rejected(self, rows, cols):
+        with mock.patch.object(search, "simplex_maximize") as lp:
+            with pytest.raises(ValidationError, match="support indices must be ints"):
+                wsne_support_feasible(MATCHING_PENNIES, rows, cols, 0)
+        lp.assert_not_called()
 
     def test_enumeration_finds_all_coordination(self):
         found = list(enumerate_wsne_supports(COORDINATION, 0))
