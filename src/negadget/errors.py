@@ -40,3 +40,13 @@ class StageError(GadgetError):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def count_text(n: int) -> str:
+    """An exact count for an error message: ``str(n)``, or ``at least 2^b``
+    (b + 1 being n's bit length) when n has more digits than ``str`` prints
+    (4,300 by default), so that building the message cannot fail."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"

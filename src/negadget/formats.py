@@ -13,7 +13,7 @@ import os
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import FormatError, ResourceError, ValidationError
+from .errors import FormatError, ResourceError, ValidationError, count_text
 from .games import BimatrixGame, MixedProfile, add_pair
 from .provers import ProverStrategy, TwoProverGame
 
@@ -157,8 +157,11 @@ def parse_bgm(text: str) -> BimatrixGame:
         return codes[line]
 
     seen, coded, error = codes.get, [], None
+    # An entry line holds three characters or more, so a game with more cells
+    # than the text has characters has too few lines; skipping its rows also
+    # keeps islice's stop, cols, below sys.maxsize.
     try:
-        for _ in range(rows):
+        for _ in range(rows) if rows * cols <= len(text) else ():
             coded.append("".join([seen(line) or first_seen(line)
                                   for line in itertools.islice(entries, cols)]))
             if len(coded[-1]) < cols:
@@ -170,7 +173,8 @@ def parse_bgm(text: str) -> BimatrixGame:
         # error after the count is known to be right.
         found = sum(line[0] != "#" for line in _data_lines(text)) - 2
         if found != rows * cols:
-            raise FormatError(f"expected {rows * cols} entry lines, found {found}")
+            raise FormatError(f"expected {count_text(rows * cols)} entry lines, "
+                              f"found {found}")
         raise error
     blocks = None
     if block_lines:
@@ -220,7 +224,7 @@ def parse_prof(text: str, normalize: bool = False) -> MixedProfile:
     entries = [values[tok] for tok in lines[2:]]
     if len(entries) != rows + cols:
         raise FormatError(
-            f"expected {rows + cols} entries, found {len(entries)}"
+            f"expected {count_text(rows + cols)} entries, found {len(entries)}"
         )
     x = entries[:rows]
     y = entries[rows:]
@@ -265,7 +269,7 @@ def parse_fgm(text: str) -> TwoProverGame:
     )
     body = lines[4:]
     if len(body) < expected:
-        raise FormatError(f"expected {expected} V entries")
+        raise FormatError(f"expected {count_text(expected)} V entries")
     bits = body[:expected]
     rest = body[expected:]
     values = []

@@ -36,6 +36,7 @@ from .errors import (
     ResourceError,
     ShapeError,
     ValidationError,
+    count_text,
 )
 from .formats import format_rational
 from .games import (
@@ -116,7 +117,7 @@ def half_subsets(q: int, cap: int = HALF_CAP_DEFAULT) -> Halves:
         raise ParameterError(f"question count must be even and >= 2, got {q}")
     count = comb(q, q // 2)
     if count > cap:
-        raise ResourceError(f"C({q},{q // 2}) = {count} exceeds cap {cap}")
+        raise ResourceError(f"C({q},{q // 2}) = {count_text(count)} exceeds cap {cap}")
     out = []
     for ones in itertools.combinations(range(q), q // 2):
         vec = [0] * q
@@ -153,7 +154,8 @@ def build_hardness_game(
     rows = sum(f.x_answers) + comb(f.ny, f.ny // 2)
     cols = sum(f.y_answers) + comb(f.nx, f.nx // 2)
     if rows * cols > CELL_CAP:
-        raise ResourceError(f"G would be {rows}x{cols}, over {CELL_CAP} cells")
+        raise ResourceError(f"G would be {count_text(rows)}x{count_text(cols)}, "
+                            f"over {CELL_CAP} cells")
 
     halves_y = half_subsets(f.ny, cap=half_cap)
     game = _lay_out(f, half_subsets(f.nx, cap=half_cap), halves_y, params.d1_payoff)

@@ -1,7 +1,8 @@
 """Bimatrix games, mixed profiles, and exact equilibrium verification.
 
 All arithmetic is over `fractions.Fraction`; verification never touches
-floating point.  Games are immutable; every operation returns new values.
+floating point, and a float entry or parameter raises `ParameterError`
+(see ``frac``).  Games are immutable; every operation returns new values.
 
 A game is a palette of (R entry, C entry) `Fraction` pairs plus one `str`
 code row per game row: cell (i, j) is ``palette[ord(codes[i][j])]``.  A str
@@ -15,8 +16,9 @@ when a game has few pairs (as the gadget games do) and a profile shares its
 weights.
 ``regret_report`` stays in `Fraction` arithmetic: it is the exact oracle
 that the integer k-uniform scan of `negadget.search` is checked against.
-Every integer kernel (that scan, the support LPs, the simplex and
-`game_value`) leaves `Fraction` through one helper, ``cleared``.
+Every integer kernel (that scan, the support LPs and `game_value`) leaves
+`Fraction` through one helper, ``cleared``; the simplex takes the support
+LPs' integer rows from its caller and reads no Fraction.
 """
 
 from __future__ import annotations
@@ -51,9 +53,13 @@ Block = tuple[str, int, int, int, int]
 
 
 def frac(value: Rational) -> Fraction:
-    """Coerce ints, strings ('3/4', '0.25'), and Fractions to Fraction."""
+    """Coerce ints, strings ('3/4', '0.25'), and Fractions to Fraction; a
+    float, which is not the decimal it was written as, raises
+    ``ParameterError``."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float):
+        raise ParameterError(f"expected an exact rational, got float {value!r}")
     return Fraction(value)
 
 
@@ -61,7 +67,7 @@ def vector(entries: Iterable[Rational]) -> Vector:
     # tuple() of lists here and below: a tuple grown from a generator by
     # resizing is kept in CPython's free lists, which then fill up the heap.
     # Fractions are kept as given (not copied), so shared objects stay shared.
-    return tuple([e if isinstance(e, Fraction) else Fraction(e) for e in entries])
+    return tuple([e if isinstance(e, Fraction) else frac(e) for e in entries])
 
 
 def cleared(*matrices: Sequence[Sequence[Fraction]]) -> tuple:

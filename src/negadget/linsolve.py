@@ -1,26 +1,25 @@
 """An exact simplex for the support LPs.
 
-It takes only `<=` rows with nonnegative right-hand sides, so it starts at
-the slack basis, which is feasible, and needs no phase 1.  It pivots a
-compact integer dictionary, as lrs does (Avis 2000): one column per nonbasic
-variable and the right-hand side, one row per basic variable and the
-objective.  ``basis`` names each row's variable and ``cobasis`` each
-column's (x is 0..n-1, the slacks n..n+m-1).  `games.cleared` puts the rows
-over one denominator, and each pivot is fraction-free (Bareiss 1968): an
-entry off the pivot row becomes (e*p - f*q) // d, d the previous pivot, and
-the entering column passes to the leaving variable, d on the pivot row and
--f on every other.  Each entry is that of the full tableau, which is d > 0
-times the true tableau; so every sign and ratio, and with them Bland's
-pivot sequence, is that of the rational tableau.
+It takes only `<=` rows with nonnegative right-hand sides, all integers, so
+it starts at the slack basis, which is feasible, and needs no phase 1.  It
+pivots a compact integer dictionary, as lrs does (Avis 2000): one column
+per nonbasic variable and the right-hand side, one row per basic variable
+and the objective.  ``basis`` names each row's variable and ``cobasis`` each
+column's (x is 0..n-1, the slacks n..n+m-1).  Each pivot is fraction-free
+(Bareiss 1968): an entry off the pivot row becomes (e*p - f*q) // d, d the
+previous pivot, and the entering column passes to the leaving variable, d
+on the pivot row and -f on every other.  Each entry is that of the full
+tableau, which is d > 0 times the true tableau; so every sign and ratio,
+and with them Bland's pivot sequence, is that of the rational tableau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .errors import ParameterError, ShapeError
-from .games import cleared
 
 
 def _pivot(dic: list[list[int]], basis: list[int], cobasis: list[int],
@@ -42,28 +41,28 @@ def _pivot(dic: list[list[int]], basis: list[int], cobasis: list[int],
 
 
 def simplex_maximize(
-    c: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]],
-    b_ub: Sequence[Fraction],
+    c: Sequence[int],
+    a_ub: Sequence[Sequence[int]],
+    b_ub: Sequence[int],
 ) -> tuple[str, Fraction | None, list[Fraction] | None]:
     """Maximize c.x subject to a_ub x <= b_ub, x >= 0, where b_ub >= 0.
 
-    Entries are ints or Fractions.  Returns (status, value, x) with status
-    'optimal' or 'unbounded'; value and x are None unless optimal.
+    Every entry is an ``int``; any other type raises ``ParameterError``.
+    Returns (status, value, x) with status 'optimal' or 'unbounded'; value
+    and x are None unless optimal.
     """
     n, m = len(c), len(a_ub)
     if len(b_ub) != m or any(len(row) != n for row in a_ub):
         raise ShapeError("simplex_maximize expects one b_ub entry per a_ub row "
                          "and len(c) entries per row")
-    try:
-        dic, [objective], unit = cleared([[*row, b] for row, b in zip(a_ub, b_ub)], [c])
-    except AttributeError as exc:  # no denominator: a float is not exact
-        raise ParameterError("simplex_maximize expects ints or Fractions, got "
-                             f"{type(exc.obj).__name__} {exc.obj!r}") from None
-    if any(row[n] < 0 for row in dic):
+    for e in chain(c, b_ub, *a_ub):
+        if type(e) is not int:
+            raise ParameterError("simplex_maximize expects ints, got "
+                                 f"{type(e).__name__} {e!r}")
+    if any(b < 0 for b in b_ub):
         raise ParameterError("simplex_maximize expects b_ub >= 0")
-    # The objective row: minus each reduced cost, then the value, times unit.
-    dic.append([-e for e in objective] + [0])
+    # The rows, then the objective row: minus each reduced cost, the value.
+    dic = [[*row, b] for row, b in zip(a_ub, b_ub)] + [[-e for e in c] + [0]]
     basis, cobasis, d = list(range(n, n + m)), list(range(n)), 1
     # Bland's rule: the lowest-index entering variable with a negative
     # objective entry, the lowest basis index breaking leaving-row ties.
@@ -83,4 +82,4 @@ def simplex_maximize(
     for r, b in enumerate(basis):
         if b < n:
             x[b] = Fraction(dic[r][n], d)
-    return "optimal", Fraction(dic[m][n], d * unit), x
+    return "optimal", Fraction(dic[m][n], d), x

@@ -17,6 +17,7 @@ from .errors import (
     ResourceError,
     ShapeError,
     ValidationError,
+    count_text,
 )
 from .games import (
     BimatrixGame, Matrix, MixedProfile, Vector, cleared, frac, mat_vec, vector
@@ -149,7 +150,7 @@ def game_value(t: TwoProverGame, budget: int = VALUE_BUDGET_DEFAULT) -> Fraction
     s1_count, s2_count = t.strategy_counts()
     if s1_count * s2_count > budget:
         raise ResourceError(
-            f"|S1|*|S2| = {s1_count * s2_count} exceeds budget {budget}"
+            f"|S1|*|S2| = {count_text(s1_count * s2_count)} exceeds budget {budget}"
         )
     table, x_range, y_range = t.table, range(t.nx), range(t.ny)
     weight, denom = cleared([[t.prob(x, y) for y in y_range] for x in x_range])

@@ -13,7 +13,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
-    InvariantError, ParameterError, ResourceError, ValidationError
+    InvariantError, ParameterError, ResourceError, ValidationError, count_text
 )
 from .games import (
     BimatrixGame,
@@ -81,13 +81,11 @@ class DecisionInstance:
         problem = PROBLEMS.get(self.problem_id)
         if problem is None:
             raise ValidationError(f"unknown problem id {self.problem_id}")
-        object.__setattr__(self, "eps", frac(self.eps))
+        object.__setattr__(self, "eps", _nonnegative_eps(self.eps))
         for name in ("u", "d", "p", "v"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, frac(value))
-        if self.eps < 0:
-            raise ValidationError("eps must be nonnegative")
         value = getattr(self, problem.param)
         if value is None:
             raise ValidationError(
@@ -249,9 +247,7 @@ def lmm_best_welfare(
     "unknown" (with the best partial witness) when the family exceeds
     the budget.
     """
-    e = frac(eps)
-    if e < 0:
-        raise ValidationError("eps must be nonnegative")
+    e = _nonnegative_eps(eps)
     _check_budget(budget)
     checked, truncated = _scan_size(game, k, budget)
     # Welfare compared as integers on the scan's scale; max() keeps the
@@ -268,6 +264,14 @@ def lmm_best_welfare(
     return SearchOutcome(
         answer="unknown" if truncated else "yes", witness=witness, checked_count=checked
     )
+
+
+def _nonnegative_eps(eps: Rational) -> Fraction:
+    """eps as a Fraction; ``ValidationError`` if it is negative."""
+    e = frac(eps)
+    if e < 0:
+        raise ValidationError("eps must be nonnegative")
+    return e
 
 
 def _check_budget(budget: int) -> None:
@@ -398,8 +402,9 @@ def wsne_support_feasible(
 
     With ``strict`` set, both pure-strategy regrets must be strictly
     below eps, which excludes profiles sitting exactly on the regret
-    boundary.
+    boundary.  A negative eps raises ``ValidationError``.
     """
+    e = _nonnegative_eps(eps)
     for i in (*rows, *cols):
         if isinstance(i, bool) or not isinstance(i, int):
             raise ValidationError(f"support indices must be ints, got {i!r}")
@@ -409,7 +414,7 @@ def wsne_support_feasible(
         raise ValidationError("supports must be nonempty")
     if min(rows + cols) < 0 or rows[-1] >= game.rows or cols[-1] >= game.cols:
         raise ValidationError(f"supports {rows}/{cols} out of the game's range")
-    return _pair_witness(game.cleared, rows, cols, frac(eps), strict)[0]
+    return _pair_witness(game.cleared, rows, cols, e, strict)[0]
 
 
 def _pair_witness(
@@ -466,10 +471,10 @@ def _one_side_feasible(
     so a positive optimum has sum(q) = 1.
 
     The rows compare each support row only with the other rows; its regret
-    against itself is 0, which is at most eps only when eps >= 0, and
-    strictly below eps only when eps > 0.
+    against itself is 0, which is strictly below eps only when eps > 0
+    (the callers take eps >= 0).
     """
-    if eps < 0 or (strict and eps == 0):
+    if strict and eps == 0:
         return None
     n_rows = len(payoff)
     m = len(opp_supp)
@@ -519,11 +524,13 @@ def enumerate_wsne_supports(
     side is infeasible rules out the row side of every pair with more rows
     and the same columns; the column side is the mirror case.  So a pair is
     infeasible when an immediate subset, one total size down, is.  Raises
-    ``ParameterError`` for a negative budget, and ``ResourceError`` before
-    the first pair when the pairs exceed the budget.
+    ``ValidationError`` for a negative eps, ``ParameterError`` for a
+    negative budget, and ``ResourceError`` before the first pair when the
+    pairs exceed the budget.
     """
+    e = _nonnegative_eps(eps)
     _check_budget(budget)
-    every_pair = _support_pairs(game, frac(eps), budget, strict,
+    every_pair = _support_pairs(game, e, budget, strict,
                                 lambda r, c: True, 2)
     yield from (witness for _, _, witness in every_pair if witness is not None)
 
@@ -552,7 +559,7 @@ def _support_pairs(
     n, m = game.rows, game.cols
     total = (2 ** n - 1) * (2 ** m - 1)
     if total > budget:
-        raise ResourceError(f"{total} support pairs exceed budget {budget}")
+        raise ResourceError(f"{count_text(total)} support pairs exceed budget {budget}")
     payoffs = game.cleared
     row_dead, col_dead = set(), set()  # one total size's infeasible sides
     for size in range(least_size, n + m + 1):

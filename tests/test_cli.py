@@ -291,6 +291,16 @@ class TestDecide:
         )
         assert code == 1
 
+    def test_pair_count_too_long_to_print_is_unknown(self, tmp_path, capsys):
+        # A 1x14,300 game has 2^14300 - 1 support pairs, over the budget;
+        # their count is past what str() prints, and the answer is unknown.
+        game = tmp_path / "wide.bgm"
+        game.write_text("bgm 1\n1 14300\n" + "0 0\n" * 14300)
+        code = main(["decide", "p10", str(game), "--eps", "1/8", "--set", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("unknown\n", "")
+
     def test_support_problem_over_budget_is_unknown(self, tmp_path, capsys):
         # Matching pennies has 9 support pairs, over a budget of 2.
         pennies = tmp_path / "mp.bgm"
@@ -395,6 +405,44 @@ class TestInputErrors:
         paths["prof"].write_text(prof)
         assert main([a.format(**paths) for a in command]) == 3
         self._assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command, game, text, message", [
+        (["value", "{game}"], "v.fgm",
+         "fgm 1\n1 14300\n1\n" + "2 " * 14300 + "\n" + "0\n" * 28600,
+         "|S1|*|S2| = at least 2^14300 exceeds budget 16777216"),
+        (["forge", "build", "{game}", "-o", "{out}"], "b.fgm",
+         "fgm 1\n2 15000\n1 1\n" + "1 " * 15000 + "\n" + "0\n" * 30000,
+         "G would be at least 2^14992x15002, over 4194304 cells"),
+        (["value", "{game}"], "a.fgm", f"fgm 1\n1 1\n{'7' * 4000}\n{'7' * 4000}\n0\n",
+         "expected at least 2^26574 V entries"),
+        (["verify", "{game}", "{prof}", "--eps", "0"], "d.bgm",
+         f"bgm 1\n{'9' * 3000} {'9' * 3000}\n0 0\n",
+         "expected at least 2^19931 entry lines, found 1"),
+        (["verify", "{one}", "{game}", "--eps", "0"], "d.prof",
+         f"prof 1\n{'9' * 4300} {'9' * 4300}\n1\n1\n",
+         "expected at least 2^14285 entries, found 2"),
+    ], ids=["game_value", "build_hardness_game", "parse_fgm", "parse_bgm",
+            "parse_prof"])
+    def test_count_too_long_to_print(self, command, game, text, message,
+                                     tmp_path, coordination_paths, capsys):
+        # Each count has more digits than str() prints (4,300): the message
+        # must still print, and the exit is 3, not a traceback's 1.
+        _, prof = coordination_paths
+        paths = {"game": tmp_path / game, "prof": prof, "one": tmp_path / "one.bgm",
+                 "out": tmp_path / "out"}
+        paths["game"].write_text(text)
+        paths["one"].write_text("bgm 1\n1 1\n0 0\n")
+        assert main([a.format(**paths) for a in command]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bgm_dimension_past_maxsize(self, tmp_path, coordination_paths, capsys):
+        # islice() refuses a stop past sys.maxsize; the entry count is wrong.
+        _, prof = coordination_paths
+        game = tmp_path / "m.bgm"
+        game.write_text(f"bgm 1\n1 {sys.maxsize + 1}\n0 0\n")
+        assert main(["verify", str(game), str(prof), "--eps", "0"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: expected {sys.maxsize + 1} entry lines, found 1\n")
 
     def test_gadget_over_cell_cap_fails_before_it_is_built(self, tmp_path, capsys):
         # 16 one-answer questions a side: C(16, 8) = 12,870 half subsets pass

@@ -126,6 +126,12 @@ class TestHalfSubsets:
         with pytest.raises(ResourceError):
             half_subsets(10, cap=5)
 
+    def test_count_too_long_to_print(self):
+        # C(30000, 15000) has 9,029 digits, past what str() prints.
+        with pytest.raises(ResourceError, match=(
+                r"^C\(30000,15000\) = at least 2\^29992 exceeds cap 65536$")):
+            half_subsets(30000)
+
     @pytest.mark.parametrize("q", range(2, 13, 2))
     def test_all_halves_strictly_descending(self, q):
         subs = half_subsets(q)

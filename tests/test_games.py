@@ -239,6 +239,22 @@ def test_game_keeps_fraction_objects_and_coerces_the_rest():
     assert game.C[1][0] == 0 and type(game.C[1][0]) is Fraction
 
 
+@pytest.mark.parametrize("R, C", [
+    (((1, 0.5),), ((0, 0),)),
+    (((1, 0),), ((0, float("nan")),)),
+])
+def test_float_payoff_rejected(R, C):
+    with pytest.raises(ParameterError, match="expected an exact rational, got float"):
+        BimatrixGame(R=R, C=C)
+
+
+@pytest.mark.parametrize("x, y", [((0.5, F(1, 2)), (1,)), ((1,), (1.0,))])
+def test_float_profile_entry_rejected(x, y):
+    # A float would enter the profile as its binary value, not its decimal.
+    with pytest.raises(ParameterError, match="expected an exact rational, got float"):
+        MixedProfile(x=x, y=y)
+
+
 class TestBlocks:
     def test_partition_required(self):
         with pytest.raises(ValidationError):

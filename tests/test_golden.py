@@ -12,11 +12,15 @@ why in CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from negadget.corpus import satisfiable_fixtures, unsatisfiable_fixtures
+from negadget.cli import main
+from negadget.corpus import (
+    full_sign_pattern, satisfiable_fixtures, unsatisfiable_fixtures
+)
 from negadget.formats import write_fgm
 from negadget.pipeline import PipelineConfig, run_pipeline
 from negadget.sat import (
@@ -47,6 +51,13 @@ WIDE_PROBE = Cnf3Formula(num_vars=15, clauses=(
     (1, -8, -15),
 ))
 WIDE_PROBE_FGM = "4fa4ff3bb647a4fd906ff209fa48fe66d1790c1e5cc868ef4980a80d81408b21"
+
+# WIDE_PROBE's first eight clauses and every sign pattern over x1, x2, x3:
+# unsatisfiable, with G 56x16,416.  G' has (2^57 - 1)(2^16417 - 1) support
+# pairs, a count past what str() prints.
+UNSAT_WIDE = Cnf3Formula(num_vars=15, clauses=(
+    WIDE_PROBE.clauses[:8] + full_sign_pattern((1, 2, 3)).clauses))
+UNSAT_WIDE_FGM = "aebd2125353c777a93c671ea725c272fff3eba3a22db7a750e346882a831e3a6"
 
 FIXTURES = {
     **satisfiable_fixtures(),
@@ -197,3 +208,20 @@ def test_wide_probe_free_game_matches_golden_hash():
     )
     text = write_fgm(build_clause_variable_free_game(WIDE_PROBE, partition).game)
     assert hashlib.sha256(text.encode()).hexdigest() == WIDE_PROBE_FGM
+
+
+def test_unsat_wide_pipeline_reports_support_problems_unknown(
+        tmp_path, monkeypatch, capsys):
+    # p7-p10's support pairs exceed the budget, so they answer unknown,
+    # although str() of the pair count in the budget's message would raise.
+    monkeypatch.chdir(tmp_path)
+    Path("unsat-wide.cnf").write_text(_dimacs(UNSAT_WIDE))
+    assert main(["pipeline", "unsat-wide.cnf", "-o", "out"]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(Path("out/report.json").read_text())
+    assert report["satisfiable"] is False
+    support = ("p7", "p8", "p9", "p10")
+    assert {p: report["deciders"][p] for p in support} == dict.fromkeys(
+        support, {"answer": "unknown", "checked": 0})
+    fgm = hashlib.sha256(Path("out/F.fgm").read_bytes()).hexdigest()
+    assert fgm == UNSAT_WIDE_FGM

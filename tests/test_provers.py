@@ -210,12 +210,15 @@ class TestGameValue:
             game_value(t, budget=255)
 
     def test_distribution_entries_become_fractions(self):
-        # A float entry is converted exactly when the game is built, so the
-        # value is an exact Fraction.
-        t = constant_game(2, 2, 1, 1, 1, dist=((0.5, 0), (F(1, 8), 0)))
+        # Int and Fraction entries become Fractions when the game is built,
+        # so the value is an exact Fraction.  A float is not the decimal it
+        # was written as, so it raises instead of entering the value.
+        t = constant_game(2, 2, 1, 1, 1, dist=((F(1, 2), 0), (F(1, 8), 0)))
         assert all(type(e) is F for row in t.dist for e in row)
         value = game_value(t)
         assert type(value) is F and value == F(5, 8)
+        with pytest.raises(ParameterError, match="got float 0.5"):
+            constant_game(2, 2, 1, 1, 1, dist=((0.5, 0), (F(1, 8), 0)))
 
     def test_scan_stops_at_the_mass(self, monkeypatch):
         drawn = []

@@ -72,6 +72,16 @@ def solve_with_pivots(c, a_ub, b_ub):
         return (*simplex_maximize(c, a_ub, b_ub), pivots)
 
 
+def cleared_lp(c, a_ub, b_ub):
+    """A rational LP as the integer LP `simplex_maximize` takes: the rows
+    and right-hand sides over one denominator, c over its own, K.  Returns
+    (c, a_ub, b_ub, K): the same feasible region and optimal x, with the
+    optimum K times the rational one."""
+    rows, _ = games.cleared([[*row, b] for row, b in zip(a_ub, b_ub)])
+    [c_int], scale = games.cleared([c])
+    return c_int, [row[:-1] for row in rows], [row[-1] for row in rows], scale
+
+
 class TestLinsolve:
     def test_unique_solution(self):
         sol = solve_linear([[F(2), F(0)], [F(0), F(4)]], [F(2), F(2)])
@@ -83,38 +93,52 @@ class TestLinsolve:
     def test_simplex_basic(self):
         # max x + y s.t. x + 2y <= 4, 3x + y <= 6
         status, value, x = simplex_maximize(
-            [F(1), F(1)],
-            a_ub=[[F(1), F(2)], [F(3), F(1)]],
-            b_ub=[F(4), F(6)],
+            [1, 1],
+            a_ub=[[1, 2], [3, 1]],
+            b_ub=[4, 6],
         )
         assert status == "optimal"
         assert value == F(14, 5)
 
     def test_simplex_unbounded(self):
-        status, _, _ = simplex_maximize([F(1)], a_ub=[[F(-1)]], b_ub=[F(0)])
+        status, _, _ = simplex_maximize([1], a_ub=[[-1]], b_ub=[0])
         assert status == "unbounded"
 
     def test_negative_rhs_rejected(self):
         with pytest.raises(ParameterError):
-            simplex_maximize([F(1)], a_ub=[[F(1)], [F(-1)]], b_ub=[F(1), F(-1)])
+            simplex_maximize([1], a_ub=[[1], [-1]], b_ub=[1, -1])
 
     @pytest.mark.parametrize("a_ub, b_ub", [
-        ([[F(1)], [F(2)]], [F(1)]),
-        ([[F(1)]], [F(1), F(2)]),
-        ([[F(1), F(0)]], [F(1)]),
+        ([[1], [2]], [1]),
+        ([[1]], [1, 2]),
+        ([[1, 0]], [1]),
     ])
     def test_shape_mismatch_rejected(self, a_ub, b_ub):
         with pytest.raises(ShapeError):
-            simplex_maximize([F(1)], a_ub=a_ub, b_ub=b_ub)
+            simplex_maximize([1], a_ub=a_ub, b_ub=b_ub)
 
     @pytest.mark.parametrize("c, a_ub, b_ub", [
         ([1.5], [[1]], [1]),
-        ([1, 1], [[F(1), 0.5]], [1]),
+        ([1, 1], [[1, 0.5]], [1]),
         ([1], [[1]], [2.0]),
         ([1], [[1]], [float("nan")]),
     ], ids=["c", "a_ub", "b_ub", "nan"])
     def test_float_entry_rejected(self, c, a_ub, b_ub):
-        with pytest.raises(ParameterError, match="ints or Fractions, got float"):
+        with pytest.raises(ParameterError, match="expects ints, got float"):
+            simplex_maximize(c, a_ub, b_ub)
+
+    @pytest.mark.parametrize("c, a_ub, b_ub, kind", [
+        ([F(1, 2)], [[1]], [1], "Fraction"),
+        ([1], [[F(2)]], [1], "Fraction"),
+        ([1], [[1]], [F(1)], "Fraction"),
+        ([1], [[True]], [1], "bool"),
+        ([1], [[decimal.Decimal(1)]], [1], "Decimal"),
+    ])
+    def test_non_int_entry_rejected_before_any_pivot(self, c, a_ub, b_ub, kind):
+        # An entry must be an int as given, even one equal to an integer.
+        pivoted = AssertionError("pivoted before the type check")
+        with mock.patch.object(linsolve, "_pivot", side_effect=pivoted), \
+                pytest.raises(ParameterError, match=f"expects ints, got {kind} "):
             simplex_maximize(c, a_ub, b_ub)
 
     @settings(max_examples=400, deadline=None)
@@ -136,7 +160,10 @@ class TestLinsolve:
             else:
                 a_ub.append(data.draw(row))
                 b_ub.append(data.draw(st.sampled_from([0, 0, 1, 2, F(1, 2)])))
-        assert solve_with_pivots(c, a_ub, b_ub) == simplex_full_tableau(c, a_ub, b_ub)
+        status, value, x, pivots = simplex_full_tableau(c, a_ub, b_ub)
+        c_int, a_int, b_int, scale = cleared_lp(c, a_ub, b_ub)
+        assert solve_with_pivots(c_int, a_int, b_int) == (
+            status, None if value is None else value * scale, x, pivots)
 
     def test_entering_is_lowest_variable_not_lowest_column(self):
         # After x0 and x1 enter, slack 4 holds column 0 and x2 column 2, both
@@ -332,6 +359,24 @@ class TestWsneSupports:
                 wsne_support_feasible(MATCHING_PENNIES, rows, cols, 0)
         lp.assert_not_called()
 
+    def test_negative_eps_rejected(self):
+        # As decide and lmm_best_welfare do, not a silent "no".
+        with mock.patch.object(search, "simplex_maximize") as lp:
+            with pytest.raises(ValidationError, match="^eps must be nonnegative$"):
+                list(enumerate_wsne_supports(COORDINATION, -1))
+            with pytest.raises(ValidationError, match="^eps must be nonnegative$"):
+                wsne_support_feasible(COORDINATION, [0], [0], -1)
+            with pytest.raises(ValidationError, match="^eps must be nonnegative$"):
+                list(enumerate_wsne_supports(COORDINATION, F(-1, 8), strict=True))
+        lp.assert_not_called()
+
+    def test_pair_count_too_long_to_print(self):
+        # (2^1 - 1)(2^14300 - 1) pairs: str() of the count would raise.
+        game = BimatrixGame(R=((0,) * 14300,), C=((0,) * 14300,))
+        with pytest.raises(ResourceError, match=(
+                r"^at least 2\^14299 support pairs exceed budget 4194304$")):
+            list(enumerate_wsne_supports(game, F(1, 8)))
+
     def test_enumeration_finds_all_coordination(self):
         found = list(enumerate_wsne_supports(COORDINATION, 0))
         supports = {(p.support_x, p.support_y) for p in found}
@@ -496,6 +541,13 @@ class TestDecide:
             DecisionInstance(problem_id=6, game=COORDINATION, eps=0, u=1)
         with pytest.raises(ValidationError):
             DecisionInstance(problem_id=4, game=COORDINATION, eps=0, p=1)
+
+    @pytest.mark.parametrize("name", ["eps", "u"])
+    def test_float_parameter_rejected(self, name):
+        # 0.1 is 3602879701896397/36028797018963968, not 1/10.
+        params = {"eps": 0, "u": 1, name: 0.1}
+        with pytest.raises(ParameterError, match="got float 0.1"):
+            DecisionInstance(problem_id=1, game=COORDINATION, **params)
 
     # problem id -> (parameter, an out-of-range value and its message,
     # an accepted boundary value)
@@ -1042,7 +1094,6 @@ class TestSupportSearchMatchesEveryPair:
         assert list(enumerate_wsne_supports(game, 0)) == [
             MixedProfile(x=(1,), y=(1,))
         ]
-        assert wsne_support_feasible(game, (0,), (0,), F(-1, 4)) is None
 
 
 class TestSupportWalk:
@@ -1142,7 +1193,9 @@ class TestSimplexRational:
             a_ub.append([F(int(k == i)) for k in range(n)])
             b_ub.append(bound)
 
-        status, value, x = simplex_maximize(c, a_ub, b_ub)
+        c_int, a_int, b_int, scale = cleared_lp(c, a_ub, b_ub)
+        status, value, x = simplex_maximize(c_int, a_int, b_int)
+        value /= scale
 
         # The box bounds the region, which holds the origin, so the optimum
         # sits at a vertex: n tight constraints among the rows and x >= 0.
