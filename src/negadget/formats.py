@@ -14,25 +14,10 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import FormatError, ResourceError, ValidationError, count_text
-from .games import BimatrixGame, MixedProfile, add_pair
+from .games import (
+    DIGIT_BOUND, BimatrixGame, MixedProfile, add_pair, parse_rational
+)
 from .provers import ProverStrategy, TwoProverGame
-
-
-# Largest decimal exponent accepted, as in `1e4300`.  Fraction builds
-# 10**exponent exactly, and that takes seconds once the exponent nears
-# 10**7.  4300 is CPython's default limit on the digits of an integer
-# string, which already bounds the mantissa.
-EXPONENT_LIMIT = 4300
-
-# A numerator must stay below this bound, so that it prints within
-# CPython's limit of EXPONENT_LIMIT digits; a denominator may equal it, the
-# denominator of `1e-4300`.  A comparison of integers this long costs what
-# a comparison of their bit lengths costs.
-_DIGIT_BOUND = 10**EXPONENT_LIMIT
-
-# The digits of _DIGIT_BOUND, one more than `int()` reads: the writers print
-# the denominator of `1e-4300` so, and the parser reads it back.
-_DIGIT_BOUND_TEXT = "1" + "0" * EXPONENT_LIMIT
 
 
 def write_file(path: str | os.PathLike, text: str) -> None:
@@ -60,20 +45,8 @@ def write_file(path: str | os.PathLike, text: str) -> None:
 
 
 def _parse_rational(tok: str) -> Fraction:
-    num, _, den = tok.partition("/")
-    _, has_exponent, exponent = tok.lower().partition("e")
-    try:
-        if has_exponent and abs(int(exponent)) > EXPONENT_LIMIT:
-            raise FormatError(f"exponent of {tok!r} exceeds {EXPONENT_LIMIT}")
-        if den == _DIGIT_BOUND_TEXT:
-            value = Fraction(int(num), _DIGIT_BOUND)
-        else:
-            value = Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {tok!r}") from exc
-    if abs(value.numerator) >= _DIGIT_BOUND or value.denominator > _DIGIT_BOUND:
-        raise FormatError(f"{tok!r} has more than {EXPONENT_LIMIT} digits")
-    return value
+    """``games.parse_rational`` with its failures as ``FormatError``."""
+    return parse_rational(tok, FormatError)
 
 
 def format_rational(value: Fraction) -> str:
@@ -91,7 +64,7 @@ def _decimal(n: int) -> str:
     """The decimal digits of n, split in halves until each prints."""
     if n < 0:
         return "-" + _decimal(-n)
-    if n < _DIGIT_BOUND:
+    if n < DIGIT_BOUND:
         return str(n)
     # 3/20 < log10(2)/2, so 10**half is below sqrt(n) and both parts shrink.
     half = n.bit_length() * 3 // 20

@@ -17,13 +17,15 @@ weights.
 ``regret_report`` stays in `Fraction` arithmetic: it is the exact oracle
 that the integer k-uniform scan of `negadget.search` is checked against.
 Every integer kernel (that scan, the support LPs and `game_value`) leaves
-`Fraction` through one helper, ``cleared``; the simplex takes the support
-LPs' integer rows from its caller and reads no Fraction.
+`Fraction` through one helper, ``cleared``; the scan and the support LPs
+map the code lines they read through the cleared palette, ``int_entries``,
+and the simplex takes their integer rows and reads no Fraction.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -32,6 +34,7 @@ from operator import add, itemgetter, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import (
+    GadgetError,
     InvariantError,
     ParameterError,
     ResourceError,
@@ -51,15 +54,56 @@ PALETTE_LIMIT = 0x110000  # the code points, so the codes, a str can hold
 # half-open row/column ranges.
 Block = tuple[str, int, int, int, int]
 
+# Largest decimal exponent a rational's text may carry, as in `1e4300`.
+# Fraction builds 10**exponent exactly, and that takes seconds once the
+# exponent nears 10**7.  4300 is CPython's default limit on the digits of an
+# integer string, which already bounds the mantissa.
+EXPONENT_LIMIT = 4300
+
+# A numerator must stay below this bound, so that it prints within
+# CPython's limit of EXPONENT_LIMIT digits; a denominator may equal it, the
+# denominator of `1e-4300`.  A comparison of integers this long costs what
+# a comparison of their bit lengths costs.
+DIGIT_BOUND = 10**EXPONENT_LIMIT
+
+# The digits of DIGIT_BOUND, one more than `int()` reads: the writers print
+# the denominator of `1e-4300` so, and the parser reads it back.
+_DIGIT_BOUND_TEXT = "1" + "0" * EXPONENT_LIMIT
+
+
+def parse_rational(tok: str, error: type[GadgetError] = ParameterError) -> Fraction:
+    """The rational a text names ('3/4', '-0.25', '1e-3'); ``error`` if the
+    text is malformed, its exponent exceeds EXPONENT_LIMIT, or the value has
+    more digits than CPython prints.  The one check of every rational read
+    from text: `frac`'s and the text formats'."""
+    num, _, den = tok.partition("/")
+    _, has_exponent, exponent = tok.lower().partition("e")
+    try:
+        if has_exponent and abs(int(exponent)) > EXPONENT_LIMIT:
+            raise error(f"exponent of {tok!r} exceeds {EXPONENT_LIMIT}")
+        if den == _DIGIT_BOUND_TEXT:
+            value = Fraction(int(num), DIGIT_BOUND)
+        else:
+            value = Fraction(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise error(f"bad rational {tok!r}") from exc
+    if abs(value.numerator) >= DIGIT_BOUND or value.denominator > DIGIT_BOUND:
+        raise error(f"{tok!r} has more than {EXPONENT_LIMIT} digits")
+    return value
+
 
 def frac(value: Rational) -> Fraction:
-    """Coerce ints, strings ('3/4', '0.25'), and Fractions to Fraction; a
-    float, which is not the decimal it was written as, raises
-    ``ParameterError``."""
+    """Coerce ints, Fractions and strings ('3/4', '0.25', through
+    ``parse_rational``) to Fraction.  Anything else raises
+    ``ParameterError``: a float, which is not the decimal it was written
+    as, a bool, and any other value that is not a rational number."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise ParameterError(f"expected an exact rational, got float {value!r}")
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Rational):
+        raise ParameterError(
+            f"expected an exact rational, got {type(value).__name__} {value!r}")
     return Fraction(value)
 
 
@@ -163,7 +207,7 @@ class BimatrixGame:
               blocks: Iterable[Block] | None = None) -> BimatrixGame:
         """The game with cells ``palette[ord(codes[i][j])]``, kept as given: a
         nonempty rectangle of codes in which every palette pair occurs (as in
-        the constructor's games), since `cleared` reads the palette for them."""
+        the constructor's games), since `int_entries` reads the palette for them."""
         game = cls.__new__(cls)
         game._set(palette, codes, blocks)
         return game
@@ -225,13 +269,12 @@ class BimatrixGame:
         return tuple([joined[j::cols] for j in range(cols)])
 
     @cached_property
-    def cleared(self) -> tuple[list[list[int]], list[list[int]], int]:
-        """``cleared(self.R, self.Ct)`` from the palette, built on first use:
-        each pair is cleared once and the code rows map to its integers."""
+    def int_entries(self) -> tuple[dict[str, int], dict[str, int], int]:
+        """(code -> L*R entry, code -> L*C entry, L): the palette cleared
+        over one L, the L of ``cleared(self.R, self.C)``, built once."""
         (r_ints,), (c_ints,), scale = cleared([self.r_entries], [self.c_entries])
-        return ([list(map(r_ints.__getitem__, map(ord, row))) for row in self.codes],
-                [list(map(c_ints.__getitem__, map(ord, col)))
-                 for col in self.codes_t], scale)
+        codes = list(map(chr, range(len(self.palette))))
+        return dict(zip(codes, r_ints)), dict(zip(codes, c_ints)), scale
 
     @property
     def rows(self) -> int:

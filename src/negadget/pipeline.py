@@ -33,6 +33,7 @@ from .gadget import (
 from .games import (
     BimatrixGame,
     MixedProfile,
+    frac,
     pure_profile,
 )
 from .provers import game_value, VALUE_BUDGET_DEFAULT
@@ -66,7 +67,7 @@ class PipelineConfig:
     search_budget: int = 2000
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eps_star", Fraction(self.eps_star))
+        object.__setattr__(self, "eps_star", frac(self.eps_star))
         if self.search_budget < 1:
             raise GadgetError("search_budget must be positive")
 

@@ -9,7 +9,9 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from math import comb
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -252,7 +254,7 @@ def lmm_best_welfare(
     checked, truncated = _scan_size(game, k, budget)
     # Welfare compared as integers on the scan's scale; max() keeps the
     # first of equal maxima, the lowest-index best welfare.
-    hits = _integer_scan(e, k, checked, *game.cleared)
+    hits = _integer_scan(game, e, k, checked)
     best = max(hits, key=lambda c: c[3] + c[4], default=None)
     if best is None:
         return SearchOutcome(
@@ -297,18 +299,15 @@ def _eps_ne_scan(
     """Stream the k-uniform eps-NE among the first ``budget`` candidates,
     each as (index, x, y, row payoff, col payoff): `_integer_scan`'s hits
     with their Fraction vectors and payoffs."""
-    r_int, ct_int, scale = game.cleared
-    unit = k * k * scale
-    for index, xc, yc, row_pay, col_pay in _integer_scan(eps, k, budget, r_int,
-                                                         ct_int, scale):
+    unit = k * k * game.int_entries[2]
+    for index, xc, yc, row_pay, col_pay in _integer_scan(game, eps, k, budget):
         yield (index, _multiset_vector(game.rows, xc),
                _multiset_vector(game.cols, yc),
                Fraction(row_pay, unit), Fraction(col_pay, unit))
 
 
 def _integer_scan(
-    eps: Fraction, k: int, budget: float,
-    r_int: list[list[int]], ct_int: list[list[int]], scale: int,
+    game: BimatrixGame, eps: Fraction, k: int, budget: float,
 ) -> Iterator[tuple[int, Multiset, Multiset, int, int]]:
     """Stream the k-uniform eps-NE among the first ``budget`` candidates.
 
@@ -316,54 +315,77 @@ def _integer_scan(
     multisets, x outermost, and candidate (x, y) has index
     rank(x)*C(m+k-1, k) + rank(y) for m columns.  Each passing candidate is
     yielded as (index, x multiset, y multiset, row payoff, col payoff), the
-    payoffs as integers over k*k*scale.
+    payoffs as integers over k*k*L (L from ``game.int_entries``).
 
-    The test uses integers only.  ``r_int`` and ``ct_int`` are L*R and L*Ct,
-    cleared by `BimatrixGame.cleared` over one L (``scale``), so a multiset y gives
-    the integer vector vals = k*L*(R @ y) and a multiset x the payoff
-    pay = k*k*L*(x @ R @ y), and the same for the column side.  With
-    eps = a/b a side passes iff b*(k*max(vals) - pay) <= a*L*k*k, that is
-    iff k*max(vals) - pay <= slack = floor(a*L*k*k / b).  No Fraction is
-    built here.
+    The test uses integers only.  A multiset y gives vals = k*L*(R @ y), the
+    sum of y's R columns, and a multiset x the payoff pay = k*k*L*(x @ R @ y),
+    and the same for the columns with x's C rows.  With eps = a/b a side
+    passes iff k*max(vals) - pay <= slack = floor(a*L*k*k / b).
 
     For the column side, k*max(vals) - pay is the sum over y's columns j of
     max(vals) - vals[j], and every term is at least 0.  So a y is visited
     only when every one of its columns is within the slack of x's best
     response; any other y fails, and is decided without being visited.
-    Ct @ x is computed once per x, and R @ y once per y that passes a
-    column test inside the budget.  The scan stops at the first x past the
-    budget, and inside the x where the budget ends it ranks each y before
-    building anything for it, so nothing outside the budget is built.
+    C @ x is computed once per x, R @ y once per y that passes a column test
+    inside the budget, and rank(y) once per y that passes both.  The scan
+    stops at the first x past the budget, and inside the x where the budget
+    ends it ranks each y before building anything for it, so no line
+    (`_int_lines`) outside the budget is built.
     """
     if budget < 1:
         return
+    c_rows, r_cols, scale = _int_lines(game)
     unit = k * k * scale
     slack = eps.numerator * unit // eps.denominator
-    m = len(ct_int)
+    m = game.cols
     per_x = comb(m + k - 1, k)
-    # y's multiset -> (k*L*(R @ y), the least row payoff that passes)
-    rows_of: dict[Multiset, tuple[list[int], int]] = {}
-    for x_rank, xc in enumerate(_multisets(len(r_int), k)):
+    # y's multiset -> [k*L*(R @ y), the least row payoff that passes, rank]
+    rows_of: dict[Multiset, list] = {}
+    for x_rank, xc in enumerate(_multisets(game.rows, k)):
         base = x_rank * per_x
         if base >= budget:
             return
         cut = base + per_x > budget
-        col_vals = [sum(col[i] for i in xc) for col in ct_int]
+        col_vals = list(reduce(_add_lines, map(c_rows.__getitem__, xc)))
         top = max(col_vals)
-        allowed = [j for j, v in enumerate(col_vals) if top - v <= slack]
+        least = top - slack
+        allowed = [j for j, v in enumerate(col_vals) if v >= least]
         col_least = k * top - slack
         for yc in itertools.combinations_with_replacement(allowed, k):
             if cut and base + _multiset_rank(yc, m) >= budget:
                 return
-            if (col_pay := sum(col_vals[j] for j in yc)) < col_least:
+            if (col_pay := sum(map(col_vals.__getitem__, yc))) < col_least:
                 continue
             entry = rows_of.get(yc)
             if entry is None:
-                row_vals = [sum(row[j] for j in yc) for row in r_int]
-                entry = rows_of[yc] = (row_vals, k * max(row_vals) - slack)
-            row_vals, row_least = entry
-            if (row_pay := sum(row_vals[i] for i in xc)) >= row_least:
-                yield base + _multiset_rank(yc, m), xc, yc, row_pay, col_pay
+                row_vals = list(reduce(_add_lines, map(r_cols.__getitem__, yc)))
+                entry = rows_of[yc] = [row_vals, k * max(row_vals) - slack, None]
+            row_vals, row_least, rank = entry
+            if (row_pay := sum(map(row_vals.__getitem__, xc))) >= row_least:
+                if rank is None:
+                    rank = entry[2] = _multiset_rank(yc, m)
+                yield base + rank, xc, yc, row_pay, col_pay
+
+
+class _IntLines(dict):
+    """Code line t of ``lines`` as integers, ``ints[code]`` per code, built
+    on first use and kept for the call that made the table."""
+
+    def __init__(self, lines: Sequence[str], ints: dict[str, int]) -> None:
+        self.lines, self.ints = lines, ints
+
+    def __missing__(self, t: int) -> list[int]:
+        line = self[t] = list(map(self.ints.__getitem__, self.lines[t]))
+        return line
+
+
+def _int_lines(game: BimatrixGame) -> tuple[_IntLines, _IntLines, int]:
+    """(C's rows L*C[i], R's columns L*R[:, j], L), each line built on first use."""
+    r_ints, c_ints, scale = game.int_entries
+    return _IntLines(game.codes, c_ints), _IntLines(game.codes_t, r_ints), scale
+
+
+_add_lines = partial(map, add)  # two lines' sum, lazily: `reduce` chains it
 
 
 def _multiset_rank(c: Multiset, m: int) -> int:
@@ -414,28 +436,24 @@ def wsne_support_feasible(
         raise ValidationError("supports must be nonempty")
     if min(rows + cols) < 0 or rows[-1] >= game.rows or cols[-1] >= game.cols:
         raise ValidationError(f"supports {rows}/{cols} out of the game's range")
-    return _pair_witness(game.cleared, rows, cols, e, strict)[0]
+    return _pair_witness(_int_lines(game), rows, cols, e, strict)[0]
 
 
-def _pair_witness(
-    payoffs: tuple[list[list[int]], list[list[int]], int],
-    rows: Support,
-    cols: Support,
-    eps: Fraction,
-    strict: bool,
-) -> tuple[MixedProfile | None, bool]:
+def _pair_witness(lines: tuple[_IntLines, _IntLines, int], rows: Support, cols: Support,
+                  eps: Fraction, strict: bool) -> tuple[MixedProfile | None, bool]:
     """(the support pair's witness or None, whether its row side is
-    feasible): the row-side LP for y, then, only if that side is feasible,
-    the column-side LP for x.  ``payoffs`` is ``game.cleared``."""
-    r_int, ct_int, scale = payoffs
-    y = _one_side_feasible(r_int, rows, cols, eps, scale, strict)
+    feasible): the row-side LP for y on R's columns in ``cols``, then, only
+    if that side is feasible, the column-side LP for x on C's rows in
+    ``rows``, from the game's `_int_lines`."""
+    c_rows, r_cols, scale = lines
+    y = _one_side_feasible([r_cols[j] for j in cols], rows, eps, scale, strict)
     if y is None:
         return None, False
-    x = _one_side_feasible(ct_int, cols, rows, eps, scale, strict)
+    x = _one_side_feasible([c_rows[i] for i in rows], cols, eps, scale, strict)
     if x is None:
         return None, True
-    return MixedProfile(x=_spread(len(r_int), rows, x),
-                        y=_spread(len(ct_int), cols, y)), True
+    return MixedProfile(x=_spread(len(c_rows.lines), rows, x),
+                        y=_spread(len(r_cols.lines), cols, y)), True
 
 
 def _spread(n: int, supp: Sequence[int], values: Sequence[Fraction]) -> Vector:
@@ -446,20 +464,14 @@ def _spread(n: int, supp: Sequence[int], values: Sequence[Fraction]) -> Vector:
     return tuple(full)
 
 
-def _one_side_feasible(
-    payoff: Sequence[Sequence[int]],
-    supp: Sequence[int],
-    opp_supp: Sequence[int],
-    eps: Fraction,
-    scale: int,
-    strict: bool = False,
-) -> list[Fraction] | None:
-    """Find q in the simplex over opp_supp with min coordinate maximized,
-    subject to: every row in supp is eps-best among all rows against q.
-    ``payoff`` is the payoff matrix P times the integer ``scale``, one side
-    of `BimatrixGame.cleared`.
+def _one_side_feasible(lines: Sequence[Sequence[int]], supp: Support, eps: Fraction,
+                       scale: int, strict: bool) -> list[Fraction] | None:
+    """Find q in the simplex over the opponent's support with min coordinate
+    maximized, subject to: every row in supp is eps-best among all rows
+    against q.  ``lines`` are the payoff matrix P's columns on that support
+    times the integer ``scale``: R's columns, or C's rows for the columns.
 
-    Variables: q_j for j in opp_supp, then t (the min-coordinate slack).
+    Variables: q_j for each line j, then t (the min-coordinate slack).
     Maximize t; feasible with t > 0 means the exact support works.  In
     strict mode the slack t is also charged against every regret
     constraint, so a positive optimum certifies regret strictly below
@@ -476,29 +488,17 @@ def _one_side_feasible(
     """
     if strict and eps == 0:
         return None
-    n_rows = len(payoff)
-    m = len(opp_supp)
-    a_ub: list[list[int]] = []
+    payoff = list(zip(*lines))  # P's rows, restricted to the support
+    m = len(lines)
     # For each support row i and each row r: (P_r - P_i - eps) . q <= 0
     # (strict mode: (P_r - P_i - eps) . q + t <= 0), times b*scale for
     # eps = a/b, so that every coefficient is an integer.
-    b = eps.denominator
-    shift = eps.numerator * scale
+    b, shift = eps.denominator, eps.numerator * scale
     slack = b * scale if strict else 0
-    for i in supp:
-        own = [payoff[i][j] for j in opp_supp]
-        for r in range(n_rows):
-            if r == i:
-                continue
-            other = payoff[r]
-            a_ub.append([b * (other[j] - p) - shift for j, p in zip(opp_supp, own)]
-                        + [slack])
-    # t <= q_j for each j.
-    for j in range(m):
-        row = [0] * (m + 1)
-        row[j] = -1
-        row[m] = 1
-        a_ub.append(row)
+    a_ub = [[b * (o - p) - shift for o, p in zip(payoff[r], payoff[i])] + [slack]
+            for i in supp for r in range(len(payoff)) if r != i]
+    # t <= q_j for each j, and sum(q) <= 1.
+    a_ub += [[0] * j + [-1] + [0] * (m - 1 - j) + [1] for j in range(m)]
     a_ub.append([1] * m + [0])
     b_ub = [0] * (len(a_ub) - 1) + [1]
     status, value, solution = simplex_maximize([0] * m + [1], a_ub, b_ub)
@@ -560,7 +560,7 @@ def _support_pairs(
     total = (2 ** n - 1) * (2 ** m - 1)
     if total > budget:
         raise ResourceError(f"{count_text(total)} support pairs exceed budget {budget}")
-    payoffs = game.cleared
+    lines = _int_lines(game)
     row_dead, col_dead = set(), set()  # one total size's infeasible sides
     for size in range(least_size, n + m + 1):
         # `product` takes its combinations now: each stream keeps its own r.
@@ -582,7 +582,7 @@ def _support_pairs(
                 continue
             witness = None
             if pair not in row_dead and pair not in col_dead:
-                witness, row_feasible = _pair_witness(payoffs, rows, cols, eps, strict)
+                witness, row_feasible = _pair_witness(lines, rows, cols, eps, strict)
                 if not row_feasible:
                     row_dead.add(pair)
                 elif witness is None:
@@ -625,8 +625,6 @@ def decide_many(
     game, eps = insts[0].game, insts[0].eps
     if any(inst.game != game or inst.eps != eps for inst in insts):
         raise ValidationError("decide_many needs one game and one eps")
-    if k is None:
-        k = default_k(max(game.rows, game.cols), eps)
     # One report per hint object, keyed by identity: the list keeps every
     # hint alive for the call, and hashing a profile hashes every entry.
     hints = list(hints)
@@ -666,6 +664,8 @@ def decide_many(
                 if outcomes[i] is None and inst.witness_kind == WITNESS_WSNE}
 
     if scan:
+        if k is None:
+            k = default_k(max(game.rows, game.cols), eps)
         checked, truncated = _scan_size(game, k, budget)
         found: list[MixedProfile] = []  # earlier hits, kept while p3 is pending
         for index, x, y, row_pay, col_pay in _eps_ne_scan(game, eps, k, checked):

@@ -2,9 +2,10 @@
 parses line by line and the writer that formats cell by cell, the
 matrix-vector product, regret report and rescaling computed
 cell by cell, profile distance and supports entry by entry, the gadget's
-certificate placed by row and column labels, the integer k-uniform scan
-candidate by candidate, every support pair sorted into the support
-walk's order, exact Gaussian elimination, the simplex on the full
+certificate placed by row and column labels, the integer lines of a
+game cleared in full, the integer k-uniform scan candidate by candidate,
+every support pair sorted into the support walk's order, exact Gaussian
+elimination, the simplex on the full
 tableau, the exact equilibria of games up to 5x5, the grid eps-NE sweep,
 and the clause/variable free game and MAX-3SAT checked literal by
 literal.
@@ -179,6 +180,14 @@ def completeness_certificate_per_label(
     y = [Fraction(int(label[0] == "qa" and s2.answers[label[1]] == label[2]), f.ny)
          for label in labels(f.y_answers, gg.game.cols)]
     return MixedProfile(x=tuple(x), y=tuple(y))
+
+
+def int_lines_per_cell(game: BimatrixGame) -> tuple[list, list, int]:
+    """(C's rows, R's columns, L), every line of ``games.cleared(R, Ct)``:
+    the full-matrix reference for the lines `search._int_lines` builds on
+    demand."""
+    r_int, ct_int, scale = cleared(game.R, game.Ct)
+    return [list(row) for row in zip(*ct_int)], [list(col) for col in zip(*r_int)], scale
 
 
 def integer_scan_per_candidate(

@@ -15,7 +15,7 @@ import pytest
 
 from negadget import cli, formats, gadget, games, pipeline, search
 from negadget.cli import main
-from negadget.errors import GadgetError
+from negadget.errors import GadgetError, ParameterError
 from negadget.gadget import derive_params, extend_gprime, rescale_game
 from negadget.games import BimatrixGame, MixedProfile
 from negadget.pipeline import PipelineConfig, run_pipeline
@@ -576,6 +576,12 @@ class TestPipeline:
     def test_limits_must_be_positive(self, name):
         with pytest.raises(GadgetError, match=f"{name} must be positive"):
             PipelineConfig(cnf_path="f.cnf", out_dir="out", **{name: 0})
+
+    def test_eps_star_must_be_exact(self):
+        # 0.1 would enter every verdict as 3602879701896397/2**55.
+        with pytest.raises(ParameterError, match="expected an exact rational, got float"):
+            PipelineConfig(cnf_path="f.cnf", out_dir="out", eps_star=0.1)
+        assert PipelineConfig("f.cnf", "out", eps_star="31/250").eps_star == F(31, 250)
 
     @pytest.mark.parametrize(
         "name", ["answer_cap", "half_cap", "value_budget", "sat_budget"]

@@ -36,7 +36,6 @@ from negadget.games import (
     BimatrixGame,
     MixedProfile,
     affine_rescale,
-    cleared,
     is_eps_ne,
     is_eps_wsne,
     mat_vec,
@@ -51,11 +50,12 @@ from negadget.provers import (
     prover_payoff,
     uniformity_gap,
 )
-from negadget.search import enumerate_wsne_supports
+from negadget.search import _int_lines, enumerate_wsne_supports
 
 from oracles import (
     affine_rescale_per_cell,
     completeness_certificate_per_label,
+    int_lines_per_cell,
     mat_vec_per_cell,
     question_of,
     regret_report_per_cell,
@@ -292,7 +292,9 @@ def _assert_coded(game: BimatrixGame) -> None:
     """Every palette pair occurs in a cell, and the palette readers agree
     with the same reads of the views."""
     assert set("".join(game.codes)) == set(map(chr, range(len(game.palette))))
-    assert game.cleared == cleared(game.R, game.Ct)
+    c_rows, r_cols, scale = _int_lines(game)
+    assert ([c_rows[i] for i in range(game.rows)],
+            [r_cols[j] for j in range(game.cols)], scale) == int_lines_per_cell(game)
     assert game.Ct == tuple(zip(*game.C))
     assert game == BimatrixGame(R=game.R, C=game.C, blocks=game.blocks)
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from negadget.games import (
     RegretReport,
     affine_rescale,
     cleared,
+    frac,
     is_eps_ne,
     is_eps_wsne,
     mat_vec,
@@ -253,6 +256,37 @@ def test_float_profile_entry_rejected(x, y):
     # A float would enter the profile as its binary value, not its decimal.
     with pytest.raises(ParameterError, match="expected an exact rational, got float"):
         MixedProfile(x=x, y=y)
+
+
+class TestFrac:
+    @pytest.mark.parametrize("value, message", [
+        (True, "got bool True"),
+        (None, "got NoneType None"),
+        ([1], "got list [1]"),
+        (complex(1, 0), "got complex"),
+        ("abc", "bad rational 'abc'"),
+        ("1/0", "bad rational '1/0'"),
+        ("1e4300", "'1e4300' has more than 4300 digits"),
+        ("1e4301", "exponent of '1e4301' exceeds 4300"),
+    ])
+    def test_not_a_rational_is_a_parameter_error(self, value, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            frac(value)
+
+    def test_long_exponent_refused_at_once(self):
+        # Fraction('1e10000000') builds 10**10000000 first, which takes
+        # seconds; the exponent is refused before that.
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="exceeds 4300"):
+            frac("1e10000000")
+        assert time.perf_counter() - start < 1
+
+    def test_text_and_rationals_read_exactly(self):
+        assert frac("3/4") == F(3, 4) and frac("-0.25") == F(-1, 4)
+        assert frac("1e-4300") == F(1, 10**4300)
+        assert frac(7) == 7 and type(frac(7)) is Fraction
+        half = F(1, 2)
+        assert frac(half) is half
 
 
 class TestBlocks:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negadget import games, linsolve, search
+from negadget import games, linsolve, pipeline, search
 from negadget.corpus import capped_base_games, random_game, random_planted_game
 from negadget.errors import (
     InvariantError, ParameterError, ResourceError, ShapeError, ValidationError
@@ -28,9 +28,17 @@ from negadget.games import (
     tv_distance,
 )
 from negadget.gadget import (
-    extend_gdoubleprime, extend_gprime, extend_profile, rescale_game
+    build_hardness_game,
+    derive_params,
+    extend_gdoubleprime,
+    extend_gprime,
+    extend_profile,
+    rescale_game,
 )
 from negadget.linsolve import simplex_maximize
+from negadget.sat import (
+    build_clause_variable_free_game, formula_degree, incidence_graph, partition_bipartite
+)
 from negadget.search import (
     DecisionInstance,
     decide,
@@ -46,11 +54,13 @@ from negadget.search import (
 from oracles import (
     exhaustive_ne_oracle,
     grid_eps_ne,
+    int_lines_per_cell,
     integer_scan_per_candidate,
     pairs_in_order,
     simplex_full_tableau,
     solve_linear,
 )
+from test_golden import UNSAT_WIDE
 
 F = Fraction
 
@@ -70,6 +80,20 @@ def solve_with_pivots(c, a_ub, b_ub):
 
     with mock.patch.object(linsolve, "_pivot", recorded):
         return (*simplex_maximize(c, a_ub, b_ub), pivots)
+
+
+def spy_int_lines(monkeypatch, game):
+    """The integer lines of ``game`` that `search._IntLines` builds, in
+    order, as ("C row", i) or ("R col", j)."""
+    built = []
+    real = search._IntLines.__missing__
+
+    def spy(lines, t):
+        built.append(("C row" if lines.lines is game.codes else "R col", t))
+        return real(lines, t)
+
+    monkeypatch.setattr(search._IntLines, "__missing__", spy)
+    return built
 
 
 def cleared_lp(c, a_ub, b_ub):
@@ -339,6 +363,16 @@ class TestWsneSupports:
         witness = wsne_support_feasible(MATCHING_PENNIES, (0, 1), (0, 1), 0)
         assert witness is not None
         assert is_eps_wsne(MATCHING_PENNIES, witness, 0)
+
+    def test_side_lps_build_only_the_support_lines(self, monkeypatch):
+        # The row side reads R's columns in cols, the column side C's rows
+        # in rows; no other line of the 3x4 game is built.
+        game = BimatrixGame(R=[[int(i == j) for j in range(4)] for i in range(3)],
+                            C=[[int(i == j) for j in range(4)] for i in range(3)])
+        built = spy_int_lines(monkeypatch, game)
+        witness = wsne_support_feasible(game, (0, 1), (0, 1), 0)
+        assert witness is not None and is_eps_wsne(game, witness, 0)
+        assert built == [("R col", 0), ("R col", 1), ("C row", 0), ("C row", 1)]
 
     def test_pennies_pure_support_infeasible(self):
         assert wsne_support_feasible(MATCHING_PENNIES, (0,), (0,), 0) is None
@@ -784,10 +818,15 @@ class TestPrunedScanMatchesPerCandidate:
     @settings(max_examples=200, deadline=None)
     @given(case=_pruned_scan_cases())
     def test_same_hits_in_the_same_order(self, case):
+        # The scan reads lines built on demand; the oracle takes the full
+        # matrices cleared over the same L.
         game, eps, k, budget = case
-        args = (eps, k, budget, *games.cleared(game.R, game.Ct))
-        assert list(search._integer_scan(*args)) == list(
-            integer_scan_per_candidate(*args))
+        c_rows, r_cols, scale = search._int_lines(game)
+        assert ([c_rows[i] for i in range(game.rows)],
+                [r_cols[j] for j in range(game.cols)], scale) == int_lines_per_cell(game)
+        assert list(search._integer_scan(game, eps, k, budget)) == list(
+            integer_scan_per_candidate(eps, k, budget,
+                                       *games.cleared(game.R, game.Ct)))
 
     @pytest.mark.parametrize("m", range(1, 7))
     @pytest.mark.parametrize("k", range(1, 6))
@@ -857,6 +896,38 @@ class TestScanBudget:
         assert (out.answer, out.checked_count) == ("unknown", 0)
         assert (welfare.answer, welfare.checked_count) == ("unknown", 0)
         assert peak < 2**20, peak
+
+    def test_unsat_wide_scan_builds_only_the_lines_it_reads(self, monkeypatch):
+        # Unsat wide's G' is 57x16,417.  The pipeline's p1-p6 scan at
+        # k = nx = 6 and budget 2000 stays inside x = row 0 six times, so it
+        # should build C's row 0 and the R columns of the y multisets it
+        # tests, each once, and no line of any other cell.
+        params = derive_params(F(31, 250))
+        partition = partition_bipartite(incidence_graph(UNSAT_WIDE),
+                                        formula_degree(UNSAT_WIDE))
+        build = build_clause_variable_free_game(UNSAT_WIDE, partition)
+        gs = rescale_game(build_hardness_game(build.game, params))
+        gp = extend_gprime(gs, params.eps_star)
+        gdp = extend_gdoubleprime(gp)
+        assert (gp.rows, gp.cols) == (57, 16417)
+        assert not hasattr(BimatrixGame, "cleared")
+        built = spy_int_lines(monkeypatch, gp)
+        config = pipeline.PipelineConfig("unsat-wide.cnf", "out")
+        results = pipeline._run_deciders(config, params, build, gs, gp, gdp, None)
+        assert results == {f"p{pid}": {"answer": "unknown",
+                                       "checked": 2000 if pid <= 6 else 0}
+                           for pid in range(1, 11)}
+        # y = (0, 0, 0, 0, 0, j) has rank j, so the budget ends before j =
+        # 2000.  Such a y is tested iff its columns are within the slack of
+        # x's best response: k*max(C[0]) - (C[0][0]*(k-1) + C[0][j]) <= k*eps.
+        # C[0][0] = 1/2 is far below the best, 251/252, so none is: the scan
+        # builds one line of 16,417 integers, where it cleared 2 x 935,769.
+        row0 = [gp.palette[ord(code)][1] for code in gp.codes[0]]
+        k, eps, top = build.game.nx, params.eps_star, max(row0)
+        tested = [(0,) * (k - 1) + (j,) for j in range(2000)
+                  if k * top - (k - 1) * row0[0] - row0[j] <= k * eps]
+        assert built == [("C row", 0)] + [
+            ("R col", j) for j in dict.fromkeys(j for y in tested for j in y)]
 
     def test_negative_budget_is_a_parameter_error(self):
         inst = DecisionInstance(problem_id=1, game=MATCHING_PENNIES, eps=0, u=1)
