@@ -28,7 +28,7 @@ from .gadget import (
     extend_gprime,
     rescale_game,
 )
-from .games import regret_report
+from .games import parse_rational, regret_report
 from .pipeline import PipelineConfig, run_pipeline
 from .provers import VALUE_BUDGET_DEFAULT, game_value
 from .sat import (
@@ -61,7 +61,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     profile = formats.parse_prof(
         Path(args.profile).read_text(), normalize=args.normalize
     )
-    eps = formats._parse_rational(args.eps)
+    eps = parse_rational(args.eps)
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
     rep = regret_report(game, profile)
@@ -99,7 +99,7 @@ def cmd_forge(args: argparse.Namespace) -> int:
         base = formats.parse_bgm(Path(args.input).read_text())
         formats.write_file(args.output, formats.write_bgm(extend_gdoubleprime(base)))
         return 0
-    params = derive_params(formats._parse_rational(args.eps_star))
+    params = derive_params(parse_rational(args.eps_star))
     if args.what == "build":
         free = formats.parse_fgm(Path(args.input).read_text())
         gg = build_hardness_game(free, params, half_cap=args.cap)
@@ -131,12 +131,12 @@ def cmd_decide(args: argparse.Namespace) -> int:
     for name in ("u", "d", "p", "v"):
         value = getattr(args, name)
         if value is not None:
-            kwargs[name] = formats._parse_rational(value)
+            kwargs[name] = parse_rational(value)
     if args.k_param is not None:
         kwargs["k"] = args.k_param
     if args.index_set is not None:
         kwargs["index_set"] = formats._parse_index_set(args.index_set)
-    eps = formats._parse_rational(args.eps)
+    eps = parse_rational(args.eps)
     inst = DecisionInstance(problem_id=pid, game=game, eps=eps, **kwargs)
     hints = []
     for path in args.hint or ():
@@ -152,7 +152,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = PipelineConfig(
         cnf_path=args.input,
         out_dir=args.out_dir,
-        eps_star=formats._parse_rational(args.eps_star),
+        eps_star=parse_rational(args.eps_star),
     )
     report = run_pipeline(cfg)
     if args.format == "json":

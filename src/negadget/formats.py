@@ -44,11 +44,6 @@ def write_file(path: str | os.PathLike, text: str) -> None:
         os.close(fd)
 
 
-def _parse_rational(tok: str) -> Fraction:
-    """``games.parse_rational`` with its failures as ``FormatError``."""
-    return parse_rational(tok, FormatError)
-
-
 def format_rational(value: Fraction) -> str:
     """``str(value)``, also when the numerator or denominator has more
     digits than CPython prints (`1e-4300` has a 4301-digit denominator).
@@ -97,7 +92,7 @@ def _data_lines(text: str) -> Iterator[str]:
 def parse_bgm(text: str) -> BimatrixGame:
     """Parse a `.bgm` game, reading the entry lines as a stream, row by
     row.  Each distinct entry line takes one palette code, and each distinct
-    token in it, with every check of `_parse_rational`, one Fraction: equal
+    token in it, with every check of `parse_rational`, one Fraction: equal
     entries share one object.  An entry-line count that differs from the
     dimensions raises before any bad entry line; otherwise the first bad
     entry line in file order raises."""
@@ -125,7 +120,7 @@ def parse_bgm(text: str) -> BimatrixGame:
             raise FormatError(f"entry line {line!r} needs two rationals")
         for tok in toks:
             if tok not in values:
-                values[tok] = _parse_rational(tok)
+                values[tok] = parse_rational(tok)
         codes[line] = add_pair(palette, (values[toks[0]], values[toks[1]]))
         return codes[line]
 
@@ -193,7 +188,7 @@ def parse_prof(text: str, normalize: bool = False) -> MixedProfile:
         raise FormatError("bad dimension line") from exc
     if rows < 1 or cols < 1:
         raise FormatError(f"dimensions must be positive, got {rows} {cols}")
-    values = {tok: _parse_rational(tok) for tok in dict.fromkeys(lines[2:])}
+    values = {tok: parse_rational(tok) for tok in dict.fromkeys(lines[2:])}
     entries = [values[tok] for tok in lines[2:]]
     if len(entries) != rows + cols:
         raise FormatError(
@@ -265,7 +260,7 @@ def parse_fgm(text: str) -> TwoProverGame:
     if rest:
         if rest[0] != "D":
             raise FormatError(f"unexpected trailing line {rest[0]!r}")
-        d_entries = [_parse_rational(t) for t in rest[1:]]
+        d_entries = [parse_rational(t) for t in rest[1:]]
         if len(d_entries) != nx * ny:
             raise FormatError(f"expected {nx * ny} distribution entries")
         dist = tuple(

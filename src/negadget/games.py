@@ -34,6 +34,7 @@ from operator import add, itemgetter, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import (
+    FormatError,
     GadgetError,
     InvariantError,
     ParameterError,
@@ -71,11 +72,12 @@ DIGIT_BOUND = 10**EXPONENT_LIMIT
 _DIGIT_BOUND_TEXT = "1" + "0" * EXPONENT_LIMIT
 
 
-def parse_rational(tok: str, error: type[GadgetError] = ParameterError) -> Fraction:
+def parse_rational(tok: str, error: type[GadgetError] = FormatError) -> Fraction:
     """The rational a text names ('3/4', '-0.25', '1e-3'); ``error`` if the
     text is malformed, its exponent exceeds EXPONENT_LIMIT, or the value has
     more digits than CPython prints.  The one check of every rational read
-    from text: `frac`'s and the text formats'."""
+    from text: the text formats' and the CLI's, and `frac`'s with
+    ``ParameterError``."""
     num, _, den = tok.partition("/")
     _, has_exponent, exponent = tok.lower().partition("e")
     try:
@@ -100,7 +102,7 @@ def frac(value: Rational) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        return parse_rational(value)
+        return parse_rational(value, ParameterError)
     if isinstance(value, bool) or not isinstance(value, numbers.Rational):
         raise ParameterError(
             f"expected an exact rational, got {type(value).__name__} {value!r}")

@@ -9,7 +9,6 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
 from math import comb
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
@@ -254,7 +253,7 @@ def lmm_best_welfare(
     checked, truncated = _scan_size(game, k, budget)
     # Welfare compared as integers on the scan's scale; max() keeps the
     # first of equal maxima, the lowest-index best welfare.
-    hits = _integer_scan(game, e, k, checked)
+    hits = _integer_scan(game, _int_lines(game), e, k, checked)
     best = max(hits, key=lambda c: c[3] + c[4], default=None)
     if best is None:
         return SearchOutcome(
@@ -299,15 +298,18 @@ def _eps_ne_scan(
     """Stream the k-uniform eps-NE among the first ``budget`` candidates,
     each as (index, x, y, row payoff, col payoff): `_integer_scan`'s hits
     with their Fraction vectors and payoffs."""
-    unit = k * k * game.int_entries[2]
-    for index, xc, yc, row_pay, col_pay in _integer_scan(game, eps, k, budget):
+    lines = _int_lines(game)
+    unit = k * k * lines[2]
+    for index, xc, yc, row_pay, col_pay in _integer_scan(game, lines, eps, k,
+                                                         budget):
         yield (index, _multiset_vector(game.rows, xc),
                _multiset_vector(game.cols, yc),
                Fraction(row_pay, unit), Fraction(col_pay, unit))
 
 
 def _integer_scan(
-    game: BimatrixGame, eps: Fraction, k: int, budget: float,
+    game: BimatrixGame, lines: tuple[_IntLines, _IntLines, int],
+    eps: Fraction, k: int, budget: float,
 ) -> Iterator[tuple[int, Multiset, Multiset, int, int]]:
     """Stream the k-uniform eps-NE among the first ``budget`` candidates.
 
@@ -315,7 +317,8 @@ def _integer_scan(
     multisets, x outermost, and candidate (x, y) has index
     rank(x)*C(m+k-1, k) + rank(y) for m columns.  Each passing candidate is
     yielded as (index, x multiset, y multiset, row payoff, col payoff), the
-    payoffs as integers over k*k*L (L from ``game.int_entries``).
+    payoffs as integers over k*k*L, ``lines`` being the game's
+    `_int_lines`, (C's rows, R's columns, L).
 
     The test uses integers only.  A multiset y gives vals = k*L*(R @ y), the
     sum of y's R columns, and a multiset x the payoff pay = k*k*L*(x @ R @ y),
@@ -334,7 +337,7 @@ def _integer_scan(
     """
     if budget < 1:
         return
-    c_rows, r_cols, scale = _int_lines(game)
+    c_rows, r_cols, scale = lines
     unit = k * k * scale
     slack = eps.numerator * unit // eps.denominator
     m = game.cols
@@ -346,10 +349,9 @@ def _integer_scan(
         if base >= budget:
             return
         cut = base + per_x > budget
-        col_vals = list(reduce(_add_lines, map(c_rows.__getitem__, xc)))
+        col_vals = _summed(c_rows, xc)
         top = max(col_vals)
-        least = top - slack
-        allowed = [j for j, v in enumerate(col_vals) if v >= least]
+        allowed = [j for j, v in enumerate(col_vals) if top - v <= slack]
         col_least = k * top - slack
         for yc in itertools.combinations_with_replacement(allowed, k):
             if cut and base + _multiset_rank(yc, m) >= budget:
@@ -358,7 +360,7 @@ def _integer_scan(
                 continue
             entry = rows_of.get(yc)
             if entry is None:
-                row_vals = list(reduce(_add_lines, map(r_cols.__getitem__, yc)))
+                row_vals = _summed(r_cols, yc)
                 entry = rows_of[yc] = [row_vals, k * max(row_vals) - slack, None]
             row_vals, row_least, rank = entry
             if (row_pay := sum(map(row_vals.__getitem__, xc))) >= row_least:
@@ -385,7 +387,13 @@ def _int_lines(game: BimatrixGame) -> tuple[_IntLines, _IntLines, int]:
     return _IntLines(game.codes, c_ints), _IntLines(game.codes_t, r_ints), scale
 
 
-_add_lines = partial(map, add)  # two lines' sum, lazily: `reduce` chains it
+def _summed(lines: _IntLines, members: Multiset) -> list[int]:
+    """The entrywise sum of ``lines[t]`` over the multiset ``members``, one
+    C-level map per further member; the result may be ``lines[t]`` itself."""
+    total = lines[members[0]]
+    for t in members[1:]:
+        total = list(map(add, total, lines[t]))
+    return total
 
 
 def _multiset_rank(c: Multiset, m: int) -> int:
@@ -436,15 +444,21 @@ def wsne_support_feasible(
         raise ValidationError("supports must be nonempty")
     if min(rows + cols) < 0 or rows[-1] >= game.rows or cols[-1] >= game.cols:
         raise ValidationError(f"supports {rows}/{cols} out of the game's range")
-    return _pair_witness(_int_lines(game), rows, cols, e, strict)[0]
+    return _pair_witness(game, _int_lines(game), rows, cols, e, strict)[0]
 
 
-def _pair_witness(lines: tuple[_IntLines, _IntLines, int], rows: Support, cols: Support,
-                  eps: Fraction, strict: bool) -> tuple[MixedProfile | None, bool]:
+def _pair_witness(
+    game: BimatrixGame,
+    lines: tuple[_IntLines, _IntLines, int],
+    rows: Support,
+    cols: Support,
+    eps: Fraction,
+    strict: bool,
+) -> tuple[MixedProfile | None, bool]:
     """(the support pair's witness or None, whether its row side is
     feasible): the row-side LP for y on R's columns in ``cols``, then, only
     if that side is feasible, the column-side LP for x on C's rows in
-    ``rows``, from the game's `_int_lines`."""
+    ``rows``.  ``lines`` is the game's `_int_lines`."""
     c_rows, r_cols, scale = lines
     y = _one_side_feasible([r_cols[j] for j in cols], rows, eps, scale, strict)
     if y is None:
@@ -452,8 +466,8 @@ def _pair_witness(lines: tuple[_IntLines, _IntLines, int], rows: Support, cols: 
     x = _one_side_feasible([c_rows[i] for i in rows], cols, eps, scale, strict)
     if x is None:
         return None, True
-    return MixedProfile(x=_spread(len(c_rows.lines), rows, x),
-                        y=_spread(len(r_cols.lines), cols, y)), True
+    return MixedProfile(x=_spread(game.rows, rows, x),
+                        y=_spread(game.cols, cols, y)), True
 
 
 def _spread(n: int, supp: Sequence[int], values: Sequence[Fraction]) -> Vector:
@@ -464,8 +478,13 @@ def _spread(n: int, supp: Sequence[int], values: Sequence[Fraction]) -> Vector:
     return tuple(full)
 
 
-def _one_side_feasible(lines: Sequence[Sequence[int]], supp: Support, eps: Fraction,
-                       scale: int, strict: bool) -> list[Fraction] | None:
+def _one_side_feasible(
+    lines: Sequence[Sequence[int]],
+    supp: Sequence[int],
+    eps: Fraction,
+    scale: int,
+    strict: bool = False,
+) -> list[Fraction] | None:
     """Find q in the simplex over the opponent's support with min coordinate
     maximized, subject to: every row in supp is eps-best among all rows
     against q.  ``lines`` are the payoff matrix P's columns on that support
@@ -488,17 +507,26 @@ def _one_side_feasible(lines: Sequence[Sequence[int]], supp: Support, eps: Fract
     """
     if strict and eps == 0:
         return None
-    payoff = list(zip(*lines))  # P's rows, restricted to the support
+    n_rows = len(lines[0])
     m = len(lines)
+    a_ub: list[list[int]] = []
     # For each support row i and each row r: (P_r - P_i - eps) . q <= 0
     # (strict mode: (P_r - P_i - eps) . q + t <= 0), times b*scale for
     # eps = a/b, so that every coefficient is an integer.
-    b, shift = eps.denominator, eps.numerator * scale
+    b = eps.denominator
+    shift = eps.numerator * scale
     slack = b * scale if strict else 0
-    a_ub = [[b * (o - p) - shift for o, p in zip(payoff[r], payoff[i])] + [slack]
-            for i in supp for r in range(len(payoff)) if r != i]
-    # t <= q_j for each j, and sum(q) <= 1.
-    a_ub += [[0] * j + [-1] + [0] * (m - 1 - j) + [1] for j in range(m)]
+    for i in supp:
+        for r in range(n_rows):
+            if r == i:
+                continue
+            a_ub.append([b * (col[r] - col[i]) - shift for col in lines] + [slack])
+    # t <= q_j for each j.
+    for j in range(m):
+        row = [0] * (m + 1)
+        row[j] = -1
+        row[m] = 1
+        a_ub.append(row)
     a_ub.append([1] * m + [0])
     b_ub = [0] * (len(a_ub) - 1) + [1]
     status, value, solution = simplex_maximize([0] * m + [1], a_ub, b_ub)
@@ -582,7 +610,8 @@ def _support_pairs(
                 continue
             witness = None
             if pair not in row_dead and pair not in col_dead:
-                witness, row_feasible = _pair_witness(lines, rows, cols, eps, strict)
+                witness, row_feasible = _pair_witness(game, lines, rows, cols,
+                                                      eps, strict)
                 if not row_feasible:
                     row_dead.add(pair)
                 elif witness is None:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from negadget.errors import FormatError, ResourceError, ShapeError, ValidationError
-from negadget.formats import _parse_rational, format_rational
+from negadget.formats import format_rational
 from negadget.games import (
     BimatrixGame,
     Matrix,
@@ -29,6 +29,7 @@ from negadget.games import (
     Vector,
     cleared,
     frac,
+    parse_rational,
     regret_report,
 )
 from negadget.gadget import GadgetGame
@@ -72,7 +73,7 @@ def parse_bgm_per_line(text: str) -> BimatrixGame:
             raise FormatError(f"entry line {line!r} needs two rationals")
         for tok in toks:
             if tok not in values:
-                values[tok] = _parse_rational(tok)
+                values[tok] = parse_rational(tok)
         i, j = divmod(idx, cols)
         r[i][j] = values[toks[0]]
         c[i][j] = values[toks[1]]

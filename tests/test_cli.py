@@ -673,7 +673,7 @@ class TestPipeline:
         assert code == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["eps_star"] == text
-        assert formats._parse_rational(report["params"]["d1_payoff"]) == (
+        assert games.parse_rational(report["params"]["d1_payoff"]) == (
             derive_params(eps_star).d1_payoff)
 
     def test_certificate_reverifies_via_cli(self, tmp_path):

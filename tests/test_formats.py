@@ -13,7 +13,7 @@ from negadget import formats
 from negadget.corpus import random_game, random_profile
 from negadget.errors import FormatError
 from negadget.gadget import extend_gdoubleprime, extend_gprime, rescale_game
-from negadget.games import BimatrixGame, MixedProfile
+from negadget.games import BimatrixGame, MixedProfile, parse_rational
 from negadget.provers import ProverStrategy, TwoProverGame
 from oracles import parse_bgm_per_line, write_bgm_per_cell
 
@@ -128,20 +128,20 @@ class TestBgm:
     def test_huge_exponent_rejected(self, tok):
         # Fraction would build 10**exponent; at 1e10000000 that takes seconds.
         with pytest.raises(FormatError):
-            formats._parse_rational(tok)
+            parse_rational(tok)
         with pytest.raises(FormatError):
             formats.parse_bgm(f"bgm 1\n1 1\n{tok} 0\n")
 
     def test_exponent_at_limit_accepted(self):
-        assert formats._parse_rational("1e-4300") == F(1, 10**4300)
+        assert parse_rational("1e-4300") == F(1, 10**4300)
 
     def test_long_denominator_read_back(self):
         # 10**4300 has one digit more than int() reads from a string.
         text = formats.format_rational(-3 * TINY)
         assert text == f"-3/1{'0' * 4300}"
-        assert formats._parse_rational(text) == -3 * TINY
+        assert parse_rational(text) == -3 * TINY
         with pytest.raises(FormatError, match="bad rational"):
-            formats._parse_rational(f"1/2{'0' * 4300}")
+            parse_rational(f"1/2{'0' * 4300}")
 
     def test_wrong_entry_count(self):
         with pytest.raises(FormatError):
@@ -239,7 +239,7 @@ class TestBgm:
         # The token comes after valid entries and occurs twice; the error is
         # the one parsing the token alone gives.
         with pytest.raises(FormatError) as alone:
-            formats._parse_rational(tok)
+            parse_rational(tok)
         text = f"bgm 1\n2 2\n1/2 0\n0 {tok}\n1/2 {tok}\n0 0\n"
         with pytest.raises(FormatError) as parsed:
             formats.parse_bgm(text)

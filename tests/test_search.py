@@ -824,7 +824,8 @@ class TestPrunedScanMatchesPerCandidate:
         c_rows, r_cols, scale = search._int_lines(game)
         assert ([c_rows[i] for i in range(game.rows)],
                 [r_cols[j] for j in range(game.cols)], scale) == int_lines_per_cell(game)
-        assert list(search._integer_scan(game, eps, k, budget)) == list(
+        hits = search._integer_scan(game, search._int_lines(game), eps, k, budget)
+        assert list(hits) == list(
             integer_scan_per_candidate(eps, k, budget,
                                        *games.cleared(game.R, game.Ct)))
 
@@ -896,6 +897,21 @@ class TestScanBudget:
         assert (out.answer, out.checked_count) == ("unknown", 0)
         assert (welfare.answer, welfare.checked_count) == ("unknown", 0)
         assert peak < 2**20, peak
+
+    def test_large_k_sums_lines_without_nesting_iterators(self):
+        # Column 0 is the column player's only best response and row 0 the
+        # row player's against it, so the first candidate, index 0 k times
+        # a side, is the scan's one hit inside the budget.  Each side sums
+        # k = 10**5 copies of one line; a sum that nested one lazy map per
+        # line would overflow the C stack.
+        game = BimatrixGame(R=[[1, 0], [0, 0]], C=[[1, 0], [1, 0]])
+        k = 10**5
+        pure = MixedProfile(x=(F(1), F(0)), y=(F(1), F(0)))
+        out = decide(DecisionInstance(problem_id=1, game=game, eps=0, u=1),
+                     k=k, budget=k)
+        assert (out.answer, out.witness, out.checked_count) == ("yes", pure, 1)
+        best = lmm_best_welfare(game, 0, k, budget=k)
+        assert (best.answer, best.witness, best.checked_count) == ("unknown", pure, k)
 
     def test_unsat_wide_scan_builds_only_the_lines_it_reads(self, monkeypatch):
         # Unsat wide's G' is 57x16,417.  The pipeline's p1-p6 scan at
