@@ -57,13 +57,14 @@ def _emit(data: dict, fmt: str) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # eps first: a bad eps needs no game read.
+    eps = parse_rational(args.eps)
+    if eps < 0:
+        raise ValidationError("eps must be nonnegative")
     game = formats.parse_bgm(Path(args.game).read_text())
     profile = formats.parse_prof(
         Path(args.profile).read_text(), normalize=args.normalize
     )
-    eps = parse_rational(args.eps)
-    if eps < 0:
-        raise ValidationError("eps must be nonnegative")
     rep = regret_report(game, profile)
     ok = rep.within(eps, pure=args.mode == "wsne")
     data = _report_dict(rep)

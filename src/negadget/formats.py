@@ -177,8 +177,7 @@ def write_bgm(game: BimatrixGame) -> str:
 def parse_prof(text: str, normalize: bool = False) -> MixedProfile:
     """Parse a `.prof` profile.  Each distinct entry token is parsed once per
     call, and under ``normalize`` each distinct entry is divided once, so
-    equal entries share one Fraction and a regret report groups them
-    (`games.mat_vec`)."""
+    equal entries share one Fraction, which the profile clears once."""
     lines = list(_data_lines(text))
     if not lines or lines[0] != "prof 1":
         raise FormatError("missing 'prof 1' header")

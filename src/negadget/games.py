@@ -1,6 +1,6 @@
 """Bimatrix games, mixed profiles, and exact equilibrium verification.
 
-All arithmetic is over `fractions.Fraction`; verification never touches
+Entries and weights are `fractions.Fraction`s; verification never touches
 floating point, and a float entry or parameter raises `ParameterError`
 (see ``frac``).  Games are immutable; every operation returns new values.
 
@@ -9,28 +9,29 @@ code row per game row: cell (i, j) is ``palette[ord(codes[i][j])]``.  A str
 holds at most PALETTE_LIMIT codes; coding one pair more raises
 `ResourceError`.  R, C and Ct are read-only views for the tests and callers,
 built on first use; no library path builds one.  ``==`` and ``hash`` read one
-canonical form, and the one kernel, ``mat_vec``, reads code rows
-(``codes_t`` for the column player) and computes each distinct row pattern
-on a strategy's support once, so a report costs per pattern, not per cell,
-when a game has few pairs (as the gadget games do) and a profile shares its
-weights.
-``regret_report`` stays in `Fraction` arithmetic: it is the exact oracle
-that the integer k-uniform scan of `negadget.search` is checked against.
-Every integer kernel (that scan, the support LPs and `game_value`) leaves
-`Fraction` through one helper, ``cleared``; the scan and the support LPs
-map the code lines they read through the cleared palette, ``int_entries``,
-and the simplex takes their integer rows and reads no Fraction.
+canonical form.
+``regret_report``, the exact oracle that the integer k-uniform scan of
+`negadget.search` is checked against, sums over integers too: it reads only
+the opponent's support lines (R's columns at y's support from ``codes_t``,
+C's rows at x's support from ``codes``) through the palette cleared once,
+``int_entries``, weighted by each profile side cleared over its own LCM
+(``MixedProfile.sparse_x``/``sparse_y``), with ``weighted_lines``; only its
+seven results are Fractions.  Every integer kernel (that report, the scan,
+the support LPs and `game_value`) leaves `Fraction` through one helper,
+``cleared``; the report, the scan and the support LPs map the code lines
+they read through ``int_entries``, and the simplex takes their integer rows
+and reads no Fraction.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from functools import cached_property
+from itertools import compress
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -49,6 +50,7 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 Pair = tuple[Fraction, Fraction]  # (row player, column player) entries
+Sparse = tuple[tuple[int, ...], tuple[int, ...], int]  # support, weights, M
 PALETTE_LIMIT = 0x110000  # the code points, so the codes, a str can hold
 
 # A block annotation: (name, row_start, row_end, col_start, col_end),
@@ -109,6 +111,14 @@ def frac(value: Rational) -> Fraction:
     return Fraction(value)
 
 
+def check_count(value: object, name: str) -> None:
+    """``ParameterError`` unless ``value`` is an int that is not a bool: the
+    one check of a count parameter (a budget, a k)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(
+            f"{name} must be an int, got {type(value).__name__} {value!r}")
+
+
 def vector(entries: Iterable[Rational]) -> Vector:
     # tuple() of lists here and below: a tuple grown from a generator by
     # resizing is kept in CPython's free lists, which then fill up the heap.
@@ -125,41 +135,24 @@ def cleared(*matrices: Sequence[Sequence[Fraction]]) -> tuple:
               for m in matrices], scale)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    """u . v, reading v only where u is nonzero."""
-    if len(u) != len(v):
-        raise ShapeError(f"dot: lengths {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v) if a), Fraction(0))
-
-
-def mat_vec(codes: Sequence[str], entries: Sequence[Fraction],
-            v: Sequence[Fraction]) -> Vector:
-    """m @ v for the matrix m with cells ``entries[ord(codes[i][j])]``: the
-    one matrix-vector kernel.  It reads only the nonzero entries of v, the
-    support of a mixed strategy, grouped by weight object (one object has
-    one value, and hashing a Fraction costs more than the products it
-    saves).  A row's pattern is its sorted codes in each group's columns;
-    each distinct pattern's value, the sum over the groups of w times the
-    sum of its entries, is computed once.  So the result is exact for any
-    input; sharing decides only how often a value is computed.
-    """
-    if codes and len(codes[0]) != len(v):
-        raise ShapeError(f"mat_vec: {len(codes[0])} columns vs length {len(v)}")
-    by_weight: dict[int, tuple[Fraction, list[int]]] = {}
-    for j, e in enumerate(v):
-        if e:
-            by_weight.setdefault(id(e), (e, []))[1].append(j)
-    if not by_weight:
-        return (Fraction(0),) * len(codes)
-    weights = [w for w, _ in by_weight.values()]
-    # A row's key holds one str per group: itemgetter gives the row's codes
-    # in the group's columns (a tuple, or a str of one code), sorted.
-    keys = list(zip(*[map("".join, map(sorted, map(itemgetter(*cols), codes)))
-                      for _, cols in by_weight.values()]))
-    values = {key: reduce(add, [
-        w * reduce(add, map(entries.__getitem__, map(ord, group)))
-        for w, group in zip(weights, key)]) for key in set(keys)}
-    return tuple(map(values.__getitem__, keys))
+def weighted_lines(lines: Sequence[str], ints: dict[str, int],
+                   sparse: Sparse) -> list[int]:
+    """M * (sum over t of v_t * line t), each line ``lines[t]`` read through
+    ``ints``, for the vector v whose `MixedProfile` side is ``sparse``
+    (support, weights, M).  So (codes_t, L*R entries, y) gives
+    L*M_y*(R @ y), and (codes, L*C entries, x) gives L*M_x*(x @ C), both
+    read from ``int_entries``.  The lines of one weight are summed first,
+    position by position, then multiplied once; every pass is C-level."""
+    by_weight: dict[int, list[int]] = {}
+    for t, w in zip(*sparse[:2]):
+        by_weight.setdefault(w, []).append(t)
+    total = None
+    for w, members in by_weight.items():
+        summed = map(sum, zip(*[map(ints.__getitem__, lines[t]) for t in members]))
+        if w != 1:
+            summed = map(w.__mul__, summed)
+        total = list(summed) if total is None else list(map(add, total, summed))
+    return total
 
 
 def add_pair(palette: list[Pair], pair: Pair) -> str:
@@ -304,10 +297,14 @@ def _view(codes: Sequence[str], entries: Vector) -> Matrix:
 
 @dataclass(frozen=True)
 class MixedProfile:
-    """A pair of exact probability vectors (row player x, column player y)."""
+    """A pair of exact probability vectors (row player x, column player y),
+    each also kept cleared, out of ``==``, ``hash`` and ``repr``: the side
+    ``sparse_x`` (``sparse_y``) is weights/M on its support, 0 elsewhere."""
 
     x: Vector
     y: Vector
+    sparse_x: Sparse = field(init=False, repr=False, compare=False)
+    sparse_y: Sparse = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", vector(self.x))
@@ -315,25 +312,29 @@ class MixedProfile:
         for name, v in (("x", self.x), ("y", self.y)):
             if not v:
                 raise ShapeError(f"{name} is empty")
-            # Each distinct object is checked once, since a profile of a wide
-            # game holds a few shared weights: the sum is count * w over the
-            # distinct objects (in first-seen order, as the counts are),
-            # cleared to integers.
-            objects = dict(zip(map(id, v), v))
+            # Each distinct object is checked and cleared once, since a
+            # profile of a wide game holds a few shared weights; the entries
+            # then read their weights by id, and the support is where the
+            # (nonnegative) weights are nonzero.
+            ids = list(map(id, v))
+            objects = dict(zip(ids, v))
             if any(e.numerator < 0 for e in objects.values()):
                 raise ValidationError(f"{name} has a negative entry")
             (weights,), scale = cleared([objects.values()])
-            if sum(map(mul, Counter(map(id, v)).values(), weights)) != scale:
+            weights = list(map(dict(zip(objects, weights)).__getitem__, ids))
+            if sum(weights) != scale:
                 raise ValidationError(f"{name} does not sum to 1")
+            object.__setattr__(self, f"sparse_{name}", (
+                tuple(compress(range(len(v)), weights)),
+                tuple(compress(weights, weights)), scale))
 
-    # No entry is negative (checked above), so nonzero means positive.
     @property
     def support_x(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.x) if e)
+        return self.sparse_x[0]
 
     @property
     def support_y(self) -> tuple[int, ...]:
-        return tuple(j for j, e in enumerate(self.y) if e)
+        return self.sparse_y[0]
 
 
 @dataclass(frozen=True)
@@ -371,17 +372,16 @@ def _check_shapes(game: BimatrixGame, p: MixedProfile) -> None:
         )
 
 
-def _side(
-    codes: Sequence[str], entries: Vector, own: Vector, opp: Vector
-) -> tuple[Fraction, Fraction, Fraction]:
+def _side(lines: Sequence[str], ints: dict[str, int], own: Sparse,
+          opp: Sparse) -> tuple[int, int, int]:
     """(payoff, best pure payoff, worst payoff on the support) of the player
-    with payoffs ``codes`` over ``entries`` and strategy ``own`` against
-    ``opp``: (codes, R, x, y) for the rows, (codes_t, C, y, x) for the columns."""
-    vals = mat_vec(codes, entries, opp)
-    # Rows of one pattern share one object (see mat_vec): compare it once.
-    best = max({id(v): v for v in vals}.values())
-    worst = min({id(v): v for v, e in zip(vals, own) if e}.values())
-    return dot(own, vals), best, worst
+    with payoff lines ``lines`` over ``ints`` playing ``own`` against ``opp``,
+    the payoff over L*M_own*M_opp and the others over L*M_opp: (codes_t, L*R
+    entries, x, y) for the rows, (codes, L*C entries, y, x) for the columns."""
+    vals = weighted_lines(lines, ints, opp)
+    support, weights, _ = own
+    on_support = list(map(vals.__getitem__, support))
+    return sum(map(mul, weights, on_support)), max(vals), min(on_support)
 
 
 def regret_report(game: BimatrixGame, p: MixedProfile) -> RegretReport:
@@ -389,19 +389,23 @@ def regret_report(game: BimatrixGame, p: MixedProfile) -> RegretReport:
 
     Regret is the best-response payoff minus the realized payoff; the
     pure-strategy regret replaces the realized payoff by the worst payoff
-    among pure strategies actually in the support.
+    among pure strategies actually in the support.  Sums run over integers;
+    only the seven results are Fractions.
     """
     _check_shapes(game, p)
-    row_payoff, row_best, row_supp_min = _side(game.codes, game.r_entries, p.x, p.y)
-    col_payoff, col_best, col_supp_min = _side(game.codes_t, game.c_entries, p.y, p.x)
+    r_ints, c_ints, scale = game.int_entries
+    mx, my = p.sparse_x[2], p.sparse_y[2]
+    row_pay, row_best, row_worst = _side(game.codes_t, r_ints, p.sparse_x, p.sparse_y)
+    col_pay, col_best, col_worst = _side(game.codes, c_ints, p.sparse_y, p.sparse_x)
+    unit = scale * mx * my
     return RegretReport(
-        row_regret=row_best - row_payoff,
-        col_regret=col_best - col_payoff,
-        row_pure_regret=row_best - row_supp_min,
-        col_pure_regret=col_best - col_supp_min,
-        row_payoff=row_payoff,
-        col_payoff=col_payoff,
-        welfare=row_payoff + col_payoff,
+        row_regret=Fraction(row_best * mx - row_pay, unit),
+        col_regret=Fraction(col_best * my - col_pay, unit),
+        row_pure_regret=Fraction(row_best - row_worst, scale * my),
+        col_pure_regret=Fraction(col_best - col_worst, scale * mx),
+        row_payoff=Fraction(row_pay, unit),
+        col_payoff=Fraction(col_pay, unit),
+        welfare=Fraction(row_pay + col_pay, unit),
     )
 
 
@@ -416,15 +420,13 @@ def is_eps_wsne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
 
 
 def social_welfare(game: BimatrixGame, p: MixedProfile) -> Fraction:
-    """x'(R + C)y, exactly: one kernel pass over each pair's welfare."""
-    _check_shapes(game, p)
-    welfare = tuple([r + c for r, c in game.palette])
-    return dot(p.x, mat_vec(game.codes, welfare, p.y))
+    """x'(R + C)y, exactly: the welfare of the profile's regret report."""
+    return regret_report(game, p).welfare
 
 
 def tv_distance(p1: MixedProfile, p2: MixedProfile) -> Fraction:
     """Maximum coordinatewise probability difference over both vectors,
-    each distinct pair of entry objects compared once (as in mat_vec)."""
+    each distinct pair of entry objects compared once."""
     if len(p1.x) != len(p2.x) or len(p1.y) != len(p2.y):
         raise ShapeError("profiles have different shapes")
     v1, v2 = p1.x + p1.y, p2.x + p2.y

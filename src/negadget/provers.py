@@ -20,7 +20,7 @@ from .errors import (
     count_text,
 )
 from .games import (
-    BimatrixGame, Matrix, MixedProfile, Vector, cleared, frac, mat_vec, vector
+    BimatrixGame, Matrix, MixedProfile, Vector, cleared, frac, vector, weighted_lines
 )
 
 # V is stored as a nested tuple: V[x][y][a][b] in {0, 1}.
@@ -188,25 +188,27 @@ class InducedGameResult:
 
 
 def _canonical_side(
-    mass: list[list[Fraction]], payoff_of: list[list[Fraction]]
+    mass: Vector, payoffs: list[int], counts: tuple[int, ...]
 ) -> tuple[list[list[Fraction]], list[int]]:
     """Shift each question's mass onto its weakly-best answer.
 
-    ``mass[q][a]`` is the probability on (question q, answer a);
-    ``payoff_of[q][a]`` is that pure strategy's expected payoff.  Ties go
-    to the lowest answer index, and zero-mass questions get answer 0.
+    ``mass`` and ``payoffs`` are question-major, ``counts[q]`` answers for
+    question q: each (question, answer)'s probability and that pure
+    strategy's expected payoff, on any positive scale.  Ties go to the
+    lowest answer index, and zero-mass questions get answer 0.
     """
     out: list[list[Fraction]] = []
     chosen: list[int] = []
-    for q, per_answer in enumerate(mass):
+    for per_answer, pays in zip(_by_question(mass, counts),
+                                _by_question(payoffs, counts)):
         total = sum(per_answer, Fraction(0))
         row = [Fraction(0)] * len(per_answer)
         if total > 0:
             # Best only among the answers actually carrying probability;
             # ties go to the lowest answer index.
             candidates = [a for a, m in enumerate(per_answer) if m > 0]
-            best = max(payoff_of[q][a] for a in candidates)
-            a = next(a for a in candidates if payoff_of[q][a] == best)
+            best = max(pays[a] for a in candidates)
+            a = next(a for a in candidates if pays[a] == best)
             row[a] = total
         else:
             a = 0
@@ -215,7 +217,7 @@ def _canonical_side(
     return out, chosen
 
 
-def _by_question(flat: Vector, counts: tuple[int, ...]) -> list[list[Fraction]]:
+def _by_question(flat: Vector | list[int], counts: tuple[int, ...]) -> list[list]:
     """Split a question-major flat vector into one list per question."""
     out, start = [], 0
     for count in counts:
@@ -246,17 +248,13 @@ def induced_two_prover(
         raise ShapeError("profile does not match the gadget game")
 
     # Canonicalize rows against the original column profile, then columns
-    # against the updated row profile.
-    x_mass, sx = _canonical_side(
-        _by_question(p.x[r0:r1], f.x_answers),
-        _by_question(mat_vec(game.codes[r0:r1], game.r_entries, p.y), f.x_answers),
-    )
+    # against the updated row profile, on integer payoffs.
+    r_ints, c_ints, _ = game.int_entries
+    row_pays = weighted_lines(game.codes_t, r_ints, p.sparse_y)
+    x_mass, sx = _canonical_side(p.x[r0:r1], row_pays[r0:r1], f.x_answers)
     x_vec = p.x[:r0] + tuple(m for row in x_mass for m in row) + p.x[r1:]
-    y_mass, sy = _canonical_side(
-        _by_question(p.y[c0:c1], f.y_answers),
-        _by_question(mat_vec(game.codes_t[c0:c1], game.c_entries, x_vec),
-                     f.y_answers),
-    )
+    col_pays = weighted_lines(game.codes, c_ints, MixedProfile(x=x_vec, y=p.y).sparse_x)
+    y_mass, sy = _canonical_side(p.y[c0:c1], col_pays[c0:c1], f.y_answers)
 
     x_marginal = tuple(sum(row, Fraction(0)) for row in x_mass)
     y_marginal = tuple(sum(row, Fraction(0)) for row in y_mass)

@@ -22,6 +22,7 @@ from .games import (
     Rational,
     RegretReport,
     Vector,
+    check_count,
     frac,
     is_eps_ne,
     regret_report,
@@ -94,6 +95,8 @@ class DecisionInstance:
             )
         if problem.param == "index_set":
             object.__setattr__(self, "index_set", tuple(sorted(set(value))))
+        elif problem.param == "k":
+            check_count(value, "k")
         for test, message in problem.checks:
             if not test(self):
                 raise ValidationError(message.format(pid=self.problem_id))
@@ -277,6 +280,7 @@ def _nonnegative_eps(eps: Rational) -> Fraction:
 
 def _check_budget(budget: int) -> None:
     """A negative budget is invalid input, not a reason to answer unknown."""
+    check_count(budget, "budget")
     if budget < 0:
         raise ParameterError(f"budget must be nonnegative, got {budget}")
 
@@ -287,6 +291,7 @@ def _scan_size(game: BimatrixGame, k: int, budget: int) -> tuple[int, bool]:
     The budget counts candidates, but one candidate holds k indices a side,
     so a k above the budget checks none and the scan builds nothing.
     """
+    check_count(k, "k")
     total = k_uniform_count(game.rows, k) * k_uniform_count(game.cols, k)
     checked = 0 if k > budget else min(total, budget)
     return checked, total > checked

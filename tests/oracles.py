@@ -1,14 +1,13 @@
 """Independent oracles that only the tests use: the `.bgm` reader that
-parses line by line and the writer that formats cell by cell, the
-matrix-vector product, regret report and rescaling computed
-cell by cell, profile distance and supports entry by entry, the gadget's
-certificate placed by row and column labels, the integer lines of a
-game cleared in full, the integer k-uniform scan candidate by candidate,
-every support pair sorted into the support walk's order, exact Gaussian
-elimination, the simplex on the full
-tableau, the exact equilibria of games up to 5x5, the grid eps-NE sweep,
-and the clause/variable free game and MAX-3SAT checked literal by
-literal.
+parses line by line and the writer that formats cell by cell, the dot
+product, the matrix-vector product, its cleared integer lines, the regret
+report and rescaling computed cell by cell, profile distance and supports
+entry by entry, the gadget's certificate placed by row and column labels,
+the integer lines of a game cleared in full, the integer k-uniform scan
+candidate by candidate, every support pair sorted into the support walk's
+order, exact Gaussian elimination, the simplex on the full tableau, the
+exact equilibria of games up to 5x5, the grid eps-NE sweep, and the
+clause/variable free game and MAX-3SAT checked literal by literal.
 """
 
 from __future__ import annotations
@@ -108,11 +107,29 @@ def write_bgm_per_cell(game: BimatrixGame) -> str:
     return "\n".join(out) + "\n"
 
 
+def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    """u . v, one product per entry."""
+    if len(u) != len(v):
+        raise ShapeError(f"dot: lengths {len(u)} vs {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
 def mat_vec_per_cell(m: Matrix, v: Sequence[Fraction]) -> Vector:
-    """m @ v with one product and one sum per row and support cell, the
-    reference for `games.mat_vec`."""
+    """m @ v with one product and one sum per row and support cell."""
     support = [(j, e) for j, e in enumerate(v) if e]
     return tuple([sum((row[j] * e for j, e in support), Fraction(0)) for row in m])
+
+
+def weighted_lines_per_cell(game: BimatrixGame,
+                            p: MixedProfile) -> tuple[list, list]:
+    """(L*M_y*(R @ y), L*M_x*(C' @ x)) from `mat_vec_per_cell`, with L the
+    LCM of every cell's denominator and M a side's LCM: the reference for
+    `games.weighted_lines` on a profile's two sides."""
+    scale = math.lcm(*[e.denominator for m in (game.R, game.C) for row in m
+                       for e in row])
+    my, mx = (math.lcm(*[e.denominator for e in v]) for v in (p.y, p.x))
+    return ([v * scale * my for v in mat_vec_per_cell(game.R, p.y)],
+            [v * scale * mx for v in mat_vec_per_cell(game.Ct, p.x)])
 
 
 def regret_report_per_cell(game: BimatrixGame, p: MixedProfile) -> RegretReport:

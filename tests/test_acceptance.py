@@ -34,9 +34,9 @@ from negadget.games import (
     affine_rescale,
     is_eps_ne,
     is_eps_wsne,
-    mat_vec,
     regret_report,
     social_welfare,
+    weighted_lines,
 )
 from negadget.provers import game_value
 from negadget.sat import (
@@ -176,9 +176,11 @@ def test_criterion_4_d1_row_flatness():
         gg = build_hardness_game(build.game, params)
         s1, s2 = winning_strategies(build, best_assignment(formula))
         cert = completeness_certificate(build.game, s1, s2, gg)
-        row_vals = mat_vec(gg.game.codes, gg.game.r_entries, cert.y)
+        r_ints, _, scale = gg.game.int_entries
+        row_vals = weighted_lines(gg.game.codes_t, r_ints, cert.sparse_y)
         _, d0, d1_, _, _ = gg.game.block("D1")
-        if any(row_vals[i] != expected for i in range(d0, d1_)):
+        if any(row_vals[i] != expected * scale * cert.sparse_y[2]
+               for i in range(d0, d1_)):
             failures.append(name)
     _report(4, "D1-row flatness", not failures)
     assert not failures, failures

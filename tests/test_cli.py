@@ -378,6 +378,13 @@ class TestInputErrors:
         assert main(argv) == 3
         assert capsys.readouterr().err == "error: eps must be nonnegative\n"
 
+    def test_negative_eps_is_checked_before_the_files(self, tmp_path, capsys):
+        # Neither file exists: the eps check alone decides, before any read.
+        argv = ["verify", str(tmp_path / "missing.bgm"), str(tmp_path / "missing.prof"),
+                "--eps=-1/2"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: eps must be nonnegative\n"
+
     @pytest.mark.parametrize("eps", ["1e4300", "123e4299"])
     def test_value_too_long_to_print(self, eps, coordination_paths, capsys):
         # The exponent is within the limit, but str() of a 4301-digit

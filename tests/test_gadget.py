@@ -38,10 +38,10 @@ from negadget.games import (
     affine_rescale,
     is_eps_ne,
     is_eps_wsne,
-    mat_vec,
     pure_profile,
     regret_report,
     social_welfare,
+    weighted_lines,
 )
 from negadget.provers import (
     ProverStrategy,
@@ -56,9 +56,9 @@ from oracles import (
     affine_rescale_per_cell,
     completeness_certificate_per_label,
     int_lines_per_cell,
-    mat_vec_per_cell,
     question_of,
     regret_report_per_cell,
+    weighted_lines_per_cell,
     write_bgm_per_cell,
 )
 
@@ -339,8 +339,10 @@ class TestCodedGames:
         label, game = data.draw(st.sampled_from(fixture_games))
         p = MixedProfile(x=data.draw(_sparse_shared_weights(game.rows)),
                          y=data.draw(_sparse_shared_weights(game.cols)))
-        assert mat_vec(game.codes, game.r_entries, p.y) == mat_vec_per_cell(game.R, p.y)
-        assert mat_vec(game.codes_t, game.c_entries, p.x) == mat_vec_per_cell(game.Ct, p.x)
+        r_ints, c_ints, _ = game.int_entries
+        assert (weighted_lines(game.codes_t, r_ints, p.sparse_y),
+                weighted_lines(game.codes, c_ints, p.sparse_x)
+                ) == weighted_lines_per_cell(game, p)
         assert regret_report(game, p) == regret_report_per_cell(game, p), label
 
     @settings(max_examples=60, deadline=None)
@@ -389,7 +391,7 @@ class TestCertificate:
         assert cert == completeness_certificate_per_label(f, s1, s2, gg)
 
     def test_one_weight_object_per_side(self, sat_builds):
-        # Shared weights let a regret report group the support (mat_vec).
+        # Shared weights are cleared once per object (MixedProfile).
         cert = sat_builds["two-clause"].cert
         for side in (cert.x, cert.y):
             assert len({id(e) for e in side if e}) == 1
@@ -403,10 +405,11 @@ class TestCertificate:
         expected = F(2) / (1 + 4 * params.g * params.delta_star)
         for b in sat_builds.values():
             game = b.gadget.game
-            row_vals = mat_vec(game.codes, game.r_entries, b.cert.y)
+            r_ints, _, scale = game.int_entries
+            row_vals = weighted_lines(game.codes_t, r_ints, b.cert.sparse_y)
             _, d0, d1_, _, _ = game.block("D1")
             for i in range(d0, d1_):
-                assert row_vals[i] == expected
+                assert row_vals[i] == expected * scale * b.cert.sparse_y[2]
 
     def test_non_winning_strategies_rejected(self, unsat_builds):
         b = unsat_builds["pattern"]
@@ -502,8 +505,9 @@ class TestSoundnessChainProperties:
         covering = [d0 + t for t, half in enumerate(half_subsets(free.ny))
                     if half[question]]
         assert covering == [i for i in range(d0, d1_) if game.R[i][0] != 0]
-        row_vals = mat_vec(game.codes, game.r_entries, p.y)
-        assert max(row_vals[i] for i in covering) >= 2
+        r_ints, _, scale = game.int_entries
+        row_vals = weighted_lines(game.codes_t, r_ints, p.sparse_y)
+        assert max(row_vals[i] for i in covering) >= 2 * scale * p.sparse_y[2]
         assert not is_eps_ne(game, p, eps)
 
 

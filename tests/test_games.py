@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import re
 import time
@@ -28,17 +29,17 @@ from negadget.games import (
     frac,
     is_eps_ne,
     is_eps_wsne,
-    mat_vec,
     pure_profile,
     regret_report,
     social_welfare,
     tv_distance,
+    weighted_lines,
 )
 from oracles import (
-    mat_vec_per_cell,
     regret_report_per_cell,
     support_per_entry,
     tv_distance_per_entry,
+    weighted_lines_per_cell,
 )
 
 F = Fraction
@@ -421,8 +422,7 @@ def _shared_game_and_profile(draw):
 @given(_shared_game_and_profile())
 def test_shared_objects_match_the_per_cell_reference(game_and_profile):
     game, p = game_and_profile
-    assert mat_vec(game.codes, game.r_entries, p.y) == mat_vec_per_cell(game.R, p.y)
-    assert mat_vec(game.codes_t, game.c_entries, p.x) == mat_vec_per_cell(game.Ct, p.x)
+    assert _lines(game, p) == weighted_lines_per_cell(game, p)
     assert regret_report(game, p) == regret_report_per_cell(game, p)
 
 
@@ -453,11 +453,89 @@ def test_fresh_objects_match_the_per_cell_reference(drawn):
     assert all(a is b for given, view in ((r, game.R), (c, game.C))
                for g_row, v_row in zip(given, view) for a, b in zip(g_row, v_row))
     assert game.Ct == tuple(zip(*game.C))
-    assert mat_vec(game.codes, game.r_entries, p.y) == mat_vec_per_cell(game.R, p.y)
-    assert mat_vec(game.codes_t, game.c_entries, p.x) == mat_vec_per_cell(game.Ct, p.x)
+    assert _lines(game, p) == weighted_lines_per_cell(game, p)
     assert regret_report(game, p) == regret_report_per_cell(game, p)
     again = parse_bgm(write_bgm(game))
     assert again == game and hash(again) == hash(game)
+
+
+def _lines(game: BimatrixGame, p: MixedProfile) -> tuple[list[int], list[int]]:
+    """`weighted_lines` on both sides of p: R's columns at y's support, read
+    from codes_t, and C's rows at x's support, read from codes."""
+    r_ints, c_ints, _ = game.int_entries
+    return (weighted_lines(game.codes_t, r_ints, p.sparse_y),
+            weighted_lines(game.codes, c_ints, p.sparse_x))
+
+
+# Primes up to about 10**12, so that entries and weights over them have
+# coprime denominators and L and M grow to products of several of them.
+PRIMES = (3, 7, 101, 1000003, 998244353, 1000000007, 2147483647, 4294967291,
+          9999999967, 99999999977, 999999999959, 999999999989, 1000000000039)
+
+
+@st.composite
+def _coprime_game_and_profile(draw):
+    """Games up to 4x5 with entries n/p over the primes, and profiles whose
+    positive weights are a/p normalized, so every weight has its own
+    denominator."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-10**12, 10**12), st.sampled_from(PRIMES))
+    matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows)
+
+    def side(n):
+        raw = draw(st.lists(st.one_of(st.just(F(0)), st.builds(
+            Fraction, st.integers(1, 10**12), st.sampled_from(PRIMES))),
+            min_size=n, max_size=n).filter(any))
+        return tuple(e / sum(raw) for e in raw)
+
+    return (BimatrixGame(R=draw(matrix), C=draw(matrix)),
+            MixedProfile(x=side(rows), y=side(cols)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coprime_game_and_profile())
+def test_coprime_denominators_match_the_per_cell_reference(game_and_profile):
+    game, p = game_and_profile
+    assert regret_report(game, p) == regret_report_per_cell(game, p)
+    assert _lines(game, p) == weighted_lines_per_cell(game, p)
+    assert social_welfare(game, p) == regret_report_per_cell(game, p).welfare
+    # The palette cleared once is the per-cell clearing of R and C.
+    r_ints, c_ints, scale = game.int_entries
+    assert ([[r_ints[c] for c in row] for row in game.codes],
+            [[c_ints[c] for c in row] for row in game.codes],
+            scale) == cleared(game.R, game.C)
+    # Each side's support and weights give back its vector.
+    for v, (support, weights, m) in ((p.x, p.sparse_x), (p.y, p.sparse_y)):
+        assert support == support_per_entry(v)
+        assert m == math.lcm(*[e.denominator for e in v])
+        assert [v[i] * m for i in support] == list(weights)
+
+
+def test_digit_bound_denominator_matches_the_per_cell_reference():
+    tiny = F(1, games.DIGIT_BOUND)
+    game = BimatrixGame(R=((tiny, 0, F(1, 3)), (F(-1, 7), 1, tiny)),
+                        C=((0, tiny, 1), (F(2, 5), tiny, 0)))
+    for p in (MixedProfile(x=(F(1, 3), F(2, 3)), y=(tiny, F(1, 2), F(1, 2) - tiny)),
+              MixedProfile(x=(1, 0), y=(F(1, 7), 0, F(6, 7)))):
+        rep = regret_report(game, p)
+        assert rep == regret_report_per_cell(game, p)
+        assert _lines(game, p) == weighted_lines_per_cell(game, p)
+    assert game.int_entries[2] == 21 * games.DIGIT_BOUND  # 5 divides 10**4300
+
+
+def test_stored_sides_stay_out_of_eq_hash_and_repr():
+    p = MixedProfile(x=(F(1, 3), F(2, 3)), y=(0, 1))
+    q = MixedProfile(x=(F(1, 3), F(2, 3)), y=(0, 1))
+    assert p.sparse_x == ((0, 1), (1, 2), 3) and p.sparse_y == ((1,), (1,), 1)
+    object.__setattr__(q, "sparse_x", ((1,), (1,), 1))
+    object.__setattr__(q, "sparse_y", ((0,), (1,), 1))
+    assert p == q and hash(p) == hash(q)
+    assert repr(p) == repr(q) == (
+        "MixedProfile(x=(Fraction(1, 3), Fraction(2, 3)), "
+        "y=(Fraction(0, 1), Fraction(1, 1)))")
+    with pytest.raises(AttributeError):
+        p.sparse_x = q.sparse_x
 
 
 @st.composite

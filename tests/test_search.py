@@ -19,7 +19,6 @@ from negadget.errors import (
 from negadget.games import (
     BimatrixGame,
     MixedProfile,
-    dot,
     is_eps_ne,
     is_eps_wsne,
     pure_profile,
@@ -52,6 +51,7 @@ from negadget.search import (
 )
 
 from oracles import (
+    dot,
     exhaustive_ne_oracle,
     grid_eps_ne,
     int_lines_per_cell,
@@ -953,6 +953,28 @@ class TestScanBudget:
             lmm_best_welfare(MATCHING_PENNIES, 0, 1, budget=-1)
         with pytest.raises(ParameterError, match="budget"):
             list(enumerate_wsne_supports(MATCHING_PENNIES, 0, budget=-1))
+
+    @pytest.mark.parametrize("value", [2.5, True, F(2), "3"])
+    def test_count_parameters_must_be_ints(self, value):
+        # A float or bool budget came back as the checked count, a float k
+        # raised a bare TypeError from comb, and k=True was read as 1.
+        inst = DecisionInstance(problem_id=1, game=MATCHING_PENNIES, eps=0, u=1)
+        with pytest.raises(ParameterError, match="budget must be an int"):
+            decide(inst, k=1, budget=value)
+        with pytest.raises(ParameterError, match="budget must be an int"):
+            lmm_best_welfare(MATCHING_PENNIES, 0, 1, budget=value)
+        with pytest.raises(ParameterError, match="budget must be an int"):
+            list(enumerate_wsne_supports(MATCHING_PENNIES, 0, budget=value))
+        with pytest.raises(ParameterError, match="k must be an int"):
+            decide(inst, k=value, budget=10)
+        with pytest.raises(ParameterError, match="k must be an int"):
+            lmm_best_welfare(MATCHING_PENNIES, 0, value, budget=10)
+        for pid in (7, 8, 9):
+            with pytest.raises(ParameterError, match="k must be an int"):
+                DecisionInstance(problem_id=pid, game=MATCHING_PENNIES, eps=0,
+                                 k=value)
+        with pytest.raises(ParameterError, match="search_budget must be an int"):
+            pipeline.PipelineConfig("f.cnf", "out", search_budget=value)
 
     def test_budget_zero_checks_nothing(self):
         insts = [DecisionInstance(problem_id=1, game=MATCHING_PENNIES, eps=0, u=1),
