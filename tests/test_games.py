@@ -518,8 +518,7 @@ def test_digit_bound_denominator_matches_the_per_cell_reference():
                         C=((0, tiny, 1), (F(2, 5), tiny, 0)))
     for p in (MixedProfile(x=(F(1, 3), F(2, 3)), y=(tiny, F(1, 2), F(1, 2) - tiny)),
               MixedProfile(x=(1, 0), y=(F(1, 7), 0, F(6, 7)))):
-        rep = regret_report(game, p)
-        assert rep == regret_report_per_cell(game, p)
+        assert regret_report(game, p) == regret_report_per_cell(game, p)
         assert _lines(game, p) == weighted_lines_per_cell(game, p)
     assert game.int_entries[2] == 21 * games.DIGIT_BOUND  # 5 divides 10**4300
 
