@@ -231,30 +231,15 @@ def parse_fgm(text: str) -> TwoProverGame:
         raise FormatError("bad header lines") from exc
     if len(x_answers) != nx or len(y_answers) != ny:
         raise FormatError("answer-size lines do not match question counts")
-    expected = sum(
-        x_answers[x] * y_answers[y] for x in range(nx) for y in range(ny)
-    )
+    expected = sum(x_answers) * sum(y_answers)  # the sum of a*b over (x, y)
     body = lines[4:]
     if len(body) < expected:
         raise FormatError(f"expected {count_text(expected)} V entries")
     bits = body[:expected]
     rest = body[expected:]
-    values = []
-    for tok in bits:
-        if tok not in ("0", "1"):
-            raise FormatError(f"V entry must be 0 or 1, got {tok!r}")
-        values.append(int(tok))
-    table = []
-    pos = 0
-    for x in range(nx):
-        per_y = []
-        for y in range(ny):
-            per_a = []
-            for _a in range(x_answers[x]):
-                per_a.append(tuple(values[pos : pos + y_answers[y]]))
-                pos += y_answers[y]
-            per_y.append(tuple(per_a))
-        table.append(tuple(per_y))
+    bad = next(itertools.filterfalse({"0", "1"}.__contains__, bits), None)
+    if bad is not None:
+        raise FormatError(f"V entry must be 0 or 1, got {bad!r}")
     dist = None
     if rest:
         if rest[0] != "D":
@@ -262,14 +247,19 @@ def parse_fgm(text: str) -> TwoProverGame:
         d_entries = [parse_rational(t) for t in rest[1:]]
         if len(d_entries) != nx * ny:
             raise FormatError(f"expected {nx * ny} distribution entries")
-        dist = tuple(
-            tuple(d_entries[x * ny + y] for y in range(ny)) for x in range(nx)
-        )
+        d_iter = iter(d_entries)
+        dist = tuple([tuple(itertools.islice(d_iter, ny)) for _ in range(nx)])
+    # TwoProverGame's check, made before the nx*ny table is built.
+    if x_answers and y_answers and min(x_answers + y_answers) < 1:
+        raise FormatError("every question needs at least one answer")
+    values = map(int, bits)
+    table = tuple([tuple([tuple([tuple(itertools.islice(values, b)) for _ in range(a)])
+                          for b in y_answers]) for a in x_answers])
     try:
         return TwoProverGame(
             x_answers=x_answers,
             y_answers=y_answers,
-            table=tuple(table),
+            table=table,
             dist=dist,
         )
     except ValidationError as exc:

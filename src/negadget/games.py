@@ -7,13 +7,13 @@ floating point, and a float entry or parameter raises `ParameterError`
 A game is a palette of (R entry, C entry) `Fraction` pairs plus one `str`
 code row per game row: cell (i, j) is ``palette[ord(codes[i][j])]``.  A str
 holds at most PALETTE_LIMIT codes; coding one pair more raises
-`ResourceError`.  R, C and Ct are read-only views for the tests and callers,
-built on first use; no library path builds one.  ``==`` and ``hash`` read one
-canonical form.
+`ResourceError`.  The code rows are the game's one copy of its cells; R, C
+and Ct are read-only views for the tests and callers, built on first use,
+and no library path builds one.  ``==`` and ``hash`` read one canonical form.
 ``regret_report``, the exact oracle that the integer k-uniform scan of
 `negadget.search` is checked against, sums over integers too: it reads only
-the opponent's support lines (R's columns at y's support from ``codes_t``,
-C's rows at x's support from ``codes``) through the palette cleared once,
+the opponent's support lines (R's columns at y's support, sliced from the
+code rows per call, C's rows at x's support) through the palette cleared once,
 ``int_entries``, weighted by each profile side cleared over its own LCM
 (``MixedProfile.sparse_x``/``sparse_y``), with ``weighted_lines``; only its
 seven results are Fractions.  Every integer kernel (that report, the scan,
@@ -135,14 +135,17 @@ def cleared(*matrices: Sequence[Sequence[Fraction]]) -> tuple:
               for m in matrices], scale)
 
 
-def weighted_lines(lines: Sequence[str], ints: dict[str, int],
-                   sparse: Sparse) -> list[int]:
-    """M * (sum over t of v_t * line t), each line ``lines[t]`` read through
-    ``ints``, for the vector v whose `MixedProfile` side is ``sparse``
-    (support, weights, M).  So (codes_t, L*R entries, y) gives
-    L*M_y*(R @ y), and (codes, L*C entries, x) gives L*M_x*(x @ C), both
-    read from ``int_entries``.  The lines of one weight are summed first,
-    position by position, then multiplied once; every pass is C-level."""
+def weighted_lines(lines: Sequence[str], ints: dict[str, int], sparse: Sparse,
+                   columns: bool = False) -> list[int]:
+    """M * (sum over t of v_t * line t) for the vector v whose `MixedProfile`
+    side is ``sparse`` (support, weights, M), line t being ``lines[t]`` or,
+    with ``columns``, column t of the code rows ``lines``, sliced from them
+    joined for this call, read through ``ints``.  So (codes, L*R entries, y,
+    columns) gives L*M_y*(R @ y), and (codes, L*C entries, x) L*M_x*(x @ C).
+    One weight's lines are summed first, then multiplied once; all C-level."""
+    if columns:
+        joined, cols = "".join(lines), len(lines[0])
+        lines = {j: joined[j::cols] for j in sparse[0]}
     by_weight: dict[int, list[int]] = {}
     for t, w in zip(*sparse[:2]):
         by_weight.setdefault(w, []).append(t)
@@ -255,13 +258,7 @@ class BimatrixGame:
     c_entries = cached_property(lambda self: tuple([c for _, c in self.palette]))
     R = cached_property(lambda self: _view(self.codes, self.r_entries))
     C = cached_property(lambda self: _view(self.codes, self.c_entries))
-    Ct = cached_property(lambda self: _view(self.codes_t, self.c_entries))
-
-    @cached_property
-    def codes_t(self) -> tuple[str, ...]:
-        """The code rows transposed, one str per column, built once."""
-        joined, cols = "".join(self.codes), self.cols
-        return tuple([joined[j::cols] for j in range(cols)])
+    Ct = cached_property(lambda self: tuple(zip(*self.C)))
 
     @cached_property
     def int_entries(self) -> tuple[dict[str, int], dict[str, int], int]:
@@ -372,13 +369,13 @@ def _check_shapes(game: BimatrixGame, p: MixedProfile) -> None:
         )
 
 
-def _side(lines: Sequence[str], ints: dict[str, int], own: Sparse,
-          opp: Sparse) -> tuple[int, int, int]:
+def _side(lines: Sequence[str], ints: dict[str, int], own: Sparse, opp: Sparse,
+          columns: bool = False) -> tuple[int, int, int]:
     """(payoff, best pure payoff, worst payoff on the support) of the player
     with payoff lines ``lines`` over ``ints`` playing ``own`` against ``opp``,
-    the payoff over L*M_own*M_opp and the others over L*M_opp: (codes_t, L*R
-    entries, x, y) for the rows, (codes, L*C entries, y, x) for the columns."""
-    vals = weighted_lines(lines, ints, opp)
+    the payoff over L*M_own*M_opp and the others over L*M_opp: (codes, L*R
+    entries, x, y, True) for the rows, (codes, L*C entries, y, x) for the columns."""
+    vals = weighted_lines(lines, ints, opp, columns)
     support, weights, _ = own
     on_support = list(map(vals.__getitem__, support))
     return sum(map(mul, weights, on_support)), max(vals), min(on_support)
@@ -395,7 +392,7 @@ def regret_report(game: BimatrixGame, p: MixedProfile) -> RegretReport:
     _check_shapes(game, p)
     r_ints, c_ints, scale = game.int_entries
     mx, my = p.sparse_x[2], p.sparse_y[2]
-    row_pay, row_best, row_worst = _side(game.codes_t, r_ints, p.sparse_x, p.sparse_y)
+    row_pay, row_best, row_worst = _side(game.codes, r_ints, p.sparse_x, p.sparse_y, True)
     col_pay, col_best, col_worst = _side(game.codes, c_ints, p.sparse_y, p.sparse_x)
     unit = scale * mx * my
     return RegretReport(

@@ -250,7 +250,7 @@ def induced_two_prover(
     # Canonicalize rows against the original column profile, then columns
     # against the updated row profile, on integer payoffs.
     r_ints, c_ints, _ = game.int_entries
-    row_pays = weighted_lines(game.codes_t, r_ints, p.sparse_y)
+    row_pays = weighted_lines(game.codes, r_ints, p.sparse_y, columns=True)
     x_mass, sx = _canonical_side(p.x[r0:r1], row_pays[r0:r1], f.x_answers)
     x_vec = p.x[:r0] + tuple(m for row in x_mass for m in row) + p.x[r1:]
     col_pays = weighted_lines(game.codes, c_ints, MixedProfile(x=x_vec, y=p.y).sparse_x)

@@ -21,6 +21,7 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
+from .games import check_count
 from .provers import ProverStrategy, TwoProverGame
 
 Clause = tuple[int, int, int]
@@ -146,9 +147,10 @@ def max_sat(f: Cnf3Formula, budget: int) -> tuple[int, Fraction]:
     satisfies), stopping at the first mask that satisfies every clause.
     The budget is charged 2^n * m, the clause checks of every assignment;
     a formula without clauses is satisfied by mask 0 at no charge."""
+    check_count(budget, "budget")
     if not f.clauses:
         return 0, Fraction(1)
-    if 2**f.num_vars * f.num_clauses > budget:
+    if f.num_clauses > budget >> f.num_vars:  # 2^n * m > budget, 2^n never built
         raise ResourceError(
             f"2^{f.num_vars} assignments x {f.num_clauses} clauses "
             f"exceed budget {budget}"

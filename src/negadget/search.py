@@ -94,7 +94,8 @@ class DecisionInstance:
                 f"problem {self.problem_id} requires parameter {problem.param!r}"
             )
         if problem.param == "index_set":
-            object.__setattr__(self, "index_set", tuple(sorted(set(value))))
+            index_set = _sorted_ints(value, "index set entries")
+            object.__setattr__(self, "index_set", index_set)
         elif problem.param == "k":
             check_count(value, "k")
         for test, message in problem.checks:
@@ -375,21 +376,23 @@ def _integer_scan(
 
 
 class _IntLines(dict):
-    """Code line t of ``lines`` as integers, ``ints[code]`` per code, built
-    on first use and kept for the call that made the table."""
+    """Code line ``read(t)`` as integers, ``ints[code]`` per code, built on
+    first use and kept for the call that made the table."""
 
-    def __init__(self, lines: Sequence[str], ints: dict[str, int]) -> None:
-        self.lines, self.ints = lines, ints
+    def __init__(self, read: Callable[[int], str], ints: dict[str, int]) -> None:
+        self.read, self.ints = read, ints
 
     def __missing__(self, t: int) -> list[int]:
-        line = self[t] = list(map(self.ints.__getitem__, self.lines[t]))
+        line = self[t] = list(map(self.ints.__getitem__, self.read(t)))
         return line
 
 
 def _int_lines(game: BimatrixGame) -> tuple[_IntLines, _IntLines, int]:
     """(C's rows L*C[i], R's columns L*R[:, j], L), each line built on first use."""
     r_ints, c_ints, scale = game.int_entries
-    return _IntLines(game.codes, c_ints), _IntLines(game.codes_t, r_ints), scale
+    joined, cols = "".join(game.codes), game.cols  # column j is joined[j::cols]
+    return (_IntLines(game.codes.__getitem__, c_ints),
+            _IntLines(lambda j: joined[j::cols], r_ints), scale)
 
 
 def _summed(lines: _IntLines, members: Multiset) -> list[int]:
@@ -411,6 +414,16 @@ def _multiset_rank(c: Multiset, m: int) -> int:
     k = len(c)
     n = m + k - 1
     return comb(n, k) - 1 - sum(comb(n - 1 - j - t, k - t) for t, j in enumerate(c))
+
+
+def _sorted_ints(indices: Iterable[object], name: str) -> Support:
+    """The distinct ``indices`` in order; ``ValidationError``, before the
+    sort, unless every one is an int that is not a bool."""
+    indices = tuple(indices)
+    for i in indices:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise ValidationError(f"{name} must be ints, got {i!r}")
+    return tuple(sorted(set(indices)))
 
 
 def _reverified(game: BimatrixGame, p: MixedProfile, eps: Fraction) -> MixedProfile:
@@ -440,11 +453,8 @@ def wsne_support_feasible(
     boundary.  A negative eps raises ``ValidationError``.
     """
     e = _nonnegative_eps(eps)
-    for i in (*rows, *cols):
-        if isinstance(i, bool) or not isinstance(i, int):
-            raise ValidationError(f"support indices must be ints, got {i!r}")
-    rows = tuple(sorted(set(rows)))
-    cols = tuple(sorted(set(cols)))
+    rows = _sorted_ints(rows, "support indices")
+    cols = _sorted_ints(cols, "support indices")
     if not rows or not cols:
         raise ValidationError("supports must be nonempty")
     if min(rows + cols) < 0 or rows[-1] >= game.rows or cols[-1] >= game.cols:

@@ -177,7 +177,7 @@ def test_criterion_4_d1_row_flatness():
         s1, s2 = winning_strategies(build, best_assignment(formula))
         cert = completeness_certificate(build.game, s1, s2, gg)
         r_ints, _, scale = gg.game.int_entries
-        row_vals = weighted_lines(gg.game.codes_t, r_ints, cert.sparse_y)
+        row_vals = weighted_lines(gg.game.codes, r_ints, cert.sparse_y, columns=True)
         _, d0, d1_, _, _ = gg.game.block("D1")
         if any(row_vals[i] != expected * scale * cert.sparse_y[2]
                for i in range(d0, d1_)):

@@ -442,6 +442,23 @@ class TestInputErrors:
         assert main([a.format(**paths) for a in command]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("answers, message", [
+        ("1", "expected 900000000 V entries"),
+        ("0", "every question needs at least one answer"),
+    ])
+    def test_fgm_refused_in_time_linear_in_its_text(self, answers, message, tmp_path):
+        # 30,000 questions a side in 120 KB: a loop over the 9*10^8 question
+        # pairs, to count V entries or to build an empty table, takes minutes.
+        free = tmp_path / "wide.fgm"
+        free.write_text("fgm 1\n30000 30000\n" + f"{answers} " * 30000 + "\n"
+                        + f"{answers} " * 30000 + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(formats.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from negadget.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "value", str(free)],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert (done.returncode, done.stderr) == (3, f"error: {message}\n")
+
     def test_bgm_dimension_past_maxsize(self, tmp_path, coordination_paths, capsys):
         # islice() refuses a stop past sys.maxsize; the entry count is wrong.
         _, prof = coordination_paths

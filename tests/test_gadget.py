@@ -340,7 +340,7 @@ class TestCodedGames:
         p = MixedProfile(x=data.draw(_sparse_shared_weights(game.rows)),
                          y=data.draw(_sparse_shared_weights(game.cols)))
         r_ints, c_ints, _ = game.int_entries
-        assert (weighted_lines(game.codes_t, r_ints, p.sparse_y),
+        assert (weighted_lines(game.codes, r_ints, p.sparse_y, columns=True),
                 weighted_lines(game.codes, c_ints, p.sparse_x)
                 ) == weighted_lines_per_cell(game, p)
         assert regret_report(game, p) == regret_report_per_cell(game, p), label
@@ -406,7 +406,7 @@ class TestCertificate:
         for b in sat_builds.values():
             game = b.gadget.game
             r_ints, _, scale = game.int_entries
-            row_vals = weighted_lines(game.codes_t, r_ints, b.cert.sparse_y)
+            row_vals = weighted_lines(game.codes, r_ints, b.cert.sparse_y, columns=True)
             _, d0, d1_, _, _ = game.block("D1")
             for i in range(d0, d1_):
                 assert row_vals[i] == expected * scale * b.cert.sparse_y[2]
@@ -506,7 +506,7 @@ class TestSoundnessChainProperties:
                     if half[question]]
         assert covering == [i for i in range(d0, d1_) if game.R[i][0] != 0]
         r_ints, _, scale = game.int_entries
-        row_vals = weighted_lines(game.codes_t, r_ints, p.sparse_y)
+        row_vals = weighted_lines(game.codes, r_ints, p.sparse_y, columns=True)
         assert max(row_vals[i] for i in covering) >= 2 * scale * p.sparse_y[2]
         assert not is_eps_ne(game, p, eps)
 

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -461,9 +462,9 @@ def test_fresh_objects_match_the_per_cell_reference(drawn):
 
 def _lines(game: BimatrixGame, p: MixedProfile) -> tuple[list[int], list[int]]:
     """`weighted_lines` on both sides of p: R's columns at y's support, read
-    from codes_t, and C's rows at x's support, read from codes."""
+    from the code rows, and C's rows at x's support, read from codes."""
     r_ints, c_ints, _ = game.int_entries
-    return (weighted_lines(game.codes_t, r_ints, p.sparse_y),
+    return (weighted_lines(game.codes, r_ints, p.sparse_y, columns=True),
             weighted_lines(game.codes, c_ints, p.sparse_x))
 
 
@@ -592,6 +593,22 @@ class TestCoding:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             MATCHING_PENNIES.codes = ("\0",)
+
+    def test_a_report_keeps_no_copy_of_the_cells(self):
+        # The code rows are the one copy of the cells: a report of a pure
+        # profile on a wide game reads one of R's columns and keeps nothing
+        # on the game (a transposed copy would hold 11 MiB).
+        palette = ((F(0), F(1)), (F(1), F(0)))
+        game = BimatrixGame.coded(palette, ("\0\1" * 100_000, "\1\0" * 100_000))
+        p = pure_profile(game, 1, 0)
+        tracemalloc.start()
+        try:
+            report = regret_report(game, p)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (report.row_regret, report.col_regret, report.welfare) == (0, 1, 1)
+        assert retained < 2**20, retained
 
     def test_palette_limit(self, monkeypatch):
         monkeypatch.setattr(games, "PALETTE_LIMIT", 3)

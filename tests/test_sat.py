@@ -109,6 +109,25 @@ class TestMaxSat:
         with pytest.raises(ResourceError, match="8 clauses"):
             search(full_sign_pattern(), budget=8)
 
+    def test_budget_is_compared_before_two_to_the_n_is_built(self):
+        # 2^(10^9) alone takes 125 MB, and seconds to multiply by m.
+        f = Cnf3Formula(num_vars=10**9, clauses=((1, 2, 3),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError) as info:
+                max_sat(f, 2**20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            "2^1000000000 assignments x 1 clauses exceed budget 1048576")
+        assert peak < 2**20, peak
+
+    @pytest.mark.parametrize("budget", [2.5, True, "8"])
+    def test_budget_must_be_an_int(self, budget):
+        with pytest.raises(ParameterError, match="budget must be an int"):
+            max_sat(full_sign_pattern(), budget)
+
     def test_best_assignment_is_lowest_mask(self):
         f = Cnf3Formula(num_vars=3, clauses=((1, 2, 3),))
         # mask 1 (x1 true) already satisfies; mask 0 does not.

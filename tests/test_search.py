@@ -89,7 +89,7 @@ def spy_int_lines(monkeypatch, game):
     real = search._IntLines.__missing__
 
     def spy(lines, t):
-        built.append(("C row" if lines.lines is game.codes else "R col", t))
+        built.append(("C row" if lines.ints is game.int_entries[1] else "R col", t))
         return real(lines, t)
 
     monkeypatch.setattr(search._IntLines, "__missing__", spy)
@@ -628,6 +628,14 @@ class TestDecide:
                                match="^index set out of row range$"):
                 make(bad)
         assert make((1, 0, 1)).index_set == (0, 1)
+
+    @pytest.mark.parametrize("pid", [2, 10])
+    @pytest.mark.parametrize("index_set", [(0.5,), (True,), (1.0,), ("0",), (0, F(1))])
+    def test_non_int_index_set_rejected(self, pid, index_set):
+        # Else each reads as a "no", as row 1, or raises a bare TypeError.
+        with pytest.raises(ValidationError, match="index set entries must be ints"):
+            DecisionInstance(problem_id=pid, game=MATCHING_PENNIES, eps=0,
+                             index_set=index_set)
 
     def test_unknown_problem_rejected(self):
         for pid in (0, 11):
