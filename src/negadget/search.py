@@ -52,7 +52,10 @@ class SearchOutcome:
     k-uniform profiles for problems 1-6, whether tested or ruled out
     untested because a column of y lies outside the slack of x's best
     response (see `_integer_scan`), and for problems 7-10 the support
-    pairs that pass the problem's predicate.  A hint that answers counts 0.
+    pairs that pass the problem's predicate.  For `lmm_best_welfare` it is
+    the whole family within the budget: the candidates after a hit at the
+    game's largest cell welfare are decided by that ceiling and count as
+    checked, as the column-bound ones do.  A hint that answers counts 0.
     """
 
     answer: str
@@ -250,15 +253,27 @@ def lmm_best_welfare(
     Returns "yes" with the best witness when any candidate passes,
     "no" when the whole family was scanned without a hit, and
     "unknown" (with the best partial witness) when the family exceeds
-    the budget.
+    the budget.  The witness is the lowest-index hit of the best welfare.
+
+    A profile's welfare is an average of cell welfares, so none exceeds
+    the game's largest cell welfare, max(R + C).  The scan stops at the
+    first hit at that ceiling, since no later hit can beat it; the
+    candidates after it still count in ``checked_count``.
     """
     e = _nonnegative_eps(eps)
     _check_budget(budget)
     checked, truncated = _scan_size(game, k, budget)
-    # Welfare compared as integers on the scan's scale; max() keeps the
-    # first of equal maxima, the lowest-index best welfare.
-    hits = _integer_scan(game, _int_lines(game), e, k, checked)
-    best = max(hits, key=lambda c: c[3] + c[4], default=None)
+    # Welfare compared as integers on the scan's scale, k*k*L; the palette
+    # holds only pairs that occur in some cell.
+    r_ints, c_ints, _ = game.int_entries
+    ceiling = k * k * max(r + c_ints[code] for code, r in r_ints.items())
+    best = None
+    for hit in _integer_scan(game, _int_lines(game), e, k, checked):
+        welfare = hit[3] + hit[4]
+        if best is None or welfare > most:  # keep the first of equal maxima
+            best, most = hit, welfare
+            if most == ceiling:
+                break
     if best is None:
         return SearchOutcome(
             answer="unknown" if truncated else "no", checked_count=checked
@@ -419,7 +434,12 @@ def _multiset_rank(c: Multiset, m: int) -> int:
 def _sorted_ints(indices: Iterable[object], name: str) -> Support:
     """The distinct ``indices`` in order; ``ValidationError``, before the
     sort, unless every one is an int that is not a bool."""
-    indices = tuple(indices)
+    try:
+        items = iter(indices)
+    except TypeError:
+        raise ValidationError(
+            f"{name} must be ints in an iterable, got {indices!r}") from None
+    indices = tuple(items)
     for i in indices:
         if isinstance(i, bool) or not isinstance(i, int):
             raise ValidationError(f"{name} must be ints, got {i!r}")

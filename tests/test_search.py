@@ -393,6 +393,12 @@ class TestWsneSupports:
                 wsne_support_feasible(MATCHING_PENNIES, rows, cols, 0)
         lp.assert_not_called()
 
+    def test_non_iterable_support_rejected(self):
+        # Not a bare TypeError from the sort.
+        with pytest.raises(ValidationError, match="^support indices must be ints "
+                                                  "in an iterable, got 5$"):
+            wsne_support_feasible(MATCHING_PENNIES, 5, [0], 0)
+
     def test_negative_eps_rejected(self):
         # As decide and lmm_best_welfare do, not a silent "no".
         with mock.patch.object(search, "simplex_maximize") as lp:
@@ -637,6 +643,11 @@ class TestDecide:
             DecisionInstance(problem_id=pid, game=MATCHING_PENNIES, eps=0,
                              index_set=index_set)
 
+    def test_non_iterable_index_set_rejected(self):
+        with pytest.raises(ValidationError, match="^index set entries must be ints "
+                                                  "in an iterable, got 5$"):
+            DecisionInstance(problem_id=2, game=MATCHING_PENNIES, eps=0, index_set=5)
+
     def test_unknown_problem_rejected(self):
         for pid in (0, 11):
             with pytest.raises(ValidationError,
@@ -871,6 +882,71 @@ class TestLmmIntegerWelfare:
         monkeypatch.setattr(search, "is_eps_ne", lambda game, p, eps: False)
         with pytest.raises(InvariantError):
             lmm_best_welfare(COORDINATION, 0, 1)
+
+
+@st.composite
+def _ceiling_games(draw):
+    """A game up to 4x4 with entries 0 and 1/2, so that welfares below the
+    ceiling tie often, and one or two cells raised to (1, 1): each is a
+    pure NE at the game's largest cell welfare, 2.  One is in the last
+    row, so small budgets end before it; the other, if any, may come
+    before or after it in index order."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.sampled_from([F(0), F(1, 2)])
+    cells = st.lists(
+        st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+    r, c = draw(cells), draw(cells)
+    planted = [(rows - 1, draw(st.integers(0, cols - 1)))]
+    cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    planted += draw(st.lists(cell, max_size=1))
+    for i, j in planted:
+        r[i][j] = c[i][j] = F(1)
+    return BimatrixGame(R=r, C=c)
+
+
+class TestLmmStopsAtCeiling:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        game=_ceiling_games(),
+        eps=st.sampled_from([F(0), F(1, 4), F(1, 2)]),
+        k=st.integers(1, 3),
+        budget=st.integers(1, 120),
+    )
+    def test_same_outcome_as_the_full_scan(self, game, eps, k, budget):
+        # Budgets below the first ceiling hit end the scan before the stop,
+        # where ties below the ceiling decide the witness.
+        hits, checked, truncated = _reference_hits(
+            game, eps, k, _scan_budget(k, budget)
+        )
+        out = lmm_best_welfare(game, eps, k, budget=budget)
+        if not hits:
+            miss = "unknown" if truncated else "no"
+            assert (out.answer, out.witness, out.checked_count) == (
+                miss, None, checked
+            )
+            return
+        best = max(rep.welfare for _, _, rep in hits)
+        first = next(p for _, p, rep in hits if rep.welfare == best)
+        assert (out.answer, out.witness, out.checked_count) == (
+            "unknown" if truncated else "yes", first, checked
+        )
+
+    def test_scan_ends_at_the_first_ceiling_hit(self, monkeypatch):
+        # COORDINATION's first candidate, (0, 0), is a pure NE of welfare 2.
+        drawn = []
+        scan = search._integer_scan
+
+        def counted(*args):
+            for hit in scan(*args):
+                drawn.append(hit)
+                yield hit
+
+        monkeypatch.setattr(search, "_integer_scan", counted)
+        out = lmm_best_welfare(COORDINATION, 0, 2)
+        assert [hit[0] for hit in drawn] == [0]
+        assert out.witness == pure_profile(COORDINATION, 0, 0)
+        assert out.checked_count == 9
 
 
 class TestScanBudget:
