@@ -7,9 +7,9 @@ floating point, and a float entry or parameter raises `ParameterError`
 A game is a palette of (R entry, C entry) `Fraction` pairs plus one `str`
 code row per game row: cell (i, j) is ``palette[ord(codes[i][j])]``.  A str
 holds at most PALETTE_LIMIT codes; coding one pair more raises
-`ResourceError`.  The code rows are the game's one copy of its cells; R, C
-and Ct are read-only views for the tests and callers, built on first use,
-and no library path builds one.  ``==`` and ``hash`` read one canonical form.
+`ResourceError`.  The code rows are the game's one copy of its cells; R and
+C are read-only views for the tests and callers, built on first use, and
+no library path builds one.  ``==`` and ``hash`` read one canonical form.
 ``regret_report``, the exact oracle that the integer k-uniform scan of
 `negadget.search` is checked against, sums over integers too: it reads only
 the opponent's support lines (R's columns at y's support, sliced from the
@@ -253,12 +253,11 @@ class BimatrixGame:
                 self.blocks)
 
     # Each palette pair's entry for one player, by code, and the read-only
-    # views R, C and C transposed, built on first use.
+    # views R and C, built on first use.
     r_entries = cached_property(lambda self: tuple([r for r, _ in self.palette]))
     c_entries = cached_property(lambda self: tuple([c for _, c in self.palette]))
     R = cached_property(lambda self: _view(self.codes, self.r_entries))
     C = cached_property(lambda self: _view(self.codes, self.c_entries))
-    Ct = cached_property(lambda self: tuple(zip(*self.C)))
 
     @cached_property
     def int_entries(self) -> tuple[dict[str, int], dict[str, int], int]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -121,11 +122,13 @@ class Problem:
     ``checks`` are the tests its parameter ``param`` must pass, in order,
     each with the message of its failure (``{pid}`` is the problem id).
     ``holds`` is its Table predicate, on a profile known to be an eps-NE
-    (problems 1-6) or eps-WSNE (7-10): problems 1-6 read (inst, profile,
-    row payoff, col payoff), and 7-10 only the supports, (inst, rows, cols),
-    since a support-pair witness has exactly those supports.  Problem 3,
-    whose witness is a far-apart pair, has none.  ``least_size`` is the
-    least total support size that a 7-10 predicate accepts.
+    (problems 1-6) or eps-WSNE (7-10): problems 1-6 read (inst, x's side
+    (support, weights, M), row payoff, col payoff, unit), payoffs over unit,
+    as a hint (``sparse_x``, unit 1) and a scan hit (multiplicities, k*k*L)
+    give them; 7-10 read only the supports, (inst, rows, cols), since a
+    support-pair witness has exactly those supports.  Problem 3, whose
+    witness is a far-apart pair, has none.  ``least_size`` is the least
+    total support size that a 7-10 predicate accepts.
     """
 
     param: str
@@ -145,17 +148,21 @@ _K = ((lambda i: i.k >= 1, "problem {pid} requires k >= 1"),)
 
 PROBLEMS: dict[int, Problem] = {
     1: Problem("u", ((lambda i: 0 < i.u <= 1, "problem 1 requires u in (0, 1]"),),
-               WITNESS_NE, lambda i, p, row, col: min(row, col) >= i.u),
+               WITNESS_NE, lambda i, x, row, col, unit:
+               min(row, col) * i.u.denominator >= i.u.numerator * unit),
     2: Problem("index_set", _INDEX_SET, WITNESS_NE,
-               lambda i, p, row, col: set(p.support_x) <= set(i.index_set)),
+               lambda i, x, row, col, unit: set(x[0]).issubset(i.index_set)),
     3: Problem("d", ((lambda i: 0 < i.d <= 1, "problem 3 requires d in (0, 1]"),),
                WITNESS_NE),
     4: Problem("p", ((lambda i: 0 < i.p < 1, "problem 4 requires p in (0, 1)"),),
-               WITNESS_NE, lambda i, p, row, col: max(p.x) <= i.p),
+               WITNESS_NE, lambda i, x, row, col, unit:
+               max(x[1]) * i.p.denominator <= i.p.numerator * x[2]),
     5: Problem("v", ((lambda i: 0 <= i.v < 2, "problem 5 requires v in [0, 2)"),),
-               WITNESS_NE, lambda i, p, row, col: row + col <= i.v),
+               WITNESS_NE, lambda i, x, row, col, unit:
+               (row + col) * i.v.denominator <= i.v.numerator * unit),
     6: Problem("u", ((lambda i: 0 <= i.u < 1, "problem 6 requires u in [0, 1)"),),
-               WITNESS_NE, lambda i, p, row, col: row <= i.u),
+               WITNESS_NE, lambda i, x, row, col, unit:
+               row * i.u.denominator <= i.u.numerator * unit),
     7: Problem("k", _K, WITNESS_WSNE,
                lambda i, rows, cols: len(rows) + len(cols) >= 2 * i.k,
                lambda i: 2 * i.k),
@@ -268,22 +275,15 @@ def lmm_best_welfare(
     r_ints, c_ints, _ = game.int_entries
     ceiling = k * k * max(r + c_ints[code] for code, r in r_ints.items())
     best = None
-    for hit in _integer_scan(game, _int_lines(game), e, k, checked):
+    for hit in _integer_scan(game, e, k, checked):
         welfare = hit[3] + hit[4]
         if best is None or welfare > most:  # keep the first of equal maxima
             best, most = hit, welfare
             if most == ceiling:
                 break
-    if best is None:
-        return SearchOutcome(
-            answer="unknown" if truncated else "no", checked_count=checked
-        )
-    witness = MixedProfile(x=_multiset_vector(game.rows, best[1]),
-                           y=_multiset_vector(game.cols, best[2]))
-    witness = _reverified(game, witness, e)
-    return SearchOutcome(
-        answer="unknown" if truncated else "yes", witness=witness, checked_count=checked
-    )
+    witness = None if best is None else _scan_witness(game, best[1], best[2], e)
+    answer = "unknown" if truncated else "no" if best is None else "yes"
+    return SearchOutcome(answer=answer, witness=witness, checked_count=checked)
 
 
 def _nonnegative_eps(eps: Rational) -> Fraction:
@@ -313,24 +313,8 @@ def _scan_size(game: BimatrixGame, k: int, budget: int) -> tuple[int, bool]:
     return checked, total > checked
 
 
-def _eps_ne_scan(
-    game: BimatrixGame, eps: Fraction, k: int, budget: float
-) -> Iterator[tuple[int, Vector, Vector, Fraction, Fraction]]:
-    """Stream the k-uniform eps-NE among the first ``budget`` candidates,
-    each as (index, x, y, row payoff, col payoff): `_integer_scan`'s hits
-    with their Fraction vectors and payoffs."""
-    lines = _int_lines(game)
-    unit = k * k * lines[2]
-    for index, xc, yc, row_pay, col_pay in _integer_scan(game, lines, eps, k,
-                                                         budget):
-        yield (index, _multiset_vector(game.rows, xc),
-               _multiset_vector(game.cols, yc),
-               Fraction(row_pay, unit), Fraction(col_pay, unit))
-
-
 def _integer_scan(
-    game: BimatrixGame, lines: tuple[_IntLines, _IntLines, int],
-    eps: Fraction, k: int, budget: float,
+    game: BimatrixGame, eps: Fraction, k: int, budget: float
 ) -> Iterator[tuple[int, Multiset, Multiset, int, int]]:
     """Stream the k-uniform eps-NE among the first ``budget`` candidates.
 
@@ -338,8 +322,7 @@ def _integer_scan(
     multisets, x outermost, and candidate (x, y) has index
     rank(x)*C(m+k-1, k) + rank(y) for m columns.  Each passing candidate is
     yielded as (index, x multiset, y multiset, row payoff, col payoff), the
-    payoffs as integers over k*k*L, ``lines`` being the game's
-    `_int_lines`, (C's rows, R's columns, L).
+    payoffs as integers over k*k*L, L = ``game.int_entries[2]``.
 
     The test uses integers only.  A multiset y gives vals = k*L*(R @ y), the
     sum of y's R columns, and a multiset x the payoff pay = k*k*L*(x @ R @ y),
@@ -354,11 +337,12 @@ def _integer_scan(
     inside the budget, and rank(y) once per y that passes both.  The scan
     stops at the first x past the budget, and inside the x where the budget
     ends it ranks each y before building anything for it, so no line
-    (`_int_lines`) outside the budget is built.
+    (`_int_lines`) outside the budget is built.  R @ y is kept for later x's
+    only outside that x: at most min(budget, C(m+k-1, k)) lines are kept.
     """
     if budget < 1:
         return
-    c_rows, r_cols, scale = lines
+    c_rows, r_cols, scale = _int_lines(game)
     unit = k * k * scale
     slack = eps.numerator * unit // eps.denominator
     m = game.cols
@@ -382,7 +366,9 @@ def _integer_scan(
             entry = rows_of.get(yc)
             if entry is None:
                 row_vals = _summed(r_cols, yc)
-                entry = rows_of[yc] = [row_vals, k * max(row_vals) - slack, None]
+                entry = [row_vals, k * max(row_vals) - slack, None]
+                if not cut:  # no later x reads the entries of the last one
+                    rows_of[yc] = entry
             row_vals, row_least, rank = entry
             if (row_pay := sum(map(row_vals.__getitem__, xc))) >= row_least:
                 if rank is None:
@@ -431,6 +417,13 @@ def _multiset_rank(c: Multiset, m: int) -> int:
     return comb(n, k) - 1 - sum(comb(n - 1 - j - t, k - t) for t, j in enumerate(c))
 
 
+def _far(a: tuple[Counter, Counter], b: tuple[Counter, Counter], apart: int) -> bool:
+    """Whether two hits' (x, y) multiplicities differ by ``apart`` or more
+    at some coordinate: for apart = ceil(d*k), whether two k-uniform
+    profiles are at distance d or more."""
+    return any(abs(s[t] - u[t]) >= apart for s, u in zip(a, b) for t in {*s, *u})
+
+
 def _sorted_ints(indices: Iterable[object], name: str) -> Support:
     """The distinct ``indices`` in order; ``ValidationError``, before the
     sort, unless every one is an int that is not a bool."""
@@ -446,8 +439,12 @@ def _sorted_ints(indices: Iterable[object], name: str) -> Support:
     return tuple(sorted(set(indices)))
 
 
-def _reverified(game: BimatrixGame, p: MixedProfile, eps: Fraction) -> MixedProfile:
-    """Return a scan witness after the exact oracle has confirmed it."""
+def _scan_witness(game: BimatrixGame, xc: Multiset, yc: Multiset,
+                  eps: Fraction) -> MixedProfile:
+    """The profile of a scan hit's multisets, after the exact oracle has
+    confirmed that it is an eps-NE."""
+    p = MixedProfile(x=_multiset_vector(game.rows, xc),
+                     y=_multiset_vector(game.cols, yc))
     if not is_eps_ne(game, p, eps):
         raise InvariantError("k-uniform scan and is_eps_ne disagree on a witness")
     return p
@@ -718,7 +715,7 @@ def decide_many(
                 wsne = inst.witness_kind == WITNESS_WSNE
                 if rep.within(eps, wsne) and (
                     inst.holds(hint.support_x, hint.support_y) if wsne
-                    else inst.holds(hint, rep.row_payoff, rep.col_payoff)
+                    else inst.holds(hint.sparse_x, rep.row_payoff, rep.col_payoff, 1)
                 ):
                     outcomes[i] = SearchOutcome(answer="yes", witness=hint)
                     break
@@ -731,17 +728,20 @@ def decide_many(
         if k is None:
             k = default_k(max(game.rows, game.cols), eps)
         checked, truncated = _scan_size(game, k, budget)
-        found: list[MixedProfile] = []  # earlier hits, kept while p3 is pending
-        for index, x, y, row_pay, col_pay in _eps_ne_scan(game, eps, k, checked):
-            p = MixedProfile(x=x, y=y)
+        unit = k * k * game.int_entries[2]
+        found = []  # earlier hits and their multiplicities, while p3 is pending
+        for index, xc, yc, row, col in _integer_scan(game, eps, k, checked):
+            counts = Counter(xc), Counter(yc)
+            x_side = tuple(counts[0]), tuple(counts[0].values()), k
             for i, inst in list(scan.items()):
-                if inst.problem_id == 3:  # witnessed by a far-apart pair (q, p)
-                    q = next((q for q in found if tv_distance(p, q) >= inst.d), None)
-                    hit = None if q is None else (q, p)
+                if inst.problem_id == 3:  # witnessed by a far-apart pair (q, this)
+                    apart = -(-inst.d.numerator * k // inst.d.denominator)
+                    q = next((q for q in found if _far(q[2], counts, apart)), None)
+                    hit = None if q is None else (q[:2], (xc, yc))
                 else:
-                    hit = (p,) if inst.holds(p, row_pay, col_pay) else None
+                    hit = ((xc, yc),) if inst.holds(x_side, row, col, unit) else None
                 if hit is not None:
-                    hit = tuple(_reverified(game, w, eps) for w in hit)
+                    hit = tuple(_scan_witness(game, *w, eps) for w in hit)
                     outcomes[i] = SearchOutcome(
                         answer="yes", witness=hit[0], checked_count=index + 1,
                         witness_pair=hit if inst.problem_id == 3 else None,
@@ -750,7 +750,7 @@ def decide_many(
             if not scan:
                 break
             if any(inst.problem_id == 3 for inst in scan.values()):
-                found.append(p)
+                found.append((xc, yc, counts))
         for i in scan:
             outcomes[i] = SearchOutcome(answer="unknown" if truncated else "no",
                                         checked_count=checked)

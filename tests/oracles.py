@@ -1,13 +1,14 @@
 """Independent oracles that only the tests use: the `.bgm` reader that
-parses line by line and the writer that formats cell by cell, the dot
-product, the matrix-vector product, its cleared integer lines, the regret
-report and rescaling computed cell by cell, profile distance and supports
-entry by entry, the gadget's certificate placed by row and column labels,
-the integer lines of a game cleared in full, the integer k-uniform scan
-candidate by candidate, every support pair sorted into the support walk's
-order, exact Gaussian elimination, the simplex on the full tableau, the
-exact equilibria of games up to 5x5, the grid eps-NE sweep, and the
-clause/variable free game and MAX-3SAT checked literal by literal.
+parses line by line and the writer that formats cell by cell, C's
+transpose, the dot product, the matrix-vector product, its cleared integer
+lines, the regret report and rescaling computed cell by cell, profile
+distance and supports entry by entry, the gadget's certificate placed by
+row and column labels, the integer lines of a game cleared in full, the
+integer k-uniform scan candidate by candidate, every support pair sorted
+into the support walk's order, exact Gaussian elimination, the simplex on
+the full tableau, the exact equilibria of games up to 5x5, the grid eps-NE
+sweep, and the clause/variable free game and MAX-3SAT checked literal by
+literal.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from negadget.provers import ProverStrategy, TwoProverGame
 from negadget.sat import Cnf3Formula, FreeGameBuild
 from negadget.search import (
     Multiset,
-    _eps_ne_scan,
+    _integer_scan,
     _multisets,
-    _reverified,
+    _scan_witness,
     _spread,
     k_uniform_strategies,
 )
@@ -107,6 +108,12 @@ def write_bgm_per_cell(game: BimatrixGame) -> str:
     return "\n".join(out) + "\n"
 
 
+def c_transposed(game: BimatrixGame) -> Matrix:
+    """C's columns as rows, read from the C view: the column player's payoff
+    lines, one per column."""
+    return tuple(zip(*game.C))
+
+
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     """u . v, one product per entry."""
     if len(u) != len(v):
@@ -129,7 +136,7 @@ def weighted_lines_per_cell(game: BimatrixGame,
                        for e in row])
     my, mx = (math.lcm(*[e.denominator for e in v]) for v in (p.y, p.x))
     return ([v * scale * my for v in mat_vec_per_cell(game.R, p.y)],
-            [v * scale * mx for v in mat_vec_per_cell(game.Ct, p.x)])
+            [v * scale * mx for v in mat_vec_per_cell(c_transposed(game), p.x)])
 
 
 def regret_report_per_cell(game: BimatrixGame, p: MixedProfile) -> RegretReport:
@@ -137,7 +144,7 @@ def regret_report_per_cell(game: BimatrixGame, p: MixedProfile) -> RegretReport:
     best and the worst-on-support payoff over every entry."""
     fields = {}
     for side, payoff, own, opp in (("row", game.R, p.x, p.y),
-                                   ("col", game.Ct, p.y, p.x)):
+                                   ("col", c_transposed(game), p.y, p.x)):
         vals = mat_vec_per_cell(payoff, opp)
         pay = sum((a * b for a, b in zip(own, vals)), Fraction(0))
         best = max(vals)
@@ -201,10 +208,10 @@ def completeness_certificate_per_label(
 
 
 def int_lines_per_cell(game: BimatrixGame) -> tuple[list, list, int]:
-    """(C's rows, R's columns, L), every line of ``games.cleared(R, Ct)``:
+    """(C's rows, R's columns, L), every line of ``games.cleared(R, C')``:
     the full-matrix reference for the lines `search._int_lines` builds on
     demand."""
-    r_int, ct_int, scale = cleared(game.R, game.Ct)
+    r_int, ct_int, scale = cleared(game.R, c_transposed(game))
     return [list(row) for row in zip(*ct_int)], [list(col) for col in zip(*r_int)], scale
 
 
@@ -372,7 +379,7 @@ def _support_ne(
     y = _indifferent(game.R, rows, cols)
     if y is None:
         return None
-    x = _indifferent(game.Ct, cols, rows)
+    x = _indifferent(c_transposed(game), cols, rows)
     if x is None:
         return None
     p = MixedProfile(x=_spread(game.rows, rows, x), y=_spread(game.cols, cols, y))
@@ -400,8 +407,8 @@ def grid_eps_ne(
     """All grid profiles (denominator ``grid``) with regret at most eps."""
     e = frac(eps)
     return [
-        _reverified(game, MixedProfile(x=x, y=y), e)
-        for _, x, y, _, _ in _eps_ne_scan(game, e, grid, math.inf)
+        _scan_witness(game, xc, yc, e)
+        for _, xc, yc, _, _ in _integer_scan(game, e, grid, math.inf)
     ]
 
 

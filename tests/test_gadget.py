@@ -295,7 +295,6 @@ def _assert_coded(game: BimatrixGame) -> None:
     c_rows, r_cols, scale = _int_lines(game)
     assert ([c_rows[i] for i in range(game.rows)],
             [r_cols[j] for j in range(game.cols)], scale) == int_lines_per_cell(game)
-    assert game.Ct == tuple(zip(*game.C))
     assert game == BimatrixGame(R=game.R, C=game.C, blocks=game.blocks)
 
 

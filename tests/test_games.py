@@ -453,7 +453,6 @@ def test_fresh_objects_match_the_per_cell_reference(drawn):
     assert len(game.palette) == game.rows * game.cols
     assert all(a is b for given, view in ((r, game.R), (c, game.C))
                for g_row, v_row in zip(given, view) for a, b in zip(g_row, v_row))
-    assert game.Ct == tuple(zip(*game.C))
     assert _lines(game, p) == weighted_lines_per_cell(game, p)
     assert regret_report(game, p) == regret_report_per_cell(game, p)
     again = parse_bgm(write_bgm(game))

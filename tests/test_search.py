@@ -51,6 +51,7 @@ from negadget.search import (
 )
 
 from oracles import (
+    c_transposed,
     dot,
     exhaustive_ne_oracle,
     grid_eps_ne,
@@ -59,6 +60,8 @@ from oracles import (
     pairs_in_order,
     simplex_full_tableau,
     solve_linear,
+    support_per_entry,
+    tv_distance_per_entry,
 )
 from test_golden import UNSAT_WIDE
 
@@ -736,9 +739,11 @@ class TestScanMatchesBruteForce:
         eps=st.sampled_from([F(0), F(1, 4), F(1, 2)]),
         budget=st.integers(1, 120),
         threshold=st.sampled_from([F(1, 4), F(1, 2), F(2, 3), F(1)]),
+        index_set=st.sets(st.integers(0, 2), min_size=1),
+        d=st.sampled_from([F(1, 2), F(2, 3), F(1)]),
     )
     def test_lmm_and_decide_agree_with_regret_report(
-        self, game, k, eps, budget, threshold
+        self, game, k, eps, budget, threshold, index_set, d
     ):
         hits, checked, truncated = _reference_hits(
             game, eps, k, _scan_budget(k, budget)
@@ -755,12 +760,16 @@ class TestScanMatchesBruteForce:
         else:
             assert (out.answer, out.witness) == (miss, None)
 
-        cap = min(threshold, F(2, 3))  # problem 4 needs p < 1
+        cap = min(threshold, F(2, 3))  # problems 4 and 6 need p, u < 1
+        rows = {r % game.rows for r in index_set}
         predicates = {
             1: ({"u": threshold},
                 lambda p, rep: min(rep.row_payoff, rep.col_payoff) >= threshold),
+            2: ({"index_set": rows},
+                lambda p, rep: set(support_per_entry(p.x)) <= rows),
             4: ({"p": cap}, lambda p, rep: max(p.x) <= cap),
             5: ({"v": threshold}, lambda p, rep: rep.welfare <= threshold),
+            6: ({"u": cap}, lambda p, rep: rep.row_payoff <= cap),
         }
         for pid, (param, holds) in predicates.items():
             inst = DecisionInstance(problem_id=pid, game=game, eps=eps, **param)
@@ -775,6 +784,23 @@ class TestScanMatchesBruteForce:
                 assert (out.answer, out.witness, out.checked_count) == (
                     "yes", p, index + 1
                 )
+
+        # Problem 3: the first hit with a far-apart earlier hit, paired
+        # with the first such earlier hit.  A d above 1/k leaves some
+        # earlier hits near, so the first far one is not just any.
+        out = decide(DecisionInstance(problem_id=3, game=game, eps=eps, d=d),
+                     k=k, budget=budget)
+        pair = next(((q, p, index) for j, (index, p, _) in enumerate(hits)
+                     for _, q, _ in hits[:j]
+                     if tv_distance_per_entry(q, p) >= d), None)
+        if pair is None:
+            assert (out.answer, out.witness_pair, out.checked_count) == (
+                miss, None, checked
+            )
+        else:
+            q, p, index = pair
+            assert (out.answer, out.witness, out.witness_pair,
+                    out.checked_count) == ("yes", q, (q, p), index + 1)
 
 
 @st.composite
@@ -806,7 +832,12 @@ class TestIntegerScanMatchesOracle:
     def test_scan_equals_regret_report_filter(self, case):
         game, eps, k, budget = case
         hits, _, _ = _reference_hits(game, eps, k, budget)
-        assert list(search._eps_ne_scan(game, eps, k, budget)) == [
+        unit = k * k * game.int_entries[2]
+        scanned = []
+        for index, xc, yc, row, col in search._integer_scan(game, eps, k, budget):
+            p = search._scan_witness(game, xc, yc, eps)
+            scanned.append((index, p.x, p.y, F(row, unit), F(col, unit)))
+        assert scanned == [
             (index, p.x, p.y, rep.row_payoff, rep.col_payoff)
             for index, p, rep in hits
         ]
@@ -843,10 +874,10 @@ class TestPrunedScanMatchesPerCandidate:
         c_rows, r_cols, scale = search._int_lines(game)
         assert ([c_rows[i] for i in range(game.rows)],
                 [r_cols[j] for j in range(game.cols)], scale) == int_lines_per_cell(game)
-        hits = search._integer_scan(game, search._int_lines(game), eps, k, budget)
+        hits = search._integer_scan(game, eps, k, budget)
         assert list(hits) == list(
             integer_scan_per_candidate(eps, k, budget,
-                                       *games.cleared(game.R, game.Ct)))
+                                       *games.cleared(game.R, c_transposed(game))))
 
     @pytest.mark.parametrize("m", range(1, 7))
     @pytest.mark.parametrize("k", range(1, 6))
@@ -964,6 +995,25 @@ class TestScanBudget:
         assert out.answer == "unknown"
         assert out.checked_count == 1000
         assert peak < 4 * 2**20, peak
+
+    def test_scan_memory_stays_flat_as_the_budget_grows_inside_one_x(self):
+        # Every candidate of an all-zero game is an exact NE, and none has
+        # payoff 1.  The first x holds C(301, 2) = 45,150 candidates, so each
+        # budget ends inside it, where no y is seen again.
+        zero = ((0,) * 300,) * 8
+        inst = DecisionInstance(problem_id=1, game=BimatrixGame(R=zero, C=zero),
+                                eps=0, u=1)
+        decide(inst, k=2, budget=10)  # the game's cached palette integers
+        peaks = []
+        for budget in (1000, 16000):
+            tracemalloc.start()
+            try:
+                out = decide(inst, k=2, budget=budget)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert (out.answer, out.checked_count) == ("unknown", budget)
+        assert peaks[1] <= peaks[0] + 2**12, peaks
 
     def test_k_above_budget_builds_no_candidate(self):
         # One candidate at k = 10**6 holds a million indices a side; at
@@ -1202,6 +1252,32 @@ class TestDecideMany:
         for hints in ([twin_cert, (twin_cert, twin_corner)],
                       [twin_cert, cert, (cert, twin_corner), (twin_cert, corner)]):
             assert decide_many(insts, k=nx, budget=50, hints=hints) == alone
+
+    def test_vectors_built_only_for_the_witness(self, monkeypatch):
+        # Every candidate of an all-zero game is an exact NE of payoffs 0:
+        # p1 (u = 1) fails every hit, p6 (u = 0) and p3 (d = 1) pass.
+        zero = ((0,) * 50,) * 8
+        game = BimatrixGame(R=zero, C=zero)
+        built = []
+        real = search._multiset_vector
+
+        def counted(n, combo):
+            built.append(n)
+            return real(n, combo)
+
+        monkeypatch.setattr(search, "_multiset_vector", counted)
+        p1 = DecisionInstance(problem_id=1, game=game, eps=0, u=1)
+        assert decide(p1, k=2, budget=500).answer == "unknown"
+        assert built == []
+        p6 = DecisionInstance(problem_id=6, game=game, eps=0, u=0)
+        out = decide(p6, k=2, budget=500)
+        assert (out.answer, out.checked_count) == ("yes", 1)
+        assert built == [8, 50]
+        built.clear()
+        p3 = DecisionInstance(problem_id=3, game=game, eps=0, d=1)
+        out = decide(p3, k=2, budget=500)
+        assert out.answer == "yes"
+        assert built == [8, 50, 8, 50]
 
     def test_instances_must_share_game_and_eps(self):
         p1 = DecisionInstance(problem_id=1, game=COORDINATION, eps=0, u=1)
