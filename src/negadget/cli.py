@@ -125,6 +125,14 @@ def cmd_forge(args: argparse.Namespace) -> int:
     raise GadgetError(f"unknown forge action {args.what!r}")
 
 
+def _parse_index_set(text: str) -> tuple[int, ...]:
+    """Comma-separated integer indices, such as `decide --set 0,2`."""
+    try:
+        return tuple(int(t) for t in text.split(",") if t)
+    except ValueError as exc:
+        raise FormatError(f"bad index set {text!r}") from exc
+
+
 def cmd_decide(args: argparse.Namespace) -> int:
     pid = int(args.problem.lstrip("p"))
     game = formats.parse_bgm(Path(args.game).read_text())
@@ -136,7 +144,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     if args.k_param is not None:
         kwargs["k"] = args.k_param
     if args.index_set is not None:
-        kwargs["index_set"] = formats._parse_index_set(args.index_set)
+        kwargs["index_set"] = _parse_index_set(args.index_set)
     eps = parse_rational(args.eps)
     inst = DecisionInstance(problem_id=pid, game=game, eps=eps, **kwargs)
     hints = []

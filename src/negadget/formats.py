@@ -67,14 +67,6 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(half)
 
 
-def _parse_index_set(text: str) -> tuple[int, ...]:
-    """Comma-separated integer indices, such as `decide --set 0,2`."""
-    try:
-        return tuple(int(t) for t in text.split(",") if t)
-    except ValueError as exc:
-        raise FormatError(f"bad index set {text!r}") from exc
-
-
 _CHUNK = 1 << 16  # characters of text split into lines at once
 
 

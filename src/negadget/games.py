@@ -10,17 +10,17 @@ holds at most PALETTE_LIMIT codes; coding one pair more raises
 `ResourceError`.  The code rows are the game's one copy of its cells; R and
 C are read-only views for the tests and callers, built on first use, and
 no library path builds one.  ``==`` and ``hash`` read one canonical form.
-``regret_report``, the exact oracle that the integer k-uniform scan of
-`negadget.search` is checked against, sums over integers too: it reads only
-the opponent's support lines (R's columns at y's support, sliced from the
-code rows per call, C's rows at x's support) through the palette cleared once,
-``int_entries``, weighted by each profile side cleared over its own LCM
-(``MixedProfile.sparse_x``/``sparse_y``), with ``weighted_lines``; only its
-seven results are Fractions.  Every integer kernel (that report, the scan,
-the support LPs and `game_value`) leaves `Fraction` through one helper,
-``cleared``; the report, the scan and the support LPs map the code lines
-they read through ``int_entries``, and the simplex takes their integer rows
-and reads no Fraction.
+Every integer kernel (the regret report, the k-uniform scan of
+`negadget.search`, the support LPs and `game_value`) leaves `Fraction`
+through one helper, ``cleared``, and ``int_entries`` is the palette cleared
+once.  ``int_lines`` is the one reader of a game's integer payoff lines
+(C's rows and R's columns, sliced from the code rows joined once per call):
+the scan and the support LPs build the lines they read through it, and
+``regret_report``, the exact oracle that the scan is checked against,
+streams the opponent's support lines from it through ``weighted_lines``,
+keeping none, weighted by each profile side cleared over its own LCM
+(``MixedProfile.sparse_x``/``sparse_y``); only its seven results are
+Fractions.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import add, mul
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
     FormatError,
@@ -135,23 +135,41 @@ def cleared(*matrices: Sequence[Sequence[Fraction]]) -> tuple:
               for m in matrices], scale)
 
 
-def weighted_lines(lines: Sequence[str], ints: dict[str, int], sparse: Sparse,
-                   columns: bool = False) -> list[int]:
+class IntLines(dict):
+    """Code line ``read(t)`` as integers, ``ints[code]`` per code: ``lines[t]``
+    builds it on first use and keeps it for the call that made the table;
+    `weighted_lines` streams lines through ``read`` and ``ints`` instead."""
+
+    def __init__(self, read: Callable[[int], str], ints: dict[str, int]) -> None:
+        self.read, self.ints = read, ints
+
+    def __missing__(self, t: int) -> list[int]:
+        line = self[t] = list(map(self.ints.__getitem__, self.read(t)))
+        return line
+
+
+def int_lines(game: BimatrixGame) -> tuple[IntLines, IntLines, int]:
+    """(C's rows L*C[i], R's columns L*R[:, j], L): the one reader of a
+    game's integer payoff lines, over the code rows joined once per call."""
+    r_ints, c_ints, scale = game.int_entries
+    joined, cols = "".join(game.codes), game.cols
+    return (IntLines(game.codes.__getitem__, c_ints),
+            IntLines(lambda j: joined[j::cols], r_ints), scale)
+
+
+def weighted_lines(lines: IntLines, sparse: Sparse) -> list[int]:
     """M * (sum over t of v_t * line t) for the vector v whose `MixedProfile`
-    side is ``sparse`` (support, weights, M), line t being ``lines[t]`` or,
-    with ``columns``, column t of the code rows ``lines``, sliced from them
-    joined for this call, read through ``ints``.  So (codes, L*R entries, y,
-    columns) gives L*M_y*(R @ y), and (codes, L*C entries, x) L*M_x*(x @ C).
-    One weight's lines are summed first, then multiplied once; all C-level."""
-    if columns:
-        joined, cols = "".join(lines), len(lines[0])
-        lines = {j: joined[j::cols] for j in sparse[0]}
+    side is ``sparse`` (support, weights, M), streaming each line from its
+    code slice: so (R's columns, y) gives L*M_y*(R @ y), and (C's rows, x)
+    L*M_x*(x @ C).  One weight's lines are summed first, then multiplied
+    once; all C-level."""
+    read, ints = lines.read, lines.ints
     by_weight: dict[int, list[int]] = {}
     for t, w in zip(*sparse[:2]):
         by_weight.setdefault(w, []).append(t)
     total = None
     for w, members in by_weight.items():
-        summed = map(sum, zip(*[map(ints.__getitem__, lines[t]) for t in members]))
+        summed = map(sum, zip(*[map(ints.__getitem__, read(t)) for t in members]))
         if w != 1:
             summed = map(w.__mul__, summed)
         total = list(summed) if total is None else list(map(add, total, summed))
@@ -368,13 +386,12 @@ def _check_shapes(game: BimatrixGame, p: MixedProfile) -> None:
         )
 
 
-def _side(lines: Sequence[str], ints: dict[str, int], own: Sparse, opp: Sparse,
-          columns: bool = False) -> tuple[int, int, int]:
+def _side(lines: IntLines, own: Sparse, opp: Sparse) -> tuple[int, int, int]:
     """(payoff, best pure payoff, worst payoff on the support) of the player
-    with payoff lines ``lines`` over ``ints`` playing ``own`` against ``opp``,
-    the payoff over L*M_own*M_opp and the others over L*M_opp: (codes, L*R
-    entries, x, y, True) for the rows, (codes, L*C entries, y, x) for the columns."""
-    vals = weighted_lines(lines, ints, opp, columns)
+    with payoff lines ``lines`` playing ``own`` against ``opp``, the payoff
+    over L*M_own*M_opp and the others over L*M_opp: (R's columns, x, y) for
+    the rows, (C's rows, y, x) for the columns."""
+    vals = weighted_lines(lines, opp)
     support, weights, _ = own
     on_support = list(map(vals.__getitem__, support))
     return sum(map(mul, weights, on_support)), max(vals), min(on_support)
@@ -389,10 +406,10 @@ def regret_report(game: BimatrixGame, p: MixedProfile) -> RegretReport:
     only the seven results are Fractions.
     """
     _check_shapes(game, p)
-    r_ints, c_ints, scale = game.int_entries
+    c_rows, r_cols, scale = int_lines(game)
     mx, my = p.sparse_x[2], p.sparse_y[2]
-    row_pay, row_best, row_worst = _side(game.codes, r_ints, p.sparse_x, p.sparse_y, True)
-    col_pay, col_best, col_worst = _side(game.codes, c_ints, p.sparse_y, p.sparse_x)
+    row_pay, row_best, row_worst = _side(r_cols, p.sparse_x, p.sparse_y)
+    col_pay, col_best, col_worst = _side(c_rows, p.sparse_y, p.sparse_x)
     unit = scale * mx * my
     return RegretReport(
         row_regret=Fraction(row_best * mx - row_pay, unit),

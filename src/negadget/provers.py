@@ -19,9 +19,8 @@ from .errors import (
     ValidationError,
     count_text,
 )
-from .games import (
-    BimatrixGame, Matrix, MixedProfile, Vector, cleared, frac, vector, weighted_lines
-)
+from .games import (BimatrixGame, Matrix, MixedProfile, Vector, cleared, frac,
+                     int_lines, vector, weighted_lines)
 
 # V is stored as a nested tuple: V[x][y][a][b] in {0, 1}.
 VTable = tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
@@ -249,11 +248,11 @@ def induced_two_prover(
 
     # Canonicalize rows against the original column profile, then columns
     # against the updated row profile, on integer payoffs.
-    r_ints, c_ints, _ = game.int_entries
-    row_pays = weighted_lines(game.codes, r_ints, p.sparse_y, columns=True)
+    c_rows, r_cols, _ = int_lines(game)
+    row_pays = weighted_lines(r_cols, p.sparse_y)
     x_mass, sx = _canonical_side(p.x[r0:r1], row_pays[r0:r1], f.x_answers)
     x_vec = p.x[:r0] + tuple(m for row in x_mass for m in row) + p.x[r1:]
-    col_pays = weighted_lines(game.codes, c_ints, MixedProfile(x=x_vec, y=p.y).sparse_x)
+    col_pays = weighted_lines(c_rows, MixedProfile(x=x_vec, y=p.y).sparse_x)
     y_mass, sy = _canonical_side(p.y[c0:c1], col_pays[c0:c1], f.y_answers)
 
     x_marginal = tuple(sum(row, Fraction(0)) for row in x_mass)

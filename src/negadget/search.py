@@ -19,12 +19,14 @@ from .errors import (
 )
 from .games import (
     BimatrixGame,
+    IntLines,
     MixedProfile,
     Rational,
     RegretReport,
     Vector,
     check_count,
     frac,
+    int_lines,
     is_eps_ne,
     regret_report,
     tv_distance,
@@ -314,7 +316,7 @@ def _scan_size(game: BimatrixGame, k: int, budget: int) -> tuple[int, bool]:
 
 
 def _integer_scan(
-    game: BimatrixGame, eps: Fraction, k: int, budget: float
+    game: BimatrixGame, eps: Fraction, k: int, budget: int
 ) -> Iterator[tuple[int, Multiset, Multiset, int, int]]:
     """Stream the k-uniform eps-NE among the first ``budget`` candidates.
 
@@ -337,12 +339,13 @@ def _integer_scan(
     inside the budget, and rank(y) once per y that passes both.  The scan
     stops at the first x past the budget, and inside the x where the budget
     ends it ranks each y before building anything for it, so no line
-    (`_int_lines`) outside the budget is built.  R @ y is kept for later x's
-    only outside that x: at most min(budget, C(m+k-1, k)) lines are kept.
+    (`int_lines`) outside the budget is built, and a hit there reuses that
+    rank.  R @ y is kept for later x's only outside that x: at most
+    min(budget, C(m+k-1, k)) lines are kept.
     """
     if budget < 1:
         return
-    c_rows, r_cols, scale = _int_lines(game)
+    c_rows, r_cols, scale = int_lines(game)
     unit = k * k * scale
     slack = eps.numerator * unit // eps.denominator
     m = game.cols
@@ -359,7 +362,7 @@ def _integer_scan(
         allowed = [j for j, v in enumerate(col_vals) if top - v <= slack]
         col_least = k * top - slack
         for yc in itertools.combinations_with_replacement(allowed, k):
-            if cut and base + _multiset_rank(yc, m) >= budget:
+            if cut and base + (rank := _multiset_rank(yc, m)) >= budget:
                 return
             if (col_pay := sum(map(col_vals.__getitem__, yc))) < col_least:
                 continue
@@ -369,34 +372,14 @@ def _integer_scan(
                 entry = [row_vals, k * max(row_vals) - slack, None]
                 if not cut:  # no later x reads the entries of the last one
                     rows_of[yc] = entry
-            row_vals, row_least, rank = entry
+            row_vals, row_least, known = entry
             if (row_pay := sum(map(row_vals.__getitem__, xc))) >= row_least:
-                if rank is None:
-                    rank = entry[2] = _multiset_rank(yc, m)
-                yield base + rank, xc, yc, row_pay, col_pay
+                if not cut and known is None:
+                    known = entry[2] = _multiset_rank(yc, m)
+                yield base + (rank if cut else known), xc, yc, row_pay, col_pay
 
 
-class _IntLines(dict):
-    """Code line ``read(t)`` as integers, ``ints[code]`` per code, built on
-    first use and kept for the call that made the table."""
-
-    def __init__(self, read: Callable[[int], str], ints: dict[str, int]) -> None:
-        self.read, self.ints = read, ints
-
-    def __missing__(self, t: int) -> list[int]:
-        line = self[t] = list(map(self.ints.__getitem__, self.read(t)))
-        return line
-
-
-def _int_lines(game: BimatrixGame) -> tuple[_IntLines, _IntLines, int]:
-    """(C's rows L*C[i], R's columns L*R[:, j], L), each line built on first use."""
-    r_ints, c_ints, scale = game.int_entries
-    joined, cols = "".join(game.codes), game.cols  # column j is joined[j::cols]
-    return (_IntLines(game.codes.__getitem__, c_ints),
-            _IntLines(lambda j: joined[j::cols], r_ints), scale)
-
-
-def _summed(lines: _IntLines, members: Multiset) -> list[int]:
+def _summed(lines: IntLines, members: Multiset) -> list[int]:
     """The entrywise sum of ``lines[t]`` over the multiset ``members``, one
     C-level map per further member; the result may be ``lines[t]`` itself."""
     total = lines[members[0]]
@@ -476,12 +459,12 @@ def wsne_support_feasible(
         raise ValidationError("supports must be nonempty")
     if min(rows + cols) < 0 or rows[-1] >= game.rows or cols[-1] >= game.cols:
         raise ValidationError(f"supports {rows}/{cols} out of the game's range")
-    return _pair_witness(game, _int_lines(game), rows, cols, e, strict)[0]
+    return _pair_witness(game, int_lines(game), rows, cols, e, strict)[0]
 
 
 def _pair_witness(
     game: BimatrixGame,
-    lines: tuple[_IntLines, _IntLines, int],
+    lines: tuple[IntLines, IntLines, int],
     rows: Support,
     cols: Support,
     eps: Fraction,
@@ -490,7 +473,7 @@ def _pair_witness(
     """(the support pair's witness or None, whether its row side is
     feasible): the row-side LP for y on R's columns in ``cols``, then, only
     if that side is feasible, the column-side LP for x on C's rows in
-    ``rows``.  ``lines`` is the game's `_int_lines`."""
+    ``rows``.  ``lines`` is the game's `int_lines`."""
     c_rows, r_cols, scale = lines
     y = _one_side_feasible([r_cols[j] for j in cols], rows, eps, scale, strict)
     if y is None:
@@ -620,7 +603,7 @@ def _support_pairs(
     total = (2 ** n - 1) * (2 ** m - 1)
     if total > budget:
         raise ResourceError(f"{count_text(total)} support pairs exceed budget {budget}")
-    lines = _int_lines(game)
+    lines = int_lines(game)
     row_dead, col_dead = set(), set()  # one total size's infeasible sides
     for size in range(least_size, n + m + 1):
         # `product` takes its combinations now: each stream keeps its own r.

@@ -1,0 +1,214 @@
+"""Same-answers digest: one sha256 per layer over a fixed, seeded corpus.
+
+    PYTHONPATH=src python tests/digest.py           # the full corpus
+    PYTHONPATH=src python tests/digest.py --quick   # the subset test_digest pins
+
+The layers are `regret_report`, `induced_two_prover`, `lmm_best_welfare`,
+`decide_many` (p1-p10: answer, witness, witness pair, checked count) and
+`enumerate_wsne_supports` (weak and strict).  Each layer's results are
+written as plain lists of ints and strings, every rational through
+`formats.format_rational`, and hashed as JSON, so a field added to a result
+type changes no digest.  The script reads only the standard library and
+public `negadget` names, so one copy of it runs on two revisions and shows
+whether they give the same answers, witnesses and lowest-index tie-breaks.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from fractions import Fraction
+
+from negadget import corpus, gadget, sat
+from negadget.formats import format_rational
+from negadget.games import BimatrixGame, MixedProfile, regret_report
+from negadget.provers import induced_two_prover
+from negadget.search import (
+    DecisionInstance, decide_many, enumerate_wsne_supports, lmm_best_welfare
+)
+
+F = Fraction
+EPS_STAR = F(31, 250)
+# Primes up to about 10**12, so that weights over them have coprime
+# denominators and a side's LCM grows to a product of several of them.
+PRIMES = (3, 7, 101, 1000003, 998244353, 1000000007, 2147483647, 4294967291,
+          9999999967, 99999999977, 999999999959, 999999999989, 1000000000039)
+PLANTED_SEEDS = (777, 90210)
+# (k, eps) of each `lmm_best_welfare` call on a planted 4x4 game.
+PLANTED_SETTINGS = ((1, F(0)), (2, F(0)), (3, F(0)), (4, F(0)), (2, F(1, 2)))
+
+
+def rationals(values) -> list[str]:
+    return [format_rational(v) for v in values]
+
+
+def profile(p: MixedProfile | None) -> list | None:
+    return None if p is None else [rationals(p.x), rationals(p.y)]
+
+
+def prime_profile(rng: random.Random, rows: int, cols: int) -> MixedProfile:
+    """A profile whose positive weights are a/p normalized, p a prime above,
+    each side with at least one positive weight."""
+    def side(n: int) -> tuple[Fraction, ...]:
+        raw = [F(0) if rng.random() < 0.3 else F(rng.randint(1, 10**12),
+                                                  rng.choice(PRIMES))
+               for _ in range(n)]
+        raw[rng.randrange(n)] = F(rng.randint(1, 10**12), rng.choice(PRIMES))
+        return tuple(w / sum(raw) for w in raw)
+
+    return MixedProfile(x=side(rows), y=side(cols))
+
+
+def seeded_games(seed: int, count: int, rows: int, cols: int) -> list:
+    """``count`` random games up to rows x cols, their entries on grids of
+    2, 3 or 8 steps, so that equal payoffs and ties recur."""
+    rng = random.Random(seed)
+    return [corpus.random_game(rng, rng.randint(1, rows), rng.randint(1, cols),
+                               rng.choice((2, 3, 8)))
+            for _ in range(count)]
+
+
+def reductions(quick: bool) -> list:
+    """(free game, G, G_s, G', G'', certificate) per satisfiable fixture."""
+    params = gadget.derive_params(EPS_STAR)
+    out = []
+    for name, formula in corpus.satisfiable_fixtures().items():
+        if quick and name not in ("single", "seven-of-eight"):
+            continue
+        partition = sat.partition_bipartite(sat.incidence_graph(formula),
+                                            sat.formula_degree(formula))
+        build = sat.build_clause_variable_free_game(formula, partition)
+        gg = gadget.build_hardness_game(build.game, params)
+        s1, s2 = sat.winning_strategies(build, sat.best_assignment(formula))
+        cert = gadget.completeness_certificate(build.game, s1, s2, gg)
+        gs = gadget.rescale_game(gg)
+        gp = gadget.extend_gprime(gs, params.eps_star)
+        out.append((build.game, gg.game, gs, gp, gadget.extend_gdoubleprime(gp),
+                    cert))
+    return out
+
+
+def capped_games() -> list:
+    """The six capped G'/G'' games: each capped base game extended once
+    and twice."""
+    out = []
+    for base in corpus.capped_base_games().values():
+        gp = gadget.extend_gprime(base, EPS_STAR)
+        out += [gp, gadget.extend_gdoubleprime(gp)]
+    return out
+
+
+def regret_layer(quick: bool, built: list) -> list:
+    rng = random.Random(1)
+    pairs = []
+    for free, g, gs, gp, gdp, cert in built:
+        pairs += [(g, cert), (gs, cert), (gp, gadget.extend_profile(cert, 1, 1)),
+                  (gdp, gadget.gdoubleprime_wsne_witness(cert, gdp))]
+        pairs += [(game, prime_profile(rng, game.rows, game.cols))
+                  for game in (g, gs, gp) for _ in range(2)]
+    for game in seeded_games(2, 60 if quick else 300, 4, 5):
+        pairs += [(game, prime_profile(rng, game.rows, game.cols)),
+                  (game, corpus.random_profile(rng, game.rows, game.cols))]
+    out = []
+    for game, p in pairs:
+        rep = regret_report(game, p)
+        out.append(rationals([rep.row_regret, rep.col_regret, rep.row_pure_regret,
+                              rep.col_pure_regret, rep.row_payoff, rep.col_payoff,
+                              rep.welfare]))
+    return out
+
+
+def induced_layer(quick: bool, built: list) -> list:
+    rng = random.Random(3)
+    out = []
+    for free, g, gs, gp, gdp, cert in built:
+        for game, p in [(g, cert), (gp, gadget.extend_profile(cert, 1, 1))] + [
+                (game, prime_profile(rng, game.rows, game.cols))
+                for game in (g, gs) for _ in range(1 if quick else 4)]:
+            res = induced_two_prover(free, game, p)
+            out.append([list(res.s_x.answers), list(res.s_y.answers),
+                        rationals(res.x_marginal), rationals(res.y_marginal),
+                        [rationals(row) for row in res.game.dist]])
+    return out
+
+
+def lmm_layer(quick: bool) -> list:
+    calls = []
+    for seed in PLANTED_SEEDS:
+        rng = random.Random(seed)
+        planted = [corpus.random_planted_game(rng, 4, 4) for _ in range(50)]
+        calls += [(game, eps, k, 2**22) for game in planted[:5 if quick else 50]
+                  for k, eps in PLANTED_SETTINGS]
+    # Two pure NE of welfare 1 below the ceiling 3/2 of cell (2, 2), which
+    # row 0 beats: a scan must keep the first of equal maxima.
+    h = F(1, 2)
+    tied = BimatrixGame(R=((h, 0, 1), (0, h, 0), (0, 0, F(3, 4))),
+                        C=((h, 0, 0), (0, h, 0), (0, 0, F(3, 4))))
+    calls += [(tied, eps, k, 2**22) for k in (1, 2, 3) for eps in (F(0), F(1, 4))]
+    # Games without a planted ceiling, with ties between welfares, and
+    # budgets that cut the scan.
+    rng = random.Random(4)
+    for game in seeded_games(5, 100 if quick else 400, 3, 4):
+        calls.append((game, rng.choice((F(0), F(1, 4), F(1, 2))), rng.randint(1, 3),
+                      rng.choice((7, 60, 2**22))))
+    out = []
+    for game, eps, k, budget in calls:
+        o = lmm_best_welfare(game, eps, k, budget)
+        out.append([o.answer, profile(o.witness), o.checked_count])
+    return out
+
+
+def instances(rng: random.Random, game, eps: Fraction) -> list:
+    """p1-p10 on one game at one eps, each parameter drawn from a few."""
+    index_set = tuple(rng.sample(range(game.rows), rng.randint(1, game.rows)))
+    params = [("u", (F(1, 4), F(1, 2), F(3, 4), F(1))), ("index_set", (index_set,)),
+              ("d", (F(1, 4), F(1, 2), F(1))), ("p", (F(1, 3), F(1, 2), F(3, 4))),
+              ("v", (F(1, 2), F(1), F(3, 2))), ("u", (F(0), F(1, 4), F(1, 2))),
+              ("k", (1, 2, 3)), ("k", (1, 2)), ("k", (1, 2, 3)),
+              ("index_set", (index_set,))]
+    return [DecisionInstance(problem_id=pid, game=game, eps=eps,
+                             **{name: rng.choice(values)})
+            for pid, (name, values) in enumerate(params, 1)]
+
+
+def decide_layer(quick: bool) -> list:
+    rng = random.Random(6)
+    runs = [(game, EPS_STAR, 2, 2000) for game in capped_games()]
+    for game in seeded_games(7, 40 if quick else 200, 4, 5):
+        runs.append((game, rng.choice((F(0), F(1, 8), F(1, 4), F(1, 2))),
+                     rng.randint(1, 3), rng.choice((3, 10, 40, 400, 5000))))
+    out = []
+    for game, eps, k, budget in runs:
+        for o in decide_many(instances(rng, game, eps), k, budget):
+            pair = o.witness_pair and list(map(profile, o.witness_pair))
+            out.append([o.answer, profile(o.witness), pair, o.checked_count])
+    return out
+
+
+def wsne_layer(quick: bool) -> list:
+    rng = random.Random(8)
+    runs = [(game, EPS_STAR) for game in capped_games()
+            if max(game.rows, game.cols) <= 3]
+    runs += [(game, rng.choice((F(0), F(1, 8), F(1, 4))))
+             for game in seeded_games(9, 30 if quick else 150, 3, 3)]
+    return [[list(map(profile, enumerate_wsne_supports(game, eps, strict=strict)))
+             for strict in (False, True)] for game, eps in runs]
+
+
+def digests(quick: bool = False) -> dict[str, str]:
+    """Each layer's name and the sha256 of its results, in a fixed order."""
+    built = reductions(quick)
+    layers = {"regret_report": regret_layer(quick, built),
+              "induced_two_prover": induced_layer(quick, built),
+              "lmm_best_welfare": lmm_layer(quick),
+              "decide_many": decide_layer(quick),
+              "enumerate_wsne_supports": wsne_layer(quick)}
+    return {name: hashlib.sha256(json.dumps(records).encode()).hexdigest()
+            for name, records in layers.items()}
+
+
+if __name__ == "__main__":
+    for name, digest in digests(quick="--quick" in sys.argv[1:]).items():
+        print(f"{name:24} {digest}")

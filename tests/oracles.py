@@ -209,7 +209,7 @@ def completeness_certificate_per_label(
 
 def int_lines_per_cell(game: BimatrixGame) -> tuple[list, list, int]:
     """(C's rows, R's columns, L), every line of ``games.cleared(R, C')``:
-    the full-matrix reference for the lines `search._int_lines` builds on
+    the full-matrix reference for the lines `games.int_lines` builds on
     demand."""
     r_int, ct_int, scale = cleared(game.R, c_transposed(game))
     return [list(row) for row in zip(*ct_int)], [list(col) for col in zip(*r_int)], scale

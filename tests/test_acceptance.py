@@ -32,6 +32,7 @@ from negadget.gadget import (
 )
 from negadget.games import (
     affine_rescale,
+    int_lines,
     is_eps_ne,
     is_eps_wsne,
     regret_report,
@@ -176,8 +177,8 @@ def test_criterion_4_d1_row_flatness():
         gg = build_hardness_game(build.game, params)
         s1, s2 = winning_strategies(build, best_assignment(formula))
         cert = completeness_certificate(build.game, s1, s2, gg)
-        r_ints, _, scale = gg.game.int_entries
-        row_vals = weighted_lines(gg.game.codes, r_ints, cert.sparse_y, columns=True)
+        _, r_cols, scale = int_lines(gg.game)
+        row_vals = weighted_lines(r_cols, cert.sparse_y)
         _, d0, d1_, _, _ = gg.game.block("D1")
         if any(row_vals[i] != expected * scale * cert.sparse_y[2]
                for i in range(d0, d1_)):

@@ -1,0 +1,19 @@
+"""The quick same-answers digest of `tests/digest.py`, pinned.
+
+A digest changes only when an answer, a witness, a tie-break or a count is
+meant to change, and the change then says why, as for the golden hashes.
+"""
+
+from digest import digests
+
+QUICK = {
+    "regret_report": "7a278e397633dc6f385033310a3f3e4b8ac2401d52cdef816b66f9f91df1c1df",
+    "induced_two_prover": "9e7eb34afd2ea91a8a81b243b158874b699e7164322046d5a13a97435ac1588f",
+    "lmm_best_welfare": "6e388a125721858c5d0147c67b7b4a968cf74da8f346fbf506a68d0a9ffa7172",
+    "decide_many": "a7fd2e3d4ec987fde003cc5c6249be79d1c58ca29bc25bd1b812ac3af088569a",
+    "enumerate_wsne_supports": "6e793b0bee6351f69c942c2de215e89902d0dc2f6c9d15b93f1b98c957abf3db",
+}
+
+
+def test_quick_digests_are_pinned():
+    assert digests(quick=True) == QUICK

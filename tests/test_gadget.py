@@ -36,6 +36,7 @@ from negadget.games import (
     BimatrixGame,
     MixedProfile,
     affine_rescale,
+    int_lines,
     is_eps_ne,
     is_eps_wsne,
     pure_profile,
@@ -50,7 +51,7 @@ from negadget.provers import (
     prover_payoff,
     uniformity_gap,
 )
-from negadget.search import _int_lines, enumerate_wsne_supports
+from negadget.search import enumerate_wsne_supports
 
 from oracles import (
     affine_rescale_per_cell,
@@ -292,7 +293,7 @@ def _assert_coded(game: BimatrixGame) -> None:
     """Every palette pair occurs in a cell, and the palette readers agree
     with the same reads of the views."""
     assert set("".join(game.codes)) == set(map(chr, range(len(game.palette))))
-    c_rows, r_cols, scale = _int_lines(game)
+    c_rows, r_cols, scale = int_lines(game)
     assert ([c_rows[i] for i in range(game.rows)],
             [r_cols[j] for j in range(game.cols)], scale) == int_lines_per_cell(game)
     assert game == BimatrixGame(R=game.R, C=game.C, blocks=game.blocks)
@@ -338,9 +339,8 @@ class TestCodedGames:
         label, game = data.draw(st.sampled_from(fixture_games))
         p = MixedProfile(x=data.draw(_sparse_shared_weights(game.rows)),
                          y=data.draw(_sparse_shared_weights(game.cols)))
-        r_ints, c_ints, _ = game.int_entries
-        assert (weighted_lines(game.codes, r_ints, p.sparse_y, columns=True),
-                weighted_lines(game.codes, c_ints, p.sparse_x)
+        c_rows, r_cols, _ = int_lines(game)
+        assert (weighted_lines(r_cols, p.sparse_y), weighted_lines(c_rows, p.sparse_x)
                 ) == weighted_lines_per_cell(game, p)
         assert regret_report(game, p) == regret_report_per_cell(game, p), label
 
@@ -404,8 +404,8 @@ class TestCertificate:
         expected = F(2) / (1 + 4 * params.g * params.delta_star)
         for b in sat_builds.values():
             game = b.gadget.game
-            r_ints, _, scale = game.int_entries
-            row_vals = weighted_lines(game.codes, r_ints, b.cert.sparse_y, columns=True)
+            _, r_cols, scale = int_lines(game)
+            row_vals = weighted_lines(r_cols, b.cert.sparse_y)
             _, d0, d1_, _, _ = game.block("D1")
             for i in range(d0, d1_):
                 assert row_vals[i] == expected * scale * b.cert.sparse_y[2]
@@ -504,8 +504,8 @@ class TestSoundnessChainProperties:
         covering = [d0 + t for t, half in enumerate(half_subsets(free.ny))
                     if half[question]]
         assert covering == [i for i in range(d0, d1_) if game.R[i][0] != 0]
-        r_ints, _, scale = game.int_entries
-        row_vals = weighted_lines(game.codes, r_ints, p.sparse_y, columns=True)
+        _, r_cols, scale = int_lines(game)
+        row_vals = weighted_lines(r_cols, p.sparse_y)
         assert max(row_vals[i] for i in covering) >= 2 * scale * p.sparse_y[2]
         assert not is_eps_ne(game, p, eps)
 

@@ -28,6 +28,7 @@ from negadget.games import (
     affine_rescale,
     cleared,
     frac,
+    int_lines,
     is_eps_ne,
     is_eps_wsne,
     pure_profile,
@@ -460,11 +461,10 @@ def test_fresh_objects_match_the_per_cell_reference(drawn):
 
 
 def _lines(game: BimatrixGame, p: MixedProfile) -> tuple[list[int], list[int]]:
-    """`weighted_lines` on both sides of p: R's columns at y's support, read
-    from the code rows, and C's rows at x's support, read from codes."""
-    r_ints, c_ints, _ = game.int_entries
-    return (weighted_lines(game.codes, r_ints, p.sparse_y, columns=True),
-            weighted_lines(game.codes, c_ints, p.sparse_x))
+    """`weighted_lines` on both sides of p: R's columns at y's support and
+    C's rows at x's support, both read through `int_lines`."""
+    c_rows, r_cols, _ = int_lines(game)
+    return weighted_lines(r_cols, p.sparse_y), weighted_lines(c_rows, p.sparse_x)
 
 
 # Primes up to about 10**12, so that entries and weights over them have

@@ -14,7 +14,7 @@ from negadget.errors import (
     ShapeError,
     ValidationError,
 )
-from negadget.games import MixedProfile
+from negadget.games import IntLines, MixedProfile, regret_report
 from negadget.provers import (
     ProverStrategy,
     TwoProverGame,
@@ -335,3 +335,24 @@ class TestInducedGame:
         p = MixedProfile(x=tuple(x), y=b.cert.y)
         result = induced_two_prover(b.build.game, game, p)
         assert sum(result.x_marginal) == F(1, 2)
+
+    def test_reports_stream_their_lines(self, single_build, monkeypatch):
+        # The report and the induced game read each support line once, as a
+        # stream over its code slice; neither keeps a line as an int list,
+        # not even when the profile's support is every row and column.
+        b = single_build
+        game = b.gadget.game
+        kept = []
+        real = IntLines.__missing__
+
+        def spy(lines, t):
+            kept.append(t)
+            return real(lines, t)
+
+        monkeypatch.setattr(IntLines, "__missing__", spy)
+        uniform = MixedProfile(x=(F(1, game.rows),) * game.rows,
+                               y=(F(1, game.cols),) * game.cols)
+        for p in (b.cert, uniform):
+            regret_report(game, p)
+            induced_two_prover(b.build.game, game, p)
+        assert kept == []

@@ -86,16 +86,16 @@ def solve_with_pivots(c, a_ub, b_ub):
 
 
 def spy_int_lines(monkeypatch, game):
-    """The integer lines of ``game`` that `search._IntLines` builds, in
+    """The integer lines of ``game`` that `games.IntLines` builds, in
     order, as ("C row", i) or ("R col", j)."""
     built = []
-    real = search._IntLines.__missing__
+    real = games.IntLines.__missing__
 
     def spy(lines, t):
         built.append(("C row" if lines.ints is game.int_entries[1] else "R col", t))
         return real(lines, t)
 
-    monkeypatch.setattr(search._IntLines, "__missing__", spy)
+    monkeypatch.setattr(games.IntLines, "__missing__", spy)
     return built
 
 
@@ -871,7 +871,7 @@ class TestPrunedScanMatchesPerCandidate:
         # The scan reads lines built on demand; the oracle takes the full
         # matrices cleared over the same L.
         game, eps, k, budget = case
-        c_rows, r_cols, scale = search._int_lines(game)
+        c_rows, r_cols, scale = games.int_lines(game)
         assert ([c_rows[i] for i in range(game.rows)],
                 [r_cols[j] for j in range(game.cols)], scale) == int_lines_per_cell(game)
         hits = search._integer_scan(game, eps, k, budget)
@@ -1014,6 +1014,24 @@ class TestScanBudget:
                 tracemalloc.stop()
             assert (out.answer, out.checked_count) == ("unknown", budget)
         assert peaks[1] <= peaks[0] + 2**12, peaks
+
+    def test_scan_ranks_each_y_once_where_the_budget_ends(self, monkeypatch):
+        # The budget ends inside the first x, so each of its 2,000 hits was
+        # ranked by the budget check, and the 2,001st y is ranked to stop.
+        zero = ((0,) * 300,) * 8
+        inst = DecisionInstance(problem_id=1, game=BimatrixGame(R=zero, C=zero),
+                                eps=0, u=1)
+        calls = []
+        real = search._multiset_rank
+
+        def spy(c, m):
+            calls.append(c)
+            return real(c, m)
+
+        monkeypatch.setattr(search, "_multiset_rank", spy)
+        out = decide(inst, k=2, budget=2000)
+        assert (out.answer, out.checked_count) == ("unknown", 2000)
+        assert len(calls) == 2001
 
     def test_k_above_budget_builds_no_candidate(self):
         # One candidate at k = 10**6 holds a million indices a side; at
