@@ -46,6 +46,7 @@ from .games import (
     Rational,
     add_pair,
     affine_rescale,
+    check_count,
     frac,
     regret_report,
 )
@@ -113,6 +114,7 @@ def derive_params(eps_star: Rational) -> ReductionParams:
 
 def half_subsets(q: int, cap: int = HALF_CAP_DEFAULT) -> Halves:
     """All 0/1 vectors of length q with q/2 ones, descending lexicographic."""
+    check_count(cap, "cap")
     if q < 2 or q % 2 != 0:
         raise ParameterError(f"question count must be even and >= 2, got {q}")
     count = comb(q, q // 2)
@@ -149,6 +151,7 @@ def build_hardness_game(
     `build_clause_variable_free_game` always emits even sides.  A G of
     more than ``CELL_CAP`` cells raises ``ResourceError`` before it is built.
     """
+    check_count(half_cap, "half_cap")
     if not f.is_free:
         raise PreconditionError("the base game must be free (uniform product)")
     rows = sum(f.x_answers) + comb(f.ny, f.ny // 2)

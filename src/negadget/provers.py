@@ -19,8 +19,8 @@ from .errors import (
     ValidationError,
     count_text,
 )
-from .games import (BimatrixGame, Matrix, MixedProfile, Vector, cleared, frac,
-                     int_lines, vector, weighted_lines)
+from .games import (BimatrixGame, Matrix, MixedProfile, Sparse, Vector, check_count,
+                     cleared, frac, int_lines, vector, weighted_lines)
 
 # V is stored as a nested tuple: V[x][y][a][b] in {0, 1}.
 VTable = tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
@@ -146,6 +146,7 @@ def game_value(t: TwoProverGame, budget: int = VALUE_BUDGET_DEFAULT) -> Fraction
     the value reaches the weight of the question pairs that some answer
     pair wins, an exact upper bound.
     """
+    check_count(budget, "budget")
     s1_count, s2_count = t.strategy_counts()
     if s1_count * s2_count > budget:
         raise ResourceError(
@@ -187,42 +188,22 @@ class InducedGameResult:
 
 
 def _canonical_side(
-    mass: Vector, payoffs: list[int], counts: tuple[int, ...]
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Shift each question's mass onto its weakly-best answer.
-
-    ``mass`` and ``payoffs`` are question-major, ``counts[q]`` answers for
-    question q: each (question, answer)'s probability and that pure
-    strategy's expected payoff, on any positive scale.  Ties go to the
-    lowest answer index, and zero-mass questions get answer 0.
-    """
-    out: list[list[Fraction]] = []
-    chosen: list[int] = []
-    for per_answer, pays in zip(_by_question(mass, counts),
-                                _by_question(payoffs, counts)):
-        total = sum(per_answer, Fraction(0))
-        row = [Fraction(0)] * len(per_answer)
-        if total > 0:
-            # Best only among the answers actually carrying probability;
-            # ties go to the lowest answer index.
-            candidates = [a for a, m in enumerate(per_answer) if m > 0]
-            best = max(pays[a] for a in candidates)
-            a = next(a for a in candidates if pays[a] == best)
-            row[a] = total
-        else:
-            a = 0
-        out.append(row)
-        chosen.append(a)
-    return out, chosen
-
-
-def _by_question(flat: Vector | list[int], counts: tuple[int, ...]) -> list[list]:
-    """Split a question-major flat vector into one list per question."""
-    out, start = [], 0
+    sparse: Sparse, pays: list[int], counts: tuple[int, ...], start: int
+) -> tuple[list[int], list[int]]:
+    """(each question's mass over the side's M, its chosen answer) of one
+    cleared profile side ``sparse``, whose question q holds ``counts[q]``
+    answer lines from ``start + sum(counts[:q])`` on.  A question's mass
+    moves to its weakly-best answer against the integer ``pays`` among the
+    answers that carry mass, the lowest index on ties; a question with no
+    mass keeps answer 0."""
+    weight = dict(zip(*sparse[:2]))
+    masses, chosen = [], []
     for count in counts:
-        out.append(list(flat[start:start + count]))
+        held = [t for t in range(start, start + count) if t in weight]
+        masses.append(sum(map(weight.__getitem__, held)))
+        chosen.append(max(held, key=pays.__getitem__, default=start) - start)
         start += count
-    return out
+    return masses, chosen
 
 
 def induced_two_prover(
@@ -236,7 +217,9 @@ def induced_two_prover(
     so each question carries a single positive-probability answer (all of
     a question's mass moves to its weakly-best answer against the current
     opponent profile); the induced distribution is the outer product of
-    the resulting question marginals.
+    the resulting question marginals.  The canonicalization runs on the
+    profile's cleared integer sides and integer payoff lines; the only
+    Fractions are the marginals and their outer product.
     """
     if not f.is_free:
         raise ValidationError("induced game requires a free base game")
@@ -247,20 +230,21 @@ def induced_two_prover(
         raise ShapeError("profile does not match the gadget game")
 
     # Canonicalize rows against the original column profile, then columns
-    # against the updated row profile, on integer payoffs.
+    # against x', x with each question's mass on its chosen answer.
     c_rows, r_cols, _ = int_lines(game)
-    row_pays = weighted_lines(r_cols, p.sparse_y)
-    x_mass, sx = _canonical_side(p.x[r0:r1], row_pays[r0:r1], f.x_answers)
-    x_vec = p.x[:r0] + tuple(m for row in x_mass for m in row) + p.x[r1:]
-    col_pays = weighted_lines(c_rows, MixedProfile(x=x_vec, y=p.y).sparse_x)
-    y_mass, sy = _canonical_side(p.y[c0:c1], col_pays[c0:c1], f.y_answers)
+    x_mass, sx = _canonical_side(p.sparse_x, weighted_lines(r_cols, p.sparse_y),
+                                 f.x_answers, r0)
+    support, weights, mx = p.sparse_x
+    moved = {t: w for t, w in zip(support, weights) if not r0 <= t < r1}
+    offsets = itertools.accumulate(f.x_answers, initial=r0)
+    moved.update((o + a, m) for o, a, m in zip(offsets, sx, x_mass) if m)
+    x_moved = (tuple(moved), tuple(moved.values()), mx)
+    y_mass, sy = _canonical_side(p.sparse_y, weighted_lines(c_rows, x_moved),
+                                 f.y_answers, c0)
 
-    x_marginal = tuple(sum(row, Fraction(0)) for row in x_mass)
-    y_marginal = tuple(sum(row, Fraction(0)) for row in y_mass)
-    dist = tuple(
-        tuple(x_marginal[x] * y_marginal[y] for y in range(f.ny))
-        for x in range(f.nx)
-    )
+    x_marginal = tuple([Fraction(m, mx) for m in x_mass])
+    y_marginal = tuple([Fraction(m, p.sparse_y[2]) for m in y_mass])
+    dist = tuple([tuple([a * b for b in y_marginal]) for a in x_marginal])
     induced = TwoProverGame(
         x_answers=f.x_answers, y_answers=f.y_answers, table=f.table, dist=dist
     )
@@ -275,6 +259,7 @@ def induced_two_prover(
 
 def uniformity_gap(marginal: Vector, q: int) -> Fraction:
     """L1 distance between a (sub-)marginal and the uniform distribution."""
+    check_count(q, "q")
     if q < 1:
         raise ParameterError("question count must be at least 1")
     if len(marginal) != q:

@@ -289,6 +289,7 @@ def check_answer_cap(f: Cnf3Formula, answer_cap: int = ANSWER_CAP_DEFAULT) -> No
 def _check_answers(side: str, sizes: Iterable[int], answer_cap: int) -> None:
     """ResourceError for the first question with more than answer_cap
     answers, a question of size s having 2^s."""
+    check_count(answer_cap, "answer_cap")
     for i, size in enumerate(sizes):
         if 2 ** size > answer_cap:
             raise ResourceError(

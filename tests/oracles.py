@@ -3,8 +3,9 @@ parses line by line and the writer that formats cell by cell, C's
 transpose, the dot product, the matrix-vector product, its cleared integer
 lines, the regret report and rescaling computed cell by cell, profile
 distance and supports entry by entry, the gadget's certificate placed by
-row and column labels, the integer lines of a game cleared in full, the
-integer k-uniform scan candidate by candidate, every support pair sorted
+row and column labels, the induced two-prover game on Fraction rows per
+question, the integer lines of a game cleared in full, the integer
+k-uniform scan candidate by candidate, every support pair sorted
 into the support walk's order, exact Gaussian elimination, the simplex on
 the full tableau, the exact equilibria of games up to 5x5, the grid eps-NE
 sweep, and the clause/variable free game and MAX-3SAT checked literal by
@@ -33,7 +34,7 @@ from negadget.games import (
     regret_report,
 )
 from negadget.gadget import GadgetGame
-from negadget.provers import ProverStrategy, TwoProverGame
+from negadget.provers import InducedGameResult, ProverStrategy, TwoProverGame
 from negadget.sat import Cnf3Formula, FreeGameBuild
 from negadget.search import (
     Multiset,
@@ -205,6 +206,53 @@ def completeness_certificate_per_label(
     y = [Fraction(int(label[0] == "qa" and s2.answers[label[1]] == label[2]), f.ny)
          for label in labels(f.y_answers, gg.game.cols)]
     return MixedProfile(x=tuple(x), y=tuple(y))
+
+
+def induced_two_prover_reference(
+    f: TwoProverGame, game: BimatrixGame, p: MixedProfile
+) -> InducedGameResult:
+    """`provers.induced_two_prover` on Fraction rows per question, with the
+    payoffs from `mat_vec_per_cell`: the rows move against y, then the
+    columns against the Fraction vector x' of the moved rows."""
+    _, r0, r1, c0, c1 = game.block("RC")
+    x_rows, sx = _canonical_per_question(
+        p.x[r0:r1], mat_vec_per_cell(game.R, p.y)[r0:r1], f.x_answers)
+    x_moved = p.x[:r0] + tuple(m for row in x_rows for m in row) + p.x[r1:]
+    y_rows, sy = _canonical_per_question(
+        p.y[c0:c1], mat_vec_per_cell(c_transposed(game), x_moved)[c0:c1],
+        f.y_answers)
+    x_marginal = tuple(sum(row, Fraction(0)) for row in x_rows)
+    y_marginal = tuple(sum(row, Fraction(0)) for row in y_rows)
+    dist = tuple(tuple(a * b for b in y_marginal) for a in x_marginal)
+    return InducedGameResult(
+        game=TwoProverGame(x_answers=f.x_answers, y_answers=f.y_answers,
+                           table=f.table, dist=dist),
+        s_x=ProverStrategy(answers=tuple(sx)), s_y=ProverStrategy(answers=tuple(sy)),
+        x_marginal=x_marginal, y_marginal=y_marginal)
+
+
+def _canonical_per_question(
+    mass: Vector, pays: Vector, counts: Sequence[int]
+) -> tuple[list[list[Fraction]], list[int]]:
+    """One Fraction row per question, its whole mass on the weakly-best
+    answer that carries mass (the lowest index on ties), and the chosen
+    answers; a question without mass keeps an all-zero row and answer 0."""
+    rows, chosen, start = [], [], 0
+    for count in counts:
+        per_answer = list(mass[start:start + count])
+        per_pay = pays[start:start + count]
+        start += count
+        total = sum(per_answer, Fraction(0))
+        row = [Fraction(0)] * count
+        a = 0
+        if total > 0:
+            candidates = [b for b, m in enumerate(per_answer) if m > 0]
+            best = max(per_pay[b] for b in candidates)
+            a = next(b for b in candidates if per_pay[b] == best)
+            row[a] = total
+        rows.append(row)
+        chosen.append(a)
+    return rows, chosen
 
 
 def int_lines_per_cell(game: BimatrixGame) -> tuple[list, list, int]:

@@ -14,6 +14,7 @@ from negadget.errors import (
     ShapeError,
     ValidationError,
 )
+from negadget.gadget import rescale_game
 from negadget.games import IntLines, MixedProfile, regret_report
 from negadget.provers import (
     ProverStrategy,
@@ -23,6 +24,8 @@ from negadget.provers import (
     prover_payoff,
     uniformity_gap,
 )
+
+from oracles import induced_two_prover_reference
 
 F = Fraction
 
@@ -293,6 +296,34 @@ class TestUniformityGap:
             uniformity_gap((), 0)
         with pytest.raises(ShapeError):
             uniformity_gap((F(1),), 2)
+        # 2.0 raised a bare TypeError from Fraction, and True was read as 1.
+        for q in (2.0, True):
+            with pytest.raises(ParameterError, match="q must be an int"):
+                uniformity_gap((F(1),), q)
+
+
+@pytest.fixture(scope="module")
+def induced_games(sat_builds):
+    """(free game, G) and (free game, G_s) of every satisfiable fixture."""
+    return [(b.build.game, game) for b in sat_builds.values()
+            for game in (b.gadget.game, rescale_game(b.gadget))]
+
+
+def _grid_side(data, n: int, start: int, counts: tuple[int, ...]) -> tuple:
+    """Weights 0, 1 or 2 per entry over their sum, with a drawn set of the
+    questions whose answers start at ``start`` zeroed, and about one time in
+    four all of them, so that every answer of a question on the other side
+    pays the same."""
+    w = data.draw(st.lists(st.sampled_from((0, 1, 1, 2)), min_size=n, max_size=n))
+    offsets = list(itertools.accumulate(counts, initial=start))
+    dropped = data.draw(st.sets(st.integers(0, len(counts) - 1)))
+    if data.draw(st.integers(0, 3)) == 0:
+        dropped = range(len(counts))
+    for q in dropped:
+        w[offsets[q]:offsets[q + 1]] = [0] * counts[q]
+    if not any(w):
+        w[data.draw(st.integers(0, n - 1))] = 1
+    return tuple(F(e, sum(w)) for e in w)
 
 
 class TestInducedGame:
@@ -335,6 +366,45 @@ class TestInducedGame:
         p = MixedProfile(x=tuple(x), y=b.cert.y)
         result = induced_two_prover(b.build.game, game, p)
         assert sum(result.x_marginal) == F(1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_reference(self, induced_games, data):
+        # Grid profiles on G and G_s: mass on the D1 rows and columns, split
+        # over answers that pay the same, and questions without mass.
+        free, game = data.draw(st.sampled_from(induced_games))
+        _, r0, _, c0, _ = game.block("RC")
+        p = MixedProfile(x=_grid_side(data, game.rows, r0, free.x_answers),
+                         y=_grid_side(data, game.cols, c0, free.y_answers))
+        got = induced_two_prover(free, game, p)
+        want = induced_two_prover_reference(free, game, p)
+        assert (got.s_x, got.s_y, got.x_marginal, got.y_marginal, got.game.dist) == (
+            want.s_x, want.s_y, want.x_marginal, want.y_marginal, want.game.dist)
+
+    def test_tie_goes_to_the_lowest_answer_with_mass(self, single_build):
+        # Against a D2 column every answer of a question pays the same, so
+        # question 1's mass on its answers 1 and 2 moves to answer 1, and
+        # question 0, without mass, keeps answer 0.
+        b = single_build
+        game = b.gadget.game
+        _, r0, r1, c0, c1 = game.block("RC")
+        x = [F(0)] * game.rows
+        x[r0 + 3] = x[r0 + 4] = F(1, 2)
+        y = [F(0)] * game.cols
+        y[c1] = F(1)
+        result = induced_two_prover(b.build.game, game, MixedProfile(x=x, y=y))
+        assert result.s_x.answers == (0, 1)
+        assert result.x_marginal == (0, 1)
+
+    def test_builds_no_profile(self, single_build, monkeypatch):
+        # x' is read as a cleared side; no second profile re-clears y.
+        built = []
+        real = MixedProfile.__post_init__
+        monkeypatch.setattr(MixedProfile, "__post_init__",
+                            lambda p: built.append(1) or real(p))
+        b = single_build
+        induced_two_prover(b.build.game, b.gadget.game, b.cert)
+        assert built == []
 
     def test_reports_stream_their_lines(self, single_build, monkeypatch):
         # The report and the induced game read each support line once, as a

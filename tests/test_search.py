@@ -32,11 +32,14 @@ from negadget.gadget import (
     extend_gdoubleprime,
     extend_gprime,
     extend_profile,
+    half_subsets,
     rescale_game,
 )
 from negadget.linsolve import simplex_maximize
+from negadget.provers import game_value
 from negadget.sat import (
-    build_clause_variable_free_game, formula_degree, incidence_graph, partition_bipartite
+    build_clause_variable_free_game, check_answer_cap, formula_degree, incidence_graph,
+    partition_bipartite,
 )
 from negadget.search import (
     DecisionInstance,
@@ -1107,9 +1110,10 @@ class TestScanBudget:
             list(enumerate_wsne_supports(MATCHING_PENNIES, 0, budget=-1))
 
     @pytest.mark.parametrize("value", [2.5, True, F(2), "3"])
-    def test_count_parameters_must_be_ints(self, value):
+    def test_count_parameters_must_be_ints(self, value, single_build):
         # A float or bool budget came back as the checked count, a float k
-        # raised a bare TypeError from comb, and k=True was read as 1.
+        # raised a bare TypeError from comb, and k=True was read as 1; a
+        # float budget or cap of the reduction was compared as given.
         inst = DecisionInstance(problem_id=1, game=MATCHING_PENNIES, eps=0, u=1)
         with pytest.raises(ParameterError, match="budget must be an int"):
             decide(inst, k=1, budget=value)
@@ -1127,6 +1131,18 @@ class TestScanBudget:
                                  k=value)
         with pytest.raises(ParameterError, match="search_budget must be an int"):
             pipeline.PipelineConfig("f.cnf", "out", search_budget=value)
+        f, free = single_build.formula, single_build.build.game
+        partition = partition_bipartite(incidence_graph(f), formula_degree(f))
+        with pytest.raises(ParameterError, match="budget must be an int"):
+            game_value(free, budget=value)
+        with pytest.raises(ParameterError, match="cap must be an int"):
+            half_subsets(4, cap=value)
+        with pytest.raises(ParameterError, match="half_cap must be an int"):
+            build_hardness_game(free, derive_params(F(31, 250)), half_cap=value)
+        with pytest.raises(ParameterError, match="answer_cap must be an int"):
+            build_clause_variable_free_game(f, partition, answer_cap=value)
+        with pytest.raises(ParameterError, match="answer_cap must be an int"):
+            check_answer_cap(f, value)
 
     def test_budget_zero_checks_nothing(self):
         insts = [DecisionInstance(problem_id=1, game=MATCHING_PENNIES, eps=0, u=1),
