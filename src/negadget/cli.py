@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .errors import FormatError, GadgetError, ValidationError
+from .errors import FormatError, GadgetError
 from .gadget import (
     HALF_CAP_DEFAULT,
     build_hardness_game,
@@ -28,7 +28,7 @@ from .gadget import (
     extend_gprime,
     rescale_game,
 )
-from .games import parse_rational, regret_report
+from .games import nonnegative_eps, parse_rational, regret_report
 from .pipeline import PipelineConfig, run_pipeline
 from .provers import VALUE_BUDGET_DEFAULT, game_value
 from .sat import (
@@ -58,9 +58,7 @@ def _emit(data: dict, fmt: str) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # eps first: a bad eps needs no game read.
-    eps = parse_rational(args.eps)
-    if eps < 0:
-        raise ValidationError("eps must be nonnegative")
+    eps = nonnegative_eps(parse_rational(args.eps))
     game = formats.parse_bgm(Path(args.game).read_text())
     profile = formats.parse_prof(
         Path(args.profile).read_text(), normalize=args.normalize

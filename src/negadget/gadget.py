@@ -115,8 +115,9 @@ def derive_params(eps_star: Rational) -> ReductionParams:
 def half_subsets(q: int, cap: int = HALF_CAP_DEFAULT) -> Halves:
     """All 0/1 vectors of length q with q/2 ones, descending lexicographic."""
     check_count(cap, "cap")
-    if q < 2 or q % 2 != 0:
-        raise ParameterError(f"question count must be even and >= 2, got {q}")
+    check_count(q, "q", 2)
+    if q % 2:
+        raise ParameterError(f"q must be even, got {q}")
     count = comb(q, q // 2)
     if count > cap:
         raise ResourceError(f"C({q},{q // 2}) = {count_text(count)} exceeds cap {cap}")

@@ -2,7 +2,10 @@
 
 Entries and weights are `fractions.Fraction`s; verification never touches
 floating point, and a float entry or parameter raises `ParameterError`
-(see ``frac``).  Games are immutable; every operation returns new values.
+(see ``frac``).  ``check_count`` is the one check of a count parameter, a
+budget, cap, k, n, q or d: an int that is not a bool, at least its least
+value, else `ParameterError`; ``nonnegative_eps`` is the one check of an
+eps.  Games are immutable; every operation returns new values.
 
 A game is a palette of (R entry, C entry) `Fraction` pairs plus one `str`
 code row per game row: cell (i, j) is ``palette[ord(codes[i][j])]``.  A str
@@ -111,12 +114,24 @@ def frac(value: Rational) -> Fraction:
     return Fraction(value)
 
 
-def check_count(value: object, name: str) -> None:
-    """``ParameterError`` unless ``value`` is an int that is not a bool: the
-    one check of a count parameter (a budget, a k)."""
+def check_count(value: object, name: str, least: int = 0) -> None:
+    """``ParameterError`` unless ``value`` is an int that is not a bool and
+    is at least ``least``: the one check of a count parameter (every
+    budget, cap, k, n, q and d), its bound included."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterError(
             f"{name} must be an int, got {type(value).__name__} {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be at least {least}, got {value}")
+
+
+def nonnegative_eps(eps: Rational) -> Fraction:
+    """eps as a Fraction (through ``frac``); ``ValidationError`` if it is
+    negative.  The one check of an eps."""
+    e = frac(eps)
+    if e < 0:
+        raise ValidationError("eps must be nonnegative")
+    return e
 
 
 def vector(entries: Iterable[Rational]) -> Vector:
@@ -462,7 +477,7 @@ def affine_rescale(
 
 def pure_profile(game: BimatrixGame, i: int, j: int) -> MixedProfile:
     """The profile placing all mass on row i and column j (two entry objects)."""
-    if not (0 <= i < game.rows and 0 <= j < game.cols):
+    if not (type(i) is type(j) is int and 0 <= i < game.rows and 0 <= j < game.cols):
         raise ShapeError(f"pure profile ({i},{j}) out of range")
     zero, one = Fraction(0), Fraction(1)
     x = tuple([one if t == i else zero for t in range(game.rows)])

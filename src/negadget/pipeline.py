@@ -69,9 +69,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps_star", frac(self.eps_star))
-        check_count(self.search_budget, "search_budget")
-        if self.search_budget < 1:
-            raise GadgetError("search_budget must be positive")
+        check_count(self.search_budget, "search_budget", 1)
 
 
 def _stage(name: str):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    ParameterError,
     ResourceError,
     ShapeError,
     ValidationError,
@@ -114,7 +113,7 @@ def _check_strategy(s: ProverStrategy, sizes: tuple[int, ...], side: str) -> Non
             f"{side} strategy answers {len(s.answers)} of {len(sizes)} questions"
         )
     for q, (a, size) in enumerate(zip(s.answers, sizes)):
-        if not (0 <= a < size):
+        if type(a) is not int or not 0 <= a < size:  # 0.0 and True index V too
             raise ValidationError(f"{side} strategy answer {a} at question {q}")
 
 
@@ -259,9 +258,7 @@ def induced_two_prover(
 
 def uniformity_gap(marginal: Vector, q: int) -> Fraction:
     """L1 distance between a (sub-)marginal and the uniform distribution."""
-    check_count(q, "q")
-    if q < 1:
-        raise ParameterError("question count must be at least 1")
+    check_count(q, "q", 1)
     if len(marginal) != q:
         raise ShapeError(f"marginal has {len(marginal)} entries, expected {q}")
     u = Fraction(1, q)

@@ -39,6 +39,8 @@ class Cnf3Formula:
     max_var_degree: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if type(self.num_vars) is not int:  # 3.0 and True would pass below
+            raise ValidationError(f"num_vars must be an int, got {self.num_vars!r}")
         if self.num_vars < 1:
             raise ValidationError("formula needs at least one variable")
         object.__setattr__(
@@ -223,7 +225,8 @@ def partition_bipartite(graph: BipartiteGraph, d: int) -> BipartitePartition:
     """
     if graph.left_count < 1 or graph.right_count < 1:
         raise ValidationError("both sides must be nonempty")
-    if d < 1 or graph.degree_bound() > d:
+    check_count(d, "d", 1)
+    if graph.degree_bound() > d:
         raise ParameterError(f"graph degree exceeds d={d}")
     k = _block_count(graph.left_count + graph.right_count)
     size_cap = 2 * k

@@ -15,7 +15,7 @@ from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
-    InvariantError, ParameterError, ResourceError, ValidationError, count_text
+    InvariantError, ResourceError, ValidationError, count_text
 )
 from .games import (
     BimatrixGame,
@@ -28,6 +28,7 @@ from .games import (
     frac,
     int_lines,
     is_eps_ne,
+    nonnegative_eps,
     regret_report,
     tv_distance,
 )
@@ -87,9 +88,10 @@ class DecisionInstance:
 
     def __post_init__(self) -> None:
         problem = PROBLEMS.get(self.problem_id)
-        if problem is None:
+        # 3.0 and True hash as 3 and 1: an id must be an int as given.
+        if problem is None or type(self.problem_id) is not int:
             raise ValidationError(f"unknown problem id {self.problem_id}")
-        object.__setattr__(self, "eps", _nonnegative_eps(self.eps))
+        object.__setattr__(self, "eps", nonnegative_eps(self.eps))
         for name in ("u", "d", "p", "v"):
             value = getattr(self, name)
             if value is not None:
@@ -190,8 +192,8 @@ def k_uniform_strategies(n: int, k: int) -> Iterator[Vector]:
 
 def _multisets(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """The size-k multisets over [n] as sorted index tuples, lexicographic."""
-    if n < 1 or k < 1:
-        raise ParameterError("n and k must be at least 1")
+    check_count(n, "n", 1)
+    check_count(k, "k", 1)
     return itertools.combinations_with_replacement(range(n), k)
 
 
@@ -208,8 +210,8 @@ def _multiset_vector(n: int, combo: Sequence[int]) -> Vector:
 
 def k_uniform_count(n: int, k: int) -> int:
     """C(n+k-1, k): how many vectors ``k_uniform_strategies(n, k)`` yields."""
-    if n < 1 or k < 1:
-        raise ParameterError("n and k must be at least 1")
+    check_count(n, "n", 1)
+    check_count(k, "k", 1)
     return comb(n + k - 1, k)
 
 
@@ -269,8 +271,8 @@ def lmm_best_welfare(
     first hit at that ceiling, since no later hit can beat it; the
     candidates after it still count in ``checked_count``.
     """
-    e = _nonnegative_eps(eps)
-    _check_budget(budget)
+    e = nonnegative_eps(eps)
+    check_count(budget, "budget")
     checked, truncated = _scan_size(game, k, budget)
     # Welfare compared as integers on the scan's scale, k*k*L; the palette
     # holds only pairs that occur in some cell.
@@ -288,28 +290,12 @@ def lmm_best_welfare(
     return SearchOutcome(answer=answer, witness=witness, checked_count=checked)
 
 
-def _nonnegative_eps(eps: Rational) -> Fraction:
-    """eps as a Fraction; ``ValidationError`` if it is negative."""
-    e = frac(eps)
-    if e < 0:
-        raise ValidationError("eps must be nonnegative")
-    return e
-
-
-def _check_budget(budget: int) -> None:
-    """A negative budget is invalid input, not a reason to answer unknown."""
-    check_count(budget, "budget")
-    if budget < 0:
-        raise ParameterError(f"budget must be nonnegative, got {budget}")
-
-
 def _scan_size(game: BimatrixGame, k: int, budget: int) -> tuple[int, bool]:
     """(candidates a k-uniform scan checks, whether the budget cuts it).
 
     The budget counts candidates, but one candidate holds k indices a side,
     so a k above the budget checks none and the scan builds nothing.
     """
-    check_count(k, "k")
     total = k_uniform_count(game.rows, k) * k_uniform_count(game.cols, k)
     checked = 0 if k > budget else min(total, budget)
     return checked, total > checked
@@ -452,7 +438,7 @@ def wsne_support_feasible(
     below eps, which excludes profiles sitting exactly on the regret
     boundary.  A negative eps raises ``ValidationError``.
     """
-    e = _nonnegative_eps(eps)
+    e = nonnegative_eps(eps)
     rows = _sorted_ints(rows, "support indices")
     cols = _sorted_ints(cols, "support indices")
     if not rows or not cols:
@@ -571,8 +557,8 @@ def enumerate_wsne_supports(
     negative budget, and ``ResourceError`` before the first pair when the
     pairs exceed the budget.
     """
-    e = _nonnegative_eps(eps)
-    _check_budget(budget)
+    e = nonnegative_eps(eps)
+    check_count(budget, "budget")
     every_pair = _support_pairs(game, e, budget, strict,
                                 lambda r, c: True, 2)
     yield from (witness for _, _, witness in every_pair if witness is not None)
@@ -663,7 +649,7 @@ def decide_many(
     only the support pairs that some pending problem's predicate accepts,
     since a pair's witness has exactly that pair as its supports.
     """
-    _check_budget(budget)
+    check_count(budget, "budget")
     if not insts:
         return []
     game, eps = insts[0].game, insts[0].eps

@@ -567,6 +567,22 @@ class TestInputErrors:
         )
         assert peak < 2**20, peak
 
+    @pytest.mark.parametrize("command, name", [
+        (["value", "{fgm}", "--budget", "-1"], "budget"),
+        (["reduce", "sat2free", "{cnf}", "-o", "{out}", "--cap", "-1"], "answer_cap"),
+        (["forge", "build", "{fgm}", "-o", "{out}", "--cap", "-1"], "half_cap"),
+    ])
+    def test_negative_budget_or_cap(self, command, name, tmp_path, capsys):
+        # Each said that a count exceeded -1, a ResourceError.
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(SINGLE_CNF)
+        fgm = tmp_path / "F.fgm"
+        assert main(["reduce", "sat2free", str(cnf), "-o", str(fgm)]) == 0
+        out = tmp_path / "out"
+        assert main([a.format(cnf=cnf, fgm=fgm, out=out) for a in command]) == 3
+        assert capsys.readouterr().err == f"error: {name} must be at least 0, got -1\n"
+        assert not out.exists()
+
     def test_bgm_dimension_below_one(self, tmp_path, coordination_paths, capsys):
         _, prof = coordination_paths
         game = tmp_path / "neg.bgm"
@@ -598,7 +614,7 @@ class TestInputErrors:
 class TestPipeline:
     @pytest.mark.parametrize("name", ["search_budget"])
     def test_limits_must_be_positive(self, name):
-        with pytest.raises(GadgetError, match=f"{name} must be positive"):
+        with pytest.raises(GadgetError, match=f"{name} must be at least 1, got 0"):
             PipelineConfig(cnf_path="f.cnf", out_dir="out", **{name: 0})
 
     def test_eps_star_must_be_exact(self):

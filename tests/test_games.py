@@ -82,6 +82,12 @@ class TestRegretReport:
         with pytest.raises(ShapeError):
             regret_report(MATCHING_PENNIES, MixedProfile(x=(1,), y=(1,)))
 
+    @pytest.mark.parametrize("i, j", [(True, False), (0.0, 0), (0, 2), (-1, 0)])
+    def test_pure_profile_out_of_range(self, i, j):
+        # (True, False) was read as (1, 0).
+        with pytest.raises(ShapeError, match=r"^pure profile \(.*\) out of range$"):
+            pure_profile(MATCHING_PENNIES, i, j)
+
     def test_transposed_roles_swap(self):
         rng = random.Random(5)
         game = random_game(rng, 3, 2)

@@ -171,6 +171,15 @@ class TestPayoff:
                 t, ProverStrategy(answers=(0,)), ProverStrategy(answers=(0, 0))
             )
 
+    @pytest.mark.parametrize("answer", [0.0, True, F(0)])
+    def test_non_int_answer_rejected(self, answer):
+        # 0.0 passed the range test, then indexed V with a bare TypeError;
+        # True was read as answer 1.
+        t = constant_game(2, 2, 2, 2, 1)
+        with pytest.raises(ValidationError, match="^X strategy answer .* at question 0$"):
+            prover_payoff(t, ProverStrategy(answers=(answer, 0)),
+                          ProverStrategy(answers=(0, 0)))
+
     def test_sub_distribution_missing_mass_pays_zero(self):
         dist = ((F(1, 2), F(0)), (F(0), F(0)))
         t = constant_game(2, 2, 1, 1, 1, dist=dist)

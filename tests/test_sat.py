@@ -218,6 +218,17 @@ class TestPartition:
         with pytest.raises(ParameterError):
             partition_bipartite(graph, 3)
 
+    @pytest.mark.parametrize("d, message", [
+        (3.5, "^d must be an int, got float 3.5$"),
+        (True, "^d must be an int, got bool True$"),
+        (0, "^d must be at least 1, got 0$"),
+    ])
+    def test_degree_bound_must_be_a_positive_int(self, d, message):
+        # 3.5 placed clauses against an edge cap of 2*d*d = 24.5.
+        graph = incidence_graph(full_sign_pattern())
+        with pytest.raises(ParameterError, match=message):
+            partition_bipartite(graph, d)
+
 
 class TestFreeGame:
     def test_satisfiable_value_one(self, sat_builds):
@@ -336,3 +347,18 @@ class TestValidation:
             Cnf3Formula(num_vars=3, clauses=((1, 2),))
         with pytest.raises(ValidationError):
             Cnf3Formula(num_vars=2, clauses=((1, 2, 3),))
+
+    @pytest.mark.parametrize("num_vars", [3.0, True, F(3)])
+    def test_num_vars_must_be_an_int(self, num_vars):
+        # 3.0 passed here, then max_sat raised a bare TypeError at budget >> 3.0.
+        with pytest.raises(ValidationError, match="^num_vars must be an int"):
+            Cnf3Formula(num_vars=num_vars, clauses=((1, 2, 3),))
+
+    @pytest.mark.parametrize("num_vars", [0, -1])
+    def test_num_vars_below_one(self, num_vars):
+        with pytest.raises(ValidationError,
+                           match="^formula needs at least one variable$"):
+            Cnf3Formula(num_vars=num_vars, clauses=())
+        with pytest.raises(FormatError,
+                           match="^formula needs at least one variable$"):
+            parse_dimacs(f"p cnf {num_vars} 0\n")

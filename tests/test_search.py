@@ -36,10 +36,10 @@ from negadget.gadget import (
     rescale_game,
 )
 from negadget.linsolve import simplex_maximize
-from negadget.provers import game_value
+from negadget.provers import game_value, uniformity_gap
 from negadget.sat import (
     build_clause_variable_free_game, check_answer_cap, formula_degree, incidence_graph,
-    partition_bipartite,
+    max_sat, partition_bipartite,
 )
 from negadget.search import (
     DecisionInstance,
@@ -655,7 +655,8 @@ class TestDecide:
             DecisionInstance(problem_id=2, game=MATCHING_PENNIES, eps=0, index_set=5)
 
     def test_unknown_problem_rejected(self):
-        for pid in (0, 11):
+        # 3.0 and True were decided as problems 3 and 1.
+        for pid in (0, 11, 3.0, True):
             with pytest.raises(ValidationError,
                                match=f"^unknown problem id {pid}$"):
                 DecisionInstance(problem_id=pid, game=COORDINATION, eps=0, u=1)
@@ -1100,7 +1101,7 @@ class TestScanBudget:
         assert built == [("C row", 0)] + [
             ("R col", j) for j in dict.fromkeys(j for y in tested for j in y)]
 
-    def test_negative_budget_is_a_parameter_error(self):
+    def test_negative_budget_is_a_parameter_error(self, single_build):
         inst = DecisionInstance(problem_id=1, game=MATCHING_PENNIES, eps=0, u=1)
         with pytest.raises(ParameterError, match="budget"):
             decide_many([inst], k=1, budget=-1)
@@ -1108,6 +1109,27 @@ class TestScanBudget:
             lmm_best_welfare(MATCHING_PENNIES, 0, 1, budget=-1)
         with pytest.raises(ParameterError, match="budget"):
             list(enumerate_wsne_supports(MATCHING_PENNIES, 0, budget=-1))
+        # The next six compared -1 with their count and raised ResourceError.
+        f, free = single_build.formula, single_build.build.game
+        partition = partition_bipartite(incidence_graph(f), formula_degree(f))
+        below = "must be at least 0, got -1$"
+        with pytest.raises(ParameterError, match="^budget " + below):
+            game_value(free, budget=-1)
+        with pytest.raises(ParameterError, match="^budget " + below):
+            max_sat(f, -1)
+        with pytest.raises(ParameterError, match="^cap " + below):
+            half_subsets(4, cap=-1)
+        with pytest.raises(ParameterError, match="^half_cap " + below):
+            build_hardness_game(free, derive_params(F(31, 250)), half_cap=-1)
+        with pytest.raises(ParameterError, match="^answer_cap " + below):
+            build_clause_variable_free_game(f, partition, answer_cap=-1)
+        with pytest.raises(ParameterError, match="^answer_cap " + below):
+            check_answer_cap(f, -1)
+        with pytest.raises(ParameterError,
+                           match="^search_budget must be at least 1, got 0$"):
+            pipeline.PipelineConfig("f.cnf", "out", search_budget=0)
+        with pytest.raises(ParameterError, match="^q must be at least 1, got 0$"):
+            uniformity_gap((), 0)
 
     @pytest.mark.parametrize("value", [2.5, True, F(2), "3"])
     def test_count_parameters_must_be_ints(self, value, single_build):
@@ -1125,6 +1147,10 @@ class TestScanBudget:
             decide(inst, k=value, budget=10)
         with pytest.raises(ParameterError, match="k must be an int"):
             lmm_best_welfare(MATCHING_PENNIES, 0, value, budget=10)
+        with pytest.raises(ParameterError, match="k must be an int"):
+            k_uniform_count(2, value)
+        with pytest.raises(ParameterError, match="k must be an int"):
+            list(k_uniform_strategies(2, value))
         for pid in (7, 8, 9):
             with pytest.raises(ParameterError, match="k must be an int"):
                 DecisionInstance(problem_id=pid, game=MATCHING_PENNIES, eps=0,
