@@ -4,8 +4,11 @@
     PYTHONPATH=src python tests/digest.py --quick   # the subset test_digest pins
 
 The layers are `regret_report`, `induced_two_prover`, `lmm_best_welfare`,
-`decide_many` (p1-p10: answer, witness, witness pair, checked count) and
-`enumerate_wsne_supports` (weak and strict).  Each layer's results are
+`decide_many` (p1-p10: answer, witness, witness pair, checked count),
+`enumerate_wsne_supports` (weak and strict) and `profiles`, the vectors
+of the library's profile builders: `pure_profile`, the completeness
+certificate, `extend_profile`, `gdoubleprime_wsne_witness` and
+`k_uniform_strategies`.  Each layer's results are
 written as plain lists of ints and strings, every rational through
 `formats.format_rational`, and hashed as JSON, so a field added to a result
 type changes no digest.  The script reads only the standard library and
@@ -23,10 +26,11 @@ from fractions import Fraction
 
 from negadget import corpus, gadget, sat
 from negadget.formats import format_rational
-from negadget.games import BimatrixGame, MixedProfile, regret_report
+from negadget.games import BimatrixGame, MixedProfile, pure_profile, regret_report
 from negadget.provers import induced_two_prover
 from negadget.search import (
-    DecisionInstance, decide_many, enumerate_wsne_supports, lmm_best_welfare
+    DecisionInstance, decide_many, enumerate_wsne_supports, k_uniform_strategies,
+    lmm_best_welfare,
 )
 
 F = Fraction
@@ -197,6 +201,22 @@ def wsne_layer(quick: bool) -> list:
              for strict in (False, True)] for game, eps in runs]
 
 
+def profiles_layer(quick: bool, built: list) -> list:
+    """Every pure profile of the capped and some seeded games, each fixture's
+    certificate, its padding and its G'' witness, and the k-uniform vectors
+    for n <= 4 and k <= 3."""
+    games = capped_games() + seeded_games(10, 10 if quick else 40, 3, 4)
+    out = [profile(pure_profile(game, i, j)) for game in games
+           for i in range(game.rows) for j in range(game.cols)]
+    for free, g, gs, gp, gdp, cert in built:
+        out += [profile(cert), profile(gadget.extend_profile(cert, 1, 1)),
+                profile(gadget.gdoubleprime_wsne_witness(cert, gdp)),
+                profile(pure_profile(gp, gp.rows - 1, gp.cols - 1))]
+    out += [[rationals(v) for v in k_uniform_strategies(n, k)]
+            for n in range(1, 5) for k in range(1, 4)]
+    return out
+
+
 def digests(quick: bool = False) -> dict[str, str]:
     """Each layer's name and the sha256 of its results, in a fixed order."""
     built = reductions(quick)
@@ -204,7 +224,8 @@ def digests(quick: bool = False) -> dict[str, str]:
               "induced_two_prover": induced_layer(quick, built),
               "lmm_best_welfare": lmm_layer(quick),
               "decide_many": decide_layer(quick),
-              "enumerate_wsne_supports": wsne_layer(quick)}
+              "enumerate_wsne_supports": wsne_layer(quick),
+              "profiles": profiles_layer(quick, built)}
     return {name: hashlib.sha256(json.dumps(records).encode()).hexdigest()
             for name, records in layers.items()}
 
