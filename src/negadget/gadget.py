@@ -29,6 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from .errors import (
     ParameterError,
@@ -49,6 +50,7 @@ from .games import (
     check_count,
     frac,
     regret_report,
+    side_vector,
 )
 from .provers import ProverStrategy, TwoProverGame, prover_payoff
 
@@ -226,14 +228,11 @@ def completeness_certificate(
         raise ShapeError("free game does not match the gadget game")
     if prover_payoff(f, s1, s2) != 1:
         raise PreconditionError("strategies must win with probability 1")
-    # One object per side's weight, so a regret report groups its support.
     # Question q's answers start at the running sum of the counts before q.
-    x, y = [Fraction(0)] * gg.game.rows, [Fraction(0)] * gg.game.cols
-    for v, counts, s, n in ((x, f.x_answers, s1, f.nx), (y, f.y_answers, s2, f.ny)):
-        mass = Fraction(1, n)
-        for offset, answer in zip(itertools.accumulate(counts, initial=0), s.answers):
-            v[offset + answer] = mass
-    return MixedProfile(x=tuple(x), y=tuple(y))
+    x, y = ((tuple(map(add, itertools.accumulate(counts, initial=0), s.answers)),
+             (1,) * n, n) for counts, s, n in ((f.x_answers, s1, f.nx),
+                                               (f.y_answers, s2, f.ny)))
+    return MixedProfile(x=side_vector(gg.game.rows, x), y=side_vector(gg.game.cols, y))
 
 
 def _append(game: BimatrixGame, col: Pair, row: Pair, corner: Pair,
@@ -287,10 +286,10 @@ def extend_gdoubleprime(gp: BimatrixGame) -> BimatrixGame:
 
 def extend_profile(p: MixedProfile, extra_rows: int, extra_cols: int) -> MixedProfile:
     """Pad a profile with zero-mass entries for appended rows/columns."""
-    return MixedProfile(
-        x=p.x + (Fraction(0),) * extra_rows,
-        y=p.y + (Fraction(0),) * extra_cols,
-    )
+    check_count(extra_rows, "extra_rows")
+    check_count(extra_cols, "extra_cols")
+    return MixedProfile(x=side_vector(len(p.x) + extra_rows, p.sparse_x),
+                        y=side_vector(len(p.y) + extra_cols, p.sparse_y))
 
 
 def gdoubleprime_wsne_witness(
@@ -302,18 +301,11 @@ def gdoubleprime_wsne_witness(
     the flat extra row, and pads the certificate's column side with zeros.
     The support of x therefore has size |X| + 1.
     """
-    extra_rows = gdp.rows - len(cert.x)
-    extra_cols = gdp.cols - len(cert.y)
-    if extra_rows != 2 or extra_cols != 2:
+    if (gdp.rows - len(cert.x), gdp.cols - len(cert.y)) != (2, 2):
         raise ShapeError("witness expects the doubly extended game")
-    supp = cert.support_x
-    share = Fraction(1, len(supp) + 1)
-    x = [Fraction(0)] * gdp.rows
-    for i in supp:
-        x[i] = share
-    x[gdp.rows - 1] = share  # the flat extra row
-    y = list(cert.y) + [Fraction(0)] * extra_cols
-    return MixedProfile(x=tuple(x), y=tuple(y))
+    supp = cert.support_x + (gdp.rows - 1,)  # and the flat extra row
+    return MixedProfile(x=side_vector(gdp.rows, (supp, (1,) * len(supp), len(supp))),
+                        y=side_vector(gdp.cols, cert.sparse_y))
 
 
 def check_certificate(

@@ -5,7 +5,8 @@ floating point, and a float entry or parameter raises `ParameterError`
 (see ``frac``).  ``check_count`` is the one check of a count parameter, a
 budget, cap, k, n, q or d: an int that is not a bool, at least its least
 value, else `ParameterError`; ``nonnegative_eps`` is the one check of an
-eps.  Games are immutable; every operation returns new values.
+eps; ``side_vector`` is the one layout of a profile side as a vector.
+Games are immutable; every operation returns new values.
 
 A game is a palette of (R entry, C entry) `Fraction` pairs plus one `str`
 code row per game row: cell (i, j) is ``palette[ord(codes[i][j])]``.  A str
@@ -139,6 +140,18 @@ def vector(entries: Iterable[Rational]) -> Vector:
     # resizing is kept in CPython's free lists, which then fill up the heap.
     # Fractions are kept as given (not copied), so shared objects stay shared.
     return tuple([e if isinstance(e, Fraction) else frac(e) for e in entries])
+
+
+def side_vector(n: int, side: Sparse) -> Vector:
+    """The length-n vector of the side (support, weights, M): weight/M at
+    each support index, one Fraction per distinct weight, and one shared
+    zero elsewhere.  Weights may be Fractions over M = 1, as an LP's are."""
+    support, weights, scale = side
+    by_weight = {w: Fraction(w, scale) for w in set(weights)}
+    full = [Fraction(0)] * n
+    for t, w in zip(support, weights):
+        full[t] = by_weight[w]
+    return tuple(full)
 
 
 def cleared(*matrices: Sequence[Sequence[Fraction]]) -> tuple:
@@ -476,10 +489,8 @@ def affine_rescale(
 
 
 def pure_profile(game: BimatrixGame, i: int, j: int) -> MixedProfile:
-    """The profile placing all mass on row i and column j (two entry objects)."""
+    """The profile placing all mass on row i and column j."""
     if not (type(i) is type(j) is int and 0 <= i < game.rows and 0 <= j < game.cols):
         raise ShapeError(f"pure profile ({i},{j}) out of range")
-    zero, one = Fraction(0), Fraction(1)
-    x = tuple([one if t == i else zero for t in range(game.rows)])
-    y = tuple([one if t == j else zero for t in range(game.cols)])
-    return MixedProfile(x=x, y=y)
+    return MixedProfile(x=side_vector(game.rows, ((i,), (1,), 1)),
+                        y=side_vector(game.cols, ((j,), (1,), 1)))

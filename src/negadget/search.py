@@ -23,6 +23,7 @@ from .games import (
     MixedProfile,
     Rational,
     RegretReport,
+    Sparse,
     Vector,
     check_count,
     frac,
@@ -30,6 +31,7 @@ from .games import (
     is_eps_ne,
     nonnegative_eps,
     regret_report,
+    side_vector,
     tv_distance,
 )
 from .linsolve import simplex_maximize
@@ -187,7 +189,7 @@ def k_uniform_strategies(n: int, k: int) -> Iterator[Vector]:
     Yields C(n+k-1, k) vectors; each entry is multiplicity/k.
     """
     for combo in _multisets(n, k):
-        yield _multiset_vector(n, combo)
+        yield side_vector(n, _multiset_side(combo))
 
 
 def _multisets(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -197,15 +199,10 @@ def _multisets(n: int, k: int) -> Iterator[tuple[int, ...]]:
     return itertools.combinations_with_replacement(range(n), k)
 
 
-def _multiset_vector(n: int, combo: Sequence[int]) -> Vector:
-    """The probability vector over [n] of the multiset ``combo``: each
-    entry is its multiplicity over len(combo)."""
-    counts = [0] * n
-    for i in combo:
-        counts[i] += 1
-    # One Fraction per multiplicity, so the vector holds at most k+1 objects.
-    weights = {c: Fraction(c, len(combo)) for c in set(counts)}
-    return tuple([weights[c] for c in counts])
+def _multiset_side(combo: Multiset) -> Sparse:
+    """The side (members, multiplicities, k) of the size-k multiset ``combo``."""
+    counts = Counter(combo)
+    return tuple(counts), tuple(counts.values()), len(combo)
 
 
 def k_uniform_count(n: int, k: int) -> int:
@@ -412,8 +409,8 @@ def _scan_witness(game: BimatrixGame, xc: Multiset, yc: Multiset,
                   eps: Fraction) -> MixedProfile:
     """The profile of a scan hit's multisets, after the exact oracle has
     confirmed that it is an eps-NE."""
-    p = MixedProfile(x=_multiset_vector(game.rows, xc),
-                     y=_multiset_vector(game.cols, yc))
+    p = MixedProfile(x=side_vector(game.rows, _multiset_side(xc)),
+                     y=side_vector(game.cols, _multiset_side(yc)))
     if not is_eps_ne(game, p, eps):
         raise InvariantError("k-uniform scan and is_eps_ne disagree on a witness")
     return p
@@ -467,16 +464,8 @@ def _pair_witness(
     x = _one_side_feasible([c_rows[i] for i in rows], cols, eps, scale, strict)
     if x is None:
         return None, True
-    return MixedProfile(x=_spread(game.rows, rows, x),
-                        y=_spread(game.cols, cols, y)), True
-
-
-def _spread(n: int, supp: Sequence[int], values: Sequence[Fraction]) -> Vector:
-    """The length-n vector with ``values`` on ``supp`` and 0 elsewhere."""
-    full = [Fraction(0)] * n
-    for i, value in zip(supp, values):
-        full[i] = value
-    return tuple(full)
+    return MixedProfile(x=side_vector(game.rows, (rows, x, 1)),
+                        y=side_vector(game.cols, (cols, y, 1))), True
 
 
 def _one_side_feasible(

@@ -32,6 +32,7 @@ from negadget.games import (
     frac,
     parse_rational,
     regret_report,
+    side_vector,
 )
 from negadget.gadget import GadgetGame
 from negadget.provers import InducedGameResult, ProverStrategy, TwoProverGame
@@ -41,7 +42,6 @@ from negadget.search import (
     _integer_scan,
     _multisets,
     _scan_witness,
-    _spread,
     k_uniform_strategies,
 )
 
@@ -430,7 +430,8 @@ def _support_ne(
     x = _indifferent(c_transposed(game), cols, rows)
     if x is None:
         return None
-    p = MixedProfile(x=_spread(game.rows, rows, x), y=_spread(game.cols, cols, y))
+    p = MixedProfile(x=side_vector(game.rows, (rows, x, 1)),
+                     y=side_vector(game.cols, (cols, y, 1)))
     return p if regret_report(game, p).within(0) else None
 
 

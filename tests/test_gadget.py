@@ -578,6 +578,18 @@ class TestExtensions:
             assert is_eps_wsne(gp, ext, params.eps_star)
             assert social_welfare(gp, ext) == F(10, 8)
 
+    @pytest.mark.parametrize("extra, message", [
+        ((-1, 0), "^extra_rows must be at least 0, got -1$"),
+        ((0, -2), "^extra_cols must be at least 0, got -2$"),
+        ((1.0, 1), "^extra_rows must be an int, got float 1.0$"),
+    ])
+    def test_extend_profile_refuses_a_bad_extra_count(self, single_build, extra,
+                                                      message):
+        # A negative count once padded nothing; laid out by length, it
+        # would cut the profile short.
+        with pytest.raises(ParameterError, match=message):
+            extend_profile(single_build.cert, *extra)
+
     def test_gdoubleprime_witness(self, sat_builds, params):
         # Mixing the flat row into the certificate support gives an exact
         # eps*-WSNE whose support has size |X| + 1 and contains the new row.

@@ -33,6 +33,7 @@ from negadget.games import (
     is_eps_wsne,
     pure_profile,
     regret_report,
+    side_vector,
     social_welfare,
     tv_distance,
     weighted_lines,
@@ -87,6 +88,26 @@ class TestRegretReport:
         # (True, False) was read as (1, 0).
         with pytest.raises(ShapeError, match=r"^pure profile \(.*\) out of range$"):
             pure_profile(MATCHING_PENNIES, i, j)
+
+    @pytest.mark.parametrize("side", [
+        ((0,), (1,), 1), ((1, 3), (1, 2), 3), ((0, 2, 4), (2, 1, 2), 5),
+        ((4,), (1,), 1),
+    ])
+    def test_side_vector_lays_out_a_reduced_side(self, side):
+        support, weights, scale = side
+        x = side_vector(5, side)
+        assert x == tuple([F(weights[support.index(t)], scale) if t in support
+                           else 0 for t in range(5)])
+        # One object per distinct weight and one shared zero.
+        assert len({id(e) for e in x}) == len(set(weights)) + (len(support) < 5)
+        p = MixedProfile(x=x, y=side_vector(2, ((1,), (1,), 1)))
+        assert p.sparse_x == side and p.sparse_y == ((1,), (1,), 1)
+
+    def test_side_vector_takes_fraction_weights_over_one(self):
+        # As the support LPs give them: two equal values share one object.
+        x = side_vector(4, ((0, 2, 3), (F(1, 4), F(1, 2), F(1, 4)), 1))
+        assert x == (F(1, 4), 0, F(1, 2), F(1, 4)) and x[0] is x[3]
+        assert MixedProfile(x=x, y=(1,)).sparse_x == ((0, 2, 3), (1, 2, 1), 4)
 
     def test_transposed_roles_swap(self):
         rng = random.Random(5)

@@ -1319,13 +1319,13 @@ class TestDecideMany:
         zero = ((0,) * 50,) * 8
         game = BimatrixGame(R=zero, C=zero)
         built = []
-        real = search._multiset_vector
+        real = search.side_vector
 
-        def counted(n, combo):
+        def counted(n, side):
             built.append(n)
-            return real(n, combo)
+            return real(n, side)
 
-        monkeypatch.setattr(search, "_multiset_vector", counted)
+        monkeypatch.setattr(search, "side_vector", counted)
         p1 = DecisionInstance(problem_id=1, game=game, eps=0, u=1)
         assert decide(p1, k=2, budget=500).answer == "unknown"
         assert built == []
