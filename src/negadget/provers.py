@@ -45,7 +45,10 @@ class TwoProverGame:
     def __post_init__(self) -> None:
         if not self.x_answers or not self.y_answers:
             raise ShapeError("question sets must be nonempty")
-        if any(a < 1 for a in self.x_answers + self.y_answers):
+        counts = self.x_answers + self.y_answers
+        if any(type(a) is not int for a in counts):  # 2.0 and True pass below
+            raise ValidationError("every answer count must be an int")
+        if any(a < 1 for a in counts):
             raise ValidationError("every question needs at least one answer")
         if len(self.table) != self.nx:
             raise ShapeError("V table has wrong X dimension")

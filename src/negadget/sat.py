@@ -50,6 +50,8 @@ class Cnf3Formula:
         for c in self.clauses:
             if len(c) != 3:
                 raise ValidationError(f"clause {c} does not have 3 literals")
+            if any(type(l) is not int for l in c):  # 1.0 and True read as 1
+                raise ValidationError(f"clause {c} has a literal that is not an int")
             vs = [abs(l) for l in c]
             if any(l == 0 for l in c):
                 raise ValidationError(f"clause {c} contains literal 0")

@@ -107,7 +107,7 @@ class DecisionInstance:
             index_set = _sorted_ints(value, "index set entries")
             object.__setattr__(self, "index_set", index_set)
         elif problem.param == "k":
-            check_count(value, "k")
+            check_count(value, "k", 1)
         for test, message in problem.checks:
             if not test(self):
                 raise ValidationError(message.format(pid=self.problem_id))
@@ -150,7 +150,6 @@ _INDEX_SET = (
     (lambda i: all(0 <= r < i.game.rows for r in i.index_set),
      "index set out of row range"),
 )
-_K = ((lambda i: i.k >= 1, "problem {pid} requires k >= 1"),)
 
 PROBLEMS: dict[int, Problem] = {
     1: Problem("u", ((lambda i: 0 < i.u <= 1, "problem 1 requires u in (0, 1]"),),
@@ -169,13 +168,13 @@ PROBLEMS: dict[int, Problem] = {
     6: Problem("u", ((lambda i: 0 <= i.u < 1, "problem 6 requires u in [0, 1)"),),
                WITNESS_NE, lambda i, x, row, col, unit:
                row * i.u.denominator <= i.u.numerator * unit),
-    7: Problem("k", _K, WITNESS_WSNE,
+    7: Problem("k", (), WITNESS_WSNE,
                lambda i, rows, cols: len(rows) + len(cols) >= 2 * i.k,
                lambda i: 2 * i.k),
-    8: Problem("k", _K, WITNESS_WSNE,
+    8: Problem("k", (), WITNESS_WSNE,
                lambda i, rows, cols: min(len(rows), len(cols)) >= i.k,
                lambda i: 2 * i.k),
-    9: Problem("k", _K, WITNESS_WSNE,
+    9: Problem("k", (), WITNESS_WSNE,
                lambda i, rows, cols: len(rows) >= i.k, lambda i: i.k + 1),
     10: Problem("index_set", _INDEX_SET, WITNESS_WSNE,
                 lambda i, rows, cols: set(i.index_set) <= set(rows),

@@ -134,6 +134,23 @@ class TestVerdictTable:
         assert t.table[0][0][1][1] == good
 
 
+    @pytest.mark.parametrize("count", [2.0, True])
+    def test_answer_count_must_be_an_int(self, count):
+        # 2.0 was built, and game_value then raised a bare TypeError.
+        with pytest.raises(ValidationError,
+                           match="^every answer count must be an int$"):
+            TwoProverGame(x_answers=(count,), y_answers=(1,),
+                          table=((((1,), (0,)),),))
+        with pytest.raises(ValidationError,
+                           match="^every answer count must be an int$"):
+            TwoProverGame(x_answers=(1,), y_answers=(count,), table=((((1,),),),))
+
+    def test_answer_count_below_one(self):
+        with pytest.raises(ValidationError,
+                           match="^every question needs at least one answer$"):
+            TwoProverGame(x_answers=(0,), y_answers=(1,), table=(((),),))
+
+
 class TestPayoff:
     def test_always_accept(self):
         t = constant_game(2, 2, 2, 2, 1)

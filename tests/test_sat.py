@@ -354,6 +354,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match="^num_vars must be an int"):
             Cnf3Formula(num_vars=num_vars, clauses=((1, 2, 3),))
 
+    @pytest.mark.parametrize("literal", [1.0, True])
+    def test_literal_must_be_an_int(self, literal):
+        # Both were built, and max_sat read them as variable 1.
+        with pytest.raises(ValidationError, match=(
+                rf"^clause \({literal}, 2, 3\) has a literal that is not an int$")):
+            Cnf3Formula(num_vars=3, clauses=((literal, 2, 3),))
+
     @pytest.mark.parametrize("num_vars", [0, -1])
     def test_num_vars_below_one(self, num_vars):
         with pytest.raises(ValidationError,

@@ -597,26 +597,28 @@ class TestDecide:
 
     # problem id -> (parameter, an out-of-range value and its message,
     # an accepted boundary value)
+    # A k out of range is a count out of range, as the scan's k is.
     PARAMETERS = {
-        1: ("u", F(0), "problem 1 requires u in (0, 1]", F(1)),
-        2: ("index_set", (2,), "index set out of row range", (1,)),
-        3: ("d", F(0), "problem 3 requires d in (0, 1]", F(1)),
-        4: ("p", F(1), "problem 4 requires p in (0, 1)", F(999, 1000)),
-        5: ("v", F(2), "problem 5 requires v in [0, 2)", F(0)),
-        6: ("u", F(1), "problem 6 requires u in [0, 1)", F(0)),
-        7: ("k", 0, "problem 7 requires k >= 1", 1),
-        8: ("k", 0, "problem 8 requires k >= 1", 1),
-        9: ("k", 0, "problem 9 requires k >= 1", 1),
-        10: ("index_set", (-1,), "index set out of row range", (0,)),
+        1: ("u", F(0), ValidationError, "problem 1 requires u in (0, 1]", F(1)),
+        2: ("index_set", (2,), ValidationError, "index set out of row range", (1,)),
+        3: ("d", F(0), ValidationError, "problem 3 requires d in (0, 1]", F(1)),
+        4: ("p", F(1), ValidationError, "problem 4 requires p in (0, 1)",
+            F(999, 1000)),
+        5: ("v", F(2), ValidationError, "problem 5 requires v in [0, 2)", F(0)),
+        6: ("u", F(1), ValidationError, "problem 6 requires u in [0, 1)", F(0)),
+        7: ("k", 0, ParameterError, "k must be at least 1, got 0", 1),
+        8: ("k", 0, ParameterError, "k must be at least 1, got 0", 1),
+        9: ("k", 0, ParameterError, "k must be at least 1, got 0", 1),
+        10: ("index_set", (-1,), ValidationError, "index set out of row range", (0,)),
     }
 
     @pytest.mark.parametrize("pid", range(1, 11))
     def test_parameter_table(self, pid):
-        name, bad, message, edge = self.PARAMETERS[pid]
+        name, bad, error, message, edge = self.PARAMETERS[pid]
         with pytest.raises(ValidationError) as missing:
             DecisionInstance(problem_id=pid, game=COORDINATION, eps=0)
         assert str(missing.value) == f"problem {pid} requires parameter {name!r}"
-        with pytest.raises(ValidationError) as out_of_range:
+        with pytest.raises(error) as out_of_range:
             DecisionInstance(problem_id=pid, game=COORDINATION, eps=0, **{name: bad})
         assert str(out_of_range.value) == message
         inst = DecisionInstance(problem_id=pid, game=COORDINATION, eps=0,
