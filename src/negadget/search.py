@@ -428,7 +428,8 @@ def wsne_support_feasible(
     row in the support must be within eps of the best row against y) and
     the column conditions only x.  Each side is an exact linear program
     maximizing the minimum support coordinate; a positive optimum on both
-    sides yields a witness.
+    sides yields a witness, and a side one of its rows proves dead needs
+    no simplex (`_side_lp`).
 
     With ``strict`` set, both pure-strategy regrets must be strictly
     below eps, which excludes profiles sitting exactly on the regret
@@ -452,38 +453,45 @@ def _pair_witness(
     eps: Fraction,
     strict: bool,
 ) -> tuple[MixedProfile | None, bool]:
-    """(the support pair's witness or None, whether its row side is
-    feasible): the row-side LP for y on R's columns in ``cols``, then, only
-    if that side is feasible, the column-side LP for x on C's rows in
-    ``rows``.  ``lines`` is the game's `int_lines`."""
+    """(the support pair's witness or None, whether its row side is not
+    known dead), from the LPs of y on R's columns in ``cols`` and of x on
+    C's rows in ``rows``, both built before either is solved, so that a side
+    `_side_lp` proves dead costs no simplex; ``lines`` is `int_lines`."""
     c_rows, r_cols, scale = lines
-    y = _one_side_feasible([r_cols[j] for j in cols], rows, eps, scale, strict)
-    if y is None:
-        return None, False
-    x = _one_side_feasible([c_rows[i] for i in rows], cols, eps, scale, strict)
-    if x is None:
-        return None, True
+    lps = []
+    for supp, other, side_lines in ((rows, cols, r_cols), (cols, rows, c_rows)):
+        lp = _side_lp([side_lines[t] for t in other], supp, eps, scale, strict)
+        if lp is None:
+            return None, bool(lps)
+        lps.append(lp)
+    solved = []
+    for lp in lps:
+        status, value, q = simplex_maximize(*lp)
+        if status != "optimal" or value <= 0:
+            return None, bool(solved)
+        solved.append(q[:-1])
+    y, x = solved
     return MixedProfile(x=side_vector(game.rows, (rows, x, 1)),
                         y=side_vector(game.cols, (cols, y, 1))), True
 
 
-def _one_side_feasible(
+def _side_lp(
     lines: Sequence[Sequence[int]],
     supp: Sequence[int],
     eps: Fraction,
     scale: int,
     strict: bool = False,
-) -> list[Fraction] | None:
-    """Find q in the simplex over the opponent's support with min coordinate
-    maximized, subject to: every row in supp is eps-best among all rows
-    against q.  ``lines`` are the payoff matrix P's columns on that support
+) -> tuple[list[int], list[list[int]], list[int]] | None:
+    """The LP (c, a_ub, b_ub) for `simplex_maximize` of q in the simplex
+    over the opponent's support, maximizing its least coordinate subject
+    to: every row in supp is eps-best among all rows against q; or None if
+    one row proves it dead.  ``lines`` are P's columns on that support
     times the integer ``scale``: R's columns, or C's rows for the columns.
 
     Variables: q_j for each line j, then t (the min-coordinate slack).
     Maximize t; feasible with t > 0 means the exact support works.  In
-    strict mode the slack t is also charged against every regret
-    constraint, so a positive optimum certifies regret strictly below
-    eps.
+    strict mode t is also charged against every regret constraint, so a
+    positive optimum certifies regret strictly below eps.
 
     The rows are homogeneous with sum(q) <= 1, so every right-hand side is
     0 or 1, as `simplex_maximize` requires, and the origin is a feasible
@@ -492,7 +500,11 @@ def _one_side_feasible(
 
     The rows compare each support row only with the other rows; its regret
     against itself is 0, which is strictly below eps only when eps > 0
-    (the callers take eps >= 0).
+    (the callers take eps >= 0).  As every variable is >= 0, a regret row
+    with no negative q-coefficient forces q_j = 0 where its coefficient is
+    positive, and t = 0 in strict mode: with t <= q_j the optimum is 0 (a
+    one-row Farkas certificate), so the first such row returns None.  A
+    weak row of zeros (P_r - P_i = eps on every line) forces nothing.
     """
     if strict and eps == 0:
         return None
@@ -509,7 +521,11 @@ def _one_side_feasible(
         for r in range(n_rows):
             if r == i:
                 continue
-            a_ub.append([b * (col[r] - col[i]) - shift for col in lines] + [slack])
+            row = [b * (col[r] - col[i]) - shift for col in lines]
+            if min(row) >= 0 and (strict or any(row)):
+                return None
+            row.append(slack)
+            a_ub.append(row)
     # t <= q_j for each j.
     for j in range(m):
         row = [0] * (m + 1)
@@ -517,11 +533,7 @@ def _one_side_feasible(
         row[m] = 1
         a_ub.append(row)
     a_ub.append([1] * m + [0])
-    b_ub = [0] * (len(a_ub) - 1) + [1]
-    status, value, solution = simplex_maximize([0] * m + [1], a_ub, b_ub)
-    if status != "optimal" or value is None or value <= 0:
-        return None
-    return solution[:m]
+    return [0] * m + [1], a_ub, [0] * (len(a_ub) - 1) + [1]
 
 
 def enumerate_wsne_supports(
@@ -540,8 +552,9 @@ def enumerate_wsne_supports(
     LP only gains constraints as the row support grows, so a pair whose row
     side is infeasible rules out the row side of every pair with more rows
     and the same columns; the column side is the mirror case.  So a pair is
-    infeasible when an immediate subset, one total size down, is.  Raises
-    ``ValidationError`` for a negative eps, ``ParameterError`` for a
+    infeasible when an immediate subset, one total size down, is.  Both of a
+    pair's LPs are built first; a side one row proves dead needs no simplex.
+    Raises ``ValidationError`` for a negative eps, ``ParameterError`` for a
     negative budget, and ``ResourceError`` before the first pair when the
     pairs exceed the budget.
     """
@@ -570,8 +583,9 @@ def _support_pairs(
     row count.  Only sides known to be infeasible are recorded (by an LP or
     by an immediate subset, on every pair, wanted or not), and only for one
     total size, the one a pair's immediate subsets have; when the row side
-    fails, the column side stays unknown.  A budget below the pair count, a
-    negative one too, raises ``ResourceError`` before the first pair.
+    fails, the column side stays unknown, as the row side does when the
+    column side's LP build proves it dead.  A budget below the pair count,
+    a negative one too, raises ``ResourceError`` before the first pair.
     """
     n, m = game.rows, game.cols
     total = (2 ** n - 1) * (2 ** m - 1)

@@ -6,10 +6,10 @@ distance and supports entry by entry, the gadget's certificate placed by
 row and column labels, the induced two-prover game on Fraction rows per
 question, the integer lines of a game cleared in full, the integer
 k-uniform scan candidate by candidate, every support pair sorted
-into the support walk's order, exact Gaussian elimination, the simplex on
-the full tableau, the exact equilibria of games up to 5x5, the grid eps-NE
-sweep, and the clause/variable free game and MAX-3SAT checked literal by
-literal.
+into the support walk's order, a support side's LP always solved by the
+simplex, exact Gaussian elimination, the simplex on the full tableau, the
+exact equilibria of games up to 5x5, the grid eps-NE sweep, and the
+clause/variable free game and MAX-3SAT checked literal by literal.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from negadget.games import (
     side_vector,
 )
 from negadget.gadget import GadgetGame
+from negadget.linsolve import simplex_maximize
 from negadget.provers import InducedGameResult, ProverStrategy, TwoProverGame
 from negadget.sat import Cnf3Formula, FreeGameBuild
 from negadget.search import (
@@ -305,6 +306,66 @@ def pairs_in_order(game: BimatrixGame) -> list[tuple[tuple[int, ...], ...]]:
                 for s in itertools.combinations(range(n), size)]
     return sorted(itertools.product(subsets(game.rows), subsets(game.cols)),
                   key=lambda rc: (len(rc[0]) + len(rc[1]), rc[0], rc[1]))
+
+
+def one_side_lp_reference(
+    lines: Sequence[Sequence[int]],
+    supp: Sequence[int],
+    eps: Fraction,
+    scale: int,
+    strict: bool = False,
+) -> list[Fraction] | None:
+    """The reference for `search._side_lp` and the simplex after it: the
+    same LP, always solved, with no one-row certificate.
+
+    Find q in the simplex over the opponent's support with min coordinate
+    maximized, subject to: every row in supp is eps-best among all rows
+    against q.  ``lines`` are the payoff matrix P's columns on that support
+    times the integer ``scale``: R's columns, or C's rows for the columns.
+
+    Variables: q_j for each line j, then t (the min-coordinate slack).
+    Maximize t; feasible with t > 0 means the exact support works.  In
+    strict mode the slack t is also charged against every regret
+    constraint, so a positive optimum certifies regret strictly below
+    eps.
+
+    The rows are homogeneous with sum(q) <= 1, so every right-hand side is
+    0 or 1, as `simplex_maximize` requires, and the origin is a feasible
+    start; a feasible (q, t) with t > 0 scales by 1/sum(q) to a larger t,
+    so a positive optimum has sum(q) = 1.
+
+    The rows compare each support row only with the other rows; its regret
+    against itself is 0, which is strictly below eps only when eps > 0
+    (the callers take eps >= 0).
+    """
+    if strict and eps == 0:
+        return None
+    n_rows = len(lines[0])
+    m = len(lines)
+    a_ub: list[list[int]] = []
+    # For each support row i and each row r: (P_r - P_i - eps) . q <= 0
+    # (strict mode: (P_r - P_i - eps) . q + t <= 0), times b*scale for
+    # eps = a/b, so that every coefficient is an integer.
+    b = eps.denominator
+    shift = eps.numerator * scale
+    slack = b * scale if strict else 0
+    for i in supp:
+        for r in range(n_rows):
+            if r == i:
+                continue
+            a_ub.append([b * (col[r] - col[i]) - shift for col in lines] + [slack])
+    # t <= q_j for each j.
+    for j in range(m):
+        row = [0] * (m + 1)
+        row[j] = -1
+        row[m] = 1
+        a_ub.append(row)
+    a_ub.append([1] * m + [0])
+    b_ub = [0] * (len(a_ub) - 1) + [1]
+    status, value, solution = simplex_maximize([0] * m + [1], a_ub, b_ub)
+    if status != "optimal" or value is None or value <= 0:
+        return None
+    return solution[:m]
 
 
 def solve_linear(

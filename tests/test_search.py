@@ -60,6 +60,7 @@ from oracles import (
     grid_eps_ne,
     int_lines_per_cell,
     integer_scan_per_candidate,
+    one_side_lp_reference,
     pairs_in_order,
     simplex_full_tableau,
     solve_linear,
@@ -1425,6 +1426,90 @@ class TestSupportSearchMatchesEveryPair:
         assert list(enumerate_wsne_supports(game, 0)) == [
             MixedProfile(x=(1,), y=(1,))
         ]
+
+
+def side_solved(lines, supp, eps, scale, strict):
+    """One support side as `search._pair_witness` decides it: `_side_lp`,
+    then the simplex on its LP unless a row proved the side dead."""
+    lp = search._side_lp(lines, supp, eps, scale, strict)
+    if lp is None:
+        return None
+    status, value, q = simplex_maximize(*lp)
+    return q[:-1] if status == "optimal" and value > 0 else None
+
+
+@st.composite
+def _grid_support_pairs(draw):
+    """A game up to 4x4 with entries on a grid of 2, 3 or 8 steps (many
+    ties, and rows exactly eps apart), with a row and a column support."""
+    steps = draw(st.sampled_from([2, 3, 8]))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cell = st.integers(0, steps).map(lambda v: F(v, steps))
+    cells = st.lists(st.lists(cell, min_size=m, max_size=m), min_size=n, max_size=n)
+    rows = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    cols = draw(st.sets(st.integers(0, m - 1), min_size=1))
+    game = BimatrixGame(R=draw(cells), C=draw(cells))
+    return game, tuple(sorted(rows)), tuple(sorted(cols))
+
+
+class TestSideCertificate:
+    """The one-row certificate against the LP it skips: the reference
+    always runs the simplex, so a certificate that killed a live side
+    would show here, which the enumeration-against-pairs test cannot."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pair=_grid_support_pairs(),
+           eps=st.sampled_from([F(0), F(1, 8), F(1, 4), F(1, 2)]),
+           strict=st.booleans())
+    def test_sides_and_pair_match_the_lp_reference(self, pair, eps, strict):
+        game, rows, cols = pair
+        c_rows, r_cols, scale = games.int_lines(game)
+        sides = []
+        for lines, supp in (([r_cols[j] for j in cols], rows),
+                            ([c_rows[i] for i in rows], cols)):
+            q = one_side_lp_reference(lines, supp, eps, scale, strict)
+            assert side_solved(lines, supp, eps, scale, strict) == q
+            sides.append(q)
+        y, x = sides
+        expected = None
+        if x is not None and y is not None:
+            expected = MixedProfile(
+                x=[dict(zip(rows, x)).get(i, 0) for i in range(game.rows)],
+                y=[dict(zip(cols, y)).get(j, 0) for j in range(game.cols)])
+        assert wsne_support_feasible(game, rows, cols, eps, strict) == expected
+
+    def test_weak_row_of_zeros_stays_feasible(self):
+        # Row 1 is worth exactly eps = 1/2 more than row 0 on the one line:
+        # its coefficient b*(1 - 0) - a*scale is 2 - 2 = 0.
+        lines, eps = [[0, 1]], F(1, 2)
+        assert search._side_lp(lines, (0,), eps, 2, False) is not None
+        assert side_solved(lines, (0,), eps, 2, False) == [1]
+        assert one_side_lp_reference(lines, (0,), eps, 2, False) == [1]
+
+    def test_strict_row_of_zeros_is_dead(self):
+        # The same row charged t > 0 forces t = 0.
+        lines, eps = [[0, 1]], F(1, 2)
+        assert search._side_lp(lines, (0,), eps, 2, True) is None
+        assert one_side_lp_reference(lines, (0,), eps, 2, True) is None
+
+    def test_one_row_strict_side_at_zero_eps_is_dead(self):
+        # No regret row at all: its regret against itself, 0, is not < 0.
+        assert search._side_lp([[5]], (0,), F(0), 1, True) is None
+        assert one_side_lp_reference([[5]], (0,), F(0), 1, True) is None
+        assert side_solved([[5]], (0,), F(0), 1, False) == [1]
+
+    @pytest.mark.parametrize("R, cols, lps", [
+        (((0, 0), (0, 0)), (1,), 0),  # C's column 1 trails column 0: dead
+        (((0, 0), (1, 1)), (0,), 0),  # R's row 1 beats row 0: dead
+        (((0, 0), (0, 0)), (0,), 2),  # no row certifies either side
+    ])
+    def test_certified_sides_solve_no_lp(self, R, cols, lps):
+        game = BimatrixGame(R=R, C=((1, 0), (1, 0)))
+        with mock.patch.object(search, "simplex_maximize",
+                               wraps=simplex_maximize) as lp:
+            witness = wsne_support_feasible(game, (0,), cols, 0)
+        assert lp.call_count == lps
+        assert witness == (pure_profile(game, 0, 0) if lps else None)
 
 
 class TestSupportWalk:
