@@ -59,9 +59,10 @@ class SearchOutcome:
     untested because a column of y lies outside the slack of x's best
     response (see `_integer_scan`), and for problems 7-10 the support
     pairs that pass the problem's predicate.  For `lmm_best_welfare` it is
-    the whole family within the budget: the candidates after a hit at the
-    game's largest cell welfare are decided by that ceiling and count as
-    checked, as the column-bound ones do.  A hint that answers counts 0.
+    the whole family within the budget: when a hit reaches the game's
+    largest cell welfare, the candidates left unscanned are decided by
+    that ceiling and count as checked, as the column-bound ones do.  A
+    hint that answers counts 0.
     """
 
     answer: str
@@ -262,25 +263,32 @@ def lmm_best_welfare(
     "unknown" (with the best partial witness) when the family exceeds
     the budget.  The witness is the lowest-index hit of the best welfare.
 
-    A profile's welfare is an average of cell welfares, so none exceeds
-    the game's largest cell welfare, max(R + C).  The scan stops at the
-    first hit at that ceiling, since no later hit can beat it; the
-    candidates after it still count in ``checked_count``.
+    A profile's welfare is an average of its support cells' welfares, so
+    none exceeds the game's largest cell welfare, max(R + C), and a
+    candidate reaches it iff every cell of supp(x) x supp(y) does.  The
+    scan first walks only those candidates (`_integer_scan`'s ``ceiling``);
+    its first hit, when there is one, is the lowest-index hit at the
+    ceiling, which no later hit can beat.  Only when it finds none is the
+    whole family scanned for the best welfare below the ceiling.  The
+    candidates left unscanned still count in ``checked_count``.
     """
     e = nonnegative_eps(eps)
     check_count(budget, "budget")
     checked, truncated = _scan_size(game, k, budget)
-    # Welfare compared as integers on the scan's scale, k*k*L; the palette
-    # holds only pairs that occur in some cell.
+    # The ceiling codes: the palette pairs of the largest cell welfare.  When
+    # every pair has it, the first pass is the whole family, and the last.
     r_ints, c_ints, _ = game.int_entries
-    ceiling = k * k * max(r + c_ints[code] for code, r in r_ints.items())
-    best = None
-    for hit in _integer_scan(game, e, k, checked):
-        welfare = hit[3] + hit[4]
-        if best is None or welfare > most:  # keep the first of equal maxima
-            best, most = hit, welfare
-            if most == ceiling:
-                break
+    welfare = {code: r + c_ints[code] for code, r in r_ints.items()}
+    top = max(welfare.values())
+    ceiling = "".join([code for code, w in welfare.items() if w == top])
+    constant = len(ceiling) == len(welfare)
+    best = next(_integer_scan(game, e, k, checked, None if constant else ceiling),
+                None)
+    if best is None and not constant:
+        # Welfare compared as integers on the scan's scale, k*k*L.
+        for hit in _integer_scan(game, e, k, checked):
+            if best is None or hit[3] + hit[4] > most:  # the first of equal maxima
+                best, most = hit, hit[3] + hit[4]
     witness = None if best is None else _scan_witness(game, best[1], best[2], e)
     answer = "unknown" if truncated else "no" if best is None else "yes"
     return SearchOutcome(answer=answer, witness=witness, checked_count=checked)
@@ -298,7 +306,8 @@ def _scan_size(game: BimatrixGame, k: int, budget: int) -> tuple[int, bool]:
 
 
 def _integer_scan(
-    game: BimatrixGame, eps: Fraction, k: int, budget: int
+    game: BimatrixGame, eps: Fraction, k: int, budget: int,
+    ceiling: str | None = None,
 ) -> Iterator[tuple[int, Multiset, Multiset, int, int]]:
     """Stream the k-uniform eps-NE among the first ``budget`` candidates.
 
@@ -307,6 +316,11 @@ def _integer_scan(
     rank(x)*C(m+k-1, k) + rank(y) for m columns.  Each passing candidate is
     yielded as (index, x multiset, y multiset, row payoff, col payoff), the
     payoffs as integers over k*k*L, L = ``game.int_entries[2]``.
+
+    With ``ceiling``, a string of palette codes, only the candidates whose
+    every support cell has one of those codes are walked, in the same
+    order and with the same indices: x is drawn from the rows that hold
+    such a cell, and y from the columns where every row of x holds one.
 
     The test uses integers only.  A multiset y gives vals = k*L*(R @ y), the
     sum of y's R columns, and a multiset x the payoff pay = k*k*L*(x @ R @ y),
@@ -330,18 +344,32 @@ def _integer_scan(
     c_rows, r_cols, scale = int_lines(game)
     unit = k * k * scale
     slack = eps.numerator * unit // eps.denominator
-    m = game.cols
+    n, m = game.rows, game.cols
     per_x = comb(m + k - 1, k)
+    if ceiling is None:
+        xs = enumerate(_multisets(n, k))
+    else:
+        codes = game.codes
+        held = [i for i, row in enumerate(codes) if any(map(row.__contains__, ceiling))]
+        xs = ((_multiset_rank(xc, n), xc)
+              for xc in itertools.combinations_with_replacement(held, k))
     # y's multiset -> [k*L*(R @ y), the least row payoff that passes, rank]
     rows_of: dict[Multiset, list] = {}
-    for x_rank, xc in enumerate(_multisets(game.rows, k)):
+    for x_rank, xc in xs:
         base = x_rank * per_x
         if base >= budget:
             return
+        if ceiling is not None:
+            cols = set.intersection(*[_columns_of(codes[i], ceiling) for i in set(xc)])
+            if not cols:
+                continue
         cut = base + per_x > budget
         col_vals = _summed(c_rows, xc)
         top = max(col_vals)
-        allowed = [j for j, v in enumerate(col_vals) if top - v <= slack]
+        if ceiling is None:
+            allowed = [j for j, v in enumerate(col_vals) if top - v <= slack]
+        else:
+            allowed = [j for j in sorted(cols) if top - col_vals[j] <= slack]
         col_least = k * top - slack
         for yc in itertools.combinations_with_replacement(allowed, k):
             if cut and base + (rank := _multiset_rank(yc, m)) >= budget:
@@ -359,6 +387,18 @@ def _integer_scan(
                 if not cut and known is None:
                     known = entry[2] = _multiset_rank(yc, m)
                 yield base + (rank if cut else known), xc, yc, row_pay, col_pay
+
+
+def _columns_of(row: str, codes: str) -> set[int]:
+    """The columns of the code row ``row`` whose cells have one of
+    ``codes``, found by C-level ``find``."""
+    found = set()
+    for code in codes:
+        j = row.find(code)
+        while j >= 0:
+            found.add(j)
+            j = row.find(code, j + 1)
+    return found
 
 
 def _summed(lines: IntLines, members: Multiset) -> list[int]:
@@ -387,6 +427,40 @@ def _far(a: tuple[Counter, Counter], b: tuple[Counter, Counter], apart: int) -> 
     at some coordinate: for apart = ceil(d*k), whether two k-uniform
     profiles are at distance d or more."""
     return any(abs(s[t] - u[t]) >= apart for s, u in zip(a, b) for t in {*s, *u})
+
+
+class _EarlierHits:
+    """The scan hits seen so far, in order, with each side's largest and
+    least multiplicity per coordinate among them (least 0 where some hit
+    lacks the coordinate): a new hit is far from some earlier one iff it
+    is far from those bounds, one test however many hits came before."""
+
+    def __init__(self) -> None:
+        self.hits: list[tuple[Multiset, Multiset]] = []
+        self.most: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self.least: tuple[dict[int, int], ...] = ()  # coordinates in every hit
+
+    def add(self, xc: Multiset, yc: Multiset, counts: tuple[Counter, Counter]) -> None:
+        self.hits.append((xc, yc))
+        for most, c in zip(self.most, counts):
+            for t, v in c.items():
+                if v > most.get(t, 0):
+                    most[t] = v
+        self.least = tuple(
+            {t: min(v, c[t]) for t, v in least.items() if t in c}
+            for least, c in zip(self.least, counts)
+        ) if self.least else tuple(map(dict, counts))
+
+    def first_far(self, counts: tuple[Counter, Counter],
+                  apart: int) -> tuple[Multiset, Multiset] | None:
+        """The first earlier hit that `_far` puts ``apart`` from ``counts``,
+        found in one pass over the hits once the bounds show there is one."""
+        if not any(any(v - c[t] >= apart for t, v in most.items())
+                   or any(v - least.get(t, 0) >= apart for t, v in c.items())
+                   for most, least, c in zip(self.most, self.least, counts)):
+            return None
+        return next(h for h in self.hits
+                    if _far((Counter(h[0]), Counter(h[1])), counts, apart))
 
 
 def _sorted_ints(indices: Iterable[object], name: str) -> Support:
@@ -700,15 +774,15 @@ def decide_many(
             k = default_k(max(game.rows, game.cols), eps)
         checked, truncated = _scan_size(game, k, budget)
         unit = k * k * game.int_entries[2]
-        found = []  # earlier hits and their multiplicities, while p3 is pending
+        earlier = _EarlierHits()  # while p3 is pending
         for index, xc, yc, row, col in _integer_scan(game, eps, k, checked):
             counts = Counter(xc), Counter(yc)
             x_side = tuple(counts[0]), tuple(counts[0].values()), k
             for i, inst in list(scan.items()):
                 if inst.problem_id == 3:  # witnessed by a far-apart pair (q, this)
                     apart = -(-inst.d.numerator * k // inst.d.denominator)
-                    q = next((q for q in found if _far(q[2], counts, apart)), None)
-                    hit = None if q is None else (q[:2], (xc, yc))
+                    q = earlier.first_far(counts, apart)
+                    hit = None if q is None else (q, (xc, yc))
                 else:
                     hit = ((xc, yc),) if inst.holds(x_side, row, col, unit) else None
                 if hit is not None:
@@ -721,7 +795,7 @@ def decide_many(
             if not scan:
                 break
             if any(inst.problem_id == 3 for inst in scan.values()):
-                found.append((xc, yc, counts))
+                earlier.add(xc, yc, counts)
         for i in scan:
             outcomes[i] = SearchOutcome(answer="unknown" if truncated else "no",
                                         checked_count=checked)

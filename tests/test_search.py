@@ -4,6 +4,7 @@ import decimal
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -893,28 +894,29 @@ class TestPrunedScanMatchesPerCandidate:
         assert ranks == list(range(k_uniform_count(m, k)))
 
 
+def _assert_lmm_first_best_hit(game, eps, k, budget):
+    """`lmm_best_welfare` answers as the brute force does: the lowest-index
+    hit of the best welfare, with every candidate in the budget checked."""
+    hits, checked, truncated = _reference_hits(game, eps, k, _scan_budget(k, budget))
+    out = lmm_best_welfare(game, eps, k, budget=budget)
+    if not hits:
+        miss = "unknown" if truncated else "no"
+        assert (out.answer, out.witness, out.checked_count) == (miss, None, checked)
+        return
+    best = max(rep.welfare for _, _, rep in hits)
+    first = next(p for _, p, rep in hits if rep.welfare == best)
+    assert (out.answer, out.witness, out.checked_count) == (
+        "unknown" if truncated else "yes", first, checked
+    )
+
+
 class TestLmmIntegerWelfare:
     @settings(max_examples=150, deadline=None)
     @given(case=_integer_scan_cases())
     def test_first_maximum_welfare_equilibrium(self, case):
         # Signed entries with mixed denominators, so equal and near-equal
         # welfares come from payoffs with different denominators.
-        game, eps, k, budget = case
-        hits, checked, truncated = _reference_hits(
-            game, eps, k, _scan_budget(k, budget)
-        )
-        out = lmm_best_welfare(game, eps, k, budget=budget)
-        if not hits:
-            miss = "unknown" if truncated else "no"
-            assert (out.answer, out.witness, out.checked_count) == (
-                miss, None, checked
-            )
-            return
-        best = max(rep.welfare for _, _, rep in hits)
-        first = next(p for _, p, rep in hits if rep.welfare == best)
-        assert (out.answer, out.witness, out.checked_count) == (
-            "unknown" if truncated else "yes", first, checked
-        )
+        _assert_lmm_first_best_hit(*case)
 
     def test_witness_rechecked_by_the_oracle(self, monkeypatch):
         monkeypatch.setattr(search, "is_eps_ne", lambda game, p, eps: False)
@@ -954,21 +956,7 @@ class TestLmmStopsAtCeiling:
     def test_same_outcome_as_the_full_scan(self, game, eps, k, budget):
         # Budgets below the first ceiling hit end the scan before the stop,
         # where ties below the ceiling decide the witness.
-        hits, checked, truncated = _reference_hits(
-            game, eps, k, _scan_budget(k, budget)
-        )
-        out = lmm_best_welfare(game, eps, k, budget=budget)
-        if not hits:
-            miss = "unknown" if truncated else "no"
-            assert (out.answer, out.witness, out.checked_count) == (
-                miss, None, checked
-            )
-            return
-        best = max(rep.welfare for _, _, rep in hits)
-        first = next(p for _, p, rep in hits if rep.welfare == best)
-        assert (out.answer, out.witness, out.checked_count) == (
-            "unknown" if truncated else "yes", first, checked
-        )
+        _assert_lmm_first_best_hit(game, eps, k, budget)
 
     def test_scan_ends_at_the_first_ceiling_hit(self, monkeypatch):
         # COORDINATION's first candidate, (0, 0), is a pure NE of welfare 2.
@@ -985,6 +973,132 @@ class TestLmmStopsAtCeiling:
         assert [hit[0] for hit in drawn] == [0]
         assert out.witness == pure_profile(COORDINATION, 0, 0)
         assert out.checked_count == 9
+
+
+def _top_cells(game):
+    """The cells (i, j) of the game's largest welfare R[i][j] + C[i][j]."""
+    welfare = {(i, j): r + c for i, (rr, cc) in enumerate(zip(game.R, game.C))
+               for j, (r, c) in enumerate(zip(rr, cc))}
+    top = max(welfare.values())
+    return {cell for cell, w in welfare.items() if w == top}
+
+
+def _ceiling_indices(game, k):
+    """The indices of the k-uniform candidates whose every support cell is
+    a top-welfare cell: those whose welfare reaches max(R + C)."""
+    top = _top_cells(game)
+    pairs = itertools.product(k_uniform_strategies(game.rows, k),
+                              k_uniform_strategies(game.cols, k))
+    return [index for index, (x, y) in enumerate(pairs)
+            if all((i, j) in top for i in support_per_entry(x)
+                   for j in support_per_entry(y))]
+
+
+def _spy_scan_passes(monkeypatch):
+    """The arguments of every `_integer_scan` call, in order."""
+    passes = []
+    scan = search._integer_scan
+
+    def counted(*args):
+        passes.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(search, "_integer_scan", counted)
+    return passes
+
+
+@st.composite
+def _fallback_cases(draw):
+    """A game up to 4x4 (3x3 at k = 3) of entries 0, 1 and 2 whose top
+    cells, of welfare 3, are (2, 1) cells with a (0, 2) cell beside them in
+    their row (or the transpose), so that at eps < 1 the column (row)
+    player gains by leaving them, plus cells of welfare up to 2, some
+    planted at (1, 1).  The budget ends before the first ceiling candidate,
+    between the first and the last, or after the last."""
+    k = draw(st.integers(1, 3))
+    side = st.integers(1, 3 if k == 3 else 4)
+    rows, cols = draw(side), draw(side)
+    pair = st.sampled_from([(r, c) for r in range(3) for c in range(3) if r + c <= 2])
+    cells = draw(st.lists(st.lists(pair, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    for i, j in draw(st.lists(cell, max_size=2)):
+        cells[i][j] = (1, 1)
+    flip = draw(st.booleans())
+    for i, j in draw(st.lists(cell, min_size=1, max_size=2)):
+        if flip:
+            cells[i][j] = (1, 2)
+            cells[(i + 1) % rows][j] = (2, 0)
+        else:
+            cells[i][j] = (2, 1)
+            cells[i][(j + 1) % cols] = (0, 2)
+    game = BimatrixGame(R=[[r for r, _ in row] for row in cells],
+                        C=[[c for _, c in row] for row in cells])
+    ceiling = _ceiling_indices(game, k)
+    first, last = ceiling[0], ceiling[-1]
+    total = k_uniform_count(rows, k) * k_uniform_count(cols, k)
+    budget = draw(st.one_of(
+        st.integers(1, max(1, first)),
+        st.integers(first + 1, last + 1),
+        st.sampled_from([last + 1, total, total + 3]),
+    ))
+    eps = draw(st.sampled_from([F(0), F(1, 4), F(1, 2), F(1)]))
+    return game, eps, k, budget
+
+
+class TestLmmCeilingFirst:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_fallback_cases())
+    def test_same_outcome_as_the_full_scan(self, case):
+        # When no ceiling candidate within the budget passes, the answer
+        # comes from the second, full pass.
+        _assert_lmm_first_best_hit(*case)
+
+    def test_top_cell_no_equilibrium_takes_the_full_pass(self, monkeypatch):
+        # The prisoner's dilemma: (0, 0) has the top welfare, 6, and each
+        # player gains 2 by leaving it; (1, 1) is the only equilibrium.
+        game = BimatrixGame(R=((3, 0), (5, 1)), C=((3, 5), (0, 1)))
+        passes = _spy_scan_passes(monkeypatch)
+        out = lmm_best_welfare(game, 0, 2)
+        assert len(passes) == 2  # the ceiling candidates, then the family
+        assert (out.answer, out.witness) == ("yes", pure_profile(game, 1, 1))
+        assert out.checked_count == 9
+
+    def test_planted_games_take_one_pass_over_ceiling_rows(self, monkeypatch):
+        # The planted cell (1, 1) is a pure NE at the ceiling, 2, so the
+        # first pass hits; an x line is summed only over rows that hold a
+        # ceiling cell.
+        rng = random.Random(777)
+        planted = [random_planted_game(rng, 4, 4) for _ in range(50)]
+        settings_ = ((1, F(0)), (2, F(0)), (3, F(0)), (4, F(0)), (2, F(1, 2)))
+        passes = _spy_scan_passes(monkeypatch)
+        x_lines = []
+        summed = search._summed
+
+        def spy(lines, members):
+            if lines.ints is game.int_entries[1]:
+                x_lines.append(members)
+            return summed(lines, members)
+
+        monkeypatch.setattr(search, "_summed", spy)
+        for game in planted:
+            rows = {i for i, _ in _top_cells(game)}
+            for k, eps in settings_:
+                passes.clear()
+                x_lines.clear()
+                out = lmm_best_welfare(game, eps, k)
+                assert out.answer == "yes"
+                assert social_welfare(game, out.witness) == 2
+                assert len(passes) == 1
+                assert x_lines and all(set(xc) <= rows for xc in x_lines)
+
+    def test_constant_welfare_takes_one_pass(self, monkeypatch):
+        # Every cell of matching pennies has welfare 1, so the first pass
+        # is the whole family; at k = 1 it holds no pure NE.
+        passes = _spy_scan_passes(monkeypatch)
+        out = lmm_best_welfare(MATCHING_PENNIES, 0, 1)
+        assert (out.answer, out.witness, out.checked_count) == ("no", None, 4)
+        assert len(passes) == 1
 
 
 class TestScanBudget:
@@ -1216,6 +1330,28 @@ def _shared_decisions(draw):
     return insts, hints
 
 
+class TestEarlierHits:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        data=st.data(),
+        apart=st.integers(1, 4),
+    )
+    def test_first_far_is_the_first_far_earlier_hit(self, k, data, apart):
+        # Hits as (x, y) multisets over up to 3 rows and 3 columns; each new
+        # hit's answer is checked against `_far` on every earlier hit.
+        side = st.lists(st.integers(0, 2), min_size=k, max_size=k).map(
+            lambda c: tuple(sorted(c)))
+        hits = data.draw(st.lists(st.tuples(side, side), max_size=12))
+        earlier = search._EarlierHits()
+        for n, (xc, yc) in enumerate(hits):
+            counts = Counter(xc), Counter(yc)
+            expected = next((q for q in hits[:n] if search._far(
+                (Counter(q[0]), Counter(q[1])), counts, apart)), None)
+            assert earlier.first_far(counts, apart) == expected
+            earlier.add(xc, yc, counts)
+
+
 class TestDecideMany:
     # Every profile of a constant game is an exact NE and WSNE.
     CONSTANT = BimatrixGame(R=((F(1, 2),) * 2,) * 2, C=((F(1, 2),) * 2,) * 2)
@@ -1341,6 +1477,25 @@ class TestDecideMany:
         out = decide(p3, k=2, budget=500)
         assert out.answer == "yes"
         assert built == [8, 50, 8, 50]
+
+    def test_p3_one_pass_over_earlier_hits(self, monkeypatch):
+        # Every candidate of the all-zero 1x2 game is an exact NE.  At
+        # d = 1 only the first and last of the k + 1 hits are far apart,
+        # so each of the 500 earlier hits is compared at most once.
+        game = BimatrixGame(R=((0, 0),), C=((0, 0),))
+        far = []
+        real = search._far
+
+        def counted(a, b, apart):
+            far.append(apart)
+            return real(a, b, apart)
+
+        monkeypatch.setattr(search, "_far", counted)
+        out = decide(DecisionInstance(problem_id=3, game=game, eps=0, d=1),
+                     k=500, budget=10**6)
+        assert (out.answer, out.checked_count) == ("yes", 501)
+        assert out.witness_pair == (pure_profile(game, 0, 0), pure_profile(game, 0, 1))
+        assert 1 <= len(far) <= 500
 
     def test_instances_must_share_game_and_eps(self):
         p1 = DecisionInstance(problem_id=1, game=COORDINATION, eps=0, u=1)
