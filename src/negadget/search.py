@@ -437,27 +437,25 @@ class _EarlierHits:
 
     def __init__(self) -> None:
         self.hits: list[tuple[Multiset, Multiset]] = []
-        self.most: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        self.least: tuple[dict[int, int], ...] = ()  # coordinates in every hit
+        self.most, self.least = (Counter(), Counter()), (Counter(), Counter())
 
     def add(self, xc: Multiset, yc: Multiset, counts: tuple[Counter, Counter]) -> None:
+        for most, least, c in zip(self.most, self.least, counts):
+            most |= c  # Counter's | and & keep the larger and smaller count
+            if self.hits:
+                least &= c
+            else:
+                least |= c
         self.hits.append((xc, yc))
-        for most, c in zip(self.most, counts):
-            for t, v in c.items():
-                if v > most.get(t, 0):
-                    most[t] = v
-        self.least = tuple(
-            {t: min(v, c[t]) for t, v in least.items() if t in c}
-            for least, c in zip(self.least, counts)
-        ) if self.least else tuple(map(dict, counts))
 
     def first_far(self, counts: tuple[Counter, Counter],
                   apart: int) -> tuple[Multiset, Multiset] | None:
         """The first earlier hit that `_far` puts ``apart`` from ``counts``,
         found in one pass over the hits once the bounds show there is one."""
-        if not any(any(v - c[t] >= apart for t, v in most.items())
-                   or any(v - least.get(t, 0) >= apart for t, v in c.items())
-                   for most, least, c in zip(self.most, self.least, counts)):
+        if not self.hits or all(
+            gap < apart for most, least, c in zip(self.most, self.least, counts)
+            for gap in ((most - c) | (c - least)).values()
+        ):
             return None
         return next(h for h in self.hits
                     if _far((Counter(h[0]), Counter(h[1])), counts, apart))
