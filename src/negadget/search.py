@@ -437,15 +437,15 @@ class _EarlierHits:
 
     def __init__(self) -> None:
         self.hits: list[tuple[Multiset, Multiset]] = []
-        self.most, self.least = (Counter(), Counter()), (Counter(), Counter())
+        self.most: tuple[Counter, ...] = ()
+        self.least: tuple[Counter, ...] = ()
 
     def add(self, xc: Multiset, yc: Multiset, counts: tuple[Counter, Counter]) -> None:
+        if not self.hits:
+            self.most, self.least = tuple(map(Counter, counts)), tuple(map(Counter, counts))
         for most, least, c in zip(self.most, self.least, counts):
             most |= c  # Counter's | and & keep the larger and smaller count
-            if self.hits:
-                least &= c
-            else:
-                least |= c
+            least &= c
         self.hits.append((xc, yc))
 
     def first_far(self, counts: tuple[Counter, Counter],
