@@ -1070,20 +1070,20 @@ class TestLmmCeilingFirst:
         # ceiling cell.
         rng = random.Random(777)
         planted = [random_planted_game(rng, 4, 4) for _ in range(50)]
-        settings_ = ((1, F(0)), (2, F(0)), (3, F(0)), (4, F(0)), (2, F(1, 2)))
+        k_eps = ((1, F(0)), (2, F(0)), (3, F(0)), (4, F(0)), (2, F(1, 2)))
         passes = _spy_scan_passes(monkeypatch)
         x_lines = []
         summed = search._summed
 
         def spy(lines, members):
-            if lines.ints is game.int_entries[1]:
+            if lines.ints is game.int_entries[1]:  # C's rows of the game in the loop
                 x_lines.append(members)
             return summed(lines, members)
 
         monkeypatch.setattr(search, "_summed", spy)
         for game in planted:
             rows = {i for i, _ in _top_cells(game)}
-            for k, eps in settings_:
+            for k, eps in k_eps:
                 passes.clear()
                 x_lines.clear()
                 out = lmm_best_welfare(game, eps, k)
