@@ -10,7 +10,6 @@ from .games import (
     is_eps_ne,
     is_eps_wsne,
     regret_report,
-    social_welfare,
     tv_distance,
 )
 from .provers import (
@@ -58,7 +57,6 @@ __all__ = [
     "is_eps_ne",
     "is_eps_wsne",
     "regret_report",
-    "social_welfare",
     "tv_distance",
     "ProverStrategy",
     "TwoProverGame",

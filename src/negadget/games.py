@@ -460,11 +460,6 @@ def is_eps_wsne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
     return regret_report(game, p).within(frac(eps), pure=True)
 
 
-def social_welfare(game: BimatrixGame, p: MixedProfile) -> Fraction:
-    """x'(R + C)y, exactly: the welfare of the profile's regret report."""
-    return regret_report(game, p).welfare
-
-
 def tv_distance(p1: MixedProfile, p2: MixedProfile) -> Fraction:
     """Maximum coordinatewise probability difference over both vectors,
     each distinct pair of entry objects compared once."""

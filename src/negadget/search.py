@@ -41,6 +41,7 @@ K_CAP = 8  # the largest k that `default_k` picks
 
 Support = tuple[int, ...]  # sorted strategy indices
 Multiset = tuple[int, ...]  # sorted strategy indices, repeats allowed
+_Pending = dict[int, "DecisionInstance"]  # a phase's problems, by index in the call
 
 WITNESS_NE = "NE"
 WITNESS_WSNE = "WSNE"
@@ -282,11 +283,12 @@ def lmm_best_welfare(
     top = max(welfare.values())
     ceiling = "".join([code for code, w in welfare.items() if w == top])
     constant = len(ceiling) == len(welfare)
-    best = next(_integer_scan(game, e, k, checked, None if constant else ceiling),
-                None)
+    lines = int_lines(game)  # both passes build each line once
+    best = next(_integer_scan(game, lines, e, k, checked,
+                              None if constant else ceiling), None)
     if best is None and not constant:
         # Welfare compared as integers on the scan's scale, k*k*L.
-        for hit in _integer_scan(game, e, k, checked):
+        for hit in _integer_scan(game, lines, e, k, checked):
             if best is None or hit[3] + hit[4] > most:  # the first of equal maxima
                 best, most = hit, hit[3] + hit[4]
     witness = None if best is None else _scan_witness(game, best[1], best[2], e)
@@ -306,8 +308,8 @@ def _scan_size(game: BimatrixGame, k: int, budget: int) -> tuple[int, bool]:
 
 
 def _integer_scan(
-    game: BimatrixGame, eps: Fraction, k: int, budget: int,
-    ceiling: str | None = None,
+    game: BimatrixGame, lines: tuple[IntLines, IntLines, int], eps: Fraction,
+    k: int, budget: int, ceiling: str | None = None,
 ) -> Iterator[tuple[int, Multiset, Multiset, int, int]]:
     """Stream the k-uniform eps-NE among the first ``budget`` candidates.
 
@@ -315,7 +317,7 @@ def _integer_scan(
     multisets, x outermost, and candidate (x, y) has index
     rank(x)*C(m+k-1, k) + rank(y) for m columns.  Each passing candidate is
     yielded as (index, x multiset, y multiset, row payoff, col payoff), the
-    payoffs as integers over k*k*L, L = ``game.int_entries[2]``.
+    payoffs as integers over k*k*L, ``lines`` being `int_lines` (L last).
 
     With ``ceiling``, a string of palette codes, only the candidates whose
     every support cell has one of those codes are walked, in the same
@@ -341,7 +343,7 @@ def _integer_scan(
     """
     if budget < 1:
         return
-    c_rows, r_cols, scale = int_lines(game)
+    c_rows, r_cols, scale = lines
     unit = k * k * scale
     slack = eps.numerator * unit // eps.denominator
     n, m = game.rows, game.cols
@@ -710,25 +712,31 @@ def decide_many(
     budget: int = SEARCH_BUDGET_DEFAULT,
     hints: Iterable[MixedProfile | tuple[MixedProfile, MixedProfile]] = (),
 ) -> list[SearchOutcome]:
-    """Decide problems on one game at one eps by candidate enumeration,
-    each exactly as it would be decided alone.
-
-    ``hints`` are candidate profiles (or pairs, for problem 3) checked
-    before any enumeration; a hint that satisfies the predicate certifies
-    a yes immediately.  Problems 1-6 scan k-uniform profiles, so their
-    "no" means "no k-uniform witness"; problems 7-10 enumerate support
-    patterns exactly, so their "no" is unconditional (within budget).
-    The problems share one regret report per hint object, one k-uniform
-    scan and one support enumeration.  The enumeration decides
-    only the support pairs that some pending problem's predicate accepts,
-    since a pair's witness has exactly that pair as its supports.
-    """
+    """Decide problems on one game at one eps, each as if alone: by the
+    first of ``hints`` (profiles, or pairs for problem 3) that certifies it,
+    else 1-6 by one k-uniform scan ("no": no k-uniform witness) and 7-10 by
+    one exact support enumeration ("no" is unconditional within budget)."""
     check_count(budget, "budget")
+    if k is not None:
+        check_count(k, "k", 1)
     if not insts:
         return []
     game, eps = insts[0].game, insts[0].eps
     if any(inst.game != game or inst.eps != eps for inst in insts):
         raise ValidationError("decide_many needs one game and one eps")
+    outcomes = _hint_outcomes(game, eps, dict(enumerate(insts)), hints)
+    pending: dict[str, _Pending] = {WITNESS_NE: {}, WITNESS_WSNE: {}}
+    for i, inst in enumerate(insts):
+        if i not in outcomes:
+            pending[inst.witness_kind][i] = inst
+    outcomes |= _scan_outcomes(game, eps, pending[WITNESS_NE], k, budget)
+    outcomes |= _support_outcomes(game, eps, pending[WITNESS_WSNE], budget)
+    return [outcomes[i] for i in range(len(insts))]
+
+
+def _hint_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
+                   hints: Iterable) -> dict[int, SearchOutcome]:
+    """A yes for each problem in ``pending`` that a hint certifies."""
     # One report per hint object, keyed by identity: the list keeps every
     # hint alive for the call, and hashing a profile hashes every entry.
     hints = list(hints)
@@ -740,94 +748,93 @@ def decide_many(
             rep = reports[id(p)] = regret_report(game, p)
         return rep
 
-    # Problem 3 takes only pair hints, the others only profile hints.
-    outcomes: list[SearchOutcome | None] = [None] * len(insts)
-    for i, inst in enumerate(insts):
+    settled = {}
+    for i, inst in pending.items():
+        pair = inst.problem_id == 3
         for hint in hints:
-            if (inst.problem_id == 3) != isinstance(hint, tuple):
+            if pair != isinstance(hint, tuple):
                 continue
-            if inst.problem_id == 3:
-                p1, p2 = hint
-                both = report(p1).within(eps) and report(p2).within(eps)
-                if both and tv_distance(p1, p2) >= inst.d:
-                    outcomes[i] = SearchOutcome(answer="yes", witness=p1,
-                                                witness_pair=(p1, p2))
-                    break
+            if pair:
+                certified = (all(report(p).within(eps) for p in hint)
+                             and tv_distance(*hint) >= inst.d)
             else:
                 rep = report(hint)
                 wsne = inst.witness_kind == WITNESS_WSNE
-                if rep.within(eps, wsne) and (
+                certified = rep.within(eps, wsne) and (
                     inst.holds(hint.support_x, hint.support_y) if wsne
                     else inst.holds(hint.sparse_x, rep.row_payoff, rep.col_payoff, 1)
-                ):
-                    outcomes[i] = SearchOutcome(answer="yes", witness=hint)
-                    break
-    scan = {i: inst for i, inst in enumerate(insts)
-            if outcomes[i] is None and inst.witness_kind == WITNESS_NE}
-    supports = {i: inst for i, inst in enumerate(insts)
-                if outcomes[i] is None and inst.witness_kind == WITNESS_WSNE}
-
-    if scan:
-        if k is None:
-            k = default_k(max(game.rows, game.cols), eps)
-        checked, truncated = _scan_size(game, k, budget)
-        unit = k * k * game.int_entries[2]
-        earlier = _EarlierHits()  # while p3 is pending
-        for index, xc, yc, row, col in _integer_scan(game, eps, k, checked):
-            counts = Counter(xc), Counter(yc)
-            x_side = tuple(counts[0]), tuple(counts[0].values()), k
-            for i, inst in list(scan.items()):
-                if inst.problem_id == 3:  # witnessed by a far-apart pair (q, this)
-                    apart = -(-inst.d.numerator * k // inst.d.denominator)
-                    q = earlier.first_far(counts, apart)
-                    hit = None if q is None else (q, (xc, yc))
-                else:
-                    hit = ((xc, yc),) if inst.holds(x_side, row, col, unit) else None
-                if hit is not None:
-                    hit = tuple(_scan_witness(game, *w, eps) for w in hit)
-                    outcomes[i] = SearchOutcome(
-                        answer="yes", witness=hit[0], checked_count=index + 1,
-                        witness_pair=hit if inst.problem_id == 3 else None,
-                    )
-                    del scan[i]
-            if not scan:
+                )
+            if certified:
+                settled[i] = SearchOutcome(
+                    answer="yes", witness=hint[0] if pair else hint,
+                    witness_pair=hint if pair else None)
                 break
-            if any(inst.problem_id == 3 for inst in scan.values()):
-                earlier.add(xc, yc, counts)
-        for i in scan:
-            outcomes[i] = SearchOutcome(answer="unknown" if truncated else "no",
-                                        checked_count=checked)
+    return settled
 
-    if supports:
-        # Each problem counts the pairs its own predicate accepts, so its
-        # count is the one it gets alone; a pair no pending problem can
-        # use is never decided, and sizes below the least any problem
-        # accepts are not walked.
-        pairs_seen = dict.fromkeys(supports, 0)
-        least = min(PROBLEMS[inst.problem_id].least_size(inst)
-                    for inst in supports.values())
-        miss = "no"
 
-        def wanted(rows: Support, cols: Support) -> bool:
-            return any(inst.holds(rows, cols) for inst in supports.values())
-
-        try:
-            for rows, cols, witness in _support_pairs(game, eps, budget, False,
-                                                      wanted, least):
-                for i, inst in list(supports.items()):
-                    if not inst.holds(rows, cols):
-                        continue
-                    pairs_seen[i] += 1
-                    if witness is not None:
-                        outcomes[i] = SearchOutcome(answer="yes", witness=witness,
-                                                    checked_count=pairs_seen[i])
-                        del supports[i]
-                if not supports:
-                    break
-        except ResourceError:
-            # Raised before the first support pair: the pairs exceed the budget.
-            miss = "unknown"
-        for i in supports:
-            outcomes[i] = SearchOutcome(answer=miss, checked_count=pairs_seen[i])
+def _scan_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
+                   k: int | None, budget: int) -> dict[int, SearchOutcome]:
+    """Every problem in ``pending`` (1-6) settled by one k-uniform scan."""
+    if not pending:
+        return {}
+    if k is None:
+        k = default_k(max(game.rows, game.cols), eps)
+    checked, truncated = _scan_size(game, k, budget)
+    miss = SearchOutcome(answer="unknown" if truncated else "no", checked_count=checked)
+    outcomes, left = dict.fromkeys(pending, miss), dict(pending)
+    lines = int_lines(game)
+    unit = k * k * lines[2]
+    earlier = _EarlierHits()  # while p3 is pending
+    for index, xc, yc, row, col in _integer_scan(game, lines, eps, k, checked):
+        counts = Counter(xc), Counter(yc)
+        x_side = tuple(counts[0]), tuple(counts[0].values()), k
+        for i, inst in list(left.items()):
+            if inst.problem_id == 3:  # witnessed by a far-apart pair (q, this)
+                apart = -(-inst.d.numerator * k // inst.d.denominator)
+                q = earlier.first_far(counts, apart)
+                hit = None if q is None else (q, (xc, yc))
+            else:
+                hit = ((xc, yc),) if inst.holds(x_side, row, col, unit) else None
+            if hit is not None:
+                hit = tuple(_scan_witness(game, *w, eps) for w in hit)
+                outcomes[i] = SearchOutcome(answer="yes", witness=hit[0],
+                                            witness_pair=hit if len(hit) == 2 else None,
+                                            checked_count=index + 1)
+                del left[i]
+        if not left:
+            break
+        if any(inst.problem_id == 3 for inst in left.values()):
+            earlier.add(xc, yc, counts)
     return outcomes
 
+
+def _support_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
+                      budget: int) -> dict[int, SearchOutcome]:
+    """Every problem in ``pending`` (7-10) settled by one support enumeration,
+    each counting the pairs its own predicate accepts, as it would alone.  A
+    pair's witness has exactly that pair as its supports, so a pair that no
+    problem left accepts is never decided, and sizes below the least that
+    any problem accepts are not walked."""
+    if not pending:
+        return {}
+    found, pairs_seen = {}, dict.fromkeys(pending, 0)  # witnesses, accepted pairs
+    least = min(PROBLEMS[inst.problem_id].least_size(inst) for inst in pending.values())
+
+    def wanted(rows: Support, cols: Support) -> bool:
+        return any(inst.holds(rows, cols)
+                   for i, inst in pending.items() if i not in found)
+
+    try:
+        for rows, cols, witness in _support_pairs(game, eps, budget, False,
+                                                  wanted, least):
+            for i, inst in pending.items():
+                if i not in found and inst.holds(rows, cols):
+                    pairs_seen[i] += 1
+                    if witness is not None:
+                        found[i] = witness
+            if len(found) == len(pending):
+                break
+    except ResourceError:  # raised before the first pair: the pairs exceed the budget
+        return dict.fromkeys(pending, SearchOutcome(answer="unknown"))
+    return {i: SearchOutcome(answer="yes" if i in found else "no", witness=found.get(i),
+                             checked_count=pairs_seen[i]) for i in pending}

@@ -30,6 +30,7 @@ from negadget.games import (
     Vector,
     cleared,
     frac,
+    int_lines,
     parse_rational,
     regret_report,
     side_vector,
@@ -518,7 +519,7 @@ def grid_eps_ne(
     e = frac(eps)
     return [
         _scan_witness(game, xc, yc, e)
-        for _, xc, yc, _, _ in _integer_scan(game, e, grid, math.inf)
+        for _, xc, yc, _, _ in _integer_scan(game, int_lines(game), e, grid, math.inf)
     ]
 
 

@@ -36,7 +36,6 @@ from negadget.games import (
     is_eps_ne,
     is_eps_wsne,
     regret_report,
-    social_welfare,
     weighted_lines,
 )
 from negadget.provers import game_value
@@ -266,14 +265,14 @@ def test_criterion_7_lmm_consistency():
     for trial in range(50):
         game = random_planted_game(rng, 4, 4)
         oracle_max = max(
-            social_welfare(game, p)
+            regret_report(game, p).welfare
             for p in exhaustive_ne_oracle(game, grid=2)
         )
         values = []
         for k in range(1, 5):
             out = lmm_best_welfare(game, 0, k, budget=10**5)
             value = (
-                social_welfare(game, out.witness)
+                regret_report(game, out.witness).welfare
                 if out.witness is not None
                 else None
             )
@@ -291,9 +290,8 @@ def test_criterion_7_lmm_consistency():
         relaxed = lmm_best_welfare(game, F(1, 2), 2, budget=10**5)
         base = lmm_best_welfare(game, 0, 2, budget=10**5)
         if base.witness is not None and relaxed.witness is not None:
-            if social_welfare(game, relaxed.witness) < social_welfare(
-                game, base.witness
-            ):
+            if (regret_report(game, relaxed.witness).welfare
+                    < regret_report(game, base.witness).welfare):
                 violations.append((trial, "eps-monotonicity"))
     elapsed = time.monotonic() - start
     if elapsed >= 60:

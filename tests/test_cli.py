@@ -365,6 +365,13 @@ class TestInputErrors:
         assert main(argv) == 3
         self._assert_one_line_error(capsys)
 
+    def test_k_below_one_for_a_support_problem(self, coordination_paths, capsys):
+        # p7 enumerates supports, so no scan reads --k; it went unchecked.
+        game, _ = coordination_paths
+        argv = ["decide", "p7", str(game), "--eps", "0", "--k-param", "1", "--k", "0"]
+        assert main(argv) == 3
+        self._assert_one_line_error(capsys)
+
     def test_huge_exponent(self, coordination_paths, capsys):
         game, prof = coordination_paths
         assert main(["verify", str(game), str(prof), "--eps", "1e5000"]) == 3

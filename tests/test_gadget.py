@@ -41,7 +41,6 @@ from negadget.games import (
     is_eps_wsne,
     pure_profile,
     regret_report,
-    social_welfare,
     weighted_lines,
 )
 from negadget.provers import (
@@ -471,7 +470,7 @@ class TestSoundnessChainProperties:
             _, r0, r1, c0, c1 = game.block("RC")
             for eta in (F(0), gd / 4, gd / 2):
                 p = perturb_cert(b, eta) if eta else b.cert
-                if social_welfare(game, p) > 2 - 2 * gd:
+                if regret_report(game, p).welfare > 2 - 2 * gd:
                     assert sum(p.x[r0:r1]) >= 1 - gd
                     assert sum(p.y[c0:c1]) >= 1 - gd
 
@@ -576,7 +575,7 @@ class TestExtensions:
             assert rep.row_regret == params.eps_star
             assert rep.col_regret == params.eps_star
             assert is_eps_wsne(gp, ext, params.eps_star)
-            assert social_welfare(gp, ext) == F(10, 8)
+            assert regret_report(gp, ext).welfare == F(10, 8)
 
     @pytest.mark.parametrize("extra, message", [
         ((-1, 0), "^extra_rows must be at least 0, got -1$"),

@@ -34,7 +34,6 @@ from negadget.games import (
     pure_profile,
     regret_report,
     side_vector,
-    social_welfare,
     tv_distance,
     weighted_lines,
 )
@@ -205,7 +204,7 @@ class TestWsne:
 class TestWelfareAndDistance:
     def test_pure_welfare(self):
         game = BimatrixGame(R=((1,),), C=((1,),))
-        assert social_welfare(game, MixedProfile(x=(1,), y=(1,))) == 2
+        assert regret_report(game, MixedProfile(x=(1,), y=(1,))).welfare == 2
 
     def test_zero_sum_constant(self):
         game = BimatrixGame(
@@ -215,7 +214,7 @@ class TestWelfareAndDistance:
         rng = random.Random(1)
         for _ in range(5):
             p = random_profile(rng, 2, 2)
-            assert social_welfare(game, p) == 0
+            assert regret_report(game, p).welfare == 0
 
     def test_tv_identical(self):
         assert tv_distance(UNIFORM, UNIFORM) == 0
@@ -526,7 +525,7 @@ def test_coprime_denominators_match_the_per_cell_reference(game_and_profile):
     game, p = game_and_profile
     assert regret_report(game, p) == regret_report_per_cell(game, p)
     assert _lines(game, p) == weighted_lines_per_cell(game, p)
-    assert social_welfare(game, p) == regret_report_per_cell(game, p).welfare
+    assert regret_report(game, p).welfare == regret_report_per_cell(game, p).welfare
     # The palette cleared once is the per-cell clearing of R and C.
     r_ints, c_ints, scale = game.int_entries
     assert ([[r_ints[c] for c in row] for row in game.codes],

@@ -24,7 +24,6 @@ from negadget.games import (
     is_eps_wsne,
     pure_profile,
     regret_report,
-    social_welfare,
     tv_distance,
 )
 from negadget.gadget import (
@@ -316,12 +315,12 @@ class TestLmm:
     def test_coordination_pure(self):
         out = lmm_best_welfare(COORDINATION, 0, 1)
         assert out.answer == "yes"
-        assert social_welfare(COORDINATION, out.witness) == 2
+        assert regret_report(COORDINATION, out.witness).welfare == 2
 
     def test_matching_pennies_uniform(self):
         out = lmm_best_welfare(MATCHING_PENNIES, 0, 2)
         assert out.answer == "yes"
-        assert social_welfare(MATCHING_PENNIES, out.witness) == 1
+        assert regret_report(MATCHING_PENNIES, out.witness).welfare == 1
         assert out.witness.x == (F(1, 2), F(1, 2))
 
     def test_no_pure_zero_ne(self):
@@ -348,7 +347,7 @@ class TestLmm:
         k = single_build.build.game.nx
         out = lmm_best_welfare(gs, params.eps_star, k, budget=10**5)
         assert out.answer == "yes"
-        assert social_welfare(gs, out.witness) >= F(10, 8)
+        assert regret_report(gs, out.witness).welfare >= F(10, 8)
 
     def test_monotone_in_eps_and_k(self):
         rng = random.Random(3)
@@ -358,7 +357,7 @@ class TestLmm:
             out = lmm_best_welfare(game, eps, k)
             if out.witness is None:
                 return None
-            return social_welfare(game, out.witness)
+            return regret_report(game, out.witness).welfare
 
         v_half = value(F(1, 2), 2)
         v_one = value(1, 2)
@@ -544,7 +543,7 @@ class TestDecide:
         inst = DecisionInstance(problem_id=5, game=COORDINATION, eps=0, v=F(3, 2))
         out = decide(inst, k=2)
         assert out.answer == "yes"
-        assert social_welfare(COORDINATION, out.witness) <= F(3, 2)
+        assert regret_report(COORDINATION, out.witness).welfare <= F(3, 2)
 
     def test_p6_low_row_payoff(self):
         inst = DecisionInstance(
@@ -842,7 +841,8 @@ class TestIntegerScanMatchesOracle:
         hits, _, _ = _reference_hits(game, eps, k, budget)
         unit = k * k * game.int_entries[2]
         scanned = []
-        for index, xc, yc, row, col in search._integer_scan(game, eps, k, budget):
+        lines = games.int_lines(game)
+        for index, xc, yc, row, col in search._integer_scan(game, lines, eps, k, budget):
             p = search._scan_witness(game, xc, yc, eps)
             scanned.append((index, p.x, p.y, F(row, unit), F(col, unit)))
         assert scanned == [
@@ -882,7 +882,7 @@ class TestPrunedScanMatchesPerCandidate:
         c_rows, r_cols, scale = games.int_lines(game)
         assert ([c_rows[i] for i in range(game.rows)],
                 [r_cols[j] for j in range(game.cols)], scale) == int_lines_per_cell(game)
-        hits = search._integer_scan(game, eps, k, budget)
+        hits = search._integer_scan(game, games.int_lines(game), eps, k, budget)
         assert list(hits) == list(
             integer_scan_per_candidate(eps, k, budget,
                                        *games.cleared(game.R, c_transposed(game))))
@@ -1088,9 +1088,21 @@ class TestLmmCeilingFirst:
                 x_lines.clear()
                 out = lmm_best_welfare(game, eps, k)
                 assert out.answer == "yes"
-                assert social_welfare(game, out.witness) == 2
+                assert regret_report(game, out.witness).welfare == 2
                 assert len(passes) == 1
                 assert x_lines and all(set(xc) <= rows for xc in x_lines)
+
+    @pytest.mark.parametrize("draw", [10, 20, 22, 26])
+    def test_both_passes_build_each_line_once(self, monkeypatch, draw):
+        # Seeded 4x4 games whose ceiling pass finds no equilibrium, so the
+        # full pass runs too; it used to rebuild lines the first had built.
+        rng = random.Random(777)
+        game = [random_game(rng, 4, 4) for _ in range(draw + 1)][-1]
+        passes = _spy_scan_passes(monkeypatch)
+        built = spy_int_lines(monkeypatch, game)
+        lmm_best_welfare(game, 0, 2)
+        assert len(passes) == 2
+        assert built and len(built) == len(set(built))
 
     def test_constant_welfare_takes_one_pass(self, monkeypatch):
         # Every cell of matching pennies has welfare 1, so the first pass
@@ -1262,6 +1274,14 @@ class TestScanBudget:
             list(enumerate_wsne_supports(MATCHING_PENNIES, 0, budget=value))
         with pytest.raises(ParameterError, match="k must be an int"):
             decide(inst, k=value, budget=10)
+        # k is checked before any phase runs: p7 never scans and the hint
+        # settles p1, and both used to answer without reading k.
+        p7 = DecisionInstance(problem_id=7, game=MATCHING_PENNIES, eps=0, k=1)
+        hinted = DecisionInstance(problem_id=1, game=COORDINATION, eps=0, u=1)
+        for insts, hints in (([p7], ()), ([hinted], [pure_profile(COORDINATION, 0, 0)]),
+                             ([], ())):
+            with pytest.raises(ParameterError, match="k must be an int"):
+                decide_many(insts, k=value, budget=10, hints=hints)
         with pytest.raises(ParameterError, match="k must be an int"):
             lmm_best_welfare(MATCHING_PENNIES, 0, value, budget=10)
         with pytest.raises(ParameterError, match="k must be an int"):
@@ -1496,6 +1516,28 @@ class TestDecideMany:
         assert (out.answer, out.checked_count) == ("yes", 501)
         assert out.witness_pair == (pure_profile(game, 0, 0), pure_profile(game, 0, 1))
         assert 1 <= len(far) <= 500
+
+    def test_a_phase_with_nothing_pending_runs_nothing(self, monkeypatch):
+        # The hints settle every problem, so no scan runs and no k is
+        # picked; the 2x2 game's nine support pairs exceed the budget of 5,
+        # which an enumeration would answer "unknown".
+        game, cert, corner = self.CONSTANT, self.UNIFORM, self.CORNER
+        params = {1: {"u": F(1, 2)}, 3: {"d": F(1, 2)}, 6: {"u": F(1, 2)},
+                  7: {"k": 2}, 8: {"k": 2}, 9: {"k": 2}, 10: {"index_set": (0,)}}
+        insts = [DecisionInstance(problem_id=pid, game=game, eps=0, **kw)
+                 for pid, kw in params.items()]
+        assert decide(insts[-1], budget=5).answer == "unknown"
+
+        def never(*args):
+            raise AssertionError("a phase with nothing pending ran")
+
+        for name in ("_integer_scan", "default_k", "_support_pairs"):
+            monkeypatch.setattr(search, name, never)
+        scan, supports = insts[:3], insts[3:]
+        for group in (scan, supports, insts):
+            outcomes = decide_many(group, budget=5, hints=[cert, (cert, corner)])
+            assert [(o.answer, o.checked_count) for o in outcomes] == (
+                [("yes", 0)] * len(group))
 
     def test_instances_must_share_game_and_eps(self):
         p1 = DecisionInstance(problem_id=1, game=COORDINATION, eps=0, u=1)
