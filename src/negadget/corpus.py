@@ -124,13 +124,7 @@ def random_profile(rng: random.Random, rows: int, cols: int, denom: int = 12) ->
 
     def side(n: int) -> tuple[Fraction, ...]:
         cuts = sorted(rng.randrange(denom + 1) for _ in range(n - 1))
-        parts = []
-        prev = 0
-        for cut in cuts:
-            parts.append(cut - prev)
-            prev = cut
-        parts.append(denom - prev)
-        return tuple(Fraction(p, denom) for p in parts)
+        return tuple(Fraction(b - a, denom) for a, b in itertools.pairwise((0, *cuts, denom)))
 
     return MixedProfile(x=side(rows), y=side(cols))
 

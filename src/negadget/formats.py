@@ -265,16 +265,13 @@ def write_fgm(t: TwoProverGame) -> str:
         " ".join(str(a) for a in t.x_answers),
         " ".join(str(b) for b in t.y_answers),
     ]
-    for x in range(t.nx):
-        for y in range(t.ny):
-            for a in range(t.x_answers[x]):
-                # One shared "0" and "1", not a new str per entry.
-                out.extend(map(("0", "1").__getitem__, t.table[x][y][a]))
+    for per_a in itertools.chain.from_iterable(t.table):  # x outer, then y
+        for per_b in per_a:
+            # One shared "0" and "1", not a new str per entry.
+            out.extend(map(("0", "1").__getitem__, per_b))
     if t.dist is not None:
         out.append("D")
-        for x in range(t.nx):
-            for y in range(t.ny):
-                out.append(format_rational(t.dist[x][y]))
+        out.extend(map(format_rational, itertools.chain.from_iterable(t.dist)))
     return "\n".join(out) + "\n"
 
 

@@ -9,6 +9,7 @@ has the uniform product distribution over X x Y.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,13 +95,7 @@ class TwoProverGame:
 
     def strategy_counts(self) -> tuple[int, int]:
         """(|S1|, |S2|): number of deterministic strategies per prover."""
-        s1 = 1
-        for a in self.x_answers:
-            s1 *= a
-        s2 = 1
-        for b in self.y_answers:
-            s2 *= b
-        return s1, s2
+        return math.prod(self.x_answers), math.prod(self.y_answers)
 
 
 @dataclass(frozen=True)

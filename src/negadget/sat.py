@@ -184,11 +184,9 @@ class BipartiteGraph:
                 raise ValidationError(f"edge ({u},{v}) out of range")
 
     def degree_bound(self) -> int:
-        deg: dict[tuple[str, int], int] = {}
-        for u, v in self.edges:
-            deg[("l", u)] = deg.get(("l", u), 0) + 1
-            deg[("r", v)] = deg.get(("r", v), 0) + 1
-        return max(deg.values(), default=0)
+        left = Counter(u for u, _ in self.edges)
+        right = Counter(v for _, v in self.edges)
+        return max([*left.values(), *right.values()], default=0)
 
 
 def formula_degree(f: Cnf3Formula) -> int:
@@ -249,20 +247,16 @@ def partition_bipartite(graph: BipartiteGraph, d: int) -> BipartitePartition:
     # cross[j][i]: edges between clause block j and variable block i
     cross = [[0] * k for _ in range(k)]
     for clause in range(graph.right_count):
-        demand = [0] * k
-        for var in neighbors[clause]:
-            demand[block_of_var[var]] += 1
-        placed = False
+        demand = Counter(block_of_var[var] for var in neighbors[clause])
         for j in range(k):
             if len(t_blocks[j]) >= size_cap:
                 continue
-            if all(cross[j][i] + demand[i] <= edge_cap for i in range(k)):
+            if all(cross[j][i] + n <= edge_cap for i, n in demand.items()):
                 t_blocks[j].append(clause)
-                for i in range(k):
-                    cross[j][i] += demand[i]
-                placed = True
+                for i, n in demand.items():
+                    cross[j][i] += n
                 break
-        if not placed:
+        else:
             raise InvariantError(
                 f"no feasible block for clause {clause}; "
                 "preconditions should rule this out"

@@ -189,15 +189,10 @@ def k_uniform_strategies(n: int, k: int) -> Iterator[Vector]:
 
     Yields C(n+k-1, k) vectors; each entry is multiplicity/k.
     """
-    for combo in _multisets(n, k):
-        yield side_vector(n, _multiset_side(combo))
-
-
-def _multisets(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The size-k multisets over [n] as sorted index tuples, lexicographic."""
     check_count(n, "n", 1)
     check_count(k, "k", 1)
-    return itertools.combinations_with_replacement(range(n), k)
+    for combo in itertools.combinations_with_replacement(range(n), k):
+        yield side_vector(n, _multiset_side(combo))
 
 
 def _multiset_side(combo: Multiset) -> Sparse:
@@ -287,10 +282,9 @@ def lmm_best_welfare(
     best = next(_integer_scan(game, lines, e, k, checked,
                               None if constant else ceiling), None)
     if best is None and not constant:
-        # Welfare compared as integers on the scan's scale, k*k*L.
-        for hit in _integer_scan(game, lines, e, k, checked):
-            if best is None or hit[3] + hit[4] > most:  # the first of equal maxima
-                best, most = hit, hit[3] + hit[4]
+        # Welfare as integers on the scan's scale, k*k*L; max keeps the first maximum.
+        best = max(_integer_scan(game, lines, e, k, checked),
+                   key=lambda hit: hit[3] + hit[4], default=None)
     witness = None if best is None else _scan_witness(game, best[1], best[2], e)
     answer = "unknown" if truncated else "no" if best is None else "yes"
     return SearchOutcome(answer=answer, witness=witness, checked_count=checked)
@@ -349,7 +343,7 @@ def _integer_scan(
     n, m = game.rows, game.cols
     per_x = comb(m + k - 1, k)
     if ceiling is None:
-        xs = enumerate(_multisets(n, k))
+        xs = enumerate(itertools.combinations_with_replacement(range(n), k))
     else:
         codes = game.codes
         held = [i for i, row in enumerate(codes) if any(map(row.__contains__, ceiling))]
@@ -413,7 +407,7 @@ def _summed(lines: IntLines, members: Multiset) -> list[int]:
 
 
 def _multiset_rank(c: Multiset, m: int) -> int:
-    """The position of the sorted multiset ``c`` in ``_multisets(m, len(c))``.
+    """The lexicographic rank of the sorted multiset ``c`` among those over [m].
 
     c_t + t is a strictly increasing size-k subset of [n], n = m+k-1, in the
     same lexicographic order, so its rank is the combinadic one:

@@ -42,7 +42,6 @@ from negadget.sat import Cnf3Formula, FreeGameBuild
 from negadget.search import (
     Multiset,
     _integer_scan,
-    _multisets,
     _scan_witness,
     k_uniform_strategies,
 )
@@ -275,7 +274,7 @@ def integer_scan_per_candidate(
     if budget < 1:
         return
     slack = eps.numerator * k * k * scale // eps.denominator
-    fresh_ys = _multisets(len(ct_int), k)
+    fresh_ys = itertools.combinations_with_replacement(range(len(ct_int)), k)
     # (y's multiset, k*L*(R @ y), the least row payoff that passes)
     seen_ys: list[tuple[Multiset, list[int], int]] = []
 
@@ -287,7 +286,7 @@ def integer_scan_per_candidate(
             yield seen_ys[-1]
 
     index = 0
-    for xc in _multisets(len(r_int), k):
+    for xc in itertools.combinations_with_replacement(range(len(r_int)), k):
         col_vals = [sum(col[i] for i in xc) for col in ct_int]
         col_least = k * max(col_vals) - slack
         for yc, row_vals, row_least in each_y():

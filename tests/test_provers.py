@@ -205,6 +205,11 @@ class TestPayoff:
 
 
 class TestGameValue:
+    def test_strategy_counts_are_answer_products(self):
+        xs, ys = (2, 3), (5, 1, 4)
+        zeros = tuple(tuple(((0,) * b,) * a for b in ys) for a in xs)
+        assert TwoProverGame(xs, ys, zeros).strategy_counts() == (6, 20)
+
     def test_constants(self):
         assert game_value(constant_game(2, 2, 2, 2, 1)) == 1
         assert game_value(constant_game(2, 2, 2, 2, 0)) == 0

@@ -21,6 +21,7 @@ from negadget.errors import (
 )
 from negadget.provers import game_value, prover_payoff
 from negadget.sat import (
+    BipartiteGraph,
     Cnf3Formula,
     best_assignment,
     build_clause_variable_free_game,
@@ -212,6 +213,20 @@ class TestPartition:
             right = rng.randrange(1, 60)
             graph = random_bipartite_graph(rng, left, right, 4)
             check_partition(graph, partition_bipartite(graph, 4), 4)
+
+    def test_clause_side_degree_binds(self):
+        # A star: the clause's degree 4 is the largest, where every fixture's
+        # largest degree is a variable's.
+        graph = BipartiteGraph(4, 1, frozenset({(0, 0), (1, 0), (2, 0), (3, 0)}))
+        assert graph.degree_bound() == 4
+        with pytest.raises(ParameterError, match="graph degree exceeds d=3"):
+            partition_bipartite(graph, 3)
+        check_partition(graph, partition_bipartite(graph, 4), 4)
+
+    def test_edgeless_graph_has_degree_zero(self):
+        graph = BipartiteGraph(2, 3, frozenset())
+        assert graph.degree_bound() == 0
+        check_partition(graph, partition_bipartite(graph, 1), 1)
 
     def test_degree_violation_rejected(self):
         graph = incidence_graph(full_sign_pattern())

@@ -890,7 +890,8 @@ class TestPrunedScanMatchesPerCandidate:
     @pytest.mark.parametrize("m", range(1, 7))
     @pytest.mark.parametrize("k", range(1, 6))
     def test_multiset_rank_is_the_position(self, m, k):
-        ranks = [search._multiset_rank(c, m) for c in search._multisets(m, k)]
+        ranks = [search._multiset_rank(c, m)
+                 for c in itertools.combinations_with_replacement(range(m), k)]
         assert ranks == list(range(k_uniform_count(m, k)))
 
 
