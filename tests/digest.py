@@ -5,10 +5,12 @@
 
 The layers are `regret_report`, `induced_two_prover`, `lmm_best_welfare`,
 `decide_many` (p1-p10: answer, witness, witness pair, checked count),
-`enumerate_wsne_supports` (weak and strict) and `profiles`, the vectors
+`enumerate_wsne_supports` (weak and strict), `profiles`, the vectors
 of the library's profile builders: `pure_profile`, the completeness
 certificate, `extend_profile`, `gdoubleprime_wsne_witness` and
-`k_uniform_strategies`.  Each layer's results are
+`k_uniform_strategies`, and `large_k`, p1-p6 and `lmm_best_welfare` at k
+up to 40, where a multiset holds long runs of one member and the budget
+ends inside an x.  Each layer's results are
 written as plain lists of ints and strings, every rational through
 `formats.format_rational`, and hashed as JSON, so a field added to a result
 type changes no digest.  The script reads only the standard library and
@@ -29,8 +31,8 @@ from negadget.formats import format_rational
 from negadget.games import BimatrixGame, MixedProfile, pure_profile, regret_report
 from negadget.provers import induced_two_prover
 from negadget.search import (
-    DecisionInstance, decide_many, enumerate_wsne_supports, k_uniform_strategies,
-    lmm_best_welfare,
+    DecisionInstance, decide_many, enumerate_wsne_supports, k_uniform_count,
+    k_uniform_strategies, lmm_best_welfare,
 )
 
 F = Fraction
@@ -217,6 +219,26 @@ def profiles_layer(quick: bool, built: list) -> list:
     return out
 
 
+def large_k_layer(quick: bool) -> list:
+    """p1-p6 and `lmm_best_welfare` on seeded 2x2, 2x3 and 3x3 games at
+    k of 6, 12 and 40, each budget ending inside the second to fifth x."""
+    rng = random.Random(11)
+    out = []
+    for rows, cols in ((2, 2), (2, 3), (3, 3)):
+        for k in (6, 12, 40):
+            per_x = k_uniform_count(cols, k)
+            for _ in range(2 if quick else 6):
+                game = corpus.random_game(rng, rows, cols, rng.choice((2, 3, 8)))
+                eps = rng.choice((F(0), F(1, 8), F(1, 4), F(1, 2)))
+                budget = rng.randint(1, 4) * per_x + rng.randint(1, per_x - 1)
+                for o in decide_many(instances(rng, game, eps)[:6], k, budget):
+                    pair = o.witness_pair and list(map(profile, o.witness_pair))
+                    out.append([o.answer, profile(o.witness), pair, o.checked_count])
+                o = lmm_best_welfare(game, eps, k, budget)
+                out.append([o.answer, profile(o.witness), o.checked_count])
+    return out
+
+
 def digests(quick: bool = False) -> dict[str, str]:
     """Each layer's name and the sha256 of its results, in a fixed order."""
     built = reductions(quick)
@@ -225,7 +247,8 @@ def digests(quick: bool = False) -> dict[str, str]:
               "lmm_best_welfare": lmm_layer(quick),
               "decide_many": decide_layer(quick),
               "enumerate_wsne_supports": wsne_layer(quick),
-              "profiles": profiles_layer(quick, built)}
+              "profiles": profiles_layer(quick, built),
+              "large_k": large_k_layer(quick)}
     return {name: hashlib.sha256(json.dumps(records).encode()).hexdigest()
             for name, records in layers.items()}
 
