@@ -19,12 +19,12 @@ Every integer kernel (the regret report, the k-uniform scan of
 through one helper, ``cleared``, and ``int_entries`` is the palette cleared
 once.  ``int_lines`` is the one reader of a game's integer payoff lines
 (C's rows and R's columns, sliced from the code rows joined once per call):
-the scan and the support LPs build the lines they read through it, and
-``regret_report``, the exact oracle that the scan is checked against,
-streams the opponent's support lines from it through ``weighted_lines``,
-keeping none, weighted by each profile side cleared over its own LCM
-(``MixedProfile.sparse_x``/``sparse_y``); only its seven results are
-Fractions.
+the scan and the support LPs build the lines they read through it.
+``weighted_lines`` is the one weighted sum of lines: ``regret_report``, the
+oracle that the scan is checked against, streams through it the opponent's
+support lines (``IntLines.stream``, keeping none) weighted by a profile
+side, cleared over its own LCM (``MixedProfile.sparse_x``), and the scan
+sums its multisets' sides over the lines it keeps.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import add, mul
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import (
     FormatError,
@@ -164,15 +164,18 @@ def cleared(*matrices: Sequence[Sequence[Fraction]]) -> tuple:
 
 
 class IntLines(dict):
-    """Code line ``read(t)`` as integers, ``ints[code]`` per code: ``lines[t]``
-    builds it on first use and keeps it for the call that made the table;
-    `weighted_lines` streams lines through ``read`` and ``ints`` instead."""
+    """Code line ``read(t)`` as integers, ``ints[code]`` per code, read two
+    ways: ``lines[t]`` builds it on first use and keeps it for the call that
+    made the table, and ``lines.stream(t)`` yields it and keeps nothing."""
 
     def __init__(self, read: Callable[[int], str], ints: dict[str, int]) -> None:
         self.read, self.ints = read, ints
 
+    def stream(self, t: int) -> Iterator[int]:
+        return map(self.ints.__getitem__, self.read(t))
+
     def __missing__(self, t: int) -> list[int]:
-        line = self[t] = list(map(self.ints.__getitem__, self.read(t)))
+        line = self[t] = list(self.stream(t))
         return line
 
 
@@ -185,19 +188,18 @@ def int_lines(game: BimatrixGame) -> tuple[IntLines, IntLines, int]:
             IntLines(lambda j: joined[j::cols], r_ints), scale)
 
 
-def weighted_lines(lines: IntLines, sparse: Sparse) -> list[int]:
-    """M * (sum over t of v_t * line t) for the vector v whose `MixedProfile`
-    side is ``sparse`` (support, weights, M), streaming each line from its
-    code slice: so (R's columns, y) gives L*M_y*(R @ y), and (C's rows, x)
-    L*M_x*(x @ C).  One weight's lines are summed first, then multiplied
-    once; all C-level."""
-    read, ints = lines.read, lines.ints
+def weighted_lines(line: Callable[[int], Iterable[int]], side: Sparse) -> list[int]:
+    """M * (sum over t of v_t * line(t)) for the vector v of the side
+    (support, weights, M), ``line`` an `IntLines` reader (``stream`` or
+    ``__getitem__``): so with R's columns, y's side gives L*M_y*(R @ y), and
+    with C's rows, x's L*M_x*(x @ C).  One weight's lines are summed first,
+    then multiplied once; all C-level."""
     by_weight: dict[int, list[int]] = {}
-    for t, w in zip(*sparse[:2]):
+    for t, w in zip(*side[:2]):
         by_weight.setdefault(w, []).append(t)
     total = None
     for w, members in by_weight.items():
-        summed = map(sum, zip(*[map(ints.__getitem__, read(t)) for t in members]))
+        summed = map(sum, zip(*map(line, members)))
         if w != 1:
             summed = map(w.__mul__, summed)
         total = list(summed) if total is None else list(map(add, total, summed))
@@ -419,7 +421,7 @@ def _side(lines: IntLines, own: Sparse, opp: Sparse) -> tuple[int, int, int]:
     with payoff lines ``lines`` playing ``own`` against ``opp``, the payoff
     over L*M_own*M_opp and the others over L*M_opp: (R's columns, x, y) for
     the rows, (C's rows, y, x) for the columns."""
-    vals = weighted_lines(lines, opp)
+    vals = weighted_lines(lines.stream, opp)
     support, weights, _ = own
     on_support = list(map(vals.__getitem__, support))
     return sum(map(mul, weights, on_support)), max(vals), min(on_support)

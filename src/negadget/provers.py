@@ -229,14 +229,14 @@ def induced_two_prover(
     # Canonicalize rows against the original column profile, then columns
     # against x', x with each question's mass on its chosen answer.
     c_rows, r_cols, _ = int_lines(game)
-    x_mass, sx = _canonical_side(p.sparse_x, weighted_lines(r_cols, p.sparse_y),
+    x_mass, sx = _canonical_side(p.sparse_x, weighted_lines(r_cols.stream, p.sparse_y),
                                  f.x_answers, r0)
     support, weights, mx = p.sparse_x
     moved = {t: w for t, w in zip(support, weights) if not r0 <= t < r1}
     offsets = itertools.accumulate(f.x_answers, initial=r0)
     moved.update((o + a, m) for o, a, m in zip(offsets, sx, x_mass) if m)
     x_moved = (tuple(moved), tuple(moved.values()), mx)
-    y_mass, sy = _canonical_side(p.sparse_y, weighted_lines(c_rows, x_moved),
+    y_mass, sy = _canonical_side(p.sparse_y, weighted_lines(c_rows.stream, x_moved),
                                  f.y_answers, c0)
 
     x_marginal = tuple([Fraction(m, mx) for m in x_mass])

@@ -11,7 +11,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -33,6 +32,7 @@ from .games import (
     regret_report,
     side_vector,
     tv_distance,
+    weighted_lines,
 )
 from .linsolve import simplex_maximize
 
@@ -196,9 +196,9 @@ def k_uniform_strategies(n: int, k: int) -> Iterator[Vector]:
 
 
 def _multiset_side(combo: Multiset) -> Sparse:
-    """The side (members, multiplicities, k) of the size-k multiset ``combo``."""
-    counts = Counter(combo)
-    return tuple(counts), tuple(counts.values()), len(combo)
+    """The side (members, multiplicities, k) of the sorted size-k multiset ``combo``."""
+    members, counts = zip(*[(t, len(list(run))) for t, run in itertools.groupby(combo)])
+    return members, counts, len(combo)
 
 
 def k_uniform_count(n: int, k: int) -> int:
@@ -285,7 +285,7 @@ def lmm_best_welfare(
         # Welfare as integers on the scan's scale, k*k*L; max keeps the first maximum.
         best = max(_integer_scan(game, lines, e, k, checked),
                    key=lambda hit: hit[3] + hit[4], default=None)
-    witness = None if best is None else _scan_witness(game, best[1], best[2], e)
+    witness = None if best is None else _scan_witness(game, *best[1:3], e)
     answer = "unknown" if truncated else "no" if best is None else "yes"
     return SearchOutcome(answer=answer, witness=witness, checked_count=checked)
 
@@ -304,14 +304,15 @@ def _scan_size(game: BimatrixGame, k: int, budget: int) -> tuple[int, bool]:
 def _integer_scan(
     game: BimatrixGame, lines: tuple[IntLines, IntLines, int], eps: Fraction,
     k: int, budget: int, ceiling: str | None = None,
-) -> Iterator[tuple[int, Multiset, Multiset, int, int]]:
+) -> Iterator[tuple[int, Sparse, Sparse, int, int]]:
     """Stream the k-uniform eps-NE among the first ``budget`` candidates.
 
     Candidates (x, y) run in lexicographic order of their size-k
     multisets, x outermost, and candidate (x, y) has index
     rank(x)*C(m+k-1, k) + rank(y) for m columns.  Each passing candidate is
-    yielded as (index, x multiset, y multiset, row payoff, col payoff), the
-    payoffs as integers over k*k*L, ``lines`` being `int_lines` (L last).
+    yielded as (index, x side, y side, row payoff, col payoff), a side being
+    a multiset as (members, multiplicities, k) and the payoffs integers over
+    k*k*L, ``lines`` being `int_lines` (L last).
 
     With ``ceiling``, a string of palette codes, only the candidates whose
     every support cell has one of those codes are walked, in the same
@@ -328,12 +329,13 @@ def _integer_scan(
     only when every one of its columns is within the slack of x's best
     response; any other y fails, and is decided without being visited.
     C @ x is computed once per x, R @ y once per y that passes a column test
-    inside the budget, and rank(y) once per y that passes both.  The scan
-    stops at the first x past the budget, and inside the x where the budget
-    ends it ranks each y before building anything for it, so no line
-    (`int_lines`) outside the budget is built, and a hit there reuses that
-    rank.  R @ y is kept for later x's only outside that x: at most
-    min(budget, C(m+k-1, k)) lines are kept.
+    inside the budget, and rank(y) once per y that passes both, each per
+    distinct member of the side; only the k-tuples and the two payoff sums
+    over them cost O(k), in C.  The scan stops at the first x past the
+    budget, and inside the x where the budget ends it ranks each y before
+    building anything for it, so no line (`int_lines`) outside the budget
+    is built, and a hit there reuses that rank.  R @ y is kept for later
+    x's only outside that x: at most min(budget, C(m+k-1, k)) lines are kept.
     """
     if budget < 1:
         return
@@ -342,47 +344,43 @@ def _integer_scan(
     slack = eps.numerator * unit // eps.denominator
     n, m = game.rows, game.cols
     per_x = comb(m + k - 1, k)
-    if ceiling is None:
-        xs = enumerate(itertools.combinations_with_replacement(range(n), k))
-    else:
-        codes = game.codes
-        held = [i for i, row in enumerate(codes) if any(map(row.__contains__, ceiling))]
-        xs = ((_multiset_rank(xc, n), xc)
-              for xc in itertools.combinations_with_replacement(held, k))
-    # y's multiset -> [k*L*(R @ y), the least row payoff that passes, rank]
+    held = range(n) if ceiling is None else [
+        i for i, row in enumerate(game.codes) if any(map(row.__contains__, ceiling))]
+    # y's multiset -> [its side, k*L*(R @ y), the least row payoff that passes, rank]
     rows_of: dict[Multiset, list] = {}
-    for x_rank, xc in xs:
-        base = x_rank * per_x
+    for position, xc in enumerate(itertools.combinations_with_replacement(held, k)):
+        x_side = _multiset_side(xc)
+        base = per_x * (position if ceiling is None else _multiset_rank(x_side, n))
         if base >= budget:
             return
-        if ceiling is not None:
-            cols = set.intersection(*[_columns_of(codes[i], ceiling) for i in set(xc)])
-            if not cols:
-                continue
+        cols = range(m) if ceiling is None else sorted(set.intersection(
+            *[_columns_of(game.codes[i], ceiling) for i in x_side[0]]))
+        if not cols:
+            continue
         cut = base + per_x > budget
-        col_vals = _summed(c_rows, xc)
+        col_vals = weighted_lines(c_rows.__getitem__, x_side)
         top = max(col_vals)
-        if ceiling is None:
-            allowed = [j for j, v in enumerate(col_vals) if top - v <= slack]
-        else:
-            allowed = [j for j in sorted(cols) if top - col_vals[j] <= slack]
+        allowed = [j for j in cols if top - col_vals[j] <= slack]
         col_least = k * top - slack
         for yc in itertools.combinations_with_replacement(allowed, k):
-            if cut and base + (rank := _multiset_rank(yc, m)) >= budget:
-                return
+            if cut:
+                y_side = _multiset_side(yc)
+                if base + (rank := _multiset_rank(y_side, m)) >= budget:
+                    return
             if (col_pay := sum(map(col_vals.__getitem__, yc))) < col_least:
                 continue
             entry = rows_of.get(yc)
             if entry is None:
-                row_vals = _summed(r_cols, yc)
-                entry = [row_vals, k * max(row_vals) - slack, None]
+                y_side = y_side if cut else _multiset_side(yc)
+                row_vals = weighted_lines(r_cols.__getitem__, y_side)
+                entry = [y_side, row_vals, k * max(row_vals) - slack, None]
                 if not cut:  # no later x reads the entries of the last one
                     rows_of[yc] = entry
-            row_vals, row_least, known = entry
+            y_side, row_vals, row_least, known = entry
             if (row_pay := sum(map(row_vals.__getitem__, xc))) >= row_least:
                 if not cut and known is None:
-                    known = entry[2] = _multiset_rank(yc, m)
-                yield base + (rank if cut else known), xc, yc, row_pay, col_pay
+                    known = entry[3] = _multiset_rank(y_side, m)
+                yield base + (rank if cut else known), x_side, y_side, row_pay, col_pay
 
 
 def _columns_of(row: str, codes: str) -> set[int]:
@@ -397,55 +395,56 @@ def _columns_of(row: str, codes: str) -> set[int]:
     return found
 
 
-def _summed(lines: IntLines, members: Multiset) -> list[int]:
-    """The entrywise sum of ``lines[t]`` over the multiset ``members``, one
-    C-level map per further member; the result may be ``lines[t]`` itself."""
-    total = lines[members[0]]
-    for t in members[1:]:
-        total = list(map(add, total, lines[t]))
-    return total
-
-
-def _multiset_rank(c: Multiset, m: int) -> int:
-    """The lexicographic rank of the sorted multiset ``c`` among those over [m].
+def _multiset_rank(side: Sparse, m: int) -> int:
+    """The lexicographic rank of ``side``, members ascending, among multisets over [m].
 
     c_t + t is a strictly increasing size-k subset of [n], n = m+k-1, in the
     same lexicographic order, so its rank is the combinadic one:
-    C(n, k) - 1 - sum over t of C(n-1-c_t-t, k-t).
+    C(n, k) - 1 - sum over t of C(n-1-c_t-t, k-t).  Member j's terms, at
+    positions t to t+c-1, are C(u, m-2-j) for u from n-j-t-c to n-1-j-t; by
+    the hockey-stick identity they sum to C(n-j-t, m-1-j) - C(n-j-t-c, m-1-j).
     """
-    k = len(c)
+    members, counts, k = side
     n = m + k - 1
-    return comb(n, k) - 1 - sum(comb(n - 1 - j - t, k - t) for t, j in enumerate(c))
+    rank, t = comb(n, k) - 1, 0
+    for j, c in zip(members, counts):
+        rank -= comb(n - j - t, m - 1 - j) - comb(n - j - t - c, m - 1 - j)
+        t += c
+    return rank
+
+
+def _counts(hit: tuple[Sparse, Sparse]) -> tuple[Counter, Counter]:
+    """A hit's (x, y) multiplicities per coordinate, from its sides."""
+    return tuple(Counter(dict(zip(*side[:2]))) for side in hit)
 
 
 def _far(a: tuple[Counter, Counter], b: tuple[Counter, Counter], apart: int) -> bool:
-    """Whether two hits' (x, y) multiplicities differ by ``apart`` or more
-    at some coordinate: for apart = ceil(d*k), whether two k-uniform
-    profiles are at distance d or more."""
+    """Whether two hits' (x, y) multiplicities differ by ``apart`` = ceil(d*k)
+    or more somewhere: whether their k-uniform profiles are d or more apart."""
     return any(abs(s[t] - u[t]) >= apart for s, u in zip(a, b) for t in {*s, *u})
 
 
 class _EarlierHits:
-    """The scan hits seen so far, in order, with each side's largest and
+    """The scan hits' sides so far, in order, with each side's largest and
     least multiplicity per coordinate among them (least 0 where some hit
     lacks the coordinate): a new hit is far from some earlier one iff it
     is far from those bounds, one test however many hits came before."""
 
     def __init__(self) -> None:
-        self.hits: list[tuple[Multiset, Multiset]] = []
+        self.hits: list[tuple[Sparse, Sparse]] = []
         self.most: tuple[Counter, ...] = ()
         self.least: tuple[Counter, ...] = ()
 
-    def add(self, xc: Multiset, yc: Multiset, counts: tuple[Counter, Counter]) -> None:
+    def add(self, hit: tuple[Sparse, Sparse], counts: tuple[Counter, Counter]) -> None:
         if not self.hits:
             self.most, self.least = tuple(map(Counter, counts)), tuple(map(Counter, counts))
         for most, least, c in zip(self.most, self.least, counts):
             most |= c  # Counter's | and & keep the larger and smaller count
             least &= c
-        self.hits.append((xc, yc))
+        self.hits.append(hit)
 
     def first_far(self, counts: tuple[Counter, Counter],
-                  apart: int) -> tuple[Multiset, Multiset] | None:
+                  apart: int) -> tuple[Sparse, Sparse] | None:
         """The first earlier hit that `_far` puts ``apart`` from ``counts``,
         found in one pass over the hits once the bounds show there is one."""
         if not self.hits or all(
@@ -453,8 +452,7 @@ class _EarlierHits:
             for gap in ((most - c) | (c - least)).values()
         ):
             return None
-        return next(h for h in self.hits
-                    if _far((Counter(h[0]), Counter(h[1])), counts, apart))
+        return next(h for h in self.hits if _far(_counts(h), counts, apart))
 
 
 def _sorted_ints(indices: Iterable[object], name: str) -> Support:
@@ -472,12 +470,11 @@ def _sorted_ints(indices: Iterable[object], name: str) -> Support:
     return tuple(sorted(set(indices)))
 
 
-def _scan_witness(game: BimatrixGame, xc: Multiset, yc: Multiset,
+def _scan_witness(game: BimatrixGame, x_side: Sparse, y_side: Sparse,
                   eps: Fraction) -> MixedProfile:
-    """The profile of a scan hit's multisets, after the exact oracle has
+    """The profile of a scan hit's sides, after the exact oracle has
     confirmed that it is an eps-NE."""
-    p = MixedProfile(x=side_vector(game.rows, _multiset_side(xc)),
-                     y=side_vector(game.cols, _multiset_side(yc)))
+    p = MixedProfile(x=side_vector(game.rows, x_side), y=side_vector(game.cols, y_side))
     if not is_eps_ne(game, p, eps):
         raise InvariantError("k-uniform scan and is_eps_ne disagree on a witness")
     return p
@@ -779,16 +776,17 @@ def _scan_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
     lines = int_lines(game)
     unit = k * k * lines[2]
     earlier = _EarlierHits()  # while p3 is pending
-    for index, xc, yc, row, col in _integer_scan(game, lines, eps, k, checked):
-        counts = Counter(xc), Counter(yc)
-        x_side = tuple(counts[0]), tuple(counts[0].values()), k
+    for index, x_side, y_side, row, col in _integer_scan(game, lines, eps, k, checked):
+        sides = x_side, y_side
+        p3_pending = any(inst.problem_id == 3 for inst in left.values())
+        counts = _counts(sides) if p3_pending else None  # p3's, only while pending
         for i, inst in list(left.items()):
             if inst.problem_id == 3:  # witnessed by a far-apart pair (q, this)
                 apart = -(-inst.d.numerator * k // inst.d.denominator)
                 q = earlier.first_far(counts, apart)
-                hit = None if q is None else (q, (xc, yc))
+                hit = None if q is None else (q, sides)
             else:
-                hit = ((xc, yc),) if inst.holds(x_side, row, col, unit) else None
+                hit = (sides,) if inst.holds(x_side, row, col, unit) else None
             if hit is not None:
                 hit = tuple(_scan_witness(game, *w, eps) for w in hit)
                 outcomes[i] = SearchOutcome(answer="yes", witness=hit[0],
@@ -797,8 +795,8 @@ def _scan_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
                 del left[i]
         if not left:
             break
-        if any(inst.problem_id == 3 for inst in left.values()):
-            earlier.add(xc, yc, counts)
+        if p3_pending:  # harmless when this hit settled the last p3
+            earlier.add(sides, counts)
     return outcomes
 
 

@@ -5,7 +5,8 @@ lines, the regret report and rescaling computed cell by cell, profile
 distance and supports entry by entry, the gadget's certificate placed by
 row and column labels, the induced two-prover game on Fraction rows per
 question, the integer lines of a game cleared in full, the integer
-k-uniform scan candidate by candidate, every support pair sorted
+k-uniform scan candidate by candidate, a multiset's rank one binomial per
+member, every support pair sorted
 into the support walk's order, a support side's LP always solved by the
 simplex, exact Gaussian elimination, the simplex on the full tableau, the
 exact equilibria of games up to 5x5, the grid eps-NE sweep, and the
@@ -27,6 +28,7 @@ from negadget.games import (
     MixedProfile,
     Rational,
     RegretReport,
+    Sparse,
     Vector,
     cleared,
     frac,
@@ -267,9 +269,11 @@ def int_lines_per_cell(game: BimatrixGame) -> tuple[list, list, int]:
 def integer_scan_per_candidate(
     eps: Fraction, k: int, budget: float,
     r_int: list[list[int]], ct_int: list[list[int]], scale: int,
-) -> Iterator[tuple[int, Multiset, Multiset, int, int]]:
+) -> Iterator[tuple[int, Sparse, Sparse, int, int]]:
     """`search._integer_scan`'s hits, found by testing every candidate (x, y)
     in index order, both sides in full: the reference for its pruned y loop.
+    A hit's multisets are given as sides (members, multiplicities, k),
+    counted member by member.
     """
     if budget < 1:
         return
@@ -292,10 +296,31 @@ def integer_scan_per_candidate(
         for yc, row_vals, row_least in each_y():
             if ((row_pay := sum(row_vals[i] for i in xc)) >= row_least
                     and (col_pay := sum(col_vals[j] for j in yc)) >= col_least):
-                yield index, xc, yc, row_pay, col_pay
+                yield index, multiset_side_per_member(xc), multiset_side_per_member(yc), row_pay, col_pay
             index += 1
             if index >= budget:
                 return
+
+
+def multiset_side_per_member(c: Multiset) -> Sparse:
+    """The side (members, multiplicities, k) of the sorted multiset ``c``."""
+    members = sorted(set(c))
+    return tuple(members), tuple(c.count(t) for t in members), len(c)
+
+
+def multiset_rank_reference(c: Multiset, m: int) -> int:
+    """The lexicographic rank of the sorted multiset ``c`` among those over
+    [m], one binomial per member: the reference for `search._multiset_rank`,
+    which sums each run of one member at once.
+
+    c_t + t is a strictly increasing size-k subset of [n], n = m+k-1, in the
+    same lexicographic order, so its rank is the combinadic one:
+    C(n, k) - 1 - sum over t of C(n-1-c_t-t, k-t).
+    """
+    k = len(c)
+    n = m + k - 1
+    return math.comb(n, k) - 1 - sum(math.comb(n - 1 - j - t, k - t)
+                                     for t, j in enumerate(c))
 
 
 def pairs_in_order(game: BimatrixGame) -> list[tuple[tuple[int, ...], ...]]:

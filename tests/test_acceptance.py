@@ -177,7 +177,7 @@ def test_criterion_4_d1_row_flatness():
         s1, s2 = winning_strategies(build, best_assignment(formula))
         cert = completeness_certificate(build.game, s1, s2, gg)
         _, r_cols, scale = int_lines(gg.game)
-        row_vals = weighted_lines(r_cols, cert.sparse_y)
+        row_vals = weighted_lines(r_cols.stream, cert.sparse_y)
         _, d0, d1_, _, _ = gg.game.block("D1")
         if any(row_vals[i] != expected * scale * cert.sparse_y[2]
                for i in range(d0, d1_)):

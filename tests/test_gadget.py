@@ -339,8 +339,8 @@ class TestCodedGames:
         p = MixedProfile(x=data.draw(_sparse_shared_weights(game.rows)),
                          y=data.draw(_sparse_shared_weights(game.cols)))
         c_rows, r_cols, _ = int_lines(game)
-        assert (weighted_lines(r_cols, p.sparse_y), weighted_lines(c_rows, p.sparse_x)
-                ) == weighted_lines_per_cell(game, p)
+        assert (weighted_lines(r_cols.stream, p.sparse_y),
+                weighted_lines(c_rows.stream, p.sparse_x)) == weighted_lines_per_cell(game, p)
         assert regret_report(game, p) == regret_report_per_cell(game, p), label
 
     @settings(max_examples=60, deadline=None)
@@ -404,7 +404,7 @@ class TestCertificate:
         for b in sat_builds.values():
             game = b.gadget.game
             _, r_cols, scale = int_lines(game)
-            row_vals = weighted_lines(r_cols, b.cert.sparse_y)
+            row_vals = weighted_lines(r_cols.stream, b.cert.sparse_y)
             _, d0, d1_, _, _ = game.block("D1")
             for i in range(d0, d1_):
                 assert row_vals[i] == expected * scale * b.cert.sparse_y[2]
@@ -503,7 +503,7 @@ class TestSoundnessChainProperties:
                     if half[question]]
         assert covering == [i for i in range(d0, d1_) if game.R[i][0] != 0]
         _, r_cols, scale = int_lines(game)
-        row_vals = weighted_lines(r_cols, p.sparse_y)
+        row_vals = weighted_lines(r_cols.stream, p.sparse_y)
         assert max(row_vals[i] for i in covering) >= 2 * scale * p.sparse_y[2]
         assert not is_eps_ne(game, p, eps)
 

@@ -490,7 +490,8 @@ def _lines(game: BimatrixGame, p: MixedProfile) -> tuple[list[int], list[int]]:
     """`weighted_lines` on both sides of p: R's columns at y's support and
     C's rows at x's support, both read through `int_lines`."""
     c_rows, r_cols, _ = int_lines(game)
-    return weighted_lines(r_cols, p.sparse_y), weighted_lines(c_rows, p.sparse_x)
+    return (weighted_lines(r_cols.stream, p.sparse_y),
+            weighted_lines(c_rows.stream, p.sparse_x))
 
 
 # Primes up to about 10**12, so that entries and weights over them have

@@ -60,6 +60,8 @@ from oracles import (
     grid_eps_ne,
     int_lines_per_cell,
     integer_scan_per_candidate,
+    multiset_rank_reference,
+    multiset_side_per_member,
     one_side_lp_reference,
     pairs_in_order,
     simplex_full_tableau,
@@ -887,12 +889,25 @@ class TestPrunedScanMatchesPerCandidate:
             integer_scan_per_candidate(eps, k, budget,
                                        *games.cleared(game.R, c_transposed(game))))
 
-    @pytest.mark.parametrize("m", range(1, 7))
-    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("k, m", [(k, m) for k in range(1, 6) for m in range(1, 7)]
+                             + [(k, m) for k in (12, 31, 60) for m in range(1, 4)])
     def test_multiset_rank_is_the_position(self, m, k):
-        ranks = [search._multiset_rank(c, m)
+        # Up to k = 60 a multiset over m <= 3 holds long runs of one member;
+        # each last run reaches the end (k - t - c = 0), and where its member
+        # is below m - 1 the run's second binomial is C(m-1-j, m-1-j) = 1.
+        ranks = [search._multiset_rank(multiset_side_per_member(c), m)
                  for c in itertools.combinations_with_replacement(range(m), k)]
         assert ranks == list(range(k_uniform_count(m, k)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 50), data=st.data())
+    def test_multiset_rank_matches_the_per_member_reference(self, m, data):
+        # Runs of any length, up to k = 500: one pair of binomials per
+        # distinct member against one binomial per member.
+        c = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=500))
+        c = tuple(sorted(c))
+        assert search._multiset_rank(multiset_side_per_member(c), m) == (
+            multiset_rank_reference(c, m))
 
 
 def _assert_lmm_first_best_hit(game, eps, k, budget):
@@ -1074,14 +1089,14 @@ class TestLmmCeilingFirst:
         k_eps = ((1, F(0)), (2, F(0)), (3, F(0)), (4, F(0)), (2, F(1, 2)))
         passes = _spy_scan_passes(monkeypatch)
         x_lines = []
-        summed = search._summed
+        summed = search.weighted_lines
 
-        def spy(lines, members):
-            if lines.ints is game.int_entries[1]:  # C's rows of the game in the loop
-                x_lines.append(members)
-            return summed(lines, members)
+        def spy(line, side):
+            if line.__self__.ints is game.int_entries[1]:  # C's rows of the game in the loop
+                x_lines.append(side[0])
+            return summed(line, side)
 
-        monkeypatch.setattr(search, "_summed", spy)
+        monkeypatch.setattr(search, "weighted_lines", spy)
         for game in planted:
             rows = {i for i, _ in _top_cells(game)}
             for k, eps in k_eps:
@@ -1166,6 +1181,41 @@ class TestScanBudget:
         out = decide(inst, k=2, budget=2000)
         assert (out.answer, out.checked_count) == ("unknown", 2000)
         assert len(calls) == 2001
+
+    def test_large_k_work_per_candidate_is_per_distinct_member(self, monkeypatch):
+        # Every candidate of the all-zero 2x2 game is an exact NE, and none
+        # has payoff 1, so the budget ends inside the fifth x.  At k = 1,000
+        # a rank that took one binomial per member made 1,000 `comb` calls,
+        # and a line sum one C-level map per member; a multiset here has at
+        # most two distinct members, however long their runs.
+        zero = ((0, 0), (0, 0))
+        inst = DecisionInstance(problem_id=1, game=BimatrixGame(R=zero, C=zero),
+                                eps=0, u=1)
+        combs, ranks, sums = [], [], []
+        real_comb, real_rank, real_sum = (search.comb, search._multiset_rank,
+                                          search.weighted_lines)
+
+        def comb(n, k):
+            combs.append(n)
+            return real_comb(n, k)
+
+        def rank(side, m):
+            before = len(combs)
+            r = real_rank(side, m)
+            ranks.append((len(combs) - before, len(side[0])))
+            return r
+
+        def summed(line, side):
+            sums.append(len(side[0]))
+            return real_sum(line, side)
+
+        monkeypatch.setattr(search, "comb", comb)
+        monkeypatch.setattr(search, "_multiset_rank", rank)
+        monkeypatch.setattr(search, "weighted_lines", summed)
+        out = decide(inst, k=1000, budget=5000)
+        assert (out.answer, out.checked_count) == ("unknown", 5000)
+        assert ranks and all(calls <= 2 * distinct + 1 for calls, distinct in ranks)
+        assert sums and all(size <= 2 for size in sums)
 
     def test_k_above_budget_builds_no_candidate(self):
         # One candidate at k = 10**6 holds a million indices a side; at
@@ -1364,13 +1414,15 @@ class TestEarlierHits:
         side = st.lists(st.integers(0, 2), min_size=k, max_size=k).map(
             lambda c: tuple(sorted(c)))
         hits = data.draw(st.lists(st.tuples(side, side), max_size=12))
+        # The scan gives each hit as its two sides.
         earlier = search._EarlierHits()
         for n, (xc, yc) in enumerate(hits):
             counts = Counter(xc), Counter(yc)
             expected = next((q for q in hits[:n] if search._far(
                 (Counter(q[0]), Counter(q[1])), counts, apart)), None)
+            expected = expected and tuple(map(multiset_side_per_member, expected))
             assert earlier.first_far(counts, apart) == expected
-            earlier.add(xc, yc, counts)
+            earlier.add(tuple(map(multiset_side_per_member, (xc, yc))), counts)
 
 
 class TestDecideMany:
