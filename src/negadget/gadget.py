@@ -50,7 +50,6 @@ from .games import (
     check_count,
     frac,
     regret_report,
-    side_vector,
 )
 from .provers import ProverStrategy, TwoProverGame, prover_payoff
 
@@ -232,7 +231,7 @@ def completeness_certificate(
     x, y = ((tuple(map(add, itertools.accumulate(counts, initial=0), s.answers)),
              (1,) * n, n) for counts, s, n in ((f.x_answers, s1, f.nx),
                                                (f.y_answers, s2, f.ny)))
-    return MixedProfile(x=side_vector(gg.game.rows, x), y=side_vector(gg.game.cols, y))
+    return MixedProfile.of_sides(gg.game.rows, gg.game.cols, x, y)
 
 
 def _append(game: BimatrixGame, col: Pair, row: Pair, corner: Pair,
@@ -288,8 +287,8 @@ def extend_profile(p: MixedProfile, extra_rows: int, extra_cols: int) -> MixedPr
     """Pad a profile with zero-mass entries for appended rows/columns."""
     check_count(extra_rows, "extra_rows")
     check_count(extra_cols, "extra_cols")
-    return MixedProfile(x=side_vector(len(p.x) + extra_rows, p.sparse_x),
-                        y=side_vector(len(p.y) + extra_cols, p.sparse_y))
+    return MixedProfile.of_sides(len(p.x) + extra_rows, len(p.y) + extra_cols,
+                                 p.sparse_x, p.sparse_y)
 
 
 def gdoubleprime_wsne_witness(
@@ -304,8 +303,8 @@ def gdoubleprime_wsne_witness(
     if (gdp.rows - len(cert.x), gdp.cols - len(cert.y)) != (2, 2):
         raise ShapeError("witness expects the doubly extended game")
     supp = cert.support_x + (gdp.rows - 1,)  # and the flat extra row
-    return MixedProfile(x=side_vector(gdp.rows, (supp, (1,) * len(supp), len(supp))),
-                        y=side_vector(gdp.cols, cert.sparse_y))
+    return MixedProfile.of_sides(gdp.rows, gdp.cols, (supp, (1,) * len(supp), len(supp)),
+                                 cert.sparse_y)
 
 
 def check_certificate(

@@ -5,7 +5,9 @@ floating point, and a float entry or parameter raises `ParameterError`
 (see ``frac``).  ``check_count`` is the one check of a count parameter, a
 budget, cap, k, n, q or d: an int that is not a bool, at least its least
 value, else `ParameterError`; ``nonnegative_eps`` is the one check of an
-eps; ``side_vector`` is the one layout of a profile side as a vector.
+eps; ``_cleared_side`` is the one check of a profile side, for the vector
+constructor and ``MixedProfile.of_sides`` (every library builder) alike,
+and ``side_vector`` the one layout of a side as a vector.
 Games are immutable; every operation returns new values.
 
 A game is a palette of (R entry, C entry) `Fraction` pairs plus one `str`
@@ -339,6 +341,26 @@ def _view(codes: Sequence[str], entries: Vector) -> Matrix:
     return tuple([tuple(map(by_code.__getitem__, row)) for row in codes])
 
 
+def _cleared_side(name: str, support: Iterable[int], weights: Sequence[Rational],
+                  scale: int) -> Sparse:
+    """The side of weights/scale on ``support``, reduced, zero weights left
+    out; ``ValidationError`` if a weight is negative or they do not sum to
+    scale.  Each distinct weight object is checked and cleared once, since
+    a profile of a wide game holds a few shared ones."""
+    ids = list(map(id, weights))
+    objects = dict(zip(ids, weights))
+    values = [w if type(w) is int else frac(w) for w in objects.values()]
+    if any(w.numerator < 0 for w in values):
+        raise ValidationError(f"{name} has a negative entry")
+    (ints,), lcm = cleared([values])
+    total = scale * lcm
+    common = math.gcd(total, *ints)  # 1 when scale is 1
+    ints = list(map(dict(zip(objects, [w // common for w in ints])).__getitem__, ids))
+    if sum(ints) * common != total:
+        raise ValidationError(f"{name} does not sum to 1")
+    return tuple(compress(support, ints)), tuple(compress(ints, ints)), total // common
+
+
 @dataclass(frozen=True)
 class MixedProfile:
     """A pair of exact probability vectors (row player x, column player y),
@@ -356,21 +378,33 @@ class MixedProfile:
         for name, v in (("x", self.x), ("y", self.y)):
             if not v:
                 raise ShapeError(f"{name} is empty")
-            # Each distinct object is checked and cleared once, since a
-            # profile of a wide game holds a few shared weights; the entries
-            # then read their weights by id, and the support is where the
-            # (nonnegative) weights are nonzero.
-            ids = list(map(id, v))
-            objects = dict(zip(ids, v))
-            if any(e.numerator < 0 for e in objects.values()):
-                raise ValidationError(f"{name} has a negative entry")
-            (weights,), scale = cleared([objects.values()])
-            weights = list(map(dict(zip(objects, weights)).__getitem__, ids))
-            if sum(weights) != scale:
-                raise ValidationError(f"{name} does not sum to 1")
-            object.__setattr__(self, f"sparse_{name}", (
-                tuple(compress(range(len(v)), weights)),
-                tuple(compress(weights, weights)), scale))
+            object.__setattr__(self, f"sparse_{name}", _cleared_side(name, range(len(v)), v, 1))
+
+    @classmethod
+    def of_sides(cls, rows: int, cols: int, x_side: Sparse, y_side: Sparse) -> MixedProfile:
+        """The profile of the sides (support, weights, M) over ``rows`` and
+        ``cols`` strategies, each checked in O(support): strictly ascending
+        int indices in range, one positive weight each (an int, or a
+        Fraction over M = 1 as the LPs give), summing to M.  A fault that a
+        vector can hold raises the constructor's error, any other
+        ``ValidationError``."""
+        p = cls.__new__(cls)
+        for name, n, (support, weights, scale) in (("x", rows, x_side), ("y", cols, y_side)):
+            if n < 1:
+                raise ShapeError(f"{name} is empty")
+            support = tuple(support)
+            if len(support) != len(weights) or type(scale) is not int or scale < 1:
+                raise ValidationError(f"{name} needs one weight per index and an int M > 0")
+            if not (set(map(type, support)) <= {int}
+                    and all(map(int.__lt__, support, support[1:]))
+                    and (not support or 0 <= support[0] and support[-1] < n)):
+                raise ValidationError(f"{name}'s indices are not ascending ints in range({n})")
+            side = _cleared_side(name, support, weights, scale)
+            if len(side[0]) < len(support):
+                raise ValidationError(f"{name} has a zero weight")
+            object.__setattr__(p, name, side_vector(n, side))
+            object.__setattr__(p, f"sparse_{name}", side)
+        return p
 
     @property
     def support_x(self) -> tuple[int, ...]:
@@ -489,5 +523,4 @@ def pure_profile(game: BimatrixGame, i: int, j: int) -> MixedProfile:
     """The profile placing all mass on row i and column j."""
     if not (type(i) is type(j) is int and 0 <= i < game.rows and 0 <= j < game.cols):
         raise ShapeError(f"pure profile ({i},{j}) out of range")
-    return MixedProfile(x=side_vector(game.rows, ((i,), (1,), 1)),
-                        y=side_vector(game.cols, ((j,), (1,), 1)))
+    return MixedProfile.of_sides(game.rows, game.cols, ((i,), (1,), 1), ((j,), (1,), 1))

@@ -52,7 +52,8 @@ class SearchOutcome:
     """Result of a decision search.
 
     ``answer`` is "yes", "no", or "unknown"; a yes always carries a
-    witness that re-verifies exactly.  For problem 3 the witness is the
+    witness that re-verifies exactly (a scan's or an LP's witness that does
+    not raises ``InvariantError``).  For problem 3 the witness is the
     first profile of the far-apart pair and ``witness_pair`` holds both.
 
     ``checked_count`` counts the candidates decided up to the answer:
@@ -474,7 +475,7 @@ def _scan_witness(game: BimatrixGame, x_side: Sparse, y_side: Sparse,
                   eps: Fraction) -> MixedProfile:
     """The profile of a scan hit's sides, after the exact oracle has
     confirmed that it is an eps-NE."""
-    p = MixedProfile(x=side_vector(game.rows, x_side), y=side_vector(game.cols, y_side))
+    p = MixedProfile.of_sides(game.rows, game.cols, x_side, y_side)
     if not is_eps_ne(game, p, eps):
         raise InvariantError("k-uniform scan and is_eps_ne disagree on a witness")
     return p
@@ -521,7 +522,10 @@ def _pair_witness(
     """(the support pair's witness or None, whether its row side is not
     known dead), from the LPs of y on R's columns in ``cols`` and of x on
     C's rows in ``rows``, both built before either is solved, so that a side
-    `_side_lp` proves dead costs no simplex; ``lines`` is `int_lines`."""
+    `_side_lp` proves dead costs no simplex; ``lines`` is `int_lines`.  An
+    LP side that is not a distribution, or a witness whose pure regrets
+    `regret_report` finds above eps (not below it when ``strict``), raises
+    ``InvariantError``."""
     c_rows, r_cols, scale = lines
     lps = []
     for supp, other, side_lines in ((rows, cols, r_cols), (cols, rows, c_rows)):
@@ -536,8 +540,15 @@ def _pair_witness(
             return None, bool(solved)
         solved.append(q[:-1])
     y, x = solved
-    return MixedProfile(x=side_vector(game.rows, (rows, x, 1)),
-                        y=side_vector(game.cols, (cols, y, 1))), True
+    try:
+        p = MixedProfile.of_sides(game.rows, game.cols, (rows, x, 1), (cols, y, 1))
+    except ValidationError as exc:
+        raise InvariantError("support LP gave a side that is not a distribution") from exc
+    rep = regret_report(game, p)
+    worst = max(rep.row_pure_regret, rep.col_pure_regret)
+    if worst > eps or strict and worst == eps:
+        raise InvariantError("support LP and regret_report disagree on a witness")
+    return p, True
 
 
 def _side_lp(

@@ -179,6 +179,100 @@ class TestProfiles:
             with pytest.raises(want[0], match=want[1]):
                 MixedProfile(x=x, y=y)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_of_sides_matches_the_vector_constructor(self, data):
+        # Sides as the scan gives them (unreduced int multiplicities over k)
+        # or as the LPs do (Fractions over 1), some spoilt by one fault.
+        sizes, sides = [], []
+        for _ in range(2):
+            n = data.draw(st.integers(1, 6))
+            support = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+            counts = data.draw(st.lists(st.integers(1, 4), min_size=len(support),
+                                        max_size=len(support)))
+            times = data.draw(st.integers(1, 3))  # so a side may reduce
+            if data.draw(st.booleans()):
+                side = support, tuple(c * times for c in counts), sum(counts) * times
+            else:
+                side = support, tuple(F(c, sum(counts)) for c in counts), 1
+            sizes.append(n)
+            sides.append(side)
+        fault = data.draw(st.sampled_from([
+            None, "unsorted", "duplicate", "out of range", "non-int", "zero",
+            "negative", "sum", "lengths", "empty"]))
+        n, (support, weights, scale) = sizes[0], sides[0]
+        if fault == "unsorted" and len(support) > 1:
+            support = support[::-1]
+        elif fault == "duplicate":
+            support, weights = support + support[-1:], weights + weights[-1:]
+        elif fault == "out of range":
+            support = support[:-1] + (data.draw(st.sampled_from([-1, n, n + 3])),)
+        elif fault == "non-int":
+            support = (data.draw(st.sampled_from([0.0, True, F(0), "0"])),) + support[1:]
+        elif fault == "zero" and support[-1] < n - 1:
+            support, weights = support + (n - 1,), weights + (0 * weights[0],)
+        elif fault == "negative":
+            weights = (-weights[0],) + weights[1:]
+        elif fault == "sum":
+            weights = (2 * weights[0],) + weights[1:]
+        elif fault == "lengths":
+            weights = weights[:-1]
+        elif fault == "empty":
+            support, weights = (), ()
+        else:
+            fault = None
+        sides[0] = support, weights, scale
+        vectors = None  # the vectors of sides that a vector can hold
+        if fault in (None, "negative", "sum", "empty"):
+            vectors = []
+            for n, (support, weights, scale) in zip(sizes, sides):
+                v = [F(0)] * n
+                for t, w in zip(support, weights):
+                    v[t] = F(w) / scale
+                vectors.append(v)
+        if fault is None:
+            p = MixedProfile.of_sides(*sizes, *sides)
+            q = MixedProfile(*vectors)
+            assert p == q and (p.sparse_x, p.sparse_y) == (q.sparse_x, q.sparse_y)
+            for v, (support, weights, _) in ((p.x, p.sparse_x), (p.y, p.sparse_y)):
+                assert len({id(e) for e in v if e}) == len(set(weights))
+                assert len({id(e) for e in v if not e}) == (len(support) < len(v))
+            return
+        if vectors is None:
+            want = (ValidationError, None)
+        else:
+            with pytest.raises(ValidationError) as err:
+                MixedProfile(*vectors)
+            want = (ValidationError, f"^{re.escape(str(err.value))}$")
+        with pytest.raises(want[0], match=want[1]):
+            MixedProfile.of_sides(*sizes, *sides)
+
+    @pytest.mark.parametrize("x_side, message", [
+        (((1, 0), (1, 1), 2), r"^x's indices are not ascending ints in range\(2\)$"),
+        (((0, 0), (1, 1), 2), r"^x's indices are not ascending ints in range\(2\)$"),
+        (((0, 2), (1, 1), 2), r"^x's indices are not ascending ints in range\(2\)$"),
+        (((-1,), (1,), 1), r"^x's indices are not ascending ints in range\(2\)$"),
+        (((True,), (1,), 1), r"^x's indices are not ascending ints in range\(2\)$"),
+        (((0, 1), (0, 1), 1), r"^x has a zero weight$"),
+        (((0, 1), (1,), 1), r"^x needs one weight per index and an int M > 0$"),
+        (((0,), (1,), 0), r"^x needs one weight per index and an int M > 0$"),
+        (((0,), (1,), F(1)), r"^x needs one weight per index and an int M > 0$"),
+        (((0, 1), (-1, 2), 1), r"^x has a negative entry$"),
+        (((0, 1), (1, 2), 2), r"^x does not sum to 1$"),
+        (((), (), 1), r"^x does not sum to 1$"),
+    ])
+    def test_of_sides_names_the_fault(self, x_side, message):
+        with pytest.raises(ValidationError, match=message):
+            MixedProfile.of_sides(2, 1, x_side, ((0,), (1,), 1))
+
+    def test_of_sides_errors_come_in_order(self):
+        with pytest.raises(ShapeError, match="^x is empty$"):
+            MixedProfile.of_sides(0, 1, ((), (), 1), ((0,), (-1,), 1))
+        with pytest.raises(ValidationError, match="^y has a negative entry$"):
+            MixedProfile.of_sides(1, 1, ((0,), (1,), 1), ((0,), (-1,), 1))
+        with pytest.raises(ParameterError):  # as the constructor's, for a float weight
+            MixedProfile.of_sides(1, 1, ((0,), (1.0,), 1), ((0,), (1,), 1))
+
     def test_support(self):
         p = MixedProfile(x=(0, 1), y=(F(1, 2), F(1, 2)))
         assert p.support_x == (1,)

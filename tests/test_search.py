@@ -383,6 +383,41 @@ class TestWsneSupports:
         assert witness is not None and is_eps_wsne(game, witness, 0)
         assert built == [("R col", 0), ("R col", 1), ("C row", 0), ("C row", 1)]
 
+    @staticmethod
+    def _wrong_lp(c, a_ub, b_ub):
+        """A positive q that sums to 1 but is no optimum: q_j in proportion to j + 1."""
+        m = len(c) - 1
+        q = [F(j + 1, m * (m + 1) // 2) for j in range(m)]
+        return "optimal", q[0], q + [q[0]]
+
+    @pytest.mark.parametrize("eps, strict, stands", [
+        (0, False, False), (F(1, 3), True, False), (F(1, 3), False, True),
+    ])
+    def test_lp_witness_rechecked_by_the_oracle(self, monkeypatch, eps, strict, stands):
+        # Matching pennies' only LPs are the full support's; the wrong q,
+        # (1/3, 2/3) on both sides, leaves pure regrets of exactly 1/3.
+        monkeypatch.setattr(search, "simplex_maximize", self._wrong_lp)
+        if stands:
+            [p] = enumerate_wsne_supports(MATCHING_PENNIES, eps, strict=strict)
+            assert p.x == p.y == (F(1, 3), F(2, 3))
+            return
+        with pytest.raises(InvariantError, match="disagree on a witness"):
+            list(enumerate_wsne_supports(MATCHING_PENNIES, eps, strict=strict))
+        if not strict:
+            p7 = DecisionInstance(problem_id=7, game=MATCHING_PENNIES, eps=eps, k=1)
+            with pytest.raises(InvariantError, match="disagree on a witness"):
+                decide(p7)
+
+    def test_lp_side_that_is_no_distribution_is_an_invariant_error(self, monkeypatch):
+        def doubled(c, a_ub, b_ub):
+            status, value, q = self._wrong_lp(c, a_ub, b_ub)
+            return status, value, [2 * v for v in q]
+
+        monkeypatch.setattr(search, "simplex_maximize", doubled)
+        with pytest.raises(InvariantError, match="not a distribution") as err:
+            list(enumerate_wsne_supports(MATCHING_PENNIES, 0))
+        assert isinstance(err.value.__cause__, ValidationError)
+
     def test_pennies_pure_support_infeasible(self):
         assert wsne_support_feasible(MATCHING_PENNIES, (0,), (0,), 0) is None
 
@@ -1531,13 +1566,14 @@ class TestDecideMany:
         zero = ((0,) * 50,) * 8
         game = BimatrixGame(R=zero, C=zero)
         built = []
-        real = search.side_vector
+        real = games.side_vector
 
         def counted(n, side):
             built.append(n)
             return real(n, side)
 
-        monkeypatch.setattr(search, "side_vector", counted)
+        # `MixedProfile.of_sides` lays out each witness side through it.
+        monkeypatch.setattr(games, "side_vector", counted)
         p1 = DecisionInstance(problem_id=1, game=game, eps=0, u=1)
         assert decide(p1, k=2, budget=500).answer == "unknown"
         assert built == []
