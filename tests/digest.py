@@ -8,9 +8,11 @@ The layers are `regret_report`, `induced_two_prover`, `lmm_best_welfare`,
 `enumerate_wsne_supports` (weak and strict), `profiles`, the vectors
 of the library's profile builders: `pure_profile`, the completeness
 certificate, `extend_profile`, `gdoubleprime_wsne_witness` and
-`k_uniform_strategies`, and `large_k`, p1-p6 and `lmm_best_welfare` at k
+`k_uniform_strategies`, `large_k`, p1-p6 and `lmm_best_welfare` at k
 up to 40, where a multiset holds long runs of one member and the budget
-ends inside an x.  Each layer's results are
+ends inside an x, and `readers`, each text the digest can write, and
+seeded mutations of it, read back: the value read, or the error's class and
+message.  Each layer's results are
 written as plain lists of ints and strings, every rational through
 `formats.format_rational`, and hashed as JSON, so a field added to a result
 type changes no digest.  The script reads only the standard library and
@@ -21,12 +23,15 @@ whether they give the same answers, witnesses and lowest-index tie-breaks.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import sys
 from fractions import Fraction
 
 from negadget import corpus, gadget, sat
+from negadget import formats
+from negadget.errors import GadgetError
 from negadget.formats import format_rational
 from negadget.games import BimatrixGame, MixedProfile, pure_profile, regret_report
 from negadget.provers import induced_two_prover
@@ -44,6 +49,8 @@ PRIMES = (3, 7, 101, 1000003, 998244353, 1000000007, 2147483647, 4294967291,
 PLANTED_SEEDS = (777, 90210)
 # (k, eps) of each `lmm_best_welfare` call on a planted 4x4 game.
 PLANTED_SETTINGS = ((1, F(0)), (2, F(0)), (3, F(0)), (4, F(0)), (2, F(1, 2)))
+# The tokens a mutation puts in place of one token of a text.
+TOKENS = ("2", "x", "1/0", "1e4300", "#")
 
 
 def rationals(values) -> list[str]:
@@ -77,7 +84,8 @@ def seeded_games(seed: int, count: int, rows: int, cols: int) -> list:
 
 
 def reductions(quick: bool) -> list:
-    """(free game, G, G_s, G', G'', certificate) per satisfiable fixture."""
+    """(free game, G, G_s, G', G'', certificate, strategies) per
+    satisfiable fixture."""
     params = gadget.derive_params(EPS_STAR)
     out = []
     for name, formula in corpus.satisfiable_fixtures().items():
@@ -92,7 +100,7 @@ def reductions(quick: bool) -> list:
         gs = gadget.rescale_game(gg)
         gp = gadget.extend_gprime(gs, params.eps_star)
         out.append((build.game, gg.game, gs, gp, gadget.extend_gdoubleprime(gp),
-                    cert))
+                    cert, (s1, s2)))
     return out
 
 
@@ -109,7 +117,7 @@ def capped_games() -> list:
 def regret_layer(quick: bool, built: list) -> list:
     rng = random.Random(1)
     pairs = []
-    for free, g, gs, gp, gdp, cert in built:
+    for free, g, gs, gp, gdp, cert, _ in built:
         pairs += [(g, cert), (gs, cert), (gp, gadget.extend_profile(cert, 1, 1)),
                   (gdp, gadget.gdoubleprime_wsne_witness(cert, gdp))]
         pairs += [(game, prime_profile(rng, game.rows, game.cols))
@@ -129,7 +137,7 @@ def regret_layer(quick: bool, built: list) -> list:
 def induced_layer(quick: bool, built: list) -> list:
     rng = random.Random(3)
     out = []
-    for free, g, gs, gp, gdp, cert in built:
+    for free, g, gs, gp, gdp, cert, _ in built:
         for game, p in [(g, cert), (gp, gadget.extend_profile(cert, 1, 1))] + [
                 (game, prime_profile(rng, game.rows, game.cols))
                 for game in (g, gs) for _ in range(1 if quick else 4)]:
@@ -210,7 +218,7 @@ def profiles_layer(quick: bool, built: list) -> list:
     games = capped_games() + seeded_games(10, 10 if quick else 40, 3, 4)
     out = [profile(pure_profile(game, i, j)) for game in games
            for i in range(game.rows) for j in range(game.cols)]
-    for free, g, gs, gp, gdp, cert in built:
+    for free, g, gs, gp, gdp, cert, _ in built:
         out += [profile(cert), profile(gadget.extend_profile(cert, 1, 1)),
                 profile(gadget.gdoubleprime_wsne_witness(cert, gdp)),
                 profile(pure_profile(gp, gp.rows - 1, gp.cols - 1))]
@@ -239,6 +247,64 @@ def large_k_layer(quick: bool) -> list:
     return out
 
 
+def mutations(rng: random.Random, text: str) -> list[str]:
+    """Four seeded mutations of a text: a line dropped, a line duplicated,
+    one token replaced from ``TOKENS``, and the text cut short."""
+    lines = text.splitlines(keepends=True)
+    drop, dup = rng.randrange(len(lines)), rng.randrange(len(lines))
+    line = rng.choice([i for i, l in enumerate(lines) if l.split()])
+    toks = lines[line].split()
+    toks[rng.randrange(len(toks))] = rng.choice(TOKENS)
+    return ["".join(lines[:drop] + lines[drop + 1:]),
+            "".join(lines[:dup + 1] + lines[dup:]),
+            "".join(lines[:line] + [" ".join(toks) + "\n"] + lines[line + 1:]),
+            text[:rng.randrange(len(text))]]
+
+
+def game_record(game: BimatrixGame) -> list:
+    return [[rationals(pair) for pair in game.palette], list(game.codes),
+            game.blocks and [list(b) for b in game.blocks]]
+
+
+def free_record(t) -> list:
+    return [list(t.x_answers), list(t.y_answers), t.table,
+            t.dist and [rationals(row) for row in t.dist]]
+
+
+def readers_layer(quick: bool, built: list) -> list:
+    """Each game, profile, free game and strategy pair the digest builds,
+    written and read back, and then 4 (16) rounds of its mutations read: each
+    value read, or each error's class and message."""
+    rng = random.Random(12)
+    games = capped_games() + seeded_games(13, 10 if quick else 40, 4, 5)
+    profiles = [corpus.random_profile(rng, game.rows, game.cols) for game in games]
+    profiles += [prime_profile(rng, game.rows, game.cols) for game in games]
+    free_games, strategies = [], []
+    for free, g, gs, gp, gdp, cert, strats in built:
+        games += [g, gs, gp, gdp]
+        profiles += [cert, gadget.extend_profile(cert, 1, 1),
+                     gadget.gdoubleprime_wsne_witness(cert, gdp)]
+        free_games += [free, induced_two_prover(free, g, cert).game]
+        strategies.append(strats)
+    texts = [(formats.parse_bgm, game_record, formats.write_bgm(g)) for g in games]
+    texts += [(reader, profile, formats.write_prof(p)) for p in profiles
+              for reader in (formats.parse_prof,
+                             lambda text: formats.parse_prof(text, normalize=True))]
+    texts += [(formats.parse_fgm, free_record, formats.write_fgm(t))
+              for t in free_games]
+    texts += [(formats.parse_strat, lambda s: [list(s[0].answers), list(s[1].answers)],
+               formats.write_strat(*s)) for s in strategies]
+    out = []
+    for reader, record, text in texts:
+        rounds = [mutations(rng, text) for _ in range(4 if quick else 16)]
+        for mutated in [text, *itertools.chain.from_iterable(rounds)]:
+            try:
+                out.append(record(reader(mutated)))
+            except GadgetError as exc:
+                out.append([type(exc).__name__, str(exc)])
+    return out
+
+
 def digests(quick: bool = False) -> dict[str, str]:
     """Each layer's name and the sha256 of its results, in a fixed order."""
     built = reductions(quick)
@@ -248,7 +314,8 @@ def digests(quick: bool = False) -> dict[str, str]:
               "decide_many": decide_layer(quick),
               "enumerate_wsne_supports": wsne_layer(quick),
               "profiles": profiles_layer(quick, built),
-              "large_k": large_k_layer(quick)}
+              "large_k": large_k_layer(quick),
+              "readers": readers_layer(quick, built)}
     return {name: hashlib.sha256(json.dumps(records).encode()).hexdigest()
             for name, records in layers.items()}
 
