@@ -133,25 +133,22 @@ def _parse_index_set(text: str) -> tuple[int, ...]:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     pid = int(args.problem.lstrip("p"))
-    game = formats.parse_bgm(Path(args.game).read_text())
-    kwargs: dict = {}
-    for name in ("u", "d", "p", "v"):
-        value = getattr(args, name)
-        if value is not None:
-            kwargs[name] = parse_rational(value)
+    # The options first: a bad one needs no game read.
+    kwargs: dict = {name: parse_rational(getattr(args, name))
+                    for name in ("u", "d", "p", "v") if getattr(args, name) is not None}
     if args.k_param is not None:
         kwargs["k"] = args.k_param
     if args.index_set is not None:
         kwargs["index_set"] = _parse_index_set(args.index_set)
     eps = parse_rational(args.eps)
+    game = formats.parse_bgm(Path(args.game).read_text())
     inst = DecisionInstance(problem_id=pid, game=game, eps=eps, **kwargs)
-    hints = []
-    for path in args.hint or ():
-        hints.append(formats.parse_prof(Path(path).read_text()))
+    hints = [formats.parse_prof(Path(path).read_text()) for path in args.hint or ()]
     outcome = decide(inst, k=args.k, budget=args.budget, hints=hints)
-    print(outcome.answer)
+    # The witness first: a failed write prints no answer.
     if outcome.witness is not None and args.witness_out:
         formats.write_file(args.witness_out, formats.write_prof(outcome.witness))
+    print(outcome.answer)
     return {"yes": 0, "no": 1, "unknown": 2}[outcome.answer]
 
 

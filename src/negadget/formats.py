@@ -81,6 +81,25 @@ def _data_lines(text: str) -> Iterator[str]:
         start = end
 
 
+def _body(text: str, header: str) -> Iterator[str]:
+    """The data lines of ``text`` after its first, which must be ``header``."""
+    lines = _data_lines(text)
+    if next(lines, None) != header:
+        raise FormatError(f"missing {header!r} header")
+    return lines
+
+
+def _dimensions(line: str) -> tuple[int, int]:
+    """The positive (rows, cols) of a `.bgm` or `.prof` dimension line."""
+    try:
+        rows, cols = (int(t) for t in line.split())
+    except ValueError as exc:
+        raise FormatError("bad dimension line") from exc
+    if rows < 1 or cols < 1:
+        raise FormatError(f"dimensions must be positive, got {rows} {cols}")
+    return rows, cols
+
+
 def parse_bgm(text: str) -> BimatrixGame:
     """Parse a `.bgm` game, reading the entry lines as a stream, row by
     row.  Each distinct entry line takes one palette code, and each distinct
@@ -88,20 +107,13 @@ def parse_bgm(text: str) -> BimatrixGame:
     entries share one object.  An entry-line count that differs from the
     dimensions raises before any bad entry line; otherwise the first bad
     entry line in file order raises."""
-    lines = _data_lines(text)
-    if next(lines, None) != "bgm 1":
-        raise FormatError("missing 'bgm 1' header")
+    lines = _body(text, "bgm 1")
     block_lines: list[str] = []
     # The entry lines; each line whose first token is "#block" is set aside
     # as it passes, and every other "#" line is a comment.
     entries = (line for line in lines if line[0] != "#"
                or line.split()[0] == "#block" and block_lines.append(line))
-    try:
-        rows, cols = (int(t) for t in next(entries).split())
-    except (StopIteration, ValueError) as exc:
-        raise FormatError("bad dimension line") from exc
-    if rows < 1 or cols < 1:
-        raise FormatError(f"dimensions must be positive, got {rows} {cols}")
+    rows, cols = _dimensions(next(entries, ""))
     values: dict[str, Fraction] = {}
     codes: dict[str, str] = {}
     palette: list[tuple[Fraction, Fraction]] = []
@@ -170,23 +182,16 @@ def parse_prof(text: str, normalize: bool = False) -> MixedProfile:
     """Parse a `.prof` profile.  Each distinct entry token is parsed once per
     call, and under ``normalize`` each distinct entry is divided once, so
     equal entries share one Fraction, which the profile clears once."""
-    lines = list(_data_lines(text))
-    if not lines or lines[0] != "prof 1":
-        raise FormatError("missing 'prof 1' header")
-    try:
-        rows, cols = (int(t) for t in lines[1].split())
-    except (IndexError, ValueError) as exc:
-        raise FormatError("bad dimension line") from exc
-    if rows < 1 or cols < 1:
-        raise FormatError(f"dimensions must be positive, got {rows} {cols}")
-    values = {tok: parse_rational(tok) for tok in dict.fromkeys(lines[2:])}
-    entries = [values[tok] for tok in lines[2:]]
+    lines = _body(text, "prof 1")
+    rows, cols = _dimensions(next(lines, ""))
+    tokens = list(lines)
+    values = {tok: parse_rational(tok) for tok in dict.fromkeys(tokens)}
+    entries = [values[tok] for tok in tokens]
     if len(entries) != rows + cols:
         raise FormatError(
             f"expected {count_text(rows + cols)} entries, found {len(entries)}"
         )
-    x = entries[:rows]
-    y = entries[rows:]
+    x, y = entries[:rows], entries[rows:]
     if normalize:
         sx, sy = sum(x), sum(y)
         if sx <= 0 or sy <= 0:
@@ -212,31 +217,29 @@ def write_prof(p: MixedProfile) -> str:
 
 
 def parse_fgm(text: str) -> TwoProverGame:
-    lines = list(_data_lines(text))
-    if not lines or lines[0] != "fgm 1":
-        raise FormatError("missing 'fgm 1' header")
+    lines = _body(text, "fgm 1")
     try:
-        nx, ny = (int(t) for t in lines[1].split())
-        x_answers = tuple(int(t) for t in lines[2].split())
-        y_answers = tuple(int(t) for t in lines[3].split())
-    except (IndexError, ValueError) as exc:
+        nx, ny = (int(t) for t in next(lines).split())
+        x_answers = tuple(int(t) for t in next(lines).split())
+        y_answers = tuple(int(t) for t in next(lines).split())
+    except (StopIteration, ValueError) as exc:
         raise FormatError("bad header lines") from exc
     if len(x_answers) != nx or len(y_answers) != ny:
         raise FormatError("answer-size lines do not match question counts")
     expected = sum(x_answers) * sum(y_answers)  # the sum of a*b over (x, y)
-    body = lines[4:]
-    if len(body) < expected:
+    # A count above len(text) is short, and may pass islice's sys.maxsize stop.
+    if expected > len(text) or len(
+            bits := list(itertools.islice(lines, max(expected, 0)))) < expected:
         raise FormatError(f"expected {count_text(expected)} V entries")
-    bits = body[:expected]
-    rest = body[expected:]
     bad = next(itertools.filterfalse({"0", "1"}.__contains__, bits), None)
     if bad is not None:
         raise FormatError(f"V entry must be 0 or 1, got {bad!r}")
     dist = None
-    if rest:
-        if rest[0] != "D":
-            raise FormatError(f"unexpected trailing line {rest[0]!r}")
-        d_entries = [parse_rational(t) for t in rest[1:]]
+    trailer = next(lines, None)
+    if trailer is not None:
+        if trailer != "D":
+            raise FormatError(f"unexpected trailing line {trailer!r}")
+        d_entries = list(map(parse_rational, lines))
         if len(d_entries) != nx * ny:
             raise FormatError(f"expected {nx * ny} distribution entries")
         d_iter = iter(d_entries)
@@ -276,14 +279,12 @@ def write_fgm(t: TwoProverGame) -> str:
 
 
 def parse_strat(text: str) -> tuple[ProverStrategy, ProverStrategy]:
-    lines = list(_data_lines(text))
-    if not lines or lines[0] != "strat 1":
-        raise FormatError("missing 'strat 1' header")
-    if len(lines) != 3:
-        raise FormatError("expected two answer lines")
     try:
-        s1 = tuple(int(t) for t in lines[1].split())
-        s2 = tuple(int(t) for t in lines[2].split())
+        first, second = _body(text, "strat 1")
+    except ValueError as exc:
+        raise FormatError("expected two answer lines") from exc
+    try:
+        s1, s2 = (tuple(int(t) for t in line.split()) for line in (first, second))
     except ValueError as exc:
         raise FormatError("answers must be integers") from exc
     return ProverStrategy(answers=s1), ProverStrategy(answers=s2)

@@ -87,6 +87,8 @@ def parse_dimacs(text: str) -> Cnf3Formula:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise FormatError(f"second problem line: {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormatError(f"bad problem line: {line!r}")

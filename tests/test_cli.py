@@ -291,6 +291,34 @@ class TestDecide:
         )
         assert code == 1
 
+    def test_failed_witness_write_prints_no_answer(self, tmp_path, coordination_paths,
+                                                  capsys):
+        game, _ = coordination_paths
+        witness = tmp_path / "missing" / "w.prof"
+        argv = ["decide", "p1", str(game), "--eps", "0", "--u", "1",
+                "--witness-out", str(witness)]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: [Errno 2]") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("options, message", [
+        (["--eps", "abc"], "bad rational 'abc'"),
+        (["--eps", "0", "--u", "1/0"], "bad rational '1/0'"),
+        (["--eps", "0", "--set", "0,x"], "bad index set '0,x'"),
+    ])
+    def test_options_read_before_the_game(self, options, message, tmp_path,
+                                          coordination_paths, monkeypatch, capsys):
+        # As verify does: a bad option is named, whether or not the game file
+        # exists, and the game is not read.
+        game, _ = coordination_paths
+        read = []
+        monkeypatch.setattr(formats, "parse_bgm", read.append)
+        for path in (game, tmp_path / "missing.bgm"):
+            assert main(["decide", "p1", str(path), *options]) == 3
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert read == []
+
     def test_pair_count_too_long_to_print_is_unknown(self, tmp_path, capsys):
         # A 1x14,300 game has 2^14300 - 1 support pairs, over the budget;
         # their count is past what str() prints, and the answer is unknown.
@@ -589,6 +617,19 @@ class TestInputErrors:
         assert main([a.format(cnf=cnf, fgm=fgm, out=out) for a in command]) == 3
         assert capsys.readouterr().err == f"error: {name} must be at least 0, got -1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["reduce", "sat2free", "{cnf}", "-o", "{out}"],
+        ["pipeline", "{cnf}", "-o", "{out}"],
+    ])
+    def test_second_problem_line(self, command, tmp_path, capsys):
+        cnf = tmp_path / "two.cnf"
+        cnf.write_text("p cnf 3 2\n1 2 3 0\np cnf 3 1\n")
+        out = tmp_path / "out"
+        assert main([a.format(cnf=cnf, out=out) for a in command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("second problem line: 'p cnf 3 1'\n")
 
     def test_bgm_dimension_below_one(self, tmp_path, coordination_paths, capsys):
         _, prof = coordination_paths

@@ -300,6 +300,27 @@ class TestFgm:
         with pytest.raises(FormatError):
             formats.parse_fgm("fgm 1\n1 1\n1\n1\n2\n")
 
+    def test_v_entries_are_read_once(self):
+        # 200,000 V entries hold about 1.6 MB as a list of lines, and the
+        # reader held three such lists; it now holds one and the table.
+        text = "fgm 1\n1 1\n400\n500\n" + "1\n0\n" * 100_000
+        tracemalloc.start()
+        try:
+            t = formats.parse_fgm(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.table[0][0][399] == (1, 0) * 250
+        assert peak < 4_500_000
+
+    def test_negative_answer_count_reads_no_v_entry(self):
+        # (-1) * 1 = -1 V entries: the lines after the header are read as
+        # the trailing lines, and the answer count is refused.
+        with pytest.raises(FormatError, match="unexpected trailing line '1'"):
+            formats.parse_fgm("fgm 1\n1 1\n-1\n1\n1\n1\n")
+        with pytest.raises(FormatError, match="every question needs at least one"):
+            formats.parse_fgm("fgm 1\n1 1\n-1\n1\n")
+
 
 class TestStrat:
     def test_round_trip(self):

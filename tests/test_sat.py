@@ -72,6 +72,11 @@ class TestParseDimacs:
         with pytest.raises(FormatError):
             parse_dimacs(text)
 
+    def test_second_problem_line_rejected(self):
+        # It used to replace the first, so one clause was read as a formula.
+        with pytest.raises(FormatError, match="second problem line: 'p cnf 3 1'"):
+            parse_dimacs("p cnf 3 2\n1 2 3 0\np cnf 3 1\n")
+
     def test_comments_and_blank_lines(self):
         f = parse_dimacs("c hi\n\np cnf 3 1\nc mid\n1 2 3 0\n")
         assert f.num_clauses == 1
