@@ -227,7 +227,7 @@ def parse_fgm(text: str) -> TwoProverGame:
     if len(x_answers) != nx or len(y_answers) != ny:
         raise FormatError("answer-size lines do not match question counts")
     expected = sum(x_answers) * sum(y_answers)  # the sum of a*b over (x, y)
-    # A count above len(text) is short, and may pass islice's sys.maxsize stop.
+    # An entry takes a line: a count past len(text) is short, maybe past islice's limit.
     if expected > len(text) or len(
             bits := list(itertools.islice(lines, max(expected, 0)))) < expected:
         raise FormatError(f"expected {count_text(expected)} V entries")

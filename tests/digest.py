@@ -29,8 +29,7 @@ import random
 import sys
 from fractions import Fraction
 
-from negadget import corpus, gadget, sat
-from negadget import formats
+from negadget import corpus, formats, gadget, sat
 from negadget.errors import GadgetError
 from negadget.formats import format_rational
 from negadget.games import BimatrixGame, MixedProfile, pure_profile, regret_report
