@@ -10,9 +10,11 @@ of the library's profile builders: `pure_profile`, the completeness
 certificate, `extend_profile`, `gdoubleprime_wsne_witness` and
 `k_uniform_strategies`, `large_k`, p1-p6 and `lmm_best_welfare` at k
 up to 40, where a multiset holds long runs of one member and the budget
-ends inside an x, and `readers`, each text the digest can write, and
+ends inside an x, `readers`, each text the digest can write, and
 seeded mutations of it, read back: the value read, or the error's class and
-message.  Each layer's results are
+message, and `support_walk`, weak and strict enumeration and p7-p10
+(together and each alone) on seeded 5x5 games, where a side found dead
+prunes pairs several sizes up.  Each layer's results are
 written as plain lists of ints and strings, every rational through
 `formats.format_rational`, and hashed as JSON, so a field added to a result
 type changes no digest.  The script reads only the standard library and
@@ -246,6 +248,29 @@ def large_k_layer(quick: bool) -> list:
     return out
 
 
+def support_walk_layer(quick: bool) -> list:
+    """Weak and strict `enumerate_wsne_supports`, and p7-p10 with drawn k
+    and index sets through `decide_many`, together and each alone, on
+    2 (8) seeded 5x5 games at eps 0, 1/8 and 1/4: each witness and
+    checked count."""
+    rng = random.Random(14)
+    out = []
+    for _ in range(2 if quick else 8):
+        game = corpus.random_game(rng, 5, 5, rng.choice((2, 3, 8)))
+        for eps in (F(0), F(1, 8), F(1, 4)):
+            out += [list(map(profile, enumerate_wsne_supports(game, eps, strict=strict)))
+                    for strict in (False, True)]
+            index_set = tuple(rng.sample(range(5), rng.randint(1, 3)))
+            insts = [DecisionInstance(problem_id=pid, game=game, eps=eps,
+                                      **({"index_set": index_set} if pid == 10
+                                         else {"k": rng.randint(1, 4)}))
+                     for pid in (7, 8, 9, 10)]
+            for group in [insts] + [[inst] for inst in insts]:
+                out += [[o.answer, profile(o.witness), o.checked_count]
+                        for o in decide_many(group)]
+    return out
+
+
 def mutations(rng: random.Random, text: str) -> list[str]:
     """Four seeded mutations of a text: a line dropped, a line duplicated,
     one token replaced from ``TOKENS``, and the text cut short."""
@@ -314,7 +339,8 @@ def digests(quick: bool = False) -> dict[str, str]:
               "enumerate_wsne_supports": wsne_layer(quick),
               "profiles": profiles_layer(quick, built),
               "large_k": large_k_layer(quick),
-              "readers": readers_layer(quick, built)}
+              "readers": readers_layer(quick, built),
+              "support_walk": support_walk_layer(quick)}
     return {name: hashlib.sha256(json.dumps(records).encode()).hexdigest()
             for name, records in layers.items()}
 

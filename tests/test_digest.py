@@ -15,6 +15,7 @@ QUICK = {
     "profiles": "f0e9e110261746b5ab6b5af3c386d1c82dee8d9ac1aedea6286514d7091f89c0",
     "large_k": "393ec63d5db4d5339989e416d97e45907298714c5d7166d78bd7a04dfbaa7f58",
     "readers": "d12620e57aa46b164a11a7159b9d80f044ede2f393aef94d951e327ff70b7988",
+    "support_walk": "580c46fe62057656546f838e242a930305826bd8c1ae7a8e0d8b76347d443304",
 }
 
 
