@@ -625,20 +625,19 @@ def enumerate_wsne_supports(
     regrets are strictly below eps.
 
     Pairs are pruned without an LP.  With the columns fixed, the row side's
-    LP only gains constraints as the row support grows, so a pair whose row
-    side is infeasible rules out the row side of every pair with more rows
-    and the same columns; the column side is the mirror case.  So a pair is
-    infeasible when an immediate subset, one total size down, is.  Both of a
-    pair's LPs are built first; a side one row proves dead needs no simplex.
-    Raises ``ValidationError`` for a negative eps, ``ParameterError`` for a
-    negative budget, and ``ResourceError`` before the first pair when the
-    pairs exceed the budget.
+    LP only gains constraints as the row support grows, so a row side an LP
+    proved dead rules out the row side of every pair with more rows and the
+    same columns; the column side is the mirror case.  Both of a pair's LPs
+    are built first; a side one row proves dead needs no simplex.
+    Raises ``ValidationError`` for a negative eps and ``ParameterError``
+    for a negative budget when called, and ``ResourceError`` at the first
+    ``next()``, before any LP, when the pairs exceed the budget.
     """
     e = nonnegative_eps(eps)
     check_count(budget, "budget")
     every_pair = _support_pairs(game, e, budget, strict,
                                 lambda r, c: True, 2)
-    yield from (witness for _, _, witness in every_pair if witness is not None)
+    return (witness for _, _, witness in every_pair if witness is not None)
 
 
 def _support_pairs(
@@ -652,23 +651,25 @@ def _support_pairs(
     """Decide, in ``enumerate_wsne_supports``' order, the support pairs
     that ``wanted(rows, cols)`` accepts when the pair comes up, and yield
     each as (rows, cols, its witness or None).  ``wanted`` accepts no pair
-    of total size below ``least_size``, so those sizes are not walked: no
-    LP runs there, so no side is known dead there either.
+    of total size below ``least_size``, so those sizes are not walked.
 
     Each total size is walked as a merge of one lexicographic stream per
-    row count.  Only sides known to be infeasible are recorded (by an LP or
-    by an immediate subset, on every pair, wanted or not), and only for one
-    total size, the one a pair's immediate subsets have; when the row side
-    fails, the column side stays unknown, as the row side does when the
-    column side's LP build proves it dead.  A budget below the pair count,
-    a negative one too, raises ``ResourceError`` before the first pair.
+    row count.  A wanted pair is skipped when a side that `_pair_witness`
+    proved dead against the same opposite support is a subset of its own
+    side; only such sides are recorded, keyed by that opposite support.
+    Every pair between a dead side and a superset of it lies at a walked
+    size, so this prunes what carrying dead sides through every pair would.
+    When the row side fails, the column side stays unknown, as the row side
+    does when the column side's LP build proves it dead.  A budget below
+    the pair count, a negative one too, raises ``ResourceError`` before the
+    first pair.
     """
     n, m = game.rows, game.cols
     total = (2 ** n - 1) * (2 ** m - 1)
     if total > budget:
         raise ResourceError(f"{count_text(total)} support pairs exceed budget {budget}")
     lines = int_lines(game)
-    row_dead, col_dead = set(), set()  # one total size's infeasible sides
+    dead_rows, dead_cols = {}, {}  # dead sides, as frozensets, by opposite support
     for size in range(least_size, n + m + 1):
         # `product` takes its combinations now: each stream keeps its own r.
         level = heapq.merge(*(
@@ -676,25 +677,18 @@ def _support_pairs(
                               itertools.combinations(range(m), size - r))
             for r in range(max(1, size - m), min(n, size - 1) + 1)
         ))
-        below_row, below_col, row_dead, col_dead = row_dead, col_dead, set(), set()
-        for pair in level:
-            rows, cols = pair
-            if any((rows[:k] + rows[k + 1:], cols) in below_row
-                   for k in range(len(rows))):
-                row_dead.add(pair)
-            if any((rows, cols[:k] + cols[k + 1:]) in below_col
-                   for k in range(len(cols))):
-                col_dead.add(pair)
+        for rows, cols in level:
             if not wanted(rows, cols):
                 continue
             witness = None
-            if pair not in row_dead and pair not in col_dead:
+            if not (any(side.issubset(rows) for side in dead_rows.get(cols, ()))
+                    or any(side.issubset(cols) for side in dead_cols.get(rows, ()))):
                 witness, row_feasible = _pair_witness(game, lines, rows, cols,
                                                       eps, strict)
                 if not row_feasible:
-                    row_dead.add(pair)
+                    dead_rows.setdefault(cols, []).append(frozenset(rows))
                 elif witness is None:
-                    col_dead.add(pair)
+                    dead_cols.setdefault(rows, []).append(frozenset(cols))
             yield rows, cols, witness
 
 

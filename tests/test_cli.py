@@ -240,6 +240,19 @@ class TestForge:
         assert main(["forge", "gdoubleprime", str(gp), "-o", str(gdp)] + eps_star) == 0
         assert formats.parse_bgm(gdp.read_text()).rows == 3
 
+    @pytest.mark.parametrize("action", ["build", "gprime", "gdoubleprime"])
+    def test_strategies_file_refused_where_unused(self, action, tmp_path, capsys,
+                                                  monkeypatch):
+        # Only cert reads one: refused before any file is read or written.
+        read = []
+        monkeypatch.setattr(Path, "read_text", lambda path, *a: read.append(path))
+        out = tmp_path / "out.bgm"
+        assert main(["forge", action, str(tmp_path / "in"), str(tmp_path / "s.strat"),
+                     "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: forge {action} takes no strategies file\n"
+        assert read == [] and not out.exists()
+
     def test_build_and_extend(self, tmp_path):
         cnf = tmp_path / "f.cnf"
         cnf.write_text(SINGLE_CNF)

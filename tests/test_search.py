@@ -454,6 +454,17 @@ class TestWsneSupports:
                 list(enumerate_wsne_supports(COORDINATION, F(-1, 8), strict=True))
         lp.assert_not_called()
 
+    def test_arguments_checked_when_called(self):
+        # Not at the first next(), as decide_many checks them at once.
+        with pytest.raises(ValidationError, match="^eps must be nonnegative$"):
+            enumerate_wsne_supports(COORDINATION, -1, budget=-5)
+        with pytest.raises(ParameterError, match="^budget must be at least 0, got -5$"):
+            enumerate_wsne_supports(COORDINATION, 0, budget=-5)
+        # The pair count is the walk's: it comes at the first next().
+        pairs = enumerate_wsne_supports(MATCHING_PENNIES, 0, budget=2)
+        with pytest.raises(ResourceError):
+            next(pairs)
+
     def test_pair_count_too_long_to_print(self):
         # (2^1 - 1)(2^14300 - 1) pairs: str() of the count would raise.
         game = BimatrixGame(R=((0,) * 14300,), C=((0,) * 14300,))
@@ -1834,6 +1845,12 @@ class TestSupportWalk:
                     decide(DecisionInstance(problem_id=pid, game=game, eps=eps,
                                             **kw))
         assert len(calls) == 493
+        # A 6x6 game at eps = 0, where dead sides prune pairs several sizes
+        # up: without them, each of its 3,969 pairs would be solved.
+        calls.clear()
+        game = random_game(random.Random(5), 6, 6, 2)
+        assert len(list(enumerate_wsne_supports(game, F(0)))) == 48
+        assert len(calls) == 305
 
     @pytest.mark.parametrize("shape, pid, k, limit", [
         ((8, 8), 7, 8, 2**20),
