@@ -94,7 +94,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_forge(args: argparse.Namespace) -> int:
-    if args.strategies is not None and args.what != "cert":  # not dropped unread
+    if args.strategies is not None and args.what != "cert":  # refused, not dropped
         raise FormatError(f"forge {args.what} takes no strategies file")
     if args.what == "gdoubleprime":  # G'' takes no eps*
         base = formats.parse_bgm(Path(args.input).read_text())
