@@ -27,6 +27,7 @@ from .sat import (
     max_sat_fraction,
     parse_dimacs,
     partition_bipartite,
+    reduce_to_free_game,
 )
 from .gadget import (
     GadgetGame,
@@ -70,6 +71,7 @@ __all__ = [
     "max_sat_fraction",
     "parse_dimacs",
     "partition_bipartite",
+    "reduce_to_free_game",
     "GadgetGame",
     "ReductionParams",
     "build_hardness_game",

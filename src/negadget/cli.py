@@ -31,15 +31,7 @@ from .gadget import (
 from .games import nonnegative_eps, parse_rational, regret_report
 from .pipeline import PipelineConfig, run_pipeline
 from .provers import VALUE_BUDGET_DEFAULT, game_value
-from .sat import (
-    ANSWER_CAP_DEFAULT,
-    build_clause_variable_free_game,
-    check_answer_cap,
-    formula_degree,
-    incidence_graph,
-    parse_dimacs,
-    partition_bipartite,
-)
+from .sat import ANSWER_CAP_DEFAULT, parse_dimacs, reduce_to_free_game
 from .search import PROBLEMS, SEARCH_BUDGET_DEFAULT, DecisionInstance, decide
 
 
@@ -82,13 +74,7 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     formula = parse_dimacs(Path(args.input).read_text())
-    check_answer_cap(formula, args.cap)
-    partition = partition_bipartite(
-        incidence_graph(formula), formula_degree(formula)
-    )
-    build = build_clause_variable_free_game(
-        formula, partition, answer_cap=args.cap
-    )
+    build = reduce_to_free_game(formula, args.cap)
     formats.write_file(args.output, formats.write_fgm(build.game))
     return 0
 

@@ -42,12 +42,9 @@ from .sat import (
     ANSWER_CAP_DEFAULT,
     FreeGameBuild,
     SAT_BUDGET_DEFAULT,
-    build_clause_variable_free_game,
-    formula_degree,
-    incidence_graph,
     max_sat,
     parse_dimacs,
-    partition_bipartite,
+    reduce_to_free_game,
     winning_strategies,
 )
 from .search import DecisionInstance, decide_many
@@ -97,16 +94,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     )
     satisfiable = sat_fraction == 1
 
-    graph = incidence_graph(formula)
-    partition = _stage("partition")(
-        partition_bipartite, graph, formula_degree(formula)
-    )
-    build = _stage("free_game")(
-        build_clause_variable_free_game,
-        formula,
-        partition,
-        answer_cap=cfg.answer_cap,
-    )
+    build = _stage("free_game")(reduce_to_free_game, formula, cfg.answer_cap)
     formats.write_file(out / "F.fgm", formats.write_fgm(build.game))
 
     omega = None

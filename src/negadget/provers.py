@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -35,13 +35,16 @@ class TwoProverGame:
     ``x_answers[i]`` is the number of legal answers for question i on the
     X side (likewise ``y_answers``).  ``dist`` of None means the uniform
     product distribution (a free game); otherwise it is an |X| x |Y| matrix
-    of nonnegative rationals summing to at most 1.
+    of nonnegative rationals summing to at most 1.  ``weights`` holds the
+    distribution cleared, out of ``==``, ``hash`` and ``repr``: (W, L) with
+    D[x][y] = W[x][y] / L, every weight 1 over L = |X|*|Y| for a free game.
     """
 
     x_answers: tuple[int, ...]
     y_answers: tuple[int, ...]
     table: VTable
     dist: Matrix | None = None
+    weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.x_answers or not self.y_answers:
@@ -62,19 +65,26 @@ class TwoProverGame:
                 for per_b in per_a:
                     if len(per_b) != self.y_answers[y]:
                         raise ShapeError(f"V table answer dimension at y={y}")
-                    # Counted in C; an entry passes when it == 0 or == 1.
-                    if per_b.count(0) + per_b.count(1) != len(per_b):
+                    try:  # in C: bytes() refuses Fraction(1), 1.0 and -1
+                        bad = bytes(per_b).translate(None, b"\0\1")
+                    except (TypeError, ValueError):
+                        bad = True
+                    if bad:
                         raise ValidationError("V entries must be 0 or 1")
-        if self.dist is not None:
-            # Exact Fractions, so game_value can read every denominator.
+        if self.dist is None:
+            weights = ((1,) * self.ny,) * self.nx, self.nx * self.ny
+        else:
+            # Exact Fractions, so `cleared` can read every denominator.
             d = tuple([vector(row) for row in self.dist])
             object.__setattr__(self, "dist", d)
             if len(d) != self.nx or any(len(row) != self.ny for row in d):
                 raise ShapeError("distribution has wrong shape")
-            if any(e < 0 for row in d for e in row):
+            ints, scale = weights = cleared(d)
+            if min(map(min, ints)) < 0:
                 raise ValidationError("distribution entries must be >= 0")
-            if sum(e for row in d for e in row) > 1:
+            if sum(map(sum, ints)) > scale:
                 raise ValidationError("distribution mass exceeds 1")
+        object.__setattr__(self, "weights", weights)
 
     @property
     def nx(self) -> int:
@@ -87,11 +97,6 @@ class TwoProverGame:
     @property
     def is_free(self) -> bool:
         return self.dist is None
-
-    def prob(self, x: int, y: int) -> Fraction:
-        if self.dist is None:
-            return Fraction(1, self.nx * self.ny)
-        return self.dist[x][y]
 
     def strategy_counts(self) -> tuple[int, int]:
         """(|S1|, |S2|): number of deterministic strategies per prover."""
@@ -121,12 +126,10 @@ def prover_payoff(
     """Exact expected payoff E_{(x,y)~D}[V(x, y, s1(x), s2(y))]."""
     _check_strategy(s1, t.x_answers, "X")
     _check_strategy(s2, t.y_answers, "Y")
-    total = Fraction(0)
-    for x in range(t.nx):
-        for y in range(t.ny):
-            if t.table[x][y][s1.answers[x]][s2.answers[y]]:
-                total += t.prob(x, y)
-    return total
+    weight, denom = t.weights
+    won = sum(weight[x][y] for x, a in enumerate(s1.answers)
+              for y, b in enumerate(s2.answers) if t.table[x][y][a][b])
+    return Fraction(won, denom)
 
 
 def game_value(t: TwoProverGame, budget: int = VALUE_BUDGET_DEFAULT) -> Fraction:
@@ -137,11 +140,10 @@ def game_value(t: TwoProverGame, budget: int = VALUE_BUDGET_DEFAULT) -> Fraction
     The budget contracts on the full pair count |S1| x |S2| and is checked
     before anything is built.
 
-    The sums are integers: each question pair weighs its probability
-    cleared by `games.cleared` (over nx*ny for a free game, where every
-    weight is 1); one Fraction is built at the end.  The scan stops once
-    the value reaches the weight of the question pairs that some answer
-    pair wins, an exact upper bound.
+    The sums are integers: each question pair weighs its cleared
+    probability from ``t.weights``; one Fraction is built at the end.  The
+    scan stops once the value reaches the weight of the question pairs that
+    some answer pair wins, an exact upper bound.
     """
     check_count(budget, "budget")
     s1_count, s2_count = t.strategy_counts()
@@ -150,7 +152,7 @@ def game_value(t: TwoProverGame, budget: int = VALUE_BUDGET_DEFAULT) -> Fraction
             f"|S1|*|S2| = {count_text(s1_count * s2_count)} exceeds budget {budget}"
         )
     table, x_range, y_range = t.table, range(t.nx), range(t.ny)
-    weight, denom = cleared([[t.prob(x, y) for y in y_range] for x in x_range])
+    weight, denom = t.weights
     # wins[q][p][a][b]: the weight won when the enumerated prover answers a
     # to its question p and the replying prover answers b to its question q.
     if s2_count < s1_count:

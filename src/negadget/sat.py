@@ -3,7 +3,7 @@
 The reduction path is: formula -> clause/variable incidence graph ->
 balanced bipartite partition -> free game in which one prover answers with
 an assignment to a variable block and the other with an assignment to the
-variables of a clause block.
+variables of a clause block; ``reduce_to_free_game`` takes the whole path.
 """
 
 from __future__ import annotations
@@ -279,20 +279,13 @@ def _variable_blocks(left: int, k: int) -> Iterator[range]:
     return (range(i * left // k, (i + 1) * left // k) for i in range(k))
 
 
-def check_answer_cap(f: Cnf3Formula, answer_cap: int = ANSWER_CAP_DEFAULT) -> None:
-    """Raise the X-side answer-cap error of `build_clause_variable_free_game`
-    from the formula's sizes alone, before `partition_bipartite` builds any
-    block: X question i assigns the i-th contiguous variable block."""
-    k = _block_count(f.num_vars + f.num_clauses)
-    _check_answers("X", map(len, _variable_blocks(f.num_vars, k)), answer_cap)
-
-
 def _check_answers(side: str, sizes: Iterable[int], answer_cap: int) -> None:
     """ResourceError for the first question with more than answer_cap
-    answers, a question of size s having 2^s."""
+    answers, a question of size s having 2^s (never built)."""
     check_count(answer_cap, "answer_cap")
+    least = answer_cap.bit_length()  # 2^size > answer_cap iff size >= least
     for i, size in enumerate(sizes):
-        if 2 ** size > answer_cap:
+        if size >= least:
             raise ResourceError(
                 f"{side} question {i} has 2^{size} answers, cap {answer_cap}"
             )
@@ -371,6 +364,21 @@ def build_clause_variable_free_game(
         y_vars=tuple(y_vars[j] for j in ys),
         y_clauses=tuple(y_clauses[j] for j in ys),
     )
+
+
+def reduce_to_free_game(
+    f: Cnf3Formula, answer_cap: int = ANSWER_CAP_DEFAULT
+) -> FreeGameBuild:
+    """The free game of a formula, in the order of its errors: the X-side
+    answer cap from the formula's sizes alone (X question i assigns the
+    i-th of K contiguous variable blocks), so no block is built for a
+    formula over the cap; then `partition_bipartite` of the incidence graph
+    at the formula's degree; then `build_clause_variable_free_game`."""
+    k = _block_count(f.num_vars + f.num_clauses)
+    blocks = _variable_blocks(f.num_vars, k)  # len() of a range overflows
+    _check_answers("X", (b.stop - b.start for b in blocks), answer_cap)
+    partition = partition_bipartite(incidence_graph(f), formula_degree(f))
+    return build_clause_variable_free_game(f, partition, answer_cap)
 
 
 def winning_strategies(

@@ -7,13 +7,14 @@ import os
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from negadget import cli, formats, gadget, games, pipeline, search
+from negadget import cli, formats, gadget, games, pipeline, sat, search
 from negadget.cli import main
 from negadget.errors import GadgetError, ParameterError
 from negadget.gadget import derive_params, extend_gprime, rescale_game
@@ -602,7 +603,7 @@ class TestInputErrors:
         def no_partition(*args, **kwargs):
             raise AssertionError("partition_bipartite called")
 
-        monkeypatch.setattr(cli, "partition_bipartite", no_partition)
+        monkeypatch.setattr(sat, "partition_bipartite", no_partition)
         tracemalloc.start()
         try:
             code = main(["reduce", "sat2free", str(cnf), "-o", str(tmp_path / "F")])
@@ -614,6 +615,46 @@ class TestInputErrors:
             "error: X question 0 has 2^999 answers, cap 65536\n"
         )
         assert peak < 2**20, peak
+
+    @pytest.mark.parametrize("num_vars, size", [
+        (10**18, 999999999), (10**40, 99999999999999999999),
+    ])
+    def test_answer_cap_of_a_huge_header_builds_no_power(
+        self, num_vars, size, tmp_path, capsys
+    ):
+        # 2^size was built to compare it with the cap: 5 s and 430 MB at
+        # 10^18 variables.  At 10^40 len() of a block overflowed, and an
+        # OverflowError traceback exited 1, the "fail" verdict.
+        cnf = tmp_path / "huge.cnf"
+        cnf.write_text(f"p cnf {num_vars} 1\n1 2 3 0\n")
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["reduce", "sat2free", str(cnf), "-o", str(tmp_path / "F")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: X question 0 has 2^{size} answers, cap 65536\n"
+        )
+        assert peak < 2**20, peak
+
+    @pytest.mark.parametrize("command, message", [
+        (["reduce", "sat2free", "{cnf}", "-o", "{out}"],
+         "both sides must be nonempty"),
+        (["pipeline", "{cnf}", "-o", "{out}"],
+         "stage 'free_game' failed: both sides must be nonempty"),
+    ])
+    def test_clause_free_formula(self, command, message, tmp_path, capsys):
+        # The pipeline's partition runs inside its one free_game stage,
+        # which names the failure; it was stage 'partition'.
+        cnf = tmp_path / "empty.cnf"
+        cnf.write_text("p cnf 3 0\n")
+        out = tmp_path / "out"
+        assert main([a.format(cnf=cnf, out=out) for a in command]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command, name", [
         (["value", "{fgm}", "--budget", "-1"], "budget"),
@@ -692,6 +733,23 @@ class TestPipeline:
         with pytest.raises(TypeError):
             PipelineConfig(cnf_path="f.cnf", out_dir="out", **{name: 1})
         assert getattr(PipelineConfig("f.cnf", "out"), name) >= 1
+
+    def test_reduce_and_pipeline_partition_once(self, tmp_path, monkeypatch):
+        # Both reach the free game through sat.reduce_to_free_game alone.
+        calls = []
+        real = sat.partition_bipartite
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sat, "partition_bipartite", spy)
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(SINGLE_CNF)
+        assert main(["reduce", "sat2free", str(cnf), "-o", str(tmp_path / "F")]) == 0
+        assert len(calls) == 1
+        run_pipeline(PipelineConfig(str(cnf), str(tmp_path / "out")))
+        assert len(calls) == 2
 
     def test_satisfiable_run(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"

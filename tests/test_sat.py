@@ -31,9 +31,11 @@ from negadget.sat import (
     max_sat_fraction,
     parse_dimacs,
     partition_bipartite,
+    reduce_to_free_game,
     winning_strategies,
 )
 from oracles import free_game_verdict, max_sat_reference, strategy_answer
+from test_golden import PROBE
 
 F = Fraction
 
@@ -295,6 +297,15 @@ class TestFreeGame:
         for b in {**sat_builds, **unsat_builds}.values():
             assert b.build.game.nx % 2 == 0
             assert b.build.game.ny % 2 == 0
+
+    def test_one_call_equals_the_explicit_chain(self):
+        formulas = {**satisfiable_fixtures(), **unsatisfiable_fixtures(), "probe": PROBE}
+        for name, f in formulas.items():
+            partition = partition_bipartite(incidence_graph(f), formula_degree(f))
+            want = build_clause_variable_free_game(f, partition)
+            got = reduce_to_free_game(f)
+            assert (got.game, got.x_vars, got.y_vars, got.y_clauses) == (
+                want.game, want.x_vars, want.y_vars, want.y_clauses), name
 
     def test_answer_cap(self):
         f = satisfiable_fixtures()["two-clause"]

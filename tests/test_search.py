@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import decimal
+import gc
 import itertools
 import random
 import tracemalloc
@@ -38,8 +39,8 @@ from negadget.gadget import (
 from negadget.linsolve import simplex_maximize
 from negadget.provers import game_value, uniformity_gap
 from negadget.sat import (
-    build_clause_variable_free_game, check_answer_cap, formula_degree, incidence_graph,
-    max_sat, partition_bipartite,
+    build_clause_variable_free_game, formula_degree, incidence_graph,
+    max_sat, partition_bipartite, reduce_to_free_game,
 )
 from negadget.search import (
     DecisionInstance,
@@ -1198,16 +1199,25 @@ class TestScanBudget:
         zero = ((0,) * 300,) * 8
         inst = DecisionInstance(problem_id=1, game=BimatrixGame(R=zero, C=zero),
                                 eps=0, u=1)
-        decide(inst, k=2, budget=10)  # the game's cached palette integers
+        # The warm-up at the larger budget caches the game's palette integers
+        # and fills CPython's free lists as far as either scan needs them.
+        # A full collection empties those lists, so the collector is paused
+        # from the warm-up to the last window: each window then measures
+        # the scan, not where a collection happened to land.
         peaks = []
-        for budget in (1000, 16000):
-            tracemalloc.start()
-            try:
-                out = decide(inst, k=2, budget=budget)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert (out.answer, out.checked_count) == ("unknown", budget)
+        gc.disable()
+        try:
+            decide(inst, k=2, budget=16000)
+            for budget in (1000, 16000):
+                tracemalloc.start()
+                try:
+                    out = decide(inst, k=2, budget=budget)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert (out.answer, out.checked_count) == ("unknown", budget)
+        finally:
+            gc.enable()
         assert peaks[1] <= peaks[0] + 2**12, peaks
 
     def test_scan_ranks_each_y_once_where_the_budget_ends(self, monkeypatch):
@@ -1350,7 +1360,7 @@ class TestScanBudget:
         with pytest.raises(ParameterError, match="^answer_cap " + below):
             build_clause_variable_free_game(f, partition, answer_cap=-1)
         with pytest.raises(ParameterError, match="^answer_cap " + below):
-            check_answer_cap(f, -1)
+            reduce_to_free_game(f, -1)
         with pytest.raises(ParameterError,
                            match="^search_budget must be at least 1, got 0$"):
             pipeline.PipelineConfig("f.cnf", "out", search_budget=0)
@@ -1402,7 +1412,7 @@ class TestScanBudget:
         with pytest.raises(ParameterError, match="answer_cap must be an int"):
             build_clause_variable_free_game(f, partition, answer_cap=value)
         with pytest.raises(ParameterError, match="answer_cap must be an int"):
-            check_answer_cap(f, value)
+            reduce_to_free_game(f, value)
 
     def test_budget_zero_checks_nothing(self):
         insts = [DecisionInstance(problem_id=1, game=MATCHING_PENNIES, eps=0, u=1),
