@@ -14,7 +14,10 @@ ends inside an x, `readers`, each text the digest can write, and
 seeded mutations of it, read back: the value read, or the error's class and
 message, and `support_walk`, weak and strict enumeration and p7-p10
 (together and each alone) on seeded 5x5 games, where a side found dead
-prunes pairs several sizes up.  Each layer's results are
+prunes pairs several sizes up, and `verdicts`, `is_eps_ne` and
+`is_eps_wsne` at each regret and one step either side, and p1-p10 decided
+by hints whose payoffs, welfares, weights and supports set the parameters
+at and one step past each boundary.  Each layer's results are
 written as plain lists of ints and strings, every rational through
 `formats.format_rational`, and hashed as JSON, so a field added to a result
 type changes no digest.  The script reads only the standard library and
@@ -34,7 +37,10 @@ from fractions import Fraction
 from negadget import corpus, formats, gadget, sat
 from negadget.errors import GadgetError
 from negadget.formats import format_rational
-from negadget.games import BimatrixGame, MixedProfile, pure_profile, regret_report
+from negadget.games import (
+    BimatrixGame, MixedProfile, is_eps_ne, is_eps_wsne, pure_profile, regret_report,
+    tv_distance,
+)
 from negadget.provers import induced_two_prover
 from negadget.search import (
     DecisionInstance, decide_many, enumerate_wsne_supports, k_uniform_count,
@@ -43,6 +49,7 @@ from negadget.search import (
 
 F = Fraction
 EPS_STAR = F(31, 250)
+STEP = F(1, 10**12)  # the verdict layer's step either side of a boundary
 # Primes up to about 10**12, so that weights over them have coprime
 # denominators and a side's LCM grows to a product of several of them.
 PRIMES = (3, 7, 101, 1000003, 998244353, 1000000007, 2147483647, 4294967291,
@@ -115,7 +122,10 @@ def capped_games() -> list:
     return out
 
 
-def regret_layer(quick: bool, built: list) -> list:
+def regret_pairs(quick: bool, built: list) -> list:
+    """The (game, profile) pairs of the regret and verdict layers: each
+    fixture's certificate and its extensions, prime profiles on G, G_s and
+    G', and prime and grid profiles on seeded games."""
     rng = random.Random(1)
     pairs = []
     for free, g, gs, gp, gdp, cert, _ in built:
@@ -126,6 +136,10 @@ def regret_layer(quick: bool, built: list) -> list:
     for game in seeded_games(2, 60 if quick else 300, 4, 5):
         pairs += [(game, prime_profile(rng, game.rows, game.cols)),
                   (game, corpus.random_profile(rng, game.rows, game.cols))]
+    return pairs
+
+
+def regret_layer(pairs: list) -> list:
     out = []
     for game, p in pairs:
         rep = regret_report(game, p)
@@ -133,6 +147,64 @@ def regret_layer(quick: bool, built: list) -> list:
                               rep.col_pure_regret, rep.row_payoff, rep.col_payoff,
                               rep.welfare]))
     return out
+
+
+def verdicts_layer(quick: bool, pairs: list) -> list:
+    """`is_eps_ne` and `is_eps_wsne` on the regret layer's pairs at eps 0,
+    EPS_STAR and each of the four regrets, exactly and one STEP either side;
+    then p1-p10 through `decide_many` with grid-profile hints on seeded
+    games, each hint setting the parameters at its exact payoff, welfare,
+    largest weight, distance or support size and one step past it."""
+    out = []
+    for game, p in pairs:
+        rep = regret_report(game, p)
+        regrets = (rep.row_regret, rep.col_regret, rep.row_pure_regret,
+                   rep.col_pure_regret)
+        epss = [F(0), EPS_STAR] + [r + s for r in regrets for s in (0, STEP, -STEP)]
+        out.append([[is_eps_ne(game, p, e), is_eps_wsne(game, p, e)] for e in epss])
+    rng = random.Random(15)
+    for game in seeded_games(16, 15 if quick else 60, 4, 5):
+        hints = [corpus.random_profile(rng, game.rows, game.cols) for _ in range(3)]
+        hints.append(pure_profile(game, rng.randrange(game.rows), rng.randrange(game.cols)))
+        hints += [(hints[0], hints[1]), (hints[2], hints[3])]
+        reports = [regret_report(game, h) for h in hints[:4]]
+        insts = [(pid, name, value) for h, rep in zip(hints, reports)
+                 for pid, name, value in hint_params(game, h, rep)]
+        insts += [(3, "d", d + s) for h in hints[4:] for d in (tv_distance(*h),)
+                  for s in (0, STEP)]
+        for eps in (max(reports[0].row_regret, reports[0].col_regret),
+                    max(reports[1].row_pure_regret, reports[1].col_pure_regret),
+                    rng.choice((F(0), F(1, 8), F(1, 4)))):
+            group = []
+            for pid, name, value in insts:
+                try:
+                    group.append(DecisionInstance(problem_id=pid, game=game, eps=eps,
+                                                  **{name: value}))
+                except GadgetError:  # a value outside the problem's range
+                    pass
+            for o in decide_many(group, 1, 20, hints):
+                pair = o.witness_pair and list(map(profile, o.witness_pair))
+                out.append([o.answer, profile(o.witness), pair, o.checked_count])
+    return out
+
+
+def hint_params(game: BimatrixGame, h: MixedProfile, rep) -> list:
+    """(problem, parameter, value) of p1, p2 and p4-p10 at the hint's own
+    payoff, welfare, largest weight, support and support sizes, and one
+    step past each, so that the hint holds at the first and not the second."""
+    low = min(rep.row_payoff, rep.col_payoff)
+    rows, cols = h.support_x, h.support_y
+    outside = tuple(i for i in range(game.rows) if i not in rows)
+    # p2 holds iff supp(x) is inside the set, p10 iff the set is inside it.
+    sets = {2: (rows, rows[:-1]), 10: (rows, rows + outside[-1:])}
+    sizes = {7: (len(rows) + len(cols)) // 2, 8: min(len(rows), len(cols)),
+             9: len(rows)}
+    return ([(1, "u", low + s) for s in (0, STEP)]
+            + [(pid, "index_set", i) for pid, two in sets.items() for i in two if i]
+            + [(4, "p", max(h.x) - s) for s in (0, STEP)]
+            + [(5, "v", rep.welfare - s) for s in (0, STEP)]
+            + [(6, "u", rep.row_payoff - s) for s in (0, STEP)]
+            + [(pid, "k", size + s) for pid, size in sizes.items() for s in (0, 1)])
 
 
 def induced_layer(quick: bool, built: list) -> list:
@@ -332,7 +404,8 @@ def readers_layer(quick: bool, built: list) -> list:
 def digests(quick: bool = False) -> dict[str, str]:
     """Each layer's name and the sha256 of its results, in a fixed order."""
     built = reductions(quick)
-    layers = {"regret_report": regret_layer(quick, built),
+    pairs = regret_pairs(quick, built)
+    layers = {"regret_report": regret_layer(pairs),
               "induced_two_prover": induced_layer(quick, built),
               "lmm_best_welfare": lmm_layer(quick),
               "decide_many": decide_layer(quick),
@@ -340,7 +413,8 @@ def digests(quick: bool = False) -> dict[str, str]:
               "profiles": profiles_layer(quick, built),
               "large_k": large_k_layer(quick),
               "readers": readers_layer(quick, built),
-              "support_walk": support_walk_layer(quick)}
+              "support_walk": support_walk_layer(quick),
+              "verdicts": verdicts_layer(quick, pairs)}
     return {name: hashlib.sha256(json.dumps(records).encode()).hexdigest()
             for name, records in layers.items()}
 

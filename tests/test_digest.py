@@ -16,6 +16,7 @@ QUICK = {
     "large_k": "393ec63d5db4d5339989e416d97e45907298714c5d7166d78bd7a04dfbaa7f58",
     "readers": "d12620e57aa46b164a11a7159b9d80f044ede2f393aef94d951e327ff70b7988",
     "support_walk": "580c46fe62057656546f838e242a930305826bd8c1ae7a8e0d8b76347d443304",
+    "verdicts": "eb72ace65e7e505e3ccb8c5b2bf53508349a03d7edd738a8a61a82a8f8380b64",
 }
 
 
