@@ -16,13 +16,17 @@ holds at most PALETTE_LIMIT codes; coding one pair more raises
 `ResourceError`.  The code rows are the game's one copy of its cells; R and
 C are read-only views for the tests and callers, built on first use, and
 no library path builds one.  ``==`` and ``hash`` read one canonical form.
-Every integer kernel (the regret report, the k-uniform scan of
+Every integer kernel (``regret_ints``, the k-uniform scan of
 `negadget.search`, the support LPs and `game_value`) leaves `Fraction`
 through one helper, ``cleared``, and ``int_entries`` is the palette cleared
-once.  ``int_lines`` is the one reader of a game's integer payoff lines
-(C's rows and R's columns, sliced from the code rows joined once per call):
-the scan and the support LPs build the lines they read through it.
-``weighted_lines`` is the one weighted sum of lines: ``regret_report``, the
+once.  ``regret_ints`` is what every verdict compares, through
+``regrets_within`` (``is_eps_ne``, ``is_eps_wsne`` and the deciders'
+re-checks), and ``regret_report`` is its `Fraction` face, for the reports
+that print regrets and welfare.  ``int_lines`` is the one reader of a
+game's integer payoff lines (C's rows and R's columns, sliced from the code
+rows joined once per call): the scan and the support LPs build the lines
+they read through it.
+``weighted_lines`` is the one weighted sum of lines: ``regret_ints``, the
 oracle that the scan is checked against, streams through it the opponent's
 support lines (``IntLines.stream``, keeping none) weighted by a profile
 side, cleared over its own LCM (``MixedProfile.sparse_x``), and the scan
@@ -450,50 +454,58 @@ def _check_shapes(game: BimatrixGame, p: MixedProfile) -> None:
         )
 
 
-def _side(lines: IntLines, own: Sparse, opp: Sparse) -> tuple[int, int, int]:
-    """(payoff, best pure payoff, worst payoff on the support) of the player
-    with payoff lines ``lines`` playing ``own`` against ``opp``, the payoff
-    over L*M_own*M_opp and the others over L*M_opp: (R's columns, x, y) for
-    the rows, (C's rows, y, x) for the columns."""
-    vals = weighted_lines(lines.stream, opp)
-    support, weights, _ = own
-    on_support = list(map(vals.__getitem__, support))
-    return sum(map(mul, weights, on_support)), max(vals), min(on_support)
+def regret_ints(game: BimatrixGame, p: MixedProfile) -> tuple[int, ...]:
+    """The integer kernel that every verdict compares: (row regret, col
+    regret, row pure regret, col pure regret, row payoff, col payoff, unit),
+    six numerators over one unit L*M_x*M_y.  A pure regret takes the worst
+    payoff on the support in place of the realized one; ``InvariantError``
+    if a regret is negative or exceeds its pure regret."""
+    _check_shapes(game, p)
+    c_rows, r_cols, scale = int_lines(game)
+    sides = []
+    for name, lines, own, opp in (("row", r_cols, p.sparse_x, p.sparse_y),
+                                  ("col", c_rows, p.sparse_y, p.sparse_x)):
+        vals = weighted_lines(lines.stream, opp)
+        support, weights, m = own
+        on_support = list(map(vals.__getitem__, support))
+        pay, best = sum(map(mul, weights, on_support)), max(vals) * m
+        regret, pure = best - pay, best - min(on_support) * m
+        if not 0 <= regret <= pure:
+            raise InvariantError(f"{name} regret exceeds pure {name} regret")
+        sides.append((regret, pure, pay))
+    (row, row_pure, row_pay), (col, col_pure, col_pay) = sides
+    unit = scale * p.sparse_x[2] * p.sparse_y[2]
+    return row, col, row_pure, col_pure, row_pay, col_pay, unit
+
+
+def regrets_within(ints: tuple[int, ...], eps: Fraction, pure: bool = False,
+                   strict: bool = False) -> bool:
+    """Both regrets of the kernel's ``ints`` (the pure regrets if ``pure``)
+    are at most eps, or below it if ``strict``: integers cross-multiplied
+    by eps's numerator and denominator."""
+    worst = max(ints[2:4] if pure else ints[:2]) * eps.denominator
+    bound = eps.numerator * ints[6]
+    return worst < bound if strict else worst <= bound
 
 
 def regret_report(game: BimatrixGame, p: MixedProfile) -> RegretReport:
-    """Compute exact regrets and payoffs for a profile.
-
-    Regret is the best-response payoff minus the realized payoff; the
-    pure-strategy regret replaces the realized payoff by the worst payoff
-    among pure strategies actually in the support.  Sums run over integers;
-    only the seven results are Fractions.
-    """
-    _check_shapes(game, p)
-    c_rows, r_cols, scale = int_lines(game)
-    mx, my = p.sparse_x[2], p.sparse_y[2]
-    row_pay, row_best, row_worst = _side(r_cols, p.sparse_x, p.sparse_y)
-    col_pay, col_best, col_worst = _side(c_rows, p.sparse_y, p.sparse_x)
-    unit = scale * mx * my
+    """Exact regrets and payoffs of a profile: the `Fraction` face of
+    ``regret_ints``, for the reports that print them."""
+    row, col, row_pure, col_pure, row_pay, col_pay, unit = regret_ints(game, p)
     return RegretReport(
-        row_regret=Fraction(row_best * mx - row_pay, unit),
-        col_regret=Fraction(col_best * my - col_pay, unit),
-        row_pure_regret=Fraction(row_best - row_worst, scale * my),
-        col_pure_regret=Fraction(col_best - col_worst, scale * mx),
-        row_payoff=Fraction(row_pay, unit),
-        col_payoff=Fraction(col_pay, unit),
-        welfare=Fraction(row_pay + col_pay, unit),
-    )
+        Fraction(row, unit), Fraction(col, unit), Fraction(row_pure, unit),
+        Fraction(col_pure, unit), Fraction(row_pay, unit), Fraction(col_pay, unit),
+        Fraction(row_pay + col_pay, unit))
 
 
 def is_eps_ne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
     """True iff both players' regrets are at most eps (exact comparison)."""
-    return regret_report(game, p).within(frac(eps))
+    return regrets_within(regret_ints(game, p), frac(eps))
 
 
 def is_eps_wsne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
     """True iff both players' pure-strategy regrets are at most eps."""
-    return regret_report(game, p).within(frac(eps), pure=True)
+    return regrets_within(regret_ints(game, p), frac(eps), pure=True)
 
 
 def tv_distance(p1: MixedProfile, p2: MixedProfile) -> Fraction:

@@ -21,7 +21,6 @@ from .games import (
     IntLines,
     MixedProfile,
     Rational,
-    RegretReport,
     Sparse,
     Vector,
     check_count,
@@ -29,7 +28,8 @@ from .games import (
     int_lines,
     is_eps_ne,
     nonnegative_eps,
-    regret_report,
+    regret_ints,
+    regrets_within,
     side_vector,
     tv_distance,
     weighted_lines,
@@ -133,11 +133,12 @@ class Problem:
     ``holds`` is its Table predicate, on a profile known to be an eps-NE
     (problems 1-6) or eps-WSNE (7-10): problems 1-6 read (inst, x's side
     (support, weights, M), row payoff, col payoff, unit), payoffs over unit,
-    as a hint (``sparse_x``, unit 1) and a scan hit (multiplicities, k*k*L)
-    give them; 7-10 read only the supports, (inst, rows, cols), since a
-    support-pair witness has exactly those supports.  Problem 3, whose
-    witness is a far-apart pair, has none.  ``least_size`` is the least
-    total support size that a 7-10 predicate accepts.
+    as a hint (``sparse_x``, the `regret_ints` unit L*M_x*M_y) and a scan
+    hit (multiplicities, k*k*L) give them; 7-10 read only the supports,
+    (inst, rows, cols), since a support-pair witness has exactly those
+    supports.  Problem 3, whose witness is a far-apart pair, has none.
+    ``least_size`` is the least total support size that a 7-10 predicate
+    accepts.
     """
 
     param: str
@@ -524,7 +525,7 @@ def _pair_witness(
     C's rows in ``rows``, both built before either is solved, so that a side
     `_side_lp` proves dead costs no simplex; ``lines`` is `int_lines`.  An
     LP side that is not a distribution, or a witness whose pure regrets
-    `regret_report` finds above eps (not below it when ``strict``), raises
+    `regret_ints` finds above eps (not below it when ``strict``), raises
     ``InvariantError``."""
     c_rows, r_cols, scale = lines
     lps = []
@@ -544,10 +545,8 @@ def _pair_witness(
         p = MixedProfile.of_sides(game.rows, game.cols, (rows, x, 1), (cols, y, 1))
     except ValidationError as exc:
         raise InvariantError("support LP gave a side that is not a distribution") from exc
-    rep = regret_report(game, p)
-    worst = max(rep.row_pure_regret, rep.col_pure_regret)
-    if worst > eps or strict and worst == eps:
-        raise InvariantError("support LP and regret_report disagree on a witness")
+    if not regrets_within(regret_ints(game, p), eps, pure=True, strict=strict):
+        raise InvariantError("support LP and regret_ints disagree on a witness")
     return p, True
 
 
@@ -733,16 +732,16 @@ def decide_many(
 def _hint_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
                    hints: Iterable) -> dict[int, SearchOutcome]:
     """A yes for each problem in ``pending`` that a hint certifies."""
-    # One report per hint object, keyed by identity: the list keeps every
-    # hint alive for the call, and hashing a profile hashes every entry.
+    # One kernel call per hint object, keyed by identity: the list keeps
+    # every hint alive for the call, and hashing a profile hashes every entry.
     hints = list(hints)
-    reports: dict[int, RegretReport] = {}
+    reports: dict[int, tuple[int, ...]] = {}
 
-    def report(p: MixedProfile) -> RegretReport:
-        rep = reports.get(id(p))
-        if rep is None:
-            rep = reports[id(p)] = regret_report(game, p)
-        return rep
+    def report(p: MixedProfile) -> tuple[int, ...]:
+        ints = reports.get(id(p))
+        if ints is None:
+            ints = reports[id(p)] = regret_ints(game, p)
+        return ints
 
     settled = {}
     for i, inst in pending.items():
@@ -751,14 +750,14 @@ def _hint_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
             if pair != isinstance(hint, tuple):
                 continue
             if pair:
-                certified = (all(report(p).within(eps) for p in hint)
+                certified = (all(regrets_within(report(p), eps) for p in hint)
                              and tv_distance(*hint) >= inst.d)
             else:
-                rep = report(hint)
+                ints = report(hint)
                 wsne = inst.witness_kind == WITNESS_WSNE
-                certified = rep.within(eps, wsne) and (
+                certified = regrets_within(ints, eps, wsne) and (
                     inst.holds(hint.support_x, hint.support_y) if wsne
-                    else inst.holds(hint.sparse_x, rep.row_payoff, rep.col_payoff, 1)
+                    else inst.holds(hint.sparse_x, *ints[4:])
                 )
             if certified:
                 settled[i] = SearchOutcome(

@@ -788,10 +788,10 @@ class TestPipeline:
         assert outputs[0] == outputs[1]
 
     def test_one_report_and_one_rescale_per_game(self, tmp_path, monkeypatch):
-        # The certificate is reported once on G and once on Gs; the
-        # deciders report the two G' hints and the one G'' hint.
+        # The regret kernel runs on the certificate once on G and once on
+        # Gs, and the deciders run it on the two G' hints and the G'' hint.
         calls = {"report": 0, "rescale": 0}
-        real_report, real_rescale = games.regret_report, gadget.rescale_game
+        real_report, real_rescale = games.regret_ints, gadget.rescale_game
 
         def report(g, p):
             calls["report"] += 1
@@ -801,8 +801,8 @@ class TestPipeline:
             calls["rescale"] += 1
             return real_rescale(gg)
 
-        for module in (games, gadget, search):
-            monkeypatch.setattr(module, "regret_report", report)
+        for module in (games, search):
+            monkeypatch.setattr(module, "regret_ints", report)
         for module in (gadget, pipeline):
             monkeypatch.setattr(module, "rescale_game", rescale)
         cnf = tmp_path / "f.cnf"

@@ -32,7 +32,9 @@ from negadget.games import (
     is_eps_ne,
     is_eps_wsne,
     pure_profile,
+    regret_ints,
     regret_report,
+    regrets_within,
     side_vector,
     tv_distance,
     weighted_lines,
@@ -134,6 +136,25 @@ class TestRegretReport:
         RegretReport(**fields)
         with pytest.raises(InvariantError):
             RegretReport(**{**fields, **broken})
+
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_kernel_refuses_a_side_heavier_than_its_m(self, name):
+        # Weight 2 over M = 1 pays twice the best response: a negative regret.
+        p = MixedProfile.of_sides(2, 2, ((0,), (1,), 1), ((0,), (1,), 1))
+        object.__setattr__(p, f"sparse_{name}", ((0,), (2,), 1))
+        player = "row" if name == "x" else "col"
+        game = BimatrixGame(R=((1, 0), (0, 1)), C=((1, 0), (0, 1)))
+        for verdict in (regret_ints, regret_report, lambda g, p: is_eps_ne(g, p, 1),
+                        lambda g, p: is_eps_wsne(g, p, 1)):
+            with pytest.raises(InvariantError,
+                               match=f"^{player} regret exceeds pure {player} regret$"):
+                verdict(game, p)
+
+    def test_shape_checked_before_eps(self):
+        p = MixedProfile(x=(1,), y=(1,))
+        for verdict in (is_eps_ne, is_eps_wsne):
+            with pytest.raises(ShapeError):
+                verdict(MATCHING_PENNIES, p, 0.5)
 
 
 class TestProfiles:
@@ -546,6 +567,46 @@ def test_shared_objects_match_the_per_cell_reference(game_and_profile):
     game, p = game_and_profile
     assert _lines(game, p) == weighted_lines_per_cell(game, p)
     assert regret_report(game, p) == regret_report_per_cell(game, p)
+
+
+# Primes for profile weights a/p, so that a side's M is a product of them.
+PRIMES = (2, 3, 7, 101, 1000003, 998244353)
+
+
+def _prime_side(n: int):
+    """Weights 0 or a/p for a prime p above (at least one positive),
+    normalized to sum 1."""
+    weight = st.one_of(st.just(F(0)), st.builds(F, st.integers(1, 10**6),
+                                                st.sampled_from(PRIMES)))
+    raw = st.lists(weight, min_size=n, max_size=n).filter(any)
+    return raw.map(lambda w: tuple(e / sum(w) for e in w))
+
+
+@st.composite
+def _prime_game_and_profile(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows)
+    game = BimatrixGame(R=draw(matrix), C=draw(matrix))
+    return game, MixedProfile(x=draw(_prime_side(rows)), y=draw(_prime_side(cols)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prime_game_and_profile())
+def test_integer_verdicts_match_the_per_cell_oracle(game_and_profile):
+    # At each regret, and one step of the kernel's unit either side of it.
+    game, p = game_and_profile
+    ref = regret_report_per_cell(game, p)
+    ints = regret_ints(game, p)
+    step = F(1, ints[6])
+    for regret in (ref.row_regret, ref.col_regret, ref.row_pure_regret,
+                   ref.col_pure_regret):
+        for e in (regret - step, regret, regret + step):
+            assert is_eps_ne(game, p, e) == ref.within(e)
+            assert is_eps_wsne(game, p, e) == ref.within(e, pure=True)
+            assert regrets_within(ints, e, pure=True, strict=True) == (
+                max(ref.row_pure_regret, ref.col_pure_regret) < e)
 
 
 @st.composite

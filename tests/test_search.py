@@ -1512,14 +1512,14 @@ class TestDecideMany:
             for pid, kw in params.items()
         ]
         reported = []
-        real = games.regret_report
+        real = games.regret_ints
 
         def counted(g, p):
             reported.append(p)
             return real(g, p)
 
-        monkeypatch.setattr(games, "regret_report", counted)
-        monkeypatch.setattr(search, "regret_report", counted)
+        monkeypatch.setattr(games, "regret_ints", counted)
+        monkeypatch.setattr(search, "regret_ints", counted)
         outcomes = decide_many(insts, hints=[cert, (cert, corner)])
         assert [(o.answer, o.checked_count) for o in outcomes] == [("yes", 0)] * 9
         assert outcomes[2].witness_pair == (cert, corner)
@@ -1556,7 +1556,7 @@ class TestDecideMany:
     ):
         insts, nx, cert, corner = gprime_decisions
         reported = []
-        real = games.regret_report
+        real = games.regret_ints
 
         def counted(g, p):
             reported.append(p)
@@ -1565,7 +1565,7 @@ class TestDecideMany:
         def unhashable(p):
             raise AssertionError("a hint report hashed a profile")
 
-        monkeypatch.setattr(search, "regret_report", counted)
+        monkeypatch.setattr(search, "regret_ints", counted)
         monkeypatch.setattr(MixedProfile, "__hash__", unhashable)
         outcomes = decide_many(insts, k=nx, budget=50,
                                hints=[cert, (cert, corner)])
