@@ -446,21 +446,15 @@ class RegretReport:
         return self.row_regret <= eps and self.col_regret <= eps
 
 
-def _check_shapes(game: BimatrixGame, p: MixedProfile) -> None:
-    if len(p.x) != game.rows or len(p.y) != game.cols:
-        raise ShapeError(
-            f"profile is {len(p.x)}/{len(p.y)} but game is "
-            f"{game.rows}x{game.cols}"
-        )
-
-
 def regret_ints(game: BimatrixGame, p: MixedProfile) -> tuple[int, ...]:
     """The integer kernel that every verdict compares: (row regret, col
     regret, row pure regret, col pure regret, row payoff, col payoff, unit),
     six numerators over one unit L*M_x*M_y.  A pure regret takes the worst
     payoff on the support in place of the realized one; ``InvariantError``
     if a regret is negative or exceeds its pure regret."""
-    _check_shapes(game, p)
+    if len(p.x) != game.rows or len(p.y) != game.cols:
+        raise ShapeError(f"profile is {len(p.x)}/{len(p.y)} but game is "
+                         f"{game.rows}x{game.cols}")
     c_rows, r_cols, scale = int_lines(game)
     sides = []
     for name, lines, own, opp in (("row", r_cols, p.sparse_x, p.sparse_y),
@@ -505,7 +499,7 @@ def is_eps_ne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
 
 def is_eps_wsne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
     """True iff both players' pure-strategy regrets are at most eps."""
-    return regrets_within(regret_ints(game, p), frac(eps), pure=True)
+    return regrets_within(regret_ints(game, p), frac(eps), True)
 
 
 def tv_distance(p1: MixedProfile, p2: MixedProfile) -> Fraction:

@@ -545,7 +545,7 @@ def _pair_witness(
         p = MixedProfile.of_sides(game.rows, game.cols, (rows, x, 1), (cols, y, 1))
     except ValidationError as exc:
         raise InvariantError("support LP gave a side that is not a distribution") from exc
-    if not regrets_within(regret_ints(game, p), eps, pure=True, strict=strict):
+    if not regrets_within(regret_ints(game, p), eps, True, strict):
         raise InvariantError("support LP and regret_ints disagree on a witness")
     return p, True
 
