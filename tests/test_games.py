@@ -484,13 +484,13 @@ def _profile_side(n: int):
 
 
 @st.composite
-def _game_and_profile(draw):
+def _game_and_profile(draw, side=_profile_side):
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
     matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols),
                       min_size=rows, max_size=rows)
     game = BimatrixGame(R=draw(matrix), C=draw(matrix))
-    return game, MixedProfile(x=draw(_profile_side(rows)), y=draw(_profile_side(cols)))
+    return game, MixedProfile(x=draw(side(rows)), y=draw(side(cols)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -582,18 +582,8 @@ def _prime_side(n: int):
     return raw.map(lambda w: tuple(e / sum(w) for e in w))
 
 
-@st.composite
-def _prime_game_and_profile(draw):
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-    matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols),
-                      min_size=rows, max_size=rows)
-    game = BimatrixGame(R=draw(matrix), C=draw(matrix))
-    return game, MixedProfile(x=draw(_prime_side(rows)), y=draw(_prime_side(cols)))
-
-
 @settings(max_examples=150, deadline=None)
-@given(_prime_game_and_profile())
+@given(_game_and_profile(_prime_side))
 def test_integer_verdicts_match_the_per_cell_oracle(game_and_profile):
     # At each regret, and one step of the kernel's unit either side of it.
     game, p = game_and_profile
