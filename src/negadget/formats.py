@@ -211,7 +211,7 @@ def _divided(v: list[Fraction], total: Fraction) -> list[Fraction]:
 
 
 def write_prof(p: MixedProfile) -> str:
-    out = ["prof 1", f"{len(p.x)} {len(p.y)}"]
+    out = ["prof 1", f"{p.rows} {p.cols}"]
     out.extend(map(format_rational, p.x + p.y))
     return "\n".join(out) + "\n"
 

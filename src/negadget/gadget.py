@@ -287,7 +287,7 @@ def extend_profile(p: MixedProfile, extra_rows: int, extra_cols: int) -> MixedPr
     """Pad a profile with zero-mass entries for appended rows/columns."""
     check_count(extra_rows, "extra_rows")
     check_count(extra_cols, "extra_cols")
-    return MixedProfile.of_sides(len(p.x) + extra_rows, len(p.y) + extra_cols,
+    return MixedProfile.of_sides(p.rows + extra_rows, p.cols + extra_cols,
                                  p.sparse_x, p.sparse_y)
 
 
@@ -300,7 +300,7 @@ def gdoubleprime_wsne_witness(
     the flat extra row, and pads the certificate's column side with zeros.
     The support of x therefore has size |X| + 1.
     """
-    if (gdp.rows - len(cert.x), gdp.cols - len(cert.y)) != (2, 2):
+    if (gdp.rows - cert.rows, gdp.cols - cert.cols) != (2, 2):
         raise ShapeError("witness expects the doubly extended game")
     supp = cert.support_x + (gdp.rows - 1,)  # and the flat extra row
     return MixedProfile.of_sides(gdp.rows, gdp.cols, (supp, (1,) * len(supp), len(supp)),

@@ -6,8 +6,8 @@ floating point, and a float entry or parameter raises `ParameterError`
 budget, cap, k, n, q or d: an int that is not a bool, at least its least
 value, else `ParameterError`; ``nonnegative_eps`` is the one check of an
 eps; ``_cleared_side`` is the one check of a profile side, for the vector
-constructor and ``MixedProfile.of_sides`` (every library builder) alike,
-and ``side_vector`` the one layout of a side as a vector.
+constructor and ``MixedProfile.of_sides`` (every library builder) alike;
+a profile is its lengths and sides, and ``side_vector`` lays out its views.
 Games are immutable; every operation returns new values.
 
 A game is a palette of (R entry, C entry) `Fraction` pairs plus one `str`
@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from operator import add, mul
+from operator import add, index, mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -349,40 +349,43 @@ def _cleared_side(name: str, support: Iterable[int], weights: Sequence[Rational]
                   scale: int) -> Sparse:
     """The side of weights/scale on ``support``, reduced, zero weights left
     out; ``ValidationError`` if a weight is negative or they do not sum to
-    scale.  Each distinct weight object is checked and cleared once, since
-    a profile of a wide game holds a few shared ones."""
-    ids = list(map(id, weights))
-    objects = dict(zip(ids, weights))
-    values = [w if type(w) is int else frac(w) for w in objects.values()]
-    if any(w.numerator < 0 for w in values):
+    scale.  Int weights, as a scan's multiplicities, are read as they are;
+    others once per distinct object, as a wide game's profile shares a few."""
+    ints, distinct, total = weights, weights, scale
+    if not all(type(w) is int for w in weights):
+        ids = list(map(id, weights))
+        objects = dict(zip(ids, weights))
+        (distinct,), lcm = cleared([list(map(frac, objects.values()))])
+        ints, total = list(map(dict(zip(objects, distinct)).__getitem__, ids)), scale * lcm
+    if min(distinct, default=0) < 0:
         raise ValidationError(f"{name} has a negative entry")
-    (ints,), lcm = cleared([values])
-    total = scale * lcm
-    common = math.gcd(total, *ints)  # 1 when scale is 1
-    ints = list(map(dict(zip(objects, [w // common for w in ints])).__getitem__, ids))
-    if sum(ints) * common != total:
+    common = math.gcd(total, *distinct)  # 1 for Fraction weights over 1
+    if sum(ints) != total:
         raise ValidationError(f"{name} does not sum to 1")
-    return tuple(compress(support, ints)), tuple(compress(ints, ints)), total // common
+    return (tuple(compress(support, ints)), tuple([w // common for w in ints if w]),
+            total // common)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class MixedProfile:
     """A pair of exact probability vectors (row player x, column player y),
-    each also kept cleared, out of ``==``, ``hash`` and ``repr``: the side
-    ``sparse_x`` (``sparse_y``) is weights/M on its support, 0 elsewhere."""
+    held as their lengths and reduced sides, which ``==`` and ``hash`` read:
+    ``sparse_x`` (``sparse_y``) is weights/M on its support, 0 elsewhere.
+    ``x`` and ``y`` are read-only views, laid out on first use."""
 
-    x: Vector
-    y: Vector
-    sparse_x: Sparse = field(init=False, repr=False, compare=False)
-    sparse_y: Sparse = field(init=False, repr=False, compare=False)
+    rows: int
+    cols: int
+    sparse_x: Sparse
+    sparse_y: Sparse
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", vector(self.x))
-        object.__setattr__(self, "y", vector(self.y))
-        for name, v in (("x", self.x), ("y", self.y)):
+    def __init__(self, x: Iterable[Rational], y: Iterable[Rational]) -> None:
+        """Check and clear each side once; keep the vectors as the views."""
+        x, y = vector(x), vector(y)
+        for name, v in (("x", x), ("y", y)):
             if not v:
                 raise ShapeError(f"{name} is empty")
-            object.__setattr__(self, f"sparse_{name}", _cleared_side(name, range(len(v)), v, 1))
+            vars(self)[f"sparse_{name}"] = _cleared_side(name, range(len(v)), v, 1)
+        vars(self).update(rows=len(x), cols=len(y), x=x, y=y)
 
     @classmethod
     def of_sides(cls, rows: int, cols: int, x_side: Sparse, y_side: Sparse) -> MixedProfile:
@@ -406,17 +409,17 @@ class MixedProfile:
             side = _cleared_side(name, support, weights, scale)
             if len(side[0]) < len(support):
                 raise ValidationError(f"{name} has a zero weight")
-            object.__setattr__(p, name, side_vector(n, side))
-            object.__setattr__(p, f"sparse_{name}", side)
+            vars(p)[f"sparse_{name}"] = side
+        vars(p).update(rows=index(rows), cols=index(cols))
         return p
 
-    @property
-    def support_x(self) -> tuple[int, ...]:
-        return self.sparse_x[0]
+    x = cached_property(lambda self: side_vector(self.rows, self.sparse_x))
+    y = cached_property(lambda self: side_vector(self.cols, self.sparse_y))
+    support_x = property(lambda self: self.sparse_x[0])
+    support_y = property(lambda self: self.sparse_y[0])
 
-    @property
-    def support_y(self) -> tuple[int, ...]:
-        return self.sparse_y[0]
+    def __repr__(self) -> str:
+        return f"MixedProfile(x={self.x!r}, y={self.y!r})"
 
 
 @dataclass(frozen=True)
@@ -452,9 +455,8 @@ def regret_ints(game: BimatrixGame, p: MixedProfile) -> tuple[int, ...]:
     six numerators over one unit L*M_x*M_y.  A pure regret takes the worst
     payoff on the support in place of the realized one; ``InvariantError``
     if a regret is negative or exceeds its pure regret."""
-    if len(p.x) != game.rows or len(p.y) != game.cols:
-        raise ShapeError(f"profile is {len(p.x)}/{len(p.y)} but game is "
-                         f"{game.rows}x{game.cols}")
+    if p.rows != game.rows or p.cols != game.cols:
+        raise ShapeError(f"profile is {p.rows}/{p.cols} but game is {game.rows}x{game.cols}")
     c_rows, r_cols, scale = int_lines(game)
     sides = []
     for name, lines, own, opp in (("row", r_cols, p.sparse_x, p.sparse_y),
@@ -503,13 +505,16 @@ def is_eps_wsne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
 
 
 def tv_distance(p1: MixedProfile, p2: MixedProfile) -> Fraction:
-    """Maximum coordinatewise probability difference over both vectors,
-    each distinct pair of entry objects compared once."""
-    if len(p1.x) != len(p2.x) or len(p1.y) != len(p2.y):
+    """Maximum coordinatewise probability difference over both vectors:
+    each side's union of supports walked in integers over M1*M2."""
+    if p1.rows != p2.rows or p1.cols != p2.cols:
         raise ShapeError("profiles have different shapes")
-    v1, v2 = p1.x + p1.y, p2.x + p2.y
-    pairs = dict(zip(zip(map(id, v1), map(id, v2)), zip(v1, v2)))
-    return max([abs(a - b) for a, b in pairs.values()])
+    worst = []
+    for (s1, w1, m1), (s2, w2, m2) in ((p1.sparse_x, p2.sparse_x), (p1.sparse_y, p2.sparse_y)):
+        gap = dict(zip(s1, [w * m2 for w in w1]))
+        gap.update((t, abs(gap.get(t, 0) - w * m1)) for t, w in zip(s2, w2))
+        worst.append(Fraction(max(gap.values()), m1 * m2))
+    return max(worst)
 
 
 def affine_rescale(

@@ -225,7 +225,7 @@ def induced_two_prover(
     name, r0, r1, c0, c1 = game.block("RC")
     if r1 - r0 != sum(f.x_answers) or c1 - c0 != sum(f.y_answers):
         raise ShapeError("RC block size does not match the free game")
-    if len(p.x) != game.rows or len(p.y) != game.cols:
+    if p.rows != game.rows or p.cols != game.cols:
         raise ShapeError("profile does not match the gadget game")
 
     # Canonicalize rows against the original column profile, then columns

@@ -733,7 +733,7 @@ def _hint_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
                    hints: Iterable) -> dict[int, SearchOutcome]:
     """A yes for each problem in ``pending`` that a hint certifies."""
     # One kernel call per hint object, keyed by identity: the list keeps
-    # every hint alive for the call, and hashing a profile hashes every entry.
+    # every hint alive for the call, and hashing a profile hashes both sides.
     hints = list(hints)
     reports: dict[int, tuple[int, ...]] = {}
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from negadget import games
 from negadget.corpus import random_game, random_profile
 from negadget.errors import (
+    GadgetError,
     InvariantError,
     ParameterError,
     ResourceError,
@@ -254,7 +255,8 @@ class TestProfiles:
         if fault is None:
             p = MixedProfile.of_sides(*sizes, *sides)
             q = MixedProfile(*vectors)
-            assert p == q and (p.sparse_x, p.sparse_y) == (q.sparse_x, q.sparse_y)
+            assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+            assert (p.sparse_x, p.sparse_y) == (q.sparse_x, q.sparse_y)
             for v, (support, weights, _) in ((p.x, p.sparse_x), (p.y, p.sparse_y)):
                 assert len({id(e) for e in v if e}) == len(set(weights))
                 assert len({id(e) for e in v if not e}) == (len(support) < len(v))
@@ -293,6 +295,55 @@ class TestProfiles:
             MixedProfile.of_sides(1, 1, ((0,), (1,), 1), ((0,), (-1,), 1))
         with pytest.raises(ParameterError):  # as the constructor's, for a float weight
             MixedProfile.of_sides(1, 1, ((0,), (1.0,), 1), ((0,), (1,), 1))
+
+    @pytest.mark.parametrize("rows", [2.0, F(2)])
+    def test_of_sides_refuses_a_length_that_is_not_an_int(self, rows):
+        with pytest.raises(TypeError):
+            MixedProfile.of_sides(rows, 1, ((0,), (1,), 1), ((0,), (1,), 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_int_weights_clear_as_their_fractions_do(self, data):
+        # Int weights, as a scan's sides hold, take their own path through
+        # `_cleared_side`; the same weights as Fractions take the general
+        # one.  Both give one side or profile, or one error class and
+        # message: a negative entry, a zero weight, a sum off by one, a
+        # common factor with M, or no weights at all.
+        counts = data.draw(st.lists(st.integers(0, 4), max_size=5))
+        times = data.draw(st.integers(1, 3))  # so a side may reduce
+        weights = [c * times for c in counts]
+        if weights and data.draw(st.booleans()):
+            weights[data.draw(st.integers(0, len(weights) - 1))] *= -1
+        scale = max(1, sum(weights) + data.draw(st.sampled_from([0, 0, -1, 1])))
+        support = tuple(range(len(weights)))
+
+        def outcome(build, ws):
+            try:
+                return build(ws)
+            except GadgetError as exc:
+                return type(exc), str(exc)
+
+        def clear(ws):
+            return games._cleared_side("x", support, ws, scale)
+
+        def of_sides(ws):
+            return MixedProfile.of_sides(len(ws) + 1, 1, (support, ws, scale), ((0,), (1,), 1))
+
+        for build in (clear, of_sides):
+            assert outcome(build, weights) == outcome(build, [F(w) for w in weights])
+        side = outcome(clear, weights)
+        if len(side) == 3:  # cleared: the reduced side of the same vector
+            vector = [F(w, scale) for w in weights]
+            assert side == MixedProfile(x=vector, y=(1,)).sparse_x
+            assert math.gcd(side[2], *side[1]) == 1
+
+    @pytest.mark.parametrize("weights", [(True,), (1, True), (True, 0)])
+    def test_a_bool_weight_is_refused(self, weights):
+        support, scale = tuple(range(len(weights))), sum(weights)
+        with pytest.raises(ParameterError):
+            games._cleared_side("x", support, weights, scale)
+        with pytest.raises(ParameterError):
+            MixedProfile.of_sides(2, 1, (support, weights, scale), ((0,), (1,), 1))
 
     def test_support(self):
         p = MixedProfile(x=(0, 1), y=(F(1, 2), F(1, 2)))
@@ -343,6 +394,32 @@ class TestWelfareAndDistance:
         p1 = UNIFORM
         p2 = MixedProfile(x=(F(3, 4), F(1, 4)), y=(F(3, 4), F(1, 4)))
         assert tv_distance(p1, p2) == F(1, 4)
+
+    @pytest.mark.parametrize("sides1, sides2, want", [
+        # Disjoint supports on both sides: each gap is one profile's weight.
+        ((((0,), (1,), 1), ((1, 2), (1, 1), 2)),
+         (((1, 2), (1, 2), 3), ((0,), (1,), 1)), F(1)),
+        # Unreduced sides (2/4 and 3/6) against reduced ones.
+        ((((0, 1), (2, 2), 4), ((0, 2), (3, 3), 6)),
+         (((0, 1), (1, 1), 2), ((2,), (1,), 1)), F(1, 2)),
+        ((((0, 1, 2), (2, 4, 2), 8), ((1,), (5,), 5)),
+         (((1, 2), (3, 3), 6), ((1,), (1,), 1)), F(1, 4)),
+    ])
+    def test_tv_walks_the_sides(self, sides1, sides2, want, monkeypatch):
+        p1, p2 = (MixedProfile.of_sides(3, 3, *sides) for sides in (sides1, sides2))
+        laid_out = []
+        monkeypatch.setattr(games, "side_vector", lambda *args: laid_out.append(args))
+        assert tv_distance(p1, p2) == tv_distance(p2, p1) == want
+        assert laid_out == []
+        monkeypatch.undo()
+        assert tv_distance_per_entry(p1, p2) == want
+
+    def test_tv_refuses_different_shapes(self):
+        p1 = MixedProfile.of_sides(2, 3, ((0,), (1,), 1), ((0,), (1,), 1))
+        for rows, cols in ((3, 3), (2, 2)):
+            p2 = MixedProfile.of_sides(rows, cols, ((0,), (1,), 1), ((0,), (1,), 1))
+            with pytest.raises(ShapeError, match="^profiles have different shapes$"):
+                tv_distance(p1, p2)
 
 
 class TestRescale:
@@ -695,27 +772,45 @@ def test_digit_bound_denominator_matches_the_per_cell_reference():
     assert game.int_entries[2] == 21 * games.DIGIT_BOUND  # 5 divides 10**4300
 
 
-def test_stored_sides_stay_out_of_eq_hash_and_repr():
+def test_eq_and_hash_read_the_sides_and_repr_the_vectors():
+    # A cleared side is reduced, so equal vectors give equal sides however
+    # the profile was built; the lengths count too.
     p = MixedProfile(x=(F(1, 3), F(2, 3)), y=(0, 1))
-    q = MixedProfile(x=(F(1, 3), F(2, 3)), y=(0, 1))
+    q = MixedProfile.of_sides(2, 2, ((0, 1), (2, 4), 6), ((1,), (3,), 3))
     assert p.sparse_x == ((0, 1), (1, 2), 3) and p.sparse_y == ((1,), (1,), 1)
-    object.__setattr__(q, "sparse_x", ((1,), (1,), 1))
-    object.__setattr__(q, "sparse_y", ((0,), (1,), 1))
     assert p == q and hash(p) == hash(q)
+    assert p != MixedProfile(x=(F(1, 3), F(2, 3)), y=(0, 1, 0))
     assert repr(p) == repr(q) == (
         "MixedProfile(x=(Fraction(1, 3), Fraction(2, 3)), "
         "y=(Fraction(0, 1), Fraction(1, 1)))")
-    with pytest.raises(AttributeError):
-        p.sparse_x = q.sparse_x
+    for name in ("sparse_x", "rows", "x"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(q, name))
+
+
+@st.composite
+def _unreduced_sides(draw, rows, cols):
+    """A profile built by `MixedProfile.of_sides` from int weights over a
+    multiple of their sum, so that its sides need reducing."""
+    sides = []
+    for n in (rows, cols):
+        support = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        counts = draw(st.lists(st.integers(1, 3), min_size=len(support),
+                               max_size=len(support)))
+        times = draw(st.integers(1, 3))
+        sides.append((support, tuple(c * times for c in counts), sum(counts) * times))
+    return MixedProfile.of_sides(rows, cols, *sides)
 
 
 @st.composite
 def _profile_pair(draw):
-    """Two profiles of one shape: fresh objects per entry, or weights that
+    """Two profiles of one shape: fresh objects per entry, weights that
     share objects, where the second is often the first's objects permuted
-    so that pairs of objects recur."""
+    so that pairs of objects recur, or unreduced sides."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    side = draw(st.sampled_from([_profile_side, _shared_weights]))
+    side = draw(st.sampled_from([_profile_side, _shared_weights, _unreduced_sides]))
+    if side is _unreduced_sides:
+        return draw(side(rows, cols)), draw(side(rows, cols))
     p1 = MixedProfile(x=draw(side(rows)), y=draw(side(cols)))
     if side is _shared_weights and draw(st.booleans()):
         return p1, MixedProfile(x=draw(st.permutations(p1.x)),

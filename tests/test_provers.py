@@ -433,9 +433,11 @@ class TestInducedGame:
     def test_builds_no_profile(self, single_build, monkeypatch):
         # x' is read as a cleared side; no second profile re-clears y.
         built = []
-        real = MixedProfile.__post_init__
-        monkeypatch.setattr(MixedProfile, "__post_init__",
-                            lambda p: built.append(1) or real(p))
+        real_init, real_of_sides = MixedProfile.__init__, MixedProfile.of_sides
+        monkeypatch.setattr(MixedProfile, "__init__",
+                            lambda p, *a, **kw: built.append(1) or real_init(p, *a, **kw))
+        monkeypatch.setattr(MixedProfile, "of_sides", classmethod(
+            lambda cls, *a: built.append(1) or real_of_sides(*a)))
         b = single_build
         induced_two_prover(b.build.game, b.gadget.game, b.cert)
         assert built == []

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negadget import games, linsolve, pipeline, search
+from negadget import formats, games, linsolve, pipeline, search
 from negadget.corpus import capped_base_games, random_game, random_planted_game
 from negadget.errors import (
     InvariantError, ParameterError, ResourceError, ShapeError, ValidationError
@@ -1581,7 +1581,7 @@ class TestDecideMany:
                       [twin_cert, cert, (cert, twin_corner), (twin_cert, corner)]):
             assert decide_many(insts, k=nx, budget=50, hints=hints) == alone
 
-    def test_vectors_built_only_for_the_witness(self, monkeypatch):
+    def test_witnesses_lay_out_no_vector(self, monkeypatch):
         # Every candidate of an all-zero game is an exact NE of payoffs 0:
         # p1 (u = 1) fails every hit, p6 (u = 0) and p3 (d = 1) pass.
         zero = ((0,) * 50,) * 8
@@ -1593,7 +1593,7 @@ class TestDecideMany:
             built.append(n)
             return real(n, side)
 
-        # `MixedProfile.of_sides` lays out each witness side through it.
+        # A witness is held as its sides: nothing lays one out.
         monkeypatch.setattr(games, "side_vector", counted)
         p1 = DecisionInstance(problem_id=1, game=game, eps=0, u=1)
         assert decide(p1, k=2, budget=500).answer == "unknown"
@@ -1601,12 +1601,48 @@ class TestDecideMany:
         p6 = DecisionInstance(problem_id=6, game=game, eps=0, u=0)
         out = decide(p6, k=2, budget=500)
         assert (out.answer, out.checked_count) == ("yes", 1)
-        assert built == [8, 50]
-        built.clear()
+        assert built == []
         p3 = DecisionInstance(problem_id=3, game=game, eps=0, d=1)
         out = decide(p3, k=2, budget=500)
         assert out.answer == "yes"
-        assert built == [8, 50, 8, 50]
+        assert built == []
+
+    def test_only_write_prof_lays_out_a_vector(self, gprime_decisions, tmp_path,
+                                               monkeypatch):
+        # A profile is held as its sides.  The pipeline on a satisfiable
+        # formula, the hint checks (p3's pair included) and the best-welfare
+        # scan lay out no vector; only `write_prof`, which prints every
+        # entry, does.
+        laid_out, writing = [], []
+        real_layout, real_write = games.side_vector, formats.write_prof
+
+        def layout(n, side):
+            laid_out.append(bool(writing))
+            return real_layout(n, side)
+
+        def write(p):
+            writing.append(p)
+            try:
+                return real_write(p)
+            finally:
+                writing.pop()
+
+        monkeypatch.setattr(games, "side_vector", layout)
+        monkeypatch.setattr(formats, "write_prof", write)
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+        report = pipeline.run_pipeline(pipeline.PipelineConfig(str(cnf), str(tmp_path / "o")))
+        assert report["certificate"]["unscaled_ne"]
+        assert laid_out == [True, True]  # cert.prof's x and y
+        insts, nx, cert, corner = gprime_decisions
+        outcomes = decide_many(insts, k=nx, budget=50, hints=[cert, (cert, corner)])
+        assert [o.answer for o in outcomes] == ["yes"] * 9
+        rng = random.Random(777)
+        scanned = [random_planted_game(rng, 4, 4)] + [random_game(rng, 4, 4) for _ in range(3)]
+        witnesses = [lmm_best_welfare(game, F(1, 4), k).witness
+                     for game in scanned for k in (1, 2, 3)]
+        assert all(witnesses)
+        assert laid_out == [True, True]
 
     def test_p3_one_pass_over_earlier_hits(self, monkeypatch):
         # Every candidate of the all-zero 1x2 game is an exact NE.  At
