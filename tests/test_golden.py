@@ -7,6 +7,10 @@ here.  The runs use relative paths from a temporary working directory, so
 the ``input`` key of `report.json` does not depend on where the tests run.
 A change that alters an artifact on purpose updates these hashes and says
 why in CHANGES.md.
+
+`VALUES` pins each fixture's artifacts as the values read back from them, a
+game by its `canonical` form and a free game or a profile by its fields, so
+it holds through a change of text format that keeps every value.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from negadget.cli import main
 from negadget.corpus import (
     full_sign_pattern, satisfiable_fixtures, unsatisfiable_fixtures
 )
-from negadget.formats import write_fgm
+from negadget.formats import (
+    format_rational, parse_bgm, parse_fgm, parse_prof, write_fgm
+)
 from negadget.pipeline import PipelineConfig, run_pipeline
 from negadget.sat import (
     Cnf3Formula,
@@ -180,6 +186,53 @@ GOLDEN = {
 }
 
 
+# The sha256 of `_values(out_dir)` per fixture, and of `_free_value` for the
+# unsat wide probe's F.fgm.
+VALUES = {
+    "single": "ff23569b3df33e3c5110e8943e90c86298beebae06f6c4c5e3bca27aef8d05e6",
+    "two-clause": "8edb5b8a48e1178198460a5cb9bc6c9f690edb637a4d98a52cef3438c7eb6cb7",
+    "complementary": "6a0acec54471a4d6550cbd696b90208b73611a81e293def8d3ec354a8975a0ea",
+    "alternating": "f92b2d6fb3bc1476eb1d1e89be7a2a70fe115f1e77bd11c49926e2e27110a986",
+    "seven-of-eight": "8544e4ba954e9a988eb780fb47d86498b88e7b09d295aa17789bb635e6617f09",
+    "pattern": "8bf2d76dc3e273122b9c210a7140e2bcd94b515fb58f2c6a96d959e5af3ff2da",
+    "probe": "07741999983b9d32388aae6c3e314182cfd2bea71be8a952eed31fa3a925b71f",
+    "wide-probe": "0494bf1cbbf945ac11a14515e7cb71e2e4120c00dfcdae5a7ed4b8fb71963e54",
+}
+UNSAT_WIDE_FGM_VALUE = "f58b04c0aebf28961c626cbf2138ee364cd9c1aed7062cbdd2af964b4e9e8af9"
+
+
+def _rationals(values) -> list[str]:
+    return list(map(format_rational, values))
+
+
+def _free_value(text: str) -> list:
+    t = parse_fgm(text)
+    return [t.x_answers, t.y_answers, t.table,
+            t.dist and [_rationals(row) for row in t.dist]]
+
+
+def _value(path: Path) -> list:
+    """The value read from a `.bgm`, `.fgm` or `.prof` artifact, as JSON."""
+    text = path.read_text()
+    if path.suffix == ".bgm":
+        pairs, codes, blocks = parse_bgm(text).canonical
+        return [[_rationals(pair) for pair in pairs], codes, blocks]
+    if path.suffix == ".fgm":
+        return _free_value(text)
+    p = parse_prof(text)
+    return [p.rows, p.cols, _rationals(p.x), _rationals(p.y)]
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def _values(out_dir: Path) -> str:
+    """The sha256 of every text artifact's value in ``out_dir``, by name."""
+    return _sha({p.name: _value(p) for p in sorted(out_dir.iterdir())
+                 if p.suffix in (".bgm", ".fgm", ".prof")})
+
+
 def _dimacs(formula) -> str:
     lines = [f"p cnf {formula.num_vars} {formula.num_clauses}"]
     lines += [" ".join(map(str, clause)) + " 0" for clause in formula.clauses]
@@ -200,6 +253,15 @@ def test_artifacts_match_golden_hashes(name, tmp_path, monkeypatch):
         key: value for key, value in GOLDEN.items()
         if key.startswith(f"{name}/")
     }
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_artifacts_read_back_to_pinned_values(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cnf = Path(f"{name}.cnf")
+    cnf.write_text(_dimacs(FIXTURES[name]))
+    run_pipeline(PipelineConfig(cnf_path=str(cnf), out_dir=name))
+    assert _values(Path(name)) == VALUES[name]
 
 
 def test_wide_probe_free_game_matches_golden_hash():
@@ -225,3 +287,4 @@ def test_unsat_wide_pipeline_reports_support_problems_unknown(
         support, {"answer": "unknown", "checked": 0})
     fgm = hashlib.sha256(Path("out/F.fgm").read_bytes()).hexdigest()
     assert fgm == UNSAT_WIDE_FGM
+    assert _sha(_free_value(Path("out/F.fgm").read_text())) == UNSAT_WIDE_FGM_VALUE
