@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from operator import add, index, mul
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -397,6 +397,8 @@ class MixedProfile:
         ``ValidationError``."""
         p = cls.__new__(cls)
         for name, n, (support, weights, scale) in (("x", rows, x_side), ("y", cols, y_side)):
+            if type(n) is not int:  # as pure_profile refuses an index
+                raise ShapeError(f"{name}'s length {n!r} is not an int")
             if n < 1:
                 raise ShapeError(f"{name} is empty")
             support = tuple(support)
@@ -410,7 +412,7 @@ class MixedProfile:
             if len(side[0]) < len(support):
                 raise ValidationError(f"{name} has a zero weight")
             vars(p)[f"sparse_{name}"] = side
-        vars(p).update(rows=index(rows), cols=index(cols))
+        vars(p).update(rows=rows, cols=cols)
         return p
 
     x = cached_property(lambda self: side_vector(self.rows, self.sparse_x))

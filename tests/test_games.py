@@ -298,7 +298,8 @@ class TestProfiles:
 
     @pytest.mark.parametrize("rows", [2.0, F(2)])
     def test_of_sides_refuses_a_length_that_is_not_an_int(self, rows):
-        with pytest.raises(TypeError):
+        # Refused before a comparison reads it, as pure_profile refuses an index.
+        with pytest.raises(ShapeError, match=r"^x's length .* is not an int$"):
             MixedProfile.of_sides(rows, 1, ((0,), (1,), 1), ((0,), (1,), 1))
 
     @settings(max_examples=300, deadline=None)
