@@ -4,18 +4,52 @@
 All numbers are exact rationals, written as `p/q` (or a plain integer);
 decimal literals on input are parsed exactly.  Writers are deterministic:
 identical values produce identical bytes.
+
+The writers write `bgm 2` and `fgm 2`; the readers also read `bgm 1` and
+`fgm 1`, one cell or V entry a line, for files written by hand.
+
+- `bgm 2`: the `rows cols` line, the palette size P, P palette lines `R C`
+  (the distinct printed pairs, sorted as strings), then one line per game
+  row of one code per cell.  A code is w characters, the base-93 digits of
+  its palette line's index, most significant first, over the printable
+  ASCII characters but `#` (so a code row never reads as a comment); w is
+  the least with 93**w >= P.  Optional `#block name r0 r1 c0 c1` lines
+  follow, as in `bgm 1`.  So the game R = [[1/2, 1], [0, 1/2]],
+  C = [[1/2, -1], [0, 1/2]], whose codes 0, 1, 2 are `!`, `"`, `$`:
+
+      bgm 2
+      2 2
+      3
+      0 0
+      1 -1
+      1/2 1/2
+      $"
+      !$
+
+- `fgm 2`: the question counts, each side's answer counts, one line of
+  0/1 digits per (x, y, a), x outer, then y, then a, holding V(x, y, a, b)
+  over b, and the optional `D` section of `fgm 1`.  So a free game with
+  one question a side and two answers each, won when the answers agree:
+
+      fgm 2
+      1 1
+      2
+      2
+      10
+      01
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import re
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import FormatError, ResourceError, ValidationError, count_text
 from .games import (
-    DIGIT_BOUND, BimatrixGame, MixedProfile, add_pair, parse_rational
+    DIGIT_BOUND, PALETTE_LIMIT, BimatrixGame, MixedProfile, add_pair, parse_rational
 )
 from .provers import ProverStrategy, TwoProverGame
 
@@ -81,12 +115,14 @@ def _data_lines(text: str) -> Iterator[str]:
         start = end
 
 
-def _body(text: str, header: str) -> Iterator[str]:
-    """The data lines of ``text`` after its first, which must be ``header``."""
+def _body(text: str, *headers: str) -> tuple[str, Iterator[str]]:
+    """The first data line of ``text``, which must be one of ``headers``, and
+    the data lines after it."""
     lines = _data_lines(text)
-    if next(lines, None) != header:
-        raise FormatError(f"missing {header!r} header")
-    return lines
+    header = next(lines, None)
+    if header not in headers:
+        raise FormatError(f"missing {' or '.join(map(repr, headers))} header")
+    return header, lines
 
 
 def _dimensions(line: str) -> tuple[int, int]:
@@ -100,14 +136,32 @@ def _dimensions(line: str) -> tuple[int, int]:
     return rows, cols
 
 
+# The digits of a `bgm 2` cell code, most significant first: the printable
+# ASCII characters but "#", so that no code row reads as a comment.
+_DIGITS = "".join(c for c in map(chr, range(33, 127)) if c != "#")
+
+
+def _code_width(size: int) -> int:
+    """The digits of each of ``size`` codes: the least w with 93**w >= size,
+    at most 4 for a palette of PALETTE_LIMIT pairs."""
+    return next(w for w in itertools.count(1) if len(_DIGITS) ** w >= size)
+
+
+def _code_texts(size: int) -> list[str]:
+    """The texts of codes 0 .. size-1, in order."""
+    return list(map("".join, itertools.islice(
+        itertools.product(_DIGITS, repeat=_code_width(size)), size)))
+
+
 def parse_bgm(text: str) -> BimatrixGame:
-    """Parse a `.bgm` game, reading the entry lines as a stream, row by
-    row.  Each distinct entry line takes one palette code, and each distinct
-    token in it, with every check of `parse_rational`, one Fraction: equal
-    entries share one object.  An entry-line count that differs from the
-    dimensions raises before any bad entry line; otherwise the first bad
-    entry line in file order raises."""
-    lines = _body(text, "bgm 1")
+    """Parse a `.bgm` game: `bgm 2` as `write_bgm` writes it, or `bgm 1`, one
+    entry line per cell, as written by hand.  The version decides only how
+    the cells are read.  Each distinct token is parsed once, with every
+    check of `parse_rational`, so equal entries share one Fraction.  In
+    `bgm 1` each distinct entry line takes one palette code, and an
+    entry-line count that differs from the dimensions raises before any
+    bad entry line; otherwise the first bad line in file order raises."""
+    header, lines = _body(text, "bgm 1", "bgm 2")
     block_lines: list[str] = []
     # The entry lines; each line whose first token is "#block" is set aside
     # as it passes, and every other "#" line is a comment.
@@ -128,26 +182,29 @@ def parse_bgm(text: str) -> BimatrixGame:
         codes[line] = add_pair(palette, (values[toks[0]], values[toks[1]]))
         return codes[line]
 
-    seen, coded, error = codes.get, [], None
-    # An entry line holds three characters or more, so a game with more cells
-    # than the text has characters has too few lines; skipping its rows also
-    # keeps islice's stop, cols, below sys.maxsize.
-    try:
-        for _ in range(rows) if rows * cols <= len(text) else ():
-            coded.append("".join([seen(line) or first_seen(line)
-                                  for line in itertools.islice(entries, cols)]))
-            if len(coded[-1]) < cols:
-                break  # the entry lines ran out, so the count is wrong
-    except (FormatError, ResourceError) as exc:
-        coded, error = [], exc
-    if not coded or len(coded[-1]) < cols or next(entries, None) is not None:
-        # Count the entry lines again, to name a wrong count or to raise the
-        # error after the count is known to be right.
-        found = sum(line[0] != "#" for line in _data_lines(text)) - 2
-        if found != rows * cols:
-            raise FormatError(f"expected {count_text(rows * cols)} entry lines, "
-                              f"found {found}")
-        raise error
+    if header == "bgm 2":
+        coded = _bgm2_rows(text, entries, rows, cols, first_seen)
+    else:
+        seen, coded, error = codes.get, [], None
+        # An entry line holds three characters or more, so a game with more
+        # cells than the text has characters has too few lines; skipping its
+        # rows also keeps islice's stop, cols, below sys.maxsize.
+        try:
+            for _ in range(rows) if rows * cols <= len(text) else ():
+                coded.append("".join([seen(line) or first_seen(line)
+                                      for line in itertools.islice(entries, cols)]))
+                if len(coded[-1]) < cols:
+                    break  # the entry lines ran out, so the count is wrong
+        except (FormatError, ResourceError) as exc:
+            coded, error = [], exc
+        if not coded or len(coded[-1]) < cols or next(entries, None) is not None:
+            # Count the entry lines again, to name a wrong count or to raise
+            # the error after the count is known to be right.
+            found = sum(line[0] != "#" for line in _data_lines(text)) - 2
+            if found != rows * cols:
+                raise FormatError(f"expected {count_text(rows * cols)} entry lines, "
+                                  f"found {found}")
+            raise error
     blocks = None
     if block_lines:
         parsed = []
@@ -166,23 +223,83 @@ def parse_bgm(text: str) -> BimatrixGame:
         raise FormatError(str(exc)) from exc
 
 
+def _bgm2_rows(text: str, entries: Iterator[str], rows: int, cols: int,
+               add_line: Callable[[str], str]) -> list[str]:
+    """The code rows of a `bgm 2` text, which ``entries`` holds from its
+    palette size line, P: P palette lines, each added by ``add_line``, and
+    one row of w-digit codes per game row, checked in file order.  A
+    palette line that no cell uses is refused last."""
+    try:
+        size = int(next(entries, ""))
+    except ValueError as exc:
+        raise FormatError("bad palette size line") from exc
+    if not 0 < size <= min(rows * cols, PALETTE_LIMIT):
+        raise FormatError("palette size must be from 1 to "
+                          f"{count_text(min(rows * cols, PALETTE_LIMIT))}, got {size}")
+    width = _code_width(size)
+    if rows * cols * width > len(text):  # before islice sees rows or cols
+        raise FormatError(f"{count_text(rows)}x{count_text(cols)} codes do not "
+                          f"fit in {len(text)} characters")
+    if (found := len(list(map(add_line, itertools.islice(entries, size))))) < size:
+        raise FormatError(f"expected {size} palette lines, found {found}")
+    texts = _code_texts(size)
+    if width == 1:  # one C-level translate; every other ASCII character to `size`
+        decode = dict.fromkeys(range(128), size)
+        decode.update(zip(map(ord, texts), range(size)))
+
+        def read(line: str) -> str | None:
+            row = line.translate(decode)
+            return row if line.isascii() and chr(size) not in row else None
+    else:
+        code_of = dict(zip(texts, map(chr, range(size))))
+        split = re.compile(f".{{{width}}}").findall
+
+        def read(line: str) -> str | None:
+            try:
+                return "".join(map(code_of.__getitem__, split(line)))
+            except KeyError:
+                return None
+    coded = []
+    for line in itertools.islice(entries, rows):
+        if len(line) != cols * width:
+            raise FormatError(f"code row {len(coded) + 1} has {len(line)} "
+                              f"characters, expected {cols * width}")
+        if (row := read(line)) is None:
+            raise FormatError(f"code row {len(coded) + 1} holds a code outside "
+                              f"the palette")
+        coded.append(row)
+    if (found := len(coded) + sum(1 for _ in entries)) != rows:
+        raise FormatError(f"expected {rows} code rows, found {found}")
+    # One-digit codes are looked up in C, row by row, until each is found.
+    used = (set().union(*coded) if width > 1 else
+            {c for c in map(chr, range(size)) if any(c in row for row in coded)})
+    if len(used) < size:
+        unused = min(set(map(chr, range(size))) - used)
+        raise FormatError(f"palette line {ord(unused) + 1} is used by no cell")
+    return coded
+
+
 def write_bgm(game: BimatrixGame) -> str:
-    """Write a `.bgm` game.  Each palette pair is formatted once into its
-    entry line, keyed by its code, and each code row joins its lines."""
-    lines = {chr(i): f"{format_rational(r)} {format_rational(c)}\n"
-             for i, (r, c) in enumerate(game.palette)}
-    out = [f"bgm 1\n{game.rows} {game.cols}\n"]
-    out += ["".join(map(lines.__getitem__, row)) for row in game.codes]
-    out += [f"#block {name} {r0} {r1} {c0} {c1}\n"
+    """Write a `bgm 2` game.  Each palette pair is printed once; pairs that
+    print alike share one code, and the codes follow the sorted printed
+    pairs, so equal games write equal bytes.  Each code row is one
+    `str.translate`."""
+    printed = [f"{format_rational(r)} {format_rational(c)}" for r, c in game.palette]
+    lines = sorted(set(printed))
+    text_of = dict(zip(lines, _code_texts(len(lines))))
+    table = dict(enumerate(map(text_of.__getitem__, printed)))
+    out = ["bgm 2", f"{game.rows} {game.cols}", str(len(lines)), *lines]
+    out += [row.translate(table) for row in game.codes]
+    out += [f"#block {name} {r0} {r1} {c0} {c1}"
             for name, r0, r1, c0, c1 in game.blocks or ()]
-    return "".join(out)
+    return "\n".join(out) + "\n"
 
 
 def parse_prof(text: str, normalize: bool = False) -> MixedProfile:
     """Parse a `.prof` profile.  Each distinct entry token is parsed once per
     call, and under ``normalize`` each distinct entry is divided once, so
     equal entries share one Fraction, which the profile clears once."""
-    lines = _body(text, "prof 1")
+    _, lines = _body(text, "prof 1")
     rows, cols = _dimensions(next(lines, ""))
     tokens = list(lines)
     values = {tok: parse_rational(tok) for tok in dict.fromkeys(tokens)}
@@ -216,8 +333,15 @@ def write_prof(p: MixedProfile) -> str:
     return "\n".join(out) + "\n"
 
 
+# Swaps the bytes 0 and 1 with the digits "0" and "1": V entries to text and back.
+_BITS = bytes.maketrans(b"\0\1" b"01", b"01" b"\0\1")
+
+
 def parse_fgm(text: str) -> TwoProverGame:
-    lines = _body(text, "fgm 1")
+    """Parse a `.fgm` game: `fgm 2`, one line of 0/1 digits per (x, y, a),
+    as the writer writes it, or `fgm 1`, one V entry a line, as written by
+    hand.  The version decides only how the V section is read."""
+    header, lines = _body(text, "fgm 1", "fgm 2")
     try:
         nx, ny = (int(t) for t in next(lines).split())
         x_answers = tuple(int(t) for t in next(lines).split())
@@ -226,14 +350,18 @@ def parse_fgm(text: str) -> TwoProverGame:
         raise FormatError("bad header lines") from exc
     if len(x_answers) != nx or len(y_answers) != ny:
         raise FormatError("answer-size lines do not match question counts")
-    expected = sum(x_answers) * sum(y_answers)  # the sum of a*b over (x, y)
-    # An entry takes a line: a count past len(text) is short, maybe past islice's limit.
+    if header == "fgm 1":  # the sum of a*b over (x, y)
+        expected, unit = sum(x_answers) * sum(y_answers), "entries"
+    else:  # one line per (x, y, a)
+        expected, unit = sum(x_answers) * ny, "lines"
+    # Each takes a line: a count past len(text) is short, maybe past islice's limit.
     if expected > len(text) or len(
-            bits := list(itertools.islice(lines, max(expected, 0)))) < expected:
-        raise FormatError(f"expected {count_text(expected)} V entries")
-    bad = next(itertools.filterfalse({"0", "1"}.__contains__, bits), None)
-    if bad is not None:
-        raise FormatError(f"V entry must be 0 or 1, got {bad!r}")
+            body := list(itertools.islice(lines, max(expected, 0)))) < expected:
+        raise FormatError(f"expected {count_text(expected)} V {unit}")
+    if header == "fgm 1":
+        bad = next(itertools.filterfalse({"0", "1"}.__contains__, body), None)
+        if bad is not None:
+            raise FormatError(f"V entry must be 0 or 1, got {bad!r}")
     dist = None
     trailer = next(lines, None)
     if trailer is not None:
@@ -247,7 +375,15 @@ def parse_fgm(text: str) -> TwoProverGame:
     # TwoProverGame's check, made before the nx*ny table is built.
     if x_answers and y_answers and min(x_answers + y_answers) < 1:
         raise FormatError("every question needs at least one answer")
-    values = map(int, bits)
+    if header == "fgm 2":
+        lengths = (b for a in x_answers for b in y_answers for _ in range(a))
+        for k, (line, b) in enumerate(zip(body, lengths)):
+            if len(line) != b:
+                raise FormatError(f"V line {k + 1} holds {len(line)} entries, expected {b}")
+    cells = "".join(body)
+    if cells.strip("01"):  # an fgm 1 entry is checked above
+        raise FormatError("V lines must hold only 0 and 1")
+    values = iter(cells.encode().translate(_BITS))
     table = tuple([tuple([tuple([tuple(itertools.islice(values, b)) for _ in range(a)])
                           for b in y_answers]) for a in x_answers])
     try:
@@ -262,16 +398,16 @@ def parse_fgm(text: str) -> TwoProverGame:
 
 
 def write_fgm(t: TwoProverGame) -> str:
+    """Write an `fgm 2` game: one line of 0/1 digits per (x, y, a), x
+    outer, then y, each one C-level translate."""
     out = [
-        "fgm 1",
+        "fgm 2",
         f"{t.nx} {t.ny}",
         " ".join(str(a) for a in t.x_answers),
         " ".join(str(b) for b in t.y_answers),
     ]
-    for per_a in itertools.chain.from_iterable(t.table):  # x outer, then y
-        for per_b in per_a:
-            # One shared "0" and "1", not a new str per entry.
-            out.extend(map(("0", "1").__getitem__, per_b))
+    out += [bytes(per_b).translate(_BITS).decode()
+            for per_a in itertools.chain.from_iterable(t.table) for per_b in per_a]
     if t.dist is not None:
         out.append("D")
         out.extend(map(format_rational, itertools.chain.from_iterable(t.dist)))
@@ -280,7 +416,7 @@ def write_fgm(t: TwoProverGame) -> str:
 
 def parse_strat(text: str) -> tuple[ProverStrategy, ProverStrategy]:
     try:
-        first, second = _body(text, "strat 1")
+        first, second = _body(text, "strat 1")[1]
     except ValueError as exc:
         raise FormatError("expected two answer lines") from exc
     try:

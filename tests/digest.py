@@ -344,8 +344,10 @@ def support_walk_layer(quick: bool) -> list:
 
 
 def mutations(rng: random.Random, text: str) -> list[str]:
-    """Four seeded mutations of a text: a line dropped, a line duplicated,
-    one token replaced from ``TOKENS``, and the text cut short."""
+    """Five seeded mutations of a text: a line dropped, a line duplicated,
+    one token replaced from ``TOKENS``, the text cut short, and every copy
+    of one of its characters replaced by another (in a `bgm 2` text, often
+    one code by another, so that a palette line loses its cells)."""
     lines = text.splitlines(keepends=True)
     drop, dup = rng.randrange(len(lines)), rng.randrange(len(lines))
     line = rng.choice([i for i, l in enumerate(lines) if l.split()])
@@ -354,7 +356,8 @@ def mutations(rng: random.Random, text: str) -> list[str]:
     return ["".join(lines[:drop] + lines[drop + 1:]),
             "".join(lines[:dup + 1] + lines[dup:]),
             "".join(lines[:line] + [" ".join(toks) + "\n"] + lines[line + 1:]),
-            text[:rng.randrange(len(text))]]
+            text[:rng.randrange(len(text))],
+            text.replace(rng.choice(text), rng.choice(text))]
 
 
 def game_record(game: BimatrixGame) -> list:

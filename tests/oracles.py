@@ -1,5 +1,5 @@
-"""Independent oracles that only the tests use: the `.bgm` reader that
-parses line by line and the writer that formats cell by cell, C's
+"""Independent oracles that only the tests use: the `bgm 1` reader that
+parses line by line and the `bgm 2` writer that formats cell by cell, C's
 transpose, the dot product, the matrix-vector product, its cleared integer
 lines, the regret report and rescaling computed cell by cell, profile
 distance and supports entry by entry, the gadget's certificate placed by
@@ -50,9 +50,10 @@ from negadget.search import (
 
 
 def parse_bgm_per_line(text: str) -> BimatrixGame:
-    """`formats.parse_bgm` with one pass per entry line, each line split and
-    placed cell by cell: the reference for its line-memoised reader.  Each
-    distinct token is parsed once, so equal entries share one Fraction."""
+    """`formats.parse_bgm` on a `bgm 1` text, with one pass per entry line,
+    each line split and placed cell by cell: the reference for its
+    line-memoised reader.  Each distinct token is parsed once, so equal
+    entries share one Fraction."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != "bgm 1":
         raise FormatError("missing 'bgm 1' header")
@@ -102,11 +103,29 @@ def parse_bgm_per_line(text: str) -> BimatrixGame:
 
 
 def write_bgm_per_cell(game: BimatrixGame) -> str:
-    """`formats.write_bgm` as a plain loop over the R and C views that
-    formats every cell: the reference for its palette writer."""
-    out = ["bgm 1", f"{game.rows} {game.cols}"]
-    out += [f"{format_rational(r)} {format_rational(c)}"
-            for r_row, c_row in zip(game.R, game.C) for r, c in zip(r_row, c_row)]
+    """`formats.write_bgm` as plain loops over the R and C views: each cell's
+    pair printed, the distinct printed pairs sorted and numbered, and each
+    cell written as its number's w base-93 digits over the printable ASCII
+    characters but "#", w the least with 93**w at least the pair count.
+    The reference for the palette writer."""
+    printed = [[f"{format_rational(r)} {format_rational(c)}"
+                for r, c in zip(r_row, c_row)] for r_row, c_row in zip(game.R, game.C)]
+    lines = sorted({pair for row in printed for pair in row})
+    number = {pair: i for i, pair in enumerate(lines)}
+    digits = [chr(i) for i in range(33, 127) if chr(i) != "#"]
+    width = 1
+    while 93 ** width < len(lines):
+        width += 1
+
+    def code(n: int) -> str:
+        out = ""
+        for _ in range(width):
+            n, d = divmod(n, 93)
+            out = digits[d] + out
+        return out
+
+    out = ["bgm 2", f"{game.rows} {game.cols}", str(len(lines)), *lines]
+    out += ["".join(code(number[pair]) for pair in row) for row in printed]
     out += [f"#block {name} {r0} {r1} {c0} {c1}"
             for name, r0, r1, c0, c1 in game.blocks or ()]
     return "\n".join(out) + "\n"

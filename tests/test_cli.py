@@ -209,19 +209,23 @@ class TestForge:
         gp, gdp = tmp_path / "gp.bgm", tmp_path / "gdp.bgm"
         assert main(["forge", "gprime", str(base), "-o", str(gp)]) == 0
         assert main(["forge", "gdoubleprime", str(gp), "-o", str(gdp)]) == 0
+        # Each text's palette lines are its distinct printed pairs, sorted,
+        # and its code rows spell the cells with "!" for the first.
         assert gp.read_bytes() == (
-            b"bgm 1\n2 2\n"
-            b"1/2 1/4\n0 749/1000\n"
-            b"749/1000 0\n1 1\n"
+            b"bgm 2\n2 2\n4\n"
+            b"0 749/1000\n1 1\n1/2 1/4\n749/1000 0\n"
+            b"$!\n"
+            b"%\"\n"
             b"#block BASE 0 1 0 1\n"
             b"#block COL_J 0 1 1 2\n"
             b"#block ROW_I 1 2 0 2\n"
         )
         assert gdp.read_bytes() == (
-            b"bgm 1\n3 3\n"
-            b"1/2 1/4\n0 749/1000\n5/8 5/8\n"
-            b"749/1000 0\n1 1\n5/8 5/8\n"
-            b"5/8 5/8\n5/8 5/8\n0 0\n"
+            b"bgm 2\n3 3\n6\n"
+            b"0 0\n0 749/1000\n1 1\n1/2 1/4\n5/8 5/8\n749/1000 0\n"
+            b"%\"&\n"
+            b"'$&\n"
+            b"&&!\n"
             b"#block BASE 0 1 0 1\n"
             b"#block COL_J 0 1 1 2\n"
             b"#block ROW_I 1 2 0 2\n"
@@ -516,6 +520,17 @@ class TestInputErrors:
         assert main(["verify", str(game), str(prof), "--eps", "0"]) == 3
         assert capsys.readouterr().err == (
             f"error: expected {sys.maxsize + 1} entry lines, found 1\n")
+
+    def test_bgm2_dimension_past_maxsize(self, tmp_path, coordination_paths, capsys):
+        # The code rows cannot hold rows*cols*w characters: refused before
+        # islice or a split sees the dimensions.
+        _, prof = coordination_paths
+        game = tmp_path / "m.bgm"
+        text = f"bgm 2\n1 {sys.maxsize + 1}\n1\n0 0\n!\n"
+        game.write_text(text)
+        assert main(["verify", str(game), str(prof), "--eps", "0"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: 1x{sys.maxsize + 1} codes do not fit in {len(text)} characters\n")
 
     def test_gadget_over_cell_cap_fails_before_it_is_built(self, tmp_path, capsys):
         # 16 one-answer questions a side: C(16, 8) = 12,870 half subsets pass

@@ -14,7 +14,7 @@ QUICK = {
     "enumerate_wsne_supports": "6e793b0bee6351f69c942c2de215e89902d0dc2f6c9d15b93f1b98c957abf3db",
     "profiles": "f0e9e110261746b5ab6b5af3c386d1c82dee8d9ac1aedea6286514d7091f89c0",
     "large_k": "393ec63d5db4d5339989e416d97e45907298714c5d7166d78bd7a04dfbaa7f58",
-    "readers": "d12620e57aa46b164a11a7159b9d80f044ede2f393aef94d951e327ff70b7988",
+    "readers": "2b4014a1e818afc508acf77909d9c5af615a185d5b1b24848b5935ad7ebed8f6",
     "support_walk": "580c46fe62057656546f838e242a930305826bd8c1ae7a8e0d8b76347d443304",
     "verdicts": "eb72ace65e7e505e3ccb8c5b2bf53508349a03d7edd738a8a61a82a8f8380b64",
 }

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 import unittest.mock
 from fractions import Fraction
@@ -246,6 +247,131 @@ class TestBgm:
         assert str(parsed.value) == str(alone.value)
 
 
+@st.composite
+def _palette_games(draw):
+    """Games with exactly P distinct (R, C) pairs, P drawn so that the codes
+    take 1, 2 or 3 digits, laid out in a seeded order over 1-3 rows."""
+    size = draw(st.sampled_from([1, 93, 94, 93**2 + 1]))
+    rows = draw(st.integers(1, 3))
+    cols = -(-size // rows) + draw(st.integers(0, 2))
+    order = list(range(size)) + [draw(st.integers(0, size - 1))
+                                 for _ in range(rows * cols - size)]
+    random.Random(draw(st.integers(0, 2**32))).shuffle(order)
+    pairs = [(F(i // 7, 3), F(-(i % 7))) for i in order]
+    cells = [pairs[r * cols:(r + 1) * cols] for r in range(rows)]
+    return BimatrixGame(R=[[r for r, _ in row] for row in cells],
+                        C=[[c for _, c in row] for row in cells]), size
+
+
+# Spellings of one value, so that a `bgm 1` text reads equal entries from
+# different tokens.
+_SPELLINGS = {F(1, 2): ["1/2", "0.5", "2/4", "5e-1"], F(0): ["0", "0/3", "-0", "0.0"],
+              F(-3, 4): ["-3/4", "-0.75", "-75e-2"], F(2): ["2", "2.0", "4/2"]}
+
+
+class TestBgmVersion2:
+    """`bgm 2`: a palette of printed pairs and one row of codes per game row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=_palette_games())
+    def test_round_trip_at_each_code_width(self, drawn):
+        game, size = drawn
+        text = formats.write_bgm(game)
+        lines = text.splitlines()
+        width = 1 if size <= 93 else 2 if size <= 93**2 else 3
+        assert lines[2] == str(size) and len(lines) == 3 + size + game.rows
+        assert {len(row) for row in lines[3 + size:]} == {game.cols * width}
+        assert text == write_bgm_per_cell(game)
+        assert formats.parse_bgm(text) == game
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equal_games_write_equal_bytes(self, data):
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        cell = st.sampled_from(sorted(_SPELLINGS))
+        r, c = ([[data.draw(cell) for _ in range(cols)] for _ in range(rows)]
+                for _ in "RC")
+        # One new Fraction per cell, so the constructor codes every cell apart.
+        built = BimatrixGame(R=[[F(v.numerator, v.denominator) for v in row] for row in r],
+                             C=[[F(v.numerator, v.denominator) for v in row] for row in c])
+        spelled = "".join(
+            f"{data.draw(st.sampled_from(_SPELLINGS[a]))} "
+            f"{data.draw(st.sampled_from(_SPELLINGS[b]))}\n"
+            for r_row, c_row in zip(r, c) for a, b in zip(r_row, c_row))
+        parsed = formats.parse_bgm(f"bgm 1\n{rows} {cols}\n{spelled}")
+        assert built == parsed
+        assert formats.write_bgm(built) == formats.write_bgm(parsed)
+        assert formats.write_bgm(parsed) == write_bgm_per_cell(parsed)
+
+    def test_version_1_and_2_read_the_same_game(self):
+        one = "bgm 1\n1 3\n1/2 0\n0 0\n1/2 0\n#block all 0 1 0 3\n"
+        two = formats.write_bgm(formats.parse_bgm(one))
+        assert two == "bgm 2\n1 3\n2\n0 0\n1/2 0\n\"!\"\n#block all 0 1 0 3\n"
+        assert formats.parse_bgm(two) == formats.parse_bgm(one)
+
+    @pytest.mark.parametrize("text, message", [
+        ("bgm 2\n1 1\nx\n0 0\n!\n", "bad palette size line"),
+        ("bgm 2\n1 1\n1 1\n0 0\n!\n", "bad palette size line"),
+        ("bgm 2\n1 1\n0\n!\n",
+         "palette size must be from 1 to 1, got 0"),
+        ("bgm 2\n1 1\n2\n0 0\n1 1\n!\n",
+         "palette size must be from 1 to 1, got 2"),
+        ("bgm 2\n2 2\n3\n0 0\n", "expected 3 palette lines, found 1"),
+        ("bgm 2\n1 1\n1\n0\n!\n", "entry line '0' needs two rationals"),
+        ("bgm 2\n1 1\n1\n0 1/0\n!\n", "bad rational '1/0'"),
+        ("bgm 2\n1 2\n1\n0 0\n!\n",
+         "code row 1 has 1 characters, expected 2"),
+        ("bgm 2\n2 1\n1\n0 0\n!\n!!\n",
+         "code row 2 has 2 characters, expected 1"),
+        ("bgm 2\n1 2\n1\n0 0\n!\"\n",
+         "code row 1 holds a code outside the palette"),
+        ("bgm 2\n1 3\n1\n0 0\n! !\n",
+         "code row 1 holds a code outside the palette"),
+        ("bgm 2\n1 2\n1\n0 0\n!#\n",
+         "code row 1 holds a code outside the palette"),
+        ("bgm 2\n1 2\n1\n0 0\n!\u00e9\n",
+         "code row 1 holds a code outside the palette"),
+        ("bgm 2\n2 1\n1\n0 0\n!\n", "expected 2 code rows, found 1"),
+        ("bgm 2\n1 1\n1\n0 0\n!\n!\n", "expected 1 code rows, found 2"),
+        ("bgm 2\n1 2\n2\n0 0\n1 1\n!!\n",
+         "palette line 2 is used by no cell"),
+        ("bgm 2\n1 1\n1\n0 0\n!\n#block all 0 1 0 2\n",
+         "block 'all' out of range"),
+        ("bgm 3\n1 1\n1\n0 0\n!\n",
+         "missing 'bgm 1' or 'bgm 2' header"),
+    ])
+    def test_malformed_text(self, text, message):
+        with pytest.raises(FormatError) as raised:
+            formats.parse_bgm(text)
+        assert type(raised.value) is FormatError and str(raised.value) == message
+
+    def test_two_digit_code_outside_the_palette(self):
+        game = formats.parse_bgm(formats.write_bgm(BimatrixGame(
+            R=[list(range(94))], C=[[0] * 94])))
+        text = formats.write_bgm(game)
+        head, row = text.rsplit("\n", 2)[:2]
+        assert len(row) == 2 * 94 and '"!' in set(row[i:i + 2] for i in range(0, 188, 2))
+        # '""' is 93 * 1 + 1 = 94, one past the last code, '"!' = 93.
+        with pytest.raises(FormatError) as raised:
+            formats.parse_bgm(f'{head}\n""{row[2:]}\n')
+        assert str(raised.value) == "code row 1 holds a code outside the palette"
+
+    def test_dimension_past_maxsize_allocates_nothing(self):
+        # The version-2 twin of the CLI's `bgm 1` case: rows*cols*w is
+        # compared with the text's length before anything is split.
+        text = f"bgm 2\n1 {sys.maxsize + 1}\n1\n0 0\n!\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as raised:
+                formats.parse_bgm(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == (
+            f"1x{sys.maxsize + 1} codes do not fit in {len(text)} characters")
+        assert peak < 100_000
+
+
 class TestProf:
     def test_round_trip(self):
         rng = random.Random(3)
@@ -320,6 +446,64 @@ class TestFgm:
             formats.parse_fgm("fgm 1\n1 1\n-1\n1\n1\n1\n")
         with pytest.raises(FormatError, match="every question needs at least one"):
             formats.parse_fgm("fgm 1\n1 1\n-1\n1\n")
+
+
+@st.composite
+def _free_games(draw):
+    """Two-prover games up to 3x3 questions and 3 answers, some with a
+    distribution."""
+    x_answers = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    y_answers = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    bit = st.integers(0, 1)
+    table = tuple(tuple(tuple(tuple(draw(bit) for _ in range(b)) for _ in range(a))
+                        for b in y_answers) for a in x_answers)
+    dist = None
+    if draw(st.booleans()):
+        weights = [[draw(st.integers(0, 3)) for _ in y_answers] for _ in x_answers]
+        total = sum(map(sum, weights)) or 1
+        dist = tuple(tuple(F(w, total) for w in row) for row in weights)
+    return TwoProverGame(x_answers=x_answers, y_answers=y_answers, table=table,
+                         dist=dist)
+
+
+class TestFgmVersion2:
+    """`fgm 2`: one line of 0/1 digits per (x, y, a)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=_free_games())
+    def test_round_trip(self, t):
+        text = formats.write_fgm(t)
+        lines = text.splitlines()
+        v_lines = lines[4:4 + sum(t.x_answers) * t.ny]
+        assert lines[0] == "fgm 2" and v_lines == [
+            "".join(map(str, per_b)) for per_y in t.table for per_a in per_y
+            for per_b in per_a]
+        assert formats.parse_fgm(text) == t
+
+    def test_version_1_and_2_read_the_same_game(self):
+        one = "fgm 1\n1 2\n2\n1 2\n1\n0\n0\n1\n1\n0\n"
+        two = formats.write_fgm(formats.parse_fgm(one))
+        assert two == "fgm 2\n1 2\n2\n1 2\n1\n0\n01\n10\n"
+        assert formats.parse_fgm(two) == formats.parse_fgm(one)
+
+    @pytest.mark.parametrize("text, message", [
+        ("fgm 2\n1 1\n2\n2\n01\n", "expected 2 V lines"),
+        ("fgm 2\n1 2\n1\n1 2\n1\n1\n",
+         "V line 2 holds 1 entries, expected 2"),
+        ("fgm 2\n1 1\n1\n2\n0 1\n",
+         "V line 1 holds 3 entries, expected 2"),
+        ("fgm 2\n1 1\n1\n2\n02\n", "V lines must hold only 0 and 1"),
+        ("fgm 2\n1 1\n1\n1\n1\nD\n1/2\n1\n",
+         "expected 1 distribution entries"),
+        ("fgm 2\n1 1\n0\n1\n", "every question needs at least one answer"),
+        ("fgm 2\n1 1\n1\n1\n1\n1\n", "unexpected trailing line '1'"),
+        ("fgm 2\n1 1\n1\n", "bad header lines"),
+        ("fgm 3\n1 1\n1\n1\n1\n", "missing 'fgm 1' or 'fgm 2' header"),
+    ])
+    def test_malformed_text(self, text, message):
+        with pytest.raises(FormatError) as raised:
+            formats.parse_fgm(text)
+        assert type(raised.value) is FormatError and str(raised.value) == message
 
 
 class TestStrat:

@@ -56,14 +56,14 @@ WIDE_PROBE = Cnf3Formula(num_vars=15, clauses=(
     (7, 9, -11), (8, -14, 9), (12, 13, -7), (-12, 13, -11), (-2, 13, 3),
     (1, -8, -15),
 ))
-WIDE_PROBE_FGM = "4fa4ff3bb647a4fd906ff209fa48fe66d1790c1e5cc868ef4980a80d81408b21"
+WIDE_PROBE_FGM = "c6ca1835cbe215c241240b98ec38ae6df581a9e921770330e9a144c6bbfc0dfb"
 
 # WIDE_PROBE's first eight clauses and every sign pattern over x1, x2, x3:
 # unsatisfiable, with G 56x16,416.  G' has (2^57 - 1)(2^16417 - 1) support
 # pairs, a count past what str() prints.
 UNSAT_WIDE = Cnf3Formula(num_vars=15, clauses=(
     WIDE_PROBE.clauses[:8] + full_sign_pattern((1, 2, 3)).clauses))
-UNSAT_WIDE_FGM = "aebd2125353c777a93c671ea725c272fff3eba3a22db7a750e346882a831e3a6"
+UNSAT_WIDE_FGM = "d9c96164c496e972d27f2078778106382610d5346ef98e5332b3d0e289af759a"
 
 FIXTURES = {
     **satisfiable_fixtures(),
@@ -74,111 +74,111 @@ FIXTURES = {
 
 GOLDEN = {
     "alternating/F.fgm":
-        "e9b5c20c2a292e8a05e499dbcca0db254a02eaa7aa2a67bca7fbbb03ceec6184",
+        "f7d7747370e01bd83081e6d9a3ef054055f09c1b84e3c8599e526332151bb8a1",
     "alternating/G.bgm":
-        "644f257a5babca1034ac3b188dd0acda4e9f0fb84fd4fdfaca5c730162539f47",
+        "356297ca2c96185a15203f6e8d0ca4b7c2f7ed1f87c9f67d5a708a93afdfc322",
     "alternating/Gdouble.bgm":
-        "f5ea126d5f9352d494588efb2df70fa4ddd3fadf0f257289527f19dd04737836",
+        "b970020d1a4df8b44c7aa7d4c8a8a1955f2d0c623a7dc7ce55e265368e304430",
     "alternating/Gprime.bgm":
-        "8fd7af9a87fcd36e4188923709291c46ec6369ea3a2f3997d893bc5b98e5acdd",
+        "35002f6a782e4f1c921c59f1462f4f8331af1afe757b2136c1384a6eca53f918",
     "alternating/Gs.bgm":
-        "3522e77774454742ff65155ec3b616d6fc21a0888785d128b8552e53adeda4f0",
+        "20b857c33ce69ea1406792cb722b556f217f0d238913424733a3fe49e4afe16e",
     "alternating/cert.prof":
         "c70bb50ae6c5f2fe56f0cbc434080eefec5ea926950a828a3f445730d0685027",
     "alternating/report.json":
         "f3dafc1033b991f51144f51bb214f12963c96690fc3d285b20fbebe7bdfa6a12",
     "complementary/F.fgm":
-        "bf8aa6cfb4c95018415a0b210dfd2e576e36ef16206bb0bf6df6a5fe368aa6ce",
+        "168f29a2be7159bcee0d7e338ed5e68806152badda3d65aea0bb9d834076f589",
     "complementary/G.bgm":
-        "afbe889ebcce9b8b9e61e31de1a17e154e01d5b180f7ef2c5b3f866d35a32909",
+        "fde354026be5d1fe83ab87659db943ca6c8ef696a4e1ed1fdafe49deee7ff3bb",
     "complementary/Gdouble.bgm":
-        "e294f8e6bfed0c3c9a4891aa35930cec3d5f932714bab4f448f69217b36ee361",
+        "b4ed6d816a1f7c0033f2ae9e35a04e181e542cf180499e2f96b6e2a230771b9a",
     "complementary/Gprime.bgm":
-        "d5e0ba34768949d33c6fff92a2796fd82f72b57b28f63caf64ca86ec2226d174",
+        "2da3ec376f0a4bf9011ca638bd1d684c249332822fea679a292033b26d2b9ec2",
     "complementary/Gs.bgm":
-        "60b02d96860c2745a7ee669dc50eb134bb3f951fbe38383836755e5643b44882",
+        "35bb09629359c8f7a827965c4cd56dacbde30f4ab5862c858de45e91baef7f1b",
     "complementary/cert.prof":
         "7a8e8623404524cdf15215adeee0cfdd58134741be1160f2608bf90b9385a03f",
     "complementary/report.json":
         "ee3c511c5f5597abe6703da59373510819de9163992602e8799ac61a1c2fe888",
     "pattern/F.fgm":
-        "d63bec936dae7fae132790e57759c4815e4853f85e92b33b03662f9e6b0117f2",
+        "bd5f12f347ce0bb04c171f0fd929ad7c962cc00c3f012b26b66d64361bd164f7",
     "pattern/G.bgm":
-        "b27cd7f77b5cb2b85eb055b15de83617b9d5225e5ce4acccaaacd58f275bbc25",
+        "f5d18ec8ccf9eb0e39105d2e8fcccb016f6d169510b847e626534ae1030237e4",
     "pattern/Gdouble.bgm":
-        "421a7e34ca400a3c228e28b10374688089be4e47d3a476df30cc10042fc2495c",
+        "d22e1d7682694e5498aa1b553a83556545838be40a8c8d2ad2797bfe7842bb48",
     "pattern/Gprime.bgm":
-        "03df48e41ff645c99cfcd87afeda63c3e230534ff97a9078578fb2a39a40ca8c",
+        "f774df1b50fc9939b0f0e078d712eb39a663721eaf0a37372894f4b6c746a280",
     "pattern/Gs.bgm":
-        "4ec3dd1970cdd4c1452a08daf459ec7e58a33bcab26808cf6b194b798a783b88",
+        "7efa4619f568ab90e705f11e2e58a132e86d90fc070ad76b8490eda37b8fdafb",
     "pattern/report.json":
         "c10c065a2b7bd1e292b0dc3ba1f7c393454fe6669868fb16ef30db3a37790fc7",
     "probe/F.fgm":
-        "c922f1362fb964b54dec5f4e8de4cef12f0c4d941211926d3b4d3a922a1a8fb3",
+        "837d7af07da1bf640be510656edac9e7a1b12bb70232b70cd6198a84dba4caae",
     "probe/G.bgm":
-        "0dd8aacb935302de3dee51c539b242a6e5e0a44193f824bb26f3195adae2b2fd",
+        "1e9dfb13b9678ccff19b5fd4a650995859bf6fcba92ff8357ce55d604ee53441",
     "probe/Gdouble.bgm":
-        "796f4cf02f11eed1f3e07eef1758a916889415e05a2479322d9cc7f5b5575233",
+        "f133b0f8f8f58084b7b7f1cfe41e66f3155e8ba7b7423f849e91f37939ec3d8f",
     "probe/Gprime.bgm":
-        "cd75d71a1cd2d6b7bcfe0dc84f5d48c10a883f4f0f2b8d30a5c6cee62f0195f3",
+        "f0324aea6df4054d548be2d55b45a701dfa1896e69865e1e27b8971f83ea7f8d",
     "probe/Gs.bgm":
-        "e89672c904f70515469cb830ed2f53eae31af21569558f99b723372a72482bf6",
+        "9d8492782024b1232540224ff892596b05e05da019053dd4340875f5bdf88a7e",
     "probe/cert.prof":
         "ac980415098aa1de4bf2d0aaa2d04811b8597bba4a50837b673b2cdda0ee195e",
     "probe/report.json":
         "d11488eac3b0229d4c815dcaab9fdf3bdf8b0c0e4ef61f9c5de0b77532087184",
     "seven-of-eight/F.fgm":
-        "e6eba24f4c25447a03aea7966c17c92cd11e895ef3b9dc71c39a27e8989ce17f",
+        "5fe65c62564fc6726244693acd67eb5dff7cd19cbd7399cce60ab9f39476ec47",
     "seven-of-eight/G.bgm":
-        "085ce85b23f85211bbf7f622b7b56b3caf92fd9786f2289358d93f7a738e2697",
+        "2f4c27a09588c4c62f3b15c967e4edd6a16340d83d4a1bf970a9a9c0911a5dcf",
     "seven-of-eight/Gdouble.bgm":
-        "74c8eb3fcf0d996acdf192e943cfc5fc1564ce474eb8a202b6e699abf7a7f4dc",
+        "03448324a17877681b60b60bd1e341b3e725be4146ac66b5761ebcf412a125e7",
     "seven-of-eight/Gprime.bgm":
-        "df52968127c3847cc3fe93058270188c726231cca90ae84f6b0651c60ea22089",
+        "6197df1167d7b7cd666c70875db5a51db4bec3d2c2ee8122401fa2910ee8ebd0",
     "seven-of-eight/Gs.bgm":
-        "a384edfde0c43f3a3b2ef92c68df4aa96f1cf2e8ba8fab94189c92b405a123bd",
+        "b2dde1c91cdfdb93034eadfeba62e6b7cf43dedb4f4edd026cb03f46937e7f48",
     "seven-of-eight/cert.prof":
         "e0c595160a5606e396f303df6b47efb708b2dbccdf55370aa7eb9073a4ec6ef5",
     "seven-of-eight/report.json":
         "7225639f592f9982b8982cd09a7630d03835e26846570a32556379c66d05ccfb",
     "single/F.fgm":
-        "8c6791160ee5015f6b24a2d3a2b1ea5aa1494919b8d712d02c66631c8869cc17",
+        "92a1e974707c634d30df7feb75ffbd96d58d2b2a400608290bc7f9ea847cbba7",
     "single/G.bgm":
-        "9a63dc03f20d72f52abb63872624d1bd3c3d68a23506e674c8757071d4479044",
+        "5008a72d00eecd6d9989f7082b3fcc55ab5b49f22f1f79059e5cd5875374389f",
     "single/Gdouble.bgm":
-        "8b7fed89a9a6f339b0212c2ff2b477a0f556911f3507509f22d7f32d20fe256f",
+        "c5d1a902060e5254a458dbfe098bb54c67b0a3427e8563e2533e3ea2fb855657",
     "single/Gprime.bgm":
-        "e523c64913378c58ff247547e9ac10c6be3f77243659009cfced53f23f6e9107",
+        "7443f4d68ff909eb496a60bc4327762cf4b78070db98593c8aab986b41c463e5",
     "single/Gs.bgm":
-        "011365894aa64f615269df920a8e8da2afeadf63f4ce7ba7d6d0b18aa5eb8612",
+        "2f4c3fe91e7bd157ceb0d7ef9265ad024b2ce13930e969d415e18ef905fd2138",
     "single/cert.prof":
         "7d8ef5ab4a5428753698e54bd536727f7e910b8902340962e61f41888ef8b27c",
     "single/report.json":
         "29c5052e5aa9289397e6eba85002bf165f8960d8db290388c91a70a816cbb4b8",
     "wide-probe/F.fgm":
-        "4fa4ff3bb647a4fd906ff209fa48fe66d1790c1e5cc868ef4980a80d81408b21",
+        "c6ca1835cbe215c241240b98ec38ae6df581a9e921770330e9a144c6bbfc0dfb",
     "wide-probe/G.bgm":
-        "0aeaf7814e016fa9cff45835a81488c7a3d3cdce6892c9cdd8e933e87498f052",
+        "3e3b172e9901025bc0410ea6e887d0a654be18d3205417f092eabe615d98258a",
     "wide-probe/Gdouble.bgm":
-        "a79d427d7dce2e2f4fe33651a12b24e6f129a549e084e5ce9320178775f68f7e",
+        "ec7448ce02a370a37794a94ee9cfe7ec1a4ae2946e1d5ccbf511a6f961d99f29",
     "wide-probe/Gprime.bgm":
-        "e7f643bd54c118005f9b8ef378446c7b217fb5ad818bbc578111cb4d482dd184",
+        "dae8c6b06b960ddd8d3666fb8e334f07d5b2fc9eab6fe657e54e0a96cd002107",
     "wide-probe/Gs.bgm":
-        "231b1353cac6247935ef601ae9fd51d961dde7c25b88849863c8e9053007aa1f",
+        "bcf48a1b5c5205a16428d34ad2842f3e6e9383d3b0dfe8d60b74693823f7a85c",
     "wide-probe/cert.prof":
         "c048a3078b84fe69a38b8c1ed6a5e287ffc615b169c78f89bfed430ae2d13ec0",
     "wide-probe/report.json":
         "6bd011028a6698f13ca6c057c514d93c390afdf6a02e165fef140faf316d7207",
     "two-clause/F.fgm":
-        "e043eb7b04fc45b4c1fd5871820ae2cbd5882f08d71881768b0879a93611bbd8",
+        "eec2549a71ae2a99e8af805adedf80a2abe454da21dce7cd6bf3d5b4301ca4e9",
     "two-clause/G.bgm":
-        "2ebda742bb5362e00907a93ae8e884739baea808dac330b7aa9f4c068bc79bb4",
+        "a9cb6a4f4a8abae02da7919cd3882db1a4c5216d2e8f5bf0e4eb838b032cd6dc",
     "two-clause/Gdouble.bgm":
-        "39fc895dd53bd3c3e8b4f0246948ae8ce13ebb81b11e65399f5009a48528dbab",
+        "66a1a5d55fb0af47baeef8410617a2ec04e6505a09e88409c119707a58f661e2",
     "two-clause/Gprime.bgm":
-        "3c1d140a24af5ece867a4caf943e32f8901097b87d4be838304fe0292fe5cbc3",
+        "8268ca2810af90aedeaf2463f9ea90c70efa31f563c3a154acd9dc336d4398b2",
     "two-clause/Gs.bgm":
-        "ec92a6d91f92e23b3fe9828ca76175bec61378550b7ed0ad417315386d1f06e8",
+        "f45314c3f006988811d4e158f3d97b581b9f17de1ff05e212013441d96c5811c",
     "two-clause/cert.prof":
         "545d7ec44f674664219ab9fdd81980bc2063a61437520f72eec234e8d930de79",
     "two-clause/report.json":
