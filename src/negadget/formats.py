@@ -169,29 +169,29 @@ def parse_bgm(text: str) -> BimatrixGame:
                or line.split()[0] == "#block" and block_lines.append(line))
     rows, cols = _dimensions(next(entries, ""))
     values: dict[str, Fraction] = {}
-    codes: dict[str, str] = {}
     palette: list[tuple[Fraction, Fraction]] = []
 
-    def first_seen(line: str) -> str:
+    def coded_pair(line: str) -> str:
+        """A new palette code for the entry pair on ``line``."""
         toks = line.split()
         if len(toks) != 2:
             raise FormatError(f"entry line {line!r} needs two rationals")
         for tok in toks:
             if tok not in values:
                 values[tok] = parse_rational(tok)
-        codes[line] = add_pair(palette, (values[toks[0]], values[toks[1]]))
-        return codes[line]
+        return add_pair(palette, (values[toks[0]], values[toks[1]]))
 
     if header == "bgm 2":
-        coded = _bgm2_rows(text, entries, rows, cols, first_seen)
+        coded = _bgm2_rows(text, entries, rows, cols, coded_pair)
     else:
+        codes: dict[str, str] = {}  # each distinct entry line's code
         seen, coded, error = codes.get, [], None
         # An entry line holds three characters or more, so a game with more
         # cells than the text has characters has too few lines; skipping its
         # rows also keeps islice's stop, cols, below sys.maxsize.
         try:
             for _ in range(rows) if rows * cols <= len(text) else ():
-                coded.append("".join([seen(line) or first_seen(line)
+                coded.append("".join([seen(line) or codes.setdefault(line, coded_pair(line))
                                       for line in itertools.islice(entries, cols)]))
                 if len(coded[-1]) < cols:
                     break  # the entry lines ran out, so the count is wrong
@@ -224,9 +224,9 @@ def parse_bgm(text: str) -> BimatrixGame:
 
 
 def _bgm2_rows(text: str, entries: Iterator[str], rows: int, cols: int,
-               add_line: Callable[[str], str]) -> list[str]:
+               coded_pair: Callable[[str], str]) -> list[str]:
     """The code rows of a `bgm 2` text, which ``entries`` holds from its
-    palette size line, P: P palette lines, each added by ``add_line``, and
+    palette size line, P: P palette lines, each coded by ``coded_pair``, and
     one row of w-digit codes per game row, checked in file order.  A
     palette line that no cell uses is refused last."""
     try:
@@ -240,8 +240,9 @@ def _bgm2_rows(text: str, entries: Iterator[str], rows: int, cols: int,
     if rows * cols * width > len(text):  # before islice sees rows or cols
         raise FormatError(f"{count_text(rows)}x{count_text(cols)} codes do not "
                           f"fit in {len(text)} characters")
-    if (found := len(list(map(add_line, itertools.islice(entries, size))))) < size:
-        raise FormatError(f"expected {size} palette lines, found {found}")
+    codes = [coded_pair(line) for line in itertools.islice(entries, size)]
+    if len(codes) < size:
+        raise FormatError(f"expected {size} palette lines, found {len(codes)}")
     texts = _code_texts(size)
     if width == 1:  # one C-level translate; every other ASCII character to `size`
         decode = dict.fromkeys(range(128), size)

@@ -289,8 +289,8 @@ class TestBgmVersion2:
     def test_equal_games_write_equal_bytes(self, data):
         rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
         cell = st.sampled_from(sorted(_SPELLINGS))
-        r, c = ([[data.draw(cell) for _ in range(cols)] for _ in range(rows)]
-                for _ in "RC")
+        r = [[data.draw(cell) for _ in range(cols)] for _ in range(rows)]
+        c = [[data.draw(cell) for _ in range(cols)] for _ in range(rows)]
         # One new Fraction per cell, so the constructor codes every cell apart.
         built = BimatrixGame(R=[[F(v.numerator, v.denominator) for v in row] for row in r],
                              C=[[F(v.numerator, v.denominator) for v in row] for row in c])
