@@ -32,7 +32,9 @@ from .games import nonnegative_eps, parse_rational, regret_report
 from .pipeline import PipelineConfig, run_pipeline
 from .provers import VALUE_BUDGET_DEFAULT, game_value
 from .sat import ANSWER_CAP_DEFAULT, parse_dimacs, reduce_to_free_game
-from .search import PROBLEMS, SEARCH_BUDGET_DEFAULT, DecisionInstance, decide
+from .search import (
+    PROBLEMS, SEARCH_BUDGET_DEFAULT, DecisionInstance, decide, required_param
+)
 
 
 def _report_dict(rep) -> dict:
@@ -128,7 +130,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
         kwargs["k"] = args.k_param
     if args.index_set is not None:
         kwargs["index_set"] = _parse_index_set(args.index_set)
-    eps = parse_rational(args.eps)
+    eps = nonnegative_eps(parse_rational(args.eps))
+    required_param(pid, kwargs)
     game = formats.parse_bgm(Path(args.game).read_text())
     inst = DecisionInstance(problem_id=pid, game=game, eps=eps, **kwargs)
     hints = [formats.parse_prof(Path(path).read_text()) for path in args.hint or ()]

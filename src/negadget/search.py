@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InvariantError, ResourceError, ValidationError, count_text
@@ -101,11 +101,7 @@ class DecisionInstance:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, frac(value))
-        value = getattr(self, problem.param)
-        if value is None:
-            raise ValidationError(
-                f"problem {self.problem_id} requires parameter {problem.param!r}"
-            )
+        value = required_param(self.problem_id, vars(self))
         if problem.param == "index_set":
             index_set = _sorted_ints(value, "index set entries")
             object.__setattr__(self, "index_set", index_set)
@@ -122,6 +118,17 @@ class DecisionInstance:
     def holds(self, *args) -> bool:
         """The problem's predicate on this instance (see `Problem`)."""
         return PROBLEMS[self.problem_id].holds(self, *args)
+
+
+def required_param(problem_id: int, params: Mapping[str, object]) -> object:
+    """Problem ``problem_id``'s parameter in ``params``, looked up by its
+    name; ``ValidationError`` when it is missing or None.  `DecisionInstance`
+    makes this check, and `cli decide` makes it before reading the game."""
+    name = PROBLEMS[problem_id].param
+    value = params.get(name)
+    if value is None:
+        raise ValidationError(f"problem {problem_id} requires parameter {name!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -495,8 +502,8 @@ def wsne_support_feasible(
     row in the support must be within eps of the best row against y) and
     the column conditions only x.  Each side is an exact linear program
     maximizing the minimum support coordinate; a positive optimum on both
-    sides yields a witness, and a side one of its rows proves dead needs
-    no simplex (`_side_lp`).
+    sides yields a witness.  A side one of its rows proves dead needs no
+    simplex, nor does a live side against one opposite strategy (`_side_lp`).
 
     With ``strict`` set, both pure-strategy regrets must be strictly
     below eps, which excludes profiles sitting exactly on the regret
@@ -519,26 +526,35 @@ def _pair_witness(
     cols: Support,
     eps: Fraction,
     strict: bool,
-) -> tuple[MixedProfile | None, bool]:
-    """(the support pair's witness or None, whether its row side is not
-    known dead), from the LPs of y on R's columns in ``cols`` and of x on
-    C's rows in ``rows``, both built before either is solved, so that a side
-    `_side_lp` proves dead costs no simplex; ``lines`` is `int_lines`.  An
-    LP side that is not a distribution, or a witness whose pure regrets
-    `regret_ints` finds above eps (not below it when ``strict``), raises
-    ``InvariantError``."""
+) -> tuple[MixedProfile | None, tuple[int, frozenset[int]] | None]:
+    """(the support pair's witness or None, the dead side to record or None),
+    from the LPs of y on R's columns in ``cols`` and of x on C's rows in
+    ``rows``, both built before either is solved, so that a side `_side_lp`
+    proves dead costs no simplex; ``lines`` is `int_lines`.  A dead side is
+    (0, part of rows), to record against cols, or (1, part of cols), to
+    record against rows: the one strategy whose regret row proved it dead,
+    or the whole support when its LP's optimum is not positive.  The row
+    side comes first, so a pair whose row side is dead leaves its column
+    side unknown.  A side against one opposite strategy that no row proved
+    dead has q = (1,), with no simplex (see `_side_lp`).  An LP side that is
+    not a distribution, or a witness whose pure regrets `regret_ints` finds
+    above eps (not below it when ``strict``), raises ``InvariantError``."""
     c_rows, r_cols, scale = lines
+    sides = ((rows, cols, r_cols), (cols, rows, c_rows))
     lps = []
-    for supp, other, side_lines in ((rows, cols, r_cols), (cols, rows, c_rows)):
+    for which, (supp, other, side_lines) in enumerate(sides):
         lp = _side_lp([side_lines[t] for t in other], supp, eps, scale, strict)
-        if lp is None:
-            return None, bool(lps)
+        if type(lp) is int:
+            return None, (which, frozenset((lp,)))
         lps.append(lp)
     solved = []
-    for lp in lps:
+    for which, ((supp, other, _), lp) in enumerate(zip(sides, lps)):
+        if len(other) == 1:  # q = (1,) is optimal with t > 0: see `_side_lp`
+            solved.append([1])
+            continue
         status, value, q = simplex_maximize(*lp)
         if status != "optimal" or value <= 0:
-            return None, bool(solved)
+            return None, (which, frozenset(supp))
         solved.append(q[:-1])
     y, x = solved
     try:
@@ -547,7 +563,7 @@ def _pair_witness(
         raise InvariantError("support LP gave a side that is not a distribution") from exc
     if not regrets_within(regret_ints(game, p), eps, True, strict):
         raise InvariantError("support LP and regret_ints disagree on a witness")
-    return p, True
+    return p, None
 
 
 def _side_lp(
@@ -556,12 +572,13 @@ def _side_lp(
     eps: Fraction,
     scale: int,
     strict: bool = False,
-) -> tuple[list[int], list[list[int]], list[int]] | None:
+) -> tuple[list[int], list[list[int]], list[int]] | int:
     """The LP (c, a_ub, b_ub) for `simplex_maximize` of q in the simplex
     over the opponent's support, maximizing its least coordinate subject
-    to: every row in supp is eps-best among all rows against q; or None if
-    one row proves it dead.  ``lines`` are P's columns on that support
-    times the integer ``scale``: R's columns, or C's rows for the columns.
+    to: every row in supp is eps-best among all rows against q; or, when
+    one row proves the side dead, that row i of supp.  ``lines`` are P's
+    columns on that support times the integer ``scale``: R's columns, or
+    C's rows for the columns.
 
     Variables: q_j for each line j, then t (the min-coordinate slack).
     Maximize t; feasible with t > 0 means the exact support works.  In
@@ -575,14 +592,24 @@ def _side_lp(
 
     The rows compare each support row only with the other rows; its regret
     against itself is 0, which is strictly below eps only when eps > 0
-    (the callers take eps >= 0).  As every variable is >= 0, a regret row
+    (the callers take eps >= 0), so at eps = 0 every strict side is dead,
+    by its first row.  As every variable is >= 0, a regret row of row i
     with no negative q-coefficient forces q_j = 0 where its coefficient is
     positive, and t = 0 in strict mode: with t <= q_j the optimum is 0 (a
-    one-row Farkas certificate), so the first such row returns None.  A
-    weak row of zeros (P_r - P_i = eps on every line) forces nothing.
+    one-row Farkas certificate), so the first such row gives i.  That row
+    reads only i and the lines, so every support holding i is dead against
+    the same lines.  A weak row of zeros (P_r - P_i = eps on every line)
+    forces nothing.
+
+    With one line (m = 1) and no row giving i, every regret row's one
+    coefficient c is <= 0, and < 0 in strict mode.  Then q = (1,) meets
+    each row, with t = 1 in weak mode and, in strict mode, t the least of 1
+    and -c/(b*scale) over the rows, b*scale being t's coefficient: the
+    optimum is positive at q = (1,), the only point of sum(q) = 1, so
+    `_pair_witness` runs no simplex on it.
     """
     if strict and eps == 0:
-        return None
+        return supp[0]
     n_rows = len(lines[0])
     m = len(lines)
     a_ub: list[list[int]] = []
@@ -598,7 +625,7 @@ def _side_lp(
                 continue
             row = [b * (col[r] - col[i]) - shift for col in lines]
             if min(row) >= 0 and (strict or any(row)):
-                return None
+                return i
             row.append(slack)
             a_ub.append(row)
     # t <= q_j for each j.
@@ -626,8 +653,10 @@ def enumerate_wsne_supports(
     Pairs are pruned without an LP.  With the columns fixed, the row side's
     LP only gains constraints as the row support grows, so a row side an LP
     proved dead rules out the row side of every pair with more rows and the
-    same columns; the column side is the mirror case.  Both of a pair's LPs
-    are built first; a side one row proves dead needs no simplex.
+    same columns; a row side one row i proves dead rules out every row side
+    that holds i.  The column side is the mirror case.  Both of a pair's LPs
+    are built first; a side one row proves dead needs no simplex, and
+    neither does a live side against one opposite strategy.
     Raises ``ValidationError`` for a negative eps and ``ParameterError``
     for a negative budget when called, and ``ResourceError`` at the first
     ``next()``, before any LP, when the pairs exceed the budget.
@@ -636,7 +665,7 @@ def enumerate_wsne_supports(
     check_count(budget, "budget")
     every_pair = _support_pairs(game, e, budget, strict,
                                 lambda r, c: True, 2)
-    return (witness for _, _, witness in every_pair if witness is not None)
+    return (witness for _, _, witness, _ in every_pair if witness is not None)
 
 
 def _support_pairs(
@@ -644,24 +673,27 @@ def _support_pairs(
     eps: Fraction,
     budget: int,
     strict: bool,
-    wanted: Callable[[Support, Support], bool],
+    wanted: Callable[[Support, Support], object],
     least_size: int,
-) -> Iterator[tuple[Support, Support, MixedProfile | None]]:
+) -> Iterator[tuple[Support, Support, MixedProfile | None, object]]:
     """Decide, in ``enumerate_wsne_supports``' order, the support pairs
-    that ``wanted(rows, cols)`` accepts when the pair comes up, and yield
-    each as (rows, cols, its witness or None).  ``wanted`` accepts no pair
-    of total size below ``least_size``, so those sizes are not walked.
+    for which ``wanted(rows, cols)`` is truthy when the pair comes up, and
+    yield each as (rows, cols, its witness or None, what ``wanted``
+    returned).  ``wanted`` accepts no pair of total size below
+    ``least_size``, so those sizes are not walked.
 
-    Each total size is walked as a merge of one lexicographic stream per
-    row count.  A wanted pair is skipped when a side that `_pair_witness`
-    proved dead against the same opposite support is a subset of its own
-    side; only such sides are recorded, keyed by that opposite support.
-    Every pair between a dead side and a superset of it lies at a walked
-    size, so this prunes what carrying dead sides through every pair would.
-    When the row side fails, the column side stays unknown, as the row side
-    does when the column side's LP build proves it dead.  A budget below
-    the pair count, a negative one too, raises ``ResourceError`` before the
-    first pair.
+    Each total size is walked as a merge of one lexicographic stream of row
+    supports per row count, and each row support's column supports follow
+    it in lexicographic order: the order of (size, rows, cols), one merge
+    step per row support.  A wanted pair is skipped when a side recorded
+    dead against the same opposite support is a subset of its own side.
+    Only dead sides are recorded, keyed by that opposite support: the one
+    strategy whose regret row proved the side dead, or the whole side when
+    its LP did (`_pair_witness`).  Every pair between a dead side and a
+    superset of it lies at a walked size, so this prunes what carrying dead
+    sides through every pair would.  When the row side fails, the column
+    side stays unknown.  A budget below the pair count, a negative one too,
+    raises ``ResourceError`` before the first pair.
     """
     n, m = game.rows, game.cols
     total = (2 ** n - 1) * (2 ** m - 1)
@@ -670,25 +702,20 @@ def _support_pairs(
     lines = int_lines(game)
     dead_rows, dead_cols = {}, {}  # dead sides, as frozensets, by opposite support
     for size in range(least_size, n + m + 1):
-        # `product` takes its combinations now: each stream keeps its own r.
-        level = heapq.merge(*(
-            itertools.product(itertools.combinations(range(n), r),
-                              itertools.combinations(range(m), size - r))
-            for r in range(max(1, size - m), min(n, size - 1) + 1)
-        ))
-        for rows, cols in level:
-            if not wanted(rows, cols):
-                continue
-            witness = None
-            if not (any(side.issubset(rows) for side in dead_rows.get(cols, ()))
-                    or any(side.issubset(cols) for side in dead_cols.get(rows, ()))):
-                witness, row_feasible = _pair_witness(game, lines, rows, cols,
-                                                      eps, strict)
-                if not row_feasible:
-                    dead_rows.setdefault(cols, []).append(frozenset(rows))
-                elif witness is None:
-                    dead_cols.setdefault(rows, []).append(frozenset(cols))
-            yield rows, cols, witness
+        for rows in heapq.merge(*(itertools.combinations(range(n), r)
+                                  for r in range(max(1, size - m), min(n, size - 1) + 1))):
+            for cols in itertools.combinations(range(m), size - len(rows)):
+                takers = wanted(rows, cols)
+                if not takers:
+                    continue
+                witness = None
+                if not (any(side.issubset(rows) for side in dead_rows.get(cols, ()))
+                        or any(side.issubset(cols) for side in dead_cols.get(rows, ()))):
+                    witness, dead = _pair_witness(game, lines, rows, cols, eps, strict)
+                    if dead is not None:
+                        records, against = (dead_cols, rows) if dead[0] else (dead_rows, cols)
+                        records.setdefault(against, []).append(dead[1])
+                yield rows, cols, witness, takers
 
 
 def decide(
@@ -810,25 +837,27 @@ def _support_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
     each counting the pairs its own predicate accepts, as it would alone.  A
     pair's witness has exactly that pair as its supports, so a pair that no
     problem left accepts is never decided, and sizes below the least that
-    any problem accepts are not walked."""
+    any problem accepts are not walked.  Each predicate of a problem left
+    runs once per walked pair: the walk hands back the problems that
+    accept the pair, and those are the ones it counts."""
     if not pending:
         return {}
     found, pairs_seen = {}, dict.fromkeys(pending, 0)  # witnesses, accepted pairs
+    left = dict(pending)  # the problems with no witness yet
     least = min(PROBLEMS[inst.problem_id].least_size(inst) for inst in pending.values())
 
-    def wanted(rows: Support, cols: Support) -> bool:
-        return any(inst.holds(rows, cols)
-                   for i, inst in pending.items() if i not in found)
+    def wanted(rows: Support, cols: Support) -> list[int]:
+        return [i for i, inst in left.items() if inst.holds(rows, cols)]
 
     try:
-        for rows, cols, witness in _support_pairs(game, eps, budget, False,
-                                                  wanted, least):
-            for i, inst in pending.items():
-                if i not in found and inst.holds(rows, cols):
-                    pairs_seen[i] += 1
-                    if witness is not None:
-                        found[i] = witness
-            if len(found) == len(pending):
+        for _, _, witness, takers in _support_pairs(game, eps, budget, False,
+                                                    wanted, least):
+            for i in takers:
+                pairs_seen[i] += 1
+                if witness is not None:
+                    found[i] = witness
+                    del left[i]
+            if not left:
                 break
     except ResourceError:  # raised before the first pair: the pairs exceed the budget
         return dict.fromkeys(pending, SearchOutcome(answer="unknown"))

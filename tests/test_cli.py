@@ -337,6 +337,25 @@ class TestDecide:
             assert capsys.readouterr() == ("", f"error: {message}\n")
         assert read == []
 
+    @pytest.mark.parametrize("problem, options, message", [
+        ("p7", ["--eps", "31/250"], "problem 7 requires parameter 'k'"),
+        ("p1", ["--eps", "0", "--k-param", "2"], "problem 1 requires parameter 'u'"),
+        ("p10", ["--eps", "0"], "problem 10 requires parameter 'index_set'"),
+        ("p7", ["--eps", "-1"], "eps must be nonnegative"),
+    ])
+    def test_parameters_checked_before_the_game(self, problem, options, message,
+                                                tmp_path, coordination_paths,
+                                                monkeypatch, capsys):
+        # The checks DecisionInstance makes, in its order (eps first), and
+        # with its messages: a missing parameter needs no game read either.
+        game, _ = coordination_paths
+        read = []
+        monkeypatch.setattr(formats, "parse_bgm", read.append)
+        for path in (game, tmp_path / "missing.bgm"):
+            assert main(["decide", problem, str(path), *options]) == 3
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert read == []
+
     def test_pair_count_too_long_to_print_is_unknown(self, tmp_path, capsys):
         # A 1x14,300 game has 2^14300 - 1 support pairs, over the budget;
         # their count is past what str() prints, and the answer is unknown.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import decimal
 import gc
 import itertools
@@ -10,7 +11,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negadget import formats, games, linsolve, pipeline, search
@@ -1773,10 +1774,14 @@ class TestSupportSearchMatchesEveryPair:
 
 def side_solved(lines, supp, eps, scale, strict):
     """One support side as `search._pair_witness` decides it: `_side_lp`,
-    then the simplex on its LP unless a row proved the side dead."""
+    which names the row of supp that proves the side dead, if one does;
+    else q = (1,) for one line, and the simplex on its LP for more."""
     lp = search._side_lp(lines, supp, eps, scale, strict)
-    if lp is None:
+    if type(lp) is int:
+        assert lp in supp
         return None
+    if len(lines) == 1:
+        return [1]
     status, value, q = simplex_maximize(*lp)
     return q[:-1] if status == "optimal" and value > 0 else None
 
@@ -1804,6 +1809,14 @@ class TestSideCertificate:
     @given(pair=_grid_support_pairs(),
            eps=st.sampled_from([F(0), F(1, 8), F(1, 4), F(1, 2)]),
            strict=st.booleans())
+    # One line a side: a weak row of zeros (row 1 is exactly eps better),
+    # strict with eps > 0 and rows 1/2 behind, and eps = 0 with ties.
+    @example(pair=(BimatrixGame(R=((0, 0), (F(1, 2), 0)), C=((0, 0), (0, 0))),
+                   (0,), (0,)), eps=F(1, 2), strict=False)
+    @example(pair=(BimatrixGame(R=((1, 0), (F(1, 2), 0)), C=((1, F(1, 2)), (0, 0))),
+                   (0,), (0,)), eps=F(1, 8), strict=True)
+    @example(pair=(BimatrixGame(R=((1, 1), (1, 1)), C=((1, 1), (1, 1))),
+                   (0, 1), (1,)), eps=F(0), strict=False)
     def test_sides_and_pair_match_the_lp_reference(self, pair, eps, strict):
         game, rows, cols = pair
         c_rows, r_cols, scale = games.int_lines(game)
@@ -1825,26 +1838,26 @@ class TestSideCertificate:
         # Row 1 is worth exactly eps = 1/2 more than row 0 on the one line:
         # its coefficient b*(1 - 0) - a*scale is 2 - 2 = 0.
         lines, eps = [[0, 1]], F(1, 2)
-        assert search._side_lp(lines, (0,), eps, 2, False) is not None
+        assert type(search._side_lp(lines, (0,), eps, 2, False)) is tuple
         assert side_solved(lines, (0,), eps, 2, False) == [1]
         assert one_side_lp_reference(lines, (0,), eps, 2, False) == [1]
 
     def test_strict_row_of_zeros_is_dead(self):
         # The same row charged t > 0 forces t = 0.
         lines, eps = [[0, 1]], F(1, 2)
-        assert search._side_lp(lines, (0,), eps, 2, True) is None
+        assert search._side_lp(lines, (0,), eps, 2, True) == 0
         assert one_side_lp_reference(lines, (0,), eps, 2, True) is None
 
     def test_one_row_strict_side_at_zero_eps_is_dead(self):
         # No regret row at all: its regret against itself, 0, is not < 0.
-        assert search._side_lp([[5]], (0,), F(0), 1, True) is None
+        assert search._side_lp([[5]], (0,), F(0), 1, True) == 0
         assert one_side_lp_reference([[5]], (0,), F(0), 1, True) is None
         assert side_solved([[5]], (0,), F(0), 1, False) == [1]
 
     @pytest.mark.parametrize("R, cols, lps", [
         (((0, 0), (0, 0)), (1,), 0),  # C's column 1 trails column 0: dead
         (((0, 0), (1, 1)), (0,), 0),  # R's row 1 beats row 0: dead
-        (((0, 0), (0, 0)), (0,), 2),  # no row certifies either side
+        (((0, 0), (0, 0)), (0,), 0),  # no row certifies either side, one line each
     ])
     def test_certified_sides_solve_no_lp(self, R, cols, lps):
         game = BimatrixGame(R=R, C=((1, 0), (1, 0)))
@@ -1852,7 +1865,33 @@ class TestSideCertificate:
                                wraps=simplex_maximize) as lp:
             witness = wsne_support_feasible(game, (0,), cols, 0)
         assert lp.call_count == lps
-        assert witness == (pure_profile(game, 0, 0) if lps else None)
+        live = not any(R[1]) and cols == (0,)
+        assert witness == (pure_profile(game, 0, 0) if live else None)
+
+    def test_two_line_sides_solve_both_lps(self):
+        # All ties: no row certifies either side, and each has two lines.
+        game = BimatrixGame(R=((0, 0), (0, 0)), C=((0, 0), (0, 0)))
+        with mock.patch.object(search, "simplex_maximize",
+                               wraps=simplex_maximize) as lp:
+            witness = wsne_support_feasible(game, (0, 1), (0, 1), 0)
+        assert lp.call_count == 2
+        assert witness == MixedProfile(x=(F(1, 2), F(1, 2)), y=(F(1, 2), F(1, 2)))
+
+    @pytest.mark.parametrize("R, eps, strict", [
+        (((0,), (1,)), F(1), False),  # a weak row of zeros: row 1 is eps better
+        (((1,),), F(1, 8), True),  # strict, eps > 0, one row: no rival
+        (((1,), (0,), (F(15, 16),)), F(1, 8), True),  # strict, rivals below eps
+        (((1,), (1,)), F(0), False),  # eps = 0 with a tie
+    ])
+    def test_one_line_sides_solve_no_lp(self, R, eps, strict):
+        game = BimatrixGame(R=R, C=[[0]] * len(R))
+        with mock.patch.object(search, "simplex_maximize",
+                               wraps=simplex_maximize) as lp:
+            witness = wsne_support_feasible(game, (0,), (0,), eps, strict)
+            assert search._pair_witness(game, games.int_lines(game), (0,), (0,),
+                                        eps, strict) == (witness, None)
+        assert lp.call_count == 0
+        assert witness == pure_profile(game, 0, 0)
 
 
 class TestSupportWalk:
@@ -1890,13 +1929,68 @@ class TestSupportWalk:
                                 (10, {"index_set": (0,)})):
                     decide(DecisionInstance(problem_id=pid, game=game, eps=eps,
                                             **kw))
-        assert len(calls) == 493
+        # 493 while a one-row certificate recorded its whole side.
+        assert len(calls) == 454
         # A 6x6 game at eps = 0, where dead sides prune pairs several sizes
-        # up: without them, each of its 3,969 pairs would be solved.
+        # up: without them, each of its 3,969 pairs would be solved (305
+        # with whole sides only).
         calls.clear()
         game = random_game(random.Random(5), 6, 6, 2)
         assert len(list(enumerate_wsne_supports(game, F(0)))) == 48
-        assert len(calls) == 305
+        assert len(calls) == 279
+
+    def test_a_dead_row_prunes_every_side_that_holds_it(self, monkeypatch):
+        # Rows 2 and 3 beat rows 0 and 1 on the one column.  p9 (k = 2)
+        # starts at two rows: (0, 1) is dead by row 0 and records {0}, so
+        # (0, 2) and (0, 3) need no LP, nor does (1, 3) once (1, 2) records
+        # {1}.  Recording the whole side (0, 1) would decide all six pairs.
+        game = BimatrixGame(R=((0,), (0,), (1,), (1,)), C=((0,),) * 4)
+        decided = []
+        real = search._pair_witness
+
+        def spied(game, lines, rows, cols, eps, strict):
+            decided.append((rows, cols))
+            return real(game, lines, rows, cols, eps, strict)
+
+        monkeypatch.setattr(search, "_pair_witness", spied)
+        out = decide(DecisionInstance(problem_id=9, game=game, eps=F(0), k=2))
+        assert decided == [((0, 1), (0,)), ((1, 2), (0,)), ((2, 3), (0,))]
+        accepted = [(rows, cols) for rows, cols in pairs_in_order(game)
+                    if len(rows) >= 2]
+        witnesses = [wsne_support_feasible(game, rows, cols, 0)
+                     for rows, cols in accepted]
+        hit = next(n for n, w in enumerate(witnesses, 1) if w is not None)
+        assert (out.answer, out.witness, out.checked_count) == (
+            "yes", witnesses[hit - 1], hit)
+        assert (hit, out.witness.support_x) == (6, (2, 3))
+
+    def test_each_pending_predicate_runs_once_per_walked_pair(self, monkeypatch):
+        game = random_game(random.Random(2), 3, 3)
+        eps = F(1, 8)
+        asked = Counter()
+        for pid in (7, 8, 9, 10):
+            problem = search.PROBLEMS[pid]
+
+            def spy(inst, rows, cols, holds=problem.holds):
+                asked[inst.problem_id, rows, cols] += 1
+                return holds(inst, rows, cols)
+
+            monkeypatch.setitem(search.PROBLEMS, pid,
+                                dataclasses.replace(problem, holds=spy))
+        insts = [DecisionInstance(problem_id=pid, game=game, eps=eps, **kw)
+                 for pid, kw in ((7, {"k": 2}), (8, {"k": 2}), (9, {"k": 3}),
+                                 (10, {"index_set": (1,)}))]
+        outs = decide_many(insts)
+        assert [out.answer for out in outs] == ["yes", "yes", "no", "yes"]
+        assert set(asked.values()) == {1}
+        # p9's "no" walks every pair from p10's least size, 2, on; each
+        # problem is asked about each of them up to its witness.
+        walked = [pair for pair in pairs_in_order(game) if sum(map(len, pair)) >= 2]
+        for inst, out in zip(insts, outs):
+            end = (len(walked) if out.witness is None else
+                   walked.index((out.witness.support_x, out.witness.support_y)) + 1)
+            assert [pair[1:] for pair in asked if pair[0] == inst.problem_id] == (
+                walked[:end])
 
     @pytest.mark.parametrize("shape, pid, k, limit", [
         ((8, 8), 7, 8, 2**20),
