@@ -80,6 +80,28 @@ class TestVerify:
         assert data["ok"] is True
         assert data["row_pure_regret"] == "0"
 
+    @pytest.mark.parametrize("mode, eps, ok", [
+        ("ne", "4/3", True), ("ne", "5/4", False),
+        ("wsne", "2", True), ("wsne", "4/3", False),
+    ])
+    def test_json_output_pinned(self, mode, eps, ok, tmp_path, capsys):
+        # Ry = (5/2, 1/2) and xC = (5/3, 2): every regret is nonzero, and
+        # each pure regret exceeds its regret.
+        game = BimatrixGame(R=((3, 1), (0, 2)), C=((1, 0), (2, 3)))
+        profile = MixedProfile(x=(F(1, 3), F(2, 3)), y=(F(3, 4), F(1, 4)))
+        game_path, prof_path = tmp_path / "g.bgm", tmp_path / "p.prof"
+        game_path.write_text(formats.write_bgm(game))
+        prof_path.write_text(formats.write_prof(profile))
+        argv = ["verify", str(game_path), str(prof_path), "--eps", eps,
+                "--mode", mode, "--format", "json"]
+        assert main(argv) == (0 if ok else 1)
+        assert json.loads(capsys.readouterr().out) == {
+            "row_regret": "4/3", "col_regret": "1/4",
+            "row_pure_regret": "2", "col_pure_regret": "1/3",
+            "row_payoff": "7/6", "col_payoff": "7/4", "welfare": "35/12",
+            "mode": mode, "eps": eps, "ok": ok,
+        }
+
     def test_eps_longer_than_str_prints(self, tmp_path, capsys):
         # 1e-4300 parses, but its 4301-digit denominator is past the
         # length str() prints.
