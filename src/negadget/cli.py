@@ -11,7 +11,6 @@ call and reused by every later call in the process.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -28,7 +27,7 @@ from .gadget import (
     extend_gprime,
     rescale_game,
 )
-from .games import nonnegative_eps, parse_rational, regret_report
+from .games import nonnegative_eps, parse_rational, regret_ints
 from .pipeline import PipelineConfig, run_pipeline
 from .provers import VALUE_BUDGET_DEFAULT, game_value
 from .sat import ANSWER_CAP_DEFAULT, parse_dimacs, reduce_to_free_game
@@ -37,9 +36,12 @@ from .search import (
 )
 
 
+_REPORT_VIEWS = ("row_regret", "col_regret", "row_pure_regret", "col_pure_regret",
+                 "row_payoff", "col_payoff", "welfare")
+
+
 def _report_dict(rep) -> dict:
-    return {f.name: formats.format_rational(getattr(rep, f.name))
-            for f in dataclasses.fields(rep)}
+    return {name: formats.format_rational(getattr(rep, name)) for name in _REPORT_VIEWS}
 
 
 def _emit(data: dict, fmt: str) -> None:
@@ -57,7 +59,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     profile = formats.parse_prof(
         Path(args.profile).read_text(), normalize=args.normalize
     )
-    rep = regret_report(game, profile)
+    rep = regret_ints(game, profile)
     ok = rep.within(eps, pure=args.mode == "wsne")
     data = _report_dict(rep)
     data["mode"] = args.mode
@@ -101,16 +103,15 @@ def cmd_forge(args: argparse.Namespace) -> int:
             args.output, formats.write_bgm(extend_gprime(base, params.eps_star))
         )
         return 0
-    if args.what == "cert":
-        if args.strategies is None:
-            raise FormatError("forge cert needs a strategies file")
-        free = formats.parse_fgm(Path(args.input).read_text())
-        s1, s2 = formats.parse_strat(Path(args.strategies).read_text())
-        gg = build_hardness_game(free, params, half_cap=args.cap)
-        cert = completeness_certificate(gg.free_game, s1, s2, gg)
-        formats.write_file(args.output, formats.write_prof(cert))
-        return 0
-    raise GadgetError(f"unknown forge action {args.what!r}")
+    # cert, the one action left: argparse's choices refuse any other.
+    if args.strategies is None:
+        raise FormatError("forge cert needs a strategies file")
+    free = formats.parse_fgm(Path(args.input).read_text())
+    s1, s2 = formats.parse_strat(Path(args.strategies).read_text())
+    gg = build_hardness_game(free, params, half_cap=args.cap)
+    cert = completeness_certificate(gg.free_game, s1, s2, gg)
+    formats.write_file(args.output, formats.write_prof(cert))
+    return 0
 
 
 def _parse_index_set(text: str) -> tuple[int, ...]:

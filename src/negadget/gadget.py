@@ -49,7 +49,7 @@ from .games import (
     affine_rescale,
     check_count,
     frac,
-    regret_report,
+    regret_ints,
 )
 from .provers import ProverStrategy, TwoProverGame, prover_payoff
 
@@ -314,8 +314,8 @@ def check_certificate(
     rescaled eps*-WSNE) of the certificate on ``gg`` and on its rescaled
     game ``gs = rescale_game(gg)``, from one regret report per game."""
     eps_unscaled = 1 - 4 * gg.params.g * gg.params.delta
-    unscaled = regret_report(gg.game, cert)
-    scaled = regret_report(gs, cert)
+    unscaled = regret_ints(gg.game, cert)
+    scaled = regret_ints(gs, cert)
     return (unscaled.within(eps_unscaled), unscaled.welfare,
             scaled.within(eps_unscaled / RESCALE_DIVISOR), scaled.welfare,
             scaled.within(gg.params.eps_star, pure=True))

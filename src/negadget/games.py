@@ -19,13 +19,14 @@ no library path builds one.  ``==`` and ``hash`` read one canonical form.
 Every integer kernel (``regret_ints``, the k-uniform scan of
 `negadget.search`, the support LPs and `game_value`) leaves `Fraction`
 through one helper, ``cleared``, and ``int_entries`` is the palette cleared
-once.  ``regret_ints`` is what every verdict compares, through
-``regrets_within`` (``is_eps_ne``, ``is_eps_wsne`` and the deciders'
-re-checks), and ``regret_report`` is its `Fraction` face, for the reports
-that print regrets and welfare.  ``int_lines`` is the one reader of a
-game's integer payoff lines (C's rows and R's columns, sliced from the code
-rows joined once per call): the scan and the support LPs build the lines
-they read through it.
+once.  ``regret_ints`` (public also as ``regret_report``) returns a
+`RegretReport`, the kernel's seven integers, which every verdict compares
+through its one eps test, ``RegretReport.within`` (``is_eps_ne``,
+``is_eps_wsne`` and the deciders' re-checks); its `Fraction` views serve
+the reports that print regrets and welfare.  ``int_lines`` is the one
+reader of a game's integer payoff lines (C's rows and R's columns, sliced
+from the code rows joined once per call): the scan and the support LPs
+build the lines they read through it.
 ``weighted_lines`` is the one weighted sum of lines: ``regret_ints``, the
 oracle that the scan is checked against, streams through it the opponent's
 support lines (``IntLines.stream``, keeping none) weighted by a profile
@@ -42,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
     FormatError,
@@ -424,39 +425,42 @@ class MixedProfile:
         return f"MixedProfile(x={self.x!r}, y={self.y!r})"
 
 
-@dataclass(frozen=True)
-class RegretReport:
-    """Exact regrets, payoffs, and welfare of one profile in one game."""
+class RegretReport(NamedTuple):
+    """The integer kernel's result, which every verdict compares: both
+    regrets, both pure regrets and both payoffs, six numerators over one
+    unit L*M_x*M_y.  ``row_regret`` ... ``welfare`` are its `Fraction`
+    views, built when read, for the reports that print them."""
 
-    row_regret: Fraction
-    col_regret: Fraction
-    row_pure_regret: Fraction
-    col_pure_regret: Fraction
-    row_payoff: Fraction
-    col_payoff: Fraction
-    welfare: Fraction
+    row: int
+    col: int
+    row_pure: int
+    col_pure: int
+    row_pay: int
+    col_pay: int
+    unit: int
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.row_regret <= self.row_pure_regret):
-            raise InvariantError("row regret exceeds pure row regret")
-        if not (0 <= self.col_regret <= self.col_pure_regret):
-            raise InvariantError("col regret exceeds pure col regret")
-        if self.welfare != self.row_payoff + self.col_payoff:
-            raise InvariantError("welfare != sum of payoffs")
+    row_regret = property(lambda self: Fraction(self.row, self.unit))
+    col_regret = property(lambda self: Fraction(self.col, self.unit))
+    row_pure_regret = property(lambda self: Fraction(self.row_pure, self.unit))
+    col_pure_regret = property(lambda self: Fraction(self.col_pure, self.unit))
+    row_payoff = property(lambda self: Fraction(self.row_pay, self.unit))
+    col_payoff = property(lambda self: Fraction(self.col_pay, self.unit))
+    welfare = property(lambda self: Fraction(self.row_pay + self.col_pay, self.unit))
 
-    def within(self, eps: Fraction, pure: bool = False) -> bool:
-        """Both regrets (pure-strategy regrets if ``pure``) are at most eps."""
-        if pure:
-            return self.row_pure_regret <= eps and self.col_pure_regret <= eps
-        return self.row_regret <= eps and self.col_regret <= eps
+    def within(self, eps: Fraction, pure: bool = False, strict: bool = False) -> bool:
+        """Both regrets (the pure regrets if ``pure``) are at most eps, or
+        below it if ``strict``: integers cross-multiplied by eps's numerator
+        and denominator."""
+        worst = max(self[2:4] if pure else self[:2]) * eps.denominator
+        bound = eps.numerator * self.unit
+        return worst < bound if strict else worst <= bound
 
 
-def regret_ints(game: BimatrixGame, p: MixedProfile) -> tuple[int, ...]:
-    """The integer kernel that every verdict compares: (row regret, col
-    regret, row pure regret, col pure regret, row payoff, col payoff, unit),
-    six numerators over one unit L*M_x*M_y.  A pure regret takes the worst
-    payoff on the support in place of the realized one; ``InvariantError``
-    if a regret is negative or exceeds its pure regret."""
+def regret_ints(game: BimatrixGame, p: MixedProfile) -> RegretReport:
+    """The regrets and payoffs of a profile, as the kernel's integers.  A
+    pure regret takes the worst payoff on the support in place of the
+    realized one; ``InvariantError`` if a regret is negative or exceeds its
+    pure regret."""
     if p.rows != game.rows or p.cols != game.cols:
         raise ShapeError(f"profile is {p.rows}/{p.cols} but game is {game.rows}x{game.cols}")
     c_rows, r_cols, scale = int_lines(game)
@@ -473,37 +477,20 @@ def regret_ints(game: BimatrixGame, p: MixedProfile) -> tuple[int, ...]:
         sides.append((regret, pure, pay))
     (row, row_pure, row_pay), (col, col_pure, col_pay) = sides
     unit = scale * p.sparse_x[2] * p.sparse_y[2]
-    return row, col, row_pure, col_pure, row_pay, col_pay, unit
+    return RegretReport(row, col, row_pure, col_pure, row_pay, col_pay, unit)
 
 
-def regrets_within(ints: tuple[int, ...], eps: Fraction, pure: bool = False,
-                   strict: bool = False) -> bool:
-    """Both regrets of the kernel's ``ints`` (the pure regrets if ``pure``)
-    are at most eps, or below it if ``strict``: integers cross-multiplied
-    by eps's numerator and denominator."""
-    worst = max(ints[2:4] if pure else ints[:2]) * eps.denominator
-    bound = eps.numerator * ints[6]
-    return worst < bound if strict else worst <= bound
-
-
-def regret_report(game: BimatrixGame, p: MixedProfile) -> RegretReport:
-    """Exact regrets and payoffs of a profile: the `Fraction` face of
-    ``regret_ints``, for the reports that print them."""
-    row, col, row_pure, col_pure, row_pay, col_pay, unit = regret_ints(game, p)
-    return RegretReport(
-        Fraction(row, unit), Fraction(col, unit), Fraction(row_pure, unit),
-        Fraction(col_pure, unit), Fraction(row_pay, unit), Fraction(col_pay, unit),
-        Fraction(row_pay + col_pay, unit))
+regret_report = regret_ints  # the public name the reports read
 
 
 def is_eps_ne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
     """True iff both players' regrets are at most eps (exact comparison)."""
-    return regrets_within(regret_ints(game, p), frac(eps))
+    return regret_ints(game, p).within(frac(eps))
 
 
 def is_eps_wsne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
     """True iff both players' pure-strategy regrets are at most eps."""
-    return regrets_within(regret_ints(game, p), frac(eps), True)
+    return regret_ints(game, p).within(frac(eps), pure=True)
 
 
 def tv_distance(p1: MixedProfile, p2: MixedProfile) -> Fraction:

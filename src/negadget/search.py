@@ -21,6 +21,7 @@ from .games import (
     IntLines,
     MixedProfile,
     Rational,
+    RegretReport,
     Sparse,
     Vector,
     check_count,
@@ -29,7 +30,6 @@ from .games import (
     is_eps_ne,
     nonnegative_eps,
     regret_ints,
-    regrets_within,
     side_vector,
     tv_distance,
     weighted_lines,
@@ -561,7 +561,7 @@ def _pair_witness(
         p = MixedProfile.of_sides(game.rows, game.cols, (rows, x, 1), (cols, y, 1))
     except ValidationError as exc:
         raise InvariantError("support LP gave a side that is not a distribution") from exc
-    if not regrets_within(regret_ints(game, p), eps, True, strict):
+    if not regret_ints(game, p).within(eps, pure=True, strict=strict):
         raise InvariantError("support LP and regret_ints disagree on a witness")
     return p, None
 
@@ -648,7 +648,8 @@ def enumerate_wsne_supports(
     support pair, ordered by (total support size, lexicographic supports).
 
     ``strict`` restricts the enumeration to profiles whose pure-strategy
-    regrets are strictly below eps.
+    regrets are strictly below eps; at eps = 0 there are none, and no pair
+    is decided.
 
     Pairs are pruned without an LP.  With the columns fixed, the row side's
     LP only gains constraints as the row support grows, so a row side an LP
@@ -663,8 +664,10 @@ def enumerate_wsne_supports(
     """
     e = nonnegative_eps(eps)
     check_count(budget, "budget")
-    every_pair = _support_pairs(game, e, budget, strict,
-                                lambda r, c: True, 2)
+    # At eps = 0 every strict side is dead (see `_side_lp`): walk no size,
+    # past the largest pair.
+    least = game.rows + game.cols + 1 if strict and e == 0 else 2
+    every_pair = _support_pairs(game, e, budget, strict, lambda r, c: True, least)
     return (witness for _, _, witness, _ in every_pair if witness is not None)
 
 
@@ -762,13 +765,13 @@ def _hint_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
     # One kernel call per hint object, keyed by identity: the list keeps
     # every hint alive for the call, and hashing a profile hashes both sides.
     hints = list(hints)
-    reports: dict[int, tuple[int, ...]] = {}
+    reports: dict[int, RegretReport] = {}
 
-    def report(p: MixedProfile) -> tuple[int, ...]:
-        ints = reports.get(id(p))
-        if ints is None:
-            ints = reports[id(p)] = regret_ints(game, p)
-        return ints
+    def report(p: MixedProfile) -> RegretReport:
+        rep = reports.get(id(p))
+        if rep is None:
+            rep = reports[id(p)] = regret_ints(game, p)
+        return rep
 
     settled = {}
     for i, inst in pending.items():
@@ -777,14 +780,14 @@ def _hint_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
             if pair != isinstance(hint, tuple):
                 continue
             if pair:
-                certified = (all(regrets_within(report(p), eps) for p in hint)
+                certified = (all(report(p).within(eps) for p in hint)
                              and tv_distance(*hint) >= inst.d)
             else:
-                ints = report(hint)
+                rep = report(hint)
                 wsne = inst.witness_kind == WITNESS_WSNE
-                certified = regrets_within(ints, eps, wsne) and (
+                certified = rep.within(eps, pure=wsne) and (
                     inst.holds(hint.support_x, hint.support_y) if wsne
-                    else inst.holds(hint.sparse_x, *ints[4:])
+                    else inst.holds(hint.sparse_x, rep.row_pay, rep.col_pay, rep.unit)
                 )
             if certified:
                 settled[i] = SearchOutcome(

@@ -1,8 +1,9 @@
 """Independent oracles that only the tests use: the `bgm 1` reader that
 parses line by line and the `bgm 2` writer that formats cell by cell, C's
 transpose, the dot product, the matrix-vector product, its cleared integer
-lines, the regret report and rescaling computed cell by cell, profile
-distance and supports entry by entry, the gadget's certificate placed by
+lines, the regret report (its seven `Fraction`s and their eps test) and
+rescaling computed cell by cell, profile distance and supports entry by
+entry, the gadget's certificate placed by
 row and column labels, the induced two-prover game on Fraction rows per
 question, the integer lines of a game cleared in full, the integer
 k-uniform scan candidate by candidate, a multiset's rank one binomial per
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -27,7 +29,6 @@ from negadget.games import (
     Matrix,
     MixedProfile,
     Rational,
-    RegretReport,
     Sparse,
     Vector,
     cleared,
@@ -162,21 +163,46 @@ def weighted_lines_per_cell(game: BimatrixGame,
             [v * scale * mx for v in mat_vec_per_cell(c_transposed(game), p.x)])
 
 
-def regret_report_per_cell(game: BimatrixGame, p: MixedProfile) -> RegretReport:
-    """`games.regret_report` recomputed from `mat_vec_per_cell`, taking the
-    best and the worst-on-support payoff over every entry."""
-    fields = {}
+@dataclass(frozen=True)
+class FractionReport:
+    """The seven `Fraction` views of a `games.RegretReport`, and the
+    `Fraction` eps test that its integer ``within`` is checked against."""
+
+    row_regret: Fraction
+    col_regret: Fraction
+    row_pure_regret: Fraction
+    col_pure_regret: Fraction
+    row_payoff: Fraction
+    col_payoff: Fraction
+    welfare: Fraction
+
+    @classmethod
+    def of(cls, report) -> FractionReport:
+        """The views that ``report`` (a `games.RegretReport`) gives."""
+        return cls(*[getattr(report, f.name) for f in fields(cls)])
+
+    def within(self, eps: Fraction, pure: bool = False, strict: bool = False) -> bool:
+        """Both regrets (the pure regrets if ``pure``) are at most eps, or
+        below it if ``strict``."""
+        worst = (max(self.row_pure_regret, self.col_pure_regret) if pure
+                 else max(self.row_regret, self.col_regret))
+        return worst < eps if strict else worst <= eps
+
+
+def regret_report_per_cell(game: BimatrixGame, p: MixedProfile) -> FractionReport:
+    """`games.regret_report`'s views recomputed from `mat_vec_per_cell`,
+    taking the best and the worst-on-support payoff over every entry."""
+    views = {}
     for side, payoff, own, opp in (("row", game.R, p.x, p.y),
                                    ("col", c_transposed(game), p.y, p.x)):
         vals = mat_vec_per_cell(payoff, opp)
         pay = sum((a * b for a, b in zip(own, vals)), Fraction(0))
         best = max(vals)
-        fields[f"{side}_payoff"] = pay
-        fields[f"{side}_regret"] = best - pay
-        fields[f"{side}_pure_regret"] = best - min(
+        views[f"{side}_payoff"] = pay
+        views[f"{side}_regret"] = best - pay
+        views[f"{side}_pure_regret"] = best - min(
             v for v, e in zip(vals, own) if e > 0)
-    return RegretReport(welfare=fields["row_payoff"] + fields["col_payoff"],
-                        **fields)
+    return FractionReport(welfare=views["row_payoff"] + views["col_payoff"], **views)
 
 
 def affine_rescale_per_cell(game: BimatrixGame, shift: Rational,

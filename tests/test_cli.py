@@ -857,7 +857,7 @@ class TestPipeline:
             calls["rescale"] += 1
             return real_rescale(gg)
 
-        for module in (games, search):
+        for module in (games, search, gadget):
             monkeypatch.setattr(module, "regret_ints", report)
         for module in (gadget, pipeline):
             monkeypatch.setattr(module, "rescale_game", rescale)

@@ -53,6 +53,7 @@ from negadget.provers import (
 from negadget.search import enumerate_wsne_supports
 
 from oracles import (
+    FractionReport,
     affine_rescale_per_cell,
     completeness_certificate_per_label,
     int_lines_per_cell,
@@ -341,7 +342,7 @@ class TestCodedGames:
         c_rows, r_cols, _ = int_lines(game)
         assert (weighted_lines(r_cols.stream, p.sparse_y),
                 weighted_lines(c_rows.stream, p.sparse_x)) == weighted_lines_per_cell(game, p)
-        assert regret_report(game, p) == regret_report_per_cell(game, p), label
+        assert FractionReport.of(regret_report(game, p)) == regret_report_per_cell(game, p), label
 
     @settings(max_examples=60, deadline=None)
     @given(f=_even_free_games())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -35,12 +36,12 @@ from negadget.games import (
     pure_profile,
     regret_ints,
     regret_report,
-    regrets_within,
     side_vector,
     tv_distance,
     weighted_lines,
 )
 from oracles import (
+    FractionReport,
     regret_report_per_cell,
     support_per_entry,
     tv_distance_per_entry,
@@ -125,31 +126,32 @@ class TestRegretReport:
         assert rep_t.row_pure_regret == rep.col_pure_regret
         assert rep_t.welfare == rep.welfare
 
-    @pytest.mark.parametrize("broken", [
-        {"row_regret": F(1)},  # above the pure row regret
-        {"col_regret": F(-1)},
-        {"welfare": F(3)},  # not the sum of the payoffs
-    ])
-    def test_inconsistent_report_is_an_invariant_error(self, broken):
-        fields = dict(row_regret=F(0), col_regret=F(0), row_pure_regret=F(0),
-                      col_pure_regret=F(0), row_payoff=F(1), col_payoff=F(1),
-                      welfare=F(2))
-        RegretReport(**fields)
-        with pytest.raises(InvariantError):
-            RegretReport(**{**fields, **broken})
-
     @pytest.mark.parametrize("name", ["x", "y"])
     def test_kernel_refuses_a_side_heavier_than_its_m(self, name):
-        # Weight 2 over M = 1 pays twice the best response: a negative regret.
-        p = MixedProfile.of_sides(2, 2, ((0,), (1,), 1), ((0,), (1,), 1))
-        object.__setattr__(p, f"sparse_{name}", ((0,), (2,), 1))
+        # Weight 2 over M = 1 pays twice the best response: a negative
+        # regret.  Weight 1 over M = 2 pays half of it, a regret above the
+        # pure regret of 0.
         player = "row" if name == "x" else "col"
         game = BimatrixGame(R=((1, 0), (0, 1)), C=((1, 0), (0, 1)))
-        for verdict in (regret_ints, regret_report, lambda g, p: is_eps_ne(g, p, 1),
-                        lambda g, p: is_eps_wsne(g, p, 1)):
-            with pytest.raises(InvariantError,
-                               match=f"^{player} regret exceeds pure {player} regret$"):
-                verdict(game, p)
+        for side in (((0,), (2,), 1), ((0,), (1,), 2)):
+            p = MixedProfile.of_sides(2, 2, ((0,), (1,), 1), ((0,), (1,), 1))
+            object.__setattr__(p, f"sparse_{name}", side)
+            for verdict in (regret_ints, regret_report, lambda g, p: is_eps_ne(g, p, 1),
+                            lambda g, p: is_eps_wsne(g, p, 1)):
+                with pytest.raises(InvariantError,
+                                   match=f"^{player} regret exceeds pure {player} regret$"):
+                    verdict(game, p)
+
+    def test_report_is_the_kernels_integers(self):
+        # Ry = (5/2, 1/2) and xC = (5/3, 2) over the unit L*M_x*M_y = 12.
+        game = BimatrixGame(R=((3, 1), (0, 2)), C=((1, 0), (2, 3)))
+        p = MixedProfile(x=(F(1, 3), F(2, 3)), y=(F(3, 4), F(1, 4)))
+        rep = regret_report(game, p)
+        assert regret_report is regret_ints and isinstance(rep, RegretReport)
+        assert rep == (16, 3, 24, 4, 14, 21, 12)
+        assert (rep.row_pure, rep.col_pay, rep.unit) == (24, 21, 12)
+        assert FractionReport.of(rep) == FractionReport(
+            F(4, 3), F(1, 4), F(2), F(1, 3), F(7, 6), F(7, 4), F(35, 12))
 
     def test_shape_checked_before_eps(self):
         p = MixedProfile(x=(1,), y=(1,))
@@ -644,7 +646,7 @@ def _shared_game_and_profile(draw):
 def test_shared_objects_match_the_per_cell_reference(game_and_profile):
     game, p = game_and_profile
     assert _lines(game, p) == weighted_lines_per_cell(game, p)
-    assert regret_report(game, p) == regret_report_per_cell(game, p)
+    assert FractionReport.of(regret_report(game, p)) == regret_report_per_cell(game, p)
 
 
 # Primes for profile weights a/p, so that a side's M is a product of them.
@@ -666,15 +668,15 @@ def test_integer_verdicts_match_the_per_cell_oracle(game_and_profile):
     # At each regret, and one step of the kernel's unit either side of it.
     game, p = game_and_profile
     ref = regret_report_per_cell(game, p)
-    ints = regret_ints(game, p)
-    step = F(1, ints[6])
+    rep = regret_ints(game, p)
+    step = F(1, rep.unit)
     for regret in (ref.row_regret, ref.col_regret, ref.row_pure_regret,
                    ref.col_pure_regret):
         for e in (regret - step, regret, regret + step):
             assert is_eps_ne(game, p, e) == ref.within(e)
             assert is_eps_wsne(game, p, e) == ref.within(e, pure=True)
-            assert regrets_within(ints, e, pure=True, strict=True) == (
-                max(ref.row_pure_regret, ref.col_pure_regret) < e)
+            for pure, strict in itertools.product((False, True), repeat=2):
+                assert rep.within(e, pure, strict) == ref.within(e, pure, strict)
 
 
 @st.composite
@@ -704,7 +706,7 @@ def test_fresh_objects_match_the_per_cell_reference(drawn):
     assert all(a is b for given, view in ((r, game.R), (c, game.C))
                for g_row, v_row in zip(given, view) for a, b in zip(g_row, v_row))
     assert _lines(game, p) == weighted_lines_per_cell(game, p)
-    assert regret_report(game, p) == regret_report_per_cell(game, p)
+    assert FractionReport.of(regret_report(game, p)) == regret_report_per_cell(game, p)
     again = parse_bgm(write_bgm(game))
     assert again == game and hash(again) == hash(game)
 
@@ -747,7 +749,7 @@ def _coprime_game_and_profile(draw):
 @given(_coprime_game_and_profile())
 def test_coprime_denominators_match_the_per_cell_reference(game_and_profile):
     game, p = game_and_profile
-    assert regret_report(game, p) == regret_report_per_cell(game, p)
+    assert FractionReport.of(regret_report(game, p)) == regret_report_per_cell(game, p)
     assert _lines(game, p) == weighted_lines_per_cell(game, p)
     assert regret_report(game, p).welfare == regret_report_per_cell(game, p).welfare
     # The palette cleared once is the per-cell clearing of R and C.
@@ -768,7 +770,7 @@ def test_digit_bound_denominator_matches_the_per_cell_reference():
                         C=((0, tiny, 1), (F(2, 5), tiny, 0)))
     for p in (MixedProfile(x=(F(1, 3), F(2, 3)), y=(tiny, F(1, 2), F(1, 2) - tiny)),
               MixedProfile(x=(1, 0), y=(F(1, 7), 0, F(6, 7)))):
-        assert regret_report(game, p) == regret_report_per_cell(game, p)
+        assert FractionReport.of(regret_report(game, p)) == regret_report_per_cell(game, p)
         assert _lines(game, p) == weighted_lines_per_cell(game, p)
     assert game.int_entries[2] == 21 * games.DIGIT_BOUND  # 5 divides 10**4300
 

@@ -1939,6 +1939,28 @@ class TestSupportWalk:
         assert len(list(enumerate_wsne_supports(game, F(0)))) == 48
         assert len(calls) == 279
 
+    def test_strict_zero_eps_decides_no_pair(self, monkeypatch):
+        # `_side_lp` proves every strict side dead at eps = 0, so none of
+        # the 3,969 pairs is decided (378 `_pair_witness` calls once); the
+        # pair count still meets the budget at the first next().
+        real = search._pair_witness
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(search, "_pair_witness", counted)
+        game = random_game(random.Random(5), 6, 6, 2)
+        assert list(enumerate_wsne_supports(game, F(0), strict=True)) == []
+        pairs = enumerate_wsne_supports(game, F(0), budget=3968, strict=True)
+        with pytest.raises(ResourceError,
+                           match="^3969 support pairs exceed budget 3968$"):
+            next(pairs)
+        assert calls == []
+        assert len(list(enumerate_wsne_supports(game, F(1, 4), strict=True))) > 0
+        assert calls
+
     def test_a_dead_row_prunes_every_side_that_holds_it(self, monkeypatch):
         # Rows 2 and 3 beat rows 0 and 1 on the one column.  p9 (k = 2)
         # starts at two rows: (0, 1) is dead by row 0 and records {0}, so
