@@ -133,9 +133,13 @@ def cmd_decide(args: argparse.Namespace) -> int:
         kwargs["index_set"] = _parse_index_set(args.index_set)
     eps = nonnegative_eps(parse_rational(args.eps))
     required_param(pid, kwargs)
+    if pid == 3 and len(args.hint or ()) % 2:
+        raise FormatError(f"p3 takes its hints in pairs, got {len(args.hint)}")
     game = formats.parse_bgm(Path(args.game).read_text())
     inst = DecisionInstance(problem_id=pid, game=game, eps=eps, **kwargs)
     hints = [formats.parse_prof(Path(path).read_text()) for path in args.hint or ()]
+    if pid == 3:  # p3's witness is a far-apart pair: its hints come two by two
+        hints = list(zip(hints[::2], hints[1::2]))
     outcome = decide(inst, k=args.k, budget=args.budget, hints=hints)
     # The witness first: a failed write prints no answer.
     if outcome.witness is not None and args.witness_out:
@@ -218,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", dest="index_set", help="comma-separated row indices")
     p.add_argument("--k", type=int, help="k-uniform enumeration granularity")
     p.add_argument("--budget", type=int, default=SEARCH_BUDGET_DEFAULT)
-    p.add_argument("--hint", action="append", help="candidate .prof file")
+    p.add_argument("--hint", action="append",
+                   help="candidate .prof file; p3 reads them two by two, as pairs")
     p.add_argument("--witness-out")
     p.set_defaults(func=cmd_decide)
 

@@ -23,15 +23,17 @@ once.  ``regret_ints`` (public also as ``regret_report``) returns a
 `RegretReport`, the kernel's seven integers, which every verdict compares
 through its one eps test, ``RegretReport.within`` (``is_eps_ne``,
 ``is_eps_wsne`` and the deciders' re-checks); its `Fraction` views serve
-the reports that print regrets and welfare.  ``int_lines`` is the one
+the reports that print regrets and welfare.  ``int_readers`` is the one
 reader of a game's integer payoff lines (C's rows and R's columns, sliced
-from the code rows joined once per call): the scan and the support LPs
-build the lines they read through it.
-``weighted_lines`` is the one weighted sum of lines: ``regret_ints``, the
-oracle that the scan is checked against, streams through it the opponent's
-support lines (``IntLines.stream``, keeping none) weighted by a profile
-side, cleared over its own LCM (``MixedProfile.sparse_x``), and the scan
-sums its multisets' sides over the lines it keeps.
+from the code rows joined once per call), and ``int_lines`` keeps what it
+reads in `IntLines` tables for the scan and the support LPs, which read a
+line more than once.  ``weighted_lines`` is the one weighted sum of lines,
+paid per member and per distinct weight: ``regret_ints``, the oracle that
+the scan is checked against, and the induced game of `negadget.provers`
+stream through it the opponent's support lines straight from the readers,
+keeping none, weighted by a profile side cleared over its own LCM
+(``MixedProfile.sparse_x``), and the scan sums its multisets' sides over
+the lines it keeps.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ Matrix = tuple[Vector, ...]
 
 Pair = tuple[Fraction, Fraction]  # (row player, column player) entries
 Sparse = tuple[tuple[int, ...], tuple[int, ...], int]  # support, weights, M
+Reader = Callable[[int], Iterable[int]]  # an integer payoff line by index
 PALETTE_LIMIT = 0x110000  # the code points, so the codes, a str can hold
 
 # A block annotation: (name, row_start, row_end, col_start, col_end),
@@ -170,43 +173,59 @@ def cleared(*matrices: Sequence[Sequence[Fraction]]) -> tuple:
               for m in matrices], scale)
 
 
+def int_readers(game: BimatrixGame) -> tuple[Reader, Reader, int]:
+    """(C's row i, R's column j, L): the one reader of a game's integer
+    payoff lines L*C[i] and L*R[:, j], each read as a fresh stream of the
+    code row or of a slice of the code rows joined once per call."""
+    r_ints, c_ints, scale = game.int_entries
+    codes, joined, cols = game.codes, "".join(game.codes), game.cols
+
+    def c_row(i: int) -> Iterator[int]:
+        return map(c_ints.__getitem__, codes[i])
+
+    def r_col(j: int) -> Iterator[int]:
+        return map(r_ints.__getitem__, joined[j::cols])
+
+    return c_row, r_col, scale
+
+
 class IntLines(dict):
-    """Code line ``read(t)`` as integers, ``ints[code]`` per code, read two
-    ways: ``lines[t]`` builds it on first use and keeps it for the call that
-    made the table, and ``lines.stream(t)`` yields it and keeps nothing."""
+    """The lines of one ``int_readers`` reader as int lists: ``lines[t]``
+    reads line t on first use and keeps it for the call that made the table."""
 
-    def __init__(self, read: Callable[[int], str], ints: dict[str, int]) -> None:
-        self.read, self.ints = read, ints
-
-    def stream(self, t: int) -> Iterator[int]:
-        return map(self.ints.__getitem__, self.read(t))
+    def __init__(self, read: Reader) -> None:
+        self.read = read
 
     def __missing__(self, t: int) -> list[int]:
-        line = self[t] = list(self.stream(t))
+        line = self[t] = list(self.read(t))
         return line
 
 
 def int_lines(game: BimatrixGame) -> tuple[IntLines, IntLines, int]:
-    """(C's rows L*C[i], R's columns L*R[:, j], L): the one reader of a
-    game's integer payoff lines, over the code rows joined once per call."""
-    r_ints, c_ints, scale = game.int_entries
-    joined, cols = "".join(game.codes), game.cols
-    return (IntLines(game.codes.__getitem__, c_ints),
-            IntLines(lambda j: joined[j::cols], r_ints), scale)
+    """(C's rows, R's columns, L) of ``int_readers`` as `IntLines` tables,
+    for a caller that reads a line more than once."""
+    c_row, r_col, scale = int_readers(game)
+    return IntLines(c_row), IntLines(r_col), scale
 
 
-def weighted_lines(line: Callable[[int], Iterable[int]], side: Sparse) -> list[int]:
+def weighted_lines(line: Reader, side: Sparse) -> list[int]:
     """M * (sum over t of v_t * line(t)) for the vector v of the side
-    (support, weights, M), ``line`` an `IntLines` reader (``stream`` or
-    ``__getitem__``): so with R's columns, y's side gives L*M_y*(R @ y), and
-    with C's rows, x's L*M_x*(x @ C).  One weight's lines are summed first,
-    then multiplied once; all C-level."""
+    (support, weights, M), ``line`` an ``int_readers`` reader or an
+    `IntLines` table's ``__getitem__``: so with R's columns, y's side gives
+    L*M_y*(R @ y), and with C's rows, x's L*M_x*(x @ C).  A one-member side
+    is its line times its weight.  Otherwise the lines of one weight are
+    summed first (one line is read as it is), then multiplied once; all
+    C-level."""
+    support, weights = side[0], side[1]
+    if len(support) == 1:
+        w = weights[0]
+        return list(line(support[0]) if w == 1 else map(w.__mul__, line(support[0])))
     by_weight: dict[int, list[int]] = {}
-    for t, w in zip(*side[:2]):
+    for t, w in zip(support, weights):
         by_weight.setdefault(w, []).append(t)
     total = None
     for w, members in by_weight.items():
-        summed = map(sum, zip(*map(line, members)))
+        summed = line(members[0]) if len(members) == 1 else map(sum, zip(*map(line, members)))
         if w != 1:
             summed = map(w.__mul__, summed)
         total = list(summed) if total is None else list(map(add, total, summed))
@@ -447,10 +466,13 @@ class RegretReport(NamedTuple):
     col_payoff = property(lambda self: Fraction(self.col_pay, self.unit))
     welfare = property(lambda self: Fraction(self.row_pay + self.col_pay, self.unit))
 
-    def within(self, eps: Fraction, pure: bool = False, strict: bool = False) -> bool:
+    def within(self, eps: Rational, pure: bool = False, strict: bool = False) -> bool:
         """Both regrets (the pure regrets if ``pure``) are at most eps, or
         below it if ``strict``: integers cross-multiplied by eps's numerator
-        and denominator."""
+        and denominator.  eps is read through ``frac``, so a bool, a float
+        or None raises ``ParameterError``; a Fraction costs one type test."""
+        if not isinstance(eps, Fraction):
+            eps = frac(eps)
         worst = max(self[2:4] if pure else self[:2]) * eps.denominator
         bound = eps.numerator * self.unit
         return worst < bound if strict else worst <= bound
@@ -463,11 +485,11 @@ def regret_ints(game: BimatrixGame, p: MixedProfile) -> RegretReport:
     pure regret."""
     if p.rows != game.rows or p.cols != game.cols:
         raise ShapeError(f"profile is {p.rows}/{p.cols} but game is {game.rows}x{game.cols}")
-    c_rows, r_cols, scale = int_lines(game)
+    c_row, r_col, scale = int_readers(game)
     sides = []
-    for name, lines, own, opp in (("row", r_cols, p.sparse_x, p.sparse_y),
-                                  ("col", c_rows, p.sparse_y, p.sparse_x)):
-        vals = weighted_lines(lines.stream, opp)
+    for name, line, own, opp in (("row", r_col, p.sparse_x, p.sparse_y),
+                                 ("col", c_row, p.sparse_y, p.sparse_x)):
+        vals = weighted_lines(line, opp)
         support, weights, m = own
         on_support = list(map(vals.__getitem__, support))
         pay, best = sum(map(mul, weights, on_support)), max(vals) * m
@@ -485,12 +507,12 @@ regret_report = regret_ints  # the public name the reports read
 
 def is_eps_ne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
     """True iff both players' regrets are at most eps (exact comparison)."""
-    return regret_ints(game, p).within(frac(eps))
+    return regret_ints(game, p).within(eps)
 
 
 def is_eps_wsne(game: BimatrixGame, p: MixedProfile, eps: Rational) -> bool:
     """True iff both players' pure-strategy regrets are at most eps."""
-    return regret_ints(game, p).within(frac(eps), pure=True)
+    return regret_ints(game, p).within(eps, pure=True)
 
 
 def tv_distance(p1: MixedProfile, p2: MixedProfile) -> Fraction:

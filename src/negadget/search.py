@@ -65,12 +65,21 @@ class SearchOutcome:
     largest cell welfare, the candidates left unscanned are decided by
     that ceiling and count as checked, as the column-bound ones do.  A
     hint that answers counts 0.
+
+    ``reason`` says why the search stopped: "hint" (a hint certified it),
+    "found" (a scan or a support walk found a witness), "ceiling" (the
+    `lmm_best_welfare` hit at the game's largest cell welfare), "exhausted"
+    (every candidate was decided without a witness), "budget" (the family
+    exceeds the budget), "k-over-budget" (k exceeds the budget, so no
+    candidate is checked) or "support-pairs-over-budget" (the support
+    pairs exceed the budget, so none is decided).
     """
 
     answer: str
     witness: MixedProfile | None = None
     witness_pair: tuple[MixedProfile, MixedProfile] | None = None
     checked_count: int = 0
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -279,7 +288,7 @@ def lmm_best_welfare(
     """
     e = nonnegative_eps(eps)
     check_count(budget, "budget")
-    checked, truncated = _scan_size(game, k, budget)
+    checked, over = _scan_size(game, k, budget)
     # The ceiling codes: the palette pairs of the largest cell welfare.  When
     # every pair has it, the first pass is the whole family, and the last.
     r_ints, c_ints, _ = game.int_entries
@@ -290,24 +299,33 @@ def lmm_best_welfare(
     lines = int_lines(game)  # both passes build each line once
     best = next(_integer_scan(game, lines, e, k, checked,
                               None if constant else ceiling), None)
+    at_ceiling = best is not None
     if best is None and not constant:
         # Welfare as integers on the scan's scale, k*k*L; max keeps the first maximum.
         best = max(_integer_scan(game, lines, e, k, checked),
                    key=lambda hit: hit[3] + hit[4], default=None)
     witness = None if best is None else _scan_witness(game, *best[1:3], e)
-    answer = "unknown" if truncated else "no" if best is None else "yes"
-    return SearchOutcome(answer=answer, witness=witness, checked_count=checked)
+    if over:
+        answer, reason = "unknown", over
+    elif best is None:
+        answer, reason = "no", "exhausted"
+    else:
+        answer, reason = "yes", "ceiling" if at_ceiling else "found"
+    return SearchOutcome(answer=answer, witness=witness, checked_count=checked,
+                         reason=reason)
 
 
-def _scan_size(game: BimatrixGame, k: int, budget: int) -> tuple[int, bool]:
-    """(candidates a k-uniform scan checks, whether the budget cuts it).
+def _scan_size(game: BimatrixGame, k: int, budget: int) -> tuple[int, str | None]:
+    """(candidates a k-uniform scan checks, the reason the budget cuts it,
+    or None when it does not: "budget", or "k-over-budget" when k is).
 
     The budget counts candidates, but one candidate holds k indices a side,
     so a k above the budget checks none and the scan builds nothing.
     """
     total = k_uniform_count(game.rows, k) * k_uniform_count(game.cols, k)
     checked = 0 if k > budget else min(total, budget)
-    return checked, total > checked
+    return checked, (None if total == checked else
+                     "k-over-budget" if k > budget else "budget")
 
 
 def _integer_scan(
@@ -792,7 +810,7 @@ def _hint_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
             if certified:
                 settled[i] = SearchOutcome(
                     answer="yes", witness=hint[0] if pair else hint,
-                    witness_pair=hint if pair else None)
+                    witness_pair=hint if pair else None, reason="hint")
                 break
     return settled
 
@@ -804,8 +822,9 @@ def _scan_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
         return {}
     if k is None:
         k = default_k(max(game.rows, game.cols), eps)
-    checked, truncated = _scan_size(game, k, budget)
-    miss = SearchOutcome(answer="unknown" if truncated else "no", checked_count=checked)
+    checked, over = _scan_size(game, k, budget)
+    miss = SearchOutcome(answer="unknown" if over else "no", checked_count=checked,
+                         reason=over or "exhausted")
     outcomes, left = dict.fromkeys(pending, miss), dict(pending)
     lines = int_lines(game)
     unit = k * k * lines[2]
@@ -825,7 +844,7 @@ def _scan_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
                 hit = tuple(_scan_witness(game, *w, eps) for w in hit)
                 outcomes[i] = SearchOutcome(answer="yes", witness=hit[0],
                                             witness_pair=hit if len(hit) == 2 else None,
-                                            checked_count=index + 1)
+                                            checked_count=index + 1, reason="found")
                 del left[i]
         if not left:
             break
@@ -863,6 +882,9 @@ def _support_outcomes(game: BimatrixGame, eps: Fraction, pending: _Pending,
             if not left:
                 break
     except ResourceError:  # raised before the first pair: the pairs exceed the budget
-        return dict.fromkeys(pending, SearchOutcome(answer="unknown"))
+        return dict.fromkeys(pending, SearchOutcome(answer="unknown",
+                                                    reason="support-pairs-over-budget"))
     return {i: SearchOutcome(answer="yes" if i in found else "no", witness=found.get(i),
-                             checked_count=pairs_seen[i]) for i in pending}
+                             checked_count=pairs_seen[i],
+                             reason="found" if i in found else "exhausted")
+            for i in pending}

@@ -17,7 +17,10 @@ message, and `support_walk`, weak and strict enumeration and p7-p10
 prunes pairs several sizes up, and `verdicts`, `is_eps_ne` and
 `is_eps_wsne` at each regret and one step either side, and p1-p10 decided
 by hints whose payoffs, welfares, weights and supports set the parameters
-at and one step past each boundary.  Each layer's results are
+at and one step past each boundary, and `reasons`, the answer and the
+`reason` of each outcome of the `decide_many`, `verdicts` and
+`lmm_best_welfare` layers and of scans at k over the budget (None on a
+revision whose outcomes have no reason).  Each layer's results are
 written as plain lists of ints and strings, every rational through
 `formats.format_rational`, and hashed as JSON, so a field added to a result
 type changes no digest.  The script reads only the standard library and
@@ -149,12 +152,10 @@ def regret_layer(pairs: list) -> list:
     return out
 
 
-def verdicts_layer(quick: bool, pairs: list) -> list:
+def verdicts_layer(pairs: list, hinted: list) -> list:
     """`is_eps_ne` and `is_eps_wsne` on the regret layer's pairs at eps 0,
     EPS_STAR and each of the four regrets, exactly and one STEP either side;
-    then p1-p10 through `decide_many` with grid-profile hints on seeded
-    games, each hint setting the parameters at its exact payoff, welfare,
-    largest weight, distance or support size and one step past it."""
+    then the outcomes of `hinted_outcomes`."""
     out = []
     for game, p in pairs:
         rep = regret_report(game, p)
@@ -162,6 +163,14 @@ def verdicts_layer(quick: bool, pairs: list) -> list:
                    rep.col_pure_regret)
         epss = [F(0), EPS_STAR] + [r + s for r in regrets for s in (0, STEP, -STEP)]
         out.append([[is_eps_ne(game, p, e), is_eps_wsne(game, p, e)] for e in epss])
+    return out + decide_layer(hinted)
+
+
+def hinted_outcomes(quick: bool) -> list:
+    """p1-p10 through `decide_many` with grid-profile hints on seeded
+    games, each hint setting the parameters at its exact payoff, welfare,
+    largest weight, distance or support size and one step past it."""
+    out = []
     rng = random.Random(15)
     for game in seeded_games(16, 15 if quick else 60, 4, 5):
         hints = [corpus.random_profile(rng, game.rows, game.cols) for _ in range(3)]
@@ -182,9 +191,7 @@ def verdicts_layer(quick: bool, pairs: list) -> list:
                                                   **{name: value}))
                 except GadgetError:  # a value outside the problem's range
                     pass
-            for o in decide_many(group, 1, 20, hints):
-                pair = o.witness_pair and list(map(profile, o.witness_pair))
-                out.append([o.answer, profile(o.witness), pair, o.checked_count])
+            out += decide_many(group, 1, 20, hints)
     return out
 
 
@@ -221,7 +228,7 @@ def induced_layer(quick: bool, built: list) -> list:
     return out
 
 
-def lmm_layer(quick: bool) -> list:
+def lmm_outcomes(quick: bool) -> list:
     calls = []
     for seed in PLANTED_SEEDS:
         rng = random.Random(seed)
@@ -240,11 +247,7 @@ def lmm_layer(quick: bool) -> list:
     for game in seeded_games(5, 100 if quick else 400, 3, 4):
         calls.append((game, rng.choice((F(0), F(1, 4), F(1, 2))), rng.randint(1, 3),
                       rng.choice((7, 60, 2**22))))
-    out = []
-    for game, eps, k, budget in calls:
-        o = lmm_best_welfare(game, eps, k, budget)
-        out.append([o.answer, profile(o.witness), o.checked_count])
-    return out
+    return [lmm_best_welfare(game, eps, k, budget) for game, eps, k, budget in calls]
 
 
 def instances(rng: random.Random, game, eps: Fraction) -> list:
@@ -260,18 +263,35 @@ def instances(rng: random.Random, game, eps: Fraction) -> list:
             for pid, (name, values) in enumerate(params, 1)]
 
 
-def decide_layer(quick: bool) -> list:
+def decide_outcomes(quick: bool) -> list:
     rng = random.Random(6)
     runs = [(game, EPS_STAR, 2, 2000) for game in capped_games()]
     for game in seeded_games(7, 40 if quick else 200, 4, 5):
         runs.append((game, rng.choice((F(0), F(1, 8), F(1, 4), F(1, 2))),
                      rng.randint(1, 3), rng.choice((3, 10, 40, 400, 5000))))
-    out = []
-    for game, eps, k, budget in runs:
-        for o in decide_many(instances(rng, game, eps), k, budget):
-            pair = o.witness_pair and list(map(profile, o.witness_pair))
-            out.append([o.answer, profile(o.witness), pair, o.checked_count])
-    return out
+    return [o for game, eps, k, budget in runs
+            for o in decide_many(instances(rng, game, eps), k, budget)]
+
+
+def decide_layer(outcomes: list) -> list:
+    return [[o.answer, profile(o.witness),
+             o.witness_pair and list(map(profile, o.witness_pair)), o.checked_count]
+            for o in outcomes]
+
+
+def lmm_layer(outcomes: list) -> list:
+    return [[o.answer, profile(o.witness), o.checked_count] for o in outcomes]
+
+
+def reasons_layer(decided: list, hinted: list, best: list) -> list:
+    """Each answer and its reason, for the p1-p10 outcomes of the
+    `decide_many` and `verdicts` layers, the `lmm_best_welfare` layer's
+    outcomes, and p1-p10 and `lmm_best_welfare` at k = 3 over budget 2 on
+    the capped games; a revision whose outcomes carry no reason records None."""
+    rng = random.Random(17)
+    over = [o for game in capped_games() for o in (
+        *decide_many(instances(rng, game, F(0)), 3, 2), lmm_best_welfare(game, F(0), 3, 2))]
+    return [[o.answer, getattr(o, "reason", None)] for o in decided + hinted + best + over]
 
 
 def wsne_layer(quick: bool) -> list:
@@ -408,16 +428,18 @@ def digests(quick: bool = False) -> dict[str, str]:
     """Each layer's name and the sha256 of its results, in a fixed order."""
     built = reductions(quick)
     pairs = regret_pairs(quick, built)
+    best, decided, hinted = lmm_outcomes(quick), decide_outcomes(quick), hinted_outcomes(quick)
     layers = {"regret_report": regret_layer(pairs),
               "induced_two_prover": induced_layer(quick, built),
-              "lmm_best_welfare": lmm_layer(quick),
-              "decide_many": decide_layer(quick),
+              "lmm_best_welfare": lmm_layer(best),
+              "decide_many": decide_layer(decided),
               "enumerate_wsne_supports": wsne_layer(quick),
               "profiles": profiles_layer(quick, built),
               "large_k": large_k_layer(quick),
               "readers": readers_layer(quick, built),
               "support_walk": support_walk_layer(quick),
-              "verdicts": verdicts_layer(quick, pairs)}
+              "verdicts": verdicts_layer(pairs, hinted),
+              "reasons": reasons_layer(decided, hinted, best)}
     return {name: hashlib.sha256(json.dumps(records).encode()).hexdigest()
             for name, records in layers.items()}
 

@@ -152,6 +152,28 @@ class TestVerify:
         assert runs[0] == runs[1]
 
 
+    def test_verify_builds_no_memo_table(self, single_build, tmp_path, monkeypatch,
+                                         capsys):
+        # The report streams each support line from the code rows: it makes
+        # no `IntLines` table and keeps no line, even at full support.
+        game = rescale_game(single_build.gadget)
+        uniform = MixedProfile(x=(F(1, game.rows),) * game.rows,
+                               y=(F(1, game.cols),) * game.cols)
+        game_path = tmp_path / "Gs.bgm"
+        game_path.write_text(formats.write_bgm(game))
+        made, kept = [], []
+        real_init, real_missing = games.IntLines.__init__, games.IntLines.__missing__
+        monkeypatch.setattr(games.IntLines, "__init__",
+                            lambda lines, *args: made.append(args) or real_init(lines, *args))
+        monkeypatch.setattr(games.IntLines, "__missing__",
+                            lambda lines, t: kept.append(t) or real_missing(lines, t))
+        for p in (single_build.cert, uniform):
+            prof_path = tmp_path / "p.prof"
+            prof_path.write_text(formats.write_prof(p))
+            assert main(["verify", str(game_path), str(prof_path), "--eps", "1"]) == 0
+        assert "ok: True" in capsys.readouterr().out
+        assert (made, kept) == ([], [])
+
 class TestOneParser:
     """`main` builds its parser once per process; no call sees the options
     of an earlier one."""
@@ -330,6 +352,32 @@ class TestDecide:
              "--k", "2"]
         )
         assert code == 1
+
+    def test_p3_reads_its_hints_as_pairs(self, single_build, params, tmp_path, capsys):
+        # The pipeline's p3 hint on the single fixture's G': the certificate
+        # extended to G' and the corner, far apart.
+        gp = extend_gprime(rescale_game(single_build.gadget), params.eps_star)
+        files = {"Gprime.bgm": formats.write_bgm(gp),
+                 "cert_gp.prof": formats.write_prof(gadget.extend_profile(single_build.cert,
+                                                                         1, 1)),
+                 "corner.prof": formats.write_prof(games.pure_profile(gp, gp.rows - 1,
+                                                                      gp.cols - 1))}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        e = params.eps_star
+        argv = ["decide", "p3", str(tmp_path / "Gprime.bgm"), "--eps", str(e),
+                "--d", str(1 - e / (1 - e)), "--budget", "50",
+                "--witness-out", str(tmp_path / "w.prof")]
+        cert, corner = ["--hint", str(tmp_path / "cert_gp.prof")], [
+            "--hint", str(tmp_path / "corner.prof")]
+        assert main(argv + cert + corner) == 0
+        assert capsys.readouterr() == ("yes\n", "")
+        assert (tmp_path / "w.prof").read_text() == files["cert_gp.prof"]
+        # An odd count exits 3 with one error line.
+        for hints, count in ((cert, 1), (cert + corner + cert, 3)):
+            assert main(argv + hints) == 3
+            assert capsys.readouterr() == (
+                "", f"error: p3 takes its hints in pairs, got {count}\n")
 
     def test_failed_witness_write_prints_no_answer(self, tmp_path, coordination_paths,
                                                   capsys):

@@ -17,6 +17,7 @@ QUICK = {
     "readers": "2b4014a1e818afc508acf77909d9c5af615a185d5b1b24848b5935ad7ebed8f6",
     "support_walk": "580c46fe62057656546f838e242a930305826bd8c1ae7a8e0d8b76347d443304",
     "verdicts": "eb72ace65e7e505e3ccb8c5b2bf53508349a03d7edd738a8a61a82a8f8380b64",
+    "reasons": "7c2ca84951758e8e6a0a4244064c4241537ff54c5673eec70ccf0d53c799a7e3",
 }
 
 

@@ -37,6 +37,7 @@ from negadget.games import (
     MixedProfile,
     affine_rescale,
     int_lines,
+    int_readers,
     is_eps_ne,
     is_eps_wsne,
     pure_profile,
@@ -339,9 +340,9 @@ class TestCodedGames:
         label, game = data.draw(st.sampled_from(fixture_games))
         p = MixedProfile(x=data.draw(_sparse_shared_weights(game.rows)),
                          y=data.draw(_sparse_shared_weights(game.cols)))
-        c_rows, r_cols, _ = int_lines(game)
-        assert (weighted_lines(r_cols.stream, p.sparse_y),
-                weighted_lines(c_rows.stream, p.sparse_x)) == weighted_lines_per_cell(game, p)
+        c_row, r_col, _ = int_readers(game)
+        assert (weighted_lines(r_col, p.sparse_y),
+                weighted_lines(c_row, p.sparse_x)) == weighted_lines_per_cell(game, p)
         assert FractionReport.of(regret_report(game, p)) == regret_report_per_cell(game, p), label
 
     @settings(max_examples=60, deadline=None)
@@ -404,8 +405,8 @@ class TestCertificate:
         expected = F(2) / (1 + 4 * params.g * params.delta_star)
         for b in sat_builds.values():
             game = b.gadget.game
-            _, r_cols, scale = int_lines(game)
-            row_vals = weighted_lines(r_cols.stream, b.cert.sparse_y)
+            _, r_col, scale = int_readers(game)
+            row_vals = weighted_lines(r_col, b.cert.sparse_y)
             _, d0, d1_, _, _ = game.block("D1")
             for i in range(d0, d1_):
                 assert row_vals[i] == expected * scale * b.cert.sparse_y[2]
@@ -503,8 +504,8 @@ class TestSoundnessChainProperties:
         covering = [d0 + t for t, half in enumerate(half_subsets(free.ny))
                     if half[question]]
         assert covering == [i for i in range(d0, d1_) if game.R[i][0] != 0]
-        _, r_cols, scale = int_lines(game)
-        row_vals = weighted_lines(r_cols.stream, p.sparse_y)
+        _, r_col, scale = int_readers(game)
+        row_vals = weighted_lines(r_col, p.sparse_y)
         assert max(row_vals[i] for i in covering) >= 2 * scale * p.sparse_y[2]
         assert not is_eps_ne(game, p, eps)
 

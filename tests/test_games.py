@@ -9,7 +9,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negadget import games
@@ -31,6 +31,7 @@ from negadget.games import (
     cleared,
     frac,
     int_lines,
+    int_readers,
     is_eps_ne,
     is_eps_wsne,
     pure_profile,
@@ -158,6 +159,17 @@ class TestRegretReport:
         for verdict in (is_eps_ne, is_eps_wsne):
             with pytest.raises(ShapeError):
                 verdict(MATCHING_PENNIES, p, 0.5)
+
+    def test_within_reads_eps_as_frac_does(self):
+        # Regrets 4/3 and 1/4, pure 2 and 1/3 (test_report_is_the_kernels_integers).
+        game = BimatrixGame(R=((3, 1), (0, 2)), C=((1, 0), (2, 3)))
+        rep = regret_report(game, MixedProfile(x=(F(1, 3), F(2, 3)), y=(F(3, 4), F(1, 4))))
+        for bad in (True, False, 0.5, 2.0, None):
+            with pytest.raises(ParameterError, match="expected an exact rational"):
+                rep.within(bad)
+        assert rep.within(2) and rep.within("4/3") and not rep.within("1/2")
+        assert rep.within(F(4, 3)) and not rep.within(F(4, 3), strict=True)
+        assert not rep.within("1.9", pure=True) and rep.within(2, pure=True)
 
 
 class TestProfiles:
@@ -713,10 +725,63 @@ def test_fresh_objects_match_the_per_cell_reference(drawn):
 
 def _lines(game: BimatrixGame, p: MixedProfile) -> tuple[list[int], list[int]]:
     """`weighted_lines` on both sides of p: R's columns at y's support and
-    C's rows at x's support, both read through `int_lines`."""
+    C's rows at x's support, read through `int_readers`, and the same read
+    through the `int_lines` tables."""
+    return _side_lines(game, p.sparse_x, p.sparse_y)
+
+
+def _side_lines(game: BimatrixGame, x_side, y_side) -> tuple[list[int], list[int]]:
+    """`weighted_lines` of R's columns at ``y_side`` and of C's rows at
+    ``x_side``, the same through both readers: the streams of
+    `int_readers` and the kept lines of `int_lines`."""
+    c_row, r_col, _ = int_readers(game)
     c_rows, r_cols, _ = int_lines(game)
-    return (weighted_lines(r_cols.stream, p.sparse_y),
-            weighted_lines(c_rows.stream, p.sparse_x))
+    streamed = weighted_lines(r_col, y_side), weighted_lines(c_row, x_side)
+    kept = weighted_lines(r_cols.__getitem__, y_side), weighted_lines(c_rows.__getitem__, x_side)
+    assert streamed == kept
+    return streamed
+
+
+@st.composite
+def _raw_side(draw, n: int):
+    """A side (support, weights, M) as a scan gives it: ascending members,
+    positive int multiplicities drawn from few values (so that one weight
+    may hold one member and another several), M their sum, not reduced."""
+    support = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    weights = tuple(draw(st.lists(st.sampled_from((1, 2, 3)), min_size=len(support),
+                                  max_size=len(support))))
+    return support, weights, sum(weights)
+
+
+@st.composite
+def _game_and_raw_sides(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                     min_size=rows, max_size=rows)
+    r, c = ([[F(e, 2) for e in row] for row in draw(cells)] for _ in range(2))
+    return BimatrixGame(R=r, C=c), draw(_raw_side(rows)), draw(_raw_side(cols))
+
+
+_LINES_GAME = BimatrixGame(R=((1, F(-1, 2), 3, 0), (2, 0, F(1, 3), -1), (0, 5, 1, 1)),
+                           C=((F(1, 4), 2, 0, 1), (-3, 1, 1, 0), (2, 2, F(-1, 2), 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_game_and_raw_sides())
+# A one-member side at w = 1 and at w = k (a k-uniform pure side, k = 3).
+@example(drawn=(_LINES_GAME, ((2,), (1,), 1), ((1,), (1,), 1)))
+@example(drawn=(_LINES_GAME, ((2,), (3,), 3), ((1,), (3,), 3)))
+# Weight 1 holds one line among weights of two and three lines.
+@example(drawn=(_LINES_GAME, ((0, 1, 2), (2, 1, 2), 5), ((0, 1, 2, 3), (3, 1, 3, 3), 10)))
+def test_scan_sides_match_the_per_cell_reference(drawn):
+    # A side over M, not reduced, sums M/M' times the profile's reduced
+    # side over M', which the oracle reads.
+    game, x_side, y_side = drawn
+    p = MixedProfile.of_sides(game.rows, game.cols, x_side, y_side)
+    ref_r, ref_c = weighted_lines_per_cell(game, p)
+    assert _side_lines(game, x_side, y_side) == (
+        [v * (y_side[2] // p.sparse_y[2]) for v in ref_r],
+        [v * (x_side[2] // p.sparse_x[2]) for v in ref_c])
 
 
 # Primes up to about 10**12, so that entries and weights over them have

@@ -15,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negadget import formats, games, linsolve, pipeline, search
-from negadget.corpus import capped_base_games, random_game, random_planted_game
+from negadget.corpus import (
+    capped_base_games, random_game, random_planted_game, unsatisfiable_fixtures,
+)
 from negadget.errors import (
     InvariantError, ParameterError, ResourceError, ShapeError, ValidationError
 )
@@ -71,7 +73,7 @@ from oracles import (
     support_per_entry,
     tv_distance_per_entry,
 )
-from test_golden import UNSAT_WIDE
+from test_golden import UNSAT_WIDE, _dimacs
 
 F = Fraction
 
@@ -100,7 +102,7 @@ def spy_int_lines(monkeypatch, game):
     real = games.IntLines.__missing__
 
     def spy(lines, t):
-        built.append(("C row" if lines.ints is game.int_entries[1] else "R col", t))
+        built.append(("C row" if lines.read.__name__ == "c_row" else "R col", t))
         return real(lines, t)
 
     monkeypatch.setattr(games.IntLines, "__missing__", spy)
@@ -1140,7 +1142,7 @@ class TestLmmCeilingFirst:
         summed = search.weighted_lines
 
         def spy(line, side):
-            if line.__self__.ints is game.int_entries[1]:  # C's rows of the game in the loop
+            if line.__self__.read.__name__ == "c_row":  # C's rows
                 x_lines.append(side[0])
             return summed(line, side)
 
@@ -1694,6 +1696,67 @@ class TestDecideMany:
         with pytest.raises(ValidationError):
             decide_many([p1, DecisionInstance(
                 problem_id=1, game=COORDINATION, eps=F(1, 4), u=1)])
+
+
+class TestReasons:
+    # Row 1 is strictly dominated: no eps = 0 WSNE has both rows in its support.
+    DOMINATED = BimatrixGame(R=((1, 1), (0, 0)), C=((1, 0), (1, 0)))
+
+    def test_pipeline_unknowns_carry_their_reasons(self, tmp_path, monkeypatch):
+        # No hint reaches an unsatisfiable run, so each of its unknowns is a
+        # cut: the p1-p6 scan at its budget, the p7-p10 walk at its pairs.
+        got = []
+        real = pipeline.decide_many
+
+        def spy(insts, *args, **kwargs):
+            outcomes = real(insts, *args, **kwargs)
+            got.extend((inst.problem_id, o.answer, o.reason)
+                       for inst, o in zip(insts, outcomes))
+            return outcomes
+
+        monkeypatch.setattr(pipeline, "decide_many", spy)
+        for name, formula in unsatisfiable_fixtures().items():
+            cnf = tmp_path / f"{name}.cnf"
+            cnf.write_text(_dimacs(formula))
+            got.clear()
+            pipeline.run_pipeline(pipeline.PipelineConfig(str(cnf), str(tmp_path / name)))
+            assert sorted(got) == [
+                (pid, "unknown", "budget" if pid <= 6 else "support-pairs-over-budget")
+                for pid in range(1, 11)], name
+
+    def test_each_phase_says_why_it_stopped(self):
+        def run(pid, game, hints=(), scan_k=1, budget=1000, **param):
+            out = decide(DecisionInstance(problem_id=pid, game=game, eps=0, **param),
+                         k=scan_k, budget=budget, hints=hints)
+            return out.answer, out.reason
+
+        corner = pure_profile(COORDINATION, 0, 0)
+        assert run(1, COORDINATION, hints=[corner], u=1) == ("yes", "hint")
+        assert run(3, COORDINATION, hints=[(corner, pure_profile(COORDINATION, 1, 1))],
+                   d=1) == ("yes", "hint")
+        assert run(1, COORDINATION, u=1) == ("yes", "found")
+        assert run(1, MATCHING_PENNIES, u=F(1, 2)) == ("no", "exhausted")
+        assert run(1, MATCHING_PENNIES, scan_k=2, budget=3, u=F(1, 2)) == ("unknown", "budget")
+        assert run(1, MATCHING_PENNIES, scan_k=4, budget=3, u=F(1, 2)) == (
+            "unknown", "k-over-budget")
+        assert run(7, MATCHING_PENNIES, k=2) == ("yes", "found")
+        assert run(9, self.DOMINATED, k=2) == ("no", "exhausted")
+        assert run(7, MATCHING_PENNIES, budget=2, k=1) == (
+            "unknown", "support-pairs-over-budget")
+
+    def test_lmm_says_whether_it_stopped_at_the_ceiling(self):
+        # Two pure NE of welfare 1 below the ceiling 3/2 of cell (2, 2).
+        h = F(1, 2)
+        tied = BimatrixGame(R=((h, 0, 1), (0, h, 0), (0, 0, F(3, 4))),
+                            C=((h, 0, 0), (0, h, 0), (0, 0, F(3, 4))))
+        cases = [(COORDINATION, 1, 1000, ("yes", "ceiling")),
+                 (tied, 1, 1000, ("yes", "found")),
+                 (MATCHING_PENNIES, 1, 1000, ("no", "exhausted")),
+                 (COORDINATION, 2, 3, ("unknown", "budget")),
+                 (COORDINATION, 4, 3, ("unknown", "k-over-budget"))]
+        for game, k, budget, expected in cases:
+            out = lmm_best_welfare(game, 0, k, budget)
+            assert (out.answer, out.reason) == expected, (game, k, budget)
 
 
 @st.composite
